@@ -19,7 +19,8 @@ import tempfile
 
 import numpy as np
 
-from . import average, bounds, densities, grassmann, marginals, sections
+from . import average, bounds, densities, grassmann, marginals, sections, slabgeom
+from .quadrature import ToleranceError
 
 REPORT_VERSION = "margbounds-report-1"
 
@@ -439,6 +440,16 @@ def _floats_csv(text: str) -> list:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _sup_range(text: str) -> tuple:
     parts = _floats_csv(text)
     if len(parts) != 2 or parts[0] <= 0.0 or parts[1] < parts[0]:
@@ -462,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="marginal sup vs the product bound on random instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--sup-range", type=_sup_range, default=(1.0, 1.0),
                    help="lo,hi range for factor sup norms (default unit)")
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rogozin", help="line-marginal sup vs the central cube section")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-4)
     common(p)
     p.set_defaults(func=cmd_rogozin)
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sides", type=_floats_csv, required=True)
     p.add_argument("--normal", type=_floats_csv, default=None)
     p.add_argument("--subspace-file", type=str, default=None)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--tol", type=float, default=1e-9)
     common(p, workers=False)
     p.set_defaults(func=cmd_sections, workers=1)
@@ -498,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bl-check", help="Brascamp-Lieb inequality on random tight frames")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--systems", type=int, default=100)
+    p.add_argument("--systems", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_bl_check)
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="Grassmannian average of marginal powers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--density", type=str, default=None,
                    help="product density JSON; runs the paired comparison")
     common(p, workers=False)
@@ -516,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--diag", type=_floats_csv, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     common(p, workers=False)
     p.set_defaults(func=cmd_grinberg, workers=1)
 
@@ -524,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20000)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--csv-out", type=str, default=None)
     common(p)
     p.set_defaults(func=cmd_small_ball)
@@ -555,6 +566,10 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = ns.func(ns)
+    except (slabgeom.BlockTooWideError, ToleranceError) as exc:
+        # valid flags, but the route cannot deliver a certified value
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

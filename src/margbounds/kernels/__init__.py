@@ -42,6 +42,20 @@ def slab_volume(W, lo, hi) -> float:
     raise ValueError(f"slab_volume supports dimensions 1-3, got {d}")
 
 
+def clip_seed_rows(W):
+    """Indices of the rows from which the 2-D or 3-D clipper builds its seed
+    parallelogram or parallelepiped, or None when W is degenerate and the
+    clipper returns 0.0 for every lo, hi.  Both backends choose the same rows.
+    """
+    d = W.shape[1]
+    if d == 2:
+        seeds = _pure._polygon_seed_rows(W)
+        return None if seeds is None else seeds[:2]
+    if d == 3:
+        return _pure._polytope_seed_rows(W)
+    raise ValueError(f"clip_seed_rows supports dimensions 2-3, got {d}")
+
+
 def backends() -> dict:
     """All importable backends, keyed by name (for benchmarks/tests)."""
     out = {"pure": _pure}

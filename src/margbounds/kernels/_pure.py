@@ -59,17 +59,28 @@ def _clip_polygon(poly, nx, ny, b, eps):
     return out
 
 
-def polygon_area(W, lo, hi):
-    """Area of the intersection of 2-D slabs lo_i <= <w_i, y> <= hi_i."""
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
-    # Seed polygon: the parallelogram cut out by the best-conditioned pair.
+def _polygon_seed_rows(W):
+    """(i0, i1, det) of the rows seeding the 2-D clipper and their
+    determinant, or None when W is degenerate at the clipper's tolerance
+    (polygon_area then returns 0.0)."""
     i0 = int(np.argmax(np.einsum("ij,ij->i", W, W)))
     dets = W[i0, 0] * W[:, 1] - W[i0, 1] * W[:, 0]
     i1 = int(np.argmax(np.abs(dets)))
     det = dets[i1]
     if abs(det) < 1e-14 * (1.0 + float(np.abs(W).max())) ** 2:
+        return None
+    return i0, i1, det
+
+
+def polygon_area(W, lo, hi):
+    """Area of the intersection of 2-D slabs lo_i <= <w_i, y> <= hi_i."""
+    W = np.asarray(W, dtype=float)
+    m = W.shape[0]
+    # Seed polygon: the parallelogram cut out by the best-conditioned pair.
+    seeds = _polygon_seed_rows(W)
+    if seeds is None:
         return 0.0
+    i0, i1, det = seeds
     a00, a01 = W[i0]
     a10, a11 = W[i1]
     poly = []
@@ -202,18 +213,27 @@ def _faces_volume(faces):
     return vol / 6.0
 
 
-def polytope_volume(W, lo, hi):
-    """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i."""
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
+def _polytope_seed_rows(W):
+    """(i0, i1, i2) of the rows seeding the 3-D clipper, or None when W is
+    degenerate at the clipper's tolerance (polytope_volume then returns 0.0)."""
     i0 = int(np.argmax(np.einsum("ij,ij->i", W, W)))
     cr = np.cross(W[i0], W)
     i1 = int(np.argmax(np.einsum("ij,ij->i", cr, cr)))
     dets = cr[i1] @ W.T
     i2 = int(np.argmax(np.abs(dets)))
-    det = dets[i2]
-    if abs(det) < 1e-14 * (1.0 + float(np.abs(W).max())) ** 3:
+    if abs(dets[i2]) < 1e-14 * (1.0 + float(np.abs(W).max())) ** 3:
+        return None
+    return i0, i1, i2
+
+
+def polytope_volume(W, lo, hi):
+    """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i."""
+    W = np.asarray(W, dtype=float)
+    m = W.shape[0]
+    seeds = _polytope_seed_rows(W)
+    if seeds is None:
         return 0.0
+    i0, i1, i2 = seeds
     M = np.vstack([W[i0], W[i1], W[i2]])
     Minv = np.linalg.inv(M)
     bounds = ((lo[i0], hi[i0]), (lo[i1], hi[i1]), (lo[i2], hi[i2]))

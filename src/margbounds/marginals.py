@@ -15,6 +15,7 @@ one-dimensional worst-case (cube) comparison, and the small-ball estimator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +55,132 @@ class MarginalQuery:
         return self.e.basis @ self.x
 
 
+# A piece combination is dropped before the clipper only when every seed
+# vertex lies outside another row's slab by this multiple of (seed-matrix
+# condition number x the clipper's coordinate scale); the clippers' own eps
+# is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such a combination
+# clips to nothing and the kernel would return exactly 0.0.
+_PREFILTER_MARGIN = 1e-9
+
+
+class _Block:
+    """One orthogonal block of the active frame rows, with the bounds and
+    weights of every piece combination of its factors (in product order)."""
+
+    def __init__(self, rows: np.ndarray, local: np.ndarray, factors):
+        self.rows = rows  # ambient indices of the block's frame rows
+        self.local = local  # the rows in span coordinates, (m, d)
+        combos = list(itertools.product(*(factors[i].pieces for i in rows)))
+        pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
+        self.lo = pieces[:, :, 0]
+        self.hi = pieces[:, :, 1]
+        self.weights = [math.prod(p[2] for p in combo) for combo in combos]
+
+    def bounds(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-combination slab bounds (C, m) at the ambient shifts x_i."""
+        s = shifts[self.rows]
+        return self.lo - s, self.hi - s
+
+    @functools.cached_property
+    def _seed_frame(self):
+        """(seed rows, corner selector, inverse of the seed matrix, margin) of
+        the clipper, or None when it returns 0.0 for every combination."""
+        seeds = slabgeom.kernels.clip_seed_rows(self.local)
+        if seeds is None:
+            return None
+        seeds = list(seeds)
+        d = len(seeds)
+        upper = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) == 1  # (2^d, d)
+        m = self.local[seeds]
+        m_inv = np.linalg.inv(m)
+        cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
+        return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
+
+    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        """Indices of the combinations the clipper may give a nonzero volume.
+
+        Builds every combination's seed parallelogram (2-D) or
+        parallelepiped (3-D) and drops those lying wholly outside another
+        row's slab by the margin.
+        """
+        seed_frame = self._seed_frame
+        if seed_frame is None:
+            return []
+        seeds, upper, m_inv_t, margin = seed_frame
+        verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (C, 2^d, d)
+        proj = verts @ self.local.T  # (C, 2^d, m)
+        slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
+        outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
+        return np.flatnonzero(~outside.any(axis=1)).tolist()
+
+    def integral(self, shifts: np.ndarray, prefilter: bool) -> float:
+        """Sum over piece combinations of weight x slab volume."""
+        lo, hi = self.bounds(shifts)
+        if prefilter and self.local.shape[1] >= 2:
+            combos = self.candidates(lo, hi)
+        else:
+            combos = range(len(self.weights))
+        sub = 0.0
+        for c in combos:
+            sub += self.weights[c] * slabgeom.kernels.slab_volume(self.local, lo[c], hi[c])
+        return sub
+
+
+class MarginalPlan:
+    """The per-(f, E) part of pi_E(f), built once and evaluated at many x.
+
+    Holds the complement frame (rows w_i), its split into zero rows (whose
+    factors contribute the constant f_i(x_i)) and active rows, and, built on
+    first use, the orthogonal blocks of the active rows with their piece
+    combinations.
+    """
+
+    def __init__(self, f: ProductDensity, e: Subspace):
+        if e.n != f.n:
+            raise ValueError("density and subspace live in different dimensions")
+        self.f = f
+        self.e = e
+        self.frame = orthonormal_complement(e).basis  # rows w_i, (n, n-k)
+        norms = np.sqrt(np.einsum("ij,ij->i", self.frame, self.frame))
+        self.zero_rows = np.nonzero(norms <= _ROW_ZERO_TOL)[0]
+        self.active_rows = np.nonzero(norms > _ROW_ZERO_TOL)[0]
+
+    @functools.cached_property
+    def blocks(self) -> list[_Block]:
+        """Exact slab blocks; raises slabgeom.BlockTooWideError beyond 3-D."""
+        active = self.active_rows
+        return [
+            _Block(active[comp], local, self.f.factors)
+            for comp, local in slabgeom.component_blocks(self.frame[active])
+        ]
+
+    def zero_row_factor(self, shifts: np.ndarray) -> float:
+        """Product of f_i(x_i) over the zero frame rows."""
+        const = 1.0
+        for i in self.zero_rows:
+            const *= self.f.factors[i].value_at(shifts[i])
+            if const == 0.0:
+                break
+        return const
+
+    def value(self, x: np.ndarray, prefilter: bool = False) -> float:
+        """pi_E(f)(x) for x in coordinates of E's basis.
+
+        With prefilter, piece combinations whose seed polygon or polytope is
+        certified empty skip the clipper; they would add exactly 0.0, so the
+        result is bit-identical either way.
+        """
+        shifts = self.e.basis @ x
+        value = self.zero_row_factor(shifts)
+        if value == 0.0:
+            return 0.0
+        for block in self.blocks:
+            value *= block.integral(shifts, prefilter)
+            if value == 0.0:
+                return 0.0
+        return value
+
+
 def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     """pi_E(f)(x) by exact slab-arrangement integration.
 
@@ -65,32 +192,7 @@ def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    e = q.e
-    if e.k == e.n:
-        shifts = q.ambient_shifts()
-        return math.prod(f.value_at(s) for f, s in zip(q.f.factors, shifts))
-    w = orthonormal_complement(e).basis  # rows w_i, (n, n-k)
-    shifts = q.ambient_shifts()
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    const = 1.0
-    for i in np.nonzero(norms <= _ROW_ZERO_TOL)[0]:
-        const *= q.f.factors[i].value_at(shifts[i])
-        if const == 0.0:
-            return 0.0
-    active = np.nonzero(norms > _ROW_ZERO_TOL)[0]
-    value = const
-    for comp, local in slabgeom.component_blocks(w[active]):
-        idx = active[comp]
-        piece_lists = [q.f.factors[i].pieces for i in idx]
-        sub = 0.0
-        for combo in itertools.product(*piece_lists):
-            lo = np.array([p[0] for p in combo]) - shifts[idx]
-            hi = np.array([p[1] for p in combo]) - shifts[idx]
-            sub += math.prod(p[2] for p in combo) * slabgeom.kernels.slab_volume(local, lo, hi)
-        value *= sub
-        if value == 0.0:
-            return 0.0
-    return value
+    return MarginalPlan(q.f, q.e).value(q.x)
 
 
 _MC_CHUNK = 1 << 15
@@ -112,16 +214,14 @@ def marginal_mc(
     e = q.e
     if e.k >= e.n:
         raise ValueError("nothing to integrate when k = n")
-    w = orthonormal_complement(e).basis
+    plan = MarginalPlan(q.f, e)
+    w = plan.frame
     d = e.n - e.k
     shifts = q.ambient_shifts()
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    const = 1.0
-    for i in np.nonzero(norms <= _ROW_ZERO_TOL)[0]:
-        const *= q.f.factors[i].value_at(shifts[i])
+    const = plan.zero_row_factor(shifts)
     if const == 0.0:
         return 0.0, 0.0
-    active = np.nonzero(norms > _ROW_ZERO_TOL)[0]
+    active = plan.active_rows
     # the integrand vanishes unless <w_i, y> stays within each factor's
     # support; the frame identity then bounds |y|
     reach = 0.0
@@ -177,6 +277,8 @@ def marginal_grid_sup(
     """
     if grid_radius <= 0.0 or grid_step <= 0.0:
         raise ValueError("grid parameters must be positive")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     k = e.k
     offs = _axis_offsets(grid_radius, grid_step)
     if offs.size**k > _GRID_BUDGET:
@@ -184,12 +286,13 @@ def marginal_grid_sup(
             f"grid budget exceeded: {offs.size}^{k} points (limit {_GRID_BUDGET})"
         )
     center = e.basis.T @ f.support_midpoints()
+    plan = MarginalPlan(f, e)
 
     def scan(origin: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
         best_v, best_x = -1.0, origin
         for combo in itertools.product(offsets, repeat=k):
             x = origin + np.array(combo)
-            v = marginal_at(MarginalQuery(f, e, x), tol)
+            v = plan.value(x, prefilter=True)
             if v > best_v:
                 best_v, best_x = v, x
         return best_v, best_x

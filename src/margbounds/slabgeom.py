@@ -16,6 +16,11 @@ from . import kernels
 ROW_ZERO_TOL = 1e-12
 
 
+class BlockTooWideError(ValueError):
+    """An irreducible slab block spans more dimensions than the exact
+    clipping kernels handle; the exact route cannot serve this frame."""
+
+
 def row_components(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     """Index groups of rows linked by nonzero inner products (union of BFS)."""
     m = w.shape[0]
@@ -50,14 +55,14 @@ def span_coordinates(rows: np.ndarray) -> np.ndarray:
 def component_blocks(w: np.ndarray, max_block: int = 3) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row indices, rows in span coordinates) per orthogonal component.
 
-    Raises if some irreducible component spans more than max_block
-    dimensions (callers then fall back to Monte Carlo).
+    Raises BlockTooWideError if some irreducible component spans more than
+    max_block dimensions (callers then fall back to Monte Carlo).
     """
     blocks = []
     for comp in row_components(w):
         local = span_coordinates(w[comp])
         if local.shape[1] > max_block:
-            raise ValueError(
+            raise BlockTooWideError(
                 f"irreducible slab block of dimension {local.shape[1]} "
                 f"exceeds the exact-geometry limit {max_block}"
             )

@@ -180,3 +180,32 @@ def test_write_json_atomic_sorted(tmp_path):
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": 2, "b": 1.5}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--n", "3", "--k", "1", "--trials", "0"], "--trials"),
+    (["rogozin", "--n", "3", "--trials", "-1"], "--trials"),
+    (["average", "--n", "2", "--k", "1", "--samples", "0"], "--samples"),
+    (["bl-check", "--systems", "0"], "--systems"),
+])
+def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+
+def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
+    # n - k = 6: the complement frame forms one irreducible 6-D block
+    assert run(["verify", "--n", "8", "--k", "2", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: irreducible slab block of dimension 6")
+
+
+def test_unmet_sinc_tolerance_reports_achieved_bound(capsys):
+    code = run(["sections", "--mode", "sinc", "--sides", "1,1,1",
+                "--normal", "1,2,3", "--tol", "1e-16"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "achieved error bound" in err
+    assert "Traceback" not in err

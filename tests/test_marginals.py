@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from margbounds import kernels, slabgeom
 from margbounds.densities import (
     ProductDensity,
     StepDensity,
@@ -12,6 +16,7 @@ from margbounds.densities import (
 )
 from margbounds.grassmann import Subspace, haar_sample, orthonormal_complement
 from margbounds.marginals import (
+    MarginalPlan,
     MarginalQuery,
     cube_hyperplane_section,
     default_grid,
@@ -218,3 +223,115 @@ def test_small_ball_bound_formula():
     assert small_ball_bound(4, 2, 0.1) == pytest.approx(
         2.0 * (math.sqrt(2.0 * math.e * math.pi) * 0.1) ** 2
     )
+
+
+# -- the plan against the per-point loop ----------------------------------------
+
+
+def _reference_marginal_at(q):
+    """The per-point evaluation that MarginalPlan replaces: complement, zero
+    rows and blocks recomputed, and every piece combination clipped."""
+    e = q.e
+    shifts = q.ambient_shifts()
+    if e.k == e.n:
+        return math.prod(f.value_at(s) for f, s in zip(q.f.factors, shifts))
+    w = orthonormal_complement(e).basis
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+    const = 1.0
+    for i in np.nonzero(norms <= 1e-12)[0]:
+        const *= q.f.factors[i].value_at(shifts[i])
+        if const == 0.0:
+            return 0.0
+    active = np.nonzero(norms > 1e-12)[0]
+    value = const
+    for comp, local in slabgeom.component_blocks(w[active]):
+        idx = active[comp]
+        sub = 0.0
+        for combo in itertools.product(*[q.f.factors[i].pieces for i in idx]):
+            lo = np.array([p[0] for p in combo]) - shifts[idx]
+            hi = np.array([p[1] for p in combo]) - shifts[idx]
+            sub += math.prod(p[2] for p in combo) * kernels.slab_volume(local, lo, hi)
+        value *= sub
+        if value == 0.0:
+            return 0.0
+    return value
+
+
+def _reference_grid_sup(f, e, grid_radius, grid_step, tol):
+    """marginal_grid_sup's scan and refinement with one full evaluation per point."""
+    k = e.k
+    half = int(math.floor(grid_radius / grid_step + 1e-12))
+    offs = grid_step * np.arange(-half, half + 1, dtype=float)
+
+    def scan(origin, offsets):
+        best_v, best_x = -1.0, origin
+        for combo in itertools.product(offsets, repeat=k):
+            x = origin + np.array(combo)
+            v = _reference_marginal_at(MarginalQuery(f, e, x))
+            if v > best_v:
+                best_v, best_x = v, x
+        return best_v, best_x
+
+    best_v, best_x = scan(e.basis.T @ f.support_midpoints(), offs)
+    step = grid_step
+    for _ in range(40):
+        step *= 0.5
+        refined_v, refined_x = scan(best_x, step * np.arange(-2.0, 3.0))
+        gain = refined_v - best_v
+        if refined_v > best_v:
+            best_v, best_x = refined_v, refined_x
+        if gain < tol:
+            break
+    return best_v
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 2, 1), (4, 3, 2), (4, 2, 3), (5, 3, 4),
+                                      (4, 1, 5), (5, 2, 6)])
+def test_plan_matches_per_point_loop_exactly(n, k, seed):
+    # codimension n - k in {1, 2, 3}: 1-D, 2-D and 3-D blocks
+    f = random_product_density(seed, n, 2)
+    e = haar_sample(n, k, seed=seed + 40)
+    radius, step = default_grid(f, e)
+    assert marginal_grid_sup(f, e, radius, step, 1e-6) == _reference_grid_sup(
+        f, e, radius, step, 1e-6
+    )
+    rng = np.random.default_rng(seed)
+    center = e.basis.T @ f.support_midpoints()
+    for x in [np.zeros(k), center] + [center + 0.5 * rng.normal(size=k) for _ in range(4)]:
+        q = MarginalQuery(f, e, x)
+        want = _reference_marginal_at(q)
+        assert marginal_at(q) == want
+        assert MarginalPlan(f, e).value(q.x, prefilter=True) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([(3, 1), (4, 2), (4, 1), (5, 2)]),
+    st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
+)
+def test_prefilter_drops_only_empty_combinations(seed, dims, offset):
+    n, k = dims
+    f = random_product_density(seed, n, 3)
+    e = haar_sample(n, k, seed=seed)
+    x = e.basis.T @ f.support_midpoints() + np.array(offset[:k])
+    shifts = e.basis @ x
+    for block in MarginalPlan(f, e).blocks:
+        if block.local.shape[1] < 2:
+            continue
+        lo, hi = block.bounds(shifts)
+        kept = set(block.candidates(lo, hi))
+        for c in range(len(block.weights)):
+            if c not in kept:
+                assert kernels.slab_volume(block.local, lo[c], hi[c]) == 0.0
+
+
+def test_prefilter_drops_combinations_off_center():
+    # not vacuous: away from the support center most seed cells miss a slab
+    f = random_product_density(3, 4, 3)
+    e = haar_sample(4, 2, seed=3)
+    x = e.basis.T @ f.support_midpoints() + 0.8
+    shifts = e.basis @ x
+    (block,) = MarginalPlan(f, e).blocks
+    lo, hi = block.bounds(shifts)
+    assert len(block.candidates(lo, hi)) < len(block.weights)

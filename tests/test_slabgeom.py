@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from margbounds.slabgeom import component_blocks, decomposed_volume, row_components
+from margbounds.slabgeom import (
+    BlockTooWideError,
+    component_blocks,
+    decomposed_volume,
+    row_components,
+)
 
 
 def test_row_components_orthogonal_split():
@@ -30,8 +35,9 @@ def test_component_blocks_span_coordinates():
 def test_component_blocks_guard():
     w = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
     w = w + 0.01  # break orthogonality so rows link into one 4-D block
-    with pytest.raises(ValueError):
+    with pytest.raises(BlockTooWideError):
         component_blocks(w)
+    assert issubclass(BlockTooWideError, ValueError)
 
 
 def test_decomposed_volume_product_structure():
