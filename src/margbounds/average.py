@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import randomness
 from .densities import ProductDensity, cube_density
-from .grassmann import haar_sample
+from .grassmann import haar_directions, haar_sample
 from .marginals import MarginalQuery, marginal_at
 from .sections import Box, hyperplane_sections_exact_batch, section_quadrature, unit_cube
 
@@ -53,9 +52,14 @@ def unit_ball_volume(n: int) -> float:
     return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
 
 
-def _haar_directions_chunk(n: int, seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    g = randomness.normals(seed, stream, start * n, count * n).reshape(count, n)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def _per_haar_direction(fn, n: int, samples: int, seed: int, stream: int) -> np.ndarray:
+    """fn(dirs) over the first `samples` Haar directions of the stream, in
+    chunks of _DIR_CHUNK rows; fn maps (count, n) rows to count values."""
+    vals = np.empty(samples)
+    for start in range(0, samples, _DIR_CHUNK):
+        count = min(_DIR_CHUNK, samples - start)
+        vals[start : start + count] = fn(haar_directions(n, count, seed, stream, start))
+    return vals
 
 
 def line_marginals_at_zero(factors, dirs: np.ndarray) -> np.ndarray:
@@ -127,12 +131,9 @@ def _marginal_values_at_zero(
         raise ValueError("need 1 <= k < n")
     if n - k == 1:
         # the complement is a Haar line: integrate f along random directions
-        vals = np.empty(samples)
-        for start in range(0, samples, _DIR_CHUNK):
-            count = min(_DIR_CHUNK, samples - start)
-            dirs = _haar_directions_chunk(n, seed, stream, start, count)
-            vals[start : start + count] = line_marginals_at_zero(f.factors, dirs)
-        return vals
+        return _per_haar_direction(
+            lambda dirs: line_marginals_at_zero(f.factors, dirs), n, samples, seed, stream
+        )
     zero = np.zeros(k)
     vals = np.empty(samples)
     for i in range(samples):
@@ -164,12 +165,9 @@ def _cube_marginal_values(
     """pi_E(1_{Q_n})(0) = |Q_n cap E^perp| over Haar E, batched when k = 1."""
     if k == 1:
         box = unit_cube(n)
-        vals = np.empty(samples)
-        for start in range(0, samples, _DIR_CHUNK):
-            count = min(_DIR_CHUNK, samples - start)
-            dirs = _haar_directions_chunk(n, seed, stream, start, count)
-            vals[start : start + count] = hyperplane_sections_exact_batch(box, dirs)
-        return vals
+        return _per_haar_direction(
+            lambda dirs: hyperplane_sections_exact_batch(box, dirs), n, samples, seed, stream
+        )
     return _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream)
 
 
@@ -205,12 +203,10 @@ def prop_avg_check(
     n = f.n
     lhs_vals = _powered(_marginal_values_at_zero(f, k, samples, 1e-9, seed, stream), float(n))
     if n - k == 1:
-        cube_raw = np.empty(samples)
         cube = cube_density(n).factors
-        for start in range(0, samples, _DIR_CHUNK):
-            count = min(_DIR_CHUNK, samples - start)
-            dirs = _haar_directions_chunk(n, seed, stream, start, count)
-            cube_raw[start : start + count] = line_marginals_at_zero(cube, dirs)
+        cube_raw = _per_haar_direction(
+            lambda dirs: line_marginals_at_zero(cube, dirs), n, samples, seed, stream
+        )
         rhs_vals = _powered(cube_raw, float(n))
     else:
         # same haar_sample streams as the lhs -> identical subspace samples
@@ -239,14 +235,12 @@ def _box_section_values(
     n = box.n
     if k == 1:
         half = box.sides / 2.0
-        vals = np.empty(samples)
-        for start in range(0, samples, _DIR_CHUNK):
-            count = min(_DIR_CHUNK, samples - start)
-            dirs = _haar_directions_chunk(n, seed, stream, start, count)
+
+        def chord(dirs):
             with np.errstate(divide="ignore"):
-                reach = half[None, :] / np.abs(dirs)
-            vals[start : start + count] = 2.0 * reach.min(axis=1)
-        return vals
+                return 2.0 * (half[None, :] / np.abs(dirs)).min(axis=1)
+
+        return _per_haar_direction(chord, n, samples, seed, stream)
     vals = np.empty(samples)
     for i in range(samples):
         e = haar_sample(n, k, seed, stream=stream + 1 + i)

@@ -220,22 +220,17 @@ def _bl_lhs_steps(system: BLSystem, densities: list[StepDensity]) -> float:
     integral is a finite sum of powered piece values times polytope volumes,
     factorized over orthogonal blocks of the weighted frame rows.
     """
-    u = system.directions
     c = system.weights
-    w = u * np.sqrt(c)[:, None]  # tight frame rows
+    sqc = np.sqrt(c)
     lhs = 1.0
-    for comp, local in slabgeom.component_blocks(w):
-        sqc = np.sqrt(c[comp])
-        piece_lists = [densities[i].pieces for i in comp]
-        sub = 0.0
-        for combo in itertools.product(*piece_lists):
-            lo = np.array([p[0] for p in combo]) * sqc
-            hi = np.array([p[1] for p in combo]) * sqc
-            val = math.prod(p[2] ** c[i] for p, i in zip(combo, comp))
-            if val == 0.0:
-                continue
-            sub += val * slabgeom.kernels.slab_volume(local, lo, hi)
-        lhs *= sub
+    for comp, local in slabgeom.component_blocks(system.directions * sqc[:, None]):
+        combos = list(itertools.product(*(densities[i].pieces for i in comp)))
+        pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
+        weights = [math.prod(p[2] ** c[i] for p, i in zip(combo, comp)) for combo in combos]
+        # <w_i, x> = sqrt(c_i) <u_i, x>, so the piece bounds scale by sqrt(c_i)
+        scale = sqc[comp]
+        block = slabgeom.SlabBlock(local, pieces[:, :, 0] * scale, pieces[:, :, 1] * scale, weights)
+        lhs *= block.integral(block.lo, block.hi)
         if lhs == 0.0:
             return 0.0
     return lhs

@@ -47,9 +47,8 @@ def _plain(obj):
     return obj
 
 
-def write_json_atomic(path: str, obj) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
-    text = json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+def _write_text_atomic(path: str, text: str) -> None:
+    """Write to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -60,6 +59,11 @@ def write_json_atomic(path: str, obj) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, obj) -> None:
+    """Sorted, indented JSON with a final newline, written atomically."""
+    _write_text_atomic(path, json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n")
 
 
 def emit_curve(points, path: str, header=("x", "y")) -> None:
@@ -73,16 +77,7 @@ def emit_curve(points, path: str, header=("x", "y")) -> None:
         if len(row) != width:
             raise ValueError("row width does not match header")
         lines.append(",".join(f"{float(v):.17g}" for v in row))
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def build_report(config: dict, records: list, failures: list, summary: dict) -> dict:
@@ -500,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball-integral", help="sinc-power integrals against sqrt(2/p)")
     p.add_argument("--p-min", type=float, default=2.0)
     p.add_argument("--p-max", type=float, default=100.0)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--csv-out", type=str, default=None)
     common(p, workers=False)

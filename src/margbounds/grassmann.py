@@ -166,9 +166,11 @@ def haar_sample(n: int, k: int, seed: int, stream: int = 0) -> Subspace:
     return Subspace(_fix_qr_signs(q, r))
 
 
-def haar_directions(n: int, count: int, seed: int, stream: int = 0) -> np.ndarray:
-    """count Haar unit vectors in R^n, one per row (vectorized k=1 case)."""
-    g = randomness.normals(seed, stream, 0, count * n).reshape(count, n)
+def haar_directions(n: int, count: int, seed: int, stream: int = 0, start: int = 0) -> np.ndarray:
+    """Haar unit vectors start, ..., start + count - 1 of the stream in R^n,
+    one per row (vectorized k=1 case); chunks of one stream concatenate to
+    the whole."""
+    g = randomness.normals(seed, stream, start * n, count * n).reshape(count, n)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

@@ -1,7 +1,4 @@
-"""Pure-Python/numpy kernels.
-
-Twin of the compiled extension in ``_core.pyx``; both implement the same
-algorithms so either backend can serve every caller.
+"""Scalar kernels in numpy/Python: slab-intersection volumes and Irwin-Hall.
 
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
@@ -14,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+BACKEND = "pure"
 
 _TINY = 1e-300
 
@@ -255,6 +254,32 @@ def polytope_volume(W, lo, hi):
         if not faces:
             return 0.0
     return _faces_volume(faces)
+
+
+def slab_volume(W, lo, hi) -> float:
+    """Volume of { y in R^d : lo_i <= <w_i, y> <= hi_i } for d in {1, 2, 3}."""
+    d = W.shape[1] if W.ndim == 2 else 1
+    if d == 1:
+        return interval_length(W.reshape(-1), lo, hi)
+    if d == 2:
+        return polygon_area(W, lo, hi)
+    if d == 3:
+        return polytope_volume(W, lo, hi)
+    raise ValueError(f"slab_volume supports dimensions 1-3, got {d}")
+
+
+def clip_seed_rows(W):
+    """Indices of the rows from which the 2-D or 3-D clipper builds its seed
+    parallelogram or parallelepiped, or None when W is degenerate and the
+    clipper returns 0.0 for every lo, hi.
+    """
+    d = W.shape[1]
+    if d == 2:
+        seeds = _polygon_seed_rows(W)
+        return None if seeds is None else seeds[:2]
+    if d == 3:
+        return _polytope_seed_rows(W)
+    raise ValueError(f"clip_seed_rows supports dimensions 2-3, got {d}")
 
 
 # -- Signed power sums -------------------------------------------------------

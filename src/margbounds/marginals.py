@@ -27,7 +27,6 @@ from .densities import ProductDensity
 from .grassmann import Subspace, orthonormal_complement
 from .sections import ZERO_COORD_TOL, Box, hyperplane_section_exact
 
-_ROW_ZERO_TOL = 1e-12
 _GRID_BUDGET = 400_000
 
 
@@ -55,77 +54,6 @@ class MarginalQuery:
         return self.e.basis @ self.x
 
 
-# A piece combination is dropped before the clipper only when every seed
-# vertex lies outside another row's slab by this multiple of (seed-matrix
-# condition number x the clipper's coordinate scale); the clippers' own eps
-# is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such a combination
-# clips to nothing and the kernel would return exactly 0.0.
-_PREFILTER_MARGIN = 1e-9
-
-
-class _Block:
-    """One orthogonal block of the active frame rows, with the bounds and
-    weights of every piece combination of its factors (in product order)."""
-
-    def __init__(self, rows: np.ndarray, local: np.ndarray, factors):
-        self.rows = rows  # ambient indices of the block's frame rows
-        self.local = local  # the rows in span coordinates, (m, d)
-        combos = list(itertools.product(*(factors[i].pieces for i in rows)))
-        pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
-        self.lo = pieces[:, :, 0]
-        self.hi = pieces[:, :, 1]
-        self.weights = [math.prod(p[2] for p in combo) for combo in combos]
-
-    def bounds(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-combination slab bounds (C, m) at the ambient shifts x_i."""
-        s = shifts[self.rows]
-        return self.lo - s, self.hi - s
-
-    @functools.cached_property
-    def _seed_frame(self):
-        """(seed rows, corner selector, inverse of the seed matrix, margin) of
-        the clipper, or None when it returns 0.0 for every combination."""
-        seeds = slabgeom.kernels.clip_seed_rows(self.local)
-        if seeds is None:
-            return None
-        seeds = list(seeds)
-        d = len(seeds)
-        upper = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) == 1  # (2^d, d)
-        m = self.local[seeds]
-        m_inv = np.linalg.inv(m)
-        cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
-        return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
-
-    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        """Indices of the combinations the clipper may give a nonzero volume.
-
-        Builds every combination's seed parallelogram (2-D) or
-        parallelepiped (3-D) and drops those lying wholly outside another
-        row's slab by the margin.
-        """
-        seed_frame = self._seed_frame
-        if seed_frame is None:
-            return []
-        seeds, upper, m_inv_t, margin = seed_frame
-        verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (C, 2^d, d)
-        proj = verts @ self.local.T  # (C, 2^d, m)
-        slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
-        outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
-        return np.flatnonzero(~outside.any(axis=1)).tolist()
-
-    def integral(self, shifts: np.ndarray, prefilter: bool) -> float:
-        """Sum over piece combinations of weight x slab volume."""
-        lo, hi = self.bounds(shifts)
-        if prefilter and self.local.shape[1] >= 2:
-            combos = self.candidates(lo, hi)
-        else:
-            combos = range(len(self.weights))
-        sub = 0.0
-        for c in combos:
-            sub += self.weights[c] * slabgeom.kernels.slab_volume(self.local, lo[c], hi[c])
-        return sub
-
-
 class MarginalPlan:
     """The per-(f, E) part of pi_E(f), built once and evaluated at many x.
 
@@ -142,17 +70,23 @@ class MarginalPlan:
         self.e = e
         self.frame = orthonormal_complement(e).basis  # rows w_i, (n, n-k)
         norms = np.sqrt(np.einsum("ij,ij->i", self.frame, self.frame))
-        self.zero_rows = np.nonzero(norms <= _ROW_ZERO_TOL)[0]
-        self.active_rows = np.nonzero(norms > _ROW_ZERO_TOL)[0]
+        self.zero_rows = np.nonzero(norms <= slabgeom.ROW_ZERO_TOL)[0]
+        self.active_rows = np.nonzero(norms > slabgeom.ROW_ZERO_TOL)[0]
 
     @functools.cached_property
-    def blocks(self) -> list[_Block]:
-        """Exact slab blocks; raises slabgeom.BlockTooWideError beyond 3-D."""
-        active = self.active_rows
-        return [
-            _Block(active[comp], local, self.f.factors)
-            for comp, local in slabgeom.component_blocks(self.frame[active])
-        ]
+    def blocks(self) -> list[tuple[np.ndarray, slabgeom.SlabBlock]]:
+        """(ambient rows, slab block) per orthogonal block of the active rows,
+        with unshifted piece bounds; raises slabgeom.BlockTooWideError beyond
+        3-D."""
+        out = []
+        for comp, local in slabgeom.component_blocks(self.frame[self.active_rows]):
+            rows = self.active_rows[comp]
+            combos = list(itertools.product(*(self.f.factors[i].pieces for i in rows)))
+            pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
+            weights = [math.prod(p[2] for p in combo) for combo in combos]
+            block = slabgeom.SlabBlock(local, pieces[:, :, 0], pieces[:, :, 1], weights)
+            out.append((rows, block))
+        return out
 
     def zero_row_factor(self, shifts: np.ndarray) -> float:
         """Product of f_i(x_i) over the zero frame rows."""
@@ -174,8 +108,9 @@ class MarginalPlan:
         value = self.zero_row_factor(shifts)
         if value == 0.0:
             return 0.0
-        for block in self.blocks:
-            value *= block.integral(shifts, prefilter)
+        for rows, block in self.blocks:
+            s = shifts[rows]
+            value *= block.integral(block.lo - s, block.hi - s, prefilter)
             if value == 0.0:
                 return 0.0
         return value

@@ -156,7 +156,7 @@ def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
         raise ValueError("zero-dimensional section")
     w = np.asarray(h.basis)
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    keep = norms > 1e-12  # w_i = 0 rows impose no constraint
+    keep = norms > slabgeom.ROW_ZERO_TOL
     return slabgeom.decomposed_volume(w[keep], -box.sides[keep] / 2.0, box.sides[keep] / 2.0)
 
 

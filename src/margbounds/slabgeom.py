@@ -1,19 +1,33 @@
-"""Orthogonal decomposition of slab systems.
+"""Orthogonal decomposition of slab systems, and sums over their cells.
 
 A slab system { y in R^d : lo_i <= <w_i, y> <= hi_i } whose rows split into
 groups with mutually orthogonal spans factorizes: the volume is the product
 of the per-group volumes inside their span coordinates.  Since the rows
 always form a tight frame here, the group spans cover R^d, and each group of
 span dimension <= 3 is handled exactly by the clipping kernels.
+
+A product of step functions composed with the rows integrates to a sum over
+piece combinations of weight x slab-intersection volume; SlabBlock holds one
+orthogonal block of that sum.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import kernels
 
+# frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
+
+# A piece combination is dropped before the clipper only when every seed
+# vertex lies outside another row's slab by this multiple of (seed-matrix
+# condition number x the clipper's coordinate scale); the clippers' own eps
+# is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such a combination
+# clips to nothing and the kernel would return exactly 0.0.
+_PREFILTER_MARGIN = 1e-9
 
 
 class BlockTooWideError(ValueError):
@@ -78,3 +92,68 @@ def decomposed_volume(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
         if vol == 0.0:
             return 0.0
     return vol
+
+
+class SlabBlock:
+    """One orthogonal block of a slab system with the bounds (C, m) and
+    weights (C,) of its piece combinations, in product order.
+
+    Combinations of weight 0.0 are dropped when the block is built; they
+    add nothing to the sum.
+    """
+
+    def __init__(self, local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights):
+        keep = [c for c, w in enumerate(weights) if w != 0.0]
+        self.local = local  # the rows in span coordinates, (m, d)
+        self.lo = lo[keep]
+        self.hi = hi[keep]
+        self.weights = [weights[c] for c in keep]
+
+    @functools.cached_property
+    def _seed_frame(self):
+        """(seed rows, corner selector, inverse of the seed matrix, margin) of
+        the clipper, or None when it returns 0.0 for every combination."""
+        seeds = kernels.clip_seed_rows(self.local)
+        if seeds is None:
+            return None
+        seeds = list(seeds)
+        d = len(seeds)
+        upper = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) == 1  # (2^d, d)
+        m = self.local[seeds]
+        m_inv = np.linalg.inv(m)
+        cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
+        return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
+
+    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        """Indices of the combinations the clipper may give a nonzero volume.
+
+        Builds every combination's seed parallelogram (2-D) or
+        parallelepiped (3-D) and drops those lying wholly outside another
+        row's slab by the margin.
+        """
+        seed_frame = self._seed_frame
+        if seed_frame is None:
+            return []
+        seeds, upper, m_inv_t, margin = seed_frame
+        verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (C, 2^d, d)
+        proj = verts @ self.local.T  # (C, 2^d, m)
+        slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
+        outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
+        return np.flatnonzero(~outside.any(axis=1)).tolist()
+
+    def integral(self, lo: np.ndarray, hi: np.ndarray, prefilter: bool = False) -> float:
+        """Sum over combinations c of weights[c] x the volume of the slab
+        system with bounds lo[c], hi[c] (shaped like self.lo, self.hi).
+
+        With prefilter, 2-D and 3-D combinations whose seed cell is certified
+        empty skip the clipper; they would add exactly 0.0, so the sum is
+        bit-identical either way.
+        """
+        if prefilter and self.local.shape[1] >= 2:
+            combos = self.candidates(lo, hi)
+        else:
+            combos = range(len(self.weights))
+        sub = 0.0
+        for c in combos:
+            sub += self.weights[c] * kernels.slab_volume(self.local, lo[c], hi[c])
+        return sub

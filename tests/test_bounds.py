@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from margbounds import bounds
+from margbounds import bounds, kernels, slabgeom
 from margbounds.bounds import (
     BLSystem,
     GaussianDensity,
@@ -181,3 +182,39 @@ def test_bl_uniform_mercedes_strict_inequality():
 def test_bl_mixed_density_kinds_rejected():
     with pytest.raises(ValueError):
         bl_check(mercedes_system(), [uniform_density(), GaussianDensity(), uniform_density()])
+
+
+def _reference_bl_lhs_steps(system, densities):
+    """The per-combination loop that SlabBlock replaces: bounds and weight
+    built per piece combination, zero weights skipped, product order."""
+    u = system.directions
+    c = system.weights
+    w = u * np.sqrt(c)[:, None]
+    lhs = 1.0
+    for comp, local in slabgeom.component_blocks(w):
+        sqc = np.sqrt(c[comp])
+        sub = 0.0
+        for combo in itertools.product(*[densities[i].pieces for i in comp]):
+            lo = np.array([p[0] for p in combo]) * sqc
+            hi = np.array([p[1] for p in combo]) * sqc
+            val = math.prod(p[2] ** c[i] for p, i in zip(combo, comp))
+            if val == 0.0:
+                continue
+            sub += val * kernels.slab_volume(local, lo, hi)
+        lhs *= sub
+        if lhs == 0.0:
+            return 0.0
+    return lhs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bl_check_matches_per_combination_loop_exactly(d):
+    for seed in range(12):
+        m = d + 1 + seed % 4
+        system = random_bl_system(seed, d, m, stream=5)
+        fs = []
+        for i in range(m):
+            f = random_density(seed, 3, 1e9, stream=200 + i)
+            fs.append(f.shifted(-f.support_midpoint()))
+        lhs, _ = bl_check(system, fs)
+        assert lhs == _reference_bl_lhs_steps(system, fs)

@@ -187,6 +187,7 @@ def test_write_json_atomic_sorted(tmp_path):
     (["rogozin", "--n", "3", "--trials", "-1"], "--trials"),
     (["average", "--n", "2", "--k", "1", "--samples", "0"], "--samples"),
     (["bl-check", "--systems", "0"], "--systems"),
+    (["ball-integral", "--steps", "0"], "--steps"),
 ])
 def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -64,6 +64,13 @@ def test_haar_directions_unit_rows():
     assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
 
 
+def test_haar_directions_chunks_concatenate():
+    whole = haar_directions(4, 10, seed=3, stream=2)
+    head = haar_directions(4, 3, seed=3, stream=2)
+    tail = haar_directions(4, 7, seed=3, stream=2, start=3)
+    assert np.array_equal(np.vstack([head, tail]), whole)
+
+
 def test_orthonormal_complement():
     e = haar_sample(7, 3, seed=1)
     v = orthonormal_complement(e)

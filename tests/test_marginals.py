@@ -316,10 +316,10 @@ def test_prefilter_drops_only_empty_combinations(seed, dims, offset):
     e = haar_sample(n, k, seed=seed)
     x = e.basis.T @ f.support_midpoints() + np.array(offset[:k])
     shifts = e.basis @ x
-    for block in MarginalPlan(f, e).blocks:
+    for rows, block in MarginalPlan(f, e).blocks:
         if block.local.shape[1] < 2:
             continue
-        lo, hi = block.bounds(shifts)
+        lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
         kept = set(block.candidates(lo, hi))
         for c in range(len(block.weights)):
             if c not in kept:
@@ -332,6 +332,6 @@ def test_prefilter_drops_combinations_off_center():
     e = haar_sample(4, 2, seed=3)
     x = e.basis.T @ f.support_midpoints() + 0.8
     shifts = e.basis @ x
-    (block,) = MarginalPlan(f, e).blocks
-    lo, hi = block.bounds(shifts)
+    ((rows, block),) = MarginalPlan(f, e).blocks
+    lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
     assert len(block.candidates(lo, hi)) < len(block.weights)
