@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from . import slabgeom
 from .densities import ProductDensity, cube_density
 from .grassmann import haar_directions, haar_sample
 from .marginals import MarginalQuery, marginal_at
@@ -73,38 +74,26 @@ def line_marginals_at_zero(factors, dirs: np.ndarray) -> np.ndarray:
     m, n = dirs.shape
     if len(factors) != n:
         raise ValueError("need one factor per column")
+    los, his, weights = slabgeom.piece_combinations([f.pieces for f in factors])
+    small = np.abs(dirs) <= slabgeom.ROW_ZERO_TOL
     out = np.zeros(m)
-    small = np.abs(dirs) <= 1e-12
-    # enumerate piece combinations across factors (step counts are tiny)
+    # sum with the first factor's piece changing fastest
     counts = [len(f.pieces) for f in factors]
-    combo = [0] * n
-    while True:
+    for c in np.arange(len(weights)).reshape(counts).ravel(order="F"):
         lows = np.full(m, -np.inf)
         highs = np.full(m, np.inf)
-        value = np.ones(m)
+        # a vanishing coefficient leaves the factor constant at f_i(0)
+        dead = np.zeros(m, dtype=bool)
         for i in range(n):
-            lo, hi, v = factors[i].pieces[combo[i]]
-            value *= v
+            lo, hi = los[c, i], his[c, i]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1 = lo / dirs[:, i]
                 t2 = hi / dirs[:, i]
-            lo_i = np.where(small[:, i], -np.inf, np.minimum(t1, t2))
-            hi_i = np.where(small[:, i], np.inf, np.maximum(t1, t2))
-            # a vanishing coefficient leaves the factor constant at f_i(0)
-            value = np.where(small[:, i] & ~((lo <= 0.0) & (0.0 < hi)), 0.0, value)
-            lows = np.maximum(lows, lo_i)
-            highs = np.minimum(highs, hi_i)
-        out += value * np.maximum(highs - lows, 0.0)
-        # odometer increment over the combination lattice
-        j = 0
-        while j < n:
-            combo[j] += 1
-            if combo[j] < counts[j]:
-                break
-            combo[j] = 0
-            j += 1
-        if j == n:
-            break
+            lows = np.maximum(lows, np.where(small[:, i], -np.inf, np.minimum(t1, t2)))
+            highs = np.minimum(highs, np.where(small[:, i], np.inf, np.maximum(t1, t2)))
+            if not (lo <= 0.0 < hi):
+                dead |= small[:, i]
+        out += np.where(dead, 0.0, weights[c]) * np.maximum(highs - lows, 0.0)
     return out
 
 
@@ -202,18 +191,10 @@ def prop_avg_check(
         raise ValueError("need samples >= 1000")
     n = f.n
     lhs_vals = _powered(_marginal_values_at_zero(f, k, samples, 1e-9, seed, stream), float(n))
-    if n - k == 1:
-        cube = cube_density(n).factors
-        cube_raw = _per_haar_direction(
-            lambda dirs: line_marginals_at_zero(cube, dirs), n, samples, seed, stream
-        )
-        rhs_vals = _powered(cube_raw, float(n))
-    else:
-        # same haar_sample streams as the lhs -> identical subspace samples
-        rhs_vals = _powered(
-            _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream),
-            float(n),
-        )
+    # same Haar streams as the lhs -> identical subspace samples
+    rhs_vals = _powered(
+        _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream), float(n)
+    )
     lhs, lhs_se = _mean_se(lhs_vals)
     rhs, rhs_se = _mean_se(rhs_vals)
     diff, diff_se = _mean_se(lhs_vals - rhs_vals)

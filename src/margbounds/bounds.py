@@ -8,7 +8,6 @@ numerical Brascamp-Lieb checker for tight-frame systems.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,28 +118,32 @@ class BoundReport:
         return self.constant * float(np.exp(np.dot(self.exponents.betas, np.log(c))))
 
 
-def bound_main(e: Subspace, sup_norms) -> BoundReport:
-    """min((n/(n-k))^{(n-k)/2}, 2^{k/2}) * prod c_i^{gamma_i} for E in G_{n,k}.
-
-    The branch achieving the smaller constant is reported together with that
-    branch's exponent collection; ties go to the block branch, and k > n/2
-    forces it (the paired branch's hypothesis fails there).
-    """
-    n, k = e.n, e.k
+def main_constant(n: int, k: int) -> tuple[float, str]:
+    """(min((n/(n-k))^{(n-k)/2}, 2^{k/2}), branch) for 1 <= k < n; ties go to
+    the block branch, and k > n/2 forces it (the paired hypothesis fails)."""
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
-    c = np.asarray(sup_norms, dtype=float)
-    if c.size != n or np.any(c <= 0.0):
-        raise ValueError("sup norms must be n positive reals")
     const_block = (n / (n - k)) ** ((n - k) / 2.0)
     const_paired = 2.0 ** (k / 2.0)
     if k <= n / 2 and const_paired < const_block:
-        branch = "paired"
-        constant = const_paired
+        return const_paired, "paired"
+    return const_block, "block"
+
+
+def bound_main(e: Subspace, sup_norms) -> BoundReport:
+    """min((n/(n-k))^{(n-k)/2}, 2^{k/2}) * prod c_i^{gamma_i} for E in G_{n,k}.
+
+    The branch achieving the smaller constant (main_constant) is reported
+    together with that branch's exponent collection.
+    """
+    n, k = e.n, e.k
+    constant, branch = main_constant(n, k)
+    c = np.asarray(sup_norms, dtype=float)
+    if c.size != n or np.any(c <= 0.0):
+        raise ValueError("sup norms must be n positive reals")
+    if branch == "paired":
         gammas = 1.0 - box2_exponents(orthonormal_complement(e)).betas
     else:
-        branch = "block"
-        constant = const_block
         gammas = projection_weights(e).betas
     value = constant * float(np.exp(np.dot(gammas, np.log(c))))
     return BoundReport(
@@ -216,24 +219,18 @@ def random_bl_system(seed: int, d: int, m: int, stream: int = 0) -> BLSystem:
 def _bl_lhs_steps(system: BLSystem, densities: list[StepDensity]) -> float:
     """Exact integral of prod f_i(<u_i, x>)^{c_i} for step factors.
 
-    The integrand is constant on each cell of the slab arrangement, so the
-    integral is a finite sum of powered piece values times polytope volumes,
-    factorized over orthogonal blocks of the weighted frame rows.
+    A slab sum over the rows sqrt(c_i) u_i with the pieces' values powered:
+    <sqrt(c_i) u_i, x> = sqrt(c_i) <u_i, x>, so the piece bounds scale by
+    sqrt(c_i).
     """
     c = system.weights
     sqc = np.sqrt(c)
-    lhs = 1.0
-    for comp, local in slabgeom.component_blocks(system.directions * sqc[:, None]):
-        combos = list(itertools.product(*(densities[i].pieces for i in comp)))
-        pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
-        weights = [math.prod(p[2] ** c[i] for p, i in zip(combo, comp)) for combo in combos]
-        # <w_i, x> = sqrt(c_i) <u_i, x>, so the piece bounds scale by sqrt(c_i)
-        scale = sqc[comp]
-        block = slabgeom.SlabBlock(local, pieces[:, :, 0] * scale, pieces[:, :, 1] * scale, weights)
-        lhs *= block.integral(block.lo, block.hi)
-        if lhs == 0.0:
-            return 0.0
-    return lhs
+    pieces = [
+        [(lo * s, hi * s, v**ci) for lo, hi, v in f.pieces]
+        for f, s, ci in zip(densities, sqc, c)
+    ]
+    rows = system.directions * sqc[:, None]
+    return slabgeom.SlabSum(rows, pieces).value(np.zeros(system.m))
 
 
 def _bl_lhs_gaussians(system: BLSystem, densities: list[GaussianDensity]) -> float:

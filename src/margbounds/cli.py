@@ -231,7 +231,11 @@ def cmd_sections(ns) -> int:
             print("error: --normal is required for exact/sinc modes", file=sys.stderr)
             return 2
         a = np.array(ns.normal)
-        a = a / np.linalg.norm(a)
+        norm = np.linalg.norm(a)
+        if norm == 0.0:
+            print("error: --normal must not be the zero vector", file=sys.stderr)
+            return 2
+        a = a / norm
         if ns.mode == "exact":
             value = sections.hyperplane_section_exact(box, a)
         else:
@@ -358,6 +362,7 @@ def cmd_small_ball(ns) -> int:
 
 def cmd_search_max(ns) -> int:
     n, k = ns.n, ns.k
+    bound, _ = bounds.main_constant(n, k)
     if k == 1:
         def objective(sub):
             return marginals.cube_hyperplane_section(sub.basis[:, 0])
@@ -372,10 +377,6 @@ def cmd_search_max(ns) -> int:
     best, value = grassmann.grassmann_search_max(
         objective, n, k, ns.restarts, ns.steps, ns.seed
     )
-    if k <= n / 2:
-        bound = min((n / (n - k)) ** ((n - k) / 2.0), 2.0 ** (k / 2.0))
-    else:
-        bound = (n / (n - k)) ** ((n - k) / 2.0)
     rec = {
         "best_value": value,
         "bound": bound,
@@ -432,7 +433,10 @@ def cmd_densities_validate(ns) -> int:
 
 
 def _floats_csv(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    values = [float(x) for x in text.split(",") if x.strip() != ""]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:

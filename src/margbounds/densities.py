@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import randomness
+from . import randomness, slabgeom
 
 
 class DensityFormatError(ValueError):
@@ -106,10 +106,7 @@ class StepDensity:
 
     def value_at(self, x: float) -> float:
         """Pointwise value with the half-open convention [lo, hi)."""
-        for lo, hi, v in self.pieces:
-            if lo <= x < hi:
-                return v
-        return 0.0
+        return slabgeom.step_value(self.pieces, x)
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.l1_norm() - 1.0) <= tol

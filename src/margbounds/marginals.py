@@ -15,7 +15,6 @@ one-dimensional worst-case (cube) comparison, and the small-ball estimator.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,66 +53,12 @@ class MarginalQuery:
         return self.e.basis @ self.x
 
 
-class MarginalPlan:
-    """The per-(f, E) part of pi_E(f), built once and evaluated at many x.
-
-    Holds the complement frame (rows w_i), its split into zero rows (whose
-    factors contribute the constant f_i(x_i)) and active rows, and, built on
-    first use, the orthogonal blocks of the active rows with their piece
-    combinations.
-    """
-
-    def __init__(self, f: ProductDensity, e: Subspace):
-        if e.n != f.n:
-            raise ValueError("density and subspace live in different dimensions")
-        self.f = f
-        self.e = e
-        self.frame = orthonormal_complement(e).basis  # rows w_i, (n, n-k)
-        norms = np.sqrt(np.einsum("ij,ij->i", self.frame, self.frame))
-        self.zero_rows = np.nonzero(norms <= slabgeom.ROW_ZERO_TOL)[0]
-        self.active_rows = np.nonzero(norms > slabgeom.ROW_ZERO_TOL)[0]
-
-    @functools.cached_property
-    def blocks(self) -> list[tuple[np.ndarray, slabgeom.SlabBlock]]:
-        """(ambient rows, slab block) per orthogonal block of the active rows,
-        with unshifted piece bounds; raises slabgeom.BlockTooWideError beyond
-        3-D."""
-        out = []
-        for comp, local in slabgeom.component_blocks(self.frame[self.active_rows]):
-            rows = self.active_rows[comp]
-            combos = list(itertools.product(*(self.f.factors[i].pieces for i in rows)))
-            pieces = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
-            weights = [math.prod(p[2] for p in combo) for combo in combos]
-            block = slabgeom.SlabBlock(local, pieces[:, :, 0], pieces[:, :, 1], weights)
-            out.append((rows, block))
-        return out
-
-    def zero_row_factor(self, shifts: np.ndarray) -> float:
-        """Product of f_i(x_i) over the zero frame rows."""
-        const = 1.0
-        for i in self.zero_rows:
-            const *= self.f.factors[i].value_at(shifts[i])
-            if const == 0.0:
-                break
-        return const
-
-    def value(self, x: np.ndarray, prefilter: bool = False) -> float:
-        """pi_E(f)(x) for x in coordinates of E's basis.
-
-        With prefilter, piece combinations whose seed polygon or polytope is
-        certified empty skip the clipper; they would add exactly 0.0, so the
-        result is bit-identical either way.
-        """
-        shifts = self.e.basis @ x
-        value = self.zero_row_factor(shifts)
-        if value == 0.0:
-            return 0.0
-        for rows, block in self.blocks:
-            s = shifts[rows]
-            value *= block.integral(block.lo - s, block.hi - s, prefilter)
-            if value == 0.0:
-                return 0.0
-        return value
+def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
+    """The per-(f, E) part of pi_E(f): the complement frame rows w_i with the
+    factors' pieces, evaluated at the ambient shifts x_i = <x, e_i>."""
+    if e.n != f.n:
+        raise ValueError("density and subspace live in different dimensions")
+    return slabgeom.SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
 
 
 def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
@@ -127,10 +72,7 @@ def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    return MarginalPlan(q.f, q.e).value(q.x)
-
-
-_MC_CHUNK = 1 << 15
+    return _slab_sum(q.f, q.e).value(q.ambient_shifts())
 
 
 def marginal_mc(
@@ -149,14 +91,14 @@ def marginal_mc(
     e = q.e
     if e.k >= e.n:
         raise ValueError("nothing to integrate when k = n")
-    plan = MarginalPlan(q.f, e)
-    w = plan.frame
+    slab_sum = _slab_sum(q.f, e)
+    w = slab_sum.rows
     d = e.n - e.k
     shifts = q.ambient_shifts()
-    const = plan.zero_row_factor(shifts)
+    const = slab_sum.zero_row_factor(shifts)
     if const == 0.0:
         return 0.0, 0.0
-    active = plan.active_rows
+    active = slab_sum.active_rows
     # the integrand vanishes unless <w_i, y> stays within each factor's
     # support; the frame identity then bounds |y|
     reach = 0.0
@@ -170,18 +112,13 @@ def marginal_mc(
         return 0.0, 0.0
     cube_vol = (2.0 * radius) ** d
     vals = np.empty(samples)
-    for start in range(0, samples, _MC_CHUNK):
-        count = min(_MC_CHUNK, samples - start)
-        u = randomness.uniforms(seed, stream, start * d, count * d).reshape(count, d)
-        idx = np.arange(start, start + count, dtype=float)
-        u[:, 0] = (idx + u[:, 0]) / samples
-        y = (2.0 * u - 1.0) * radius
+    for start, y in randomness.stratified_cube(seed, stream, samples, d, radius):
+        count = y.shape[0]
         prod = np.full(count, const)
         for i in active:
             t = shifts[i] + y @ w[i]
-            fi = q.f.factors[i]
             piece_vals = np.zeros(count)
-            for lo, hi, v in fi.pieces:
+            for lo, hi, v in slab_sum.pieces[i]:
                 piece_vals = np.where((t >= lo) & (t < hi), v, piece_vals)
             prod *= piece_vals
         vals[start : start + count] = prod
@@ -221,13 +158,13 @@ def marginal_grid_sup(
             f"grid budget exceeded: {offs.size}^{k} points (limit {_GRID_BUDGET})"
         )
     center = e.basis.T @ f.support_midpoints()
-    plan = MarginalPlan(f, e)
+    slab_sum = _slab_sum(f, e)
 
     def scan(origin: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
         best_v, best_x = -1.0, origin
         for combo in itertools.product(offsets, repeat=k):
             x = origin + np.array(combo)
-            v = plan.value(x, prefilter=True)
+            v = slab_sum.value(e.basis @ x, prefilter=True)
             if v > best_v:
                 best_v, best_x = v, x
         return best_v, best_x
@@ -310,10 +247,8 @@ def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, f
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:
-    """(C sqrt(2 e pi) eps)^k with C^k the smaller of the two branch constants."""
-    const = (n / (n - k)) ** ((n - k) / 2.0)
-    if k <= n / 2:
-        const = min(const, 2.0 ** (k / 2.0))
+    """(C sqrt(2 e pi) eps)^k with C^k the main bound's constant."""
+    const, _ = bounds.main_constant(n, k)
     return const * (math.sqrt(2.0 * math.e * math.pi) * eps) ** k
 
 
@@ -342,13 +277,14 @@ def small_ball(
     n, k = e.n, e.k
     if z.size != k:
         raise ValueError("z must have one coordinate per basis column of E")
+    bound = small_ball_bound(n, k, eps)
     hits = 0
     r = eps * math.sqrt(k)
-    for start in range(0, samples, _MC_CHUNK):
-        count = min(_MC_CHUNK, samples - start)
+    for start in range(0, samples, randomness.MC_CHUNK):
+        count = min(randomness.MC_CHUNK, samples - start)
         x = f.sample(seed, count, stream=stream, start=start)
         coords = x @ e.basis
         hits += int(np.sum(np.linalg.norm(coords - z[None, :], axis=1) <= r))
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return p, se, small_ball_bound(n, k, eps)
+    return p, se, bound

@@ -50,3 +50,18 @@ def normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     u1 = np.maximum(u[:, 0], _INV53)
     r = np.sqrt(-2.0 * np.log(u1))
     return r * np.cos(2.0 * np.pi * u[:, 1])
+
+
+MC_CHUNK = 1 << 15
+
+
+def stratified_cube(seed: int, stream: int, samples: int, d: int, radius: float):
+    """Yield (start, points) chunks of `samples` points in [-radius, radius]^d;
+    point j uses counters j*d.. and its first axis lies in stratum j, so the
+    points do not depend on the chunk size MC_CHUNK."""
+    for start in range(0, samples, MC_CHUNK):
+        count = min(MC_CHUNK, samples - start)
+        u = uniforms(seed, stream, start * d, count * d).reshape(count, d)
+        idx = np.arange(start, start + count, dtype=float)
+        u[:, 0] = (idx + u[:, 0]) / samples
+        yield start, (2.0 * u - 1.0) * radius

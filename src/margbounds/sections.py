@@ -31,8 +31,8 @@ class Box:
         sides = np.array(sides, dtype=float, copy=True)
         if sides.ndim != 1 or sides.size == 0:
             raise ValueError("sides must be a nonempty 1-D sequence")
-        if np.any(sides <= 0.0):
-            raise ValueError("all side lengths must be positive")
+        if not np.all((sides > 0.0) & np.isfinite(sides)):
+            raise ValueError("all side lengths must be positive and finite")
         sides.setflags(write=False)
         object.__setattr__(self, "sides", sides)
 
@@ -49,7 +49,8 @@ def unit_cube(n: int) -> Box:
 
 
 def _check_unit(a: np.ndarray) -> None:
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+    # written so that a NaN or infinite norm fails the check
+    if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:
         raise ValueError("normal vector must have unit norm (within 1e-12)")
 
 
@@ -160,9 +161,6 @@ def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
     return slabgeom.decomposed_volume(w[keep], -box.sides[keep] / 2.0, box.sides[keep] / 2.0)
 
 
-_MC_CHUNK = 1 << 16
-
-
 def section_mc(
     box: Box, h: Subspace, samples: int, seed: int, stream: int = 0
 ) -> tuple[float, float]:
@@ -183,12 +181,7 @@ def section_mc(
     cube_vol = (2.0 * radius) ** d
     total = 0.0
     total_sq = 0.0
-    for start in range(0, samples, _MC_CHUNK):
-        count = min(_MC_CHUNK, samples - start)
-        u = randomness.uniforms(seed, stream, start * d, count * d).reshape(count, d)
-        idx = np.arange(start, start + count, dtype=float)
-        u[:, 0] = (idx + u[:, 0]) / samples  # stratify the leading axis
-        y = (2.0 * u - 1.0) * radius
+    for _, y in randomness.stratified_cube(seed, stream, samples, d, radius):
         inside = np.all(np.abs(y @ w.T) <= half[None, :], axis=1)
         total += float(inside.sum())
         total_sq += float(inside.sum())  # indicator: x^2 == x

@@ -7,13 +7,15 @@ always form a tight frame here, the group spans cover R^d, and each group of
 span dimension <= 3 is handled exactly by the clipping kernels.
 
 A product of step functions composed with the rows integrates to a sum over
-piece combinations of weight x slab-intersection volume; SlabBlock holds one
-orthogonal block of that sum.
+piece combinations of weight x slab-intersection volume: SlabSum holds that
+sum, SlabBlock one orthogonal block of it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -157,3 +159,69 @@ class SlabBlock:
         for c in combos:
             sub += self.weights[c] * kernels.slab_volume(self.local, lo[c], hi[c])
         return sub
+
+
+def step_value(pieces, t: float) -> float:
+    """Value at t of the step function with (lo, hi, value) pieces, each
+    piece half-open [lo, hi); 0.0 off the pieces."""
+    for lo, hi, v in pieces:
+        if lo <= t < hi:
+            return v
+    return 0.0
+
+
+def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, list]:
+    """(lo (C, m), hi (C, m), weights (C,)) of every choice of one piece per
+    row, in itertools.product order; weights multiply values left to right."""
+    combos = list(itertools.product(*pieces))
+    bounds = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
+    weights = [math.prod(p[2] for p in combo) for combo in combos]
+    return bounds[:, :, 0], bounds[:, :, 1], weights
+
+
+class SlabSum:
+    """int prod_i g_i(s_i + <w_i, y>) dy for rows w_i and step functions g_i
+    given by their (lo, hi, value) pieces, built once, evaluated at many s.
+
+    Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).
+    """
+
+    def __init__(self, rows: np.ndarray, pieces):
+        self.rows = rows  # (m, d)
+        self.pieces = pieces
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        self.zero_rows = np.nonzero(norms <= ROW_ZERO_TOL)[0]
+        self.active_rows = np.nonzero(norms > ROW_ZERO_TOL)[0]
+
+    @functools.cached_property
+    def blocks(self) -> list[tuple[np.ndarray, SlabBlock]]:
+        """(row indices, slab block) per orthogonal block of the active rows,
+        with unshifted piece bounds; raises BlockTooWideError beyond 3-D."""
+        out = []
+        for comp, local in component_blocks(self.rows[self.active_rows]):
+            rows = self.active_rows[comp]
+            lo, hi, weights = piece_combinations([self.pieces[i] for i in rows])
+            out.append((rows, SlabBlock(local, lo, hi, weights)))
+        return out
+
+    def zero_row_factor(self, shifts: np.ndarray) -> float:
+        """Product of g_i(s_i) over the zero rows."""
+        const = 1.0
+        for i in self.zero_rows:
+            const *= step_value(self.pieces[i], shifts[i])
+            if const == 0.0:
+                break
+        return const
+
+    def value(self, shifts: np.ndarray, prefilter: bool = False) -> float:
+        """The integral at shifts s, one per row; prefilter as in
+        SlabBlock.integral (bit-identical either way)."""
+        value = self.zero_row_factor(shifts)
+        if value == 0.0:
+            return 0.0
+        for rows, block in self.blocks:
+            s = shifts[rows]
+            value *= block.integral(block.lo - s, block.hi - s, prefilter)
+            if value == 0.0:
+                return 0.0
+        return value

@@ -13,7 +13,7 @@ from margbounds.average import (
     unit_ball_volume,
 )
 from margbounds.densities import cube_density, random_product_density
-from margbounds.grassmann import Subspace, haar_sample, orthonormal_complement
+from margbounds.grassmann import Subspace, haar_directions, haar_sample, orthonormal_complement
 from margbounds.marginals import MarginalQuery, marginal_at
 from margbounds.sections import Box, unit_cube
 
@@ -36,6 +36,57 @@ def test_line_marginals_match_marginal_at():
         e = orthonormal_complement(Subspace(dirs[0]))
         want = marginal_at(MarginalQuery(f, e, np.zeros(n - 1)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _reference_line_marginals_at_zero(factors, dirs):
+    """The odometer loop over piece combinations (first factor's piece
+    changing fastest) that line_marginals_at_zero replaces."""
+    m, n = dirs.shape
+    out = np.zeros(m)
+    small = np.abs(dirs) <= 1e-12
+    counts = [len(f.pieces) for f in factors]
+    combo = [0] * n
+    while True:
+        lows = np.full(m, -np.inf)
+        highs = np.full(m, np.inf)
+        value = np.ones(m)
+        for i in range(n):
+            lo, hi, v = factors[i].pieces[combo[i]]
+            value *= v
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = lo / dirs[:, i]
+                t2 = hi / dirs[:, i]
+            lo_i = np.where(small[:, i], -np.inf, np.minimum(t1, t2))
+            hi_i = np.where(small[:, i], np.inf, np.maximum(t1, t2))
+            value = np.where(small[:, i] & ~((lo <= 0.0) & (0.0 < hi)), 0.0, value)
+            lows = np.maximum(lows, lo_i)
+            highs = np.minimum(highs, hi_i)
+        out += value * np.maximum(highs - lows, 0.0)
+        j = 0
+        while j < n:
+            combo[j] += 1
+            if combo[j] < counts[j]:
+                break
+            combo[j] = 0
+            j += 1
+        if j == n:
+            return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_line_marginals_match_odometer_exactly(n):
+    # centered factors, so some pieces contain 0 and some do not
+    factors = [g.shifted(-g.support_midpoint()) for g in random_product_density(n, n, 3).factors]
+    dirs = haar_directions(n, 400, seed=n, stream=0)
+    # zero coordinates (those factors stay constant at f_i(0)), one of them
+    # just inside the zero threshold
+    dirs[0] = np.eye(n)[0]
+    dirs[1, 1] = 0.0
+    dirs[2, 0] = 1e-13
+    dirs[1:3] /= np.linalg.norm(dirs[1:3], axis=1)[:, None]
+    got = line_marginals_at_zero(factors, dirs)
+    assert np.count_nonzero(got) > 300
+    assert np.array_equal(got, _reference_line_marginals_at_zero(factors, dirs))
 
 
 def test_cube_avg_power_2_1_oracle():

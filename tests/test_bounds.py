@@ -108,6 +108,15 @@ def test_bound_main_branch_selection():
     assert rep.bound_value == pytest.approx(2.0**1.5)
 
 
+def test_main_constant_branches_and_guard():
+    assert bounds.main_constant(6, 2) == (2.0, "paired")
+    assert bounds.main_constant(4, 2) == (2.0, "block")  # a tie
+    assert bounds.main_constant(5, 3) == (2.5, "block")
+    for n, k in ((3, 3), (3, 0), (3, 4)):
+        with pytest.raises(ValueError, match="need 1 <= k < n"):
+            bounds.main_constant(n, k)
+
+
 def test_bound_main_exponents_sum_and_recompute():
     for seed in range(20):
         e = haar_sample(5, 2, seed=seed)

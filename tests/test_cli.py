@@ -143,6 +143,34 @@ def test_small_ball_cli(tmp_path):
     assert csv_path.read_text().splitlines()[0] == "trial,estimate,bound"
 
 
+def test_small_ball_k_equal_n_is_usage_error(capsys):
+    assert run(["small-ball", "--n", "3", "--k", "3", "--samples", "1000",
+                "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: need 1 <= k < n" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("normal", ["0,0", "nan,1", "1,inf"])
+def test_sections_bad_normal_is_usage_error(tmp_path, normal):
+    out = tmp_path / "s.json"
+    argv = ["sections", "--mode", "exact", "--sides", "1,1", "--normal", normal,
+            "--out", str(out)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+
+
+def test_non_finite_sides_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sections", "--mode", "exact", "--sides", "nan,1", "--normal", "1,1"])
+    assert exc.value.code == 2
+    assert "argument --sides: expected finite numbers" in capsys.readouterr().err
+
+
 def test_search_max_cli(tmp_path):
     out = tmp_path / "sm.json"
     code = run(["search-max", "--n", "4", "--k", "2", "--restarts", "2",

@@ -16,7 +16,6 @@ from margbounds.densities import (
 )
 from margbounds.grassmann import Subspace, haar_sample, orthonormal_complement
 from margbounds.marginals import (
-    MarginalPlan,
     MarginalQuery,
     cube_hyperplane_section,
     default_grid,
@@ -29,6 +28,10 @@ from margbounds.marginals import (
     verify_main_theorem,
 )
 from margbounds.sections import section_quadrature, unit_cube
+
+
+def _slab_sum(f, e):
+    return slabgeom.SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
 
 
 def _diag_subspace(n):
@@ -225,12 +228,12 @@ def test_small_ball_bound_formula():
     )
 
 
-# -- the plan against the per-point loop ----------------------------------------
+# -- the slab sum against the per-point loop -----------------------------------
 
 
 def _reference_marginal_at(q):
-    """The per-point evaluation that MarginalPlan replaces: complement, zero
-    rows and blocks recomputed, and every piece combination clipped."""
+    """The per-point evaluation that SlabSum replaces: complement, zero rows
+    and blocks recomputed, and every piece combination clipped."""
     e = q.e
     shifts = q.ambient_shifts()
     if e.k == e.n:
@@ -301,7 +304,7 @@ def test_plan_matches_per_point_loop_exactly(n, k, seed):
         q = MarginalQuery(f, e, x)
         want = _reference_marginal_at(q)
         assert marginal_at(q) == want
-        assert MarginalPlan(f, e).value(q.x, prefilter=True) == want
+        assert _slab_sum(f, e).value(q.ambient_shifts(), prefilter=True) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,7 +319,7 @@ def test_prefilter_drops_only_empty_combinations(seed, dims, offset):
     e = haar_sample(n, k, seed=seed)
     x = e.basis.T @ f.support_midpoints() + np.array(offset[:k])
     shifts = e.basis @ x
-    for rows, block in MarginalPlan(f, e).blocks:
+    for rows, block in _slab_sum(f, e).blocks:
         if block.local.shape[1] < 2:
             continue
         lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
@@ -332,6 +335,6 @@ def test_prefilter_drops_combinations_off_center():
     e = haar_sample(4, 2, seed=3)
     x = e.basis.T @ f.support_midpoints() + 0.8
     shifts = e.basis @ x
-    ((rows, block),) = MarginalPlan(f, e).blocks
+    ((rows, block),) = _slab_sum(f, e).blocks
     lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
     assert len(block.candidates(lo, hi)) < len(block.weights)

@@ -49,3 +49,15 @@ def test_moments_sane():
     z = randomness.normals(13, 1, 0, 200000)
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_stratified_cube_chunking_invariance(monkeypatch, d):
+    samples = 1000
+    u = randomness.uniforms(4, 2, 0, samples * d).reshape(samples, d)
+    u[:, 0] = (np.arange(samples) + u[:, 0]) / samples
+    whole = (2.0 * u - 1.0) * 1.5
+    monkeypatch.setattr(randomness, "MC_CHUNK", 128)
+    chunks = list(randomness.stratified_cube(4, 2, samples, d, 1.5))
+    assert [start for start, _ in chunks] == list(range(0, samples, 128))
+    assert np.array_equal(np.concatenate([y for _, y in chunks]), whole)

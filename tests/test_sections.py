@@ -26,7 +26,17 @@ def test_box_validation():
         Box([1.0, -1.0])
     with pytest.raises(ValueError):
         Box([])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Box([1.0, bad])
     assert unit_cube(4).volume() == 1.0
+
+
+@pytest.mark.parametrize("route", [hyperplane_section_exact, hyperplane_section_sinc])
+@pytest.mark.parametrize("normal", [[math.nan, 1.0], [math.inf, 1.0], [0.0, 0.0]])
+def test_non_unit_normals_rejected(route, normal):
+    with pytest.raises(ValueError, match="unit norm"):
+        route(unit_cube(2), np.array(normal))
 
 
 def test_q2_diagonal_exact():

@@ -5,6 +5,7 @@ from margbounds.slabgeom import (
     BlockTooWideError,
     component_blocks,
     decomposed_volume,
+    piece_combinations,
     row_components,
 )
 
@@ -54,3 +55,14 @@ def test_decomposed_volume_empty_block_short_circuits():
     lo = np.array([2.0, -1.0, -1.0])
     hi = np.array([3.0, 1.0, 1.0])
     assert decomposed_volume(w, lo, hi) == 0.0
+
+
+def test_piece_combinations_product_order():
+    a = [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]
+    b = [(-1.0, 0.0, 5.0)]
+    c = [(0.0, 0.5, 7.0), (0.5, 1.0, 11.0)]
+    lo, hi, weights = piece_combinations([a, b, c])
+    # the last row's piece changes fastest
+    assert lo.tolist() == [[0.0, -1.0, 0.0], [0.0, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, -1.0, 0.5]]
+    assert hi.tolist() == [[1.0, 0.0, 0.5], [1.0, 0.0, 1.0], [2.0, 0.0, 0.5], [2.0, 0.0, 1.0]]
+    assert weights == [70.0, 110.0, 105.0, 165.0]
