@@ -17,7 +17,9 @@ from scipy.special import gammaln
 
 from . import slabgeom
 from .densities import ProductDensity, cube_density
-from .grassmann import haar_directions, haar_sample
+# haar_sample stays bound here: perfbench's tracer self-test patches it
+# through this module
+from .grassmann import Subspace, complement_bases, haar_bases, haar_directions, haar_sample  # noqa: F401
 from .marginals import MarginalQuery, marginal_at
 from .sections import Box, hyperplane_sections_exact_batch, section_quadrature, unit_cube
 
@@ -60,6 +62,38 @@ def _per_haar_direction(fn, n: int, samples: int, seed: int, stream: int) -> np.
     for start in range(0, samples, _DIR_CHUNK):
         count = min(_DIR_CHUNK, samples - start)
         vals[start : start + count] = fn(haar_directions(n, count, seed, stream, start))
+    return vals
+
+
+def _per_haar_subspace(fn, n: int, k: int, samples: int, seed: int, stream: int, lanes: int):
+    """fn(bases) over the Haar subspaces of streams stream + 1 + i, i <
+    samples; each chunk holds at most _DIR_CHUNK lanes (at least one
+    subspace) at `lanes` lanes per subspace; fn maps (count, n, k) bases to
+    count values."""
+    per_chunk = max(1, _DIR_CHUNK // lanes)
+    vals = np.empty(samples)
+    for start in range(0, samples, per_chunk):
+        count = min(per_chunk, samples - start)
+        streams = stream + 1 + np.arange(start, start + count)
+        vals[start : start + count] = fn(haar_bases(n, k, seed, streams))
+    return vals
+
+
+def _clipped_or_fallback(bases, frames, lo, hi, weights, fallback) -> np.ndarray:
+    """One value per subspace of bases (count, n, k) from its frame rows.
+
+    2-D frames that form a single slab block are evaluated lane-wise by
+    slabgeom.block_integrals over the combinations lo, hi, weights; every
+    other subspace (a 3-D frame, a zero row, a frame that splits into
+    orthogonal blocks) gets fallback(Subspace(basis)).
+    """
+    vals = np.empty(len(bases))
+    ok = np.zeros(len(bases), dtype=bool)
+    if frames.shape[2] == 2:
+        local, ok = slabgeom.single_block_frames(frames)
+        vals[ok] = slabgeom.block_integrals(local[ok], lo, hi, weights)
+    for i in np.flatnonzero(~ok):
+        vals[i] = fallback(Subspace(bases[i]))
     return vals
 
 
@@ -124,11 +158,15 @@ def _marginal_values_at_zero(
             lambda dirs: line_marginals_at_zero(f.factors, dirs), n, samples, seed, stream
         )
     zero = np.zeros(k)
-    vals = np.empty(samples)
-    for i in range(samples):
-        e = haar_sample(n, k, seed, stream=stream + 1 + i)
-        vals[i] = marginal_at(MarginalQuery(f, e, zero), inner_tol)
-    return vals
+    lo, hi, weights = slabgeom.nonzero_combinations([fi.pieces for fi in f.factors])
+
+    def values(bases):
+        return _clipped_or_fallback(
+            bases, complement_bases(bases), lo, hi, weights,
+            lambda e: marginal_at(MarginalQuery(f, e, zero), inner_tol),
+        )
+
+    return _per_haar_subspace(values, n, k, samples, seed, stream, max(len(weights), 1))
 
 
 def avg_marginal_power(
@@ -222,11 +260,17 @@ def _box_section_values(
                 return 2.0 * (half[None, :] / np.abs(dirs)).min(axis=1)
 
         return _per_haar_direction(chord, n, samples, seed, stream)
-    vals = np.empty(samples)
-    for i in range(samples):
-        e = haar_sample(n, k, seed, stream=stream + 1 + i)
-        vals[i] = section_quadrature(box, e) if section_fn is None else section_fn(box, e)
-    return vals
+    # the box's indicator: one combination of weight 1.0
+    lo, hi = (-box.sides / 2.0)[None], (box.sides / 2.0)[None]
+
+    def values(bases):
+        if section_fn is not None:
+            return [section_fn(box, Subspace(b)) for b in bases]
+        return _clipped_or_fallback(
+            bases, bases, lo, hi, [1.0], lambda e: section_quadrature(box, e)
+        )
+
+    return _per_haar_subspace(values, n, k, samples, seed, stream, 1)
 
 
 def dual_affine_quermass(

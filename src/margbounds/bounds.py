@@ -207,6 +207,9 @@ def random_bl_system(seed: int, d: int, m: int, stream: int = 0) -> BLSystem:
     """Random tight-frame system via whitening of iid Gaussian rows."""
     from . import randomness
 
+    if m < d:
+        # the Gram matrix below would be singular
+        raise ValueError("need at least d vectors")
     g = randomness.normals(seed, stream, 0, m * d).reshape(m, d)
     gram = g.T @ g
     evals, evecs = np.linalg.eigh(gram)

@@ -147,23 +147,32 @@ class ExponentAssignment:
 
 
 def _fix_qr_signs(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Make the thin-QR factorization unique (positive diagonal of R)."""
-    sgn = np.sign(np.diag(r))
+    """Make the thin-QR factorization unique (positive diagonal of R); works
+    on one factorization or a stack of them."""
+    sgn = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sgn[sgn == 0.0] = 1.0
-    return q * sgn[None, :]
+    return q * sgn[..., None, :]
 
 
-def haar_sample(n: int, k: int, seed: int, stream: int = 0) -> Subspace:
-    """Haar-distributed element of the Grassmannian G_{n,k}.
+def haar_bases(n: int, k: int, seed: int, streams) -> np.ndarray:
+    """Orthonormal bases (L, n, k) of Haar-distributed elements of G_{n,k},
+    one per stream in the integer array streams.
 
-    Orthonormalizes an iid Gaussian n x k matrix; the sign convention makes
-    the factorization unique, so the output is deterministic in the seed.
+    Each lane orthonormalizes the iid Gaussian n x k matrix of its stream;
+    the sign convention makes the factorization unique, so lane i is
+    determined by (seed, streams[i]) alone.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
-    g = randomness.normals(seed, stream, 0, n * k).reshape(n, k)
+    g = randomness.normals(seed, np.asarray(streams), 0, n * k).reshape(-1, n, k)
     q, r = np.linalg.qr(g)
-    return Subspace(_fix_qr_signs(q, r))
+    return _fix_qr_signs(q, r)
+
+
+def haar_sample(n: int, k: int, seed: int, stream: int = 0) -> Subspace:
+    """Haar-distributed element of G_{n,k}: the one-lane haar_bases."""
+    streams = np.array([stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return Subspace(haar_bases(n, k, seed, streams)[0])
 
 
 def haar_directions(n: int, count: int, seed: int, stream: int = 0, start: int = 0) -> np.ndarray:
@@ -174,17 +183,24 @@ def haar_directions(n: int, count: int, seed: int, stream: int = 0, start: int =
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def orthonormal_complement(e: Subspace) -> Subspace:
-    """The orthogonal complement; zero-dimensional when k = n."""
-    n, k = e.n, e.k
+def complement_bases(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (L, n, n-k) of the orthogonal complements of the
+    spans of bases (L, n, k), each with orthonormal columns."""
+    count, n, k = bases.shape
     if k == n:
-        return Subspace(np.zeros((n, 0)))
-    q, _ = np.linalg.qr(e.basis, mode="complete")
-    comp = q[:, k:]
+        return np.zeros((count, n, 0))
+    q, _ = np.linalg.qr(bases, mode="complete")
+    comp = q[..., k:]
     # re-project for a clean orthogonality defect
-    comp = comp - e.basis @ (e.basis.T @ comp)
+    comp = comp - bases @ (np.swapaxes(bases, -1, -2) @ comp)
     q2, r2 = np.linalg.qr(comp)
-    return Subspace(_fix_qr_signs(q2, r2))
+    return _fix_qr_signs(q2, r2)
+
+
+def orthonormal_complement(e: Subspace) -> Subspace:
+    """The orthogonal complement (zero-dimensional when k = n): the one-lane
+    complement_bases."""
+    return Subspace(complement_bases(e.basis[None])[0])
 
 
 def frame_of_complement(e: Subspace) -> Frame:

@@ -104,6 +104,108 @@ def polygon_area(W, lo, hi):
     return 0.5 * abs(area)
 
 
+def _clip_polygons(x, y, cnt, nx, ny, b, eps):
+    """_clip_polygon for every lane l: the polygon x[l, :cnt[l]], y[l, :cnt[l]]
+    clipped by nx[l]*x + ny[l]*y <= b[l].  Returns the clipped vertices,
+    padded to the widest lane, and their counts."""
+    count, width = x.shape
+    j = np.arange(width)
+    valid = j < cnt[:, None]
+    nxt = np.where(j + 1 < cnt[:, None], j + 1, 0)
+    dp = nx[:, None] * x + ny[:, None] * y - b[:, None]
+    dq = np.take_along_axis(dp, nxt, axis=1)
+    e = eps[:, None]
+    keep = valid & (dp <= e)
+    cross = valid & (((dp < -e) & (dq > e)) | ((dp > e) & (dq < -e)))
+    # each vertex emits itself if kept, then its edge's crossing point
+    step = keep.astype(np.intp) + cross
+    pos = np.cumsum(step, axis=1) - step
+    counts = pos[:, -1] + step[:, -1]
+    out_width = max(int(counts.max()), 1)
+    ox = np.zeros((count, out_width))
+    oy = np.zeros((count, out_width))
+    r, c = np.nonzero(keep)
+    ox[r, pos[r, c]] = x[r, c]
+    oy[r, pos[r, c]] = y[r, c]
+    r, c = np.nonzero(cross)
+    q = nxt[r, c]
+    px, py, qx, qy = x[r, c], y[r, c], x[r, q], y[r, q]
+    t = dp[r, c] / (dp[r, c] - dq[r, c])  # nonzero: dp and dq lie beyond eps on opposite sides
+    at = pos[r, c] + keep[r, c]
+    ox[r, at] = px + t * (qx - px)
+    oy[r, at] = py + t * (qy - py)
+    return ox, oy, counts
+
+
+def polygon_areas(W, lo, hi):
+    """polygon_area of each lane l: the 2-D slabs lo[l, i] <= <W[l, i], y> <=
+    hi[l, i] for W (L, m, 2), lo and hi (L, m); returns (L,) areas.
+
+    Lane-wise Sutherland-Hodgman: every lane goes through polygon_area's
+    floating-point operations in its order (seed rows, seed parallelogram,
+    eps, the hi then -lo clip of each other row in row order, the shoelace
+    sum from vertex 0), so each area has polygon_area's bits.  Vertices sit
+    in arrays padded to the widest lane; a lane leaves once it has fewer than
+    3 vertices.  Per call this costs more than polygon_area at 1-4 lanes.
+    """
+    W = np.asarray(W, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    count, m, _ = W.shape
+    out = np.zeros(count)
+    if count == 0:
+        return out
+    lanes = np.arange(count)
+    i0 = np.argmax(np.einsum("lij,lij->li", W, W), axis=1)
+    a0 = W[lanes, i0]
+    dets = a0[:, 0:1] * W[:, :, 1] - a0[:, 1:2] * W[:, :, 0]
+    i1 = np.argmax(np.abs(dets), axis=1)
+    det = dets[lanes, i1]
+    wmax = np.abs(W).max(axis=(1, 2))
+    thr = 1e-14 * (1.0 + wmax) ** 2
+    degenerate = np.abs(det) < thr
+    # polygon_area squares with Python's float pow, which may differ from
+    # numpy's x*x in the last bit: settle lanes that close to the threshold
+    # with its own expression
+    for lane in np.flatnonzero(np.abs(np.abs(det) - thr) <= 1e-15 * thr):
+        degenerate[lane] = abs(det[lane]) < 1e-14 * (1.0 + float(wmax[lane])) ** 2
+    idx = np.flatnonzero(~degenerate)
+    if not idx.size:
+        return out
+    W, lo, hi, i0, i1, det = W[idx], lo[idx], hi[idx], i0[idx], i1[idx], det[idx]
+    lanes = np.arange(idx.size)
+    (a00, a01), (a10, a11) = W[lanes, i0].T, W[lanes, i1].T
+    s = np.stack([lo[lanes, i0], hi[lanes, i0], hi[lanes, i0], lo[lanes, i0]], axis=1)
+    t = np.stack([lo[lanes, i1], lo[lanes, i1], hi[lanes, i1], hi[lanes, i1]], axis=1)
+    x = (a11[:, None] * s - a01[:, None] * t) / det[:, None]
+    y = (a00[:, None] * t - a10[:, None] * s) / det[:, None]
+    cnt = np.full(idx.size, 4)
+    eps = 1e-14 * (1.0 + (np.abs(x) + np.abs(y)).max(axis=1))
+    # each lane's m - 2 non-seed rows, in row order
+    rows = np.broadcast_to(np.arange(m), (idx.size, m))
+    others = rows[(rows != i0[:, None]) & (rows != i1[:, None])].reshape(idx.size, m - 2)
+    for r in range(m - 2):
+        for side in (1.0, -1.0):  # the hi side, then the -lo side
+            lanes = np.arange(idx.size)
+            i = others[:, r]
+            b = hi[lanes, i] if side > 0.0 else -lo[lanes, i]
+            x, y, cnt = _clip_polygons(x, y, cnt, side * W[lanes, i, 0], side * W[lanes, i, 1], b, eps)
+            alive = cnt >= 3
+            if not alive.all():
+                x, y, cnt, eps, idx = x[alive], y[alive], cnt[alive], eps[alive], idx[alive]
+                W, lo, hi, others = W[alive], lo[alive], hi[alive], others[alive]
+                if not idx.size:
+                    return out
+    lanes = np.arange(idx.size)
+    area = np.zeros(idx.size)
+    for j in range(x.shape[1]):
+        nj = np.where(j + 1 < cnt, j + 1, 0)
+        term = x[:, j] * y[lanes, nj] - y[:, j] * x[lanes, nj]
+        area = np.where(j < cnt, area + term, area)
+    out[idx] = 0.5 * np.abs(area)
+    return out
+
+
 # -- 3-D slab intersections --------------------------------------------------
 
 _CUBE_FACES = (

@@ -25,31 +25,43 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def stream_base(seed: int, stream: int) -> np.uint64:
-    """64-bit base offset for a (seed, stream) pair."""
+def stream_base(seed: int, stream):
+    """64-bit base offset for a (seed, stream) pair; elementwise when stream
+    is an integer array of streams."""
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    t = np.uint64(stream & 0xFFFFFFFFFFFFFFFF)
-    return _mix(_mix(np.asarray([s]))[0:1] ^ t)[0]
+    if isinstance(stream, np.ndarray):
+        t = stream.astype(np.uint64)
+    else:
+        t = np.uint64(stream & 0xFFFFFFFFFFFFFFFF)
+    base = _mix(_mix(np.asarray([s])) ^ t)
+    return base if isinstance(stream, np.ndarray) else base[0]
 
 
-def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """count uniforms in [0, 1) at counters start..start+count-1."""
+def uniforms(seed: int, stream, start: int, count: int) -> np.ndarray:
+    """count uniforms in [0, 1) at counters start..start+count-1.
+
+    For an integer array of L streams the result is (L, count), row i being
+    the draw from streams[i]: splitmix64 is elementwise, so one pass over
+    every stream gives each row's bits.
+    """
     base = stream_base(seed, stream)
-    ctr = (np.arange(start, start + count, dtype=np.uint64) + base) & _MASK
+    ctr = np.add.outer(base, np.arange(start, start + count, dtype=np.uint64)) & _MASK
     bits = _mix(ctr) >> np.uint64(11)
     return bits.astype(np.float64) * _INV53
 
 
-def normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def normals(seed: int, stream, start: int, count: int) -> np.ndarray:
     """count standard normals; normal i consumes uniform counters 2i, 2i+1.
 
     start indexes normals, so disjoint [start, start+count) ranges never
-    share underlying counters regardless of how a loop is chunked.
+    share underlying counters regardless of how a loop is chunked.  An
+    integer array of L streams gives (L, count), as in uniforms.
     """
-    u = uniforms(seed, stream, 2 * start, 2 * count).reshape(-1, 2)
-    u1 = np.maximum(u[:, 0], _INV53)
+    u = uniforms(seed, stream, 2 * start, 2 * count)
+    u = u.reshape(u.shape[:-1] + (count, 2))
+    u1 = np.maximum(u[..., 0], _INV53)
     r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u[:, 1])
+    return r * np.cos(2.0 * np.pi * u[..., 1])
 
 
 MC_CHUNK = 1 << 15

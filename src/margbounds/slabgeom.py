@@ -37,12 +37,23 @@ class BlockTooWideError(ValueError):
     clipping kernels handle; the exact route cannot serve this frame."""
 
 
+def _row_links(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Pairs of rows of w (..., m, d) that share a block:
+    |<w_i, w_j>| > tol (|w_i| + 1)(|w_j| + 1)."""
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", w, w)) + 1.0
+    gram = np.abs(w @ np.swapaxes(w, -1, -2))
+    return gram > tol * (norms[..., :, None] * norms[..., None, :])
+
+
+def _span_rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank from singular values s (..., r), largest first."""
+    return np.sum(s > 1e-12 * (1.0 + s[..., :1]), axis=-1)
+
+
 def row_components(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     """Index groups of rows linked by nonzero inner products (union of BFS)."""
     m = w.shape[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    gram = np.abs(w @ w.T)
-    linked = gram > tol * np.outer(norms + 1.0, norms + 1.0)
+    linked = _row_links(w, tol)
     seen = np.zeros(m, dtype=bool)
     comps = []
     for start in range(m):
@@ -64,8 +75,27 @@ def row_components(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
 def span_coordinates(rows: np.ndarray) -> np.ndarray:
     """Rows re-expressed in an orthonormal basis of their own span."""
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * (1.0 + s[0])))
+    rank = int(_span_rank(s))
     return rows @ vt[:rank].T
+
+
+def single_block_frames(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(local (L, m, d), ok (L,)) for L frames rows (L, m, d).
+
+    ok[l] when the rows of frame l form one component under row_components'
+    rule and their rank is d: then component_blocks(rows[l]) is the single
+    block (all rows, local[l]).  A zero row (norm <= ROW_ZERO_TOL) links to
+    no other row, so such a frame is never ok for m >= 2.
+    """
+    count, m, d = rows.shape
+    links = _row_links(rows)
+    reached = np.zeros((count, m), dtype=bool)
+    reached[:, 0] = True
+    for _ in range(m - 1):
+        reached |= (links & reached[:, :, None]).any(axis=1)
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    ok = reached.all(axis=1) & (_span_rank(s) == d)
+    return rows @ np.swapaxes(vt, -1, -2), ok
 
 
 def component_blocks(w: np.ndarray, max_block: int = 3) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -98,18 +128,14 @@ def decomposed_volume(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
 
 class SlabBlock:
     """One orthogonal block of a slab system with the bounds (C, m) and
-    weights (C,) of its piece combinations, in product order.
-
-    Combinations of weight 0.0 are dropped when the block is built; they
-    add nothing to the sum.
-    """
+    weights (C,) of its piece combinations, in product order (as given by
+    nonzero_combinations)."""
 
     def __init__(self, local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights):
-        keep = [c for c, w in enumerate(weights) if w != 0.0]
         self.local = local  # the rows in span coordinates, (m, d)
-        self.lo = lo[keep]
-        self.hi = hi[keep]
-        self.weights = [weights[c] for c in keep]
+        self.lo = lo
+        self.hi = hi
+        self.weights = weights
 
     @functools.cached_property
     def _seed_frame(self):
@@ -161,6 +187,23 @@ class SlabBlock:
         return sub
 
 
+def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights) -> np.ndarray:
+    """SlabBlock(local[s], lo, hi, weights).integral(lo, hi) for each of S
+    2-D frames local (S, m, 2), with the same bits.
+
+    Every (frame, combination) pair is one lane of kernels.polygon_areas;
+    each frame sums its combinations in order from 0.0, as integral does.
+    """
+    frames, combos = local.shape[0], len(weights)
+    vol = kernels.polygon_areas(
+        np.repeat(local, combos, axis=0), np.tile(lo, (frames, 1)), np.tile(hi, (frames, 1))
+    ).reshape(frames, combos)
+    sub = np.zeros(frames)
+    for c, w in enumerate(weights):
+        sub = sub + w * vol[:, c]
+    return sub
+
+
 def step_value(pieces, t: float) -> float:
     """Value at t of the step function with (lo, hi, value) pieces, each
     piece half-open [lo, hi); 0.0 off the pieces."""
@@ -177,6 +220,14 @@ def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, list]:
     bounds = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
     weights = [math.prod(p[2] for p in combo) for combo in combos]
     return bounds[:, :, 0], bounds[:, :, 1], weights
+
+
+def nonzero_combinations(pieces) -> tuple[np.ndarray, np.ndarray, list]:
+    """piece_combinations without the combinations of weight 0.0, which add
+    nothing to a slab sum."""
+    lo, hi, weights = piece_combinations(pieces)
+    keep = [c for c, w in enumerate(weights) if w != 0.0]
+    return lo[keep], hi[keep], [weights[c] for c in keep]
 
 
 class SlabSum:
@@ -200,7 +251,7 @@ class SlabSum:
         out = []
         for comp, local in component_blocks(self.rows[self.active_rows]):
             rows = self.active_rows[comp]
-            lo, hi, weights = piece_combinations([self.pieces[i] for i in rows])
+            lo, hi, weights = nonzero_combinations([self.pieces[i] for i in rows])
             out.append((rows, SlabBlock(local, lo, hi, weights)))
         return out
 

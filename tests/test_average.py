@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from margbounds import average
 from margbounds.average import (
+    _box_section_values,
+    _marginal_values_at_zero,
     avg_marginal_power,
     cube_avg_power,
     dual_affine_quermass,
@@ -12,10 +15,16 @@ from margbounds.average import (
     prop_avg_check,
     unit_ball_volume,
 )
-from margbounds.densities import cube_density, random_product_density
-from margbounds.grassmann import Subspace, haar_directions, haar_sample, orthonormal_complement
+from margbounds.densities import ProductDensity, cube_density, random_product_density
+from margbounds.grassmann import (
+    Subspace,
+    haar_bases,
+    haar_directions,
+    haar_sample,
+    orthonormal_complement,
+)
 from margbounds.marginals import MarginalQuery, marginal_at
-from margbounds.sections import Box, unit_cube
+from margbounds.sections import Box, section_quadrature, sharp_paired_subspace, unit_cube
 
 
 def test_unit_ball_volumes():
@@ -186,3 +195,91 @@ def test_sample_count_guards():
         cube_avg_power(2, 1, 10, seed=0)
     with pytest.raises(ValueError):
         avg_marginal_power(cube_density(2), 1, 10)
+
+
+def _centered_density(seed, n):
+    """A random step product density whose factors' supports are centered at
+    0, so that most marginals at 0 are positive."""
+    factors = random_product_density(seed, n, 3).factors
+    return ProductDensity([g.shifted(-g.support_midpoint()) for g in factors])
+
+
+# Subspaces that leave the batched 2-D route: a coordinate subspace (zero
+# frame rows) and the paired diagonals (a frame split into orthogonal blocks).
+_FALLBACK_BASES = {
+    3: Subspace.coordinate(4, [0, 1]).basis,
+    8: sharp_paired_subspace(4, 2).basis,
+}
+
+
+def _reference_marginal_values_at_zero(f, k, samples, seed, stream, special=None):
+    """The per-sample loop that the batched route replaces; sample i uses
+    special[i] as its basis where given."""
+    special = special or {}
+    vals = np.empty(samples)
+    for i in range(samples):
+        e = Subspace(special[i]) if i in special else haar_sample(f.n, k, seed, stream=stream + 1 + i)
+        vals[i] = marginal_at(MarginalQuery(f, e, np.zeros(k)), 1e-9)
+    return vals
+
+
+def _reference_box_section_values(box, k, samples, seed, stream, special=None):
+    special = special or {}
+    vals = np.empty(samples)
+    for i in range(samples):
+        e = Subspace(special[i]) if i in special else haar_sample(box.n, k, seed, stream=stream + 1 + i)
+        vals[i] = section_quadrature(box, e)
+    return vals
+
+
+def _with_special_lanes(monkeypatch, special):
+    """Make average draw special[i] in place of sample i of stream 0."""
+
+    def patched(n, k, seed, streams):
+        bases = haar_bases(n, k, seed, streams)
+        for i, basis in special.items():
+            bases[np.asarray(streams) == 1 + i] = basis
+        return bases
+
+    monkeypatch.setattr(average, "haar_bases", patched)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (4, 1), (5, 2)])
+def test_batched_marginal_values_match_per_sample_loop(n, k):
+    # n - k = 2 goes lane-wise through the 2-D clipper, n - k = 3 falls back
+    f = _centered_density(40 + n, n)
+    got = _marginal_values_at_zero(f, k, 120, 1e-9, seed=n, stream=5)
+    assert np.array_equal(got, _reference_marginal_values_at_zero(f, k, 120, n, 5))
+    assert np.count_nonzero(got) > 100
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (6, 2), (4, 3), (5, 3)])
+def test_batched_box_sections_match_per_sample_loop(n, k):
+    box = Box(np.linspace(0.6, 1.7, n))
+    got = _box_section_values(box, k, 150, seed=n, stream=2)
+    assert np.array_equal(got, _reference_box_section_values(box, k, 150, n, 2))
+
+
+def test_batched_routes_mix_fallback_lanes(monkeypatch):
+    _with_special_lanes(monkeypatch, _FALLBACK_BASES)
+    f = _centered_density(3, 4)
+    got = _marginal_values_at_zero(f, 2, 40, 1e-9, seed=1, stream=0)
+    assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 40, 1, 0, _FALLBACK_BASES))
+    box = Box([0.8, 1.1, 1.3, 0.7])
+    got = _box_section_values(box, 2, 40, seed=1, stream=0)
+    assert np.array_equal(got, _reference_box_section_values(box, 2, 40, 1, 0, _FALLBACK_BASES))
+    assert got[3] == pytest.approx(0.8 * 1.1) and got[8] == pytest.approx(2.0 * 0.8 * 0.7)
+
+
+def test_batched_values_do_not_depend_on_chunk(monkeypatch):
+    f = _centered_density(7, 4)
+    box = Box([0.8, 1.1, 1.3, 0.7])
+    runs = []
+    for chunk in (1 << 20, 5):
+        monkeypatch.setattr(average, "_DIR_CHUNK", chunk)
+        runs.append((
+            _marginal_values_at_zero(f, 2, 60, 1e-9, seed=4, stream=0),
+            _box_section_values(box, 2, 60, seed=4, stream=0),
+        ))
+    (m_whole, s_whole), (m_chunked, s_chunked) = runs
+    assert np.array_equal(m_whole, m_chunked) and np.array_equal(s_whole, s_chunked)

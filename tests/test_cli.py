@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ def test_bl_check_passes(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert any(r["trial"] == "gaussian-equality" for r in report["records"])
+
+
+def test_bl_check_fewer_vectors_than_dimensions_is_usage_error(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["bl-check", "--d", "2", "--m", "1"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "need at least d vectors" in err and "RuntimeWarning" not in err
 
 
 def test_average_cube(tmp_path):

@@ -9,8 +9,10 @@ from margbounds.grassmann import (
     Frame,
     Subspace,
     box2_exponents,
+    complement_bases,
     frame_of_complement,
     grassmann_search_max,
+    haar_bases,
     haar_directions,
     haar_sample,
     orthonormal_complement,
@@ -69,6 +71,18 @@ def test_haar_directions_chunks_concatenate():
     head = haar_directions(4, 3, seed=3, stream=2)
     tail = haar_directions(4, 7, seed=3, stream=2, start=3)
     assert np.array_equal(np.vstack([head, tail]), whole)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (4, 1), (5, 3), (3, 3)])
+def test_haar_bases_and_complements_match_one_lane_calls(n, k):
+    streams = np.concatenate([1 + np.arange(300), [2**40 + 7]])
+    bases = haar_bases(n, k, 11, streams)
+    comps = complement_bases(bases)
+    assert bases.shape == (streams.size, n, k) and comps.shape == (streams.size, n, n - k)
+    for basis, comp, stream in zip(bases, comps, streams):
+        e = haar_sample(n, k, 11, stream=int(stream))
+        assert np.array_equal(basis, e.basis)
+        assert np.array_equal(comp, orthonormal_complement(e).basis)
 
 
 def test_orthonormal_complement():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from margbounds import kernels
-from margbounds.grassmann import haar_directions
+from margbounds.grassmann import complement_bases, haar_bases, haar_directions
 from margbounds.kernels import slab_volume
 
 # These tests carried a "[pure]" id while a compiled twin of the kernels
@@ -110,6 +110,50 @@ def test_polygon_area_400_gon():
     hi = np.ones(200)
     want = 400.0 * math.tan(math.pi / 400.0)
     assert kernels.polygon_area(w, -hi, hi) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_polygon_areas_match_polygon_area(n):
+    """The lane-wise clipper against the scalar one, ==, on Haar complement
+    frames with centered, shifted and empty slab systems."""
+    rng = np.random.default_rng(n)
+    lanes = 600
+    frames = complement_bases(haar_bases(n, n - 2, n, np.arange(lanes)))
+    half = rng.uniform(0.2, 1.0, size=(lanes, n))
+    shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
+    lo, hi = shift - half, shift + half
+    lo[-50:, 0], hi[-50:, 0] = 5.0, 6.0  # the first row's slab misses the rest
+    got = kernels.polygon_areas(frames, lo, hi)
+    want = [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < lanes
+
+
+def test_polygon_areas_degenerate_lanes():
+    # parallel rows (no seed pair), then a regular lane
+    frames = np.array([[[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]])
+    lo = np.array([[-1.0, -1.0, -1.0], [-0.5, -0.5, -0.6]])
+    got = kernels.polygon_areas(frames, lo, -lo)
+    assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
+    assert got[0] == 0.0 and got[1] > 0.0
+    # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^2;
+    # then 3.536 t, which lies between 1e-14 (1 + 3.536)^2 computed with
+    # Python's float pow (as polygon_area does) and with x * x, where glibc's
+    # pow differs from x * x in the last bit
+    frames = np.array([[[1.0, 0.0], [1.0, t]] for t in (3.9e-14, 4e-14, 4.1e-14)]
+                      + [[[3.536, 0.0], [0.0, 5.818805429864252e-14]]])
+    lo = -np.ones((4, 2))
+    got = kernels.polygon_areas(frames, lo, -lo)
+    assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
+    assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] > 0.0
+    # strips narrower and wider than the clip tolerance 1e-14 (1 + 1)
+    frames = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]] * 2)
+    lo = np.array([[-0.5, -0.5, 0.0]] * 2)
+    hi = np.array([[0.5, 0.5, 1e-15], [0.5, 0.5, 1e-13]])
+    got = kernels.polygon_areas(frames, lo, hi)
+    assert np.array_equal(got, [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)])
+    assert got[0] == 0.0 and got[1] > 0.0
+    assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
 def test_polytope_volume_unit_cube():

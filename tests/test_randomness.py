@@ -37,6 +37,16 @@ def test_normals_chunking_invariance():
     assert np.array_equal(whole, parts)
 
 
+def test_draws_over_a_stream_array_match_each_stream():
+    streams = np.array([0, 1, 5, 2**33])
+    u = randomness.uniforms(3, streams, 4, 10)
+    z = randomness.normals(3, streams, 4, 10)
+    assert u.shape == z.shape == (4, 10)
+    for row_u, row_z, stream in zip(u, z, streams):
+        assert np.array_equal(row_u, randomness.uniforms(3, int(stream), 4, 10))
+        assert np.array_equal(row_z, randomness.normals(3, int(stream), 4, 10))
+
+
 def test_normals_odd_start():
     whole = randomness.normals(3, 1, 0, 10)
     assert randomness.normals(3, 1, 3, 4) == pytest.approx(list(whole[3:7]), abs=0.0)

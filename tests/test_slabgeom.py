@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from margbounds.densities import random_product_density
+from margbounds.grassmann import Subspace, complement_bases, haar_bases
+from margbounds.sections import sharp_paired_subspace
 from margbounds.slabgeom import (
     BlockTooWideError,
+    SlabBlock,
+    block_integrals,
     component_blocks,
     decomposed_volume,
+    nonzero_combinations,
     piece_combinations,
     row_components,
+    single_block_frames,
+    span_coordinates,
 )
 
 
@@ -66,3 +74,38 @@ def test_piece_combinations_product_order():
     assert lo.tolist() == [[0.0, -1.0, 0.0], [0.0, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, -1.0, 0.5]]
     assert hi.tolist() == [[1.0, 0.0, 0.5], [1.0, 0.0, 1.0], [2.0, 0.0, 0.5], [2.0, 0.0, 1.0]]
     assert weights == [70.0, 110.0, 105.0, 165.0]
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (6, 2), (4, 3), (6, 3)])
+def test_single_block_frames_match_component_blocks(n, d):
+    frames = complement_bases(haar_bases(n, n - d, 4, np.arange(200)))
+    local, ok = single_block_frames(frames)
+    assert ok.all()
+    for w, loc in zip(frames, local):
+        [(comp, block)] = component_blocks(w)
+        assert list(comp) == list(range(n))
+        assert np.array_equal(loc, block)
+        assert np.array_equal(loc, span_coordinates(w))
+
+
+def test_single_block_frames_reject_zero_rows_splits_and_low_rank():
+    coordinate = Subspace.coordinate(4, [0, 1]).basis  # rows 2 and 3 vanish
+    paired = sharp_paired_subspace(4, 2).basis  # two orthogonal 1-D blocks
+    flat = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0], [1.0, 0.0]])  # one block of rank 1
+    haar = haar_bases(4, 2, 1, np.arange(1))[0]
+    _, ok = single_block_frames(np.stack([coordinate, paired, flat, haar]))
+    assert ok.tolist() == [False, False, False, True]
+    assert len(row_components(paired)) == 2
+    assert len(row_components(flat)) == 1 and span_coordinates(flat).shape == (4, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_block_integrals_match_slab_block_integral(n):
+    f = random_product_density(n, n, 3)
+    lo, hi, weights = nonzero_combinations([fi.pieces for fi in f.factors])
+    local, ok = single_block_frames(complement_bases(haar_bases(n, n - 2, 2, np.arange(50))))
+    assert ok.all()
+    got = block_integrals(local, lo, hi, weights)
+    want = [SlabBlock(loc, lo, hi, weights).integral(lo, hi) for loc in local]
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got) > 40
