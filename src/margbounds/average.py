@@ -82,14 +82,14 @@ def _per_haar_subspace(fn, n: int, k: int, samples: int, seed: int, stream: int,
 def _clipped_or_fallback(bases, frames, lo, hi, weights, fallback) -> np.ndarray:
     """One value per subspace of bases (count, n, k) from its frame rows.
 
-    2-D frames that form a single slab block are evaluated lane-wise by
-    slabgeom.block_integrals over the combinations lo, hi, weights; every
-    other subspace (a 3-D frame, a zero row, a frame that splits into
-    orthogonal blocks) gets fallback(Subspace(basis)).
+    2-D and 3-D frames that form a single slab block are evaluated
+    lane-wise by slabgeom.block_integrals over the combinations lo, hi,
+    weights; every other subspace (a zero row, a frame that splits into
+    orthogonal blocks, a 1-D or wider frame) gets fallback(Subspace(basis)).
     """
     vals = np.empty(len(bases))
     ok = np.zeros(len(bases), dtype=bool)
-    if frames.shape[2] == 2:
+    if frames.shape[2] in (2, 3):
         local, ok = slabgeom.single_block_frames(frames)
         vals[ok] = slabgeom.block_integrals(local[ok], lo, hi, weights)
     for i in np.flatnonzero(~ok):

@@ -449,6 +449,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _sup_range(text: str) -> tuple:
     parts = _floats_csv(text)
     if len(parts) != 2 or parts[0] <= 0.0 or parts[1] < parts[0]:
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.add_argument("--sup-range", type=_sup_range, default=(1.0, 1.0),
                    help="lo,hi range for factor sup norms (default unit)")
     common(p)
@@ -482,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rogozin", help="line-marginal sup vs the central cube section")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     common(p)
     p.set_defaults(func=cmd_rogozin)
 
@@ -492,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal", type=_floats_csv, default=None)
     p.add_argument("--subspace-file", type=str, default=None)
     p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     common(p, workers=False)
     p.set_defaults(func=cmd_sections, workers=1)
 
@@ -500,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-min", type=float, default=2.0)
     p.add_argument("--p-max", type=float, default=100.0)
     p.add_argument("--steps", type=_positive_int, default=50)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--csv-out", type=str, default=None)
     common(p, workers=False)
     p.set_defaults(func=cmd_ball_integral, workers=1)
@@ -509,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--systems", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_bl_check)
 
@@ -533,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("small-ball", help="projected small-ball probabilities vs the bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_positive_float, default=0.05)
     p.add_argument("--samples", type=_positive_int, default=20000)
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--csv-out", type=str, default=None)
@@ -545,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     common(p, workers=False)
     p.set_defaults(func=cmd_search_max, workers=1)
 

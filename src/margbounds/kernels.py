@@ -1,9 +1,13 @@
-"""Scalar kernels in numpy/Python: slab-intersection volumes and Irwin-Hall.
+"""Kernels in numpy/Python: slab-intersection volumes and Irwin-Hall.
 
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
 boundedness (the w_i always contain a spanning subset coming from a tight
-frame) and strip zero rows beforehand.
+frame) and strip zero rows beforehand.  Each scalar kernel has a lane-wise
+twin (interval_lengths, polygon_areas, polytope_volumes) that evaluates many
+slab systems per call with the scalar kernel's floating-point operations, so
+every lane has the scalar result's bits; the scalar kernels stay for callers
+that hold one system at a time, where they are faster.
 """
 
 from __future__ import annotations
@@ -39,6 +43,37 @@ def interval_length(w, lo, hi):
     if not (math.isfinite(left) and math.isfinite(right)):
         raise ValueError("unbounded slab intersection (no spanning constraints)")
     return right - left
+
+
+def interval_lengths(W, lo, hi):
+    """interval_length of each lane l: the 1-D slabs lo[l, i] <= W[l, i] * y
+    <= hi[l, i] for W, lo and hi (L, m); returns (L,) lengths with
+    interval_length's bits."""
+    W = np.asarray(W, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    count, m = W.shape
+    left = np.full(count, -math.inf)
+    right = np.full(count, math.inf)
+    empty = np.zeros(count, dtype=bool)
+    for i in range(m):
+        w, l, h = W[:, i], lo[:, i], hi[:, i]
+        pos, neg = w > _TINY, w < -_TINY
+        flat = ~(pos | neg)
+        empty |= flat & ((l > 0.0) | (h < 0.0))
+        w = np.where(flat, 1.0, w)
+        a = np.where(pos, l / w, np.where(neg, h / w, -math.inf))
+        b = np.where(pos, h / w, np.where(neg, l / w, math.inf))
+        left = np.where(a > left, a, left)
+        right = np.where(b < right, b, right)
+    # the bounds only tighten, so right <= left at the end iff it held at
+    # some row, where interval_length returns 0.0
+    empty |= right <= left
+    if not (np.isfinite(left[~empty]).all() and np.isfinite(right[~empty]).all()):
+        raise ValueError("unbounded slab intersection (no spanning constraints)")
+    out = np.zeros(count)
+    out[~empty] = right[~empty] - left[~empty]
+    return out
 
 
 def _clip_polygon(poly, nx, ny, b, eps):
@@ -358,6 +393,228 @@ def polytope_volume(W, lo, hi):
     return _faces_volume(faces)
 
 
+def _sum_in_order(terms):
+    """Sum over the last axis from 0.0 in index order, as a Python loop
+    adds (np.sum adds pairwise)."""
+    start = np.zeros(terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
+
+
+def _section_order(x, y, z, cnt, n):
+    """For each lane l, the order in which _clip_faces sorts the section
+    polygon x[l, :cnt[l]] (and y, z) of the plane with normal n[l]: by the
+    angle around its centroid, ties kept in place."""
+    count, width = x.shape
+    lanes = np.arange(count)
+    n0, n1, n2 = n.T
+    nn = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    nu = n / nn[:, None]
+    ax = np.argmin(np.abs(nu), axis=1)
+    e = np.zeros((count, 3))
+    e[lanes, ax] = 1.0
+    u = e - nu * nu[lanes, ax][:, None]
+    u0, u1, u2 = u.T
+    un = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+    u0, u1, u2 = u0 / un, u1 / un, u2 / un
+    nu0, nu1, nu2 = nu.T
+    v0, v1, v2 = nu1 * u2 - nu2 * u1, nu2 * u0 - nu0 * u2, nu0 * u1 - nu1 * u0
+    valid = np.arange(width) < cnt[:, None]
+    cx, cy, cz = (_sum_in_order(np.where(valid, a, 0.0)) / cnt for a in (x, y, z))
+    dx, dy, dz = x - cx[:, None], y - cy[:, None], z - cz[:, None]
+    ky = dx * v0[:, None] + dy * v1[:, None] + dz * v2[:, None]
+    kx = dx * u0[:, None] + dy * u1[:, None] + dz * u2[:, None]
+    # padding sorts last: every angle lies in [-pi, pi]
+    key = np.where(valid, np.arctan2(ky, kx), 4.0)
+    order = np.argsort(key, axis=1, kind="stable")
+    # np.arctan2 and math.atan2 may differ in the last bit, which can only
+    # reorder keys that nearly tie: those lanes sort with math.atan2
+    ranked = np.take_along_axis(key, order, axis=1)
+    a, b = ranked[:, :-1], ranked[:, 1:]
+    near = (b - a <= 1e-14 * np.maximum(np.abs(a), np.abs(b))) & valid[:, 1:]
+    for lane in np.flatnonzero(near.any(axis=1)):
+        c = int(cnt[lane])
+        order[lane, :c] = sorted(
+            range(c), key=lambda i: math.atan2(ky[lane, i], kx[lane, i])
+        )
+    return order
+
+
+def _next_vertex(a, cnt):
+    """a[..., j + 1] at each vertex j of the cycles a[..., :cnt] (vertex 0
+    after the last); other slots are arbitrary."""
+    shifted = np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
+    return np.where(np.arange(a.shape[-1]) == cnt[..., None] - 1, a[..., :1], shifted)
+
+
+def _clip_faces_lanes(x, y, z, cnt, n, b, eps):
+    """_clip_faces for every lane l: its faces x[l, f, :cnt[l, f]] (and y,
+    z) in order of f, cnt[l, f] = 0 marking padding, clipped by <n[l], p> <=
+    b[l].
+
+    Returns the faces in the same form: each lane's clipped faces that keep
+    3 or more vertices, in order and moved to the front, then its section
+    polygon.
+    """
+    count, faces, width = x.shape
+    valid = np.arange(width) < cnt[..., None]
+    n0, n1, n2 = (n[:, i, None, None] for i in range(3))
+    dp = n0 * x + n1 * y + n2 * z - b[:, None, None]
+    dq = _next_vertex(dp, cnt)
+    e = eps[:, None, None]
+    keep = valid & (dp <= e)
+    cross = valid & (((dp < -e) & (dq > e)) | ((dp > e) & (dq < -e)))
+    # each vertex emits itself if kept, then its edge's crossing point
+    step = keep.astype(np.intp) + cross
+    pos = np.cumsum(step, axis=2) - step
+    counts = pos[..., -1] + step[..., -1]
+    # crossings in (lane, face, edge) order: the order of _clip_faces' cut list
+    r, f, c = np.nonzero(cross)
+    q = np.where(c + 1 < cnt[r, f], c + 1, 0)
+    # nonzero denominators: dp and dq lie beyond eps on opposite sides
+    t = dp[r, f, c] / (dp[r, f, c] - dq[r, f, c])
+    px, py, pz = x[r, f, c], y[r, f, c], z[r, f, c]
+    cut = (px + t * (x[r, f, q] - px), py + t * (y[r, f, q] - py), pz + t * (z[r, f, q] - pz))
+    # each lane's cut list, padded; points within 10 eps (l1) of an earlier
+    # kept one are dropped
+    ncut = np.bincount(r, minlength=count)
+    slot = np.arange(r.size) - (np.cumsum(ncut) - ncut)[r]
+    cx, cy, cz = (np.zeros((count, int(ncut.max()))) for _ in range(3))
+    cx[r, slot], cy[r, slot], cz[r, slot] = cut
+    uniq = np.zeros(cx.shape, dtype=bool)
+    tol = 10.0 * eps[:, None]
+    for k in range(cx.shape[1]):
+        dist = (np.abs(cx[:, k, None] - cx[:, :k]) + np.abs(cy[:, k, None] - cy[:, :k])
+                + np.abs(cz[:, k, None] - cz[:, :k]))
+        uniq[:, k] = (k < ncut) & ~(uniq[:, :k] & (dist < tol)).any(axis=1)
+    nuniq = uniq.sum(axis=1)  # 3 or more only where ncut is
+    has_section = nuniq >= 3
+    section = np.flatnonzero(has_section)
+    # the faces that keep 3 or more vertices move to the front of their lane,
+    # in order; the section polygon follows them
+    kept = counts >= 3
+    dest = np.cumsum(kept, axis=1) - 1
+    nkept = kept.sum(axis=1)
+    out_faces = max(int((nkept + has_section).max()), 1)
+    out_width = max(int(counts.max()), int(nuniq.max()), 1)
+    ox, oy, oz = (np.zeros((count, out_faces, out_width)) for _ in range(3))
+    out_cnt = np.zeros((count, out_faces), dtype=np.intp)
+    lf = np.nonzero(kept)
+    out_cnt[lf[0], dest[lf]] = counts[lf]
+    kr, kf, kc = np.nonzero(keep & kept[..., None])
+    at = (kr, dest[kr, kf], pos[kr, kf, kc])
+    ox[at], oy[at], oz[at] = x[kr, kf, kc], y[kr, kf, kc], z[kr, kf, kc]
+    on = kept[r, f]
+    at = (r[on], dest[r, f][on], (pos[r, f, c] + keep[r, f, c])[on])
+    ox[at], oy[at], oz[at] = cut[0][on], cut[1][on], cut[2][on]
+    if section.size:
+        sx, sy, sz = (np.zeros((section.size, int(nuniq[section].max()))) for _ in range(3))
+        upos = np.cumsum(uniq[section], axis=1) - uniq[section]
+        sr, sk = np.nonzero(uniq[section])
+        at = upos[sr, sk]
+        sx[sr, at], sy[sr, at], sz[sr, at] = (a[section][sr, sk] for a in (cx, cy, cz))
+        order = _section_order(sx, sy, sz, nuniq[section], n[section])
+        width = sx.shape[1]
+        for o, s in ((ox, sx), (oy, sy), (oz, sz)):
+            o[section, nkept[section], :width] = np.take_along_axis(s, order, axis=1)
+        out_cnt[section, nkept[section]] = nuniq[section]
+    return ox, oy, oz, out_cnt
+
+
+def _faces_volumes(x, y, z, cnt):
+    """_faces_volume of every lane's faces, given as in _clip_faces_lanes."""
+    count, faces, width = x.shape
+    valid = np.arange(width) < cnt[..., None]
+    total = cnt.sum(axis=1)
+    cx, cy, cz = (
+        _sum_in_order(np.where(valid, a, 0.0).reshape(count, -1)) / total for a in (x, y, z)
+    )
+    qx, qy, qz = (_next_vertex(a, cnt) for a in (x, y, z))
+    ax = _sum_in_order(np.where(valid, y * qz - z * qy, 0.0))
+    ay = _sum_in_order(np.where(valid, z * qx - x * qz, 0.0))
+    az = _sum_in_order(np.where(valid, x * qy - y * qx, 0.0))
+    h = (ax * (x[:, :, 0] - cx[:, None]) + ay * (y[:, :, 0] - cy[:, None])
+         + az * (z[:, :, 0] - cz[:, None]))
+    return _sum_in_order(np.where(cnt > 0, np.abs(h), 0.0)) / 6.0
+
+
+# lanes that polytope_volumes clips together: a lane holds a padded
+# polyhedron, so this bounds the working memory
+_POLYTOPE_LANES = 1 << 7
+
+
+def polytope_volumes(W, lo, hi):
+    """polytope_volume of each lane l: the 3-D slabs lo[l, i] <= <W[l, i], y>
+    <= hi[l, i] for W (L, m, 3), lo and hi (L, m); returns (L,) volumes.
+
+    Every lane goes through polytope_volume's floating-point operations in
+    its order (seed rows, Minv @ rhs, eps, the hi then -lo face clip of each
+    other row in row order, the cut-point dedupe and angular sort, the Newell
+    volume), so each volume has polytope_volume's bits.  Faces sit in arrays
+    padded to the most faces and vertices of any lane, _POLYTOPE_LANES lanes
+    at a time; a lane leaves once it has no face left.
+    """
+    W = np.asarray(W, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = np.zeros(len(W))
+    for start in range(0, len(W), _POLYTOPE_LANES):
+        end = start + _POLYTOPE_LANES
+        out[start:end] = _polytope_volumes(W[start:end], lo[start:end], hi[start:end])
+    return out
+
+
+def _polytope_volumes(W, lo, hi):
+    count, m, _ = W.shape
+    out = np.zeros(count)
+    lanes = np.arange(count)
+    i0 = np.argmax(np.einsum("lij,lij->li", W, W), axis=1)
+    cr = np.cross(W[lanes, i0][:, None, :], W)
+    i1 = np.argmax(np.einsum("lij,lij->li", cr, cr), axis=1)
+    dets = np.matmul(W, cr[lanes, i1][:, :, None])[:, :, 0]
+    i2 = np.argmax(np.abs(dets), axis=1)
+    det = dets[lanes, i2]
+    wmax = np.abs(W).max(axis=(1, 2))
+    thr = 1e-14 * (1.0 + wmax) ** 3
+    degenerate = np.abs(det) < thr
+    # numpy's cube may differ from Python's float pow, which polytope_volume
+    # uses, in the last bits: settle lanes that close to the threshold with
+    # its own expression
+    for lane in np.flatnonzero(np.abs(np.abs(det) - thr) <= 1e-14 * thr):
+        degenerate[lane] = abs(det[lane]) < 1e-14 * (1.0 + float(wmax[lane])) ** 3
+    idx = np.flatnonzero(~degenerate)
+    if not idx.size:
+        return out
+    W, lo, hi = W[idx], lo[idx], hi[idx]
+    lanes = np.arange(idx.size)[:, None]
+    seeds = np.stack([i0[idx], i1[idx], i2[idx]], axis=1)
+    m_inv = np.linalg.inv(W[lanes, seeds])
+    upper = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1  # corner bits -> hi
+    rhs = np.where(upper, hi[lanes, seeds][:, None, :], lo[lanes, seeds][:, None, :])
+    verts = np.matmul(m_inv[:, None], rhs[..., None])[..., 0]  # (L, 8, 3)
+    l1 = np.abs(verts[..., 0]) + np.abs(verts[..., 1]) + np.abs(verts[..., 2])
+    scale = 1.0 + l1.max(axis=1)
+    eps = 1e-13 * scale
+    x, y, z = (verts[:, _CUBE_FACES, i] for i in range(3))
+    cnt = np.full((idx.size, len(_CUBE_FACES)), 4)
+    # each lane's m - 3 non-seed rows, in row order
+    rows = np.broadcast_to(np.arange(m), (idx.size, m))
+    others = rows[(rows[:, :, None] != seeds[:, None, :]).all(axis=2)].reshape(idx.size, m - 3)
+    for r in range(m - 3):
+        for side in (1.0, -1.0):  # the hi side, then the -lo side
+            lanes = np.arange(idx.size)
+            i = others[:, r]
+            b = hi[lanes, i] if side > 0.0 else -lo[lanes, i]
+            x, y, z, cnt = _clip_faces_lanes(x, y, z, cnt, side * W[lanes, i], b, eps)
+            alive = (cnt > 0).any(axis=1)
+            if not alive.all():
+                x, y, z, cnt, eps = x[alive], y[alive], z[alive], cnt[alive], eps[alive]
+                W, lo, hi, others, idx = W[alive], lo[alive], hi[alive], others[alive], idx[alive]
+                if not idx.size:
+                    return out
+    out[idx] = _faces_volumes(x, y, z, cnt)
+    return out
+
+
 def slab_volume(W, lo, hi) -> float:
     """Volume of { y in R^d : lo_i <= <w_i, y> <= hi_i } for d in {1, 2, 3}."""
     d = W.shape[1] if W.ndim == 2 else 1
@@ -368,6 +625,18 @@ def slab_volume(W, lo, hi) -> float:
     if d == 3:
         return polytope_volume(W, lo, hi)
     raise ValueError(f"slab_volume supports dimensions 1-3, got {d}")
+
+
+def slab_volumes(W, lo, hi) -> np.ndarray:
+    """slab_volume of each lane: W (L, m, d), lo and hi (L, m), d in {1, 2, 3}."""
+    d = W.shape[2]
+    if d == 1:
+        return interval_lengths(W[:, :, 0], lo, hi)
+    if d == 2:
+        return polygon_areas(W, lo, hi)
+    if d == 3:
+        return polytope_volumes(W, lo, hi)
+    raise ValueError(f"slab_volumes supports dimensions 1-3, got {d}")
 
 
 def clip_seed_rows(W):

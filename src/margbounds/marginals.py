@@ -161,13 +161,13 @@ def marginal_grid_sup(
     slab_sum = _slab_sum(f, e)
 
     def scan(origin: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
-        best_v, best_x = -1.0, origin
-        for combo in itertools.product(offsets, repeat=k):
-            x = origin + np.array(combo)
-            v = slab_sum.value(e.basis @ x, prefilter=True)
-            if v > best_v:
-                best_v, best_x = v, x
-        return best_v, best_x
+        # the points in itertools.product order; the stacked matmul gives
+        # each point the bits of e.basis @ x (xs @ e.basis.T does not), and
+        # the first maximum wins, as in a loop that keeps v > best
+        xs = origin + np.array(list(itertools.product(offsets, repeat=k)))
+        values = slab_sum.values(np.matmul(e.basis, xs[:, :, None])[:, :, 0])
+        best = int(np.argmax(values))
+        return values[best], xs[best]
 
     best_v, best_x = scan(center, offs)
     step = grid_step

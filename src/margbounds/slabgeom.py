@@ -30,6 +30,9 @@ ROW_ZERO_TOL = 1e-12
 # is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such a combination
 # clips to nothing and the kernel would return exactly 0.0.
 _PREFILTER_MARGIN = 1e-9
+# combinations per seed-cell test in SlabBlock.candidates: bounds its
+# working memory
+_PREFILTER_ROWS = 1 << 10
 
 
 class BlockTooWideError(ValueError):
@@ -152,52 +155,72 @@ class SlabBlock:
         cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
         return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
 
-    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        """Indices of the combinations the clipper may give a nonzero volume.
+    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Indices of the combinations with bounds lo, hi (N, m) that the
+        2-D or 3-D clipper may give a nonzero volume.
 
         Builds every combination's seed parallelogram (2-D) or
-        parallelepiped (3-D) and drops those lying wholly outside another
-        row's slab by the margin.
+        parallelepiped (3-D), _PREFILTER_ROWS combinations at a time, and
+        drops those lying wholly outside another row's slab by the margin.
         """
         seed_frame = self._seed_frame
         if seed_frame is None:
-            return []
+            return np.zeros(0, dtype=np.intp)
         seeds, upper, m_inv_t, margin = seed_frame
-        verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (C, 2^d, d)
-        proj = verts @ self.local.T  # (C, 2^d, m)
-        slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
-        outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
-        return np.flatnonzero(~outside.any(axis=1)).tolist()
+        kept = [np.zeros(0, dtype=np.intp)]
+        for start in range(0, len(lo), _PREFILTER_ROWS):
+            l, h = lo[start : start + _PREFILTER_ROWS], hi[start : start + _PREFILTER_ROWS]
+            verts = np.where(upper, h[:, None, seeds], l[:, None, seeds]) @ m_inv_t  # (N, 2^d, d)
+            proj = verts @ self.local.T  # (N, 2^d, m)
+            slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
+            outside = (proj.min(axis=1) > h + slack) | (proj.max(axis=1) < l - slack)
+            kept.append(start + np.flatnonzero(~outside.any(axis=1)))
+        return np.concatenate(kept)
 
-    def integral(self, lo: np.ndarray, hi: np.ndarray, prefilter: bool = False) -> float:
+    def integral(self, lo: np.ndarray, hi: np.ndarray) -> float:
         """Sum over combinations c of weights[c] x the volume of the slab
-        system with bounds lo[c], hi[c] (shaped like self.lo, self.hi).
-
-        With prefilter, 2-D and 3-D combinations whose seed cell is certified
-        empty skip the clipper; they would add exactly 0.0, so the sum is
-        bit-identical either way.
-        """
-        if prefilter and self.local.shape[1] >= 2:
-            combos = self.candidates(lo, hi)
-        else:
-            combos = range(len(self.weights))
+        system with bounds lo[c], hi[c] (shaped like self.lo, self.hi), one
+        scalar kernel call per combination."""
         sub = 0.0
-        for c in combos:
+        for c in range(len(self.weights)):
             sub += self.weights[c] * kernels.slab_volume(self.local, lo[c], hi[c])
         return sub
 
 
-def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights) -> np.ndarray:
-    """SlabBlock(local[s], lo, hi, weights).integral(lo, hi) for each of S
-    2-D frames local (S, m, 2), with the same bits.
+# lanes per lane-wise kernel call in block_integrals: bounds its working
+# memory (the Haar route's chunks hold at most as many lanes)
+LANE_CAP = 1 << 14
 
-    Every (frame, combination) pair is one lane of kernels.polygon_areas;
-    each frame sums its combinations in order from 0.0, as integral does.
+
+def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights,
+                    keep: np.ndarray | None = None) -> np.ndarray:
+    """SlabBlock(local[s], lo[s], hi[s], weights).integral(lo[s], hi[s]) for
+    each s < S, with the same bits.
+
+    local is (S, m, d) or one (m, d) frame for every s; lo and hi are
+    (S, C, m) or one (C, m) set of bounds for every s.  Every (s, c) pair
+    that keep (S, C) marks, all of them by default, is one lane of
+    kernels.slab_volumes, at most LANE_CAP lanes per call; the others add
+    exactly 0.0.  Each s sums its combinations in order from 0.0, as
+    integral does.
     """
-    frames, combos = local.shape[0], len(weights)
-    vol = kernels.polygon_areas(
-        np.repeat(local, combos, axis=0), np.tile(lo, (frames, 1)), np.tile(hi, (frames, 1))
-    ).reshape(frames, combos)
+    frames = max(len(local) if local.ndim == 3 else 1, len(lo) if lo.ndim == 3 else 1)
+    combos = len(weights)
+    m, d = local.shape[-2:]
+    # one row per (s, c) lane, s major; then the lanes keep marks
+    local = local.reshape(-1, 1, m, d)
+    rows = np.broadcast_to(local, (frames, combos, m, d)).reshape(-1, m, d)
+    lo = np.broadcast_to(lo, (frames, combos, m)).reshape(-1, m)
+    hi = np.broadcast_to(hi, (frames, combos, m)).reshape(-1, m)
+    lanes = slice(None) if keep is None else np.flatnonzero(keep)
+    rows, lo, hi = rows[lanes], lo[lanes], hi[lanes]
+    vol = np.zeros(frames * combos)
+    lane_vol = np.empty(len(rows))
+    for start in range(0, len(rows), LANE_CAP):
+        chunk = slice(start, start + LANE_CAP)
+        lane_vol[chunk] = kernels.slab_volumes(rows[chunk], lo[chunk], hi[chunk])
+    vol[lanes] = lane_vol
+    vol = vol.reshape(frames, combos)
     sub = np.zeros(frames)
     for c, w in enumerate(weights):
         sub = sub + w * vol[:, c]
@@ -264,15 +287,41 @@ class SlabSum:
                 break
         return const
 
-    def value(self, shifts: np.ndarray, prefilter: bool = False) -> float:
-        """The integral at shifts s, one per row; prefilter as in
-        SlabBlock.integral (bit-identical either way)."""
+    def value(self, shifts: np.ndarray) -> float:
+        """The integral at shifts s, one per row."""
         value = self.zero_row_factor(shifts)
         if value == 0.0:
             return 0.0
         for rows, block in self.blocks:
             s = shifts[rows]
-            value *= block.integral(block.lo - s, block.hi - s, prefilter)
+            value *= block.integral(block.lo - s, block.hi - s)
             if value == 0.0:
                 return 0.0
         return value
+
+    def values(self, shifts: np.ndarray) -> np.ndarray:
+        """value at each row of shifts (P, m), with the same bits.
+
+        Each block evaluates every (point, combination) pair at once through
+        block_integrals; for 2-D and 3-D blocks, the pairs whose seed cell
+        SlabBlock.candidates certifies empty skip the clipper (they would
+        add exactly 0.0).  Points whose value is already 0.0 skip the later
+        blocks.
+        """
+        if self.zero_rows.size:
+            values = np.array([self.zero_row_factor(s) for s in shifts])
+        else:
+            values = np.ones(len(shifts))
+        for rows, block in self.blocks:
+            live = np.flatnonzero(values != 0.0)
+            if not live.size:
+                break
+            s = shifts[live][:, None, rows]
+            lo, hi = block.lo - s, block.hi - s  # (P, C, m)
+            keep = None
+            if block.local.shape[1] >= 2:
+                keep = np.zeros(lo.shape[:2], dtype=bool)
+                flat = block.candidates(lo.reshape(-1, rows.size), hi.reshape(-1, rows.size))
+                keep.flat[flat] = True
+            values[live] = values[live] * block_integrals(block.local, lo, hi, block.weights, keep)
+        return values

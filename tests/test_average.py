@@ -246,7 +246,7 @@ def _with_special_lanes(monkeypatch, special):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (4, 1), (5, 2)])
 def test_batched_marginal_values_match_per_sample_loop(n, k):
-    # n - k = 2 goes lane-wise through the 2-D clipper, n - k = 3 falls back
+    # n - k = 2 and 3 go lane-wise through the 2-D and 3-D clippers
     f = _centered_density(40 + n, n)
     got = _marginal_values_at_zero(f, k, 120, 1e-9, seed=n, stream=5)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, k, 120, n, 5))
@@ -270,6 +270,25 @@ def test_batched_routes_mix_fallback_lanes(monkeypatch):
     assert np.array_equal(got, _reference_box_section_values(box, 2, 40, 1, 0, _FALLBACK_BASES))
     assert got[3] == pytest.approx(0.8 * 1.1) and got[8] == pytest.approx(2.0 * 0.8 * 0.7)
 
+
+
+def test_batched_3d_routes_mix_fallback_lanes(monkeypatch):
+    # n - k = 3 marginals and k = 3 sections: a coordinate subspace (zero
+    # rows) and a frame of three orthogonal 1-D blocks leave the 3-D route
+    split = np.zeros((5, 3))
+    split[0, 0] = 1.0
+    split[1:3, 1] = split[3:5, 2] = 1.0 / math.sqrt(2.0)
+    special = {2: Subspace.coordinate(5, [0, 1]).basis, 5: sharp_paired_subspace(5, 2).basis}
+    _with_special_lanes(monkeypatch, special)
+    f = _centered_density(5, 5)
+    got = _marginal_values_at_zero(f, 2, 30, 1e-9, seed=2, stream=0)
+    assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 30, 2, 0, special))
+    special = {2: Subspace.coordinate(5, [0, 1, 2]).basis, 5: split}
+    _with_special_lanes(monkeypatch, special)
+    box = Box([0.8, 1.1, 1.3, 0.7, 1.2])
+    got = _box_section_values(box, 3, 30, seed=2, stream=0)
+    assert np.array_equal(got, _reference_box_section_values(box, 3, 30, 2, 0, special))
+    assert got[2] == pytest.approx(0.8 * 1.1 * 1.3) and got[5] == pytest.approx(0.8 * 1.1 * 0.7 * 2.0)
 
 def test_batched_values_do_not_depend_on_chunk(monkeypatch):
     f = _centered_density(7, 4)

@@ -248,3 +248,22 @@ def test_unmet_sinc_tolerance_reports_achieved_bound(capsys):
     err = capsys.readouterr().err
     assert "achieved error bound" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--n", "3", "--k", "1", "--trials", "1", "--tol", "nan"], "--tol"),
+    (["verify", "--n", "3", "--k", "1", "--trials", "1", "--tol", "-1"], "--tol"),
+    (["rogozin", "--n", "3", "--trials", "1", "--tol", "nan"], "--tol"),
+    (["sections", "--mode", "exact", "--sides", "1,1", "--normal", "1,1", "--tol", "0"], "--tol"),
+    (["ball-integral", "--steps", "2", "--tol", "nan"], "--tol"),
+    (["bl-check", "--systems", "1", "--tol", "inf"], "--tol"),
+    (["search-max", "--n", "3", "--k", "1", "--tol", "x"], "--tol"),
+    (["small-ball", "--n", "3", "--k", "1", "--trials", "1", "--eps", "nan"], "--eps"),
+    (["small-ball", "--n", "3", "--k", "1", "--trials", "1", "--eps", "0"], "--eps"),
+])
+def test_bad_tolerances_are_usage_errors(argv, flag, capsys):
+    # a bad flag must not read as a FAIL report (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite positive number" in capsys.readouterr().err

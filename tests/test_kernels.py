@@ -179,6 +179,123 @@ def test_polytope_volume_rotation_invariance():
         assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0, abs=1e-12)
 
 
+
+def test_interval_lengths_match_interval_length():
+    """The lane-wise interval kernel against the scalar one, ==: zero and
+    near-zero coefficients (feasible and not), empty and shifted lanes."""
+    rng = np.random.default_rng(11)
+    lanes, m = 900, 4
+    w = rng.normal(size=(lanes, m))
+    w[::7, 1] = 0.0
+    w[1::7, 2] = 1e-301  # below the kernel's zero threshold
+    w[2::7, 3] = -1e-299  # above it
+    w[3::7, 0] = -1e-300
+    half = rng.uniform(0.1, 1.0, size=(lanes, m))
+    shift = rng.normal(size=(lanes, m)) * np.repeat([0.0, 0.5, 3.0], lanes // 3)[:, None]
+    lo, hi = shift - half, shift + half
+    got = kernels.interval_lengths(w, lo, hi)
+    want = [kernels.interval_length(a, b, c) for a, b, c in zip(w, lo, hi)]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < lanes
+    assert kernels.interval_lengths(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
+    # a lane with no nonzero coefficient is unbounded unless a row is infeasible
+    flat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    lo, hi = np.array([[1.0, -1.0], [-1.0, -1.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(kernels.interval_lengths(flat[:1], lo[:1], hi[:1]), [0.0])
+    with pytest.raises(ValueError):
+        kernels.interval_length(flat[1], lo[1], hi[1])
+    with pytest.raises(ValueError):
+        kernels.interval_lengths(flat, lo, hi)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_polytope_volumes_match_polytope_volume(n):
+    """The lane-wise 3-D clipper against the scalar one, ==, on Haar
+    complement frames with centered, shifted and empty slab systems; more
+    lanes than one internal batch."""
+    rng = np.random.default_rng(n)
+    lanes = 450
+    frames = complement_bases(haar_bases(n, n - 3, n, np.arange(lanes)))
+    half = rng.uniform(0.2, 1.0, size=(lanes, n))
+    shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
+    lo, hi = shift - half, shift + half
+    lo[-40:, 0], hi[-40:, 0] = 5.0, 6.0  # the first row's slab misses the rest
+    got = kernels.polytope_volumes(frames, lo, hi)
+    want = [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < lanes
+
+
+def _assert_polytope_lanes_match(frames, lo, hi):
+    got = kernels.polytope_volumes(frames, lo, hi)
+    assert np.array_equal(got, [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)])
+    return got
+
+
+def test_polytope_volumes_degenerate_lanes():
+    # coplanar rows (no seed triple), then a regular lane
+    frames = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], np.eye(3)])
+    got = _assert_polytope_lanes_match(frames, -np.ones((2, 3)), np.ones((2, 3)))
+    assert got.tolist() == [0.0, 8.0]
+    # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^3;
+    # then one at numpy's 1e-14 (1 + w)^3 for w = 1.2795..., just below the
+    # same threshold computed with Python's float pow (as polytope_volume
+    # does), which differs from numpy's cube in the last bit
+    frames = np.array([np.diag([1.0, 1.0, t]) for t in (7.9e-14, 8e-14, 8.1e-14)]
+                      + [np.diag([1.2795786300262137, 1.0, 9.257564629011875e-14])])
+    got = _assert_polytope_lanes_match(frames, -np.ones((4, 3)), np.ones((4, 3)))
+    assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] == 0.0
+    assert kernels.polytope_volumes(np.zeros((0, 4, 3)), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
+
+
+def test_polytope_volumes_cut_point_dedupe():
+    # the unit cube (the seed rows) cut by x + y + z <= 1.5 - delta: the
+    # cut points near the corner (1/2, 1/2, 1/2) lie 2 delta apart in l1,
+    # just inside (merged: no section face) or just outside (kept) the dedupe
+    # distance 10 eps = 2.5e-12
+    frames = np.array([np.vstack([2.0 * np.eye(3), np.ones(3)])] * 3)
+    delta = np.array([1.2e-12, 1.3e-12, 0.1])
+    lo = np.tile([-1.0, -1.0, -1.0, -10.0], (3, 1))
+    hi = np.column_stack([np.ones((3, 3)), 1.5 - delta])
+    got = _assert_polytope_lanes_match(frames, lo, hi)
+    assert got[:2] == pytest.approx(1.0) and got[2] == pytest.approx(1.0 - 0.1**3 / 6.0)
+
+
+def test_polytope_volumes_lanes_die_part_way():
+    # seeds from the cube rows, then x + y and y + z clipped in row order:
+    # lane 0 dies at the fourth row's hi side, lane 1 at the fifth row's -lo
+    # side, lane 2 survives
+    frames = np.array([np.vstack([2.0 * np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]])] * 3)
+    lo = np.tile([-1.0, -1.0, -1.0, -1.2, -1.2], (3, 1))
+    hi = -lo
+    hi[0, 3] = -1.5
+    lo[1, 4] = 1.5
+    got = _assert_polytope_lanes_match(frames, lo, hi)
+    assert got.tolist()[:2] == [0.0, 0.0] and got[2] == pytest.approx(1.0)
+
+
+def test_section_order_settles_near_ties_with_math_atan2():
+    # np.arctan2 rounds p's angle one ulp below math.atan2, level with q's,
+    # which math.atan2 puts one ulp below p's: a stable sort by the numpy
+    # angles would keep p before q, polytope_volume's sort puts q first.
+    # The normal (0, 0, 1) makes the sort key atan2(y - cy, x - cx).
+    p = np.array([0.9469008777183416, 0.6512660237487807, 0.0])
+    q = np.array([0.9469008777183415, 0.6512660237487805, 0.0])
+    rng = np.random.default_rng(3)
+    lanes = [np.array([p, -p, q, -q])]  # centroid exactly 0
+    lanes += [rng.normal(size=(4, 3)) for _ in range(50)]
+    pts = np.array(lanes)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    normal = np.tile([0.0, 0.0, 1.0], (len(lanes), 1))
+    order = kernels._section_order(x, y, z, np.full(len(lanes), 4), normal)
+    for lane, got in zip(lanes, order):
+        cx, cy = (sum(lane[:, i]) / 4 for i in range(2))
+        want = sorted(range(4), key=lambda i: math.atan2(lane[i, 1] - cy, lane[i, 0] - cx))
+        assert got.tolist() == want
+    first = order[0].tolist()
+    assert first.index(2) < first.index(0)  # q before p
+
+
 @_KEEP_ID
 def test_irwin_hall_closed_forms(backend):
     # density of U1 + U2 (triangle) at the peak and halfway down

@@ -289,7 +289,7 @@ def _reference_grid_sup(f, e, grid_radius, grid_step, tol):
 
 
 @pytest.mark.parametrize("n,k,seed", [(3, 2, 1), (4, 3, 2), (4, 2, 3), (5, 3, 4),
-                                      (4, 1, 5), (5, 2, 6)])
+                                      (4, 1, 5), (5, 2, 6), (5, 4, 7), (4, 3, 8)])
 def test_plan_matches_per_point_loop_exactly(n, k, seed):
     # codimension n - k in {1, 2, 3}: 1-D, 2-D and 3-D blocks
     f = random_product_density(seed, n, 2)
@@ -300,11 +300,44 @@ def test_plan_matches_per_point_loop_exactly(n, k, seed):
     )
     rng = np.random.default_rng(seed)
     center = e.basis.T @ f.support_midpoints()
-    for x in [np.zeros(k), center] + [center + 0.5 * rng.normal(size=k) for _ in range(4)]:
+    points = [np.zeros(k), center] + [center + 0.5 * rng.normal(size=k) for _ in range(4)]
+    batched = _slab_sum(f, e).values(np.array([e.basis @ x for x in points]))
+    for x, value in zip(points, batched):
         q = MarginalQuery(f, e, x)
         want = _reference_marginal_at(q)
         assert marginal_at(q) == want
-        assert _slab_sum(f, e).value(q.ambient_shifts(), prefilter=True) == want
+        assert value == want
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 2, 1), (4, 2, 3), (4, 1, 5), (5, 2, 6)])
+def test_grid_sup_does_not_depend_on_lane_cap(n, k, seed, monkeypatch):
+    # 1-D, 2-D and 3-D blocks, with several kernel calls per scan
+    f = random_product_density(seed, n, 3)
+    e = haar_sample(n, k, seed=seed + 40)
+    radius, step = default_grid(f, e)
+    whole = marginal_grid_sup(f, e, radius, step, 1e-6)
+    monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
+    monkeypatch.setattr(slabgeom, "_PREFILTER_ROWS", 30)
+    monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
+    assert marginal_grid_sup(f, e, radius, step, 1e-6) == whole
+
+
+@pytest.mark.parametrize("k,center", [(1, 2), (2, 12)])
+def test_grid_scan_keeps_the_first_maximum(k, center, monkeypatch):
+    # every value ties: the refinement scan centers on the first grid point
+    scans = []
+
+    def flat(self, shifts):
+        scans.append(shifts)
+        return np.ones(len(shifts))
+
+    monkeypatch.setattr(slabgeom.SlabSum, "values", flat)
+    f = cube_density(3)
+    e = haar_sample(3, k, seed=1)
+    radius, step = default_grid(f, e)
+    assert marginal_grid_sup(f, e, radius, step) == 1.0
+    assert len(scans) == 2
+    assert np.array_equal(scans[1][center], scans[0][0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from margbounds.densities import random_product_density
-from margbounds.grassmann import Subspace, complement_bases, haar_bases
+from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
 from margbounds.sections import sharp_paired_subspace
 from margbounds.slabgeom import (
     BlockTooWideError,
     SlabBlock,
+    SlabSum,
     block_integrals,
     component_blocks,
     decomposed_volume,
@@ -109,3 +110,33 @@ def test_block_integrals_match_slab_block_integral(n):
     want = [SlabBlock(loc, lo, hi, weights).integral(lo, hi) for loc in local]
     assert np.array_equal(got, want)
     assert np.count_nonzero(got) > 40
+
+
+def _diagonal_block_subspace(n, d):
+    """E = span(e_0, (e_1 + ... + e_d) / sqrt(d)): its complement frame has a
+    zero row, a (d - 1)-D block and n - d - 1 coordinate 1-D blocks."""
+    basis = np.zeros((n, 2))
+    basis[0, 0] = 1.0
+    basis[1 : d + 1, 1] = 1.0 / np.sqrt(d)
+    return Subspace(basis)
+
+
+@pytest.mark.parametrize("seed,e", [
+    (1, Subspace.coordinate(4, [0, 1])),
+    (2, sharp_paired_subspace(4, 2)),
+    (3, _diagonal_block_subspace(6, 3)),
+    (4, _diagonal_block_subspace(6, 4)),
+    (5, Subspace(haar_bases(5, 2, 9, np.arange(1))[0])),
+], ids=["coordinate", "paired", "block-2d", "block-3d", "haar-3d"])
+def test_slab_sum_values_match_value_loop(seed, e):
+    """SlabSum.values against one value call per point, ==, on frames with
+    zero rows and several blocks."""
+    f = random_product_density(seed, e.n, 3)
+    slab_sum = SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
+    rng = np.random.default_rng(seed)
+    xs = e.basis.T @ f.support_midpoints() + rng.normal(size=(150, e.k)) * 0.6
+    shifts = np.array([e.basis @ x for x in xs])
+    got = slab_sum.values(shifts)
+    want = [slab_sum.value(s) for s in shifts]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < len(xs)
