@@ -35,7 +35,7 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
     """
     if p < 2.0:
         raise ValueError("requires p >= 2")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     arch = sinc_power_tail_weight(p)
     # choose the panel count so the tail bracket width is within budget
@@ -264,7 +264,7 @@ def bl_check(system: BLSystem, densities, tol: float = 1e-9) -> tuple[float, flo
     Step factors are integrated exactly over the slab arrangement (d <= 3);
     identical-Gaussian factors use the closed-form quadratic integral.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     densities = list(densities)
     if len(densities) != system.m:

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import average, bounds, densities, grassmann, marginals, sections, slabgeom
-from .quadrature import ToleranceError
+from .quadrature import RouteLimitError, ToleranceError
 
 REPORT_VERSION = "margbounds-report-1"
 
@@ -575,7 +575,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = ns.func(ns)
-    except (slabgeom.BlockTooWideError, ToleranceError) as exc:
+    except (slabgeom.BlockTooWideError, RouteLimitError, ToleranceError) as exc:
         # valid flags, but the route cannot deliver a certified value
         print(f"error: {exc}", file=sys.stderr)
         return 1

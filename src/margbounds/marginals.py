@@ -70,7 +70,7 @@ def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     most 3 dimensions (always true for n - k <= 3); otherwise marginal_mc is
     the fallback.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     return _slab_sum(q.f, q.e).value(q.ambient_shifts())
 
@@ -149,7 +149,7 @@ def marginal_grid_sup(
     """
     if grid_radius <= 0.0 or grid_step <= 0.0:
         raise ValueError("grid parameters must be positive")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     k = e.k
     offs = _axis_offsets(grid_radius, grid_step)
@@ -267,7 +267,7 @@ def small_ball(
     form bound follows from the marginal sup bound.  The estimate saturates
     at 1, so the comparison is vacuous once the bound exceeds 1.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     if samples < 1000:
         raise ValueError("need samples >= 1000")

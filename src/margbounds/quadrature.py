@@ -4,7 +4,9 @@ Products of sinc factors decay only polynomially, so naive truncation cannot
 reach 1e-9 tolerances.  The scheme here integrates [0, T] on panels cut at
 the zeros of the fastest factor and evaluates the [T, oo) remainder in closed
 form: the sine product expands into 2^m pure exponentials whose t^{-m}
-moments reduce to Si/Ci via an integration-by-parts recurrence.
+moments reduce to Si/Ci via an integration-by-parts recurrence.  The 2^m
+terms cancel, so that tail carries the expansion's rounding noise (up to
+~2e-13 at 16 factors) rather than Si/Ci precision.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ _GAUSS_WEIGHTS_ON_KRONROD = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
+
+
+class RouteLimitError(ValueError):
+    """Valid input beyond the size a route is built to evaluate (too many
+    factors or coordinates for its 2^m expansion)."""
 
 
 class ToleranceError(RuntimeError):
@@ -84,38 +91,77 @@ def adaptive_panels(f, edges: np.ndarray, tol: float, max_rounds: int = 12):
     return value, err
 
 
-def _exp_moment_table(omegas: np.ndarray, m: int, t_start: float) -> dict:
-    """E_m(w) = int_T^oo t^{-m} e^{iwt} dt for each distinct |w| (w >= 0)."""
-    table = {}
-    for w in np.unique(np.abs(omegas)):
-        if w == 0.0:
-            # pure power tail; only valid (and only needed) for m >= 2
-            table[0.0] = complex(t_start ** (1 - m) / (m - 1), 0.0) if m >= 2 else complex("nan")
-            continue
-        si, ci = sici(w * t_start)
-        e = complex(-ci, math.pi / 2.0 - si)  # E_1
-        for j in range(2, m + 1):
-            e = (t_start ** (1 - j) * np.exp(1j * w * t_start) + 1j * w * e) / (j - 1)
-        table[float(w)] = e
-    return table
+# Sign patterns per lane batch: a power of two, and at least 4, because BLAS
+# rounds a row of `signs @ c` differently in a call with fewer than 4 rows.
+_TAIL_CHUNK = 4096
+
+
+def _low_sign_rows(rows: int, m: int) -> np.ndarray:
+    """(rows, m) array, rows = 2^b <= 2^m, whose row i holds +1.0 in column
+    j < b where bit j of i is set and -1.0 everywhere else."""
+    out = np.full((rows, m), -1.0)
+    for j in range(rows.bit_length() - 1):
+        out.reshape(-1, 2, 1 << j, m)[:, 1, :, j] = 1.0
+    return out
+
+
+def _exp_moments(w: np.ndarray, m: int, t_start: float) -> np.ndarray:
+    """E_m(w) = int_T^oo t^{-m} e^{iwt} dt for an array of w > 0, by the
+    integration-by-parts recurrence from E_1 = -Ci(wT) + i(pi/2 - Si(wT))."""
+    si, ci = sici(w * t_start)
+    e = np.empty(w.shape, dtype=complex)
+    e.real = -ci
+    e.imag = math.pi / 2.0 - si
+    phase = np.exp(1j * w * t_start)
+    iw = 1j * w
+    for j in range(2, m + 1):
+        e = (t_start ** (1 - j) * phase + iw * e) / (j - 1)
+    return e
 
 
 def sinc_product_tail(c: np.ndarray, t_start: float) -> float:
-    """int_T^oo prod_j sinc(c_j t) dt, exactly (to Si/Ci precision).
+    """int_T^oo prod_j sinc(c_j t) dt by a closed-form expansion.
 
     Expands prod sin(c_j t) = sum over sign patterns of +-e^{i omega t}/(2i)^m
-    and reduces each t^{-m} exponential moment with the recurrence above.
+    and reduces each t^{-m} exponential moment to Si/Ci with the recurrence of
+    _exp_moments.  The 2^m terms cancel: the true tail is at most the
+    envelope T^{1-m} / ((m-1) prod c), which from about m = 7 on is mostly
+    below the expansion's rounding noise (up to ~2e-13 in absolute value at
+    T = 128 pi / max c), so the result is accurate to that noise, not to
+    Si/Ci precision.
+
+    The patterns are evaluated _TAIL_CHUNK at a time as numpy lanes and their
+    terms summed in pattern order from 0.0, so the result does not depend on
+    the chunk size.  Raises RouteLimitError for more than 16 factors.
     """
     c = np.asarray(c, dtype=float)
     m = c.size
+    if c.ndim != 1 or m == 0:
+        raise ValueError("c must be a nonempty 1-D array")
+    if not np.all(np.isfinite(c) & (c > 0.0)):
+        raise ValueError("every c_j must be positive and finite")
+    if not (math.isfinite(t_start) and t_start > 0.0):
+        raise ValueError("t_start must be positive and finite")
     if m > 16:
-        raise ValueError("tail expansion guard: more than 16 sinc factors")
-    signs = np.array([[1.0 if (bits >> j) & 1 else -1.0 for j in range(m)] for bits in range(2**m)])
-    omegas = signs @ c
-    coef = np.prod(signs, axis=1) / (2.0j) ** m
-    table = _exp_moment_table(omegas, m, t_start)
+        raise RouteLimitError("tail expansion guard: more than 16 sinc factors")
+    rows = min(2**m, _TAIL_CHUNK)
+    signs = _low_sign_rows(rows, m)
+    scale = (2.0j) ** m
+    # E_m(0) is a pure power tail; a zero frequency needs m >= 2, which
+    # positive c guarantees
+    e_zero = t_start ** (1 - m) / (m - 1) if m >= 2 else math.nan
     total = 0.0 + 0.0j
-    for w, cf in zip(omegas, coef):
-        e = table[float(abs(w))]
-        total += cf * (e if w >= 0.0 else np.conj(e))
+    for start in range(0, 2**m, rows):
+        # the chunk's low bits repeat in every chunk; its high bits are constant
+        for j in range(rows.bit_length() - 1, m):
+            signs[:, j] = 1.0 if (start >> j) & 1 else -1.0
+        omegas = signs @ c
+        coef = np.prod(signs, axis=1) / scale
+        w = np.abs(omegas)
+        e = np.full(rows, complex(e_zero, 0.0))
+        live = w > 0.0
+        e[live] = _exp_moments(w[live], m, t_start)
+        terms = coef * np.where(omegas >= 0.0, e, np.conj(e))
+        terms[0] += total
+        total = np.cumsum(terms)[-1]
     return float(total.real) / float(np.prod(c))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, randomness, slabgeom
 from .grassmann import Subspace
-from .quadrature import ToleranceError, adaptive_panels, sinc_product_tail
+from .quadrature import RouteLimitError, ToleranceError, adaptive_panels, sinc_product_tail
 
 ZERO_COORD_TOL = 1e-10  # |a_j| below this is treated as an exact zero
 
@@ -70,7 +70,7 @@ def hyperplane_section_exact(box: Box, a) -> float:
             "exact route needs all |a_j| > 1e-10; factor out zero coordinates"
         )
     if box.n > 24:
-        raise ValueError("combinatorial blowup guard: n > 24")
+        raise RouteLimitError("combinatorial blowup guard: n > 24")
     c = np.abs(a) * box.sides
     dens = kernels.irwin_hall_at(c, 0.5 * c.sum())
     return box.volume() * dens
@@ -87,7 +87,7 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     if n != box.n:
         raise ValueError("dimension mismatch between box and normals")
     if n > 20:
-        raise ValueError("batch guard: n > 20")
+        raise RouteLimitError("batch guard: n > 20")
     c = np.abs(normals) * box.sides[None, :]
     if c.min() <= ZERO_COORD_TOL:
         raise ValueError("batch exact route needs all |a_j| > 1e-10")
@@ -107,7 +107,7 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -
     factor and evaluates the infinite tail in closed form, so the requested
     absolute tolerance is met even for the slowly decaying two-factor case.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     a = np.asarray(a, dtype=float)
     if a.size != box.n:
@@ -149,7 +149,7 @@ def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
     irreducible orthogonal block of the slab system has dimension <= 3.
     Higher-dimensional irreducible sections must go through section_mc.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
     if h.n != box.n:
         raise ValueError("dimension mismatch between box and subspace")

@@ -48,6 +48,13 @@ def test_ball_integral_guards():
         ball_integral(1.5)
     with pytest.raises(ValueError):
         ball_integral(2.0, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ball_integral(2.0, tol=math.nan)
+
+
+def test_bl_check_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        bl_check(mercedes_system(), [GaussianDensity()] * 3, tol=math.nan)
 
 
 def test_frame_constant_check_sharp_case():

@@ -174,6 +174,23 @@ def test_sections_bad_normal_is_usage_error(tmp_path, normal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, n, reason", [
+    ("sinc", 17, "more than 16 sinc factors"),
+    ("exact", 25, "n > 24"),
+])
+def test_route_size_limits_exit_1_with_reason(tmp_path, capsys, mode, n, reason):
+    # valid flags beyond what the route evaluates: not a usage error
+    out = tmp_path / "s.json"
+    ones = ",".join(["1"] * n)
+    code = run(["sections", "--mode", mode, "--sides", ones, "--normal", ones,
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and reason in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_sides_are_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["sections", "--mode", "exact", "--sides", "nan,1", "--normal", "1,1"])

@@ -158,6 +158,17 @@ def test_grid_budget_guard():
         marginal_grid_sup(f, e, 1.0, 1e-4)
 
 
+def test_nan_tolerances_are_rejected():
+    f = cube_density(2)
+    e = _diag_subspace(2)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        marginal_at(MarginalQuery(f, e, [0.0]), tol=math.nan)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        marginal_grid_sup(f, e, 0.5, 0.1, tol=math.nan)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        small_ball(f, e, [0.0], math.nan, 1000, seed=0)
+
+
 def test_verify_main_theorem_sharp():
     rec = verify_main_theorem(cube_density(2), _diag_subspace(2))
     assert rec["pass"]

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
+from margbounds import quadrature
 from margbounds.quadrature import (
+    RouteLimitError,
     ToleranceError,
     adaptive_panels,
     gk_panels,
@@ -84,6 +87,110 @@ def test_sinc_product_tail_two_factors():
 def test_sinc_product_tail_guard():
     with pytest.raises(ValueError):
         sinc_product_tail(np.ones(17), 10.0)
+    with pytest.raises(RouteLimitError):
+        sinc_product_tail(np.ones(17), 10.0)
+
+
+_TIED_16 = (0.31, 0.12, 0.47, 0.25, 0.25, 0.18, 0.5, 0.1,
+            0.39, 0.22, 0.44, 0.15, 0.33, 0.27, 0.41, 0.2)
+
+# (c, t_start, float.hex of the tail) as the one-pattern-at-a-time expansion
+# with a per-|omega| table computed them; the lane-wise expansion must keep
+# every bit.  Tied entries repeat |omega|, and equal entries give patterns
+# whose frequency is exactly zero.
+_PINNED_TAILS = [
+    ((1.0, 0.25), 100.0 * math.pi, "-0x1.3b1da01000000p-23"),
+    ((1.0, 0.7, 0.3), 40.0 * math.pi, "0x1.2e50549b251b5p-20"),
+    ((0.5, 0.5, 0.5, 0.5), 40.0 * math.pi, "0x1.0e49fc1bfffffp-20"),
+    ((1.3, 0.9, 0.45, 0.2, 0.1), 40.0 * math.pi, "-0x1.2af8e997ede91p-30"),
+    ((0.45, 0.3, 0.3, 0.2, 0.45, 0.15, 0.1, 0.25), 128.0 * math.pi / 0.45,
+     "-0x1.a527ed5c3c83bp-51"),
+    ((0.5, 0.25, 0.25, 0.4, 0.1, 0.1, 0.3, 0.2, 0.35, 0.15, 0.45, 0.2),
+     128.0 * math.pi / 0.5, "-0x1.e1ec4b15b99fap-46"),
+    (_TIED_16[:13], 128.0 * math.pi / 0.5, "0x1.25c148533dfc8p-46"),
+    (_TIED_16, 128.0 * math.pi / 0.5, "-0x1.926a82e5a37dfp-44"),
+    ((0.25,) * 16, 128.0 * math.pi / 0.25, "0x1.b9c3dc5cf1a72p-50"),
+]
+
+
+@pytest.mark.parametrize("c, t_start, want", _PINNED_TAILS,
+                         ids=[f"m{len(c)}-{i}" for i, (c, _, _) in enumerate(_PINNED_TAILS)])
+def test_sinc_product_tail_keeps_its_bits(c, t_start, want):
+    assert sinc_product_tail(np.array(c), t_start).hex() == want
+
+
+def _reference_sinc_product_tail(c, t_start):
+    """The one-pattern-at-a-time expansion, with one E_m per distinct |omega|."""
+    c = np.asarray(c, dtype=float)
+    m = c.size
+    signs = np.array([[1.0 if (bits >> j) & 1 else -1.0 for j in range(m)]
+                      for bits in range(2**m)])
+    omegas = signs @ c
+    coef = np.prod(signs, axis=1) / (2.0j) ** m
+    table = {}
+    for w in np.unique(np.abs(omegas)):
+        if w == 0.0:
+            table[0.0] = complex(t_start ** (1 - m) / (m - 1), 0.0)
+            continue
+        si, ci = sici(w * t_start)
+        e = complex(-ci, math.pi / 2.0 - si)
+        for j in range(2, m + 1):
+            e = (t_start ** (1 - j) * np.exp(1j * w * t_start) + 1j * w * e) / (j - 1)
+        table[float(w)] = e
+    total = 0.0 + 0.0j
+    for w, cf in zip(omegas, coef):
+        e = table[float(abs(w))]
+        total += cf * (e if w >= 0.0 else np.conj(e))
+    return float(total.real) / float(np.prod(c))
+
+
+def test_sinc_product_tail_matches_pattern_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for m in list(range(1, 13)) * 2 + [13, 14]:
+        if m % 3 == 0:
+            c = rng.choice([0.1, 0.2, 0.25, 0.3, 0.5], m)  # ties, zero frequencies
+        else:
+            c = rng.uniform(0.05, 1.5, m)
+        t_start = 128.0 * math.pi / float(c.max()) if m % 2 else float(rng.uniform(5.0, 500.0))
+        want = _reference_sinc_product_tail(c, t_start)
+        assert sinc_product_tail(c, t_start).hex() == want.hex(), (c.tolist(), t_start)
+
+
+@pytest.mark.parametrize("chunk", [4, 64, 256])
+def test_sinc_product_tail_does_not_depend_on_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(quadrature, "_TAIL_CHUNK", chunk)
+    for c, t_start, want in _PINNED_TAILS:
+        assert sinc_product_tail(np.array(c), t_start).hex() == want
+
+
+def test_sinc_product_tail_within_envelope():
+    # |prod sinc(c_j t)| <= t^{-m} / prod c, so |tail| <= T^{1-m} / ((m-1) prod c).
+    # From m ~ 7 on that envelope is mostly below the expansion's rounding
+    # noise (up to ~2e-13 here), which the 1e-12 slack covers.
+    rng = np.random.default_rng(8)
+    for m in range(2, 17):
+        for _ in range(3):
+            c = rng.uniform(0.1, 0.5, m)
+            t_start = 128.0 * math.pi / float(c.max())
+            envelope = t_start ** (1 - m) / ((m - 1) * float(np.prod(c)))
+            assert abs(sinc_product_tail(c, t_start)) <= envelope + 1e-12
+
+
+@pytest.mark.parametrize("c, t_start", [
+    ((1.0, 0.0, 0.5), 10.0),
+    ((1.0, -0.5), 10.0),
+    ((1.0, math.nan), 10.0),
+    ((1.0, math.inf), 10.0),
+    ((), 10.0),
+    ((1.0, 0.5), 0.0),
+    ((1.0, 0.5), -1.0),
+    ((1.0, 0.5), math.nan),
+    ((1.0, 0.5), math.inf),
+])
+def test_sinc_product_tail_rejects_bad_input(c, t_start):
+    with pytest.raises(ValueError) as info:
+        sinc_product_tail(np.array(c, dtype=float), t_start)
+    assert not isinstance(info.value, RouteLimitError)
 
 
 def test_tolerance_error_carries_value():

@@ -107,6 +107,20 @@ def test_batch_matches_single():
     assert batch == pytest.approx(singles, rel=1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+def test_sinc_rejects_tolerances_that_are_not_positive(tol):
+    # a NaN budget would pass every `err > budget` check unverified
+    with pytest.raises(ValueError, match="tol must be positive"):
+        hyperplane_section_sinc(unit_cube(3), _diag(3), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0])
+def test_section_quadrature_rejects_tolerances_that_are_not_positive(tol):
+    h = Subspace.coordinate(3, [0, 1])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        section_quadrature(unit_cube(3), h, tol=tol)
+
+
 def test_section_quadrature_coordinate_plane():
     h = Subspace.coordinate(4, [0, 1])
     assert section_quadrature(unit_cube(4), h) == pytest.approx(1.0)
