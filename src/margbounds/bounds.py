@@ -17,7 +17,7 @@ from scipy.special import gammaln, zeta
 from . import slabgeom
 from .densities import StepDensity
 from .grassmann import ExponentAssignment, Subspace, box2_exponents, orthonormal_complement, projection_weights
-from .quadrature import adaptive_panels
+from .quadrature import ToleranceError, adaptive_panels
 from .sections import Box
 
 
@@ -31,7 +31,9 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
 
     Panels are cut at the zeros of sin; the remaining arches are summed via a
     Hurwitz-zeta midpoint estimate whose bracket width is folded into the
-    error budget, so the slowly decaying p = 2 case still meets tol.
+    error budget, so the slowly decaying p = 2 case still meets tol.  Raises
+    ToleranceError when tol cannot be certified: before any quadrature when
+    the tail bracket at the 60,000-panel cap already exceeds it.
     """
     if p < 2.0:
         raise ValueError("requires p >= 2")
@@ -42,6 +44,10 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
     target = tol / 4.0
     k_panels = int(math.ceil(((2.0 / math.pi) * arch / target) ** (1.0 / p) / math.pi)) + 1
     k_panels = min(max(k_panels, 8), 60000)
+    tail_bracket = (2.0 / math.pi) * arch * (k_panels * math.pi) ** (-p)
+    # at the panel cap the bracket alone can exceed tol; no quadrature helps
+    if tail_bracket > tol:
+        raise ToleranceError(f"could not certify tolerance {tol}", tail_bracket)
     edges = math.pi * np.arange(k_panels + 1, dtype=float)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -51,10 +57,9 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
 
     numeric, quad_err = adaptive_panels(integrand, edges, target * math.pi / 2.0)
     tail = (2.0 / math.pi) * arch * math.pi ** (-p) * float(zeta(p, k_panels + 0.5))
-    tail_bracket = (2.0 / math.pi) * arch * (k_panels * math.pi) ** (-p)
     achieved = (2.0 / math.pi) * quad_err + tail_bracket
     if achieved > tol:
-        raise ValueError(f"could not certify tolerance {tol} (error bound {achieved:.3e})")
+        raise ToleranceError(f"could not certify tolerance {tol}", achieved)
     return (2.0 / math.pi) * numeric + tail
 
 

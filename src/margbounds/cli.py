@@ -459,6 +459,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sinc_power(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 2.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 2, got {text!r}")
+    return value
+
+
 def _sup_range(text: str) -> tuple:
     parts = _floats_csv(text)
     if len(parts) != 2 or parts[0] <= 0.0 or parts[1] < parts[0]:
@@ -507,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sections, workers=1)
 
     p = sub.add_parser("ball-integral", help="sinc-power integrals against sqrt(2/p)")
-    p.add_argument("--p-min", type=float, default=2.0)
-    p.add_argument("--p-max", type=float, default=100.0)
+    p.add_argument("--p-min", type=_sinc_power, default=2.0)
+    p.add_argument("--p-max", type=_sinc_power, default=100.0)
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--csv-out", type=str, default=None)

@@ -7,6 +7,12 @@ form: the sine product expands into 2^m pure exponentials whose t^{-m}
 moments reduce to Si/Ci via an integration-by-parts recurrence.  The 2^m
 terms cancel, so that tail carries the expansion's rounding noise (up to
 ~2e-13 at 16 factors) rather than Si/Ci precision.
+
+Adaptive refinement bisects a batch of the worst panels per round and
+evaluates all their children with one integrand call.  It keeps the bits of
+refining one panel at a time: the children's K15/G7 dot products run as a
+stacked matmul over (parents, 2, 15), which rounds each parent's pair of
+children as a 2-row gemv on its own; a flat (2 * parents, 15) gemv does not.
 """
 
 from __future__ import annotations
@@ -52,43 +58,67 @@ class ToleranceError(RuntimeError):
         self.achieved = achieved
 
 
-def gk_panels(f, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized G7/K15 on consecutive panels.
+def _gk_rule(f, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G7/K15 on the panels [lefts, rights], for arrays of any shape (...).
 
-    f must accept a flat numpy array.  Returns (per-panel K15 values,
-    per-panel |K15 - G7| error estimates).
+    f is called once, on the flat array of every node.  The dot products with
+    the weights run over the last axis of a (..., 15) array: one gemv for a
+    1-D row of panels, one stacked matmul (one 2-row gemv per pair of
+    children) for a (cut, 2) batch of bisections.
     """
-    lefts = edges[:-1]
-    rights = edges[1:]
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    pts = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
+    pts = mid[..., None] + half[..., None] * _KRONROD_NODES
     vals = f(pts.reshape(-1)).reshape(pts.shape)
     k15 = half * (vals @ _KRONROD_WEIGHTS)
     g7 = half * (vals @ _GAUSS_WEIGHTS_ON_KRONROD)
     return k15, np.abs(k15 - g7)
 
 
+def gk_panels(f, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized G7/K15 on consecutive panels.
+
+    f must accept a flat numpy array.  Returns (per-panel K15 values,
+    per-panel |K15 - G7| error estimates).
+    """
+    return _gk_rule(f, edges[:-1], edges[1:])
+
+
 def adaptive_panels(f, edges: np.ndarray, tol: float, max_rounds: int = 12):
-    """Refine the worst panels by bisection until the error sum meets tol."""
+    """Refine the worst panels by bisection until the error sum meets tol.
+
+    Returns (math.fsum of the K15 values, math.fsum of the error estimates).
+    The panels are kept as parallel arrays.  Each round sums the errors left
+    to right in panel order; if the sum exceeds tol it ranks the panels by
+    error with a stable sort, bisects the worst cut = max(1, P // 8) of them
+    and evaluates all 2 * cut children with one call of f.  The children go
+    to the end of the panel order, left then right, in rank order; at most
+    max_rounds rounds run.
+
+    Bit contract: each child's value is the one a gk_panels call on its
+    parent's three edges would give, because the children's K15/G7 dot
+    products run as a stacked matmul over a (cut, 2, 15) array, which numpy
+    evaluates as one 2-row gemv per parent.  A flat (2 * cut, 15) gemv would
+    round some rows differently.
+    """
+    lo, hi = edges[:-1], edges[1:]
     k15, err = gk_panels(f, edges)
-    segs = list(zip(edges[:-1], edges[1:], k15, err))
     for _ in range(max_rounds):
-        total_err = sum(s[3] for s in segs)
-        if total_err <= tol:
+        # a plain left-to-right sum (accumulate does not sum pairwise)
+        if np.add.accumulate(err)[-1] <= tol:
             break
-        segs.sort(key=lambda s: s[3])
-        cut = max(1, len(segs) // 8)
-        worst = segs[-cut:]
-        segs = segs[:-cut]
-        for w in worst:
-            e = np.array([w[0], 0.5 * (w[0] + w[1]), w[1]])
-            k, er = gk_panels(f, e)
-            segs.append((e[0], e[1], k[0], er[0]))
-            segs.append((e[1], e[2], k[1], er[1]))
-    value = math.fsum(s[2] for s in segs)
-    err = math.fsum(s[3] for s in segs)
-    return value, err
+        order = np.argsort(err, kind="stable")
+        cut = max(1, err.size // 8)
+        keep, worst = order[:-cut], order[-cut:]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        lefts = np.stack([lo[worst], mid], axis=1)
+        rights = np.stack([mid, hi[worst]], axis=1)
+        k_children, err_children = _gk_rule(f, lefts, rights)
+        lo = np.concatenate([lo[keep], lefts.ravel()])
+        hi = np.concatenate([hi[keep], rights.ravel()])
+        k15 = np.concatenate([k15[keep], k_children.ravel()])
+        err = np.concatenate([err[keep], err_children.ravel()])
+    return math.fsum(k15.tolist()), math.fsum(err.tolist())
 
 
 # Sign patterns per lane batch: a power of two, and at least 4, because BLAS

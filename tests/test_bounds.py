@@ -18,6 +18,7 @@ from margbounds.bounds import (
     random_bl_system,
 )
 from margbounds.densities import StepDensity, random_density, uniform_density
+from margbounds.quadrature import ToleranceError
 from margbounds.grassmann import (
     Subspace,
     frame_of_complement,
@@ -50,6 +51,26 @@ def test_ball_integral_guards():
         ball_integral(2.0, tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive"):
         ball_integral(2.0, tol=math.nan)
+
+
+def test_ball_integral_uncertifiable_tail_fails_before_quadrature(monkeypatch):
+    # p = 2 at tol 1e-14 needs ~2e7 panels; at the 60,000-panel cap the tail
+    # bracket alone is (60000 pi)^-2, beyond tol
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(bounds, "adaptive_panels", no_quadrature)
+    with pytest.raises(ToleranceError, match="could not certify tolerance 1e-14") as info:
+        ball_integral(2.0, tol=1e-14)
+    assert info.value.achieved == pytest.approx((60000 * math.pi) ** -2.0, rel=1e-12)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_ball_integral_uncertified_quadrature_is_a_tolerance_error(monkeypatch):
+    monkeypatch.setattr(bounds, "adaptive_panels", lambda f, edges, tol: (0.0, 1e-3))
+    with pytest.raises(ToleranceError) as info:
+        ball_integral(3.0)
+    assert info.value.achieved > (2.0 / math.pi) * 1e-3
 
 
 def test_bl_check_rejects_nan_tolerance():

@@ -97,6 +97,38 @@ def test_ball_integral_csv(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_uncertifiable_ball_integral_tolerance_exits_1(tmp_path, capsys):
+    out = tmp_path / "ball.json"
+    code = run(["ball-integral", "--p-min", "2", "--p-max", "3", "--steps", "2",
+                "--tol", "1e-14", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not certify tolerance 1e-14 (achieved error bound")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--p-min", "nan"], "--p-min"),
+    (["--p-min", "1.5"], "--p-min"),
+    (["--p-min", "x"], "--p-min"),
+    (["--p-max", "inf"], "--p-max"),
+    (["--p-max=-inf"], "--p-max"),
+    (["--p-min", "30", "--p-max", "1.5", "--steps", "40"], "--p-max"),
+])
+def test_bad_sinc_powers_are_usage_errors(monkeypatch, capsys, argv, flag):
+    def no_integral(*args):
+        raise AssertionError("integrated before the flags were checked")
+
+    monkeypatch.setattr(cli.bounds, "ball_integral", no_integral)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run(["ball-integral", *argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number >= 2" in capsys.readouterr().err
+
+
 def test_bl_check_passes(tmp_path):
     out = tmp_path / "bl.json"
     code = run(["bl-check", "--d", "2", "--m", "4", "--systems", "10",

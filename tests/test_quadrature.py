@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from margbounds import quadrature
+from margbounds import bounds, quadrature, sections
 from margbounds.quadrature import (
     RouteLimitError,
     ToleranceError,
@@ -41,6 +41,143 @@ def test_adaptive_oscillatory():
     val, err = adaptive_panels(f, edges, 1e-10)
     exact = 0.5 - math.sin(80.0) / 160.0
     assert val == pytest.approx(exact, abs=1e-9)
+
+
+def _reference_adaptive_panels(f, edges, tol, max_rounds=12):
+    """The panel-at-a-time refinement: a list of (lo, hi, k15, err) tuples,
+    one gk_panels call per bisected panel."""
+    k15, err = gk_panels(f, edges)
+    segs = list(zip(edges[:-1], edges[1:], k15, err))
+    for _ in range(max_rounds):
+        total_err = sum(s[3] for s in segs)
+        if total_err <= tol:
+            break
+        segs.sort(key=lambda s: s[3])
+        cut = max(1, len(segs) // 8)
+        worst = segs[-cut:]
+        segs = segs[:-cut]
+        for w in worst:
+            e = np.array([w[0], 0.5 * (w[0] + w[1]), w[1]])
+            k, er = gk_panels(f, e)
+            segs.append((e[0], e[1], k[0], er[0]))
+            segs.append((e[1], e[2], k[1], er[1]))
+    return math.fsum(s[2] for s in segs), math.fsum(s[3] for s in segs)
+
+
+def _counted(f):
+    """f with a running count of the points it was evaluated at."""
+    def g(t):
+        g.points += t.size
+        return f(t)
+    g.points = 0
+    return g
+
+
+def _captured_quadrature(monkeypatch, module, call):
+    """The (f, edges, tol) that `call` hands to module.adaptive_panels."""
+    seen = []
+
+    def spy(f, edges, tol):
+        seen.append((f, edges, tol))
+        return adaptive_panels(f, edges, tol)
+
+    monkeypatch.setattr(module, "adaptive_panels", spy)
+    call()
+    monkeypatch.undo()
+    (captured,) = seen
+    return captured
+
+
+def _assert_same_as_reference(f, edges, tol, max_rounds=12):
+    batched, reference = _counted(f), _counted(f)
+    got = adaptive_panels(batched, edges, tol, max_rounds)
+    want = _reference_adaptive_panels(reference, edges, tol, max_rounds)
+    assert got == want
+    assert batched.points == reference.points
+    return got
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 7.3, 29.9])
+def test_adaptive_panels_bit_for_bit_on_ball_integrand(monkeypatch, p):
+    f, edges, tol = _captured_quadrature(monkeypatch, bounds, lambda: bounds.ball_integral(p))
+    _assert_same_as_reference(f, edges, tol)
+
+
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_adaptive_panels_bit_for_bit_on_sinc_product(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    box = sections.Box(rng.uniform(0.5, 2.0, m))
+    a = rng.normal(size=m)
+    a /= np.linalg.norm(a)
+    f, edges, tol = _captured_quadrature(
+        monkeypatch, sections, lambda: sections.hyperplane_section_sinc(box, a))
+    _assert_same_as_reference(f, edges, tol)
+
+
+def test_adaptive_panels_bit_for_bit_oscillatory():
+    _assert_same_as_reference(lambda t: np.sin(40.0 * t) ** 2, np.linspace(0.0, 1.0, 8), 1e-10)
+
+
+def test_adaptive_panels_bit_for_bit_with_tied_errors():
+    # equal panels of width pi: several panels share their error exactly,
+    # so which of them is bisected first follows the stable order
+    f = lambda t: np.sin(t) ** 2
+    edges = math.pi * np.arange(9.0)
+    _, err = gk_panels(f, edges)
+    assert np.unique(err).size < err.size
+    _assert_same_as_reference(f, edges, 1e-13)
+
+
+def _tied_signed(t):
+    """sqrt|frac(2t) - 1/3|, its sign flipped on every half unit and on
+    every unit: on [4, 8) each unit panel, and each half-unit child, sees
+    the same fractional parts bit for bit, so errors tie while values do
+    not, and bisecting another of the tied panels changes the result."""
+    halves = np.floor(2.0 * t)
+    sign = np.where(halves % 4.0 < 2.0, 1.0, -1.0) * np.where(halves % 2.0 == 0.0, 1.0, -1.0)
+    return sign * np.sqrt(np.abs(2.0 * t - halves - 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("max_rounds", range(1, 8))
+def test_adaptive_panels_bit_for_bit_with_signed_ties(max_rounds):
+    edges = np.arange(4.0, 9.0)
+    k15, err = gk_panels(_tied_signed, edges)
+    assert np.unique(err).size == 1 and np.unique(k15).size == 2
+    _assert_same_as_reference(_tied_signed, edges, 1e-12, max_rounds)
+
+
+def test_adaptive_panels_stops_on_the_left_to_right_error_sum():
+    # tol sits between the plain left-to-right sum of the first errors and
+    # numpy's pairwise sum, so summing in another order flips the decision
+    # to refine
+    f = lambda t: np.sin(300.0 * t) ** 2
+    for panels in range(9, 100):
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        _, err = gk_panels(f, edges)
+        plain = 0.0
+        for e in err.tolist():
+            plain += e
+        if err.sum() != plain:
+            break
+    else:
+        pytest.skip("no panel count where the two sums differ")
+    _assert_same_as_reference(f, edges, min(plain, float(err.sum())))
+
+
+def test_adaptive_panels_bit_for_bit_when_rounds_run_out():
+    f = lambda t: np.sqrt(t)
+    value, err = _assert_same_as_reference(f, np.linspace(0.0, 1.0, 5), 1e-15, max_rounds=3)
+    assert err > 1e-15
+
+
+# float.hex of ball_integral(p) as the panel-at-a-time refinement computed it
+@pytest.mark.parametrize("p, want", [
+    (2.0, "0x1.fffffffffffdfp-1"),
+    (4.0, "0x1.55555555550fep-1"),
+    (7.3, "0x1.00750c8c9caaep-1"),
+])
+def test_ball_integral_keeps_its_bits(p, want):
+    assert bounds.ball_integral(p).hex() == want
 
 
 def _tail_reference(c, t_start):
