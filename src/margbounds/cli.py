@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -469,6 +471,17 @@ def _sinc_power(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    # randomness keeps only the low 64 bits, so a wider seed would alias
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _sup_range(text: str) -> tuple:
     parts = _floats_csv(text)
     if len(parts) != 2 or parts[0] <= 0.0 or parts[1] < parts[0]:
@@ -484,10 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, workers=True):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", type=str, default=None, help="JSON report path")
         if workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("verify", help="marginal sup vs the product bound on random instances")
     p.add_argument("--n", type=int, required=True)
@@ -577,11 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    import time
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process.  Safe while every default stays immutable:
+    # parse_args returns a fresh Namespace on every call, and argparse looks
+    # up sys.stderr only when it reports an error.
+    return build_parser()
 
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         code = ns.func(ns)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -275,6 +277,8 @@ def test_write_json_atomic_sorted(tmp_path):
     (["average", "--n", "2", "--k", "1", "--samples", "0"], "--samples"),
     (["bl-check", "--systems", "0"], "--systems"),
     (["ball-integral", "--steps", "0"], "--steps"),
+    (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "0"], "--workers"),
+    (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "-3"], "--workers"),
 ])
 def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -316,3 +320,90 @@ def test_bad_tolerances_are_usage_errors(argv, flag, capsys):
         run(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: expected a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+def test_seeds_outside_64_bits_are_usage_errors(seed, capsys):
+    # randomness keeps the low 64 bits, so -5 and 2**64 - 5 would give
+    # identical records under different config echoes
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "3", "--k", "1", "--trials", "1", "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    out = tmp_path / "report.json"
+    seed = 2**64 - 1
+    assert run(["verify", "--n", "3", "--k", "2", "--trials", "2", "--seed", str(seed),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == seed
+
+
+def _first_run_bytes(argv, path):
+    """Report bytes of argv run as the first call on a freshly built parser."""
+    cli._parser.cache_clear()
+    assert run(argv + ["--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    normal = ["sections", "--mode", "exact", "--sides", "1,1",
+              "--normal", "0.6,0.8", "--seed", "3"]
+    spread = ["verify", "--n", "3", "--k", "1", "--trials", "2", "--seed", "5",
+              "--workers", "2", "--sup-range", "0.5,1.5"]
+    plain = ["verify", "--n", "3", "--k", "1", "--trials", "2"]
+    density = tmp_path / "d.json"
+    density.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))
+    validate = ["densities-validate", str(density)]
+    sequence = [normal, spread, plain, validate]
+    first = [_first_run_bytes(argv, tmp_path / f"first{i}.json")
+             for i, argv in enumerate(sequence)]
+
+    cli._parser.cache_clear()
+    reused = []
+    for i, argv in enumerate(sequence):
+        path = tmp_path / f"reused{i}.json"
+        assert run(argv + ["--out", str(path)]) == 0
+        reused.append(path.read_bytes())
+        if argv is normal:
+            # the same command without --normal must not see the last one
+            assert run(normal[:5] + ["--seed", "3"]) == 2
+    assert reused == first
+    assert json.loads(reused[2])["config"]["sup_range"] == [1.0, 1.0]
+
+    assert run(spread) == 0
+    ns = cli._parser().parse_args(validate)
+    assert (ns.seed, ns.workers) == (0, 1)
+
+    # usage errors reach whichever stream is current, not the one at build time
+    missing_k = "the following arguments are required: --k"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "3"])
+    assert exc.value.code == 2
+    assert missing_k in err.getvalue()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "3"])
+    assert exc.value.code == 2
+    assert missing_k in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    built = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert run(["sections", "--mode", "exact", "--sides", "1,1", "--normal", "0.6,0.8"]) == 0
+    assert run(["rogozin", "--n", "3", "--trials", "1"]) == 0
+    assert run(["ball-integral", "--p-min", "2", "--p-max", "3", "--steps", "2"]) == 0
+    with pytest.raises(SystemExit):
+        run(["bl-check", "--systems", "0"])
+    assert run(["densities-validate", str(tmp_path / "missing.json")]) == 3
+    assert len(built) == 1
