@@ -119,26 +119,47 @@ def _trial_density(seed: int, n: int, t: int, sup_lo: float, sup_hi: float):
     return densities.ProductDensity(factors)
 
 
-def _verify_trial(args) -> dict:
-    seed, n, k, tol, sup_lo, sup_hi, t = args
-    f = _trial_density(seed, n, t, sup_lo, sup_hi)
-    e = grassmann.haar_sample(n, k, seed, stream=t * _TRIAL_STREAM_BLOCK + 513)
-    rec = marginals.verify_main_theorem(f, e, tol)
-    rec["trial"] = t
-    return rec
+def _trial_chunks(trials: int, workers: int) -> list:
+    """Contiguous ranges of trial indices, in order: one at a single worker,
+    about 4 per worker otherwise."""
+    count = 1 if workers <= 1 else min(trials, 4 * workers)
+    edges = [trials * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _rogozin_trial(args) -> dict:
-    seed, n, tol, t = args
-    f = _trial_density(seed, n, t, 1.0, 1.0)
-    theta = grassmann.haar_directions(n, 1, seed, stream=t * _TRIAL_STREAM_BLOCK + 513)[0]
-    sup_lb, cube_section = marginals.rogozin_check(f, theta, tol)
-    return {
-        "trial": t,
-        "sup_lower_bound": float(sup_lb),
-        "cube_section": float(cube_section),
-        "pass": bool(sup_lb <= cube_section * (1.0 + tol)),
-    }
+def _verify_trials(args) -> list:
+    """The records of a chunk of verify trials, whose grid sups run in
+    lockstep."""
+    seed, n, k, tol, sup_lo, sup_hi, trials = args
+    cases = [
+        (_trial_density(seed, n, t, sup_lo, sup_hi),
+         grassmann.haar_sample(n, k, seed, stream=t * _TRIAL_STREAM_BLOCK + 513))
+        for t in trials
+    ]
+    records = marginals.verify_main_theorems(cases, tol)
+    for t, rec in zip(trials, records):
+        rec["trial"] = t
+    return records
+
+
+def _rogozin_trials(args) -> list:
+    """The records of a chunk of rogozin trials, whose grid sups run in
+    lockstep."""
+    seed, n, tol, trials = args
+    cases = [
+        (_trial_density(seed, n, t, 1.0, 1.0),
+         grassmann.haar_directions(n, 1, seed, stream=t * _TRIAL_STREAM_BLOCK + 513)[0])
+        for t in trials
+    ]
+    return [
+        {
+            "trial": t,
+            "sup_lower_bound": float(sup_lb),
+            "cube_section": float(cube_section),
+            "pass": bool(sup_lb <= cube_section * (1.0 + tol)),
+        }
+        for t, (sup_lb, cube_section) in zip(trials, marginals.rogozin_checks(cases, tol))
+    ]
 
 
 def _bl_trial(args) -> dict:
@@ -196,8 +217,9 @@ def _finish(ns, config: dict, records: list, failures: list, summary: dict) -> i
 
 def cmd_verify(ns) -> int:
     sup_lo, sup_hi = ns.sup_range
-    args = [(ns.seed, ns.n, ns.k, ns.tol, sup_lo, sup_hi, t) for t in range(ns.trials)]
-    records = _pmap(_verify_trial, args, ns.workers)
+    args = [(ns.seed, ns.n, ns.k, ns.tol, sup_lo, sup_hi, chunk)
+            for chunk in _trial_chunks(ns.trials, ns.workers)]
+    records = [rec for chunk in _pmap(_verify_trials, args, ns.workers) for rec in chunk]
     failures = [r["trial"] for r in records if not r["pass"]]
     summary = {
         "max_slack": max(r["slack"] for r in records),
@@ -211,8 +233,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_rogozin(ns) -> int:
-    args = [(ns.seed, ns.n, ns.tol, t) for t in range(ns.trials)]
-    records = _pmap(_rogozin_trial, args, ns.workers)
+    args = [(ns.seed, ns.n, ns.tol, chunk) for chunk in _trial_chunks(ns.trials, ns.workers)]
+    records = [rec for chunk in _pmap(_rogozin_trials, args, ns.workers) for rec in chunk]
     failures = [r["trial"] for r in records if not r["pass"]]
     summary = {
         "max_ratio": max(r["sup_lower_bound"] / r["cube_section"] for r in records)

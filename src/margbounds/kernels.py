@@ -6,8 +6,9 @@ boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  Each scalar kernel has a lane-wise
 twin (interval_lengths, polygon_areas, polytope_volumes) that evaluates many
 slab systems per call with the scalar kernel's floating-point operations, so
-every lane has the scalar result's bits; the scalar kernels stay for callers
-that hold one system at a time, where they are faster.
+every lane has the scalar result's bits; the scalar kernels stay for
+section_quadrature, which holds one system at a time, and as the reference
+that the tests compare the slab sums against.
 """
 
 from __future__ import annotations
@@ -446,6 +447,28 @@ def _next_vertex(a, cnt):
     return np.where(np.arange(a.shape[-1]) == cnt[..., None] - 1, a[..., :1], shifted)
 
 
+def _first_distinct(cx, cy, cz, ncut, tol):
+    """Mask of the points of each lane l, its first ncut[l] of cx[l], cy[l],
+    cz[l], that _clip_faces keeps: those not within tol[l] (l1) of an
+    earlier kept point.
+
+    uniq[k] depends only on uniq[:k], so the rule has one solution; iterating
+    it on all points at once from uniq = present fixes one more point per
+    pass, and the first repeat is that solution.
+    """
+    present = np.arange(cx.shape[1]) < ncut[:, None]
+    dist = (np.abs(cx[:, :, None] - cx[:, None, :]) + np.abs(cy[:, :, None] - cy[:, None, :])
+            + np.abs(cz[:, :, None] - cz[:, None, :]))
+    # close[l, k, j]: point j < k lies within tol of point k
+    close = (dist < tol[:, None, None]) & np.tri(cx.shape[1], k=-1, dtype=bool)
+    uniq = present
+    while True:
+        nxt = present & ~(close & uniq[:, None, :]).any(axis=2)
+        if np.array_equal(nxt, uniq):
+            return uniq
+        uniq = nxt
+
+
 def _clip_faces_lanes(x, y, z, cnt, n, b, eps):
     """_clip_faces for every lane l: its faces x[l, f, :cnt[l, f]] (and y,
     z) in order of f, cnt[l, f] = 0 marking padding, clipped by <n[l], p> <=
@@ -480,12 +503,7 @@ def _clip_faces_lanes(x, y, z, cnt, n, b, eps):
     slot = np.arange(r.size) - (np.cumsum(ncut) - ncut)[r]
     cx, cy, cz = (np.zeros((count, int(ncut.max()))) for _ in range(3))
     cx[r, slot], cy[r, slot], cz[r, slot] = cut
-    uniq = np.zeros(cx.shape, dtype=bool)
-    tol = 10.0 * eps[:, None]
-    for k in range(cx.shape[1]):
-        dist = (np.abs(cx[:, k, None] - cx[:, :k]) + np.abs(cy[:, k, None] - cy[:, :k])
-                + np.abs(cz[:, k, None] - cz[:, :k]))
-        uniq[:, k] = (k < ncut) & ~(uniq[:, :k] & (dist < tol)).any(axis=1)
+    uniq = _first_distinct(cx, cy, cz, ncut, 10.0 * eps)
     nuniq = uniq.sum(axis=1)  # 3 or more only where ncut is
     has_section = nuniq >= 3
     section = np.flatnonzero(has_section)

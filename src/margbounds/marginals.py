@@ -72,7 +72,7 @@ def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
-    return _slab_sum(q.f, q.e).value(q.ambient_shifts())
+    return float(_slab_sum(q.f, q.e).values(q.ambient_shifts()[None])[0])
 
 
 def marginal_mc(
@@ -145,41 +145,74 @@ def marginal_grid_sup(
     midpoints, scanned at the given step, then refined locally (step halving
     around the running argmax) until the improvement drops below tol.  Every
     reported value is an exact marginal evaluation, so the result can only
-    under-, never over-estimate the true supremum.
+    under-, never over-estimate the true supremum.  The one-element call of
+    marginal_grid_sups.
     """
-    if grid_radius <= 0.0 or grid_step <= 0.0:
-        raise ValueError("grid parameters must be positive")
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError("tol must be positive")
-    k = e.k
-    offs = _axis_offsets(grid_radius, grid_step)
-    if offs.size**k > _GRID_BUDGET:
-        raise ValueError(
-            f"grid budget exceeded: {offs.size}^{k} points (limit {_GRID_BUDGET})"
+    return marginal_grid_sups([(f, e, grid_radius, grid_step, tol)])[0]
+
+
+def _scan_points(e: Subspace, origin: np.ndarray, offsets: np.ndarray):
+    """(points of E in itertools.product order of the offsets around origin,
+    their ambient shifts); the stacked matmul gives each point the bits of
+    e.basis @ x (xs @ e.basis.T does not)."""
+    xs = origin + np.array(list(itertools.product(offsets, repeat=e.k)))
+    return xs, np.matmul(e.basis, xs[:, :, None])[:, :, 0]
+
+
+def marginal_grid_sups(problems) -> list[float]:
+    """marginal_grid_sup(f, e, grid_radius, grid_step, tol) for each tuple of
+    problems, with the same bits, run in lockstep.
+
+    Each round scans every problem that is still refining (first the grids,
+    then the halved 5^k stencils around each running argmax) through one
+    slabgeom.pooled_values call, so all their lanes share kernel calls.  Per
+    problem: the first maximum of a scan wins, refinement stops once the
+    gain drops below its tol, and there are at most 40 halvings.
+    """
+    runs = []
+    for f, e, grid_radius, grid_step, tol in problems:
+        if grid_radius <= 0.0 or grid_step <= 0.0:
+            raise ValueError("grid parameters must be positive")
+        if not tol > 0.0:  # NaN fails too
+            raise ValueError("tol must be positive")
+        offs = _axis_offsets(grid_radius, grid_step)
+        if offs.size**e.k > _GRID_BUDGET:
+            raise ValueError(
+                f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
+            )
+        runs.append((_slab_sum(f, e), e, e.basis.T @ f.support_midpoints(), offs))
+
+    def scan(scans) -> list:
+        # scans: (run index, origin, offsets); the first maximum wins, as
+        # in a loop that keeps v > best
+        points = [_scan_points(runs[i][1], origin, offsets) for i, origin, offsets in scans]
+        values = slabgeom.pooled_values(
+            [(runs[i][0], shifts) for (i, _, _), (_, shifts) in zip(scans, points)]
         )
-    center = e.basis.T @ f.support_midpoints()
-    slab_sum = _slab_sum(f, e)
+        out = []
+        for v, (xs, _) in zip(values, points):
+            best = int(np.argmax(v))
+            out.append((v[best], xs[best]))
+        return out
 
-    def scan(origin: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
-        # the points in itertools.product order; the stacked matmul gives
-        # each point the bits of e.basis @ x (xs @ e.basis.T does not), and
-        # the first maximum wins, as in a loop that keeps v > best
-        xs = origin + np.array(list(itertools.product(offsets, repeat=k)))
-        values = slab_sum.values(np.matmul(e.basis, xs[:, :, None])[:, :, 0])
-        best = int(np.argmax(values))
-        return values[best], xs[best]
-
-    best_v, best_x = scan(center, offs)
-    step = grid_step
+    best = scan([(i, center, offs) for i, (_, _, center, offs) in enumerate(runs)])
+    steps = [grid_step for _, _, _, grid_step, _ in problems]
+    refining = list(range(len(runs)))
     for _ in range(40):
-        step *= 0.5
-        refined_v, refined_x = scan(best_x, step * np.arange(-2.0, 3.0))
-        gain = refined_v - best_v
-        if refined_v > best_v:
-            best_v, best_x = refined_v, refined_x
-        if gain < tol:
+        if not refining:
             break
-    return best_v
+        for i in refining:
+            steps[i] *= 0.5
+        refined = scan([(i, best[i][1], steps[i] * np.arange(-2.0, 3.0)) for i in refining])
+        still = []
+        for i, (refined_v, refined_x) in zip(refining, refined):
+            gain = refined_v - best[i][0]
+            if refined_v > best[i][0]:
+                best[i] = (refined_v, refined_x)
+            if not gain < problems[i][4]:
+                still.append(i)
+        refining = still
+    return [v for v, _ in best]
 
 
 _GRID_POINTS_PER_AXIS = {1: 33, 2: 15, 3: 9, 4: 5}
@@ -198,23 +231,37 @@ def verify_main_theorem(f: ProductDensity, e: Subspace, tol: float = 1e-4) -> di
     """Compare the grid sup of pi_E(f) against the marginal product bound.
 
     Returns {sup_lower_bound, bound, branch, slack, pass}; pass iff
-    sup_lower_bound <= bound * (1 + tol).
+    sup_lower_bound <= bound * (1 + tol).  The one-element call of
+    verify_main_theorems.
     """
-    report = bounds.bound_main(e, f.sup_norms())
-    radius, step = default_grid(f, e)
-    # the grid sup only needs to resolve the bound comparison: refining it
-    # further can make the lower bound larger (safe direction) but never flips
-    # a pass into a fail, so the refinement stop is scaled to the bound
-    refine_tol = max(1e-9, 1e-2 * tol * report.bound_value)
-    sup_lb = marginal_grid_sup(f, e, radius, step, refine_tol)
-    sup_lb = float(sup_lb)
-    return {
-        "sup_lower_bound": sup_lb,
-        "bound": report.bound_value,
-        "branch": report.branch,
-        "slack": report.bound_value - sup_lb,
-        "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
-    }
+    return verify_main_theorems([(f, e)], tol)[0]
+
+
+def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
+    """verify_main_theorem(f, e, tol) for each (f, e) of cases, with the
+    grid sups run in lockstep by marginal_grid_sups."""
+    reports, problems = [], []
+    for f, e in cases:
+        report = bounds.bound_main(e, f.sup_norms())
+        radius, step = default_grid(f, e)
+        # the grid sup only needs to resolve the bound comparison: refining
+        # it further can make the lower bound larger (safe direction) but
+        # never flips a pass into a fail, so the refinement stop is scaled
+        # to the bound
+        refine_tol = max(1e-9, 1e-2 * tol * report.bound_value)
+        reports.append(report)
+        problems.append((f, e, radius, step, refine_tol))
+    out = []
+    for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
+        sup_lb = float(sup_lb)
+        out.append({
+            "sup_lower_bound": sup_lb,
+            "bound": report.bound_value,
+            "branch": report.branch,
+            "slack": report.bound_value - sup_lb,
+            "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
+        })
+    return out
 
 
 def cube_hyperplane_section(theta) -> float:
@@ -235,15 +282,26 @@ def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, f
 
     The one-dimensional marginal of any density in the normalized class is
     dominated by the central cube section; the caller asserts
-    sup_lb <= cube_section * (1 + tol).
+    sup_lb <= cube_section * (1 + tol).  The one-element call of
+    rogozin_checks.
     """
-    if not f.in_class_f():
-        raise ValueError("f must have normalized factors with sup norm <= 1")
-    theta = np.asarray(theta, dtype=float)
-    e = Subspace(theta)
-    radius, step = default_grid(f, e)
-    sup_lb = marginal_grid_sup(f, e, radius, step, min(tol, 1e-9))
-    return sup_lb, cube_hyperplane_section(theta)
+    return rogozin_checks([(f, theta)], tol)[0]
+
+
+def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
+    """rogozin_check(f, theta, tol) for each (f, theta) of cases, with the
+    grid sups run in lockstep by marginal_grid_sups."""
+    thetas, problems = [], []
+    for f, theta in cases:
+        if not f.in_class_f():
+            raise ValueError("f must have normalized factors with sup norm <= 1")
+        theta = np.asarray(theta, dtype=float)
+        e = Subspace(theta)
+        radius, step = default_grid(f, e)
+        thetas.append(theta)
+        problems.append((f, e, radius, step, min(tol, 1e-9)))
+    sups = marginal_grid_sups(problems)
+    return [(sup_lb, cube_hyperplane_section(theta)) for sup_lb, theta in zip(sups, thetas)]
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:

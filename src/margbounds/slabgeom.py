@@ -187,44 +187,51 @@ class SlabBlock:
         return sub
 
 
-# lanes per lane-wise kernel call in block_integrals: bounds its working
-# memory (the Haar route's chunks hold at most as many lanes)
+# lanes per lane-wise kernel call in block_integrals and pooled_values:
+# bounds its working memory (the Haar route's chunks hold at most as many
+# lanes)
 LANE_CAP = 1 << 14
 
 
-def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights,
-                    keep: np.ndarray | None = None) -> np.ndarray:
+def _lane_volumes(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """kernels.slab_volumes of the lanes rows (L, m, d), lo and hi (L, m), at
+    most LANE_CAP lanes per call.  A lane's volume does not depend on the
+    other lanes of its call, so neither does any of its bits."""
+    vol = np.empty(len(rows))
+    for start in range(0, len(rows), LANE_CAP):
+        chunk = slice(start, start + LANE_CAP)
+        vol[chunk] = kernels.slab_volumes(rows[chunk], lo[chunk], hi[chunk])
+    return vol
+
+
+def _combination_sums(vol: np.ndarray, weights) -> np.ndarray:
+    """sum_c weights[c] * vol[:, c] for vol (S, C), each s summed in order of c
+    from 0.0, as SlabBlock.integral sums."""
+    sub = np.zeros(len(vol))
+    for c, w in enumerate(weights):
+        sub = sub + w * vol[:, c]
+    return sub
+
+
+def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights) -> np.ndarray:
     """SlabBlock(local[s], lo[s], hi[s], weights).integral(lo[s], hi[s]) for
     each s < S, with the same bits.
 
     local is (S, m, d) or one (m, d) frame for every s; lo and hi are
-    (S, C, m) or one (C, m) set of bounds for every s.  Every (s, c) pair
-    that keep (S, C) marks, all of them by default, is one lane of
-    kernels.slab_volumes, at most LANE_CAP lanes per call; the others add
-    exactly 0.0.  Each s sums its combinations in order from 0.0, as
-    integral does.
+    (S, C, m) or one (C, m) set of bounds for every s.  Every (s, c) pair is
+    one lane of kernels.slab_volumes, at most LANE_CAP lanes per call.  Each
+    s sums its combinations in order from 0.0, as integral does.
     """
     frames = max(len(local) if local.ndim == 3 else 1, len(lo) if lo.ndim == 3 else 1)
     combos = len(weights)
     m, d = local.shape[-2:]
-    # one row per (s, c) lane, s major; then the lanes keep marks
+    # one row per (s, c) lane, s major
     local = local.reshape(-1, 1, m, d)
     rows = np.broadcast_to(local, (frames, combos, m, d)).reshape(-1, m, d)
     lo = np.broadcast_to(lo, (frames, combos, m)).reshape(-1, m)
     hi = np.broadcast_to(hi, (frames, combos, m)).reshape(-1, m)
-    lanes = slice(None) if keep is None else np.flatnonzero(keep)
-    rows, lo, hi = rows[lanes], lo[lanes], hi[lanes]
-    vol = np.zeros(frames * combos)
-    lane_vol = np.empty(len(rows))
-    for start in range(0, len(rows), LANE_CAP):
-        chunk = slice(start, start + LANE_CAP)
-        lane_vol[chunk] = kernels.slab_volumes(rows[chunk], lo[chunk], hi[chunk])
-    vol[lanes] = lane_vol
-    vol = vol.reshape(frames, combos)
-    sub = np.zeros(frames)
-    for c, w in enumerate(weights):
-        sub = sub + w * vol[:, c]
-    return sub
+    vol = _lane_volumes(rows, lo, hi)
+    return _combination_sums(vol.reshape(frames, combos), weights)
 
 
 def step_value(pieces, t: float) -> float:
@@ -288,7 +295,8 @@ class SlabSum:
         return const
 
     def value(self, shifts: np.ndarray) -> float:
-        """The integral at shifts s, one per row."""
+        """The integral at shifts s, one per row, with one scalar kernel call
+        per piece combination: the reference that values is tested against."""
         value = self.zero_row_factor(shifts)
         if value == 0.0:
             return 0.0
@@ -300,28 +308,98 @@ class SlabSum:
         return value
 
     def values(self, shifts: np.ndarray) -> np.ndarray:
-        """value at each row of shifts (P, m), with the same bits.
+        """value at each row of shifts (P, m), with the same bits: the
+        one-pair call of pooled_values."""
+        return pooled_values([(self, shifts)])[0]
 
-        Each block evaluates every (point, combination) pair at once through
-        block_integrals; for 2-D and 3-D blocks, the pairs whose seed cell
-        SlabBlock.candidates certifies empty skip the clipper (they would
-        add exactly 0.0).  Points whose value is already 0.0 skip the later
-        blocks.
-        """
-        if self.zero_rows.size:
-            values = np.array([self.zero_row_factor(s) for s in shifts])
+
+class _LanePool:
+    """The lanes of one round of pooled_values, waiting for shared kernel
+    calls.
+
+    Lanes queue by their kernel input shape (m, d); a queue runs once it
+    holds LANE_CAP lanes, and flush() runs the rest.  Running a block's
+    lanes multiplies its integral into the values of its live points.
+    """
+
+    def __init__(self):
+        self._queues = {}
+        self._lanes = {}
+
+    def add(self, block: SlabBlock, lo: np.ndarray, hi: np.ndarray, lanes,
+            values: np.ndarray, live: np.ndarray) -> None:
+        """Queue the given lanes of the (live point, combination) pairs of
+        block, with their bounds lo, hi (L, m)."""
+        entry = (block, lo, hi, lanes, values, live)
+        if not len(lo):
+            _multiply_in(entry, np.zeros(0))
+            return
+        shape = block.local.shape
+        self._queues.setdefault(shape, []).append(entry)
+        self._lanes[shape] = self._lanes.get(shape, 0) + len(lo)
+        if self._lanes[shape] >= LANE_CAP:
+            self._run(shape)
+
+    def flush(self) -> None:
+        for shape in list(self._queues):
+            self._run(shape)
+
+    def _run(self, shape) -> None:
+        queue = self._queues.pop(shape)
+        del self._lanes[shape]
+        rows = np.concatenate([np.broadcast_to(e[0].local, (len(e[1]),) + shape) for e in queue])
+        lo = np.concatenate([e[1] for e in queue])
+        hi = np.concatenate([e[2] for e in queue])
+        vol = _lane_volumes(rows, lo, hi)
+        start = 0
+        for entry in queue:
+            _multiply_in(entry, vol[start : start + len(entry[1])])
+            start += len(entry[1])
+
+
+def _multiply_in(entry, lane_vol: np.ndarray) -> None:
+    """values[live] *= the block integral at the live points, from the
+    volumes of the queued lanes; the other (point, combination) pairs add
+    exactly 0.0."""
+    block, _, _, lanes, values, live = entry
+    vol = np.zeros(live.size * len(block.weights))
+    vol[lanes] = lane_vol
+    vol = vol.reshape(live.size, len(block.weights))
+    values[live] = values[live] * _combination_sums(vol, block.weights)
+
+
+def pooled_values(pairs) -> list[np.ndarray]:
+    """[slab_sum.values(shifts) for slab_sum, shifts in pairs], with the same
+    bits, every pair's lanes sharing kernel calls.
+
+    The blocks go in rounds: round j evaluates block j of every slab sum that
+    has one, at the points whose value is still nonzero, and multiplies it
+    in.  A round's (point, combination) lanes pool into one
+    kernels.slab_volumes call per (m, d), split at LANE_CAP.  For 2-D and
+    3-D blocks, the lanes whose seed cell SlabBlock.candidates certifies
+    empty skip the clipper (they would add exactly 0.0).
+    """
+    values = []
+    for slab_sum, shifts in pairs:
+        if slab_sum.zero_rows.size:
+            values.append(np.array([slab_sum.zero_row_factor(s) for s in shifts]))
         else:
-            values = np.ones(len(shifts))
-        for rows, block in self.blocks:
-            live = np.flatnonzero(values != 0.0)
-            if not live.size:
-                break
+            values.append(np.ones(len(shifts)))
+    depth = max((len(slab_sum.blocks) for slab_sum, _ in pairs), default=0)
+    for j in range(depth):
+        pool = _LanePool()
+        for (slab_sum, shifts), vals in zip(pairs, values):
+            live = np.flatnonzero(vals != 0.0)
+            if j >= len(slab_sum.blocks) or not live.size:
+                continue
+            rows, block = slab_sum.blocks[j]
             s = shifts[live][:, None, rows]
-            lo, hi = block.lo - s, block.hi - s  # (P, C, m)
-            keep = None
+            lo = (block.lo - s).reshape(-1, rows.size)  # (point, combination) major
+            hi = (block.hi - s).reshape(-1, rows.size)
+            lanes = slice(None)
             if block.local.shape[1] >= 2:
-                keep = np.zeros(lo.shape[:2], dtype=bool)
-                flat = block.candidates(lo.reshape(-1, rows.size), hi.reshape(-1, rows.size))
-                keep.flat[flat] = True
-            values[live] = values[live] * block_integrals(block.local, lo, hi, block.weights, keep)
-        return values
+                lanes = block.candidates(lo, hi)
+                lo, hi = lo[lanes], hi[lanes]
+            pool.add(block, lo, hi, lanes, vals, live)
+        pool.flush()
+    return values

@@ -50,6 +50,27 @@ def test_verify_reports_byte_identical_across_workers(tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
+@pytest.mark.parametrize("base", [["verify", "--n", "4", "--k", "1"], ["rogozin", "--n", "4"]])
+def test_trial_chunks_leave_the_bytes_alone(base, tmp_path):
+    # one lockstep chunk of 7 trials at --workers 1, 7 chunks of one at 2 and 3
+    blobs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}.json"
+        assert run(base + ["--trials", "7", "--seed", "5", "--workers", workers,
+                           "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert [r["trial"] for r in json.loads(blobs[0])["records"]] == list(range(7))
+
+
+def test_trial_chunks_are_contiguous_and_in_order():
+    for trials in range(1, 30):
+        for workers in range(1, 5):
+            chunks = cli._trial_chunks(trials, workers)
+            assert [t for chunk in chunks for t in chunk] == list(range(trials))
+            assert len(chunks) == (1 if workers == 1 else min(trials, 4 * workers))
+
+
 def test_verify_reports_byte_identical_across_runs(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

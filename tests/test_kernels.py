@@ -261,6 +261,36 @@ def test_polytope_volumes_cut_point_dedupe():
     assert got[:2] == pytest.approx(1.0) and got[2] == pytest.approx(1.0 - 0.1**3 / 6.0)
 
 
+def _first_distinct_loop(points, tol):
+    """_clip_faces' dedupe: keep a point unless it lies within tol (l1) of an
+    earlier kept one."""
+    kept = []
+    for p in points:
+        kept.append(all(np.abs(p - q).sum() >= tol for q, k in zip(points, kept) if k))
+    return kept
+
+
+def test_cut_point_dedupe_follows_the_sequential_rule():
+    # lane 0 is a chain a ~ b ~ c with a and c 1.4 tol apart: b merges into
+    # a, and c stays, because the point it is close to was dropped; the
+    # other lanes cluster points on a lattice of spacing 0.6 tol
+    tol = 1e-12
+    chain = np.array([[0.0, 0.0, 0.0], [0.7e-12, 0.0, 0.0], [1.4e-12, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    rng = np.random.default_rng(11)
+    lanes = [chain] + [0.6e-12 * rng.integers(0, 4, size=(6, 3)) for _ in range(40)]
+    width = max(len(p) for p in lanes)
+    ncut = np.array([len(p) - (i % 3) for i, p in enumerate(lanes)])
+    pts = np.zeros((len(lanes), width, 3))
+    for i, p in enumerate(lanes):
+        pts[i, : ncut[i]] = p[: ncut[i]]
+    got = kernels._first_distinct(pts[..., 0], pts[..., 1], pts[..., 2], ncut,
+                                  np.full(len(lanes), tol))
+    assert got[0, :4].tolist() == [True, False, True, True]
+    for i in range(len(lanes)):
+        want = _first_distinct_loop(pts[i, : ncut[i]], tol)
+        assert got[i].tolist() == want + [False] * (width - ncut[i])
+
+
 def test_polytope_volumes_lanes_die_part_way():
     # seeds from the cube rows, then x + y and y + z clipped in row order:
     # lane 0 dies at the fourth row's hi side, lane 1 at the fifth row's -lo

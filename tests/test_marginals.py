@@ -21,13 +21,14 @@ from margbounds.marginals import (
     default_grid,
     marginal_at,
     marginal_grid_sup,
+    marginal_grid_sups,
     marginal_mc,
     rogozin_check,
     small_ball,
     small_ball_bound,
     verify_main_theorem,
 )
-from margbounds.sections import section_quadrature, unit_cube
+from margbounds.sections import section_quadrature, sharp_paired_subspace, unit_cube
 
 
 def _slab_sum(f, e):
@@ -338,17 +339,53 @@ def test_grid_scan_keeps_the_first_maximum(k, center, monkeypatch):
     # every value ties: the refinement scan centers on the first grid point
     scans = []
 
-    def flat(self, shifts):
+    def flat(pairs):
+        ((_, shifts),) = pairs
         scans.append(shifts)
-        return np.ones(len(shifts))
+        return [np.ones(len(shifts))]
 
-    monkeypatch.setattr(slabgeom.SlabSum, "values", flat)
+    monkeypatch.setattr(slabgeom, "pooled_values", flat)
     f = cube_density(3)
     e = haar_sample(3, k, seed=1)
     radius, step = default_grid(f, e)
     assert marginal_grid_sup(f, e, radius, step) == 1.0
     assert len(scans) == 2
     assert np.array_equal(scans[1][center], scans[0][0])
+
+
+def _mixed_batch():
+    """Grid-sup problems whose slab sums differ in block structure."""
+    problems = []
+
+    def add(f, e, tol):
+        radius, step = default_grid(f, e)
+        problems.append((f, e, radius, step, tol))
+
+    # zero rows and three 1-D blocks
+    add(random_product_density(21, 5, 2), Subspace(np.eye(5)[:, :2]), 1e-6)
+    # parallel rows
+    add(random_product_density(22, 4, 2), sharp_paired_subspace(4, 2), 1e-9)
+    # one 1-D, 2-D and 3-D block
+    add(random_product_density(23, 3, 2), haar_sample(3, 2, seed=61), 1e-6)
+    add(random_product_density(24, 4, 2), haar_sample(4, 2, seed=62), 1e-9)
+    add(random_product_density(25, 4, 2), haar_sample(4, 1, seed=63), 1e-6)
+    # the line marginal of rogozin --n 1: no blocks at all
+    add(random_product_density(26, 1, 3), Subspace(np.array([1.0])), 1e-9)
+    return problems
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
+    problems = _mixed_batch()
+    want = [_reference_grid_sup(*p) for p in problems]
+    if shrink:
+        monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
+        monkeypatch.setattr(slabgeom, "_PREFILTER_ROWS", 30)
+        monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
+    # every contiguous split of the batch runs its parts as these sub-batches
+    for i in range(len(problems)):
+        for j in range(i + 1, len(problems) + 1):
+            assert marginal_grid_sups(problems[i:j]) == want[i:j]
 
 
 @settings(max_examples=40, deadline=None)
