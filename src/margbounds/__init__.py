@@ -41,13 +41,10 @@ from .marginals import (
     MarginalQuery,
     marginal_at,
     marginal_grid_sup,
-    marginal_grid_sups,
     marginal_mc,
     rogozin_check,
-    rogozin_checks,
     small_ball,
     verify_main_theorem,
-    verify_main_theorems,
 )
 from .sections import (
     Box,
@@ -91,14 +88,12 @@ __all__ = [
     "hyperplane_section_sinc",
     "marginal_at",
     "marginal_grid_sup",
-    "marginal_grid_sups",
     "marginal_mc",
     "orthonormal_complement",
     "projection_weights",
     "random_density",
     "random_product_density",
     "rogozin_check",
-    "rogozin_checks",
     "section_mc",
     "section_quadrature",
     "sharp_block_subspace",
@@ -107,5 +102,4 @@ __all__ = [
     "uniform_density",
     "unit_cube",
     "verify_main_theorem",
-    "verify_main_theorems",
 ]

@@ -238,7 +238,7 @@ def _bl_lhs_steps(system: BLSystem, densities: list[StepDensity]) -> float:
         for f, s, ci in zip(densities, sqc, c)
     ]
     rows = system.directions * sqc[:, None]
-    return float(slabgeom.SlabSum(rows, pieces).values(np.zeros((1, system.m)))[0])
+    return slabgeom.SlabSum(rows, pieces).value(np.zeros(system.m))
 
 
 def _bl_lhs_gaussians(system: BLSystem, densities: list[GaussianDensity]) -> float:

@@ -93,12 +93,18 @@ def build_report(config: dict, records: list, failures: list, summary: dict) -> 
     }
 
 
+def _chunk_count(items: int, workers: int) -> int:
+    """How many chunks items tasks split into: one at a single worker, about
+    4 per worker otherwise, so a slow chunk does not leave the others idle."""
+    return 1 if workers <= 1 else max(1, min(items, 4 * workers))
+
+
 def _pmap(fn, args_list, workers: int) -> list:
     """Order-preserving map; results are independent of the worker count."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (4 * workers))
+        chunk = len(args_list) // _chunk_count(len(args_list), workers)
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
@@ -120,9 +126,8 @@ def _trial_density(seed: int, n: int, t: int, sup_lo: float, sup_hi: float):
 
 
 def _trial_chunks(trials: int, workers: int) -> list:
-    """Contiguous ranges of trial indices, in order: one at a single worker,
-    about 4 per worker otherwise."""
-    count = 1 if workers <= 1 else min(trials, 4 * workers)
+    """_chunk_count contiguous ranges of trial indices, in order."""
+    count = _chunk_count(trials, workers)
     edges = [trials * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 

@@ -72,7 +72,7 @@ def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
-    return float(_slab_sum(q.f, q.e).values(q.ambient_shifts()[None])[0])
+    return _slab_sum(q.f, q.e).value(q.ambient_shifts())
 
 
 def marginal_mc(
@@ -163,14 +163,18 @@ def marginal_grid_sups(problems) -> list[float]:
     """marginal_grid_sup(f, e, grid_radius, grid_step, tol) for each tuple of
     problems, with the same bits, run in lockstep.
 
-    Each round scans every problem that is still refining (first the grids,
-    then the halved 5^k stencils around each running argmax) through one
-    slabgeom.pooled_values call, so all their lanes share kernel calls.  Per
-    problem: the first maximum of a scan wins, refinement stops once the
-    gain drops below its tol, and there are at most 40 halvings.
+    Consecutive problems form lockstep groups of at most slabgeom.LANE_CAP
+    grid points (or one problem), so a long campaign never holds more of its
+    points at once.  Each round of a group scans every problem that is still
+    refining (first the grids, then the halved 5^k stencils around each
+    running argmax) through one slabgeom.pooled_values call, so all their
+    lanes share kernel calls.  Per problem: the first maximum of a scan wins,
+    refinement stops once the gain drops below its tol, and there are at
+    most 40 halvings.
     """
-    runs = []
-    for f, e, grid_radius, grid_step, tol in problems:
+    sups, group, points = [], [], 0
+    for problem in problems:
+        _, e, grid_radius, grid_step, tol = problem
         if grid_radius <= 0.0 or grid_step <= 0.0:
             raise ValueError("grid parameters must be positive")
         if not tol > 0.0:  # NaN fails too
@@ -180,7 +184,21 @@ def marginal_grid_sups(problems) -> list[float]:
             raise ValueError(
                 f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
             )
-        runs.append((_slab_sum(f, e), e, e.basis.T @ f.support_midpoints(), offs))
+        if group and points + offs.size**e.k > slabgeom.LANE_CAP:
+            sups += _lockstep_grid_sups(group)
+            group, points = [], 0
+        group.append((problem, offs))
+        points += offs.size**e.k
+    if group:
+        sups += _lockstep_grid_sups(group)
+    return sups
+
+
+def _lockstep_grid_sups(group) -> list:
+    """The grid sups of the (problem, grid offsets) pairs of group, every
+    round one pooled_values call."""
+    runs = [(_slab_sum(f, e), e, e.basis.T @ f.support_midpoints())
+            for (f, e, _, _, _), _ in group]
 
     def scan(scans) -> list:
         # scans: (run index, origin, offsets); the first maximum wins, as
@@ -195,8 +213,8 @@ def marginal_grid_sups(problems) -> list[float]:
             out.append((v[best], xs[best]))
         return out
 
-    best = scan([(i, center, offs) for i, (_, _, center, offs) in enumerate(runs)])
-    steps = [grid_step for _, _, _, grid_step, _ in problems]
+    best = scan([(i, runs[i][2], offs) for i, (_, offs) in enumerate(group)])
+    steps = [grid_step for (_, _, _, grid_step, _), _ in group]
     refining = list(range(len(runs)))
     for _ in range(40):
         if not refining:
@@ -209,7 +227,7 @@ def marginal_grid_sups(problems) -> list[float]:
             gain = refined_v - best[i][0]
             if refined_v > best[i][0]:
                 best[i] = (refined_v, refined_x)
-            if not gain < problems[i][4]:
+            if not gain < group[i][0][4]:
                 still.append(i)
         refining = still
     return [v for v, _ in best]
@@ -227,41 +245,44 @@ def default_grid(f: ProductDensity, e: Subspace) -> tuple[float, float]:
     return radius, 2.0 * radius / (points - 1)
 
 
+def _verify_problem(f: ProductDensity, e: Subspace, tol: float):
+    """(bound report, grid-sup problem) of verify_main_theorem."""
+    report = bounds.bound_main(e, f.sup_norms())
+    radius, step = default_grid(f, e)
+    # the grid sup only needs to resolve the bound comparison: refining it
+    # further can make the lower bound larger (safe direction) but never flips
+    # a pass into a fail, so the refinement stop is scaled to the bound
+    refine_tol = max(1e-9, 1e-2 * tol * report.bound_value)
+    return report, (f, e, radius, step, refine_tol)
+
+
+def _verify_record(report, sup_lb, tol: float) -> dict:
+    sup_lb = float(sup_lb)
+    return {
+        "sup_lower_bound": sup_lb,
+        "bound": report.bound_value,
+        "branch": report.branch,
+        "slack": report.bound_value - sup_lb,
+        "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
+    }
+
+
 def verify_main_theorem(f: ProductDensity, e: Subspace, tol: float = 1e-4) -> dict:
     """Compare the grid sup of pi_E(f) against the marginal product bound.
 
     Returns {sup_lower_bound, bound, branch, slack, pass}; pass iff
-    sup_lower_bound <= bound * (1 + tol).  The one-element call of
-    verify_main_theorems.
+    sup_lower_bound <= bound * (1 + tol).
     """
-    return verify_main_theorems([(f, e)], tol)[0]
+    report, problem = _verify_problem(f, e, tol)
+    return _verify_record(report, marginal_grid_sup(*problem), tol)
 
 
 def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     """verify_main_theorem(f, e, tol) for each (f, e) of cases, with the
     grid sups run in lockstep by marginal_grid_sups."""
-    reports, problems = [], []
-    for f, e in cases:
-        report = bounds.bound_main(e, f.sup_norms())
-        radius, step = default_grid(f, e)
-        # the grid sup only needs to resolve the bound comparison: refining
-        # it further can make the lower bound larger (safe direction) but
-        # never flips a pass into a fail, so the refinement stop is scaled
-        # to the bound
-        refine_tol = max(1e-9, 1e-2 * tol * report.bound_value)
-        reports.append(report)
-        problems.append((f, e, radius, step, refine_tol))
-    out = []
-    for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
-        sup_lb = float(sup_lb)
-        out.append({
-            "sup_lower_bound": sup_lb,
-            "bound": report.bound_value,
-            "branch": report.branch,
-            "slack": report.bound_value - sup_lb,
-            "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
-        })
-    return out
+    prepared = [_verify_problem(f, e, tol) for f, e in cases]
+    sups = marginal_grid_sups([problem for _, problem in prepared])
+    return [_verify_record(report, sup_lb, tol) for (report, _), sup_lb in zip(prepared, sups)]
 
 
 def cube_hyperplane_section(theta) -> float:
@@ -277,31 +298,33 @@ def cube_hyperplane_section(theta) -> float:
     return hyperplane_section_exact(Box(np.ones(reduced.size)), reduced)
 
 
+def _rogozin_problem(f: ProductDensity, theta, tol: float):
+    """(theta as an array, grid-sup problem) of rogozin_check."""
+    if not f.in_class_f():
+        raise ValueError("f must have normalized factors with sup norm <= 1")
+    theta = np.asarray(theta, dtype=float)
+    e = Subspace(theta)
+    radius, step = default_grid(f, e)
+    return theta, (f, e, radius, step, min(tol, 1e-9))
+
+
 def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, float]:
     """(grid sup of the line marginal along theta, |Q_n cap theta-perp|).
 
     The one-dimensional marginal of any density in the normalized class is
     dominated by the central cube section; the caller asserts
-    sup_lb <= cube_section * (1 + tol).  The one-element call of
-    rogozin_checks.
+    sup_lb <= cube_section * (1 + tol).
     """
-    return rogozin_checks([(f, theta)], tol)[0]
+    theta, problem = _rogozin_problem(f, theta, tol)
+    return marginal_grid_sup(*problem), cube_hyperplane_section(theta)
 
 
 def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
     """rogozin_check(f, theta, tol) for each (f, theta) of cases, with the
     grid sups run in lockstep by marginal_grid_sups."""
-    thetas, problems = [], []
-    for f, theta in cases:
-        if not f.in_class_f():
-            raise ValueError("f must have normalized factors with sup norm <= 1")
-        theta = np.asarray(theta, dtype=float)
-        e = Subspace(theta)
-        radius, step = default_grid(f, e)
-        thetas.append(theta)
-        problems.append((f, e, radius, step, min(tol, 1e-9)))
-    sups = marginal_grid_sups(problems)
-    return [(sup_lb, cube_hyperplane_section(theta)) for sup_lb, theta in zip(sups, thetas)]
+    prepared = [_rogozin_problem(f, theta, tol) for f, theta in cases]
+    sups = marginal_grid_sups([problem for _, problem in prepared])
+    return [(sup_lb, cube_hyperplane_section(theta)) for (theta, _), sup_lb in zip(prepared, sups)]
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:

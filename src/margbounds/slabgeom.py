@@ -192,6 +192,12 @@ class SlabBlock:
 # lanes)
 LANE_CAP = 1 << 14
 
+# lanes a queue of pooled_values gathers before it runs: a lockstep campaign
+# fills it every round, and a call of LANE_CAP 2-D or 3-D lanes holds tens of
+# MB of clipper arrays, while a call of this many already pays the kernels'
+# fixed cost on a small share of its time
+_POOL_LANES = 1 << 10
+
 
 def _lane_volumes(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """kernels.slab_volumes of the lanes rows (L, m, d), lo and hi (L, m), at
@@ -295,8 +301,7 @@ class SlabSum:
         return const
 
     def value(self, shifts: np.ndarray) -> float:
-        """The integral at shifts s, one per row, with one scalar kernel call
-        per piece combination: the reference that values is tested against."""
+        """The integral at shifts s, one per row."""
         value = self.zero_row_factor(shifts)
         if value == 0.0:
             return 0.0
@@ -318,7 +323,7 @@ class _LanePool:
     calls.
 
     Lanes queue by their kernel input shape (m, d); a queue runs once it
-    holds LANE_CAP lanes, and flush() runs the rest.  Running a block's
+    holds _POOL_LANES lanes, and flush() runs the rest.  Running a block's
     lanes multiplies its integral into the values of its live points.
     """
 
@@ -337,7 +342,7 @@ class _LanePool:
         shape = block.local.shape
         self._queues.setdefault(shape, []).append(entry)
         self._lanes[shape] = self._lanes.get(shape, 0) + len(lo)
-        if self._lanes[shape] >= LANE_CAP:
+        if self._lanes[shape] >= _POOL_LANES:
             self._run(shape)
 
     def flush(self) -> None:
@@ -374,8 +379,8 @@ def pooled_values(pairs) -> list[np.ndarray]:
 
     The blocks go in rounds: round j evaluates block j of every slab sum that
     has one, at the points whose value is still nonzero, and multiplies it
-    in.  A round's (point, combination) lanes pool into one
-    kernels.slab_volumes call per (m, d), split at LANE_CAP.  For 2-D and
+    in.  A round's (point, combination) lanes pool by (m, d) into shared
+    kernels.slab_volumes calls of about _POOL_LANES lanes each.  For 2-D and
     3-D blocks, the lanes whose seed cell SlabBlock.candidates certifies
     empty skip the clipper (they would add exactly 0.0).
     """

@@ -52,15 +52,18 @@ def test_verify_reports_byte_identical_across_workers(tmp_path):
 
 @pytest.mark.parametrize("base", [["verify", "--n", "4", "--k", "1"], ["rogozin", "--n", "4"]])
 def test_trial_chunks_leave_the_bytes_alone(base, tmp_path):
-    # one lockstep chunk of 7 trials at --workers 1, 7 chunks of one at 2 and 3
+    # one lockstep chunk of 13 trials at --workers 1; 8 and 12 chunks at 2
+    # and 3, some of them holding two trials that run in lockstep in a worker
+    for workers in (2, 3):
+        assert max(len(chunk) for chunk in cli._trial_chunks(13, workers)) == 2
     blobs = []
     for workers in ("1", "2", "3"):
         out = tmp_path / f"w{workers}.json"
-        assert run(base + ["--trials", "7", "--seed", "5", "--workers", workers,
+        assert run(base + ["--trials", "13", "--seed", "5", "--workers", workers,
                            "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
-    assert [r["trial"] for r in json.loads(blobs[0])["records"]] == list(range(7))
+    assert [r["trial"] for r in json.loads(blobs[0])["records"]] == list(range(13))
 
 
 def test_trial_chunks_are_contiguous_and_in_order():

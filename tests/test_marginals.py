@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margbounds import kernels, slabgeom
+from margbounds import kernels, marginals, slabgeom
 from margbounds.densities import (
     ProductDensity,
     StepDensity,
@@ -329,6 +329,7 @@ def test_grid_sup_does_not_depend_on_lane_cap(n, k, seed, monkeypatch):
     radius, step = default_grid(f, e)
     whole = marginal_grid_sup(f, e, radius, step, 1e-6)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
+    monkeypatch.setattr(slabgeom, "_POOL_LANES", 40)
     monkeypatch.setattr(slabgeom, "_PREFILTER_ROWS", 30)
     monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
     assert marginal_grid_sup(f, e, radius, step, 1e-6) == whole
@@ -374,18 +375,38 @@ def _mixed_batch():
     return problems
 
 
-@pytest.mark.parametrize("shrink", [False, True])
+_SMALL_CHUNKS = {"_POOL_LANES": 40, "_PREFILTER_ROWS": 30, "_POLYTOPE_LANES": 16}
+
+
+@pytest.mark.parametrize("shrink", [{}, _SMALL_CHUNKS, {**_SMALL_CHUNKS, "LANE_CAP": 50}])
 def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
+    # small pool, prefilter and polytope chunks split every round's kernel
+    # calls; a small LANE_CAP also splits the batch into lockstep groups
     problems = _mixed_batch()
     want = [_reference_grid_sup(*p) for p in problems]
-    if shrink:
-        monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
-        monkeypatch.setattr(slabgeom, "_PREFILTER_ROWS", 30)
-        monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
+    for name, size in shrink.items():
+        monkeypatch.setattr(kernels if name == "_POLYTOPE_LANES" else slabgeom, name, size)
     # every contiguous split of the batch runs its parts as these sub-batches
     for i in range(len(problems)):
         for j in range(i + 1, len(problems) + 1):
             assert marginal_grid_sups(problems[i:j]) == want[i:j]
+
+
+def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
+    # grids of 225, 225, 225, 225, 33 and 33 points against a cap of 300
+    problems = _mixed_batch()
+    groups = []
+    lockstep = marginals._lockstep_grid_sups
+
+    def spy(group):
+        groups.append([problem for problem, _ in group])
+        return lockstep(group)
+
+    monkeypatch.setattr(marginals, "_lockstep_grid_sups", spy)
+    monkeypatch.setattr(slabgeom, "LANE_CAP", 300)
+    marginal_grid_sups(problems)
+    assert [len(group) for group in groups] == [1, 1, 1, 3]
+    assert all(a is b for a, b in zip([p for group in groups for p in group], problems))
 
 
 @settings(max_examples=40, deadline=None)
