@@ -93,9 +93,12 @@ class StepDensity:
     def lp_norm(self, p: float) -> float:
         if p == math.inf:
             return self.sup_norm()
-        if p < 1.0:
+        if not p >= 1.0:  # NaN fails too
             raise ValueError("lp_norm requires p >= 1")
-        return float(np.dot(self.values**p, self.widths) ** (1.0 / p))
+        # M (sum (v/M)^p w)^{1/p} with M the sup: no power exceeds 1, so a
+        # large p cannot overflow, and the sup's piece keeps the sum positive
+        sup = self.sup_norm()
+        return sup * float(np.dot((self.values / sup) ** p, self.widths) ** (1.0 / p))
 
     def level_set_measure(self, t: float) -> float:
         """Lebesgue measure of {f > t} (strict inequality)."""

@@ -45,6 +45,10 @@ _GAUSS_WEIGHTS_ON_KRONROD = np.array([
 ])
 
 
+# Most factors the tail's 2^m sign-pattern expansion is built to evaluate.
+MAX_SINC_FACTORS = 16
+
+
 class RouteLimitError(ValueError):
     """Valid input beyond the size a route is built to evaluate (too many
     factors or coordinates for its 2^m expansion)."""
@@ -172,8 +176,10 @@ def sinc_product_tail(c: np.ndarray, t_start: float) -> float:
         raise ValueError("every c_j must be positive and finite")
     if not (math.isfinite(t_start) and t_start > 0.0):
         raise ValueError("t_start must be positive and finite")
-    if m > 16:
-        raise RouteLimitError("tail expansion guard: more than 16 sinc factors")
+    if m > MAX_SINC_FACTORS:
+        raise RouteLimitError(
+            f"tail expansion guard: more than {MAX_SINC_FACTORS} sinc factors"
+        )
     rows = min(2**m, _TAIL_CHUNK)
     signs = _low_sign_rows(rows, m)
     scale = (2.0j) ** m

@@ -16,9 +16,16 @@ import numpy as np
 
 from . import kernels, randomness, slabgeom
 from .grassmann import Subspace
-from .quadrature import RouteLimitError, ToleranceError, adaptive_panels, sinc_product_tail
+from .quadrature import (
+    MAX_SINC_FACTORS,
+    RouteLimitError,
+    ToleranceError,
+    adaptive_panels,
+    sinc_product_tail,
+)
 
 ZERO_COORD_TOL = 1e-10  # |a_j| below this is treated as an exact zero
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,17 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
 def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -> float:
     """|B cap a-perp| via Fourier inversion of the sinc characteristic product.
 
-    Integrates the sinc product on panels cut at the zeros of the fastest
-    factor and evaluates the infinite tail in closed form, so the requested
-    absolute tolerance is met even for the slowly decaying two-factor case.
+    Integrates the m-factor sinc product on [0, T], T = panels pi / max c, on
+    panels cut at the zeros of the fastest factor, then adds the [T, oo)
+    tail.  Since |sinc(c_j t)| <= 1 / (c_j t), the tail is at most the
+    envelope T^{1-m} / ((m-1) prod c).  Where that envelope is at most the
+    unit roundoff 2^-53 of the [0, T] value, the tail is dropped: it cannot
+    move the result by more than rounding does, and its closed-form 2^m
+    expansion would return only its own rounding noise there (from about
+    m = 8 on).  Otherwise sinc_product_tail evaluates it in closed form, so
+    the requested absolute tolerance is met even for the slowly decaying
+    two-factor case.  Raises RouteLimitError for more than MAX_SINC_FACTORS
+    nonzero coordinates, before any quadrature.
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
@@ -121,6 +136,9 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -
     if c.size == 1:
         # facet: the section is the opposite pair of faces' cross-section
         return prefactor
+    if c.size > MAX_SINC_FACTORS:
+        # checked here because a dropped tail never reaches the expansion's guard
+        raise RouteLimitError(f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
     scale = prefactor * float(np.prod(box.sides[keep])) / math.pi
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -136,8 +154,24 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -
     value, err = adaptive_panels(integrand, edges, budget)
     if err > budget:
         raise ToleranceError("sinc quadrature failed to meet tolerance", err * scale)
-    tail = sinc_product_tail(c, t_end)
+    tail = 0.0 if _tail_below_roundoff(c, t_end, value) else sinc_product_tail(c, t_end)
     return scale * (value + tail)
+
+
+def _tail_below_roundoff(c: np.ndarray, t_end: float, value: float) -> bool:
+    """Whether the tail envelope T^{1-m} / ((m-1) prod c) is at most
+    UNIT_ROUNDOFF * |value|.
+
+    Compared as logarithms, which neither underflow nor overflow for positive
+    finite c and T; a zero or NaN value compares False, so the expansion runs.
+    """
+    if not abs(value) > 0.0:
+        return False
+    m = c.size
+    log_envelope = (
+        (1 - m) * math.log(t_end) - math.log(m - 1) - math.fsum(map(math.log, c.tolist()))
+    )
+    return log_envelope <= math.log(UNIT_ROUNDOFF) + math.log(abs(value))
 
 
 def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:

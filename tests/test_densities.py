@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,17 @@ def test_norms_and_level_sets():
     assert f.level_set_measure(0.4) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         f.lp_norm(0.5)
+
+
+@pytest.mark.parametrize("p", [2, 200, 2000, 1e6])
+def test_lp_norm_matches_mpmath_at_large_p(p):
+    # v**p overflows at p = 2000 for a sup of 2; the sup-scaled form does not
+    pieces = [(0.0, 0.25, 2.0), (0.25, 1.0, 2.0 / 3.0)]
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.mpf(v) ** p * (mpmath.mpf(hi) - mpmath.mpf(lo))
+                           for lo, hi, v in pieces) ** (mpmath.mpf(1) / p)
+    assert StepDensity(pieces).lp_norm(p) == pytest.approx(float(want), rel=1e-14)
+    assert StepDensity(pieces).lp_norm(math.inf) == 2.0
 
 
 def test_value_at_half_open():

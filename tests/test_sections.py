@@ -1,9 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from margbounds import sections
 from margbounds.grassmann import Subspace, haar_directions, haar_sample, orthonormal_complement
+from margbounds.quadrature import RouteLimitError, sinc_product_tail
 from margbounds.sections import (
     Box,
     hyperplane_section_exact,
@@ -181,3 +186,120 @@ def test_ball_upper_bound_on_haar_directions():
     vals = hyperplane_sections_exact_batch(box, dirs)
     assert vals.max() <= math.sqrt(2.0) + 1e-8
     assert vals.min() >= 1.0 - 1e-8  # central sections of the cube are >= 1
+
+
+def _section_oracle(sides, a):
+    """|B cap a-perp| at 60 digits by the Irwin-Hall signed sum.
+
+    With c_j = |a_j| z_j the section is prod z times the density at sum c / 2
+    of a sum of independent uniforms on [0, c_j]:
+    sum_S (-1)^|S| (t - s_S)_+^(n-1) / ((n-1)! prod c), s_S the subset sums.
+    """
+    n = len(sides)
+    with mpmath.workdps(60):
+        zs = [mpmath.mpf(float(z)) for z in sides]
+        cs = [abs(mpmath.mpf(float(x))) * z for x, z in zip(a, zs)]
+        t = mpmath.fsum(cs) / 2
+        subsets = [(mpmath.mpf(0), 1)]  # (s_S, (-1)^|S|)
+        for ci in cs:
+            subsets += [(s + ci, -sign) for s, sign in subsets]
+        total = mpmath.fsum(sign * (t - s) ** (n - 1) for s, sign in subsets if s < t)
+        density = total / (math.factorial(n - 1) * mpmath.fprod(cs))
+        return float(mpmath.fprod(zs) * density)
+
+
+def _moderate_box(rng, m):
+    """Sides within a factor 2 and normal coordinates within a factor 3."""
+    sides = rng.uniform(1.0, 2.0, m)
+    a = rng.uniform(1.0, 3.0, m) * rng.choice([-1.0, 1.0], m)
+    return Box(sides), a / np.linalg.norm(a)
+
+
+def _tail_spy(monkeypatch):
+    calls = []
+
+    def spy(c, t_start):
+        calls.append(c.size)
+        return sinc_product_tail(c, t_start)
+
+    monkeypatch.setattr(sections, "sinc_product_tail", spy)
+    return calls
+
+
+def test_section_oracle_matches_closed_forms():
+    assert _section_oracle([1.0] * 3, _diag(3)) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-15)
+    assert _section_oracle([1.0] * 4, _diag(4)) == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+
+def test_sinc_matches_oracle_where_the_tail_is_dropped():
+    # from m = 9 on the tail envelope is below the value's unit roundoff in
+    # this domain, so the result is the [0, T] quadrature alone
+    rng = np.random.default_rng(31)
+    for m in range(8, 14):
+        for _ in range(2):
+            box, a = _moderate_box(rng, m)
+            want = _section_oracle(box.sides, a)
+            assert abs(hyperplane_section_sinc(box, a) - want) <= 1e-12, (m, box.sides, a)
+
+
+def test_sinc_tail_dropped_only_below_roundoff(monkeypatch):
+    calls = _tail_spy(monkeypatch)
+    rng = np.random.default_rng(32)
+    for m in (2, 3, 4, 9, 12, 16):
+        for _ in range(4):
+            calls.clear()
+            box, a = _moderate_box(rng, m)
+            hyperplane_section_sinc(box, a)
+            assert calls == ([m] if m <= 4 else []), (m, box.sides, a)
+
+
+def test_sinc_factor_guard_runs_before_any_quadrature(monkeypatch):
+    panel_calls = []
+    monkeypatch.setattr(sections, "adaptive_panels", lambda *args: panel_calls.append(args))
+    with pytest.raises(RouteLimitError, match="more than 16 sinc factors"):
+        hyperplane_section_sinc(unit_cube(17), _diag(17))
+    assert panel_calls == []
+    # zero coordinates are factored out first, so 16 nonzero of 17 is allowed
+    monkeypatch.undo()
+    a = np.r_[_diag(16), 0.0]
+    assert hyperplane_section_sinc(unit_cube(17), a) == pytest.approx(
+        hyperplane_section_exact(unit_cube(16), _diag(16)), abs=1e-9
+    )
+
+
+_ROUTES = [
+    pytest.param(hyperplane_section_exact, 1e-10, id="exact"),
+    pytest.param(hyperplane_section_sinc, 1e-8, id="sinc"),
+]
+
+
+@st.composite
+def _boxes_and_normals(draw):
+    n = draw(st.integers(2, 6))
+    sides = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    a = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    return np.array(sides), a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("route, tol", _ROUTES)
+@settings(max_examples=15, deadline=None)
+@given(data=_boxes_and_normals(), perm_seed=st.integers(0, 2**32 - 1),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6))
+def test_section_is_invariant_under_permutation_and_sign_flips(route, tol, data, perm_seed, signs):
+    sides, a = data
+    want = route(Box(sides), a)
+    perm = np.random.default_rng(perm_seed).permutation(sides.size)
+    assert route(Box(sides[perm]), a[perm]) == pytest.approx(want, rel=tol, abs=tol)
+    flipped = a * np.array(signs[: sides.size])
+    assert route(Box(sides), flipped) == pytest.approx(want, rel=tol, abs=tol)
+
+
+@pytest.mark.parametrize("route, tol", _ROUTES)
+@settings(max_examples=15, deadline=None)
+@given(data=_boxes_and_normals(), lam=st.floats(0.25, 4.0))
+def test_section_scales_with_the_sides(route, tol, data, lam):
+    # |lam B cap a-perp| = lam^(n-1) |B cap a-perp|
+    sides, a = data
+    factor = lam ** (sides.size - 1)
+    want = factor * route(Box(sides), a)
+    assert route(Box(lam * sides), a) == pytest.approx(want, rel=tol, abs=tol * factor)
