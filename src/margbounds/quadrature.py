@@ -6,7 +6,10 @@ the zeros of the fastest factor and evaluates the [T, oo) remainder in closed
 form: the sine product expands into 2^m pure exponentials whose t^{-m}
 moments reduce to Si/Ci via an integration-by-parts recurrence.  The 2^m
 terms cancel, so that tail carries the expansion's rounding noise (up to
-~2e-13 at 16 factors) rather than Si/Ci precision.
+~2e-13 at 16 factors) rather than Si/Ci precision.  Callers that know the
+remainder is below their result's rounding (sections.hyperplane_section_sinc
+compares its envelope T^{1-m} / ((m-1) prod c) with the value's unit
+roundoff) skip the expansion; sinc_product_tail itself always expands.
 
 Adaptive refinement bisects a batch of the worst panels per round and
 evaluates all their children with one integrand call.  It keeps the bits of
@@ -177,9 +180,7 @@ def sinc_product_tail(c: np.ndarray, t_start: float) -> float:
     if not (math.isfinite(t_start) and t_start > 0.0):
         raise ValueError("t_start must be positive and finite")
     if m > MAX_SINC_FACTORS:
-        raise RouteLimitError(
-            f"tail expansion guard: more than {MAX_SINC_FACTORS} sinc factors"
-        )
+        raise RouteLimitError(f"tail expansion guard: more than {MAX_SINC_FACTORS} sinc factors")
     rows = min(2**m, _TAIL_CHUNK)
     signs = _low_sign_rows(rows, m)
     scale = (2.0j) ** m

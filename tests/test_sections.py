@@ -215,20 +215,9 @@ def _moderate_box(rng, m):
     return Box(sides), a / np.linalg.norm(a)
 
 
-def _tail_spy(monkeypatch):
-    calls = []
-
-    def spy(c, t_start):
-        calls.append(c.size)
-        return sinc_product_tail(c, t_start)
-
-    monkeypatch.setattr(sections, "sinc_product_tail", spy)
-    return calls
-
-
 def test_section_oracle_matches_closed_forms():
-    assert _section_oracle([1.0] * 3, _diag(3)) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-15)
-    assert _section_oracle([1.0] * 4, _diag(4)) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert _section_oracle([1.0] * 3, _diag(3)) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
+    assert _section_oracle([1.0] * 4, _diag(4)) == pytest.approx(4.0 / 3.0)
 
 
 def test_sinc_matches_oracle_where_the_tail_is_dropped():
@@ -243,7 +232,13 @@ def test_sinc_matches_oracle_where_the_tail_is_dropped():
 
 
 def test_sinc_tail_dropped_only_below_roundoff(monkeypatch):
-    calls = _tail_spy(monkeypatch)
+    calls = []
+
+    def spy(c, t_start):
+        calls.append(c.size)
+        return sinc_product_tail(c, t_start)
+
+    monkeypatch.setattr(sections, "sinc_product_tail", spy)
     rng = np.random.default_rng(32)
     for m in (2, 3, 4, 9, 12, 16):
         for _ in range(4):
