@@ -55,45 +55,50 @@ def unit_ball_volume(n: int) -> float:
     return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
 
 
-def _per_haar_direction(fn, n: int, samples: int, seed: int, stream: int) -> np.ndarray:
+def _per_haar_direction(fn, rows: int, n: int, samples: int, seed: int, stream: int) -> np.ndarray:
     """fn(dirs) over the first `samples` Haar directions of the stream, in
-    chunks of _DIR_CHUNK rows; fn maps (count, n) rows to count values."""
-    vals = np.empty(samples)
+    chunks of _DIR_CHUNK rows; fn maps (count, n) directions to `rows` rows
+    of count values, one row per integrand."""
+    vals = np.empty((rows, samples))
     for start in range(0, samples, _DIR_CHUNK):
         count = min(_DIR_CHUNK, samples - start)
-        vals[start : start + count] = fn(haar_directions(n, count, seed, stream, start))
+        vals[:, start : start + count] = fn(haar_directions(n, count, seed, stream, start))
     return vals
 
 
-def _per_haar_subspace(fn, n: int, k: int, samples: int, seed: int, stream: int, lanes: int):
+def _per_haar_subspace(fn, n: int, k: int, samples: int, seed: int, stream: int, lanes):
     """fn(bases) over the Haar subspaces of streams stream + 1 + i, i <
-    samples; each chunk holds at most _DIR_CHUNK lanes (at least one
-    subspace) at `lanes` lanes per subspace; fn maps (count, n, k) bases to
-    count values."""
-    per_chunk = max(1, _DIR_CHUNK // lanes)
-    vals = np.empty(samples)
+    samples; lanes[j] is integrand j's lane count per subspace, and each
+    chunk holds at most _DIR_CHUNK lanes summed over the integrands (at
+    least one subspace); fn maps (count, n, k) bases to one row of count
+    values per integrand."""
+    per_chunk = max(1, _DIR_CHUNK // sum(lanes))
+    vals = np.empty((len(lanes), samples))
     for start in range(0, samples, per_chunk):
         count = min(per_chunk, samples - start)
         streams = stream + 1 + np.arange(start, start + count)
-        vals[start : start + count] = fn(haar_bases(n, k, seed, streams))
+        vals[:, start : start + count] = fn(haar_bases(n, k, seed, streams))
     return vals
 
 
-def _clipped_or_fallback(bases, frames, lo, hi, weights, fallback) -> np.ndarray:
-    """One value per subspace of bases (count, n, k) from its frame rows.
+def _clipped_or_fallback(bases, frames, bounds, fallbacks) -> np.ndarray:
+    """One row per integrand of one value per subspace of bases (count, n, k),
+    from the frame rows frames (count, n, d).
 
     2-D and 3-D frames that form a single slab block are evaluated
-    lane-wise by slabgeom.block_integrals over the combinations lo, hi,
-    weights; every other subspace (a zero row, a frame that splits into
-    orthogonal blocks, a 1-D or wider frame) gets fallback(Subspace(basis)).
+    lane-wise by one slabgeom.shared_block_integrals call over every
+    integrand's combinations (lo, hi, weights) of bounds; every other
+    subspace (a zero row, a frame that splits into orthogonal blocks, a 1-D
+    or wider frame) gets fallback(Subspace(basis)) from each of fallbacks.
     """
-    vals = np.empty(len(bases))
+    vals = np.empty((len(bounds), len(bases)))
     ok = np.zeros(len(bases), dtype=bool)
     if frames.shape[2] in (2, 3):
         local, ok = slabgeom.single_block_frames(frames)
-        vals[ok] = slabgeom.block_integrals(local[ok], lo, hi, weights)
+        vals[:, ok] = slabgeom.shared_block_integrals(local[ok], bounds)
     for i in np.flatnonzero(~ok):
-        vals[i] = fallback(Subspace(bases[i]))
+        e = Subspace(bases[i])
+        vals[:, i] = [fallback(e) for fallback in fallbacks]
     return vals
 
 
@@ -145,28 +150,44 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(math.sqrt(values.var() / m))
 
 
-def _marginal_values_at_zero(
-    f: ProductDensity, k: int, samples: int, inner_tol: float, seed: int, stream: int
+def _marginal_value_rows(
+    densities, k: int, samples: int, inner_tol: float, seed: int, stream: int
 ) -> np.ndarray:
-    """pi_E(f)(0) over Haar E in G_{n,k}, one value per subspace sample."""
-    n = f.n
+    """pi_E(f)(0) over Haar E in G_{n,k} for each f of densities (all on
+    R^n), one row per density of one value per subspace sample.
+
+    Every density is evaluated on the same draw: each chunk draws its
+    subspaces (or directions) once, builds their complements and frames
+    once, and runs every density's lanes through one kernel run.
+    """
+    n = densities[0].n
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
     if n - k == 1:
         # the complement is a Haar line: integrate f along random directions
         return _per_haar_direction(
-            lambda dirs: line_marginals_at_zero(f.factors, dirs), n, samples, seed, stream
+            lambda dirs: [line_marginals_at_zero(f.factors, dirs) for f in densities],
+            len(densities), n, samples, seed, stream,
         )
     zero = np.zeros(k)
-    lo, hi, weights = slabgeom.nonzero_combinations([fi.pieces for fi in f.factors])
+    bounds = [slabgeom.nonzero_combinations([fi.pieces for fi in f.factors]) for f in densities]
+    fallbacks = [
+        lambda e, f=f: marginal_at(MarginalQuery(f, e, zero), inner_tol) for f in densities
+    ]
 
     def values(bases):
-        return _clipped_or_fallback(
-            bases, complement_bases(bases), lo, hi, weights,
-            lambda e: marginal_at(MarginalQuery(f, e, zero), inner_tol),
-        )
+        return _clipped_or_fallback(bases, complement_bases(bases), bounds, fallbacks)
 
-    return _per_haar_subspace(values, n, k, samples, seed, stream, max(len(weights), 1))
+    lanes = [max(len(weights), 1) for _, _, weights in bounds]
+    return _per_haar_subspace(values, n, k, samples, seed, stream, lanes)
+
+
+def _marginal_values_at_zero(
+    f: ProductDensity, k: int, samples: int, inner_tol: float, seed: int, stream: int
+) -> np.ndarray:
+    """pi_E(f)(0) over Haar E in G_{n,k}, one value per subspace sample: the
+    one-element call of _marginal_value_rows."""
+    return _marginal_value_rows((f,), k, samples, inner_tol, seed, stream)[0]
 
 
 def avg_marginal_power(
@@ -193,8 +214,8 @@ def _cube_marginal_values(
     if k == 1:
         box = unit_cube(n)
         return _per_haar_direction(
-            lambda dirs: hyperplane_sections_exact_batch(box, dirs), n, samples, seed, stream
-        )
+            lambda dirs: [hyperplane_sections_exact_batch(box, dirs)], 1, n, samples, seed, stream
+        )[0]
     return _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream)
 
 
@@ -221,17 +242,17 @@ def prop_avg_check(
 ) -> dict:
     """Paired comparison of the f-average against the cube average.
 
-    Both integrands are evaluated on identical subspace samples; the pass
-    verdict uses the paired-difference standard error, which is far tighter
-    than comparing the two marginal errors.
+    Both integrands are evaluated on one draw of subspace samples: each
+    chunk draws its subspaces once, frames them once and runs both sides'
+    lanes through one kernel run.  The pass verdict uses the
+    paired-difference standard error, which is far tighter than comparing
+    the two marginal errors.
     """
     if samples < 1000:
         raise ValueError("need samples >= 1000")
     n = f.n
-    lhs_vals = _powered(_marginal_values_at_zero(f, k, samples, 1e-9, seed, stream), float(n))
-    # same Haar streams as the lhs -> identical subspace samples
-    rhs_vals = _powered(
-        _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream), float(n)
+    lhs_vals, rhs_vals = _powered(
+        _marginal_value_rows((f, cube_density(n)), k, samples, 1e-9, seed, stream), float(n)
     )
     lhs, lhs_se = _mean_se(lhs_vals)
     rhs, rhs_se = _mean_se(rhs_vals)
@@ -247,30 +268,61 @@ def prop_avg_check(
     }
 
 
-def _box_section_values(
-    box: Box, k: int, samples: int, seed: int, stream: int, section_fn=None
+def _box_section_rows(
+    boxes, k: int, samples: int, seed: int, stream: int, section_fn=None
 ) -> np.ndarray:
-    """|K cap E| over Haar E in G_{n,k} for a box K, one value per sample."""
-    n = box.n
+    """|K cap E| over Haar E in G_{n,k} for each box K of boxes (all in
+    R^n), one row per box of one value per sample, every box on the same
+    draw (and frames, and kernel run) per chunk."""
+    n = boxes[0].n
     if k == 1:
-        half = box.sides / 2.0
+        halves = [box.sides / 2.0 for box in boxes]
 
-        def chord(dirs):
+        def chords(dirs):
+            size = np.abs(dirs)
             with np.errstate(divide="ignore"):
-                return 2.0 * (half[None, :] / np.abs(dirs)).min(axis=1)
+                return [2.0 * (half[None, :] / size).min(axis=1) for half in halves]
 
-        return _per_haar_direction(chord, n, samples, seed, stream)
-    # the box's indicator: one combination of weight 1.0
-    lo, hi = (-box.sides / 2.0)[None], (box.sides / 2.0)[None]
+        return _per_haar_direction(chords, len(boxes), n, samples, seed, stream)
+    # each box's indicator: one combination of weight 1.0
+    bounds = [((-box.sides / 2.0)[None], (box.sides / 2.0)[None], [1.0]) for box in boxes]
+    fallbacks = [lambda e, box=box: section_quadrature(box, e) for box in boxes]
 
     def values(bases):
         if section_fn is not None:
-            return [section_fn(box, Subspace(b)) for b in bases]
-        return _clipped_or_fallback(
-            bases, bases, lo, hi, [1.0], lambda e: section_quadrature(box, e)
-        )
+            subspaces = [Subspace(b) for b in bases]
+            return [[section_fn(box, e) for e in subspaces] for box in boxes]
+        return _clipped_or_fallback(bases, bases, bounds, fallbacks)
 
-    return _per_haar_subspace(values, n, k, samples, seed, stream, 1)
+    return _per_haar_subspace(values, n, k, samples, seed, stream, [1] * len(boxes))
+
+
+def _box_section_values(
+    box: Box, k: int, samples: int, seed: int, stream: int, section_fn=None
+) -> np.ndarray:
+    """|K cap E| over Haar E in G_{n,k} for a box K, one value per sample:
+    the one-element call of _box_section_rows."""
+    return _box_section_rows((box,), k, samples, seed, stream, section_fn)[0]
+
+
+def _check_quermass_args(n: int, k: int, samples: int, section_fn=None) -> None:
+    """The dual quermassintegral's guards, raised before any draw."""
+    if samples < 1000:
+        raise ValueError("need samples >= 1000")
+    if not (1 <= k < n):
+        raise ValueError("need 1 <= k < n")
+    if section_fn is None and k > 3:
+        raise ValueError("section dimension k > 3 needs a Monte Carlo section engine")
+
+
+def _quermass_average(raw: np.ndarray, n: int, k: int, seed: int) -> GrassmannAverage:
+    """(omega_n/omega_k) (mean of raw^n)^{1/n} from the section values raw,
+    with its delta-method standard error."""
+    mean, se = _mean_se(_powered(raw, float(n)))
+    ratio = unit_ball_volume(n) / unit_ball_volume(k)
+    estimate = ratio * mean ** (1.0 / n)
+    std_error = ratio * se * mean ** (1.0 / n - 1.0) / n if mean > 0.0 else math.inf
+    return GrassmannAverage(n, k, float(n), raw.size, estimate, std_error, seed)
 
 
 def dual_affine_quermass(
@@ -281,34 +333,26 @@ def dual_affine_quermass(
     The standard error for the 1/n power comes from the delta method applied
     to the sample mean of the n-th powers.
     """
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
-    n = box.n
-    if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
-    if _section_fn is None and k > 3:
-        raise ValueError("section dimension k > 3 needs a Monte Carlo section engine")
+    _check_quermass_args(box.n, k, samples, _section_fn)
     raw = _box_section_values(box, k, samples, seed, stream, _section_fn)
-    mean, se = _mean_se(_powered(raw, float(n)))
-    ratio = unit_ball_volume(n) / unit_ball_volume(k)
-    estimate = ratio * mean ** (1.0 / n)
-    std_error = ratio * se * mean ** (1.0 / n - 1.0) / n if mean > 0.0 else math.inf
-    return GrassmannAverage(n, k, float(n), samples, estimate, std_error, seed)
+    return _quermass_average(raw, box.n, k, seed)
 
 
 def grinberg_check(
     diag, n: int, k: int, samples: int, seed: int = 0, stream: int = 0
 ) -> dict:
     """Invariance of the dual affine quermassintegral under a diagonal
-    volume-preserving map S: compares Phi_k(Q_n) and Phi_k(S Q_n) on common
-    subspace samples."""
+    volume-preserving map S: compares Phi_k(Q_n) and Phi_k(S Q_n) on one
+    draw of subspace samples, each chunk's subspaces drawn and framed once
+    and both boxes' lanes run through one kernel run."""
     s = np.asarray(diag, dtype=float)
     if s.size != n:
         raise ValueError("diag must have n entries")
     if abs(abs(np.prod(s)) - 1.0) > 1e-12:
         raise ValueError("S must be volume-preserving (|det S| = 1 within 1e-12)")
-    phi_q = dual_affine_quermass(unit_cube(n), k, samples, seed, stream)
-    phi_sq = dual_affine_quermass(Box(np.abs(s)), k, samples, seed, stream)
+    _check_quermass_args(n, k, samples)
+    raw = _box_section_rows((unit_cube(n), Box(np.abs(s))), k, samples, seed, stream)
+    phi_q, phi_sq = (_quermass_average(row, n, k, seed) for row in raw)
     diff = abs(phi_q.estimate - phi_sq.estimate)
     combined_se = math.hypot(phi_q.std_error, phi_sq.std_error)
     return {

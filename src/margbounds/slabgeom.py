@@ -187,7 +187,7 @@ class SlabBlock:
         return sub
 
 
-# lanes per lane-wise kernel call in block_integrals and pooled_values:
+# lanes per lane-wise kernel call in shared_block_integrals and pooled_values:
 # bounds its working memory (the Haar route's chunks hold at most as many
 # lanes)
 LANE_CAP = 1 << 14
@@ -221,23 +221,40 @@ def _combination_sums(vol: np.ndarray, weights) -> np.ndarray:
 
 def block_integrals(local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights) -> np.ndarray:
     """SlabBlock(local[s], lo[s], hi[s], weights).integral(lo[s], hi[s]) for
-    each s < S, with the same bits.
+    each s < S, with the same bits: the one-element call of
+    shared_block_integrals.
 
     local is (S, m, d) or one (m, d) frame for every s; lo and hi are
-    (S, C, m) or one (C, m) set of bounds for every s.  Every (s, c) pair is
-    one lane of kernels.slab_volumes, at most LANE_CAP lanes per call.  Each
-    s sums its combinations in order from 0.0, as integral does.
+    (S, C, m) or one (C, m) set of bounds for every s.  Each s sums its
+    combinations in order from 0.0, as integral does.
     """
-    frames = max(len(local) if local.ndim == 3 else 1, len(lo) if lo.ndim == 3 else 1)
-    combos = len(weights)
+    return shared_block_integrals(local, [(lo, hi, weights)])[0]
+
+
+def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
+    """[block_integrals(local, lo, hi, weights) for lo, hi, weights in
+    bounds], with the same bits, every integrand's lanes in one run of
+    kernel calls.
+
+    Every (integrand, s, c) triple is one lane of kernels.slab_volumes, at
+    most LANE_CAP lanes per call.  S = 0 frames give empty arrays.
+    """
     m, d = local.shape[-2:]
-    # one row per (s, c) lane, s major
+    # S from whichever of local and the bounds is stacked; () when none is
+    lead = np.broadcast_shapes(local.shape[:-2], *(lo.shape[:-2] for lo, _, _ in bounds))
+    frames = lead[0] if lead else 1
+    # one row per (s, c) lane, s major, one integrand after another
     local = local.reshape(-1, 1, m, d)
-    rows = np.broadcast_to(local, (frames, combos, m, d)).reshape(-1, m, d)
-    lo = np.broadcast_to(lo, (frames, combos, m)).reshape(-1, m)
-    hi = np.broadcast_to(hi, (frames, combos, m)).reshape(-1, m)
-    vol = _lane_volumes(rows, lo, hi)
-    return _combination_sums(vol.reshape(frames, combos), weights)
+    rows, los, his = [], [], []
+    for lo, hi, weights in bounds:
+        shape = (frames, len(weights))
+        rows.append(np.broadcast_to(local, shape + (m, d)).reshape(-1, m, d))
+        los.append(np.broadcast_to(lo, shape + (m,)).reshape(-1, m))
+        his.append(np.broadcast_to(hi, shape + (m,)).reshape(-1, m))
+    vol = _lane_volumes(np.concatenate(rows), np.concatenate(los), np.concatenate(his))
+    vols = np.split(vol, np.cumsum([len(r) for r in rows])[:-1])
+    return [_combination_sums(v.reshape(frames, len(weights)), weights)
+            for v, (_, _, weights) in zip(vols, bounds)]
 
 
 def step_value(pieces, t: float) -> float:

@@ -302,3 +302,175 @@ def test_batched_values_do_not_depend_on_chunk(monkeypatch):
         ))
     (m_whole, s_whole), (m_chunked, s_chunked) = runs
     assert np.array_equal(m_whole, m_chunked) and np.array_equal(s_whole, s_chunked)
+
+
+def _prop_avg_reference(f, k, samples, seed, stream):
+    """prop_avg_check with each side through its own single-integrand call,
+    so each side draws and frames its own subspaces."""
+    n = f.n
+    lhs_vals = average._powered(_marginal_values_at_zero(f, k, samples, 1e-9, seed, stream), float(n))
+    rhs_vals = average._powered(
+        _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream), float(n)
+    )
+    lhs, lhs_se = average._mean_se(lhs_vals)
+    rhs, rhs_se = average._mean_se(rhs_vals)
+    diff, diff_se = average._mean_se(lhs_vals - rhs_vals)
+    return {"lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, "rhs_se": rhs_se,
+            "paired_diff": diff, "paired_se": diff_se, "pass": bool(diff <= 3.0 * diff_se)}
+
+
+def _grinberg_reference(diag, n, k, samples, seed, stream):
+    """grinberg_check with each box through its own dual_affine_quermass."""
+    phi_q = dual_affine_quermass(unit_cube(n), k, samples, seed, stream)
+    phi_sq = dual_affine_quermass(Box(np.abs(diag)), k, samples, seed, stream)
+    diff = abs(phi_q.estimate - phi_sq.estimate)
+    combined_se = math.hypot(phi_q.std_error, phi_sq.std_error)
+    return {"phi_cube": phi_q.estimate, "phi_cube_se": phi_q.std_error,
+            "phi_image": phi_sq.estimate, "phi_image_se": phi_sq.std_error,
+            "difference": diff, "combined_se": combined_se,
+            "pass": bool(diff <= 3.0 * combined_se)}
+
+
+_PROP_CASES = [(2, 1), (3, 1), (4, 2), (4, 1), (5, 2)]
+_GRINBERG_CASES = [
+    ([2.0, 0.5, 1.0], 3, 1),
+    ([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2),
+    ([1.5, 0.8, 1.25, 0.5, 1.0 / 0.75], 5, 3),
+]
+
+
+def _assert_same_record(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("n,k", _PROP_CASES)
+def test_prop_avg_shared_draw_matches_one_draw_per_side(n, k):
+    # line (n - k = 1), 2-D and 3-D routes
+    f = _centered_density(20 + n, n)
+    _assert_same_record(prop_avg_check(f, k, 1000, seed=n + k, stream=3),
+                        _prop_avg_reference(f, k, 1000, n + k, 3))
+
+
+@pytest.mark.parametrize("diag,n,k", _GRINBERG_CASES)
+def test_grinberg_shared_draw_matches_one_draw_per_side(diag, n, k):
+    _assert_same_record(grinberg_check(diag, n, k, 1000, seed=k, stream=1),
+                        _grinberg_reference(diag, n, k, 1000, k, 1))
+
+
+def test_paired_checks_keep_the_one_draw_per_side_bits():
+    # float.hex of report fields from before both sides shared one draw
+    f = _centered_density(24, 4)
+    rec = prop_avg_check(f, 2, 1000, seed=6, stream=3)
+    assert rec["lhs"].hex() == "0x1.8a52450d342c2p-1"
+    assert rec["rhs"].hex() == "0x1.dd9831d29fcaap+1"
+    assert rec["paired_se"].hex() == "0x1.a2ff91eb110c9p-5"
+    rec = prop_avg_check(_centered_density(23, 3), 1, 1000, seed=4, stream=3)
+    assert rec["paired_diff"].hex() == "-0x1.59849943f5f55p+0"
+    rec = grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=2, stream=1)
+    assert rec["phi_image"].hex() == "0x1.e92186c2bca57p+0"
+    assert rec["combined_se"].hex() == "0x1.24d963749f1b6p-4"
+    rec = grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=1, stream=1)
+    assert rec["difference"].hex() == "0x1.90f0b9f615500p-6"
+    rec = grinberg_check([1.5, 0.8, 1.25, 0.5, 1.0 / 0.75], 5, 3, 1000, seed=3, stream=1)
+    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a1p+0"
+
+
+def test_paired_checks_share_fallback_subspaces(monkeypatch):
+    # subspaces that leave the batched 2-D and 3-D routes fall back once per
+    # side, with each side's own bits
+    _with_special_lanes(monkeypatch, _FALLBACK_BASES)
+    f = _centered_density(3, 4)
+    _assert_same_record(prop_avg_check(f, 2, 1000, seed=1), _prop_avg_reference(f, 2, 1000, 1, 0))
+    diag = [2.0, 0.5, 3.0, 1.0 / 3.0]
+    _assert_same_record(grinberg_check(diag, 4, 2, 1000, seed=1),
+                        _grinberg_reference(diag, 4, 2, 1000, 1, 0))
+    _with_special_lanes(monkeypatch, {2: Subspace.coordinate(5, [0, 1]).basis,
+                                      5: sharp_paired_subspace(5, 2).basis})
+    f = _centered_density(5, 5)
+    _assert_same_record(prop_avg_check(f, 2, 1000, seed=2), _prop_avg_reference(f, 2, 1000, 2, 0))
+    split = np.zeros((5, 3))
+    split[0, 0] = 1.0
+    split[1:3, 1] = split[3:5, 2] = 1.0 / math.sqrt(2.0)
+    _with_special_lanes(monkeypatch, {2: Subspace.coordinate(5, [0, 1, 2]).basis, 5: split})
+    diag = [1.5, 0.8, 1.25, 0.5, 1.0 / 0.75]
+    _assert_same_record(grinberg_check(diag, 5, 3, 1000, seed=2),
+                        _grinberg_reference(diag, 5, 3, 1000, 2, 0))
+
+
+def test_paired_checks_do_not_depend_on_chunk(monkeypatch):
+    f3, f4 = _centered_density(8, 3), _centered_density(7, 4)
+    runs = []
+    for chunk in (1 << 20, 5):
+        monkeypatch.setattr(average, "_DIR_CHUNK", chunk)
+        runs.append([
+            prop_avg_check(f3, 1, 1000, seed=5),
+            prop_avg_check(f4, 2, 1000, seed=5),
+            grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=5),
+            grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=5),
+        ])
+    for whole, chunked in zip(*runs):
+        _assert_same_record(chunked, whole)
+
+
+def test_chunk_without_a_single_block_frame_falls_back(monkeypatch):
+    # one subspace per chunk: the chunk of the coordinate subspace has no
+    # frame for the batched route
+    monkeypatch.setattr(average, "_DIR_CHUNK", 1)
+    special = {3: Subspace.coordinate(4, [0, 1]).basis}
+    _with_special_lanes(monkeypatch, special)
+    box = Box([0.8, 1.1, 1.3, 0.7])
+    got = _box_section_values(box, 2, 6, seed=1, stream=0)
+    assert np.array_equal(got, _reference_box_section_values(box, 2, 6, 1, 0, special))
+    f = _centered_density(3, 4)
+    got = _marginal_values_at_zero(f, 2, 6, 1e-9, seed=1, stream=0)
+    assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 6, 1, 0, special))
+
+
+def _spy(monkeypatch, owner, name, log):
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        log.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("check", ["prop_avg", "grinberg"])
+def test_paired_checks_draw_and_frame_once_per_chunk(monkeypatch, check):
+    from margbounds import slabgeom
+    monkeypatch.setattr(average, "_DIR_CHUNK", 40)
+    log = []
+    for owner, name in [(average, "haar_bases"), (average, "complement_bases"),
+                        (slabgeom, "single_block_frames"), (slabgeom.kernels, "slab_volumes")]:
+        _spy(monkeypatch, owner, name, log)
+    if check == "prop_avg":
+        f = _centered_density(7, 4)
+        prop_avg_check(f, 2, 1000, seed=5)
+        lanes = len(slabgeom.nonzero_combinations([g.pieces for g in f.factors])[2]) + 1
+        names = ["haar_bases", "complement_bases", "single_block_frames", "slab_volumes"]
+    else:
+        grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=5)
+        lanes = 2
+        names = ["haar_bases", "single_block_frames", "slab_volumes"]
+    # chunk after chunk: one draw, one framing and one kernel call each,
+    # each stream drawn once, at most _DIR_CHUNK lanes of both sides a chunk
+    chunks = [args[3] for name, args in log if name == "haar_bases"]
+    assert len(chunks) > 10
+    assert [name for name, _ in log] == names * len(chunks)
+    assert np.array_equal(np.concatenate(chunks), 1 + np.arange(1000))
+    assert max(len(c) for c in chunks) * lanes <= 40
+
+
+@pytest.mark.parametrize("check", ["prop_avg", "grinberg"])
+def test_paired_line_checks_draw_once_per_chunk(monkeypatch, check):
+    monkeypatch.setattr(average, "_DIR_CHUNK", 300)
+    log = []
+    _spy(monkeypatch, average, "haar_directions", log)
+    if check == "prop_avg":
+        prop_avg_check(_centered_density(8, 3), 2, 1000, seed=5)
+    else:
+        grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=5)
+    assert [args[4] for _, args in log] == [0, 300, 600, 900]

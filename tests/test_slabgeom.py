@@ -14,6 +14,7 @@ from margbounds.slabgeom import (
     nonzero_combinations,
     piece_combinations,
     row_components,
+    shared_block_integrals,
     single_block_frames,
     span_coordinates,
 )
@@ -110,6 +111,35 @@ def test_block_integrals_match_slab_block_integral(n):
     want = [SlabBlock(loc, lo, hi, weights).integral(lo, hi) for loc in local]
     assert np.array_equal(got, want)
     assert np.count_nonzero(got) > 40
+
+
+
+def test_shared_block_integrals_match_one_call_per_integrand():
+    # two densities with different combination counts on the same frames,
+    # and per-frame shifted bounds: pooling the lanes keeps every bit
+    n = 4
+    local, ok = single_block_frames(complement_bases(haar_bases(n, 2, 3, np.arange(40))))
+    assert ok.all()
+    bounds = [nonzero_combinations([fi.pieces for fi in random_product_density(seed, n, 3).factors])
+              for seed in (5, 6)]
+    assert len(bounds[0][2]) != len(bounds[1][2])
+    lo, hi, weights = bounds[0]
+    shifts = 0.05 * np.random.default_rng(0).standard_normal((40, 1, n))
+    bounds.append((lo - shifts, hi - shifts, weights))
+    got = shared_block_integrals(local, bounds)
+    for row, (lo, hi, weights) in zip(got, bounds):
+        assert np.array_equal(row, block_integrals(local, lo, hi, weights))
+        assert np.count_nonzero(row) > 30
+
+
+def test_block_integrals_of_no_frames_are_empty():
+    f = random_product_density(1, 4, 3)
+    lo, hi, weights = nonzero_combinations([fi.pieces for fi in f.factors])
+    for d in (2, 3):
+        got = block_integrals(np.zeros((0, 4, d)), lo, hi, weights)
+        assert got.shape == (0,)
+    rows = shared_block_integrals(np.zeros((0, 4, 2)), [(lo, hi, weights), (lo[:1], hi[:1], [1.0])])
+    assert [row.shape for row in rows] == [(0,), (0,)]
 
 
 def _diagonal_block_subspace(n, d):
