@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margbounds import average
+from margbounds import average, slabgeom
 from margbounds.average import (
     _box_section_values,
     _marginal_values_at_zero,
@@ -440,7 +440,6 @@ def _spy(monkeypatch, owner, name, log):
 
 @pytest.mark.parametrize("check", ["prop_avg", "grinberg"])
 def test_paired_checks_draw_and_frame_once_per_chunk(monkeypatch, check):
-    from margbounds import slabgeom
     monkeypatch.setattr(average, "_DIR_CHUNK", 40)
     log = []
     for owner, name in [(average, "haar_bases"), (average, "complement_bases"),
