@@ -276,7 +276,7 @@ def bl_check(system: BLSystem, densities, tol: float = 1e-9) -> tuple[float, flo
         raise ValueError("need one density per direction")
     if all(isinstance(f, StepDensity) for f in densities):
         if system.d > 3:
-            raise ValueError("step-density route supports d <= 3")
+            raise slabgeom.BlockTooWideError("step-density route supports d <= 3")
         lhs = _bl_lhs_steps(system, densities)
     elif all(isinstance(f, GaussianDensity) for f in densities):
         lhs = _bl_lhs_gaussians(system, densities)

@@ -566,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ball_integral, workers=1)
 
     p = sub.add_parser("bl-check", help="Brascamp-Lieb inequality on random tight frames")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--d", type=_positive_int, default=2)
+    p.add_argument("--m", type=_positive_int, default=4)
     p.add_argument("--systems", type=_positive_int, default=100)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     common(p)

@@ -188,11 +188,17 @@ def random_density(seed: int, max_pieces: int, bound: float, stream: int = 0) ->
     if its sup then exceeds the bound, rescaled horizontally (which preserves
     the L1 norm).
     """
+    return _density_from_uniforms(randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1),
+                                  max_pieces, bound)
+
+
+def _density_from_uniforms(u: np.ndarray, max_pieces: int, bound: float) -> StepDensity:
+    """random_density from its 3 max_pieces + 1 uniforms u; one row of a
+    many-stream randomness.uniforms call has the one-stream call's bits."""
     if max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    u = randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1)
     npieces = 1 + int(u[0] * max_pieces)
     cuts = np.sort(u[1 : npieces + 2]) * 2.0 - 1.0
     vals = u[npieces + 2 : 2 * npieces + 2] + 0.05
@@ -261,6 +267,7 @@ def cube_density(n: int) -> ProductDensity:
 def random_product_density(
     seed: int, n: int, max_pieces: int = 3, bound: float = 1.0, stream_base: int = 0
 ) -> ProductDensity:
-    return ProductDensity(
-        [random_density(seed, max_pieces, bound, stream=stream_base + i + 1) for i in range(n)]
-    )
+    """Product of n random_density factors, factor i from stream
+    stream_base + i + 1, all drawn in one pass."""
+    u = randomness.uniforms(seed, stream_base + 1 + np.arange(n), 0, 3 * max_pieces + 1)
+    return ProductDensity([_density_from_uniforms(row, max_pieces, bound) for row in u])

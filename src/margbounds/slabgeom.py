@@ -24,13 +24,19 @@ from . import kernels
 # frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
 
-# A piece combination is dropped before the clipper only when every seed
-# vertex lies outside another row's slab by this multiple of (seed-matrix
-# condition number x the clipper's coordinate scale); the clippers' own eps
-# is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such a combination
-# clips to nothing and the kernel would return exactly 0.0.
+# A (point, combination) pair is dropped before the clipper only when every
+# seed vertex lies outside another row's slab by this multiple of
+# (seed-matrix condition number x the clipper's coordinate scale); the
+# clippers' own eps is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such
+# a pair clips to nothing and the kernel would return exactly 0.0.
+# SlabBlock.candidates tests the separable form: the unshifted seed cell's
+# corner table against one shift per point, with the scale bounded by the
+# triangle inequality, |V - u|_1 <= |V|_1 + |u|_1.  That scale is at least
+# the shifted corners', and the two forms' rounding differs by
+# O(unit roundoff x condition number x scale), far below this margin, so
+# every dropped pair still clips to exactly 0.0.
 _PREFILTER_MARGIN = 1e-9
-# combinations per seed-cell test in SlabBlock.candidates: bounds its
+# (point, combination) pairs per test in SlabBlock.candidates: bounds its
 # working memory
 _PREFILTER_ROWS = 1 << 10
 
@@ -155,26 +161,52 @@ class SlabBlock:
         cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
         return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
 
-    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Indices of the combinations with bounds lo, hi (N, m) that the
-        2-D or 3-D clipper may give a nonzero volume.
+    @functools.cached_property
+    def _corner_table(self):
+        """(low, high (C, m), radius (C,)) of the unshifted seed cells: with
+        V[c, v] the corners of combination c's seed parallelogram (2-D) or
+        parallelepiped (3-D), low[c, i] = min_v <w_i, V[c, v]> - hi[c, i],
+        high[c, i] = max_v <w_i, V[c, v]> - lo[c, i] and radius[c] =
+        max_v |V[c, v]|_1.  Needs a seed frame."""
+        seeds, upper, m_inv_t, _ = self._seed_frame
+        verts = np.where(upper, self.hi[:, None, seeds], self.lo[:, None, seeds]) @ m_inv_t
+        proj = verts @ self.local.T  # (C, 2^d, m)
+        radius = np.abs(verts).sum(axis=2).max(axis=1)
+        return proj.min(axis=1) - self.hi, proj.max(axis=1) - self.lo, radius
 
-        Builds every combination's seed parallelogram (2-D) or
-        parallelepiped (3-D), _PREFILTER_ROWS combinations at a time, and
-        drops those lying wholly outside another row's slab by the margin.
+    def candidates(self, shifts: np.ndarray) -> np.ndarray:
+        """Indices p * C + c, in increasing order, of the (point, combination)
+        pairs that the 2-D or 3-D clipper may give a nonzero volume, pair
+        (p, c) having the bounds lo[c] - shifts[p], hi[c] - shifts[p] for
+        shifts (P, m) and the C combinations.
+
+        Shifting the bounds by s moves every seed corner V[c, v] by -u,
+        u = s[seeds] @ M^-T, and <w_i, V[c, v] - u> - (hi[c, i] - s_i) =
+        <w_i, V[c, v]> - hi[c, i] - q_i with q = W u - s (likewise for lo).
+        So pair (p, c) is dropped when some row i has low[c, i] - q[p, i] >
+        slack or high[c, i] - q[p, i] < -slack, slack = margin (1 +
+        radius[c] + |u_p|_1); by the triangle inequality that is at least
+        the margin scaled by the shifted corners' largest 1-norm, |V - u|_1.
+        Pairs are tested _PREFILTER_ROWS at a time.
         """
         seed_frame = self._seed_frame
         if seed_frame is None:
             return np.zeros(0, dtype=np.intp)
-        seeds, upper, m_inv_t, margin = seed_frame
+        seeds, _, m_inv_t, margin = seed_frame
+        low, high, radius = self._corner_table
+        u = shifts[:, seeds] @ m_inv_t  # (P, d)
+        q = u @ self.local.T - shifts  # (P, m)
+        u_norm = np.abs(u).sum(axis=1)
+        count = len(self.weights)
+        total = len(shifts) * count
         kept = [np.zeros(0, dtype=np.intp)]
-        for start in range(0, len(lo), _PREFILTER_ROWS):
-            l, h = lo[start : start + _PREFILTER_ROWS], hi[start : start + _PREFILTER_ROWS]
-            verts = np.where(upper, h[:, None, seeds], l[:, None, seeds]) @ m_inv_t  # (N, 2^d, d)
-            proj = verts @ self.local.T  # (N, 2^d, m)
-            slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
-            outside = (proj.min(axis=1) > h + slack) | (proj.max(axis=1) < l - slack)
-            kept.append(start + np.flatnonzero(~outside.any(axis=1)))
+        for start in range(0, total, _PREFILTER_ROWS):
+            pairs = np.arange(start, min(start + _PREFILTER_ROWS, total))
+            p, c = np.divmod(pairs, count)
+            qp = q[p]
+            slack = margin * (1.0 + radius[c] + u_norm[p])[:, None]
+            outside = (low[c] - qp > slack) | (high[c] - qp < -slack)
+            kept.append(pairs[~outside.any(axis=1)])
         return np.concatenate(kept)
 
     def integral(self, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -399,7 +431,11 @@ def pooled_values(pairs) -> list[np.ndarray]:
     in.  A round's (point, combination) lanes pool by (m, d) into shared
     kernels.slab_volumes calls of about _POOL_LANES lanes each.  For 2-D and
     3-D blocks, the lanes whose seed cell SlabBlock.candidates certifies
-    empty skip the clipper (they would add exactly 0.0).
+    empty skip the clipper (they would add exactly 0.0): it tests each
+    combination's unshifted seed-cell corner table once per point shift, in
+    O(m) per lane, with a slack that covers the shifted cell's (see
+    _PREFILTER_MARGIN), and only the kept lanes get their bounds
+    lo[c] - s[p], hi[c] - s[p].
     """
     values = []
     for slab_sum, shifts in pairs:
@@ -415,13 +451,15 @@ def pooled_values(pairs) -> list[np.ndarray]:
             if j >= len(slab_sum.blocks) or not live.size:
                 continue
             rows, block = slab_sum.blocks[j]
-            s = shifts[live][:, None, rows]
-            lo = (block.lo - s).reshape(-1, rows.size)  # (point, combination) major
-            hi = (block.hi - s).reshape(-1, rows.size)
-            lanes = slice(None)
+            s = shifts[live][:, rows]
             if block.local.shape[1] >= 2:
-                lanes = block.candidates(lo, hi)
-                lo, hi = lo[lanes], hi[lanes]
+                lanes = block.candidates(s)
+                point, combo = np.divmod(lanes, len(block.weights))
+                lo, hi = block.lo[combo] - s[point], block.hi[combo] - s[point]
+            else:
+                lanes = slice(None)
+                lo = (block.lo - s[:, None]).reshape(-1, rows.size)  # (point, combination) major
+                hi = (block.hi - s[:, None]).reshape(-1, rows.size)
             pool.add(block, lo, hi, lanes, vals, live)
         pool.flush()
     return values

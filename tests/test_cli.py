@@ -300,6 +300,9 @@ def test_write_json_atomic_sorted(tmp_path):
     (["rogozin", "--n", "3", "--trials", "-1"], "--trials"),
     (["average", "--n", "2", "--k", "1", "--samples", "0"], "--samples"),
     (["bl-check", "--systems", "0"], "--systems"),
+    (["bl-check", "--d", "-1"], "--d"),
+    (["bl-check", "--d", "0"], "--d"),
+    (["bl-check", "--m", "0"], "--m"),
     (["ball-integral", "--steps", "0"], "--steps"),
     (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "0"], "--workers"),
     (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "-3"], "--workers"),
@@ -316,6 +319,13 @@ def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     assert run(["verify", "--n", "8", "--k", "2", "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: irreducible slab block of dimension 6")
+
+
+def test_bl_check_beyond_3d_is_a_failure_not_a_usage_error(capsys):
+    # a 4-D frame is one slab block wider than the exact kernels handle
+    assert run(["bl-check", "--d", "4", "--m", "6", "--systems", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step-density route supports d <= 3")
 
 
 def test_unmet_sinc_tolerance_reports_achieved_bound(capsys):

@@ -187,3 +187,19 @@ def test_product_json_roundtrip(tmp_path):
     path.write_text(json.dumps(f.to_json_dict()))
     g = ProductDensity.from_json_file(path)
     assert all(a.pieces == b.pieces for a, b in zip(f.factors, g.factors))
+
+
+@pytest.mark.parametrize("bound", [0.3, 1.0, 1e9])
+@pytest.mark.parametrize("max_pieces", [1, 2, 3, 4])
+def test_product_draw_matches_per_factor_draws(max_pieces, bound):
+    # bound 0.3 is below every unit-mass density's sup on [-1, 1], so each
+    # factor takes the rescale branch
+    for n in range(1, 7):
+        for base in (0, 1, 1024, 7 * 1024 + 3):
+            for seed in (0, 11, 2**63 + 5):
+                want = ProductDensity(
+                    [random_density(seed, max_pieces, bound, stream=base + 1 + i) for i in range(n)]
+                )
+                got = random_product_density(seed, n, max_pieces, bound, stream_base=base)
+                assert got == want
+    assert any(f.sup_norm() < 0.5 for f in random_product_density(3, 6, 3, 0.3).factors)

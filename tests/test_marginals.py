@@ -425,7 +425,7 @@ def test_prefilter_drops_only_empty_combinations(seed, dims, offset):
         if block.local.shape[1] < 2:
             continue
         lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
-        kept = set(block.candidates(lo, hi))
+        kept = set(block.candidates(shifts[None, rows]))
         for c in range(len(block.weights)):
             if c not in kept:
                 assert kernels.slab_volume(block.local, lo[c], hi[c]) == 0.0
@@ -438,5 +438,63 @@ def test_prefilter_drops_combinations_off_center():
     x = e.basis.T @ f.support_midpoints() + 0.8
     shifts = e.basis @ x
     ((rows, block),) = _slab_sum(f, e).blocks
-    lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
-    assert len(block.candidates(lo, hi)) < len(block.weights)
+    assert len(block.candidates(shifts[None, rows])) < len(block.weights)
+
+
+def _reference_candidates(block, lo, hi):
+    """The per-lane seed-cell test: indices of the rows of lo, hi (N, m)
+    whose seed cell, built from those bounds, lies wholly outside another
+    row's slab by the margin scaled by its own corners' largest 1-norm."""
+    seed_frame = block._seed_frame
+    if seed_frame is None:
+        return np.zeros(0, dtype=np.intp)
+    seeds, upper, m_inv_t, margin = seed_frame
+    verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (N, 2^d, d)
+    proj = verts @ block.local.T  # (N, 2^d, m)
+    slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
+    outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
+    return np.flatnonzero(~outside.any(axis=1))
+
+
+def _tilted_paired_subspace(n, k, seed, tilt):
+    """sharp_paired_subspace(n, k) turned by a small random rotation: its
+    complement rows come in nearly parallel pairs, so they form one block
+    with an ill-conditioned seed matrix."""
+    rng = np.random.default_rng(seed)
+    basis = sharp_paired_subspace(n, k).basis + tilt * rng.normal(size=(n, k))
+    return Subspace(np.linalg.qr(basis)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([("haar", 4, 2), ("haar", 5, 2), ("haar", 4, 1), ("haar", 5, 3),
+                     ("paired", 4, 2), ("paired", 5, 2), ("paired", 6, 3)]),
+    st.sampled_from([1e-3, 0.05]),
+    st.sampled_from([0.05, 0.4, 1.5]),
+)
+def test_separable_prefilter_matches_the_per_lane_test(seed, case, tilt, spread):
+    # 2-D and 3-D blocks at shifts near and far from the support center
+    kind, n, k = case
+    f = random_product_density(seed, n, 3)
+    if kind == "haar":
+        e = haar_sample(n, k, seed=seed)
+    else:
+        e = _tilted_paired_subspace(n, k, seed, tilt)
+    rng = np.random.default_rng(seed)
+    center = e.basis.T @ f.support_midpoints()
+    shifts = (center + spread * rng.normal(size=(5, k))) @ e.basis.T
+    tested = 0
+    for rows, block in _slab_sum(f, e).blocks:
+        if block.local.shape[1] < 2:
+            continue
+        s = shifts[:, rows]
+        lo = (block.lo - s[:, None]).reshape(-1, rows.size)
+        hi = (block.hi - s[:, None]).reshape(-1, rows.size)
+        kept = block.candidates(s)
+        assert np.all(np.diff(kept) > 0)
+        for lane in set(kept.tolist()) ^ set(_reference_candidates(block, lo, hi).tolist()):
+            # only rounding at the margin may tell the two tests apart
+            assert kernels.slab_volume(block.local, lo[lane], hi[lane]) == 0.0
+        tested += 1
+    assert tested
