@@ -300,12 +300,12 @@ def test_write_json_atomic_sorted(tmp_path):
     (["rogozin", "--n", "3", "--trials", "-1"], "--trials"),
     (["average", "--n", "2", "--k", "1", "--samples", "0"], "--samples"),
     (["bl-check", "--systems", "0"], "--systems"),
-    (["bl-check", "--d", "-1"], "--d"),
-    (["bl-check", "--d", "0"], "--d"),
-    (["bl-check", "--m", "0"], "--m"),
     (["ball-integral", "--steps", "0"], "--steps"),
     (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "0"], "--workers"),
     (["verify", "--n", "3", "--k", "1", "--trials", "1", "--workers", "-3"], "--workers"),
+    (["bl-check", "--d", "-1"], "--d"),
+    (["bl-check", "--d", "0"], "--d"),
+    (["bl-check", "--m", "0"], "--m"),
 ])
 def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -202,4 +202,4 @@ def test_product_draw_matches_per_factor_draws(max_pieces, bound):
                 )
                 got = random_product_density(seed, n, max_pieces, bound, stream_base=base)
                 assert got == want
-    assert any(f.sup_norm() < 0.5 for f in random_product_density(3, 6, 3, 0.3).factors)
+    assert all(f.sup_norm() <= 0.3 + 1e-12 for f in random_product_density(3, 6, 3, 0.3).factors)
