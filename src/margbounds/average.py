@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+# scipy >= 1.10 loads scipy.special on first attribute access, so only the
+# routes that call a special function pay its import
+import scipy
 
 from . import slabgeom
 from .densities import ProductDensity, cube_density
@@ -52,7 +54,7 @@ class GrassmannAverage:
 
 def unit_ball_volume(n: int) -> float:
     """omega_n, the volume of the n-dimensional Euclidean unit ball."""
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    return math.exp(0.5 * n * math.log(math.pi) - scipy.special.gammaln(0.5 * n + 1.0))
 
 
 def _per_haar_direction(fn, rows: int, n: int, samples: int, seed: int, stream: int) -> np.ndarray:

@@ -12,17 +12,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, zeta
+# scipy >= 1.10 loads scipy.special on first attribute access, so only the
+# routes that call a special function pay its import
+import scipy
 
 from . import slabgeom
 from .densities import StepDensity
 from .grassmann import ExponentAssignment, Subspace, box2_exponents, orthonormal_complement, projection_weights
-from .quadrature import ToleranceError, adaptive_panels
+from .quadrature import RouteLimitError, ToleranceError, adaptive_panels
 from .sections import Box
 
 
 def sinc_power_tail_weight(p: float) -> float:
     """int_0^pi sin(t)^p dt, the per-arch mass of the tail panels."""
+    gammaln = scipy.special.gammaln
     return math.sqrt(math.pi) * math.exp(gammaln((p + 1.0) / 2.0) - gammaln(p / 2.0 + 1.0))
 
 
@@ -56,7 +59,7 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
         return r**p
 
     numeric, quad_err = adaptive_panels(integrand, edges, target * math.pi / 2.0)
-    tail = (2.0 / math.pi) * arch * math.pi ** (-p) * float(zeta(p, k_panels + 0.5))
+    tail = (2.0 / math.pi) * arch * math.pi ** (-p) * float(scipy.special.zeta(p, k_panels + 0.5))
     achieved = (2.0 / math.pi) * quad_err + tail_bracket
     if achieved > tol:
         raise ToleranceError(f"could not certify tolerance {tol}", achieved)
@@ -224,13 +227,25 @@ def random_bl_system(seed: int, d: int, m: int, stream: int = 0) -> BLSystem:
     return BLSystem(rows / norms[:, None], norms**2)
 
 
+# Most piece combinations the step-factor Brascamp-Lieb route enumerates.
+# Each combination is one exact kernel call (about 50 us for d = 2), so this
+# is a few seconds per system, reached by 10 rows of 3 pieces; the count
+# grows threefold per extra row, so 20 rows would take days.
+MAX_BL_COMBINATIONS = 3**10
+
+
 def _bl_lhs_steps(system: BLSystem, densities: list[StepDensity]) -> float:
     """Exact integral of prod f_i(<u_i, x>)^{c_i} for step factors.
 
     A slab sum over the rows sqrt(c_i) u_i with the pieces' values powered:
     <sqrt(c_i) u_i, x> = sqrt(c_i) <u_i, x>, so the piece bounds scale by
-    sqrt(c_i).
+    sqrt(c_i).  Raises RouteLimitError before enumerating more than
+    MAX_BL_COMBINATIONS piece combinations.
     """
+    combinations = math.prod(len(f.pieces) for f in densities)
+    if combinations > MAX_BL_COMBINATIONS:
+        raise RouteLimitError(
+            f"bl-check route guard: {combinations} piece combinations exceed {MAX_BL_COMBINATIONS}")
     c = system.weights
     sqc = np.sqrt(c)
     pieces = [

@@ -171,10 +171,8 @@ def _bl_trial(args) -> dict:
     seed, d, m, tol, t = args
     base = t * _TRIAL_STREAM_BLOCK
     system = bounds.random_bl_system(seed, d, m, stream=base)
-    fs = []
-    for i in range(m):
-        f = densities.random_density(seed, 3, 1e9, stream=base + 1 + i)
-        fs.append(f.shifted(-f.support_midpoint()))  # center so slabs overlap
+    factors = densities.random_product_density(seed, m, 3, 1e9, stream_base=base).factors
+    fs = [f.shifted(-f.support_midpoint()) for f in factors]  # center so slabs overlap
     lhs, rhs = bounds.bl_check(system, fs, tol)
     return {
         "trial": t,

@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import sici
+# scipy >= 1.10 loads scipy.special on first attribute access, so only the
+# routes that call a special function pay its import
+import scipy
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss rule.
 _KRONROD_NODES = np.array([
@@ -54,7 +56,8 @@ MAX_SINC_FACTORS = 16
 
 class RouteLimitError(ValueError):
     """Valid input beyond the size a route is built to evaluate (too many
-    factors or coordinates for its 2^m expansion)."""
+    factors or coordinates for its 2^m expansion, or too many piece
+    combinations to enumerate)."""
 
 
 class ToleranceError(RuntimeError):
@@ -145,7 +148,7 @@ def _low_sign_rows(rows: int, m: int) -> np.ndarray:
 def _exp_moments(w: np.ndarray, m: int, t_start: float) -> np.ndarray:
     """E_m(w) = int_T^oo t^{-m} e^{iwt} dt for an array of w > 0, by the
     integration-by-parts recurrence from E_1 = -Ci(wT) + i(pi/2 - Si(wT))."""
-    si, ci = sici(w * t_start)
+    si, ci = scipy.special.sici(w * t_start)
     e = np.empty(w.shape, dtype=complex)
     e.real = -ci
     e.imag = math.pi / 2.0 - si

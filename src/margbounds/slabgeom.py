@@ -112,10 +112,22 @@ def component_blocks(w: np.ndarray, max_block: int = 3) -> list[tuple[np.ndarray
 
     Raises BlockTooWideError if some irreducible component spans more than
     max_block dimensions (callers then fall back to Monte Carlo).
+
+    Components whose span ranks do not add up to the rank of all rows are not
+    orthogonal, whatever row_components' absolute link tolerance says: near a
+    paired subspace, rows about 1e-12 from parallel within each component and
+    2e-12 from orthogonal across them would make two thin rhombi of area 5e11
+    each.  Then all rows form one block.  This guards the split; it does not
+    bound its coupling error.
     """
+    comps = row_components(w)
+    locals_ = [span_coordinates(w[comp]) for comp in comps]
+    if len(comps) > 1:
+        rank = int(_span_rank(np.linalg.svd(w, compute_uv=False)))
+        if sum(local.shape[1] for local in locals_) != rank:
+            comps, locals_ = [np.arange(w.shape[0])], [span_coordinates(w)]
     blocks = []
-    for comp in row_components(w):
-        local = span_coordinates(w[comp])
+    for comp, local in zip(comps, locals_):
         if local.shape[1] > max_block:
             raise BlockTooWideError(
                 f"irreducible slab block of dimension {local.shape[1]} "

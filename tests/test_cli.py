@@ -3,11 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import margbounds
 from margbounds import cli
 from margbounds.densities import random_product_density
 
@@ -265,6 +269,16 @@ def test_search_max_cli(tmp_path):
     assert report["summary"]["best_value"] <= report["summary"]["bound"] * (1 + 1e-6)
 
 
+def test_search_max_near_the_paired_subspace_passes(tmp_path):
+    # at 1,000 steps the climb ends within about 1e-12 of the extremal
+    # subspace, where a split into non-orthogonal blocks would read 2.5e23
+    out = tmp_path / "sm.json"
+    code = run(["search-max", "--n", "4", "--k", "2", "--restarts", "3",
+                "--steps", "1000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert 2.0 - 1e-9 < json.loads(out.read_text())["summary"]["best_value"] <= 2.0
+
+
 def test_densities_validate(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))
@@ -326,6 +340,14 @@ def test_bl_check_beyond_3d_is_a_failure_not_a_usage_error(capsys):
     assert run(["bl-check", "--d", "4", "--m", "6", "--systems", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: step-density route supports d <= 3")
+
+
+def test_bl_check_route_limit_exits_1_before_enumerating(capsys):
+    # up to 3^30 piece combinations: refused before any is listed
+    t0 = time.monotonic()
+    assert run(["bl-check", "--d", "2", "--m", "30", "--systems", "1"]) == 1
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error: bl-check route guard: ")
 
 
 def test_unmet_sinc_tolerance_reports_achieved_bound(capsys):
@@ -441,3 +463,32 @@ def test_main_builds_its_parser_once(monkeypatch, tmp_path):
         run(["bl-check", "--systems", "0"])
     assert run(["densities-validate", str(tmp_path / "missing.json")]) == 3
     assert len(built) == 1
+
+
+_IMPORT_PATH_SCRIPT = """
+import hashlib, os, sys
+import margbounds.cli as cli
+cli.build_parser()
+out = os.path.join(sys.argv[1], "report.json")
+assert cli.main(["verify", "--n", "3", "--k", "1", "--trials", "2", "--out", out]) == 0
+assert cli.main(["rogozin", "--n", "3", "--trials", "2", "--out", out]) == 0
+seen = ["scipy" in sys.modules, "scipy.special" in sys.modules]
+assert cli.main(["sections", "--mode", "sinc", "--sides", "1,1,1",
+                 "--normal", "0.6,0.64,0.48", "--out", out]) == 0
+seen.append("scipy.special" in sys.modules)
+with open(out, "rb") as fh:
+    print(*seen, hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_scipy_special_loads_only_for_special_functions(tmp_path):
+    # a fresh interpreter: verify and rogozin compute slab volumes only, so
+    # they never load scipy.special; the sinc tail's Si/Ci loads it on use
+    # and keeps the report bytes it had with an eager import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(margbounds.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1].split() == [
+        "True", "False", "True",
+        "9e0ea27a8e33745cac647bbfff0ec8648c77c3cddd015cc1fdd4e0b2090c683b"]

@@ -3,7 +3,7 @@ import pytest
 
 from margbounds.densities import random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
-from margbounds.sections import sharp_paired_subspace
+from margbounds.sections import section_quadrature, sharp_paired_subspace, unit_cube
 from margbounds.slabgeom import (
     BlockTooWideError,
     SlabBlock,
@@ -49,6 +49,21 @@ def test_component_blocks_guard():
     with pytest.raises(BlockTooWideError):
         component_blocks(w)
     assert issubclass(BlockTooWideError, ValueError)
+
+
+def test_split_whose_ranks_exceed_the_rank_of_all_rows_is_one_block():
+    # 1e-11 off the paired subspace, rows 0 and 1 of the complement frame are
+    # 1e-11 from parallel and link to row 2 by an inner product below
+    # row_components' tolerance; split, the blocks' ranks would add up to 4
+    # in a 3-D span, and the section would be about 1e11
+    exact = orthonormal_complement(sharp_paired_subspace(4, 1)).basis
+    assert [list(comp) for comp, _ in component_blocks(exact)] == [[0, 1], [2], [3]]
+    basis = sharp_paired_subspace(4, 1).basis + 1e-11 * np.array([[0.0], [0.0], [1.0], [0.0]])
+    h = orthonormal_complement(Subspace(basis / np.linalg.norm(basis)))
+    assert len(row_components(h.basis)) == 3
+    [(comp, local)] = component_blocks(h.basis)
+    assert list(comp) == [0, 1, 2, 3] and local.shape == (4, 3)
+    assert section_quadrature(unit_cube(4), h) == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
 
 def test_decomposed_volume_product_structure():
