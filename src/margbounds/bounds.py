@@ -228,9 +228,10 @@ def random_bl_system(seed: int, d: int, m: int, stream: int = 0) -> BLSystem:
 
 
 # Most piece combinations the step-factor Brascamp-Lieb route enumerates.
-# Each combination is one exact kernel call (about 50 us for d = 2), so this
-# is a few seconds per system, reached by 10 rows of 3 pieces; the count
-# grows threefold per extra row, so 20 rows would take days.
+# Each is one slab-sum lane, about 9 us at d = 2 and 15 us at d = 3 (2-core
+# x86 VM), so 10 rows of 3 pieces take under a second and peak at one
+# LANE_CAP kernel call's working set (118 MB RSS at d = 3); the count grows
+# threefold per extra row, so 20 rows would take half a day.
 MAX_BL_COMBINATIONS = 3**10
 
 

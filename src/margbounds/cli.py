@@ -399,8 +399,7 @@ def cmd_search_max(ns) -> int:
         def objective(sub):
             return sections.section_quadrature(cube, grassmann.orthonormal_complement(sub))
     else:
-        print("error: search-max needs k = 1 or n - k <= 3", file=sys.stderr)
-        return 2
+        raise slabgeom.BlockTooWideError("search-max needs k = 1 or n - k <= 3")
     best, value = grassmann.grassmann_search_max(
         objective, n, k, ns.restarts, ns.steps, ns.seed
     )

@@ -59,6 +59,8 @@ class Subspace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Subspace":
+        if not isinstance(data, dict) or "basis_rows" not in data:
+            raise ValueError('invariant violated: expected {"basis_rows": [[...], ...]}')
         basis = np.asarray(data["basis_rows"], dtype=float)
         return cls(basis)
 

@@ -6,9 +6,9 @@ boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  Each scalar kernel has a lane-wise
 twin (interval_lengths, polygon_areas, polytope_volumes) that evaluates many
 slab systems per call with the scalar kernel's floating-point operations, so
-every lane has the scalar result's bits; the scalar kernels stay for
-section_quadrature, which holds one system at a time, and as the reference
-that the tests compare the slab sums against.
+every lane has the scalar result's bits.  slab_volumes picks between them
+by lane count; the scalar kernels also serve section_quadrature, which holds
+one system at a time, and are the tests' reference.
 """
 
 from __future__ import annotations
@@ -646,7 +646,14 @@ def slab_volume(W, lo, hi) -> float:
 
 
 def slab_volumes(W, lo, hi) -> np.ndarray:
-    """slab_volume of each lane: W (L, m, d), lo and hi (L, m), d in {1, 2, 3}."""
+    """slab_volume of each lane: W (L, m, d), lo and hi (L, m), d in {1, 2, 3}.
+
+    One lane runs slab_volume, 6-25x faster there than a lane kernel's
+    fixed cost (2-core x86 VM, a Haar frame: 2-D, m = 4: 0.03 against
+    0.37 ms; 3-D, m = 5: 0.26 against 1.7 ms), with the same bits.
+    """
+    if len(W) == 1:
+        return np.array([slab_volume(W[0], lo[0], hi[0])])
     d = W.shape[2]
     if d == 1:
         return interval_lengths(W[:, :, 0], lo, hi)

@@ -1,10 +1,10 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from slab_reference import scalar_slab_sum
 
-from margbounds import bounds, kernels, slabgeom
+from margbounds import bounds
 from margbounds.bounds import (
     BLSystem,
     GaussianDensity,
@@ -222,26 +222,13 @@ def test_bl_mixed_density_kinds_rejected():
 
 
 def _reference_bl_lhs_steps(system, densities):
-    """The per-combination loop that SlabBlock replaces: bounds and weight
-    built per piece combination, zero weights skipped, product order."""
-    u = system.directions
+    """The scalar reference over the rows sqrt(c_i) u_i, the piece bounds
+    scaled by sqrt(c_i) and the values powered by c_i."""
     c = system.weights
-    w = u * np.sqrt(c)[:, None]
-    lhs = 1.0
-    for comp, local in slabgeom.component_blocks(w):
-        sqc = np.sqrt(c[comp])
-        sub = 0.0
-        for combo in itertools.product(*[densities[i].pieces for i in comp]):
-            lo = np.array([p[0] for p in combo]) * sqc
-            hi = np.array([p[1] for p in combo]) * sqc
-            val = math.prod(p[2] ** c[i] for p, i in zip(combo, comp))
-            if val == 0.0:
-                continue
-            sub += val * kernels.slab_volume(local, lo, hi)
-        lhs *= sub
-        if lhs == 0.0:
-            return 0.0
-    return lhs
+    sqc = np.sqrt(c)
+    pieces = [[(lo * s, hi * s, v**ci) for lo, hi, v in f.pieces]
+              for f, s, ci in zip(densities, sqc, c)]
+    return scalar_slab_sum(system.directions * sqc[:, None], pieces, np.zeros(system.m))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -335,6 +335,28 @@ def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     assert err.startswith("error: irreducible slab block of dimension 6")
 
 
+def test_search_max_beyond_its_route_is_a_failure_not_a_usage_error(capsys):
+    # valid flags; n - k = 4 with k > 1 is beyond the exact section route
+    assert run(["search-max", "--n", "6", "--k", "2", "--restarts", "1", "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search-max needs k = 1 or n - k <= 3")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [{"x": 1}, [[1, 0], [0, 1]]], ids=["no-basis-rows", "bare-list"])
+def test_malformed_subspace_file_is_usage_error(tmp_path, capsys, content):
+    sub_path = tmp_path / "h.json"
+    sub_path.write_text(json.dumps(content))
+    out = tmp_path / "s.json"
+    code = run(["sections", "--mode", "quadrature", "--sides", "1,1",
+                "--subspace-file", str(sub_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith('error: invariant violated: expected {"basis_rows": ')
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bl_check_beyond_3d_is_a_failure_not_a_usage_error(capsys):
     # a 4-D frame is one slab block wider than the exact kernels handle
     assert run(["bl-check", "--d", "4", "--m", "6", "--systems", "2"]) == 1

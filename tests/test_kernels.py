@@ -402,3 +402,35 @@ def test_slab_volume_dispatch():
     assert slab_volume(np.eye(3), -np.ones(3), np.ones(3)) == pytest.approx(8.0)
     with pytest.raises(ValueError):
         slab_volume(np.eye(4), -np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
+    """A one-lane slab_volumes call runs slab_volume and a two-lane call does
+    not; either way every lane has the bits of the many-lane call."""
+    n = d + 2
+    rng = np.random.default_rng(d)
+    lanes = 60
+    frames = complement_bases(haar_bases(n, n - d, d, np.arange(lanes)))
+    half = rng.uniform(0.2, 1.0, size=(lanes, n))
+    shift = rng.normal(size=(lanes, n)) * 0.5
+    lo, hi = shift - half, shift + half
+    many = kernels.slab_volumes(frames, lo, hi)
+    assert 0 < np.count_nonzero(many)
+    calls = []
+    scalar = kernels.slab_volume
+
+    def spy(W, lo, hi):
+        calls.append(W.shape)
+        return scalar(W, lo, hi)
+
+    monkeypatch.setattr(kernels, "slab_volume", spy)
+    ones = [kernels.slab_volumes(frames[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
+    assert calls == [(n, d)] * lanes
+    assert all(one.shape == (1,) for one in ones)
+    assert np.array_equal(np.concatenate(ones), many)
+    calls.clear()
+    pairs = [kernels.slab_volumes(frames[i : i + 2], lo[i : i + 2], hi[i : i + 2])
+             for i in range(0, lanes, 2)]
+    assert calls == []
+    assert np.array_equal(np.concatenate(pairs), many)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from slab_reference import scalar_slab_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,32 +245,13 @@ def test_small_ball_bound_formula():
 
 
 def _reference_marginal_at(q):
-    """The per-point evaluation that SlabSum replaces: complement, zero rows
-    and blocks recomputed, and every piece combination clipped."""
+    """The per-point scalar reference: complement, zero rows and blocks
+    recomputed, and every piece combination clipped by the scalar kernel."""
     e = q.e
     shifts = q.ambient_shifts()
     if e.k == e.n:
         return math.prod(f.value_at(s) for f, s in zip(q.f.factors, shifts))
-    w = orthonormal_complement(e).basis
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    const = 1.0
-    for i in np.nonzero(norms <= 1e-12)[0]:
-        const *= q.f.factors[i].value_at(shifts[i])
-        if const == 0.0:
-            return 0.0
-    active = np.nonzero(norms > 1e-12)[0]
-    value = const
-    for comp, local in slabgeom.component_blocks(w[active]):
-        idx = active[comp]
-        sub = 0.0
-        for combo in itertools.product(*[q.f.factors[i].pieces for i in idx]):
-            lo = np.array([p[0] for p in combo]) - shifts[idx]
-            hi = np.array([p[1] for p in combo]) - shifts[idx]
-            sub += math.prod(p[2] for p in combo) * kernels.slab_volume(local, lo, hi)
-        value *= sub
-        if value == 0.0:
-            return 0.0
-    return value
+    return scalar_slab_sum(orthonormal_complement(e).basis, [fi.pieces for fi in q.f.factors], shifts)
 
 
 def _reference_grid_sup(f, e, grid_radius, grid_step, tol):

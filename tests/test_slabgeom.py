@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from slab_reference import scalar_slab_sum
 
 from margbounds.densities import random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
 from margbounds.sections import section_quadrature, sharp_paired_subspace, unit_cube
 from margbounds.slabgeom import (
     BlockTooWideError,
-    SlabBlock,
     SlabSum,
-    block_integrals,
     component_blocks,
     decomposed_volume,
     nonzero_combinations,
@@ -116,17 +119,21 @@ def test_single_block_frames_reject_zero_rows_splits_and_low_rank():
     assert len(row_components(flat)) == 1 and span_coordinates(flat).shape == (4, 1)
 
 
+def _one_block(local):
+    return [(np.arange(len(local)), local)]
+
+
 @pytest.mark.parametrize("n", [3, 4])
-def test_block_integrals_match_slab_block_integral(n):
+def test_block_integrals_match_the_scalar_reference(n):
     f = random_product_density(n, n, 3)
-    lo, hi, weights = nonzero_combinations([fi.pieces for fi in f.factors])
+    pieces = [fi.pieces for fi in f.factors]
+    lo, hi, weights = nonzero_combinations(pieces)
     local, ok = single_block_frames(complement_bases(haar_bases(n, n - 2, 2, np.arange(50))))
     assert ok.all()
-    got = block_integrals(local, lo, hi, weights)
-    want = [SlabBlock(loc, lo, hi, weights).integral(lo, hi) for loc in local]
+    [got] = shared_block_integrals(local, [(lo, hi, weights)])
+    want = [scalar_slab_sum(loc, pieces, np.zeros(n), _one_block(loc)) for loc in local]
     assert np.array_equal(got, want)
     assert np.count_nonzero(got) > 40
-
 
 
 def test_shared_block_integrals_match_one_call_per_integrand():
@@ -135,15 +142,18 @@ def test_shared_block_integrals_match_one_call_per_integrand():
     n = 4
     local, ok = single_block_frames(complement_bases(haar_bases(n, 2, 3, np.arange(40))))
     assert ok.all()
-    bounds = [nonzero_combinations([fi.pieces for fi in random_product_density(seed, n, 3).factors])
-              for seed in (5, 6)]
+    pieces = [[fi.pieces for fi in random_product_density(seed, n, 3).factors] for seed in (5, 6)]
+    bounds = [nonzero_combinations(p) for p in pieces]
     assert len(bounds[0][2]) != len(bounds[1][2])
     lo, hi, weights = bounds[0]
     shifts = 0.05 * np.random.default_rng(0).standard_normal((40, 1, n))
     bounds.append((lo - shifts, hi - shifts, weights))
+    pieces.append(pieces[0])
     got = shared_block_integrals(local, bounds)
-    for row, (lo, hi, weights) in zip(got, bounds):
-        assert np.array_equal(row, block_integrals(local, lo, hi, weights))
+    frame_shifts = [np.zeros((40, n))] * 2 + [shifts[:, 0]]
+    for row, p, s in zip(got, pieces, frame_shifts):
+        want = [scalar_slab_sum(loc, p, s_l, _one_block(loc)) for loc, s_l in zip(local, s)]
+        assert np.array_equal(row, want)
         assert np.count_nonzero(row) > 30
 
 
@@ -151,7 +161,7 @@ def test_block_integrals_of_no_frames_are_empty():
     f = random_product_density(1, 4, 3)
     lo, hi, weights = nonzero_combinations([fi.pieces for fi in f.factors])
     for d in (2, 3):
-        got = block_integrals(np.zeros((0, 4, d)), lo, hi, weights)
+        [got] = shared_block_integrals(np.zeros((0, 4, d)), [(lo, hi, weights)])
         assert got.shape == (0,)
     rows = shared_block_integrals(np.zeros((0, 4, 2)), [(lo, hi, weights), (lo[:1], hi[:1], [1.0])])
     assert [row.shape for row in rows] == [(0,), (0,)]
@@ -174,14 +184,68 @@ def _diagonal_block_subspace(n, d):
     (5, Subspace(haar_bases(5, 2, 9, np.arange(1))[0])),
 ], ids=["coordinate", "paired", "block-2d", "block-3d", "haar-3d"])
 def test_slab_sum_values_match_value_loop(seed, e):
-    """SlabSum.values against one value call per point, ==, on frames with
-    zero rows and several blocks."""
+    """SlabSum.values against the scalar reference per point, ==, on frames
+    with zero rows and several blocks."""
     f = random_product_density(seed, e.n, 3)
     slab_sum = SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
     rng = np.random.default_rng(seed)
     xs = e.basis.T @ f.support_midpoints() + rng.normal(size=(150, e.k)) * 0.6
     shifts = np.array([e.basis @ x for x in xs])
     got = slab_sum.values(shifts)
-    want = [slab_sum.value(s) for s in shifts]
+    want = [scalar_slab_sum(slab_sum.rows, slab_sum.pieces, s) for s in shifts]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < len(xs)
+
+
+_FRAMES = {
+    "coordinate": Subspace.coordinate(4, [0, 1]),  # two zero rows, two 1-D blocks
+    "paired": sharp_paired_subspace(4, 1),  # a 2-D block and two 1-D blocks
+    "block-2d": _diagonal_block_subspace(5, 3),
+    "block-3d": _diagonal_block_subspace(6, 4),
+    "haar-2d": Subspace(haar_bases(4, 2, 3, np.arange(1))[0]),
+    "haar-3d": Subspace(haar_bases(5, 2, 4, np.arange(1))[0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_FRAMES)),
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from(["keep", "zero-piece", "zero-row"]), min_size=6, max_size=6),
+    st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=2),
+)
+def test_value_matches_the_scalar_reference(frame, seed, edits, offset):
+    # zero rows, split blocks, and blocks with zero-weight or no nonzero
+    # combinations, at points in and off the support
+    e = _FRAMES[frame]
+    f = random_product_density(seed, e.n, 3)
+    pieces = []
+    for fi, edit in zip(f.factors, edits):
+        if edit == "zero-piece":
+            pieces.append([(lo, hi, 0.0 if j == 0 else v) for j, (lo, hi, v) in enumerate(fi.pieces)])
+        elif edit == "zero-row":
+            pieces.append([(lo, hi, 0.0) for lo, hi, _ in fi.pieces])
+        else:
+            pieces.append(fi.pieces)
+    slab_sum = SlabSum(orthonormal_complement(e).basis, pieces)
+    x = e.basis.T @ f.support_midpoints() + np.array(offset[: e.k])
+    shifts = e.basis @ x
+    got = slab_sum.value(shifts)
+    assert type(got) is float
+    want = scalar_slab_sum(slab_sum.rows, pieces, shifts)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_value_beyond_the_exact_blocks_is_zero_where_a_zero_row_vanishes():
+    # row 0 vanishes and rows 1-5 form one 4-D block: a point where the zero
+    # row's factor is 0.0 needs no block, any other point does
+    f = random_product_density(2, 6, 3)
+    slab_sum = SlabSum(orthonormal_complement(_diagonal_block_subspace(6, 5)).basis,
+                       [fi.pieces for fi in f.factors])
+    assert list(slab_sum.zero_rows) == [0]
+    outside = np.zeros(6)
+    outside[0] = f.factors[0].pieces[-1][1] + 1.0
+    assert slab_sum.value(outside) == 0.0
+    assert np.array_equal(slab_sum.values(np.stack([outside, outside])), [0.0, 0.0])
+    with pytest.raises(BlockTooWideError):
+        slab_sum.value(f.support_midpoints())
