@@ -229,9 +229,9 @@ def random_bl_system(seed: int, d: int, m: int, stream: int = 0) -> BLSystem:
 
 # Most piece combinations the step-factor Brascamp-Lieb route enumerates.
 # Each is one slab-sum lane, about 9 us at d = 2 and 15 us at d = 3 (2-core
-# x86 VM), so 10 rows of 3 pieces take under a second and peak at one
-# LANE_CAP kernel call's working set (118 MB RSS at d = 3); the count grows
-# threefold per extra row, so 20 rows would take half a day.
+# x86 VM), so 10 rows of 3 pieces take under a second and 118 MB peak RSS at
+# d = 3, most of it the prefilter's corner table; the count grows threefold
+# per extra row, so 20 rows would take half a day.
 MAX_BL_COMBINATIONS = 3**10
 
 
