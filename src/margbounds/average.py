@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy >= 1.10 loads scipy.special on first attribute access, so only the
-# routes that call a special function pay its import
-import scipy
 
 from . import slabgeom
 from .densities import ProductDensity, cube_density
@@ -52,9 +49,24 @@ class GrassmannAverage:
         }
 
 
+# pi - math.pi, rounded: pi^k = math.pi^k (1 + k _PI_LO / math.pi) to ~1e-30
+_PI_LO = 1.2246467991473532e-16
+
+
 def unit_ball_volume(n: int) -> float:
-    """omega_n, the volume of the n-dimensional Euclidean unit ball."""
-    return math.exp(0.5 * n * math.log(math.pi) - scipy.special.gammaln(0.5 * n + 1.0))
+    """omega_n, the volume of the n-dimensional Euclidean unit ball, n >= 0:
+    pi^(n/2) / (n/2)! for even n and 2^((n+1)/2) pi^((n-1)/2) / n!! for odd
+    n, with the factorials exact integers and pi^h corrected for the
+    rounding of math.pi.  Within 1.5 ulp of mpmath for n <= 40
+    (tests/test_average.py).  Beyond n = 340 the factorials leave the
+    float range, and exp(n/2 ln pi - lgamma(n/2 + 1)) serves instead."""
+    half, odd = divmod(n, 2)
+    den = math.prod(range(1, n + 1, 2)) if odd else math.factorial(half)
+    try:
+        pi_power = math.pi**half
+        return 2.0 ** ((half + 1) * odd) * (pi_power + pi_power * (half * _PI_LO / math.pi)) / den
+    except OverflowError:
+        return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
 def _per_haar_direction(fn, rows: int, n: int, samples: int, seed: int, stream: int) -> np.ndarray:

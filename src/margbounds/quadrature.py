@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# scipy >= 1.10 loads scipy.special on first attribute access, so only the
-# routes that call a special function pay its import
-import scipy
+
+from . import special
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss rule.
 _KRONROD_NODES = np.array([
@@ -148,7 +147,7 @@ def _low_sign_rows(rows: int, m: int) -> np.ndarray:
 def _exp_moments(w: np.ndarray, m: int, t_start: float) -> np.ndarray:
     """E_m(w) = int_T^oo t^{-m} e^{iwt} dt for an array of w > 0, by the
     integration-by-parts recurrence from E_1 = -Ci(wT) + i(pi/2 - Si(wT))."""
-    si, ci = scipy.special.sici(w * t_start)
+    si, ci = special.sici(w * t_start)
     e = np.empty(w.shape, dtype=complex)
     e.real = -ci
     e.imag = math.pi / 2.0 - si

@@ -183,12 +183,21 @@ class SlabBlock:
         V[c, v] the corners of combination c's seed parallelogram (2-D) or
         parallelepiped (3-D), low[c, i] = min_v <w_i, V[c, v]> - hi[c, i],
         high[c, i] = max_v <w_i, V[c, v]> - lo[c, i] and radius[c] =
-        max_v |V[c, v]|_1.  Needs a seed frame."""
+        max_v |V[c, v]|_1.  Needs a seed frame.  Built _PREFILTER_ROWS
+        combinations at a time, so its working memory stays near that of the
+        table it keeps."""
         seeds, upper, m_inv_t, _ = self._seed_frame
-        verts = np.where(upper, self.hi[:, None, seeds], self.lo[:, None, seeds]) @ m_inv_t
-        proj = verts @ self.local.T  # (C, 2^d, m)
-        radius = np.abs(verts).sum(axis=2).max(axis=1)
-        return proj.min(axis=1) - self.hi, proj.max(axis=1) - self.lo, radius
+        low, high = np.empty(self.lo.shape), np.empty(self.lo.shape)
+        radius = np.empty(len(self.lo))
+        for start in range(0, len(self.lo), _PREFILTER_ROWS):
+            part = slice(start, start + _PREFILTER_ROWS)
+            lo, hi = self.lo[part], self.hi[part]
+            verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t
+            proj = verts @ self.local.T  # (rows, 2^d, m)
+            radius[part] = np.abs(verts).sum(axis=2).max(axis=1)
+            low[part] = proj.min(axis=1) - hi
+            high[part] = proj.max(axis=1) - lo
+        return low, high, radius
 
     def candidates(self, shifts: np.ndarray) -> np.ndarray:
         """Indices p * C + c, in increasing order, of the (point, combination)

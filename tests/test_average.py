@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,18 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+
+
+def test_unit_ball_volumes_match_mpmath_to_an_ulp_and_a_half():
+    with mpmath.workdps(40):
+        for n in range(41):
+            want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+            got = unit_ball_volume(n)
+            assert abs(got - want) <= 1.5 * math.ulp(got), n
+        # beyond n = 340 the factorials leave the float range
+        for n in (340, 341, 342, 400):
+            want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+            assert abs(unit_ball_volume(n) - want) <= 1e-12 * want, n
 
 
 def test_line_marginals_match_marginal_at():
@@ -374,7 +387,9 @@ def test_paired_checks_keep_the_one_draw_per_side_bits():
     rec = grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=1, stream=1)
     assert rec["difference"].hex() == "0x1.90f0b9f615500p-6"
     rec = grinberg_check([1.5, 0.8, 1.25, 0.5, 1.0 / 0.75], 5, 3, 1000, seed=3, stream=1)
-    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a1p+0"
+    # omega_5 / omega_3 from the closed-form volumes: one ulp above the
+    # lgamma-based ratio, and correctly rounded
+    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a2p+0"
 
 
 def test_paired_checks_share_fallback_subspaces(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margbounds import kernels, marginals, slabgeom
+from margbounds.bounds import random_bl_system
 from margbounds.densities import (
     ProductDensity,
     StepDensity,
@@ -480,3 +482,45 @@ def test_separable_prefilter_matches_the_per_lane_test(seed, case, tilt, spread)
             assert kernels.slab_volume(block.local, lo[lane], hi[lane]) == 0.0
         tested += 1
     assert tested
+
+
+def _bl_guard_slab_sum():
+    """bl-check's slab sum at its route guard: d = 3, m = 10 rows and three
+    nonzero pieces per row, so one 3-D block of 3^10 piece combinations."""
+    system = random_bl_system(3, 3, 10)
+    sqc = np.sqrt(system.weights)
+    pieces = [[(-1.0 - 0.05 * i, -0.3, 0.5), (-0.3, 0.4 + 0.02 * i, 1.0),
+               (0.4 + 0.02 * i, 1.1, 0.25 + 0.05 * i)] for i in range(10)]
+    pieces = [[(lo * s, hi * s, v**c) for lo, hi, v in row]
+              for row, s, c in zip(pieces, sqc, system.weights)]
+    return slabgeom.SlabSum(system.directions * sqc[:, None], pieces)
+
+
+def test_corner_table_built_in_chunks_keeps_the_lanes_and_bits():
+    slab_sum = _bl_guard_slab_sum()
+    [(rows, block)] = slab_sum.blocks
+    assert block.local.shape == (10, 3) and len(block.weights) == 3**10
+    assert block._seed_frame is not None
+    tracemalloc.start()
+    try:
+        block._corner_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table itself is 9.5 MiB; built in one pass it peaked at 61 MiB
+    assert peak < 16 * 2**20
+    rng = np.random.default_rng(4)
+    shifts = np.vstack([np.zeros(10), 0.3 * rng.normal(size=(2, 10))])
+    kept = block.candidates(shifts)
+    count = len(block.weights)
+    for p, s in enumerate(shifts):
+        lo, hi = block.lo - s, block.hi - s
+        mine = kept[(kept >= p * count) & (kept < (p + 1) * count)] - p * count
+        # the per-lane test on one unchunked table of every combination
+        want = _reference_candidates(block, lo, hi)
+        if p == 0:
+            assert np.array_equal(mine, want)
+        for lane in set(mine.tolist()) ^ set(want.tolist()):
+            assert kernels.slab_volume(block.local, lo[lane], hi[lane]) == 0.0
+    # the value's bits as the one-pass table gave them
+    assert slab_sum.value(np.zeros(10)).hex() == "0x1.49e397ce885d2p+1"

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import sici
 
 from margbounds import bounds, quadrature, sections
+from margbounds.special import sici
 from margbounds.quadrature import (
     RouteLimitError,
     ToleranceError,
@@ -239,12 +239,12 @@ _PINNED_TAILS = [
     ((1.0, 0.25), 100.0 * math.pi, "-0x1.3b1da01000000p-23"),
     ((1.0, 0.7, 0.3), 40.0 * math.pi, "0x1.2e50549b251b5p-20"),
     ((0.5, 0.5, 0.5, 0.5), 40.0 * math.pi, "0x1.0e49fc1bfffffp-20"),
-    ((1.3, 0.9, 0.45, 0.2, 0.1), 40.0 * math.pi, "-0x1.2af8e997ede91p-30"),
+    ((1.3, 0.9, 0.45, 0.2, 0.1), 40.0 * math.pi, "-0x1.2af8e9980df9bp-30"),
     ((0.45, 0.3, 0.3, 0.2, 0.45, 0.15, 0.1, 0.25), 128.0 * math.pi / 0.45,
      "-0x1.a527ed5c3c83bp-51"),
     ((0.5, 0.25, 0.25, 0.4, 0.1, 0.1, 0.3, 0.2, 0.35, 0.15, 0.45, 0.2),
-     128.0 * math.pi / 0.5, "-0x1.e1ec4b15b99fap-46"),
-    (_TIED_16[:13], 128.0 * math.pi / 0.5, "0x1.25c148533dfc8p-46"),
+     128.0 * math.pi / 0.5, "-0x1.e1ec4b15c3858p-46"),
+    (_TIED_16[:13], 128.0 * math.pi / 0.5, "0x1.25c148533dfc9p-46"),
     (_TIED_16, 128.0 * math.pi / 0.5, "-0x1.926a82e5a37dfp-44"),
     ((0.25,) * 16, 128.0 * math.pi / 0.25, "0x1.b9c3dc5cf1a72p-50"),
 ]
