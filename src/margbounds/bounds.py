@@ -31,9 +31,9 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
     Panels are cut at the zeros of sin; the remaining arches are summed via a
     Hurwitz-zeta midpoint estimate whose bracket width, and the zeta's own
     error bound, are folded into the error budget, so the slowly decaying
-    p = 2 case still meets tol.  Raises
-    ToleranceError when tol cannot be certified: before any quadrature when
-    the tail bracket at the 60,000-panel cap already exceeds it.
+    p = 2 case still meets tol.  Raises ToleranceError when tol cannot be
+    certified: before any quadrature when the tail bracket at the
+    60,000-panel cap already exceeds it.
     """
     if p < 2.0:
         raise ValueError("requires p >= 2")

@@ -170,9 +170,9 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     zeta(s, a) = sum_{k >= 0} (a + k)^-s.
 
     Sums the terms directly up to x = a + N >= max(20, 2 s), then adds the
-    Euler-Maclaurin tail (DLMF 25.11.5 in the form of 2.10.1)
+    Euler-Maclaurin tail (DLMF 2.10.1 for t^-s)
     x^(1-s) / (s - 1) + x^-s / 2 + sum_{j=1}^{10} B_2j / (2j)! (s)_(2j-1)
-    x^(-s-2j+1).  Every derivative of t^-s alternates in sign, so the
+    x^(-s-2j+1).  Every even derivative of t^-s is positive, so the
     remainder is at most the first omitted term, j = 11; at x >= max(20, 2 s)
     that is below 1e-18 of the tail.  When the direct terms fall fast
     (large s), it stops as soon as their rest, at most x^-s (1 + x / (s - 1)),
@@ -181,10 +181,10 @@ def hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     The error bound is the remainder in use, plus 8 units of roundoff of the
     value (each power carries at most 1 ulp, the sums are math.fsum), plus
     the subnormal spacing for every term that may have underflowed.  It is
-    below 1e-15 of the value whenever the value is a normal float; against
-    50-digit mpmath the values are within 1e-13 relative
-    (tests/test_special.py).  Raises ValueError unless s > 1 and a > 0 are
-    finite.
+    below 1e-15 of the value whenever the value is a normal float, and the
+    tests check it against 300-digit mpmath (tests/test_special.py).  Raises
+    ValueError unless s > 1 and a > 0 are finite, and OverflowError when a
+    term (a + k)^-s exceeds the float range (a < 1 and large s).
     """
     if not (1.0 < s < math.inf and 0.0 < a < math.inf):
         raise ValueError("hurwitz_zeta needs finite s > 1 and a > 0")
