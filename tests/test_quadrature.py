@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from margbounds import bounds, quadrature, sections
-from margbounds.special import sici
 from margbounds.quadrature import (
     RouteLimitError,
     ToleranceError,
@@ -12,6 +11,7 @@ from margbounds.quadrature import (
     gk_panels,
     sinc_product_tail,
 )
+from margbounds.special import sici
 
 
 def test_gk_exact_on_polynomials():
@@ -232,8 +232,8 @@ _TIED_16 = (0.31, 0.12, 0.47, 0.25, 0.25, 0.18, 0.5, 0.1,
             0.39, 0.22, 0.44, 0.15, 0.33, 0.27, 0.41, 0.2)
 
 # (c, t_start, float.hex of the tail) as the one-pattern-at-a-time expansion
-# with a per-|omega| table computed them; the lane-wise expansion must keep
-# every bit.  Tied entries repeat |omega|, and equal entries give patterns
+# with a per-|omega| table computes them with special.sici; the lane-wise
+# expansion must keep every bit.  Tied entries repeat |omega|, and equal entries give patterns
 # whose frequency is exactly zero.
 _PINNED_TAILS = [
     ((1.0, 0.25), 100.0 * math.pi, "-0x1.3b1da01000000p-23"),
