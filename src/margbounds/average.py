@@ -51,6 +51,9 @@ class GrassmannAverage:
 
 # pi - math.pi, rounded: pi^k = math.pi^k (1 + k _PI_LO / math.pi) to ~1e-30
 _PI_LO = 1.2246467991473532e-16
+# largest n whose factorial den in unit_ball_volume converts to a float
+# (301!! does not)
+_CLOSED_FORM_MAX_N = 300
 
 
 def unit_ball_volume(n: int) -> float:
@@ -58,15 +61,15 @@ def unit_ball_volume(n: int) -> float:
     pi^(n/2) / (n/2)! for even n and 2^((n+1)/2) pi^((n-1)/2) / n!! for odd
     n, with the factorials exact integers and pi^h corrected for the
     rounding of math.pi.  Within 1.5 ulp of mpmath for n <= 40
-    (tests/test_average.py).  Beyond n = 340 the factorials leave the
-    float range, and exp(n/2 ln pi - lgamma(n/2 + 1)) serves instead."""
+    (tests/test_average.py).  Beyond n = _CLOSED_FORM_MAX_N the factorials
+    leave the float range, and exp(n/2 ln pi - lgamma(n/2 + 1)) serves
+    instead."""
+    if n > _CLOSED_FORM_MAX_N:
+        return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
     half, odd = divmod(n, 2)
     den = math.prod(range(1, n + 1, 2)) if odd else math.factorial(half)
-    try:
-        pi_power = math.pi**half
-        return 2.0 ** ((half + 1) * odd) * (pi_power + pi_power * (half * _PI_LO / math.pi)) / den
-    except OverflowError:
-        return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
+    pi_power = math.pi**half
+    return 2.0 ** ((half + 1) * odd) * (pi_power + pi_power * (half * _PI_LO / math.pi)) / den
 
 
 def _per_haar_direction(fn, rows: int, n: int, samples: int, seed: int, stream: int) -> np.ndarray:

@@ -40,8 +40,9 @@ def test_unit_ball_volumes_match_mpmath_to_an_ulp_and_a_half():
             want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
             got = unit_ball_volume(n)
             assert abs(got - want) <= 1.5 * math.ulp(got), n
-        # beyond n = 340 the factorials leave the float range
-        for n in (340, 341, 342, 400):
+        # both sides of the closed form's last n, where the factorials
+        # leave the float range
+        for n in (299, 300, 301, 302, 341, 400):
             want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
             assert abs(unit_ball_volume(n) - want) <= 1e-12 * want, n
 

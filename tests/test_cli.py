@@ -489,8 +489,10 @@ def test_main_builds_its_parser_once(monkeypatch, tmp_path):
 
 _IMPORT_PATH_SCRIPT = """
 import hashlib, os, sys
-import margbounds.cli as cli
 scipy_modules = lambda: {m for m in sys.modules if m.split(".")[0] == "scipy"}
+import scipy
+bare = scipy_modules()
+import margbounds.cli as cli
 at_import = scipy_modules()
 out = os.path.join(sys.argv[1], "report.json")
 for argv in (["verify", "--n", "3", "--k", "1", "--trials", "2"],
@@ -500,20 +502,23 @@ for argv in (["verify", "--n", "3", "--k", "1", "--trials", "2"],
              ["sections", "--mode", "sinc", "--sides", "1,1,1", "--normal", "0.6,0.64,0.48"]):
     assert cli.main(argv + ["--out", out]) == 0
 with open(out, "rb") as fh:
-    print("scipy" in at_import, sorted(scipy_modules() - at_import) == [],
+    print("scipy" in sys.modules, "scipy.special" in sys.modules,
+          sorted(at_import - bare), sorted(scipy_modules() - bare) == [],
           hashlib.sha256(fh.read()).hexdigest())
 """
 
 
 def test_no_command_loads_a_scipy_submodule(tmp_path):
     # a fresh interpreter: Si/Ci, the Hurwitz zeta and lgamma of the sinc
-    # tail, ball-integral and grinberg are margbounds' own, so running them
-    # loads no scipy module beyond what cli's one import brings.  The sinc
-    # report keeps the bytes it had with scipy's Si/Ci.
+    # tail, ball-integral and grinberg are margbounds' own, so neither
+    # importing margbounds nor running them loads scipy.special, or any
+    # scipy module beyond what a bare `import scipy` loads; scipy itself
+    # stays loaded for cli's one import.  The sinc report keeps the bytes
+    # it had with scipy's Si/Ci.
     src = os.path.dirname(os.path.dirname(os.path.abspath(margbounds.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1].split() == [
-        "True", "True",
+        "True", "False", "[]", "True",
         "9e0ea27a8e33745cac647bbfff0ec8648c77c3cddd015cc1fdd4e0b2090c683b"]
