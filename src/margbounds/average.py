@@ -334,9 +334,12 @@ def _check_quermass_args(n: int, k: int, samples: int, section_fn=None) -> None:
 
 def _quermass_average(raw: np.ndarray, n: int, k: int, seed: int) -> GrassmannAverage:
     """(omega_n/omega_k) (mean of raw^n)^{1/n} from the section values raw,
-    with its delta-method standard error."""
-    mean, se = _mean_se(_powered(raw, float(n)))
-    ratio = unit_ball_volume(n) / unit_ball_volume(k)
+    with its delta-method standard error.  The powers are of raw / max(raw),
+    at most 1, and the estimate and its error scale back by max(raw): raw^n
+    itself leaves the float range at large n (grinberg --n 400 --k 1)."""
+    top = float(raw.max())
+    mean, se = _mean_se(_powered(raw / top if top > 0.0 else raw, float(n)))
+    ratio = unit_ball_volume(n) / unit_ball_volume(k) * top
     estimate = ratio * mean ** (1.0 / n)
     std_error = ratio * se * mean ** (1.0 / n - 1.0) / n if mean > 0.0 else math.inf
     return GrassmannAverage(n, k, float(n), raw.size, estimate, std_error, seed)

@@ -3,12 +3,15 @@
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
 boundedness (the w_i always contain a spanning subset coming from a tight
-frame) and strip zero rows beforehand.  Each scalar kernel has a lane-wise
-twin (interval_lengths, polygon_areas, polytope_volumes) that evaluates many
-slab systems per call with the scalar kernel's floating-point operations, so
-every lane has the scalar result's bits.  slab_volumes picks between them
-by lane count; the scalar kernels also serve section_quadrature, which holds
-one system at a time, and are the tests' reference.
+frame) and strip zero rows beforehand.  The 2-D kernel clips a seed
+parallelogram; the 3-D kernel sums (1/3) h |F| over the facets F, each a
+2-D slab system, after merging rows parallel within _PARALLEL_SINE (see
+polytope_volumes for its rounding bound).  Each scalar kernel has a
+lane-wise twin (interval_lengths, polygon_areas, polytope_volumes) that
+evaluates many slab systems per call with the scalar kernel's
+floating-point operations, so every lane has the scalar result's bits.
+slab_volumes picks between them by lane count; the scalar kernels also
+serve section_quadrature, which holds one system at a time.
 """
 
 from __future__ import annotations
@@ -94,42 +97,50 @@ def _clip_polygon(poly, nx, ny, b, eps):
     return out
 
 
-def _polygon_seed_rows(W):
-    """(i0, i1, det) of the rows seeding the 2-D clipper and their
-    determinant, or None when W is degenerate at the clipper's tolerance
-    (polygon_area then returns 0.0)."""
-    i0 = int(np.argmax(np.einsum("ij,ij->i", W, W)))
-    dets = W[i0, 0] * W[:, 1] - W[i0, 1] * W[:, 0]
-    i1 = int(np.argmax(np.abs(dets)))
-    det = dets[i1]
-    if abs(det) < 1e-14 * (1.0 + float(np.abs(W).max())) ** 2:
+def _polygon_seed_rows(rows):
+    """(i0, i1, det) of the rows (a list of (x, y) floats) seeding the 2-D
+    clipper and their determinant, or None when they are degenerate at the
+    clipper's tolerance (polygon_area then returns 0.0)."""
+    norms = [x * x + y * y for x, y in rows]
+    i0 = norms.index(max(norms))
+    x0, y0 = rows[i0]
+    dets = [x0 * y - y0 * x for x, y in rows]
+    sizes = [abs(det) for det in dets]
+    i1 = sizes.index(max(sizes))
+    wmax = max(max(abs(x), abs(y)) for x, y in rows)
+    if sizes[i1] < 1e-14 * (1.0 + wmax) ** 2:
         return None
-    return i0, i1, det
+    return i0, i1, dets[i1]
 
 
 def polygon_area(W, lo, hi):
     """Area of the intersection of 2-D slabs lo_i <= <w_i, y> <= hi_i."""
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
+    return _polygon_area(np.asarray(W, dtype=float).tolist(), np.asarray(lo, dtype=float).tolist(),
+                         np.asarray(hi, dtype=float).tolist())
+
+
+def _polygon_area(rows, lo, hi):
+    """polygon_area of rows, lo and hi given as lists of Python floats: the
+    IEEE operations of polygon_areas' numpy ones, faster for one system."""
     # Seed polygon: the parallelogram cut out by the best-conditioned pair.
-    seeds = _polygon_seed_rows(W)
+    seeds = _polygon_seed_rows(rows)
     if seeds is None:
         return 0.0
     i0, i1, det = seeds
-    a00, a01 = W[i0]
-    a10, a11 = W[i1]
+    a00, a01 = rows[i0]
+    a10, a11 = rows[i1]
     poly = []
     for s, t in ((lo[i0], lo[i1]), (hi[i0], lo[i1]), (hi[i0], hi[i1]), (lo[i0], hi[i1])):
         poly.append(((a11 * s - a01 * t) / det, (a00 * t - a10 * s) / det))
     scale = 1.0 + max(abs(p[0]) + abs(p[1]) for p in poly)
     eps = 1e-14 * scale
-    for i in range(m):
+    for i, (nx, ny) in enumerate(rows):
         if i == i0 or i == i1:
             continue
-        poly = _clip_polygon(poly, W[i, 0], W[i, 1], hi[i], eps)
+        poly = _clip_polygon(poly, nx, ny, hi[i], eps)
         if len(poly) < 3:
             return 0.0
-        poly = _clip_polygon(poly, -W[i, 0], -W[i, 1], -lo[i], eps)
+        poly = _clip_polygon(poly, -nx, -ny, -lo[i], eps)
         if len(poly) < 3:
             return 0.0
     area = 0.0
@@ -244,154 +255,154 @@ def polygon_areas(W, lo, hi):
 
 # -- 3-D slab intersections --------------------------------------------------
 
-_CUBE_FACES = (
-    (0, 2, 6, 4),
-    (1, 3, 7, 5),
-    (0, 1, 5, 4),
-    (2, 3, 7, 6),
-    (0, 1, 3, 2),
-    (4, 5, 7, 6),
-)
+# a row whose direction lies within this sine of an earlier row's merges
+# into that row's slab before the facet recursion (see polytope_volumes)
+_PARALLEL_SINE = 1e-8
+
+# a lane some row of which misses its seed cell by this multiple of the
+# cell's coordinate scale is empty.  That scale, 1 + |c|_1 + sum_s half_s
+# |g_s|_1, is at most 7 (1 + the corners' largest 1-norm), and
+# SlabBlock.candidates drops only lanes that miss the cell by 1e-9 times the
+# latter, so each of those evaluates to exactly 0.0
+_EMPTY_MARGIN = 1e-11
+
+# lanes per batch of polytope_volumes: a lane has up to 2m facets of m - 1
+# rows each, so this bounds the working memory of polygon_areas
+_POLYTOPE_LANES = 1 << 7
 
 
-def _clip_faces(faces, n, b, eps):
-    """Clip a convex polyhedron (list of vertex-cycle faces) by <n,y> <= b."""
-    newfaces = []
-    cut = []
-    for face in faces:
-        out = []
-        m = len(face)
-        for i in range(m):
-            p = face[i]
-            q = face[(i + 1) % m]
-            dp = n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - b
-            dq = n[0] * q[0] + n[1] * q[1] + n[2] * q[2] - b
-            if dp <= eps:
-                out.append(p)
-            if (dp < -eps and dq > eps) or (dp > eps and dq < -eps):
-                t = dp / (dp - dq)
-                x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]), p[2] + t * (q[2] - p[2]))
-                out.append(x)
-                cut.append(x)
-        if len(out) >= 3:
-            newfaces.append(out)
-    if len(cut) >= 3:
-        # Deduplicate and order the section polygon around its centroid.
-        uniq = []
-        for x in cut:
-            dup = False
-            for y in uniq:
-                if abs(x[0] - y[0]) + abs(x[1] - y[1]) + abs(x[2] - y[2]) < 10.0 * eps:
-                    dup = True
-                    break
-            if not dup:
-                uniq.append(x)
-        if len(uniq) >= 3:
-            nn = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-            nu = (n[0] / nn, n[1] / nn, n[2] / nn)
-            ax = min(range(3), key=lambda j: abs(nu[j]))
-            e = [0.0, 0.0, 0.0]
-            e[ax] = 1.0
-            u = (
-                e[0] - nu[0] * nu[ax],
-                e[1] - nu[1] * nu[ax],
-                e[2] - nu[2] * nu[ax],
-            )
-            un = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-            u = (u[0] / un, u[1] / un, u[2] / un)
-            v = (
-                nu[1] * u[2] - nu[2] * u[1],
-                nu[2] * u[0] - nu[0] * u[2],
-                nu[0] * u[1] - nu[1] * u[0],
-            )
-            cx = sum(x[0] for x in uniq) / len(uniq)
-            cy = sum(x[1] for x in uniq) / len(uniq)
-            cz = sum(x[2] for x in uniq) / len(uniq)
-            uniq.sort(
-                key=lambda x: math.atan2(
-                    (x[0] - cx) * v[0] + (x[1] - cy) * v[1] + (x[2] - cz) * v[2],
-                    (x[0] - cx) * u[0] + (x[1] - cy) * u[1] + (x[2] - cz) * u[2],
-                )
-            )
-            newfaces.append(uniq)
-    return newfaces
+def _dot(a, b):
+    """<a, b> over the last axis of 3-vectors, the three products added in
+    order, as polytope_volume adds them."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _faces_volume(faces):
-    """Volume of a convex polyhedron given as unordered-orientation faces.
-
-    Sums pyramid volumes from the global vertex centroid; convexity makes
-    the solid star-shaped from that point, so orientations cancel out.
-    """
-    sx = sy = sz = 0.0
-    cnt = 0
-    for face in faces:
-        for p in face:
-            sx += p[0]
-            sy += p[1]
-            sz += p[2]
-            cnt += 1
-    if cnt == 0:
-        return 0.0
-    cx, cy, cz = sx / cnt, sy / cnt, sz / cnt
-    vol = 0.0
-    for face in faces:
-        m = len(face)
-        ax = ay = az = 0.0  # Newell area vector (x2)
-        for i in range(m):
-            p = face[i]
-            q = face[(i + 1) % m]
-            ax += p[1] * q[2] - p[2] * q[1]
-            ay += p[2] * q[0] - p[0] * q[2]
-            az += p[0] * q[1] - p[1] * q[0]
-        p0 = face[0]
-        h = ax * (p0[0] - cx) + ay * (p0[1] - cy) + az * (p0[2] - cz)
-        vol += abs(h)
-    return vol / 6.0
+def _cross(a, b):
+    """a x b over the last axis of 3-vectors."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _polytope_seed_rows(W):
-    """(i0, i1, i2) of the rows seeding the 3-D clipper, or None when W is
-    degenerate at the clipper's tolerance (polytope_volume then returns 0.0)."""
-    i0 = int(np.argmax(np.einsum("ij,ij->i", W, W)))
-    cr = np.cross(W[i0], W)
-    i1 = int(np.argmax(np.einsum("ij,ij->i", cr, cr)))
-    dets = cr[i1] @ W.T
-    i2 = int(np.argmax(np.abs(dets)))
-    if abs(dets[i2]) < 1e-14 * (1.0 + float(np.abs(W).max())) ** 3:
+def _dot1(a, b):
+    """_dot of two 3-vectors given as sequences of Python floats."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross1(a, b):
+    """_cross of two 3-vectors given as sequences of Python floats."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _polytope_seed_rows(rows):
+    """(i0, i1, i2) of the rows (a list of [x, y, z] floats) spanning the
+    seed cell: the longest row, the one most transverse to it and the one
+    farthest from their plane; None when their determinant is below
+    1e-14 (1 + max |w|)^3 (the kernels then return 0.0)."""
+    norms = [_dot1(w, w) for w in rows]
+    i0 = norms.index(max(norms))
+    crs = [_cross1(rows[i0], w) for w in rows]
+    sizes = [_dot1(c, c) for c in crs]
+    i1 = sizes.index(max(sizes))
+    dets = [abs(_dot1(w, crs[i1])) for w in rows]
+    i2 = dets.index(max(dets))
+    scale = 1.0 + max(abs(c) for w in rows for c in w)
+    if dets[i2] < 1e-14 * (scale * scale * scale):
         return None
     return i0, i1, i2
 
 
+def _polytope_seed_lanes(W):
+    """_polytope_seed_rows of each lane of W (L, m, 3): (seeds (L, 3), ok
+    (L,)), ok false where it returns None."""
+    lanes = np.arange(len(W))
+    i0 = np.argmax(_dot(W, W), axis=1)
+    crs = _cross(W[lanes, i0][:, None, :], W)
+    i1 = np.argmax(_dot(crs, crs), axis=1)
+    dets = np.abs(_dot(W, crs[lanes, i1][:, None, :]))
+    i2 = np.argmax(dets, axis=1)
+    scale = 1.0 + np.abs(W).max(axis=(1, 2))
+    ok = dets[lanes, i2] >= 1e-14 * (scale * scale * scale)
+    return np.stack([i0, i1, i2], axis=1), ok
+
+
 def polytope_volume(W, lo, hi):
-    """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i."""
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
-    seeds = _polytope_seed_rows(W)
+    """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i.
+
+    One lane of polytope_volumes on Python floats: the same IEEE operations
+    in the same order, so the same bits, at a fraction of the numpy calls'
+    fixed cost."""
+    rows = np.asarray(W, dtype=float).tolist()
+    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+    m = len(rows)
+    seeds = _polytope_seed_rows(rows)
     if seeds is None:
         return 0.0
-    i0, i1, i2 = seeds
-    M = np.vstack([W[i0], W[i1], W[i2]])
-    Minv = np.linalg.inv(M)
-    bounds = ((lo[i0], hi[i0]), (lo[i1], hi[i1]), (lo[i2], hi[i2]))
-    verts = []
-    for bits in range(8):
-        rhs = np.array([bounds[j][(bits >> j) & 1] for j in range(3)])
-        verts.append(tuple(Minv @ rhs))
-    faces = [[verts[j] for j in cycle] for cycle in _CUBE_FACES]
-    scale = 1.0 + max(abs(v[0]) + abs(v[1]) + abs(v[2]) for v in verts)
-    eps = 1e-13 * scale
-    for i in range(m):
-        if i == i0 or i == i1 or i == i2:
+    r = [rows[s] for s in seeds]
+    g = [_cross1(r[1], r[2]), _cross1(r[2], r[0]), _cross1(r[0], r[1])]
+    det = _dot1(r[0], g[0])
+    g = [[c / det for c in gs] for gs in g]
+    mid = [0.5 * (lo[s] + hi[s]) for s in seeds]
+    half = [0.5 * (hi[s] - lo[s]) for s in seeds]
+    centre = [mid[0] * g[0][k] + mid[1] * g[1][k] + mid[2] * g[2][k] for k in range(3)]
+    blo, bhi, slack = [], [], []
+    scale = 1.0 + (abs(centre[0]) + abs(centre[1]) + abs(centre[2]))
+    for s in range(3):
+        scale += half[s] * (abs(g[s][0]) + abs(g[s][1]) + abs(g[s][2]))
+    for i, w in enumerate(rows):
+        wc = _dot1(w, centre)
+        blo.append(lo[i] - wc)
+        bhi.append(hi[i] - wc)
+        reach = (half[0] * abs(_dot1(w, g[0])) + half[1] * abs(_dot1(w, g[1]))
+                 + half[2] * abs(_dot1(w, g[2])))
+        slack.append(reach + _EMPTY_MARGIN * scale)
+        if blo[i] > slack[i] or bhi[i] < -slack[i]:
+            return 0.0
+    norms = [_dot1(w, w) for w in rows]
+    alive = [True] * m
+    for j in range(1, m):
+        for i in range(j):
+            c = _cross1(rows[j], rows[i])
+            if alive[i] and _dot1(c, c) <= _PARALLEL_SINE**2 * (norms[j] * norms[i]):
+                alive[j] = False
+                alpha = _dot1(rows[j], rows[i]) / norms[i]
+                a, b = blo[j] / alpha, bhi[j] / alpha
+                blo[i] = max(blo[i], min(a, b))
+                bhi[i] = min(bhi[i], max(a, b))
+                break
+    if any(l >= h for l, h in zip(blo, bhi)):
+        return 0.0
+    total = 0.0
+    for i, n in enumerate(rows):
+        if not alive[i]:
             continue
-        n = (W[i, 0], W[i, 1], W[i, 2])
-        faces = _clip_faces(faces, n, hi[i], eps)
-        if not faces:
-            return 0.0
-        faces = _clip_faces(faces, (-n[0], -n[1], -n[2]), -lo[i], eps)
-        if not faces:
-            return 0.0
-    return _faces_volume(faces)
+        e = [0.0, 0.0, 0.0]
+        size = [abs(c) for c in n]
+        e[size.index(min(size))] = 1.0
+        u = _cross1(n, e)
+        unorm = math.sqrt(_dot1(u, u))
+        u = [c / unorm for c in u]
+        nnorm = math.sqrt(norms[i])
+        v = [c / nnorm for c in _cross1(n, u)]
+        for plane, sign in ((bhi[i], 1.0), (blo[i], -1.0)):
+            if sign * plane > slack[i]:  # the plane misses the seed cell
+                continue
+            t = plane / norms[i]
+            flat, flo, fhi = [], [], []
+            for j, w in enumerate(rows):
+                if j == i:
+                    continue
+                if not alive[j]:
+                    flat.append([0.0, 0.0])
+                    flo.append(-1.0)
+                    fhi.append(1.0)
+                    continue
+                foot = t * _dot1(n, w)
+                flat.append([_dot1(w, u), _dot1(w, v)])
+                flo.append(blo[j] - foot)
+                fhi.append(bhi[j] - foot)
+            total += (sign * plane) / nnorm * _polygon_area(flat, flo, fhi)
+    return total / 3.0
 
 
 def _sum_in_order(terms):
@@ -401,177 +412,40 @@ def _sum_in_order(terms):
     return np.cumsum(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
 
 
-def _section_order(x, y, z, cnt, n):
-    """For each lane l, the order in which _clip_faces sorts the section
-    polygon x[l, :cnt[l]] (and y, z) of the plane with normal n[l]: by the
-    angle around its centroid, ties kept in place."""
-    count, width = x.shape
-    lanes = np.arange(count)
-    n0, n1, n2 = n.T
-    nn = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-    nu = n / nn[:, None]
-    ax = np.argmin(np.abs(nu), axis=1)
-    e = np.zeros((count, 3))
-    e[lanes, ax] = 1.0
-    u = e - nu * nu[lanes, ax][:, None]
-    u0, u1, u2 = u.T
-    un = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-    u0, u1, u2 = u0 / un, u1 / un, u2 / un
-    nu0, nu1, nu2 = nu.T
-    v0, v1, v2 = nu1 * u2 - nu2 * u1, nu2 * u0 - nu0 * u2, nu0 * u1 - nu1 * u0
-    valid = np.arange(width) < cnt[:, None]
-    cx, cy, cz = (_sum_in_order(np.where(valid, a, 0.0)) / cnt for a in (x, y, z))
-    dx, dy, dz = x - cx[:, None], y - cy[:, None], z - cz[:, None]
-    ky = dx * v0[:, None] + dy * v1[:, None] + dz * v2[:, None]
-    kx = dx * u0[:, None] + dy * u1[:, None] + dz * u2[:, None]
-    # padding sorts last: every angle lies in [-pi, pi]
-    key = np.where(valid, np.arctan2(ky, kx), 4.0)
-    order = np.argsort(key, axis=1, kind="stable")
-    # np.arctan2 and math.atan2 may differ in the last bit, which can only
-    # reorder keys that nearly tie: those lanes sort with math.atan2
-    ranked = np.take_along_axis(key, order, axis=1)
-    a, b = ranked[:, :-1], ranked[:, 1:]
-    near = (b - a <= 1e-14 * np.maximum(np.abs(a), np.abs(b))) & valid[:, 1:]
-    for lane in np.flatnonzero(near.any(axis=1)):
-        c = int(cnt[lane])
-        order[lane, :c] = sorted(
-            range(c), key=lambda i: math.atan2(ky[lane, i], kx[lane, i])
-        )
-    return order
-
-
-def _next_vertex(a, cnt):
-    """a[..., j + 1] at each vertex j of the cycles a[..., :cnt] (vertex 0
-    after the last); other slots are arbitrary."""
-    shifted = np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
-    return np.where(np.arange(a.shape[-1]) == cnt[..., None] - 1, a[..., :1], shifted)
-
-
-def _first_distinct(cx, cy, cz, ncut, tol):
-    """Mask of the points of each lane l, its first ncut[l] of cx[l], cy[l],
-    cz[l], that _clip_faces keeps: those not within tol[l] (l1) of an
-    earlier kept point.
-
-    uniq[k] depends only on uniq[:k], so the rule has one solution; iterating
-    it on all points at once from uniq = present fixes one more point per
-    pass, and the first repeat is that solution.
-    """
-    present = np.arange(cx.shape[1]) < ncut[:, None]
-    dist = (np.abs(cx[:, :, None] - cx[:, None, :]) + np.abs(cy[:, :, None] - cy[:, None, :])
-            + np.abs(cz[:, :, None] - cz[:, None, :]))
-    # close[l, k, j]: point j < k lies within tol of point k
-    close = (dist < tol[:, None, None]) & np.tri(cx.shape[1], k=-1, dtype=bool)
-    uniq = present
-    while True:
-        nxt = present & ~(close & uniq[:, None, :]).any(axis=2)
-        if np.array_equal(nxt, uniq):
-            return uniq
-        uniq = nxt
-
-
-def _clip_faces_lanes(x, y, z, cnt, n, b, eps):
-    """_clip_faces for every lane l: its faces x[l, f, :cnt[l, f]] (and y,
-    z) in order of f, cnt[l, f] = 0 marking padding, clipped by <n[l], p> <=
-    b[l].
-
-    Returns the faces in the same form: each lane's clipped faces that keep
-    3 or more vertices, in order and moved to the front, then its section
-    polygon.
-    """
-    count, faces, width = x.shape
-    valid = np.arange(width) < cnt[..., None]
-    n0, n1, n2 = (n[:, i, None, None] for i in range(3))
-    dp = n0 * x + n1 * y + n2 * z - b[:, None, None]
-    dq = _next_vertex(dp, cnt)
-    e = eps[:, None, None]
-    keep = valid & (dp <= e)
-    cross = valid & (((dp < -e) & (dq > e)) | ((dp > e) & (dq < -e)))
-    # each vertex emits itself if kept, then its edge's crossing point
-    step = keep.astype(np.intp) + cross
-    pos = np.cumsum(step, axis=2) - step
-    counts = pos[..., -1] + step[..., -1]
-    # crossings in (lane, face, edge) order: the order of _clip_faces' cut list
-    r, f, c = np.nonzero(cross)
-    q = np.where(c + 1 < cnt[r, f], c + 1, 0)
-    # nonzero denominators: dp and dq lie beyond eps on opposite sides
-    t = dp[r, f, c] / (dp[r, f, c] - dq[r, f, c])
-    px, py, pz = x[r, f, c], y[r, f, c], z[r, f, c]
-    cut = (px + t * (x[r, f, q] - px), py + t * (y[r, f, q] - py), pz + t * (z[r, f, q] - pz))
-    # each lane's cut list, padded; points within 10 eps (l1) of an earlier
-    # kept one are dropped
-    ncut = np.bincount(r, minlength=count)
-    slot = np.arange(r.size) - (np.cumsum(ncut) - ncut)[r]
-    cx, cy, cz = (np.zeros((count, int(ncut.max()))) for _ in range(3))
-    cx[r, slot], cy[r, slot], cz[r, slot] = cut
-    uniq = _first_distinct(cx, cy, cz, ncut, 10.0 * eps)
-    nuniq = uniq.sum(axis=1)  # 3 or more only where ncut is
-    has_section = nuniq >= 3
-    section = np.flatnonzero(has_section)
-    # the faces that keep 3 or more vertices move to the front of their lane,
-    # in order; the section polygon follows them
-    kept = counts >= 3
-    dest = np.cumsum(kept, axis=1) - 1
-    nkept = kept.sum(axis=1)
-    out_faces = max(int((nkept + has_section).max()), 1)
-    out_width = max(int(counts.max()), int(nuniq.max()), 1)
-    ox, oy, oz = (np.zeros((count, out_faces, out_width)) for _ in range(3))
-    out_cnt = np.zeros((count, out_faces), dtype=np.intp)
-    lf = np.nonzero(kept)
-    out_cnt[lf[0], dest[lf]] = counts[lf]
-    kr, kf, kc = np.nonzero(keep & kept[..., None])
-    at = (kr, dest[kr, kf], pos[kr, kf, kc])
-    ox[at], oy[at], oz[at] = x[kr, kf, kc], y[kr, kf, kc], z[kr, kf, kc]
-    on = kept[r, f]
-    at = (r[on], dest[r, f][on], (pos[r, f, c] + keep[r, f, c])[on])
-    ox[at], oy[at], oz[at] = cut[0][on], cut[1][on], cut[2][on]
-    if section.size:
-        sx, sy, sz = (np.zeros((section.size, int(nuniq[section].max()))) for _ in range(3))
-        upos = np.cumsum(uniq[section], axis=1) - uniq[section]
-        sr, sk = np.nonzero(uniq[section])
-        at = upos[sr, sk]
-        sx[sr, at], sy[sr, at], sz[sr, at] = (a[section][sr, sk] for a in (cx, cy, cz))
-        order = _section_order(sx, sy, sz, nuniq[section], n[section])
-        width = sx.shape[1]
-        for o, s in ((ox, sx), (oy, sy), (oz, sz)):
-            o[section, nkept[section], :width] = np.take_along_axis(s, order, axis=1)
-        out_cnt[section, nkept[section]] = nuniq[section]
-    return ox, oy, oz, out_cnt
-
-
-def _faces_volumes(x, y, z, cnt):
-    """_faces_volume of every lane's faces, given as in _clip_faces_lanes."""
-    count, faces, width = x.shape
-    valid = np.arange(width) < cnt[..., None]
-    total = cnt.sum(axis=1)
-    cx, cy, cz = (
-        _sum_in_order(np.where(valid, a, 0.0).reshape(count, -1)) / total for a in (x, y, z)
-    )
-    qx, qy, qz = (_next_vertex(a, cnt) for a in (x, y, z))
-    ax = _sum_in_order(np.where(valid, y * qz - z * qy, 0.0))
-    ay = _sum_in_order(np.where(valid, z * qx - x * qz, 0.0))
-    az = _sum_in_order(np.where(valid, x * qy - y * qx, 0.0))
-    h = (ax * (x[:, :, 0] - cx[:, None]) + ay * (y[:, :, 0] - cy[:, None])
-         + az * (z[:, :, 0] - cz[:, None]))
-    return _sum_in_order(np.where(cnt > 0, np.abs(h), 0.0)) / 6.0
-
-
-# lanes that polytope_volumes clips together: a lane holds a padded
-# polyhedron, so this bounds the working memory
-_POLYTOPE_LANES = 1 << 7
-
-
 def polytope_volumes(W, lo, hi):
     """polytope_volume of each lane l: the 3-D slabs lo[l, i] <= <W[l, i], y>
-    <= hi[l, i] for W (L, m, 3), lo and hi (L, m); returns (L,) volumes.
+    <= hi[l, i] for W (L, m, 3), lo and hi (L, m) with lo <= hi; returns (L,)
+    volumes.
 
-    Every lane goes through polytope_volume's floating-point operations in
-    its order (seed rows, Minv @ rhs, eps, the hi then -lo face clip of each
-    other row in row order, the cut-point dedupe and angular sort, the Newell
-    volume), so each volume has polytope_volume's bits.  Faces sit in arrays
-    padded to the most faces and vertices of any lane, _POLYTOPE_LANES lanes
-    at a time; a lane leaves once it has no face left.
+    Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
+    cell (the parallelepiped of its seed rows, which holds the polytope),
+    vol = (1/3) sum over rows i and sides of h |F|, h the signed distance of
+    the side's plane from c and F the facet the plane cuts from the other
+    rows: a 2-D slab system in an orthonormal basis of w_i-perp, whose
+    bounds shift by <w_j, x0> for x0 the plane's foot.  A batch's facets go
+    through one polygon_areas call, and each lane adds its 2m terms from
+    0.0 in row-then-side order, so a volume has the bits of polytope_volume
+    and does not depend on the other lanes of its call.
+
+    A row within sine _PARALLEL_SINE = tau of an earlier live row i first
+    merges into it: its interval, scaled by <w_j, w_i> / |w_i|^2 about c, is
+    intersected with row i's.  Coincident facets would otherwise count
+    twice, and facets theta apart lose about u / theta relative (u the unit
+    roundoff) where they cut each other.  The merge tilts the merged slab's
+    planes about c by at most tau, which moves them at most tau R inside the
+    seed cell, R its largest distance from c; so each merged row changes
+    the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
+    section.  Otherwise each term carries polygon_area's error (its clip
+    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
+    facet's perimeter) times |h|, and the projections and the sum add
+    O(m u) of sum |h| |F|.
+
+    A lane with degenerate seed rows, or with a row that misses the seed
+    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0; a facet
+    whose plane misses the cell that way is skipped.  Lanes go
+    _POLYTOPE_LANES at a time.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.ascontiguousarray(W, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = np.zeros(len(W))
@@ -581,56 +455,120 @@ def polytope_volumes(W, lo, hi):
     return out
 
 
+def _frame_tables(F):
+    """What polytope_volumes needs of the frames F (K, m, 3) alone: seeds,
+    ok, g (the seed cell's edge vectors per unit half-width), the 1-norms of
+    g, |<w_i, g_s>|, the rows' squared norms, their Gram matrix, the pairs
+    parallel within _PARALLEL_SINE, and each row i's other rows in an
+    orthonormal basis of w_i-perp (K, m, m - 1, 2)."""
+    count, m, _ = F.shape
+    seeds, ok = _polytope_seed_lanes(F)
+    frames = np.arange(count)[:, None]
+    r = F[frames, seeds]  # (K, 3, 3)
+    # g[:, s] = r_{s+1} x r_{s+2} / det, so <r_s, g_t> = delta_st and the seed
+    # cell is {c + sum_s t_s half_s g_s : |t_s| <= 1}
+    g = _cross(r[:, [1, 2, 0]], r[:, [2, 0, 1]])
+    g = g / np.where(ok, _dot(r[:, 0], g[:, 0]), 1.0)[:, None, None]
+    ag = np.abs(g)
+    gl1 = ag[..., 0] + ag[..., 1] + ag[..., 2]
+    wg = np.abs(_dot(F[:, :, None, :], g[:, None, :, :]))  # (K, m, 3)
+    norms = _dot(F, F)
+    gram = _dot(F[:, :, None, :], F[:, None, :, :])  # (K, m, m)
+    crs = _cross(F[:, :, None, :], F[:, None, :, :])
+    parallel = _dot(crs, crs) <= _PARALLEL_SINE**2 * (norms[:, :, None] * norms[:, None, :])
+    e = np.zeros_like(F)
+    e[frames, np.arange(m), np.argmin(np.abs(F), axis=2)] = 1.0
+    u = _cross(F, e)
+    # (a degenerate frame may hold a zero row; its lanes are empty)
+    unorm = np.sqrt(_dot(u, u))
+    u = u / np.where(unorm > 0.0, unorm, 1.0)[..., None]
+    nnorm = np.sqrt(norms)
+    v = _cross(F, u) / np.where(nnorm > 0.0, nnorm, 1.0)[..., None]
+    wo = F[:, _others(m)]  # (K, m, m - 1, 3)
+    flat = np.stack([_dot(wo, u[:, :, None, :]), _dot(wo, v[:, :, None, :])], axis=-1)
+    return seeds, ok, g, gl1, wg, norms, gram, parallel, flat
+
+
+def _others(m):
+    """(m, m - 1): row i lists the indices other than i of m rows, in order."""
+    return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
 def _polytope_volumes(W, lo, hi):
     count, m, _ = W.shape
-    out = np.zeros(count)
-    lanes = np.arange(count)
-    i0 = np.argmax(np.einsum("lij,lij->li", W, W), axis=1)
-    cr = np.cross(W[lanes, i0][:, None, :], W)
-    i1 = np.argmax(np.einsum("lij,lij->li", cr, cr), axis=1)
-    dets = np.matmul(W, cr[lanes, i1][:, :, None])[:, :, 0]
-    i2 = np.argmax(np.abs(dets), axis=1)
-    det = dets[lanes, i2]
-    wmax = np.abs(W).max(axis=(1, 2))
-    thr = 1e-14 * (1.0 + wmax) ** 3
-    degenerate = np.abs(det) < thr
-    # numpy's cube may differ from Python's float pow, which polytope_volume
-    # uses, in the last bits: settle lanes that close to the threshold with
-    # its own expression
-    for lane in np.flatnonzero(np.abs(np.abs(det) - thr) <= 1e-14 * thr):
-        degenerate[lane] = abs(det[lane]) < 1e-14 * (1.0 + float(wmax[lane])) ** 3
-    idx = np.flatnonzero(~degenerate)
-    if not idx.size:
-        return out
-    W, lo, hi = W[idx], lo[idx], hi[idx]
-    lanes = np.arange(idx.size)[:, None]
-    seeds = np.stack([i0[idx], i1[idx], i2[idx]], axis=1)
-    m_inv = np.linalg.inv(W[lanes, seeds])
-    upper = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1  # corner bits -> hi
-    rhs = np.where(upper, hi[lanes, seeds][:, None, :], lo[lanes, seeds][:, None, :])
-    verts = np.matmul(m_inv[:, None], rhs[..., None])[..., 0]  # (L, 8, 3)
-    l1 = np.abs(verts[..., 0]) + np.abs(verts[..., 1]) + np.abs(verts[..., 2])
-    scale = 1.0 + l1.max(axis=1)
-    eps = 1e-13 * scale
-    x, y, z = (verts[:, _CUBE_FACES, i] for i in range(3))
-    cnt = np.full((idx.size, len(_CUBE_FACES)), 4)
-    # each lane's m - 3 non-seed rows, in row order
-    rows = np.broadcast_to(np.arange(m), (idx.size, m))
-    others = rows[(rows[:, :, None] != seeds[:, None, :]).all(axis=2)].reshape(idx.size, m - 3)
-    for r in range(m - 3):
-        for side in (1.0, -1.0):  # the hi side, then the -lo side
-            lanes = np.arange(idx.size)
-            i = others[:, r]
-            b = hi[lanes, i] if side > 0.0 else -lo[lanes, i]
-            x, y, z, cnt = _clip_faces_lanes(x, y, z, cnt, side * W[lanes, i], b, eps)
-            alive = (cnt > 0).any(axis=1)
-            if not alive.all():
-                x, y, z, cnt, eps = x[alive], y[alive], z[alive], cnt[alive], eps[alive]
-                W, lo, hi, others, idx = W[alive], lo[alive], hi[alive], others[alive], idx[alive]
-                if not idx.size:
-                    return out
-    out[idx] = _faces_volumes(x, y, z, cnt)
-    return out
+    # a pooled call's lanes come in runs that share one frame (a block's
+    # rows): the frame's own quantities are computed once per run
+    bits = W.reshape(count, -1).view(np.int64)
+    new = np.ones(count, dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    run = np.cumsum(new) - 1
+    seeds, ok, g, gl1, wg, norms, gram, parallel, flat = _frame_tables(W[new])
+    seeds, ok, g, gl1, wg = seeds[run], ok[run], g[run], gl1[run], wg[run]
+    lanes = np.arange(count)[:, None]
+    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
+    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
+    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
+    wc = _dot(W, centre[:, None, :])
+    blo, bhi = lo - wc, hi - wc  # the bounds about c
+    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
+    for s in range(3):
+        scale = scale + half[:, s] * gl1[:, s]
+    # the largest |<w_i, y - c>| over the seed cell, plus the margin
+    slack = (half[:, None, 0] * wg[..., 0] + half[:, None, 1] * wg[..., 1]
+             + half[:, None, 2] * wg[..., 2]) + (_EMPTY_MARGIN * scale)[:, None]
+    empty = ~ok | ((blo > slack) | (bhi < -slack)).any(axis=1)
+    merge = parallel[run] & ~empty[:, None, None]
+    alive = np.ones((count, m), dtype=bool)
+    for j in range(1, m):
+        into = merge[:, j, :j] & alive[:, :j]
+        hit = np.flatnonzero(into.any(axis=1))
+        if not hit.size:
+            continue
+        i = np.argmax(into[hit], axis=1)  # the first live row parallel to j
+        alive[hit, j] = False
+        alpha = gram[run[hit], j, i] / norms[run[hit], i]
+        a, b = blo[hit, j] / alpha, bhi[hit, j] / alpha
+        blo[hit, i] = np.maximum(blo[hit, i], np.minimum(a, b))
+        bhi[hit, i] = np.minimum(bhi[hit, i], np.maximum(a, b))
+    empty |= (blo >= bhi).any(axis=1)
+    # facet (l, i, side): the plane <w_i, y - c> = bhi (side 0) or blo (side 1)
+    # (its outward distance from c is signed / |w_i|; a plane beyond the seed
+    # cell cuts no facet)
+    plane = np.stack([bhi, blo], axis=2)
+    signed = plane * np.array([1.0, -1.0])
+    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (alive & ~empty[:, None])[:, :, None])
+    if not fl.size:
+        return np.zeros(count)
+    fk = run[fl]
+    rows = _others(m)[fi]  # (F, m - 1)
+    b = plane[fl, fi, fs]
+    nn = norms[fk, fi]
+    foot = (b / nn)[:, None] * gram[fk[:, None], fi[:, None], rows]
+    flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
+    flat = flat[fk, fi]
+    # merged rows become zero rows that every point satisfies
+    dead = ~alive[fl[:, None], rows]
+    flat[dead] = 0.0
+    flo[dead], fhi[dead] = -1.0, 1.0
+    terms = np.zeros((count, m, 2))
+    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * polygon_areas(flat, flo, fhi)
+    return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
+
+
+def clip_seed_rows(W):
+    """Indices of the seed rows of the 2-D clipper's parallelogram or of the
+    3-D recursion's seed cell, which hold the polygon or polytope of every
+    lo, hi, or None when W is degenerate and the kernels return 0.0 for
+    every lo, hi.
+    """
+    rows = np.asarray(W, dtype=float).tolist()
+    d = len(rows[0])
+    if d == 2:
+        seeds = _polygon_seed_rows(rows)
+        return None if seeds is None else seeds[:2]
+    if d == 3:
+        return _polytope_seed_rows(rows)
+    raise ValueError(f"clip_seed_rows supports dimensions 2-3, got {d}")
 
 
 def slab_volume(W, lo, hi) -> float:
@@ -648,9 +586,10 @@ def slab_volume(W, lo, hi) -> float:
 def slab_volumes(W, lo, hi) -> np.ndarray:
     """slab_volume of each lane: W (L, m, d), lo and hi (L, m), d in {1, 2, 3}.
 
-    One lane runs slab_volume, 6-25x faster there than a lane kernel's
-    fixed cost (2-core x86 VM, a Haar frame: 2-D, m = 4: 0.03 against
-    0.37 ms; 3-D, m = 5: 0.26 against 1.7 ms), with the same bits.
+    One lane runs slab_volume, 3-20x faster there than a lane kernel's
+    fixed cost (2-core x86 VM, a centred Haar frame: 2-D, m = 4: 0.03
+    against 0.5-0.8 ms; 3-D, m = 5: 0.27 against 0.8 ms), with the same
+    bits.
     """
     if len(W) == 1:
         return np.array([slab_volume(W[0], lo[0], hi[0])])
@@ -662,20 +601,6 @@ def slab_volumes(W, lo, hi) -> np.ndarray:
     if d == 3:
         return polytope_volumes(W, lo, hi)
     raise ValueError(f"slab_volumes supports dimensions 1-3, got {d}")
-
-
-def clip_seed_rows(W):
-    """Indices of the rows from which the 2-D or 3-D clipper builds its seed
-    parallelogram or parallelepiped, or None when W is degenerate and the
-    clipper returns 0.0 for every lo, hi.
-    """
-    d = W.shape[1]
-    if d == 2:
-        seeds = _polygon_seed_rows(W)
-        return None if seeds is None else seeds[:2]
-    if d == 3:
-        return _polytope_seed_rows(W)
-    raise ValueError(f"clip_seed_rows supports dimensions 2-3, got {d}")
 
 
 # -- Signed power sums -------------------------------------------------------

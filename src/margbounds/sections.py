@@ -2,9 +2,9 @@
 
 Four routes with very different failure modes, used to cross-validate each
 other: an exact signed-sum formula for hyperplane sections (the density of a
-weighted sum of uniforms), an oscillatory Fourier (sinc-product) route, exact
-convex clipping in the section coordinates for dimensions up to three, and a
-stratified Monte Carlo fallback for higher dimensions.
+weighted sum of uniforms), an oscillatory Fourier (sinc-product) route, the
+exact slab kernels in the section coordinates for dimensions up to three, and
+a stratified Monte Carlo fallback for higher dimensions.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _tail_below_roundoff(c: np.ndarray, t_end: float, value: float) -> bool:
 
 
 def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
-    """|B cap H| by exact convex clipping in H coordinates.
+    """|B cap H| by the exact slab kernels in H coordinates.
 
     The section in the orthonormal coordinates of H is the slab intersection
     { y : |<y, w_i>| <= z_i/2 } with w_i the rows of H's basis; its volume is

@@ -4,7 +4,7 @@ A slab system { y in R^d : lo_i <= <w_i, y> <= hi_i } whose rows split into
 groups with mutually orthogonal spans factorizes: the volume is the product
 of the per-group volumes inside their span coordinates.  Since the rows
 always form a tight frame here, the group spans cover R^d, and each group of
-span dimension <= 3 is handled exactly by the clipping kernels.
+span dimension <= 3 is handled exactly by the slab kernels.
 
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
@@ -24,17 +24,19 @@ from . import kernels
 # frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
 
-# A (point, combination) pair is dropped before the clipper only when every
+# A (point, combination) pair is dropped before the kernel only when every
 # seed vertex lies outside another row's slab by this multiple of
-# (seed-matrix condition number x the clipper's coordinate scale); the
-# clippers' own eps is 1e-14 (2-D) or 1e-13 (3-D) times that scale, so such
-# a pair clips to nothing and the kernel would return exactly 0.0.
+# (seed-matrix condition number x the kernel's coordinate scale); the 2-D
+# clipper's own eps is 1e-14 times that scale, so such a pair clips to
+# nothing, and the 3-D kernel returns 0.0 for a lane that misses its seed
+# cell by kernels._EMPTY_MARGIN = 1e-11 times at most 7 times that scale:
+# either way the kernel would return exactly 0.0.
 # SlabBlock.candidates tests the separable form: the unshifted seed cell's
 # corner table against one shift per point, with the scale bounded by the
 # triangle inequality, |V - u|_1 <= |V|_1 + |u|_1.  That scale is at least
 # the shifted corners', and the two forms' rounding differs by
 # O(unit roundoff x condition number x scale), far below this margin, so
-# every dropped pair still clips to exactly 0.0.
+# every dropped pair still evaluates to exactly 0.0.
 _PREFILTER_MARGIN = 1e-9
 # (point, combination) pairs per test in SlabBlock.candidates: bounds its
 # working memory
@@ -43,7 +45,7 @@ _PREFILTER_ROWS = 1 << 10
 
 class BlockTooWideError(ValueError):
     """An irreducible slab block spans more dimensions than the exact
-    clipping kernels handle; the exact route cannot serve this frame."""
+    slab kernels handle; the exact route cannot serve this frame."""
 
 
 def _row_links(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -165,7 +167,8 @@ class SlabBlock:
     @functools.cached_property
     def _seed_frame(self):
         """(seed rows, corner selector, inverse of the seed matrix, margin) of
-        the clipper, or None when it returns 0.0 for every combination."""
+        the 2-D or 3-D kernel, or None when it returns 0.0 for every
+        combination."""
         seeds = kernels.clip_seed_rows(self.local)
         if seeds is None:
             return None
@@ -201,7 +204,7 @@ class SlabBlock:
 
     def candidates(self, shifts: np.ndarray) -> np.ndarray:
         """Indices p * C + c, in increasing order, of the (point, combination)
-        pairs that the 2-D or 3-D clipper may give a nonzero volume, pair
+        pairs that the 2-D or 3-D kernel may give a nonzero volume, pair
         (p, c) having the bounds lo[c] - shifts[p], hi[c] - shifts[p] for
         shifts (P, m) and the C combinations.
 
@@ -242,7 +245,7 @@ LANE_CAP = 1 << 14
 
 # lanes a queue of pooled_values gathers before it runs: a lockstep campaign
 # fills it every round, and a call of LANE_CAP 2-D or 3-D lanes holds tens of
-# MB of clipper arrays, while a call of this many already pays the kernels'
+# MB of kernel arrays, while a call of this many already pays the kernels'
 # fixed cost on a small share of its time
 _POOL_LANES = 1 << 10
 
@@ -427,7 +430,7 @@ def pooled_values(pairs) -> list[np.ndarray]:
     in.  A round's (point, combination) lanes pool by (m, d) into shared
     kernels.slab_volumes calls of about _POOL_LANES lanes each.  For 2-D and
     3-D blocks, the lanes whose seed cell SlabBlock.candidates certifies
-    empty skip the clipper (they would add exactly 0.0): it tests each
+    empty skip the kernel (they would add exactly 0.0): it tests each
     combination's unshifted seed-cell corner table once per point shift, in
     O(m) per lane, with a slack that covers the shifted cell's (see
     _PREFILTER_MARGIN), and only the kept lanes get their bounds

@@ -260,7 +260,7 @@ def _with_special_lanes(monkeypatch, special):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (4, 1), (5, 2)])
 def test_batched_marginal_values_match_per_sample_loop(n, k):
-    # n - k = 2 and 3 go lane-wise through the 2-D and 3-D clippers
+    # n - k = 2 and 3 go lane-wise through the 2-D and 3-D kernels
     f = _centered_density(40 + n, n)
     got = _marginal_values_at_zero(f, k, 120, 1e-9, seed=n, stream=5)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, k, 120, n, 5))
@@ -383,14 +383,27 @@ def test_paired_checks_keep_the_one_draw_per_side_bits():
     rec = prop_avg_check(_centered_density(23, 3), 1, 1000, seed=4, stream=3)
     assert rec["paired_diff"].hex() == "-0x1.59849943f5f55p+0"
     rec = grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=2, stream=1)
-    assert rec["phi_image"].hex() == "0x1.e92186c2bca57p+0"
-    assert rec["combined_se"].hex() == "0x1.24d963749f1b6p-4"
+    # the n-th powers of raw / max(raw) moved these two by an ulp: against
+    # 60-digit mpmath on the same section values, phi_image from +0.17 to
+    # -0.35 and combined_se from -0.64 to +0.24 units of 2^-52 relative
+    assert rec["phi_image"].hex() == "0x1.e92186c2bca56p+0"
+    assert rec["combined_se"].hex() == "0x1.24d963749f1b7p-4"
     rec = grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=1, stream=1)
     assert rec["difference"].hex() == "0x1.90f0b9f615500p-6"
     rec = grinberg_check([1.5, 0.8, 1.25, 0.5, 1.0 / 0.75], 5, 3, 1000, seed=3, stream=1)
-    # omega_5 / omega_3 from the closed-form volumes: one ulp above the
-    # lgamma-based ratio, and correctly rounded
-    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a2p+0"
+    # omega_5 / omega_3 from the closed-form volumes, times max(raw): 0.41
+    # units of 2^-52 relative above 60-digit mpmath (-0.13 before the powers
+    # were scaled by max(raw))
+    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a3p+0"
+
+
+def test_grinberg_identity_map_stays_finite_at_large_n():
+    # raw^400 overflows for the chords of Q_400 longer than about 5.9; the
+    # powers of raw / max(raw) do not, and the identity map's two sides agree
+    rec = grinberg_check(np.ones(400), 400, 1, 1000, seed=1)
+    assert math.isfinite(rec["phi_cube"]) and rec["phi_cube"] > 0.0
+    assert rec["phi_image"] == rec["phi_cube"] and rec["difference"] == 0.0
+    assert math.isfinite(rec["combined_se"]) and rec["pass"]
 
 
 def test_paired_checks_share_fallback_subspaces(monkeypatch):

@@ -110,6 +110,21 @@ def test_sections_quadrature_from_subspace_file(tmp_path):
     assert json.loads(out.read_text())["summary"]["value"] > 0.0
 
 
+def test_sections_quadrature_of_the_diagonal_section_of_q4(tmp_path):
+    # Ball's cube slicing case: the complement of (1, 1, 1, 1) / 2 cuts Q_4
+    # in a section of volume 4/3 (the face-list clipper reported 1.0)
+    from margbounds.grassmann import Subspace, orthonormal_complement
+
+    h = orthonormal_complement(Subspace(np.full(4, 0.5)))
+    sub_path = tmp_path / "h.json"
+    sub_path.write_text(json.dumps(h.to_json_dict()))
+    out = tmp_path / "s.json"
+    code = run(["sections", "--mode", "quadrature", "--sides", "1,1,1,1",
+                "--subspace-file", str(sub_path), "--out", str(out)])
+    assert code == 0
+    assert abs(json.loads(out.read_text())["summary"]["value"] - 4.0 / 3.0) <= 1e-14
+
+
 def test_sections_missing_normal_is_usage_error():
     assert run(["sections", "--mode", "exact", "--sides", "1,1"]) == 2
 

@@ -4,10 +4,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from exact_slab_volume import exact_slab_volume
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from margbounds import kernels
 from margbounds.grassmann import complement_bases, haar_bases, haar_directions
 from margbounds.kernels import slab_volume
+from margbounds.sections import sharp_block_subspace, sharp_paired_subspace
 
 # These tests carried a "[pure]" id while a compiled twin of the kernels
 # existed; the one-value parameter keeps their ids stable.
@@ -156,30 +160,6 @@ def test_polygon_areas_degenerate_lanes():
     assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
-def test_polytope_volume_unit_cube():
-    w = np.eye(3)
-    hi = np.full(3, 0.5)
-    assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0)
-
-
-def test_polytope_volume_cut_corner():
-    # cube [0,1]^3 cut by x+y+z <= 1/2 leaves a corner simplex of volume 1/48
-    w = np.vstack([np.eye(3), np.ones((1, 3))])
-    lo = np.array([0.0, 0.0, 0.0, -10.0])
-    hi = np.array([1.0, 1.0, 1.0, 0.5])
-    assert kernels.polytope_volume(w, lo, hi) == pytest.approx((0.5**3) / 6.0)
-
-
-def test_polytope_volume_rotation_invariance():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        w = q  # rotated axes: still a unit cube
-        hi = np.full(3, 0.5)
-        assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0, abs=1e-12)
-
-
-
 def test_interval_lengths_match_interval_length():
     """The lane-wise interval kernel against the scalar one, ==: zero and
     near-zero coefficients (feasible and not), empty and shifted lanes."""
@@ -208,11 +188,92 @@ def test_interval_lengths_match_interval_length():
         kernels.interval_lengths(flat, lo, hi)
 
 
+def _assert_exact(W, lo, hi, got, rel=1e-13):
+    """got is the exact volume of the float system within rel of its scale:
+    the volume, or 1 for a volume below 1 (a lane that is empty in exact
+    arithmetic must come out exactly 0.0)."""
+    want = exact_slab_volume(W, lo, hi)
+    if want == 0:
+        assert got == 0.0
+    else:
+        assert abs(got - float(want)) <= rel * max(float(want), 1.0)
+
+
+def test_polytope_volume_unit_cube():
+    w = np.eye(3)
+    hi = np.full(3, 0.5)
+    assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0)
+
+
+def test_polytope_volume_cut_corner():
+    # cube [0,1]^3 cut by x+y+z <= 1/2 leaves a corner simplex of volume 1/48
+    w = np.vstack([np.eye(3), np.ones((1, 3))])
+    lo = np.array([0.0, 0.0, 0.0, -10.0])
+    hi = np.array([1.0, 1.0, 1.0, 0.5])
+    assert kernels.polytope_volume(w, lo, hi) == pytest.approx((0.5**3) / 6.0)
+
+
+def test_polytope_volume_rotation_invariance():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        w = q  # rotated axes: still a unit cube
+        hi = np.full(3, 0.5)
+        assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0, abs=1e-12)
+
+
+_E1 = [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("extra,lo,hi", [
+    # a slab through two opposite edges of the cube, and one through a
+    # vertex (each once lost a section face)
+    ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [-1.0, -1.0], [1.0, 1.0]),
+    ([[1.0, 1.0, 1.0]], [-10.0], [1.5 - 1.2e-12]),
+    # a duplicated, a scaled and an antiparallel row: one facet each
+    ([_E1], [-0.5], [0.5]),
+    ([[2.0, 0.0, 0.0]], [-1.0], [1.0]),
+    ([[-1.0, 0.0, 0.0], _E1], [-0.5, -0.5], [0.5, 0.5]),
+], ids=["edges", "vertex", "duplicate", "scaled", "antiparallel"])
+def test_polytope_volume_of_the_unit_cube_with_touching_slabs(extra, lo, hi):
+    # [I_3; extra] with the cube's bounds +-1/2: the extra slabs hold the
+    # cube, so the volume is 1 up to the vertex slab's 1.2e-12 cut (exactly
+    # 1 - 1.2e-12**3 / 6)
+    w = np.vstack([np.eye(3), extra])
+    lo = np.concatenate([np.full(3, -0.5), lo])
+    hi = np.concatenate([np.full(3, 0.5), hi])
+    got = kernels.polytope_volume(w, lo, hi)
+    assert got == pytest.approx(1.0, abs=1e-14)
+    _assert_exact(w, lo, hi, got, rel=1e-14)
+    assert kernels.polytope_volumes(np.stack([w, w]), np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
+
+
+def test_polytope_volume_merges_rows_parallel_within_tau():
+    # a row 1e-11 from e_1, and a cut between its bounds and e_1's: the merge
+    # keeps the tighter interval, scaled about the seed-cell centre
+    tilt = np.array([1.0, 1e-11, 0.0])
+    w = np.vstack([np.eye(3), tilt])
+    lo = np.array([-0.5, -0.5, -0.5, -0.25])
+    hi = np.array([0.5, 0.5, 0.5, 0.5])
+    assert kernels.polytope_volume(w, lo, hi) == pytest.approx(0.75, abs=1e-11)
+    # beyond tau the rows stay apart, and a wedge of the cube is cut off
+    w[3] = [1.0, 0.5, 0.0]
+    _assert_exact(w, lo, hi, kernels.polytope_volume(w, lo, hi))
+    # x + y in [0.1, 0.5] and -(x + y) in [0.1, 0.5]: each slab meets the
+    # cube, and the merged interval is empty
+    w = np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]])
+    lo = np.array([-0.5, -0.5, -0.5, 0.1, 0.1])
+    hi = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
+    assert kernels.polytope_volume(w, lo, hi) == 0.0
+    assert kernels.polytope_volumes(w[None], lo[None], hi[None]).tolist() == [0.0]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_polytope_volumes_match_polytope_volume(n):
-    """The lane-wise 3-D clipper against the scalar one, ==, on Haar
+    """The lane-wise recursion against its one-lane twin, ==, on Haar
     complement frames with centered, shifted and empty slab systems; more
-    lanes than one internal batch."""
+    lanes than one internal batch.  Every 25th lane against the exact
+    oracle."""
     rng = np.random.default_rng(n)
     lanes = 450
     frames = complement_bases(haar_bases(n, n - 3, n, np.arange(lanes)))
@@ -224,6 +285,8 @@ def test_polytope_volumes_match_polytope_volume(n):
     want = [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < lanes
+    for lane in range(0, lanes, 25):
+        _assert_exact(frames[lane], lo[lane], hi[lane], got[lane])
 
 
 def _assert_polytope_lanes_match(frames, lo, hi):
@@ -237,64 +300,32 @@ def test_polytope_volumes_degenerate_lanes():
     frames = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], np.eye(3)])
     got = _assert_polytope_lanes_match(frames, -np.ones((2, 3)), np.ones((2, 3)))
     assert got.tolist() == [0.0, 8.0]
-    # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^3;
-    # then one at numpy's 1e-14 (1 + w)^3 for w = 1.2795..., just below the
-    # same threshold computed with Python's float pow (as polytope_volume
-    # does), which differs from numpy's cube in the last bit
-    frames = np.array([np.diag([1.0, 1.0, t]) for t in (7.9e-14, 8e-14, 8.1e-14)]
-                      + [np.diag([1.2795786300262137, 1.0, 9.257564629011875e-14])])
-    got = _assert_polytope_lanes_match(frames, -np.ones((4, 3)), np.ones((4, 3)))
-    assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] == 0.0
+    # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^3
+    frames = np.array([np.diag([1.0, 1.0, t]) for t in (7.9e-14, 8e-14, 8.1e-14)])
+    got = _assert_polytope_lanes_match(frames, -np.ones((3, 3)), np.ones((3, 3)))
+    assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0
     assert kernels.polytope_volumes(np.zeros((0, 4, 3)), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
+    assert kernels.clip_seed_rows(frames[0]) is None and kernels.clip_seed_rows(frames[1]) == (0, 1, 2)
 
 
-def test_polytope_volumes_cut_point_dedupe():
-    # the unit cube (the seed rows) cut by x + y + z <= 1.5 - delta: the
-    # cut points near the corner (1/2, 1/2, 1/2) lie 2 delta apart in l1,
-    # just inside (merged: no section face) or just outside (kept) the dedupe
-    # distance 10 eps = 2.5e-12
+def test_polytope_volumes_cut_near_a_vertex():
+    # the cube 2|y_i| <= 1 cut by x + y + z <= 1.5 - delta, 1e-12 and 0.1
+    # from its corner (1/2, 1/2, 1/2): the corner simplex of volume
+    # delta^3 / 6 goes
     frames = np.array([np.vstack([2.0 * np.eye(3), np.ones(3)])] * 3)
     delta = np.array([1.2e-12, 1.3e-12, 0.1])
     lo = np.tile([-1.0, -1.0, -1.0, -10.0], (3, 1))
     hi = np.column_stack([np.ones((3, 3)), 1.5 - delta])
     got = _assert_polytope_lanes_match(frames, lo, hi)
-    assert got[:2] == pytest.approx(1.0) and got[2] == pytest.approx(1.0 - 0.1**3 / 6.0)
-
-
-def _first_distinct_loop(points, tol):
-    """_clip_faces' dedupe: keep a point unless it lies within tol (l1) of an
-    earlier kept one."""
-    kept = []
-    for p in points:
-        kept.append(all(np.abs(p - q).sum() >= tol for q, k in zip(points, kept) if k))
-    return kept
-
-
-def test_cut_point_dedupe_follows_the_sequential_rule():
-    # lane 0 is a chain a ~ b ~ c with a and c 1.4 tol apart: b merges into
-    # a, and c stays, because the point it is close to was dropped; the
-    # other lanes cluster points on a lattice of spacing 0.6 tol
-    tol = 1e-12
-    chain = np.array([[0.0, 0.0, 0.0], [0.7e-12, 0.0, 0.0], [1.4e-12, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    rng = np.random.default_rng(11)
-    lanes = [chain] + [0.6e-12 * rng.integers(0, 4, size=(6, 3)) for _ in range(40)]
-    width = max(len(p) for p in lanes)
-    ncut = np.array([len(p) - (i % 3) for i, p in enumerate(lanes)])
-    pts = np.zeros((len(lanes), width, 3))
-    for i, p in enumerate(lanes):
-        pts[i, : ncut[i]] = p[: ncut[i]]
-    got = kernels._first_distinct(pts[..., 0], pts[..., 1], pts[..., 2], ncut,
-                                  np.full(len(lanes), tol))
-    assert got[0, :4].tolist() == [True, False, True, True]
-    for i in range(len(lanes)):
-        want = _first_distinct_loop(pts[i, : ncut[i]], tol)
-        assert got[i].tolist() == want + [False] * (width - ncut[i])
+    assert got[:2] == pytest.approx(1.0, abs=1e-14) and got[2] == pytest.approx(1.0 - 0.1**3 / 6.0)
+    for lane in range(3):
+        _assert_exact(frames[lane], lo[lane], hi[lane], got[lane], rel=1e-14)
 
 
 def test_polytope_volumes_lanes_die_part_way():
-    # seeds from the cube rows, then x + y and y + z clipped in row order:
-    # lane 0 dies at the fourth row's hi side, lane 1 at the fifth row's -lo
-    # side, lane 2 survives
+    # seeds from the cube rows, then x + y and y + z: lane 0 is empty by the
+    # fourth row's hi side, lane 1 by the fifth row's lo side, lane 2 is the
+    # cube
     frames = np.array([np.vstack([2.0 * np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]])] * 3)
     lo = np.tile([-1.0, -1.0, -1.0, -1.2, -1.2], (3, 1))
     hi = -lo
@@ -304,26 +335,62 @@ def test_polytope_volumes_lanes_die_part_way():
     assert got.tolist()[:2] == [0.0, 0.0] and got[2] == pytest.approx(1.0)
 
 
-def test_section_order_settles_near_ties_with_math_atan2():
-    # np.arctan2 rounds p's angle one ulp below math.atan2, level with q's,
-    # which math.atan2 puts one ulp below p's: a stable sort by the numpy
-    # angles would keep p before q, polytope_volume's sort puts q first.
-    # The normal (0, 0, 1) makes the sort key atan2(y - cy, x - cx).
-    p = np.array([0.9469008777183416, 0.6512660237487807, 0.0])
-    q = np.array([0.9469008777183415, 0.6512660237487805, 0.0])
-    rng = np.random.default_rng(3)
-    lanes = [np.array([p, -p, q, -q])]  # centroid exactly 0
-    lanes += [rng.normal(size=(4, 3)) for _ in range(50)]
-    pts = np.array(lanes)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    normal = np.tile([0.0, 0.0, 1.0], (len(lanes), 1))
-    order = kernels._section_order(x, y, z, np.full(len(lanes), 4), normal)
-    for lane, got in zip(lanes, order):
-        cx, cy = (sum(lane[:, i]) / 4 for i in range(2))
-        want = sorted(range(4), key=lambda i: math.atan2(lane[i, 1] - cy, lane[i, 0] - cx))
-        assert got.tolist() == want
-    first = order[0].tolist()
-    assert first.index(2) < first.index(0)  # q before p
+_HALF_INTEGER = st.integers(-4, 0).map(lambda i: i / 2.0)
+
+
+@st.composite
+def _small_integer_system(draw):
+    """3 <= m <= 6 rows with entries in -2..2 spanning R^3, some repeated,
+    negated or doubled, and half-integer bounds: slab planes through the
+    polytope's vertices and coincident facets are common."""
+    m = draw(st.integers(3, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                         min_size=m, max_size=m))
+    for i in range(1, m):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            rows[i] = [draw(st.sampled_from([1, -1, 2])) * c for c in rows[j]]
+    w = np.array(rows, dtype=float)
+    assume(np.all(np.abs(w).sum(axis=1) > 0) and np.linalg.matrix_rank(w) == 3)
+    lo = np.array([draw(_HALF_INTEGER) for _ in range(m)])
+    hi = lo + np.array([draw(st.integers(1, 4)) / 2.0 for _ in range(m)])
+    return w, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_integer_system())
+def test_polytope_volume_matches_the_exact_oracle_on_small_integer_systems(system):
+    w, lo, hi = system
+    got = kernels.polytope_volume(w, lo, hi)
+    _assert_exact(w, lo, hi, got)
+    assert kernels.polytope_volumes(w[None], lo[None], hi[None])[0] == got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("paired", 4, 1), ("paired", 5, 2), ("paired", 6, 3), ("block", 6, 3)]),
+    st.floats(-13.0, -8.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.2]),
+)
+def test_polytope_volume_near_sharp_subspaces(case, log_tilt, seed, spread):
+    # the cube section by the complement of a sharp subspace tilted by
+    # 1e-13..1e-8: up to three pairs of rows nearly parallel, theta <= 7.3
+    # tilt apart.  A merged row's slab tilts by theta about the seed-cell
+    # centre, which moves the volume by at most 2 theta R S, with R <= 1.22
+    # and S <= pi R^2 for these cells: at most 3 x 2 x 10 tilt x 1.25 x
+    # pi 1.25^2 < 400 tilt.  Rows just beyond tau apart lose about u / tau
+    kind, n, k = case
+    rng = np.random.default_rng(seed)
+    e = (sharp_paired_subspace if kind == "paired" else sharp_block_subspace)(n, k)
+    tilt = 10.0**log_tilt
+    basis = np.linalg.qr(e.basis + tilt * rng.normal(size=(n, k)))[0]
+    w = complement_bases(basis[None])[0]
+    center = spread * rng.normal(size=n)
+    lo, hi = center - 0.5, center + 0.5
+    got = kernels.polytope_volume(w, lo, hi)
+    assert kernels.polytope_volumes(w[None], lo[None], hi[None])[0] == got
+    _assert_exact(w, lo, hi, got, rel=1e-12 + 400.0 * tilt)
 
 
 @_KEEP_ID

@@ -104,6 +104,28 @@ def test_cross_route_random_boxes():
         assert quad == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("normal", [(1, 1, 1, 1), (1, 1, 2, 2), (1, -1, 1, 1)])
+def test_quadrature_matches_exact_where_slabs_meet_at_vertices(normal):
+    # the complement of these normals cuts Q_4 in a 3-D section whose slab
+    # planes meet at vertices of the cube section (Ball's diagonal section
+    # is 4/3); the face-list clipper returned 1.0, 1.054 and 1.0
+    a = np.array(normal, dtype=float) / np.linalg.norm(normal)
+    quad = section_quadrature(unit_cube(4), orthonormal_complement(Subspace(a)))
+    assert abs(quad - hyperplane_section_exact(unit_cube(4), a)) <= 1e-14
+    if normal == (1, 1, 1, 1):
+        assert abs(quad - 4.0 / 3.0) <= 1e-14
+
+
+def test_quadrature_next_to_the_paired_subspace():
+    # 1e-11 (0, 0, 1, 1) off sharp_paired_subspace(4, 1) two complement rows
+    # are 1e-11 from parallel; merged, the section stays sqrt(2) (the
+    # face-list clipper gave 1.1785; test_slabgeom's split test covers the
+    # tilt (0, 0, 1, 0))
+    basis = sharp_paired_subspace(4, 1).basis + 1e-11 * np.array([[0.0], [0.0], [1.0], [1.0]])
+    h = orthonormal_complement(Subspace(basis / np.linalg.norm(basis)))
+    assert section_quadrature(unit_cube(4), h) == pytest.approx(math.sqrt(2.0), rel=1e-10)
+
+
 def test_batch_matches_single():
     box = unit_cube(5)
     dirs = haar_directions(5, 40, seed=4)
