@@ -120,10 +120,6 @@ class BoundReport:
     branch: str  # "block" for (n/(n-k))^{(n-k)/2}, "paired" for 2^{k/2}
     constant: float
 
-    def recompute(self, sup_norms) -> float:
-        c = np.asarray(sup_norms, dtype=float)
-        return self.constant * float(np.exp(np.dot(self.exponents.betas, np.log(c))))
-
 
 def main_constant(n: int, k: int) -> tuple[float, str]:
     """(min((n/(n-k))^{(n-k)/2}, 2^{k/2}), branch) for 1 <= k < n; ties go to

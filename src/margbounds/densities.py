@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import randomness, slabgeom
+from . import randomness
 
 
 class DensityFormatError(ValueError):
@@ -107,10 +107,6 @@ class StepDensity:
         mask = self.values > t
         return float(np.dot(mask, self.widths))
 
-    def value_at(self, x: float) -> float:
-        """Pointwise value with the half-open convention [lo, hi)."""
-        return slabgeom.step_value(self.pieces, x)
-
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.l1_norm() - 1.0) <= tol
 
@@ -133,21 +129,6 @@ class StepDensity:
         if lam <= 0.0:
             raise ValueError("dilation factor must be positive")
         return StepDensity([(lo / lam, hi / lam, v * lam) for lo, hi, v in self.pieces])
-
-    def rearrange(self) -> "StepDensity":
-        """Symmetric decreasing rearrangement (even, non-increasing on [0, oo))."""
-        levels = sorted(set(p[2] for p in self.pieces), reverse=True)
-        out = []
-        prev_half = 0.0
-        for v in levels:
-            # total measure where f >= v == measure of {f > t} for t just below v
-            meas = float(np.dot(self.values >= v, self.widths))
-            half = 0.5 * meas
-            if half > prev_half:
-                out.append((prev_half, half, v))
-                out.append((-half, -prev_half, v))
-                prev_half = half
-        return StepDensity(out)
 
     # -- sampling ------------------------------------------------------------
 

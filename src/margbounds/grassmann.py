@@ -47,9 +47,6 @@ class Subspace:
     def k(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

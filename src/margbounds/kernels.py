@@ -107,8 +107,8 @@ def _polygon_seed_rows(rows):
     dets = [x0 * y - y0 * x for x, y in rows]
     sizes = [abs(det) for det in dets]
     i1 = sizes.index(max(sizes))
-    wmax = max(max(abs(x), abs(y)) for x, y in rows)
-    if sizes[i1] < 1e-14 * (1.0 + wmax) ** 2:
+    scale = 1.0 + max(max(abs(x), abs(y)) for x, y in rows)
+    if sizes[i1] < 1e-14 * (scale * scale):
         return None
     return i0, i1, dets[i1]
 
@@ -208,15 +208,8 @@ def polygon_areas(W, lo, hi):
     dets = a0[:, 0:1] * W[:, :, 1] - a0[:, 1:2] * W[:, :, 0]
     i1 = np.argmax(np.abs(dets), axis=1)
     det = dets[lanes, i1]
-    wmax = np.abs(W).max(axis=(1, 2))
-    thr = 1e-14 * (1.0 + wmax) ** 2
-    degenerate = np.abs(det) < thr
-    # polygon_area squares with Python's float pow, which may differ from
-    # numpy's x*x in the last bit: settle lanes that close to the threshold
-    # with its own expression
-    for lane in np.flatnonzero(np.abs(np.abs(det) - thr) <= 1e-15 * thr):
-        degenerate[lane] = abs(det[lane]) < 1e-14 * (1.0 + float(wmax[lane])) ** 2
-    idx = np.flatnonzero(~degenerate)
+    scale = 1.0 + np.abs(W).max(axis=(1, 2))
+    idx = np.flatnonzero(~(np.abs(det) < 1e-14 * (scale * scale)))
     if not idx.size:
         return out
     W, lo, hi, i0, i1, det = W[idx], lo[idx], hi[idx], i0[idx], i1[idx], det[idx]

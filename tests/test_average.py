@@ -3,16 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from slab_reference import scalar_slab_sum
 
 from margbounds import average, slabgeom
 from margbounds.average import (
-    _box_section_values,
-    _marginal_values_at_zero,
     avg_marginal_power,
     cube_avg_power,
     dual_affine_quermass,
     grinberg_check,
-    line_marginals_at_zero,
     prop_avg_check,
     unit_ball_volume,
 )
@@ -35,81 +33,74 @@ def test_unit_ball_volumes():
 
 
 def test_unit_ball_volumes_match_mpmath_to_an_ulp_and_a_half():
-    with mpmath.workdps(40):
-        for n in range(41):
+    # up to n = 435, the last n whose omega_n is a normal float
+    with mpmath.workdps(60):
+        for n in range(436):
             want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
             got = unit_ball_volume(n)
             assert abs(got - want) <= 1.5 * math.ulp(got), n
-        # both sides of the closed form's last n, where the factorials
-        # leave the float range
-        for n in (299, 300, 301, 302, 341, 400):
-            want = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
-            assert abs(unit_ball_volume(n) - want) <= 1e-12 * want, n
+    # below the normal range, and where pi^(n/2) alone leaves the float range
+    assert 0.0 < unit_ball_volume(436) < 2.3e-308
+    assert unit_ball_volume(1242) == unit_ball_volume(5000) == 0.0
+
+
+def _marginal_values(f, k, samples, seed, stream):
+    """pi_E(f)(0) over the Haar samples, one value per sample."""
+    pieces = [g.pieces for g in f.factors]
+    return average._slab_sums_at_zero([pieces], k, samples, seed, stream, True)[0]
+
+
+def _section_values(box, k, samples, seed, stream):
+    """|K cap E| over the Haar samples, one value per sample."""
+    return average._slab_sums_at_zero([average._box_pieces(box)], k, samples, seed, stream, False)[0]
+
+
+def _line_sums(pieces, dirs):
+    return average._line_sums(dirs, slabgeom.nonzero_combinations(pieces))
 
 
 def test_line_marginals_match_marginal_at():
+    # Haar directions, then zero coordinates (those factors stay constant at
+    # f_i(0)), one of them just inside the zero threshold
     for seed in range(15):
         n = 2 + seed % 3
-        f = random_product_density(seed, n)
-        dirs = np.atleast_2d(
-            np.array([haar_sample(n, 1, seed=seed + 50).basis[:, 0]])
-        )
-        got = line_marginals_at_zero(f.factors, dirs)[0]
-        # the direction spans the complement of a hyperplane subspace
-        e = orthonormal_complement(Subspace(dirs[0]))
-        want = marginal_at(MarginalQuery(f, e, np.zeros(n - 1)))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def _reference_line_marginals_at_zero(factors, dirs):
-    """The odometer loop over piece combinations (first factor's piece
-    changing fastest) that line_marginals_at_zero replaces."""
-    m, n = dirs.shape
-    out = np.zeros(m)
-    small = np.abs(dirs) <= 1e-12
-    counts = [len(f.pieces) for f in factors]
-    combo = [0] * n
-    while True:
-        lows = np.full(m, -np.inf)
-        highs = np.full(m, np.inf)
-        value = np.ones(m)
-        for i in range(n):
-            lo, hi, v = factors[i].pieces[combo[i]]
-            value *= v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = lo / dirs[:, i]
-                t2 = hi / dirs[:, i]
-            lo_i = np.where(small[:, i], -np.inf, np.minimum(t1, t2))
-            hi_i = np.where(small[:, i], np.inf, np.maximum(t1, t2))
-            value = np.where(small[:, i] & ~((lo <= 0.0) & (0.0 < hi)), 0.0, value)
-            lows = np.maximum(lows, lo_i)
-            highs = np.minimum(highs, hi_i)
-        out += value * np.maximum(highs - lows, 0.0)
-        j = 0
-        while j < n:
-            combo[j] += 1
-            if combo[j] < counts[j]:
-                break
-            combo[j] = 0
-            j += 1
-        if j == n:
-            return out
+        f = _centered_density(seed, n)
+        dirs = haar_directions(n, 4, seed=seed + 50)
+        dirs[1] = np.eye(n)[0]
+        dirs[2, 1] = 0.0
+        dirs[3, 0] = 1e-13
+        dirs[2:] /= np.linalg.norm(dirs[2:], axis=1)[:, None]
+        got = _line_sums([g.pieces for g in f.factors], dirs)
+        for v, value in zip(dirs, got):
+            # the direction spans the complement of a hyperplane subspace
+            e = orthonormal_complement(Subspace(v))
+            want = marginal_at(MarginalQuery(f, e, np.zeros(n - 1)))
+            assert value == pytest.approx(want, rel=1e-15, abs=0.0), (seed, v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_line_marginals_match_odometer_exactly(n):
-    # centered factors, so some pieces contain 0 and some do not
-    factors = [g.shifted(-g.support_midpoint()) for g in random_product_density(n, n, 3).factors]
-    dirs = haar_directions(n, 400, seed=n, stream=0)
-    # zero coordinates (those factors stay constant at f_i(0)), one of them
-    # just inside the zero threshold
-    dirs[0] = np.eye(n)[0]
-    dirs[1, 1] = 0.0
-    dirs[2, 0] = 1e-13
-    dirs[1:3] /= np.linalg.norm(dirs[1:3], axis=1)[:, None]
-    got = line_marginals_at_zero(factors, dirs)
-    assert np.count_nonzero(got) > 300
-    assert np.array_equal(got, _reference_line_marginals_at_zero(factors, dirs))
+def test_line_sums_match_scalar_slab_sum(n):
+    # product densities with centered factors (some pieces contain 0 and
+    # some do not) and box indicators, on Haar directions
+    dirs = haar_directions(n, 300, seed=n, stream=0)
+    zero = np.zeros(n)
+    for pieces in ([g.pieces for g in _centered_density(n, n).factors],
+                   average._box_pieces(Box(np.linspace(0.6, 1.7, n)))):
+        got = _line_sums(pieces, dirs)
+        assert np.count_nonzero(got) > 200
+        want = [scalar_slab_sum(v[:, None], pieces, zero) for v in dirs]
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 400])
+def test_grinberg_line_sections_are_the_chord_formula(n):
+    # k = 1: the box sections through the line sum have the bits of the
+    # chord 2 min_i (z_i / 2) / |v_i|
+    box = Box(np.linspace(0.5, 1.5, n))
+    got = _section_values(box, 1, 1000, seed=n, stream=4)
+    dirs = haar_directions(n, 1000, seed=n, stream=4)
+    want = 2.0 * ((box.sides / 2.0)[None, :] / np.abs(dirs)).min(axis=1)
+    assert np.array_equal(got, want)
 
 
 def test_cube_avg_power_2_1_oracle():
@@ -169,9 +160,8 @@ def test_prop_avg_n3_pairing():
 
 
 def test_dual_affine_quermass_omega_ratio():
-    const = dual_affine_quermass(
-        unit_cube(3), 2, 1000, seed=1, _section_fn=lambda b, e: 1.0
-    )
+    # sections all of measure 1
+    const = average._quermass_average(np.ones(1000), 3, 2, seed=1)
     assert const.estimate == pytest.approx(unit_ball_volume(3) / unit_ball_volume(2))
     assert const.std_error == 0.0
 
@@ -262,7 +252,7 @@ def _with_special_lanes(monkeypatch, special):
 def test_batched_marginal_values_match_per_sample_loop(n, k):
     # n - k = 2 and 3 go lane-wise through the 2-D and 3-D kernels
     f = _centered_density(40 + n, n)
-    got = _marginal_values_at_zero(f, k, 120, 1e-9, seed=n, stream=5)
+    got = _marginal_values(f, k, 120, seed=n, stream=5)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, k, 120, n, 5))
     assert np.count_nonzero(got) > 100
 
@@ -270,17 +260,17 @@ def test_batched_marginal_values_match_per_sample_loop(n, k):
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (6, 2), (4, 3), (5, 3)])
 def test_batched_box_sections_match_per_sample_loop(n, k):
     box = Box(np.linspace(0.6, 1.7, n))
-    got = _box_section_values(box, k, 150, seed=n, stream=2)
+    got = _section_values(box, k, 150, seed=n, stream=2)
     assert np.array_equal(got, _reference_box_section_values(box, k, 150, n, 2))
 
 
 def test_batched_routes_mix_fallback_lanes(monkeypatch):
     _with_special_lanes(monkeypatch, _FALLBACK_BASES)
     f = _centered_density(3, 4)
-    got = _marginal_values_at_zero(f, 2, 40, 1e-9, seed=1, stream=0)
+    got = _marginal_values(f, 2, 40, seed=1, stream=0)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 40, 1, 0, _FALLBACK_BASES))
     box = Box([0.8, 1.1, 1.3, 0.7])
-    got = _box_section_values(box, 2, 40, seed=1, stream=0)
+    got = _section_values(box, 2, 40, seed=1, stream=0)
     assert np.array_equal(got, _reference_box_section_values(box, 2, 40, 1, 0, _FALLBACK_BASES))
     assert got[3] == pytest.approx(0.8 * 1.1) and got[8] == pytest.approx(2.0 * 0.8 * 0.7)
 
@@ -295,12 +285,12 @@ def test_batched_3d_routes_mix_fallback_lanes(monkeypatch):
     special = {2: Subspace.coordinate(5, [0, 1]).basis, 5: sharp_paired_subspace(5, 2).basis}
     _with_special_lanes(monkeypatch, special)
     f = _centered_density(5, 5)
-    got = _marginal_values_at_zero(f, 2, 30, 1e-9, seed=2, stream=0)
+    got = _marginal_values(f, 2, 30, seed=2, stream=0)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 30, 2, 0, special))
     special = {2: Subspace.coordinate(5, [0, 1, 2]).basis, 5: split}
     _with_special_lanes(monkeypatch, special)
     box = Box([0.8, 1.1, 1.3, 0.7, 1.2])
-    got = _box_section_values(box, 3, 30, seed=2, stream=0)
+    got = _section_values(box, 3, 30, seed=2, stream=0)
     assert np.array_equal(got, _reference_box_section_values(box, 3, 30, 2, 0, special))
     assert got[2] == pytest.approx(0.8 * 1.1 * 1.3) and got[5] == pytest.approx(0.8 * 1.1 * 0.7 * 2.0)
 
@@ -311,8 +301,8 @@ def test_batched_values_do_not_depend_on_chunk(monkeypatch):
     for chunk in (1 << 20, 5):
         monkeypatch.setattr(average, "_DIR_CHUNK", chunk)
         runs.append((
-            _marginal_values_at_zero(f, 2, 60, 1e-9, seed=4, stream=0),
-            _box_section_values(box, 2, 60, seed=4, stream=0),
+            _marginal_values(f, 2, 60, seed=4, stream=0),
+            _section_values(box, 2, 60, seed=4, stream=0),
         ))
     (m_whole, s_whole), (m_chunked, s_chunked) = runs
     assert np.array_equal(m_whole, m_chunked) and np.array_equal(s_whole, s_chunked)
@@ -322,9 +312,9 @@ def _prop_avg_reference(f, k, samples, seed, stream):
     """prop_avg_check with each side through its own single-integrand call,
     so each side draws and frames its own subspaces."""
     n = f.n
-    lhs_vals = average._powered(_marginal_values_at_zero(f, k, samples, 1e-9, seed, stream), float(n))
+    lhs_vals = average._powered(_marginal_values(f, k, samples, seed, stream), float(n))
     rhs_vals = average._powered(
-        _marginal_values_at_zero(cube_density(n), k, samples, 1e-9, seed, stream), float(n)
+        _marginal_values(cube_density(n), k, samples, seed, stream), float(n)
     )
     lhs, lhs_se = average._mean_se(lhs_vals)
     rhs, rhs_se = average._mean_se(rhs_vals)
@@ -450,10 +440,10 @@ def test_chunk_without_a_single_block_frame_falls_back(monkeypatch):
     special = {3: Subspace.coordinate(4, [0, 1]).basis}
     _with_special_lanes(monkeypatch, special)
     box = Box([0.8, 1.1, 1.3, 0.7])
-    got = _box_section_values(box, 2, 6, seed=1, stream=0)
+    got = _section_values(box, 2, 6, seed=1, stream=0)
     assert np.array_equal(got, _reference_box_section_values(box, 2, 6, 1, 0, special))
     f = _centered_density(3, 4)
-    got = _marginal_values_at_zero(f, 2, 6, 1e-9, seed=1, stream=0)
+    got = _marginal_values(f, 2, 6, seed=1, stream=0)
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 6, 1, 0, special))
 
 

@@ -4,9 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from margbounds import slabgeom
 from margbounds.densities import (
     DensityFormatError,
     ProductDensity,
@@ -64,9 +63,9 @@ def test_lp_norm_matches_mpmath_at_large_p(p):
 
 def test_value_at_half_open():
     f = StepDensity([(0.0, 1.0, 2.0)])
-    assert f.value_at(0.0) == 2.0
-    assert f.value_at(1.0) == 0.0
-    assert f.value_at(-0.1) == 0.0
+    assert slabgeom.step_value(f.pieces, 0.0) == 2.0
+    assert slabgeom.step_value(f.pieces, 1.0) == 0.0
+    assert slabgeom.step_value(f.pieces, -0.1) == 0.0
 
 
 def test_normalized_and_scaled():
@@ -85,47 +84,6 @@ def test_shift_and_dilate():
     assert h.sup_norm() == pytest.approx(2.0)
     assert h.l1_norm() == pytest.approx(1.0)
     assert h.support() == (-0.25, 0.25)
-
-
-def test_rearrange_properties():
-    f = StepDensity([(0.0, 1.0, 0.3), (1.0, 1.5, 1.2), (2.0, 2.5, 0.7)])
-    g = f.rearrange()
-    # equimeasurable with the original
-    for t in (0.0, 0.2, 0.5, 0.69, 0.71, 1.0, 1.19):
-        assert g.level_set_measure(t) == pytest.approx(f.level_set_measure(t))
-    assert g.l1_norm() == pytest.approx(f.l1_norm())
-    assert g.sup_norm() == pytest.approx(f.sup_norm())
-    # even and non-increasing away from zero
-    lo, hi = g.support()
-    assert lo == pytest.approx(-hi)
-    xs = np.linspace(0.0, hi - 1e-9, 50)
-    vals = [g.value_at(x) for x in xs]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-5, 5),
-            st.floats(0.01, 3.0),
-            st.floats(0.01, 4.0),
-        ),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_rearrange_equimeasurable_random(raw):
-    # build disjoint pieces by stacking widths left to right
-    pieces = []
-    x = raw[0][0]
-    for _, width, value in raw:
-        pieces.append((x, x + width, value))
-        x += width + 0.1
-    f = StepDensity(pieces)
-    g = f.rearrange()
-    for t in sorted({0.0, *(v / 2 for _, _, v in pieces), *(v for _, _, v in pieces)}):
-        assert g.level_set_measure(t) == pytest.approx(f.level_set_measure(t), abs=1e-9)
 
 
 def test_inverse_cdf_exact_quantiles():

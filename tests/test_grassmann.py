@@ -34,13 +34,6 @@ def test_subspace_vector_orientation():
     assert e.k == 1
 
 
-def test_subspace_projector_idempotent():
-    e = haar_sample(5, 2, seed=3)
-    p = e.projector()
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.trace(p) == pytest.approx(2.0)
-
-
 def test_subspace_json_roundtrip():
     e = haar_sample(4, 2, seed=5)
     e2 = Subspace.from_json_dict(e.to_json_dict())

@@ -252,7 +252,7 @@ def _reference_marginal_at(q):
     e = q.e
     shifts = q.ambient_shifts()
     if e.k == e.n:
-        return math.prod(f.value_at(s) for f, s in zip(q.f.factors, shifts))
+        return math.prod(slabgeom.step_value(f.pieces, s) for f, s in zip(q.f.factors, shifts))
     return scalar_slab_sum(orthonormal_complement(e).basis, [fi.pieces for fi in q.f.factors], shifts)
 
 
