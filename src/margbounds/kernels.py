@@ -49,33 +49,38 @@ def interval_length(w, lo, hi):
     return right - left
 
 
-def interval_lengths(W, lo, hi):
-    """interval_length of each lane l: the 1-D slabs lo[l, i] <= W[l, i] * y
-    <= hi[l, i] for W, lo and hi (L, m); returns (L,) lengths with
-    interval_length's bits."""
-    W = np.asarray(W, dtype=float)
+def interval_lengths(frames, frame, lo, hi):
+    """interval_length of each lane l: the 1-D slabs lo[l, i] <= w_i * y <=
+    hi[l, i] for w = frames[frame[l], :, 0], frames (K, m, 1), frame (L,),
+    lo and hi (L, m); returns (L,) lengths with interval_length's bits.
+
+    Each frame's row signs are found once.  A lane's ends are the largest
+    lower and the smallest upper bound over its rows, taken in row order as
+    interval_length takes them (np.maximum and np.minimum keep the first of
+    two equal values, as its strict comparisons do)."""
+    w = np.asarray(frames, dtype=float)[:, :, 0]
+    frame = np.asarray(frame, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    count, m = W.shape
-    left = np.full(count, -math.inf)
-    right = np.full(count, math.inf)
-    empty = np.zeros(count, dtype=bool)
-    for i in range(m):
-        w, l, h = W[:, i], lo[:, i], hi[:, i]
-        pos, neg = w > _TINY, w < -_TINY
-        flat = ~(pos | neg)
-        empty |= flat & ((l > 0.0) | (h < 0.0))
-        w = np.where(flat, 1.0, w)
-        a = np.where(pos, l / w, np.where(neg, h / w, -math.inf))
-        b = np.where(pos, h / w, np.where(neg, l / w, math.inf))
-        left = np.where(a > left, a, left)
-        right = np.where(b < right, b, right)
+    pos, neg = w > _TINY, w < -_TINY
+    flat = ~(pos | neg)
+    w = np.where(flat, 1.0, w)[frame]
+    pos, flat = pos[frame], flat[frame]
+    a = np.where(pos, lo, hi) / w
+    b = np.where(pos, hi, lo) / w
+    if flat.any():
+        a[flat], b[flat] = -math.inf, math.inf
+    left, right = np.full(len(frame), -math.inf), np.full(len(frame), math.inf)
+    for i in range(lo.shape[1]):
+        left, right = np.maximum(left, a[:, i]), np.minimum(right, b[:, i])
     # the bounds only tighten, so right <= left at the end iff it held at
     # some row, where interval_length returns 0.0
-    empty |= right <= left
+    empty = right <= left
+    if flat.any():
+        empty |= (flat & ((lo > 0.0) | (hi < 0.0))).any(axis=1)
     if not (np.isfinite(left[~empty]).all() and np.isfinite(right[~empty]).all()):
         raise ValueError("unbounded slab intersection (no spanning constraints)")
-    out = np.zeros(count)
+    out = np.zeros(len(frame))
     out[~empty] = right[~empty] - left[~empty]
     return out
 
@@ -151,98 +156,145 @@ def _polygon_area(rows, lo, hi):
     return 0.5 * abs(area)
 
 
-def _clip_polygons(x, y, cnt, nx, ny, b, eps):
-    """_clip_polygon for every lane l: the polygon x[l, :cnt[l]], y[l, :cnt[l]]
-    clipped by nx[l]*x + ny[l]*y <= b[l].  Returns the clipped vertices,
-    padded to the widest lane, and their counts."""
-    count, width = x.shape
-    j = np.arange(width)
-    valid = j < cnt[:, None]
-    nxt = np.where(j + 1 < cnt[:, None], j + 1, 0)
-    dp = nx[:, None] * x + ny[:, None] * y - b[:, None]
-    dq = np.take_along_axis(dp, nxt, axis=1)
-    e = eps[:, None]
-    keep = valid & (dp <= e)
-    cross = valid & (((dp < -e) & (dq > e)) | ((dp > e) & (dq < -e)))
-    # each vertex emits itself if kept, then its edge's crossing point
-    step = keep.astype(np.intp) + cross
-    pos = np.cumsum(step, axis=1) - step
-    counts = pos[:, -1] + step[:, -1]
-    out_width = max(int(counts.max()), 1)
-    ox = np.zeros((count, out_width))
-    oy = np.zeros((count, out_width))
-    r, c = np.nonzero(keep)
-    ox[r, pos[r, c]] = x[r, c]
-    oy[r, pos[r, c]] = y[r, c]
-    r, c = np.nonzero(cross)
-    q = nxt[r, c]
-    px, py, qx, qy = x[r, c], y[r, c], x[r, q], y[r, q]
-    t = dp[r, c] / (dp[r, c] - dq[r, c])  # nonzero: dp and dq lie beyond eps on opposite sides
-    at = pos[r, c] + keep[r, c]
-    ox[r, at] = px + t * (qx - px)
-    oy[r, at] = py + t * (qy - py)
-    return ox, oy, counts
+def _clip_polygons(poly, nx, ny, b, eps, lane):
+    """_clip_polygon for every lane l of poly (x and y (2, W + 1, L)): the
+    lane's polygon has its count c <= W vertices in slots 0..c - 1, vertex 0
+    again in slot c, and NaN after it; clipped by nx[l]*x + ny[l]*y <= b[l],
+    with eps[l] (eps (2, L): eps and -eps).  lane is np.arange(L).  Returns
+    the clipped polygons in the same layout, W as the largest count, and
+    their counts.  Runs under np.errstate(divide, invalid and over "ignore").
+
+    Slot j's successor is slot j + 1, so every slot computes its vertex's dp
+    and its edge's crossing point at once; NaN slots compare false, so they
+    are neither kept nor crossed, and the copy of vertex 0 (the one slot
+    with a NaN successor) is not kept.  A kept vertex, then its edge's
+    crossing point, go to the lane's next free slots, found by a running
+    sum over the slots, by one flat scatter per coordinate and kind; the
+    writes that are not kept land in a spare last slot."""
+    width, count = poly.shape[1] - 1, poly.shape[2]
+    dp = nx * poly[0] + ny * poly[1] - b
+    above, below = dp > eps[0], dp < eps[1]
+    # slot j's vertex stays if it is within eps and has a successor; its
+    # edge crosses if its ends lie beyond eps on opposite sides
+    keep = (dp[:-1] <= eps[0]) & (dp[1:] == dp[1:])
+    cross = (below[:-1] & above[1:]) | (above[:-1] & below[1:])
+    # the flat index of each output: its slot times count, plus the lane
+    kept = np.empty((width, count), dtype=np.intp)
+    stride = np.add(keep, cross, dtype=np.intp) * count
+    at = lane
+    for j in range(width):
+        kept[j] = at
+        at = at + stride[j]
+    counts = (at - lane) // count
+    out_width = int(counts.max())
+    spare = (out_width + 1) * count + lane
+    crossed = np.where(cross, kept + keep * count, spare)
+    kept = np.where(keep, kept, spare)
+    # only the crossing slots' points are kept; there dp and dq lie beyond
+    # eps on opposite sides, so dp - dq is nonzero
+    t = dp[:-1] / (dp[:-1] - dp[1:])
+    points = poly[:, :-1] + t * (poly[:, 1:] - poly[:, :-1])
+    out = np.full((2, out_width + 2, count), np.nan)
+    closing = counts * count + lane
+    for c in range(2):
+        flat = out[c].reshape(-1)
+        flat[kept] = poly[c, :-1]
+        flat[crossed] = points[c]
+        flat[closing] = out[c, 0]
+    return out[:, : out_width + 1], counts
 
 
-def polygon_areas(W, lo, hi):
-    """polygon_area of each lane l: the 2-D slabs lo[l, i] <= <W[l, i], y> <=
-    hi[l, i] for W (L, m, 2), lo and hi (L, m); returns (L,) areas.
+def _polygon_frame_tables(frames):
+    """What polygon_areas needs of the frames (K, m, 2) alone: ok (K,),
+    false where _polygon_seed_rows returns None; the seed table (5, K) of
+    a00, a01, a10, a11 and det; each frame's row order (K, m), the seed rows
+    i0, i1 and then the others in row order; and the clip normals (2,
+    2(m - 2), K), the other rows' in that order, each as itself (the hi
+    side) and negated (the -lo side)."""
+    count, m, _ = frames.shape
+    ks = np.arange(count)
+    i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
+    a0 = frames[ks, i0]
+    dets = a0[:, 0:1] * frames[:, :, 1] - a0[:, 1:2] * frames[:, :, 0]
+    i1 = np.argmax(np.abs(dets), axis=1)
+    det = dets[ks, i1]
+    scale = 1.0 + np.abs(frames).max(axis=(1, 2))
+    ok = ~(np.abs(det) < 1e-14 * (scale * scale))
+    order = np.broadcast_to(np.arange(m), (count, m)).copy()
+    # (a degenerate frame may have i0 == i1; its lanes are 0.0)
+    if ok.any():
+        rows = order[ok]
+        others = rows[(rows != i0[ok, None]) & (rows != i1[ok, None])]
+        order[ok] = np.column_stack([i0[ok], i1[ok], others.reshape(len(rows), m - 2)])
+    seed = np.vstack([frames[ks, i0].T, frames[ks, i1].T, det])
+    normals = frames[ks[:, None], order[:, 2:]].transpose(2, 1, 0)  # (2, m - 2, K)
+    clip = np.stack([normals, -normals], axis=2).reshape(2, 2 * normals.shape[1], count)
+    return ok, seed, order, clip
+
+
+def polygon_areas(frames, frame, lo, hi):
+    """polygon_area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <=
+    hi[l, i] for the rows w = frames[frame[l]], frames (K, m, 2), frame (L,),
+    lo and hi (L, m); returns (L,) areas.
 
     Lane-wise Sutherland-Hodgman: every lane goes through polygon_area's
     floating-point operations in its order (seed rows, seed parallelogram,
     eps, the hi then -lo clip of each other row in row order, the shoelace
-    sum from vertex 0), so each area has polygon_area's bits.  Vertices sit
-    in arrays padded to the widest lane; a lane leaves once it has fewer than
-    3 vertices.  Per call this costs more than polygon_area at 1-4 lanes.
+    sum from vertex 0), so each area has polygon_area's bits.  What depends
+    on the frame alone (the seed rows, their determinant, the degeneracy
+    test, the clip order) is found once per frame.  Vertices sit slot-major,
+    (slots, lanes), NaN past each lane's count; a lane leaves once it has
+    fewer than 3 vertices.
     """
-    W = np.asarray(W, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    count, m, _ = W.shape
-    out = np.zeros(count)
-    if count == 0:
-        return out
-    lanes = np.arange(count)
-    i0 = np.argmax(np.einsum("lij,lij->li", W, W), axis=1)
-    a0 = W[lanes, i0]
-    dets = a0[:, 0:1] * W[:, :, 1] - a0[:, 1:2] * W[:, :, 0]
-    i1 = np.argmax(np.abs(dets), axis=1)
-    det = dets[lanes, i1]
-    scale = 1.0 + np.abs(W).max(axis=(1, 2))
-    idx = np.flatnonzero(~(np.abs(det) < 1e-14 * (scale * scale)))
+    frame = np.asarray(frame, dtype=np.intp)
+    if not len(frame):
+        return np.zeros(0)
+    return _polygon_areas(_polygon_frame_tables(np.asarray(frames, dtype=float)), frame,
+                          np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+
+def _polygon_areas(tables, frame, lo, hi):
+    """polygon_areas on the frame tables of _polygon_frame_tables."""
+    ok, seed, order, clip = tables
+    out = np.zeros(len(frame))
+    idx = np.flatnonzero(ok[frame])
     if not idx.size:
         return out
-    W, lo, hi, i0, i1, det = W[idx], lo[idx], hi[idx], i0[idx], i1[idx], det[idx]
-    lanes = np.arange(idx.size)
-    (a00, a01), (a10, a11) = W[lanes, i0].T, W[lanes, i1].T
-    s = np.stack([lo[lanes, i0], hi[lanes, i0], hi[lanes, i0], lo[lanes, i0]], axis=1)
-    t = np.stack([lo[lanes, i1], lo[lanes, i1], hi[lanes, i1], hi[lanes, i1]], axis=1)
-    x = (a11[:, None] * s - a01[:, None] * t) / det[:, None]
-    y = (a00[:, None] * t - a10[:, None] * s) / det[:, None]
-    cnt = np.full(idx.size, 4)
-    eps = 1e-14 * (1.0 + (np.abs(x) + np.abs(y)).max(axis=1))
-    # each lane's m - 2 non-seed rows, in row order
-    rows = np.broadcast_to(np.arange(m), (idx.size, m))
-    others = rows[(rows != i0[:, None]) & (rows != i1[:, None])].reshape(idx.size, m - 2)
-    for r in range(m - 2):
-        for side in (1.0, -1.0):  # the hi side, then the -lo side
-            lanes = np.arange(idx.size)
-            i = others[:, r]
-            b = hi[lanes, i] if side > 0.0 else -lo[lanes, i]
-            x, y, cnt = _clip_polygons(x, y, cnt, side * W[lanes, i, 0], side * W[lanes, i, 1], b, eps)
+    f = frame[idx]
+    steps = clip.shape[1]
+    # (m, L): each lane's rows in its frame's order
+    at = idx * lo.shape[1] + order[f].T
+    lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
+    a00, a01, a10, a11, det = seed[:, f]
+    # the seed parallelogram, then vertex 0 again (see _clip_polygons)
+    s = np.stack([lo[0], hi[0], hi[0], lo[0]])
+    t = np.stack([lo[1], lo[1], hi[1], hi[1]])
+    poly = np.empty((2, 5, idx.size))
+    np.divide(a11 * s - a01 * t, det, out=poly[0, :4])
+    np.divide(a00 * t - a10 * s, det, out=poly[1, :4])
+    poly[:, 4] = poly[:, 0]
+    eps = 1e-14 * (1.0 + (np.abs(poly[0, :4]) + np.abs(poly[1, :4])).max(axis=0))
+    eps = np.stack([eps, -eps])
+    # per lane and clip step: the normal's x and y, and the bound b
+    lane = np.empty((3, steps, idx.size))
+    lane[:2] = clip[:, :, f]
+    lane[2, 0::2], lane[2, 1::2] = hi[2:], -lo[2:]
+    alive = np.ones(idx.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(steps):
+            if not alive.all():  # a lane leaves once it has fewer than 3 vertices
+                idx, poly, lane, eps = idx[alive], poly[:, :, alive], lane[:, :, alive], eps[:, alive]
+            poly, cnt = _clip_polygons(poly, lane[0, k], lane[1, k], lane[2, k], eps, np.arange(idx.size))
             alive = cnt >= 3
-            if not alive.all():
-                x, y, cnt, eps, idx = x[alive], y[alive], cnt[alive], eps[alive], idx[alive]
-                W, lo, hi, others = W[alive], lo[alive], hi[alive], others[alive]
-                if not idx.size:
-                    return out
-    lanes = np.arange(idx.size)
-    area = np.zeros(idx.size)
-    for j in range(x.shape[1]):
-        nj = np.where(j + 1 < cnt, j + 1, 0)
-        term = x[:, j] * y[lanes, nj] - y[:, j] * x[lanes, nj]
-        area = np.where(j < cnt, area + term, area)
-    out[idx] = 0.5 * np.abs(area)
+            if not alive.any():
+                return out
+    term = poly[0, :-1] * poly[1, 1:] - poly[1, :-1] * poly[0, 1:]
+    # the slots past a lane's count add 0.0, which moves no bit of 0.5 |area|
+    term[np.isnan(term)] = 0.0
+    area = term[0]
+    for j in range(1, len(term)):
+        area = area + term[j]
+    out[idx[alive]] = 0.5 * np.abs(area[alive])
     return out
 
 
@@ -405,10 +457,10 @@ def _sum_in_order(terms):
     return np.cumsum(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
 
 
-def polytope_volumes(W, lo, hi):
-    """polytope_volume of each lane l: the 3-D slabs lo[l, i] <= <W[l, i], y>
-    <= hi[l, i] for W (L, m, 3), lo and hi (L, m) with lo <= hi; returns (L,)
-    volumes.
+def polytope_volumes(frames, frame, lo, hi):
+    """polytope_volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <=
+    hi[l, i] for the rows w = frames[frame[l]], frames (K, m, 3), frame (L,),
+    lo and hi (L, m) with lo <= hi; returns (L,) volumes.
 
     Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
     cell (the parallelepiped of its seed rows, which holds the polytope),
@@ -435,25 +487,37 @@ def polytope_volumes(W, lo, hi):
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0; a facet
-    whose plane misses the cell that way is skipped.  Lanes go
-    _POLYTOPE_LANES at a time.
+    whose plane misses the cell that way is skipped.
+
+    What depends on the frame alone is found once per frame (_frame_tables):
+    the seed cell's shape, the merges (the same for every nonempty lane of a
+    frame), and each row's facet frame, the other rows in an orthonormal
+    basis of w_i-perp with the merged rows zeroed, with its 2-D tables.  A
+    lane's own work is its bounds.  Lanes go _POLYTOPE_LANES at a time.
     """
-    W = np.ascontiguousarray(W, dtype=float)
+    frames = np.ascontiguousarray(frames, dtype=float)
+    frame = np.asarray(frame, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = np.zeros(len(W))
-    for start in range(0, len(W), _POLYTOPE_LANES):
-        end = start + _POLYTOPE_LANES
-        out[start:end] = _polytope_volumes(W[start:end], lo[start:end], hi[start:end])
+    out = np.zeros(len(frame))
+    if not len(frame):
+        return out
+    tables = _frame_tables(frames)
+    for start in range(0, len(frame), _POLYTOPE_LANES):
+        part = slice(start, start + _POLYTOPE_LANES)
+        out[part] = _polytope_volumes(frames, tables, frame[part], lo[part], hi[part])
     return out
 
 
 def _frame_tables(F):
     """What polytope_volumes needs of the frames F (K, m, 3) alone: seeds,
     ok, g (the seed cell's edge vectors per unit half-width), the 1-norms of
-    g, |<w_i, g_s>|, the rows' squared norms, their Gram matrix, the pairs
-    parallel within _PARALLEL_SINE, and each row i's other rows in an
-    orthonormal basis of w_i-perp (K, m, m - 1, 2)."""
+    g, |<w_i, g_s>|, the rows' squared norms; the merges: into (K, m), the
+    row that row j merges into or -1, its factor alpha, and the rows that
+    stay alive; and per facet frame k m + i (row i of frame k): its Gram row
+    over the other rows (K m, m - 1), which of them are merged (or None when
+    no frame merges a row), and the 2-D tables of the other rows in an
+    orthonormal basis of w_i-perp, merged rows zeroed."""
     count, m, _ = F.shape
     seeds, ok = _polytope_seed_lanes(F)
     frames = np.arange(count)[:, None]
@@ -468,7 +532,20 @@ def _frame_tables(F):
     norms = _dot(F, F)
     gram = _dot(F[:, :, None, :], F[:, None, :, :])  # (K, m, m)
     crs = _cross(F[:, :, None, :], F[:, None, :, :])
-    parallel = _dot(crs, crs) <= _PARALLEL_SINE**2 * (norms[:, :, None] * norms[:, None, :])
+    # (a degenerate frame's lanes are empty, so it merges nothing)
+    parallel = ((_dot(crs, crs) <= _PARALLEL_SINE**2 * (norms[:, :, None] * norms[:, None, :]))
+                & ok[:, None, None])
+    # row j merges into the first live row parallel to it
+    alive = np.ones((count, m), dtype=bool)
+    into = np.full((count, m), -1)
+    for j in range(1, m):
+        parallel_to = parallel[:, j, :j] & alive[:, :j]
+        hit = parallel_to.any(axis=1)
+        into[hit, j] = np.argmax(parallel_to[hit], axis=1)
+        alive[hit, j] = False
+    mk, mj = np.nonzero(into >= 0)
+    alpha = np.ones((count, m))
+    alpha[mk, mj] = gram[mk, mj, into[mk, mj]] / norms[mk, into[mk, mj]]
     e = np.zeros_like(F)
     e[frames, np.arange(m), np.argmin(np.abs(F), axis=2)] = 1.0
     u = _cross(F, e)
@@ -477,9 +554,17 @@ def _frame_tables(F):
     u = u / np.where(unorm > 0.0, unorm, 1.0)[..., None]
     nnorm = np.sqrt(norms)
     v = _cross(F, u) / np.where(nnorm > 0.0, nnorm, 1.0)[..., None]
-    wo = F[:, _others(m)]  # (K, m, m - 1, 3)
+    others = _others(m)
+    wo = F[:, others]  # (K, m, m - 1, 3)
     flat = np.stack([_dot(wo, u[:, :, None, :]), _dot(wo, v[:, :, None, :])], axis=-1)
-    return seeds, ok, g, gl1, wg, norms, gram, parallel, flat
+    # merged rows become zero rows that every point satisfies (their lanes'
+    # bounds are -1, 1)
+    dead = ~alive[:, others]
+    flat[dead] = 0.0
+    facets = _polygon_frame_tables(flat.reshape(count * m, m - 1, 2))
+    gram = gram[:, np.arange(m)[:, None], others].reshape(count * m, m - 1)
+    dead = dead.reshape(count * m, m - 1) if dead.any() else None
+    return seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, dead, facets
 
 
 def _others(m):
@@ -487,16 +572,12 @@ def _others(m):
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
-def _polytope_volumes(W, lo, hi):
-    count, m, _ = W.shape
-    # a pooled call's lanes come in runs that share one frame (a block's
-    # rows): the frame's own quantities are computed once per run
-    bits = W.reshape(count, -1).view(np.int64)
-    new = np.ones(count, dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    run = np.cumsum(new) - 1
-    seeds, ok, g, gl1, wg, norms, gram, parallel, flat = _frame_tables(W[new])
-    seeds, ok, g, gl1, wg = seeds[run], ok[run], g[run], gl1[run], wg[run]
+def _polytope_volumes(frames, tables, frame, lo, hi):
+    """polytope_volumes of the lanes frame, lo, hi on the _frame_tables of
+    frames."""
+    seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, dead, facets = tables
+    count, m = lo.shape
+    W, seeds, g, gl1, wg, into = frames[frame], seeds[frame], g[frame], gl1[frame], wg[frame], into[frame]
     lanes = np.arange(count)[:, None]
     mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
     half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
@@ -509,18 +590,14 @@ def _polytope_volumes(W, lo, hi):
     # the largest |<w_i, y - c>| over the seed cell, plus the margin
     slack = (half[:, None, 0] * wg[..., 0] + half[:, None, 1] * wg[..., 1]
              + half[:, None, 2] * wg[..., 2]) + (_EMPTY_MARGIN * scale)[:, None]
-    empty = ~ok | ((blo > slack) | (bhi < -slack)).any(axis=1)
-    merge = parallel[run] & ~empty[:, None, None]
-    alive = np.ones((count, m), dtype=bool)
+    empty = ~ok[frame] | ((blo > slack) | (bhi < -slack)).any(axis=1)
     for j in range(1, m):
-        into = merge[:, j, :j] & alive[:, :j]
-        hit = np.flatnonzero(into.any(axis=1))
+        hit = np.flatnonzero((into[:, j] >= 0) & ~empty)
         if not hit.size:
             continue
-        i = np.argmax(into[hit], axis=1)  # the first live row parallel to j
-        alive[hit, j] = False
-        alpha = gram[run[hit], j, i] / norms[run[hit], i]
-        a, b = blo[hit, j] / alpha, bhi[hit, j] / alpha
+        i = into[hit, j]
+        scaled = alpha[frame[hit], j]
+        a, b = blo[hit, j] / scaled, bhi[hit, j] / scaled
         blo[hit, i] = np.maximum(blo[hit, i], np.minimum(a, b))
         bhi[hit, i] = np.minimum(bhi[hit, i], np.maximum(a, b))
     empty |= (blo >= bhi).any(axis=1)
@@ -529,22 +606,20 @@ def _polytope_volumes(W, lo, hi):
     # cell cuts no facet)
     plane = np.stack([bhi, blo], axis=2)
     signed = plane * np.array([1.0, -1.0])
-    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (alive & ~empty[:, None])[:, :, None])
+    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (alive[frame] & ~empty[:, None])[:, :, None])
     if not fl.size:
         return np.zeros(count)
-    fk = run[fl]
+    facet = frame[fl] * m + fi
     rows = _others(m)[fi]  # (F, m - 1)
     b = plane[fl, fi, fs]
-    nn = norms[fk, fi]
-    foot = (b / nn)[:, None] * gram[fk[:, None], fi[:, None], rows]
+    nn = norms.reshape(-1)[facet]
+    foot = (b / nn)[:, None] * gram[facet]
     flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
-    flat = flat[fk, fi]
-    # merged rows become zero rows that every point satisfies
-    dead = ~alive[fl[:, None], rows]
-    flat[dead] = 0.0
-    flo[dead], fhi[dead] = -1.0, 1.0
+    if dead is not None:
+        merged = dead[facet]
+        flo, fhi = np.where(merged, -1.0, flo), np.where(merged, 1.0, fhi)
     terms = np.zeros((count, m, 2))
-    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * polygon_areas(flat, flo, fhi)
+    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi)
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
 
 
@@ -576,23 +651,23 @@ def slab_volume(W, lo, hi) -> float:
     raise ValueError(f"slab_volume supports dimensions 1-3, got {d}")
 
 
-def slab_volumes(W, lo, hi) -> np.ndarray:
-    """slab_volume of each lane: W (L, m, d), lo and hi (L, m), d in {1, 2, 3}.
+def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
+    """slab_volume of each lane l: the rows frames[frame[l]] with the bounds
+    lo[l], hi[l], for frames (K, m, d), d in {1, 2, 3}, frame (L,), lo and hi
+    (L, m).  Lanes that share a frame share its per-frame work.
 
-    One lane runs slab_volume, 3-20x faster there than a lane kernel's
-    fixed cost (2-core x86 VM, a centred Haar frame: 2-D, m = 4: 0.03
-    against 0.5-0.8 ms; 3-D, m = 5: 0.27 against 0.8 ms), with the same
-    bits.
+    One lane runs slab_volume on its frame, with the same bits: COSTS.
     """
-    if len(W) == 1:
-        return np.array([slab_volume(W[0], lo[0], hi[0])])
-    d = W.shape[2]
+    frame = np.asarray(frame, dtype=np.intp)
+    if len(frame) == 1:
+        return np.array([slab_volume(np.asarray(frames[frame[0]], dtype=float), lo[0], hi[0])])
+    d = frames.shape[2]
     if d == 1:
-        return interval_lengths(W[:, :, 0], lo, hi)
+        return interval_lengths(frames, frame, lo, hi)
     if d == 2:
-        return polygon_areas(W, lo, hi)
+        return polygon_areas(frames, frame, lo, hi)
     if d == 3:
-        return polytope_volumes(W, lo, hi)
+        return polytope_volumes(frames, frame, lo, hi)
     raise ValueError(f"slab_volumes supports dimensions 1-3, got {d}")
 
 

@@ -250,14 +250,14 @@ LANE_CAP = 1 << 14
 _POOL_LANES = 1 << 10
 
 
-def _lane_volumes(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """kernels.slab_volumes of the lanes rows (L, m, d), lo and hi (L, m), at
-    most LANE_CAP lanes per call.  A lane's volume does not depend on the
-    other lanes of its call, so neither does any of its bits."""
-    vol = np.empty(len(rows))
-    for start in range(0, len(rows), LANE_CAP):
+def _lane_volumes(frames: np.ndarray, frame: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """kernels.slab_volumes of the lanes frame (L,) into frames (K, m, d), lo
+    and hi (L, m), at most LANE_CAP lanes per call.  A lane's volume does not
+    depend on the other lanes of its call, so neither does any of its bits."""
+    vol = np.empty(len(frame))
+    for start in range(0, len(frame), LANE_CAP):
         chunk = slice(start, start + LANE_CAP)
-        vol[chunk] = kernels.slab_volumes(rows[chunk], lo[chunk], hi[chunk])
+        vol[chunk] = kernels.slab_volumes(frames, frame[chunk], lo[chunk], hi[chunk])
     return vol
 
 
@@ -282,16 +282,17 @@ def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
     # S from whichever of local and the bounds is stacked; () when none is
     lead = np.broadcast_shapes(local.shape[:-2], *(lo.shape[:-2] for lo, _, _ in bounds))
     frames = lead[0] if lead else 1
-    # one row per (s, c) lane, s major, one integrand after another
-    local = local.reshape(-1, 1, m, d)
-    rows, los, his = [], [], []
+    # one lane per (s, c), s major, one integrand after another; a lane's
+    # frame is local[s], or the one local
+    local = local.reshape(-1, m, d)
+    index, los, his = [], [], []
     for lo, hi, weights in bounds:
         shape = (frames, len(weights))
-        rows.append(np.broadcast_to(local, shape + (m, d)).reshape(-1, m, d))
+        index.append(np.broadcast_to(np.arange(len(local))[:, None], shape).reshape(-1))
         los.append(np.broadcast_to(lo, shape + (m,)).reshape(-1, m))
         his.append(np.broadcast_to(hi, shape + (m,)).reshape(-1, m))
-    vol = _lane_volumes(np.concatenate(rows), np.concatenate(los), np.concatenate(his))
-    vols = np.split(vol, np.cumsum([len(r) for r in rows])[:-1])
+    vol = _lane_volumes(local, np.concatenate(index), np.concatenate(los), np.concatenate(his))
+    vols = np.split(vol, np.cumsum([len(i) for i in index])[:-1])
     return [_combination_sums(v.reshape(frames, len(weights)), weights)
             for v, (_, _, weights) in zip(vols, bounds)]
 
@@ -400,10 +401,11 @@ class _LanePool:
     def _run(self, shape) -> None:
         queue = self._queues.pop(shape)
         del self._lanes[shape]
-        rows = np.concatenate([np.broadcast_to(e[0].local, (len(e[1]),) + shape) for e in queue])
+        frames = np.stack([e[0].local for e in queue])
+        frame = np.repeat(np.arange(len(queue)), [len(e[1]) for e in queue])
         lo = np.concatenate([e[1] for e in queue])
         hi = np.concatenate([e[2] for e in queue])
-        vol = _lane_volumes(rows, lo, hi)
+        vol = _lane_volumes(frames, frame, lo, hi)
         start = 0
         for entry in queue:
             _multiply_in(entry, vol[start : start + len(entry[1])])

@@ -127,7 +127,7 @@ def test_polygon_areas_match_polygon_area(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-50:, 0], hi[-50:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = kernels.polygon_areas(frames, lo, hi)
+    got = kernels.polygon_areas(frames, np.arange(lanes), lo, hi)
     want = [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < lanes
@@ -137,7 +137,7 @@ def test_polygon_areas_degenerate_lanes():
     # parallel rows (no seed pair), then a regular lane
     frames = np.array([[[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]])
     lo = np.array([[-1.0, -1.0, -1.0], [-0.5, -0.5, -0.6]])
-    got = kernels.polygon_areas(frames, lo, -lo)
+    got = kernels.polygon_areas(frames, np.arange(len(frames)), lo, -lo)
     assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
     assert got[0] == 0.0 and got[1] > 0.0
     # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^2;
@@ -147,17 +147,17 @@ def test_polygon_areas_degenerate_lanes():
     frames = np.array([[[1.0, 0.0], [1.0, t]] for t in (3.9e-14, 4e-14, 4.1e-14)]
                       + [[[3.536, 0.0], [0.0, 5.818805429864252e-14]]])
     lo = -np.ones((4, 2))
-    got = kernels.polygon_areas(frames, lo, -lo)
+    got = kernels.polygon_areas(frames, np.arange(len(frames)), lo, -lo)
     assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
     assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] == 0.0
     # strips narrower and wider than the clip tolerance 1e-14 (1 + 1)
     frames = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]] * 2)
     lo = np.array([[-0.5, -0.5, 0.0]] * 2)
     hi = np.array([[0.5, 0.5, 1e-15], [0.5, 0.5, 1e-13]])
-    got = kernels.polygon_areas(frames, lo, hi)
+    got = kernels.polygon_areas(frames, np.arange(2), lo, hi)
     assert np.array_equal(got, [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)])
     assert got[0] == 0.0 and got[1] > 0.0
-    assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
+    assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
 def test_interval_lengths_match_interval_length():
@@ -173,19 +173,19 @@ def test_interval_lengths_match_interval_length():
     half = rng.uniform(0.1, 1.0, size=(lanes, m))
     shift = rng.normal(size=(lanes, m)) * np.repeat([0.0, 0.5, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
-    got = kernels.interval_lengths(w, lo, hi)
+    got = kernels.interval_lengths(w[:, :, None], np.arange(lanes), lo, hi)
     want = [kernels.interval_length(a, b, c) for a, b, c in zip(w, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < lanes
-    assert kernels.interval_lengths(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
+    assert kernels.interval_lengths(np.zeros((0, 2, 1)), np.zeros(0, int), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
     # a lane with no nonzero coefficient is unbounded unless a row is infeasible
     flat = np.array([[0.0, 1.0], [0.0, 0.0]])
     lo, hi = np.array([[1.0, -1.0], [-1.0, -1.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(kernels.interval_lengths(flat[:1], lo[:1], hi[:1]), [0.0])
+    assert np.array_equal(kernels.interval_lengths(flat[:, :, None], [0], lo[:1], hi[:1]), [0.0])
     with pytest.raises(ValueError):
         kernels.interval_length(flat[1], lo[1], hi[1])
     with pytest.raises(ValueError):
-        kernels.interval_lengths(flat, lo, hi)
+        kernels.interval_lengths(flat[:, :, None], [0, 1], lo, hi)
 
 
 def _assert_exact(W, lo, hi, got, rel=1e-13):
@@ -245,7 +245,7 @@ def test_polytope_volume_of_the_unit_cube_with_touching_slabs(extra, lo, hi):
     got = kernels.polytope_volume(w, lo, hi)
     assert got == pytest.approx(1.0, abs=1e-14)
     _assert_exact(w, lo, hi, got, rel=1e-14)
-    assert kernels.polytope_volumes(np.stack([w, w]), np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
+    assert kernels.polytope_volumes(np.stack([w, w]), [0, 1], np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
 
 
 def test_polytope_volume_merges_rows_parallel_within_tau():
@@ -265,7 +265,7 @@ def test_polytope_volume_merges_rows_parallel_within_tau():
     lo = np.array([-0.5, -0.5, -0.5, 0.1, 0.1])
     hi = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
     assert kernels.polytope_volume(w, lo, hi) == 0.0
-    assert kernels.polytope_volumes(w[None], lo[None], hi[None]).tolist() == [0.0]
+    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None]).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -281,7 +281,7 @@ def test_polytope_volumes_match_polytope_volume(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-40:, 0], hi[-40:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = kernels.polytope_volumes(frames, lo, hi)
+    got = kernels.polytope_volumes(frames, np.arange(lanes), lo, hi)
     want = [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < lanes
@@ -290,7 +290,7 @@ def test_polytope_volumes_match_polytope_volume(n):
 
 
 def _assert_polytope_lanes_match(frames, lo, hi):
-    got = kernels.polytope_volumes(frames, lo, hi)
+    got = kernels.polytope_volumes(frames, np.arange(len(frames)), lo, hi)
     assert np.array_equal(got, [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)])
     return got
 
@@ -304,7 +304,7 @@ def test_polytope_volumes_degenerate_lanes():
     frames = np.array([np.diag([1.0, 1.0, t]) for t in (7.9e-14, 8e-14, 8.1e-14)])
     got = _assert_polytope_lanes_match(frames, -np.ones((3, 3)), np.ones((3, 3)))
     assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0
-    assert kernels.polytope_volumes(np.zeros((0, 4, 3)), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
+    assert kernels.polytope_volumes(np.zeros((0, 4, 3)), np.zeros(0, int), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
     assert kernels.clip_seed_rows(frames[0]) is None and kernels.clip_seed_rows(frames[1]) == (0, 1, 2)
 
 
@@ -363,7 +363,7 @@ def test_polytope_volume_matches_the_exact_oracle_on_small_integer_systems(syste
     w, lo, hi = system
     got = kernels.polytope_volume(w, lo, hi)
     _assert_exact(w, lo, hi, got)
-    assert kernels.polytope_volumes(w[None], lo[None], hi[None])[0] == got
+    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,7 +389,7 @@ def test_polytope_volume_near_sharp_subspaces(case, log_tilt, seed, spread):
     center = spread * rng.normal(size=n)
     lo, hi = center - 0.5, center + 0.5
     got = kernels.polytope_volume(w, lo, hi)
-    assert kernels.polytope_volumes(w[None], lo[None], hi[None])[0] == got
+    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
     _assert_exact(w, lo, hi, got, rel=1e-12 + 400.0 * tilt)
 
 
@@ -473,8 +473,9 @@ def test_slab_volume_dispatch():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
-    """A one-lane slab_volumes call runs slab_volume and a two-lane call does
-    not; either way every lane has the bits of the many-lane call."""
+    """A one-lane slab_volumes call runs slab_volume on its frame and a
+    two-lane call does not; either way every lane has the bits of the
+    many-lane call, and of the call over either half of the lanes."""
     n = d + 2
     rng = np.random.default_rng(d)
     lanes = 60
@@ -482,7 +483,8 @@ def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
     half = rng.uniform(0.2, 1.0, size=(lanes, n))
     shift = rng.normal(size=(lanes, n)) * 0.5
     lo, hi = shift - half, shift + half
-    many = kernels.slab_volumes(frames, lo, hi)
+    frame = np.arange(lanes)
+    many = kernels.slab_volumes(frames, frame, lo, hi)
     assert 0 < np.count_nonzero(many)
     calls = []
     scalar = kernels.slab_volume
@@ -492,12 +494,167 @@ def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
         return scalar(W, lo, hi)
 
     monkeypatch.setattr(kernels, "slab_volume", spy)
-    ones = [kernels.slab_volumes(frames[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
+    ones = [kernels.slab_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
     assert calls == [(n, d)] * lanes
     assert all(one.shape == (1,) for one in ones)
     assert np.array_equal(np.concatenate(ones), many)
     calls.clear()
-    pairs = [kernels.slab_volumes(frames[i : i + 2], lo[i : i + 2], hi[i : i + 2])
+    pairs = [kernels.slab_volumes(frames, frame[i : i + 2], lo[i : i + 2], hi[i : i + 2])
              for i in range(0, lanes, 2)]
+    halves = [kernels.slab_volumes(frames, frame[part], lo[part], hi[part])
+              for part in (slice(None, lanes // 2), slice(lanes // 2, None))]
     assert calls == []
     assert np.array_equal(np.concatenate(pairs), many)
+    assert np.array_equal(np.concatenate(halves), many)
+
+
+def _shared_frames(d, rng):
+    """Five Haar frames (K, 5, d) and a sixth with a degenerate seed set
+    (parallel rows for d = 2 and 3, a zero row for d = 1), 300 lanes that
+    index them out of order (frames 1 and 4 unused, the sixth shared by 100
+    lanes), and centred, shifted and empty bounds."""
+    m, lanes = 5, 300
+    frames = complement_bases(haar_bases(m, m - d, 7 * d, np.arange(6)))
+    if d == 1:
+        frames[5, 2] = 0.0
+    else:
+        frames[5] = np.outer(rng.uniform(0.5, 2.0, size=m), frames[5, 0])
+    frame = rng.choice([5, 3, 0, 2], size=lanes)
+    frame[::3] = 5
+    half = rng.uniform(0.2, 1.0, size=(lanes, m))
+    shift = rng.normal(size=(lanes, m)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
+    return frames, frame, shift - half, shift + half
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lane_kernels_index_shared_frames(d):
+    """Lanes that share frames, index them out of order and skip some, and a
+    degenerate frame shared by many lanes: each lane is == the scalar kernel
+    on its frame, the one-lane call and the call over either half."""
+    frames, frame, lo, hi = _shared_frames(d, np.random.default_rng(30 + d))
+    got = kernels.slab_volumes(frames, frame, lo, hi)
+    want = [kernels.slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got[frame != 5]) < np.count_nonzero(frame != 5)
+    if d > 1:
+        assert not got[frame == 5].any()
+    ones = [kernels.slab_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1])[0]
+            for i in range(len(frame))]
+    assert np.array_equal(ones, got)
+    cut = len(frame) // 2
+    halves = [kernels.slab_volumes(frames, frame[part], lo[part], hi[part])
+              for part in (slice(None, cut), slice(cut, None))]
+    assert np.array_equal(np.concatenate(halves), got)
+    # no lanes at all, with frames to index
+    none = kernels.slab_volumes(frames, np.zeros(0, dtype=int), lo[:0], hi[:0])
+    assert none.shape == (0,)
+
+
+def _polygon_lanes_match(frames, frame, lo, hi):
+    got = kernels.polygon_areas(frames, frame, lo, hi)
+    assert np.array_equal(got, [kernels.polygon_area(frames[k], l, h) for k, l, h in zip(frame, lo, hi)])
+    return got
+
+
+def test_polygon_areas_of_400_and_3_gons_in_one_call():
+    # frame 0 cuts the regular 400-gon of test_polygon_area_400_gon; the
+    # lanes of frame 1 (its rows reversed) bind three sides, with outward
+    # normals at angles 0, 0.665 pi and 1.33 pi, and leave the others slack,
+    # so the widest lane holds 100 times the vertices of the narrowest
+    angles = math.pi * np.arange(200) / 200.0
+    w = np.column_stack([np.cos(angles), np.sin(angles)])
+    frames = np.stack([w, w[::-1]])
+    frame = np.array([1, 0, 1, 1])
+    hi = np.ones((4, 200))
+    hi[frame == 1] = 50.0
+    lo = -hi
+    for lane, scale in ((0, 1.0), (2, 0.5), (3, 2.0)):
+        hi[lane, [199, 66]] = scale
+        lo[lane, 133] = -scale
+    got = _polygon_lanes_match(frames, frame, lo, hi)
+    assert got[1] == pytest.approx(400.0 * math.tan(math.pi / 400.0), rel=1e-12)
+    # the triangles are those of the three binding rows alone
+    binding = [199, 66, 133]
+    for lane in (0, 2, 3):
+        triangle = (frames[1, binding], lo[lane, binding], hi[lane, binding])
+        assert got[lane] == pytest.approx(kernels.polygon_area(*triangle), rel=1e-14)
+        _assert_exact(*triangle, got[lane])
+    assert got[2] == pytest.approx(got[0] / 4.0) and got[3] == pytest.approx(4.0 * got[0])
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_polygon_areas_lanes_die_at_every_clip_step(m):
+    # seeds 2 e_1 and 2 e_2 (the square |y_i| <= 1/2), then m - 2 unit rows
+    # clipped in row order, hi side then lo side: lane k misses the square by
+    # clip step k's side and dies there; the last lane keeps an octagon-like
+    # cut of the square
+    angles = np.linspace(0.3, 2.8, m - 2)
+    w = np.vstack([2.0 * np.eye(2), np.column_stack([np.cos(angles), np.sin(angles)])])
+    steps = 2 * (m - 2)
+    lo = np.tile(np.r_[-1.0, -1.0, np.full(m - 2, -0.6)], (steps + 1, 1))
+    hi = -lo
+    for k in range(steps):
+        row = 2 + k // 2
+        if k % 2:
+            lo[k, row] = 3.0
+        else:
+            hi[k, row] = -3.0
+    got = _polygon_lanes_match(w[None], np.zeros(steps + 1, dtype=int), lo, hi)
+    assert not got[:-1].any() and 0.0 < got[-1] < 1.0
+    _assert_exact(w, lo[-1], hi[-1], got[-1])
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_polygon_areas_end_with_every_vertex_count(m):
+    # the regular 2m-gon of m slabs |<w_j, y>| <= 1 at angles pi j / m, with
+    # all but c of its sides moved out of reach: one lane ends with each
+    # count c from 3 to 2m, in one call
+    angles = math.pi * np.arange(m) / m
+    w = np.column_stack([np.cos(angles), np.sin(angles)])
+    counts = range(3, 2 * m + 1)
+    lo, hi = np.full((len(counts), m), -40.0), np.full((len(counts), m), 40.0)
+    for lane, c in enumerate(counts):
+        for side in {round(s * 2 * m / c) % (2 * m) for s in range(c)}:
+            if side < m:
+                hi[lane, side] = 1.0
+            else:
+                lo[lane, side - m] = -1.0
+    got = _polygon_lanes_match(w[None], np.zeros(len(counts), dtype=int), lo, hi)
+    for lane in range(len(counts)):
+        _assert_exact(w, lo[lane], hi[lane], got[lane])
+    assert got[-1] == pytest.approx(2.0 * m * math.tan(math.pi / (2 * m)))
+
+
+@st.composite
+def _shared_frame_batch(draw):
+    """A batch of 2-8 lanes of small-integer slab systems in d = 2 or 3 that
+    index 1-3 frames of m rows (entries in -2..2, some rows repeated,
+    negated or doubled), with half-integer bounds."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(d, 5))
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                             min_size=m, max_size=m))
+        for i in range(1, m):
+            if draw(st.booleans()):
+                j = draw(st.integers(0, i - 1))
+                rows[i] = [draw(st.sampled_from([1, -1, 2])) * c for c in rows[j]]
+        w = np.array(rows, dtype=float)
+        assume(np.all(np.abs(w).sum(axis=1) > 0) and np.linalg.matrix_rank(w) == d)
+        frames.append(w)
+    lanes = draw(st.integers(2, 8))
+    frame = np.array([draw(st.integers(0, len(frames) - 1)) for _ in range(lanes)])
+    lo = np.array([[draw(_HALF_INTEGER) for _ in range(m)] for _ in range(lanes)])
+    hi = lo + np.array([[draw(st.integers(1, 4)) / 2.0 for _ in range(m)] for _ in range(lanes)])
+    return np.stack(frames), frame, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_frame_batch())
+def test_shared_frame_batches_match_the_scalar_kernels_and_the_exact_oracle(batch):
+    frames, frame, lo, hi = batch
+    got = kernels.slab_volumes(frames, frame, lo, hi)
+    for k, l, h, value in zip(frame, lo, hi, got):
+        assert value == kernels.slab_volume(frames[k], l, h)
+        _assert_exact(frames[k], l, h, value)
