@@ -248,7 +248,7 @@ def polygon_areas(frames, frame, lo, hi):
     on the frame alone (the seed rows, their determinant, the degeneracy
     test, the clip order) is found once per frame.  Vertices sit slot-major,
     (slots, lanes), NaN past each lane's count; a lane leaves once it has
-    fewer than 3 vertices.  One lane costs about 25 times polygon_area, 512
+    fewer than 3 vertices.  One lane costs about 30 times polygon_area, 512
     lanes about an eighth of 512 polygon_area calls (see slab_volumes).
     """
     frame = np.asarray(frame, dtype=np.intp)
@@ -319,8 +319,9 @@ _EMPTY_MARGIN = 1e-11
 # lanes per batch of polytope_volumes: a lane has up to 2m facets of m - 1
 # rows each, so this bounds the working memory of polygon_areas.  On the 3-D
 # calls of a sup-grid round (26-446 lanes of 1-2 frames each), 256 took 6%
-# less kernel time than 128, and 512 no less than 256
-_POLYTOPE_LANES = 1 << 8
+# less kernel time than 128, but raised the peak memory those calls trace
+# from 1.3 to 2.0 MB, and sup-grid's peak RSS by 0.7 MB
+_POLYTOPE_LANES = 1 << 7
 
 
 def _dot(a, b):
@@ -672,13 +673,13 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
 
     One lane runs slab_volume on its frame, with the same bits.  Per call,
     on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5 rows for d =
-    1, 2, 3; the best of 7 timeit repeats; a one-lane lane-kernel call given
-    that lane's frame alone):
+    1, 2, 3; the best of 7 timeit repeats in each of three sessions; a
+    one-lane lane-kernel call given that lane's frame alone):
 
         d   1 lane: lane kernel, scalar   512 lanes: lane kernel, 512 scalar calls
-        1   0.03-0.05 ms, 0.002 ms        0.06 ms, 1.1 ms
-        2   0.35 ms, 0.013 ms             1.0 ms (0.8 on one shared frame), 7.9 ms
-        3   0.8 ms, 0.17 ms               14 ms (4.9 on one shared frame), 100 ms
+        1   0.035 ms, 0.003 ms            0.06 ms, 1.4 ms
+        2   0.42 ms, 0.014 ms             1.1 ms (0.8 on one shared frame), 8.5 ms
+        3   1.0 ms, 0.17 ms               15 ms (5.7 on one shared frame), 112 ms
     """
     frames = np.asarray(frames, dtype=float)
     frame = np.asarray(frame, dtype=np.intp)
