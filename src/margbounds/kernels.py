@@ -194,8 +194,8 @@ def _clip_polygons(poly, nx, ny, b, eps):
     spare = (out_width + 1) * count + lane
     crossed = np.where(cross, kept + keep * count, spare)
     kept = np.where(keep, kept, spare)
-    # only the crossing slots' points are kept; there dp and dq lie beyond
-    # eps on opposite sides, so dp - dq is nonzero
+    # only the crossing slots' points are kept; there the edge's ends lie
+    # beyond eps on opposite sides, so their dp differ
     t = dp[:-1] / (dp[:-1] - dp[1:])
     points = poly[:, :-1] + t * (poly[:, 1:] - poly[:, :-1])
     out = np.full((2, out_width + 2, count), np.nan)
@@ -294,7 +294,9 @@ def _polygon_areas(tables, frame, lo, hi):
             if not alive.any():
                 return out
     term = poly[0, :-1] * poly[1, 1:] - poly[1, :-1] * poly[0, 1:]
-    # the slots past a lane's count add 0.0, which moves no bit of 0.5 |area|
+    # the slots from a lane's count on add 0.0, and starting from term 0
+    # rather than 0.0 can flip only the sign of a zero: neither moves a bit
+    # of 0.5 |area|
     term[np.isnan(term)] = 0.0
     area = term[0]
     for j in range(1, len(term)):
