@@ -41,10 +41,8 @@ from .marginals import (
     MarginalQuery,
     marginal_at,
     marginal_grid_sup,
-    marginal_mc,
     rogozin_check,
     small_ball,
-    verify_main_theorem,
 )
 from .sections import (
     Box,
@@ -88,7 +86,6 @@ __all__ = [
     "hyperplane_section_sinc",
     "marginal_at",
     "marginal_grid_sup",
-    "marginal_mc",
     "orthonormal_complement",
     "projection_weights",
     "random_density",
@@ -101,5 +98,4 @@ __all__ = [
     "small_ball",
     "uniform_density",
     "unit_cube",
-    "verify_main_theorem",
 ]

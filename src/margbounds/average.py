@@ -24,7 +24,7 @@ from .densities import ProductDensity, cube_density
 # patches them through this module
 from .grassmann import complement_bases, haar_bases, haar_directions, haar_sample  # noqa: F401
 from .marginals import marginal_at  # noqa: F401
-from .sections import Box, hyperplane_sections_exact_batch, unit_cube
+from .sections import Box, box_pieces, hyperplane_sections_exact_batch, unit_cube
 
 _DIR_CHUNK = 1 << 14
 
@@ -158,11 +158,6 @@ def _density_pieces(f: ProductDensity) -> list:
     return [fi.pieces for fi in f.factors]
 
 
-def _box_pieces(box: Box) -> list:
-    """The pieces of the box's indicator, one centred interval per side."""
-    return [[(-z / 2.0, z / 2.0, 1.0)] for z in box.sides.tolist()]
-
-
 def _powered(values: np.ndarray, power: float) -> np.ndarray:
     """values**power via exp(power*log), with zeros passed through."""
     out = np.zeros_like(values)
@@ -175,18 +170,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     m = values.size
     mean = float(values.mean())
     return mean, float(math.sqrt(values.var() / m))
-
-
-def avg_marginal_power(
-    f: ProductDensity, k: int, subspace_samples: int, seed: int = 0, stream: int = 0
-) -> GrassmannAverage:
-    """Estimate of int_{G_{n,k}} pi_E(f)(0)^n dmu over Haar subspaces."""
-    if subspace_samples < 1000:
-        raise ValueError("need subspace_samples >= 1000")
-    n = f.n
-    vals = _slab_sums_at_zero([_density_pieces(f)], k, subspace_samples, seed, stream, True)[0]
-    mean, se = _mean_se(_powered(vals, float(n)))
-    return GrassmannAverage(n, k, float(n), subspace_samples, mean, se, seed)
 
 
 def cube_avg_power(
@@ -212,12 +195,7 @@ def cube_avg_power(
 
 
 def prop_avg_check(
-    f: ProductDensity,
-    k: int,
-    samples: int,
-    tol: float = 0.0,
-    seed: int = 0,
-    stream: int = 0,
+    f: ProductDensity, k: int, samples: int, seed: int = 0, stream: int = 0
 ) -> dict:
     """Paired comparison of the f-average against the cube average.
 
@@ -242,18 +220,8 @@ def prop_avg_check(
         "rhs_se": rhs_se,
         "paired_diff": diff,
         "paired_se": diff_se,
-        "pass": bool(diff <= tol + 3.0 * diff_se),
+        "pass": bool(diff <= 3.0 * diff_se),
     }
-
-
-def _check_quermass_args(n: int, k: int, samples: int) -> None:
-    """The dual quermassintegral's guards, raised before any draw."""
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
-    if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
-    if k > 3:
-        raise ValueError("section dimension k > 3 needs a Monte Carlo section engine")
 
 
 def _quermass_average(raw: np.ndarray, n: int, k: int, seed: int) -> GrassmannAverage:
@@ -269,19 +237,6 @@ def _quermass_average(raw: np.ndarray, n: int, k: int, seed: int) -> GrassmannAv
     return GrassmannAverage(n, k, float(n), raw.size, estimate, std_error, seed)
 
 
-def dual_affine_quermass(
-    box: Box, k: int, samples: int, seed: int = 0, stream: int = 0
-) -> GrassmannAverage:
-    """(omega_n/omega_k) (int |K cap E|^n dmu)^{1/n} for a box K.
-
-    The standard error for the 1/n power comes from the delta method applied
-    to the sample mean of the n-th powers.
-    """
-    _check_quermass_args(box.n, k, samples)
-    raw = _slab_sums_at_zero([_box_pieces(box)], k, samples, seed, stream, False)[0]
-    return _quermass_average(raw, box.n, k, seed)
-
-
 def grinberg_check(
     diag, n: int, k: int, samples: int, seed: int = 0, stream: int = 0
 ) -> dict:
@@ -293,8 +248,13 @@ def grinberg_check(
         raise ValueError("diag must have n entries")
     if abs(abs(np.prod(s)) - 1.0) > 1e-12:
         raise ValueError("S must be volume-preserving (|det S| = 1 within 1e-12)")
-    _check_quermass_args(n, k, samples)
-    boxes = [_box_pieces(unit_cube(n)), _box_pieces(Box(np.abs(s)))]
+    if samples < 1000:
+        raise ValueError("need samples >= 1000")
+    if not (1 <= k < n):
+        raise ValueError("need 1 <= k < n")
+    if k > 3:
+        raise ValueError("section dimension k > 3 needs a Monte Carlo section engine")
+    boxes = [box_pieces(unit_cube(n)), box_pieces(Box(np.abs(s)))]
     raw = _slab_sums_at_zero(boxes, k, samples, seed, stream, False)
     phi_q, phi_sq = (_quermass_average(row, n, k, seed) for row in raw)
     diff = abs(phi_q.estimate - phi_sq.estimate)

@@ -282,7 +282,7 @@ def cmd_sections(ns) -> int:
             print(f"error: cannot read subspace: {exc}", file=sys.stderr)
             return 3
         if ns.mode == "quadrature":
-            value = sections.section_quadrature(box, h, tol=ns.tol)
+            value = sections.section_quadrature(box, h)
             record.update({"value": value})
         else:
             value, se = sections.section_mc(box, h, ns.samples, ns.seed)

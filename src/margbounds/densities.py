@@ -82,7 +82,7 @@ class StepDensity:
         lo, hi = self.support()
         return 0.5 * (lo + hi)
 
-    # -- norms and level sets ---------------------------------------------
+    # -- norms ---------------------------------------------------------------
 
     def l1_norm(self) -> float:
         return float(np.dot(self.values, self.widths))
@@ -100,13 +100,6 @@ class StepDensity:
         sup = self.sup_norm()
         return sup * float(np.dot((self.values / sup) ** p, self.widths) ** (1.0 / p))
 
-    def level_set_measure(self, t: float) -> float:
-        """Lebesgue measure of {f > t} (strict inequality)."""
-        if t < 0.0:
-            raise ValueError("level_set_measure requires t >= 0")
-        mask = self.values > t
-        return float(np.dot(mask, self.widths))
-
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.l1_norm() - 1.0) <= tol
 
@@ -115,10 +108,6 @@ class StepDensity:
     def normalized(self) -> "StepDensity":
         s = self.l1_norm()
         return StepDensity([(lo, hi, v / s) for lo, hi, v in self.pieces])
-
-    def scaled(self, factor: float) -> "StepDensity":
-        """Pointwise scaling of values by factor > 0 (no renormalization)."""
-        return StepDensity([(lo, hi, v * factor) for lo, hi, v in self.pieces])
 
     def shifted(self, offset: float) -> "StepDensity":
         """Translate by offset (x -> f(x - offset))."""

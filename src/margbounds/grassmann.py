@@ -73,15 +73,6 @@ class Subspace:
             basis[i, j] = 1.0
         return cls(basis)
 
-    @classmethod
-    def span(cls, vectors) -> "Subspace":
-        """Orthonormalize the given spanning vectors (columns after stacking)."""
-        a = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-        q, r = np.linalg.qr(a)
-        if np.abs(np.diag(r)).min() < 1e-10:
-            raise ValueError("spanning vectors are (numerically) dependent")
-        return cls(_fix_qr_signs(q, r))
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -138,11 +129,6 @@ class ExponentAssignment:
         betas.setflags(write=False)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "target_sum", float(target_sum))
-
-    @property
-    def gammas(self) -> np.ndarray:
-        """The complementary exponents 1 - beta_i."""
-        return 1.0 - self.betas
 
 
 def _fix_qr_signs(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -286,7 +272,6 @@ def grassmann_search_max(
     restarts: int,
     steps: int,
     seed: int,
-    initial_step: float = 0.5,
 ) -> tuple[Subspace, float]:
     """Random-restart local maximization of a function on G_{n,k}.
 
@@ -303,7 +288,7 @@ def grassmann_search_max(
     for r in range(restarts):
         sub = haar_sample(n, k, seed, stream=2 * r + 1)
         val = float(objective(sub))
-        sigma = initial_step
+        sigma = 0.5
         fails = 0
         noise = randomness.normals(seed, 2 * r + 2, 0, steps * n * k).reshape(steps, n, k)
         for s in range(steps):

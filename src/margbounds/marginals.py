@@ -8,8 +8,8 @@ frame turns into
 
 with w_i the rows of an orthonormal basis of E-perp and x_i the ambient
 coordinates of x.  For step factors this is a finite sum of slab-intersection
-volumes, so the deterministic route is exact; a stratified Monte Carlo
-fallback covers high codimension.  On top sit the theorem verifier, the
+volumes, so the deterministic route is exact; the slab sum's stratified
+Monte Carlo (slabgeom.SlabSum.mc) is the fallback for high codimension.  On top sit the theorem verifier, the
 one-dimensional worst-case (cube) comparison, and the small-ball estimator.
 """
 
@@ -61,70 +61,15 @@ def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
     return slabgeom.SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
 
 
-def marginal_at(q: MarginalQuery, tol: float = 1e-9) -> float:
+def marginal_at(q: MarginalQuery) -> float:
     """pi_E(f)(x) by exact slab-arrangement integration.
 
     Factors whose frame vector vanishes contribute the constant f_i(x_i);
-    the rest integrate exactly over the orthogonal blocks of the frame rows,
-    so any positive tol is met.  Requires every irreducible block to span at
-    most 3 dimensions (always true for n - k <= 3); otherwise marginal_mc is
-    the fallback.
+    the rest integrate exactly over the orthogonal blocks of the frame rows.
+    Requires every irreducible block to span at most 3 dimensions (always
+    true for n - k <= 3); otherwise _slab_sum(f, e).mc is the fallback.
     """
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError("tol must be positive")
     return _slab_sum(q.f, q.e).value(q.ambient_shifts())
-
-
-def marginal_mc(
-    q: MarginalQuery, samples: int, bandwidth: float = 1.0, seed: int = 0, stream: int = 0
-) -> tuple[float, float]:
-    """Stratified Monte Carlo estimate of pi_E(f)(x) with a standard error.
-
-    Integrates over a bounding cube of the integrand's support in E-perp
-    coordinates, inflated by the bandwidth factor (>= 1); deterministic in
-    (seed, stream) and independent of chunking.
-    """
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
-    if bandwidth < 1.0:
-        raise ValueError("bandwidth is an inflation factor, must be >= 1")
-    e = q.e
-    if e.k >= e.n:
-        raise ValueError("nothing to integrate when k = n")
-    slab_sum = _slab_sum(q.f, e)
-    w = slab_sum.rows
-    d = e.n - e.k
-    shifts = q.ambient_shifts()
-    const = slab_sum.zero_row_factor(shifts)
-    if const == 0.0:
-        return 0.0, 0.0
-    active = slab_sum.active_rows
-    # the integrand vanishes unless <w_i, y> stays within each factor's
-    # support; the frame identity then bounds |y|
-    reach = 0.0
-    for i in active:
-        lo, hi = q.f.factors[i].support()
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo) - shifts[i]
-        reach += (abs(mid) + half) ** 2
-    radius = bandwidth * math.sqrt(reach)
-    if radius == 0.0:
-        return 0.0, 0.0
-    cube_vol = (2.0 * radius) ** d
-    vals = np.empty(samples)
-    for start, y in randomness.stratified_cube(seed, stream, samples, d, radius):
-        count = y.shape[0]
-        prod = np.full(count, const)
-        for i in active:
-            t = shifts[i] + y @ w[i]
-            piece_vals = np.zeros(count)
-            for lo, hi, v in slab_sum.pieces[i]:
-                piece_vals = np.where((t >= lo) & (t < hi), v, piece_vals)
-            prod *= piece_vals
-        vals[start : start + count] = prod
-    mean = float(vals.mean())
-    var = float(vals.var())
-    return cube_vol * mean, cube_vol * math.sqrt(var / samples)
 
 
 def _axis_offsets(radius: float, step: float) -> np.ndarray:
@@ -245,44 +190,35 @@ def default_grid(f: ProductDensity, e: Subspace) -> tuple[float, float]:
     return radius, 2.0 * radius / (points - 1)
 
 
-def _verify_problem(f: ProductDensity, e: Subspace, tol: float):
-    """(bound report, grid-sup problem) of verify_main_theorem."""
-    report = bounds.bound_main(e, f.sup_norms())
-    radius, step = default_grid(f, e)
-    # the grid sup only needs to resolve the bound comparison: refining it
-    # further can make the lower bound larger (safe direction) but never flips
-    # a pass into a fail, so the refinement stop is scaled to the bound
-    refine_tol = max(1e-9, 1e-2 * tol * report.bound_value)
-    return report, (f, e, radius, step, refine_tol)
+def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
+    """Compare the grid sup of pi_E(f) against the marginal product bound,
+    for each (f, e) of cases, with the grid sups run in lockstep by
+    marginal_grid_sups.
 
-
-def _verify_record(report, sup_lb, tol: float) -> dict:
-    sup_lb = float(sup_lb)
-    return {
-        "sup_lower_bound": sup_lb,
-        "bound": report.bound_value,
-        "branch": report.branch,
-        "slack": report.bound_value - sup_lb,
-        "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
-    }
-
-
-def verify_main_theorem(f: ProductDensity, e: Subspace, tol: float = 1e-4) -> dict:
-    """Compare the grid sup of pi_E(f) against the marginal product bound.
-
-    Returns {sup_lower_bound, bound, branch, slack, pass}; pass iff
+    One {sup_lower_bound, bound, branch, slack, pass} per case; pass iff
     sup_lower_bound <= bound * (1 + tol).
     """
-    report, problem = _verify_problem(f, e, tol)
-    return _verify_record(report, marginal_grid_sup(*problem), tol)
-
-
-def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
-    """verify_main_theorem(f, e, tol) for each (f, e) of cases, with the
-    grid sups run in lockstep by marginal_grid_sups."""
-    prepared = [_verify_problem(f, e, tol) for f, e in cases]
-    sups = marginal_grid_sups([problem for _, problem in prepared])
-    return [_verify_record(report, sup_lb, tol) for (report, _), sup_lb in zip(prepared, sups)]
+    reports, problems = [], []
+    for f, e in cases:
+        report = bounds.bound_main(e, f.sup_norms())
+        radius, step = default_grid(f, e)
+        # the grid sup only needs to resolve the bound comparison: refining
+        # it further can make the lower bound larger (safe direction) but
+        # never flips a pass into a fail, so the refinement stop is scaled to
+        # the bound
+        reports.append(report)
+        problems.append((f, e, radius, step, max(1e-9, 1e-2 * tol * report.bound_value)))
+    records = []
+    for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
+        sup_lb = float(sup_lb)
+        records.append({
+            "sup_lower_bound": sup_lb,
+            "bound": report.bound_value,
+            "branch": report.branch,
+            "slack": report.bound_value - sup_lb,
+            "pass": bool(sup_lb <= report.bound_value * (1.0 + tol)),
+        })
+    return records
 
 
 def cube_hyperplane_section(theta) -> float:

@@ -4,7 +4,8 @@ Four routes with very different failure modes, used to cross-validate each
 other: an exact signed-sum formula for hyperplane sections (the density of a
 weighted sum of uniforms), an oscillatory Fourier (sinc-product) route, the
 exact slab kernels in the section coordinates for dimensions up to three, and
-a stratified Monte Carlo fallback for higher dimensions.
+the slab sum's stratified Monte Carlo (slabgeom.SlabSum.mc) for higher
+dimensions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, randomness, slabgeom
+from . import kernels, slabgeom
 from .grassmann import Subspace
 from .quadrature import (
     MAX_SINC_FACTORS,
@@ -53,6 +54,11 @@ class Box:
 
 def unit_cube(n: int) -> Box:
     return Box(np.ones(n))
+
+
+def box_pieces(box: Box) -> list:
+    """The pieces of the box's indicator, one centred interval per side."""
+    return [[(-z / 2.0, z / 2.0, 1.0)] for z in box.sides.tolist()]
 
 
 def _check_unit(a: np.ndarray) -> None:
@@ -107,11 +113,11 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     return box.volume() * dens
 
 
-def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -> float:
+def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     """|B cap a-perp| via Fourier inversion of the sinc characteristic product.
 
-    Integrates the m-factor sinc product on [0, T], T = panels pi / max c, on
-    panels cut at the zeros of the fastest factor, then adds the [T, oo)
+    Integrates the m-factor sinc product on [0, T], T = 128 pi / max c, on
+    128 panels cut at the zeros of the fastest factor, then adds the [T, oo)
     tail.  Since |sinc(c_j t)| <= 1 / (c_j t), the tail is at most the
     envelope T^{1-m} / ((m-1) prod c).  Where that envelope is at most the
     unit roundoff 2^-53 of the [0, T] value, the tail is dropped: it cannot
@@ -148,8 +154,8 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9, panels: int = 128) -
         return np.prod(vals, axis=1)
 
     cmax = float(c.max())
-    t_end = panels * math.pi / cmax
-    edges = np.linspace(0.0, t_end, panels + 1)
+    t_end = 128 * math.pi / cmax
+    edges = np.linspace(0.0, t_end, 129)
     budget = tol / (2.0 * scale)
     value, err = adaptive_panels(integrand, edges, budget)
     if err > budget:
@@ -174,17 +180,15 @@ def _tail_below_roundoff(c: np.ndarray, t_end: float, value: float) -> bool:
     return log_envelope <= math.log(UNIT_ROUNDOFF) + math.log(abs(value))
 
 
-def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
+def section_quadrature(box: Box, h: Subspace) -> float:
     """|B cap H| by the exact slab kernels in H coordinates.
 
     The section in the orthonormal coordinates of H is the slab intersection
     { y : |<y, w_i>| <= z_i/2 } with w_i the rows of H's basis; its volume is
-    computed exactly (so any positive tolerance is satisfied) provided every
-    irreducible orthogonal block of the slab system has dimension <= 3.
-    Higher-dimensional irreducible sections must go through section_mc.
+    computed exactly provided every irreducible orthogonal block of the slab
+    system has dimension <= 3.  Higher-dimensional irreducible sections must
+    go through section_mc.
     """
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError("tol must be positive")
     if h.n != box.n:
         raise ValueError("dimension mismatch between box and subspace")
     if h.k == 0:
@@ -198,32 +202,15 @@ def section_quadrature(box: Box, h: Subspace, tol: float = 1e-9) -> float:
 def section_mc(
     box: Box, h: Subspace, samples: int, seed: int, stream: int = 0
 ) -> tuple[float, float]:
-    """Stratified Monte Carlo estimate of |B cap H| with a standard error.
-
-    Samples uniformly from a bounding cube of the section in H coordinates
-    (stratified along the first axis by sample index), so the estimate is
-    reproducible from the seed and independent of any chunking.
-    """
+    """Stratified Monte Carlo estimate of |B cap H| with a standard error:
+    SlabSum.mc of the box's indicator over the rows of H's basis, at zero
+    shift."""
     if samples < 100:
         raise ValueError("need samples >= 100")
     if h.n != box.n:
         raise ValueError("dimension mismatch between box and subspace")
-    d = h.k
-    w = np.asarray(h.basis)
-    half = box.sides / 2.0
-    radius = math.sqrt(float(np.sum(half**2)))
-    cube_vol = (2.0 * radius) ** d
-    total = 0.0
-    total_sq = 0.0
-    for _, y in randomness.stratified_cube(seed, stream, samples, d, radius):
-        inside = np.all(np.abs(y @ w.T) <= half[None, :], axis=1)
-        total += float(inside.sum())
-        total_sq += float(inside.sum())  # indicator: x^2 == x
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    estimate = cube_vol * mean
-    std_error = cube_vol * math.sqrt(var / samples)
-    return estimate, std_error
+    slab_sum = slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box))
+    return slab_sum.mc(np.zeros(box.n), samples, seed, stream)
 
 
 def sharp_block_subspace(n: int, k: int) -> Subspace:

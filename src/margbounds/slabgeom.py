@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import kernels
+from . import kernels, randomness
 
 # frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
@@ -48,12 +48,20 @@ class BlockTooWideError(ValueError):
     slab kernels handle; the exact route cannot serve this frame."""
 
 
-def _row_links(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+# rows whose inner product exceeds this (relative to their norms + 1) share
+# a block
+ROW_LINK_TOL = 1e-10
+
+# span dimension of the widest block the exact slab kernels handle
+MAX_BLOCK = 3
+
+
+def _row_links(w: np.ndarray) -> np.ndarray:
     """Pairs of rows of w (..., m, d) that share a block:
-    |<w_i, w_j>| > tol (|w_i| + 1)(|w_j| + 1)."""
+    |<w_i, w_j>| > ROW_LINK_TOL (|w_i| + 1)(|w_j| + 1)."""
     norms = np.sqrt(np.einsum("...ij,...ij->...i", w, w)) + 1.0
     gram = np.abs(w @ np.swapaxes(w, -1, -2))
-    return gram > tol * (norms[..., :, None] * norms[..., None, :])
+    return gram > ROW_LINK_TOL * (norms[..., :, None] * norms[..., None, :])
 
 
 def _span_rank(s: np.ndarray) -> np.ndarray:
@@ -61,10 +69,10 @@ def _span_rank(s: np.ndarray) -> np.ndarray:
     return np.sum(s > 1e-12 * (1.0 + s[..., :1]), axis=-1)
 
 
-def row_components(w: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
+def row_components(w: np.ndarray) -> list[np.ndarray]:
     """Index groups of rows linked by nonzero inner products (union of BFS)."""
     m = w.shape[0]
-    linked = _row_links(w, tol)
+    linked = _row_links(w)
     seen = np.zeros(m, dtype=bool)
     comps = []
     for start in range(m):
@@ -109,11 +117,11 @@ def single_block_frames(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows @ np.swapaxes(vt, -1, -2), ok
 
 
-def component_blocks(w: np.ndarray, max_block: int = 3) -> list[tuple[np.ndarray, np.ndarray]]:
+def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row indices, rows in span coordinates) per orthogonal component.
 
     Raises BlockTooWideError if some irreducible component spans more than
-    max_block dimensions (callers then fall back to Monte Carlo).
+    MAX_BLOCK dimensions (callers then fall back to Monte Carlo).
 
     Components whose span ranks do not add up to the rank of all rows are not
     orthogonal, whatever row_components' absolute link tolerance says: near a
@@ -130,10 +138,10 @@ def component_blocks(w: np.ndarray, max_block: int = 3) -> list[tuple[np.ndarray
             comps, locals_ = [np.arange(w.shape[0])], [span_coordinates(w)]
     blocks = []
     for comp, local in zip(comps, locals_):
-        if local.shape[1] > max_block:
+        if local.shape[1] > MAX_BLOCK:
             raise BlockTooWideError(
                 f"irreducible slab block of dimension {local.shape[1]} "
-                f"exceeds the exact-geometry limit {max_block}"
+                f"exceeds the exact-geometry limit {MAX_BLOCK}"
             )
         blocks.append((comp, local))
     return blocks
@@ -264,10 +272,7 @@ def _lane_volumes(frames: np.ndarray, frame: np.ndarray, lo: np.ndarray, hi: np.
 def _combination_sums(vol: np.ndarray, weights) -> np.ndarray:
     """sum_c weights[c] * vol[:, c] for vol (S, C), each s summed in order of c
     from 0.0: every slab sum's one order, whatever the lanes' count."""
-    sub = np.zeros(len(vol))
-    for c, w in enumerate(weights):
-        sub = sub + w * vol[:, c]
-    return sub
+    return kernels._sum_in_order(vol * weights)
 
 
 def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
@@ -366,6 +371,50 @@ class SlabSum:
         one-pair call of pooled_values."""
         return pooled_values([(self, shifts)])[0]
 
+    def mc(self, shifts: np.ndarray, samples: int, seed: int, stream: int = 0) -> tuple[float, float]:
+        """(estimate, standard error) of value(shifts) by stratified Monte
+        Carlo, for rows that form a tight frame; reproducible from (seed,
+        stream) and independent of randomness.MC_CHUNK.
+
+        The points are uniform in the cube of radius sqrt(sum_i (|mid_i -
+        s_i| + half_i)^2), mid_i and half_i the centre and half-width of row
+        i's pieces: where the integrand is nonzero, |<w_i, y>| <= |mid_i -
+        s_i| + half_i, and the frame identity |y|^2 = sum_i <w_i, y>^2 bounds
+        |y| by that radius.  Zero rows give the constant zero_row_factor.
+        """
+        const = self.zero_row_factor(shifts)
+        lo = np.array([min(p[0] for p in pieces) for pieces in self.pieces])
+        hi = np.array([max(p[1] for p in pieces) for pieces in self.pieces])
+        reach = np.abs(0.5 * (hi + lo) - shifts) + 0.5 * (hi - lo)
+        radius = math.sqrt(float(np.sum(reach**2)))
+        if const == 0.0 or radius == 0.0:
+            return 0.0, 0.0
+        # (lo, hi, value) of piece j of row i at [:, j, i]; shorter rows are
+        # padded with empty pieces, and a zero row's one piece (-inf, inf,
+        # 1.0) leaves its factor to const
+        table = np.zeros((3, max(map(len, self.pieces)), len(self.pieces), 1))
+        for i in self.active_rows:
+            table[:, : len(self.pieces[i]), i, 0] = np.array(self.pieces[i], dtype=float).T
+        table[:, 0, self.zero_rows, 0] = [[-np.inf], [np.inf], [1.0]]
+        d = self.rows.shape[1]
+        total = total_sq = 0.0
+        for _, y in randomness.stratified_cube(seed, stream, samples, d, radius):
+            # t = s + W y, (m, N): each row's factor values are contiguous
+            t = self.rows @ y.T
+            t += shifts[:, None]
+            g = ((t >= table[0, 0]) & (t < table[1, 0])) * table[2, 0]
+            for piece_lo, piece_hi, value in zip(*table[:, 1:]):
+                g += ((t >= piece_lo) & (t < piece_hi)) * value  # the pieces are disjoint
+            x = np.full(len(y), const)
+            for factor in g:
+                x *= factor
+            total += float(x.sum())
+            total_sq += float(np.dot(x, x))
+        mean = total / samples
+        var = max(total_sq / samples - mean * mean, 0.0)
+        cube_vol = (2.0 * radius) ** d
+        return cube_vol * mean, cube_vol * math.sqrt(var / samples)
+
 
 class _LanePool:
     """The lanes of one round of pooled_values, waiting for shared kernel
@@ -436,7 +485,9 @@ def pooled_values(pairs) -> list[np.ndarray]:
     combination's unshifted seed-cell corner table once per point shift, in
     O(m) per lane, with a slack that covers the shifted cell's (see
     _PREFILTER_MARGIN), and only the kept lanes get their bounds
-    lo[c] - s[p], hi[c] - s[p].
+    lo[c] - s[p], hi[c] - s[p].  A block's points join the pool at most
+    LANE_CAP (point, combination) pairs at a time (at least one point), so
+    no round holds more lanes than that beyond the pool's queues.
     """
     values = []
     for slab_sum, shifts in pairs:
@@ -454,15 +505,18 @@ def pooled_values(pairs) -> list[np.ndarray]:
             if not live.size or j >= len(slab_sum.blocks):
                 continue
             rows, block = slab_sum.blocks[j]
-            s = shifts[live][:, rows]
-            if block.local.shape[1] >= 2:
-                lanes = block.candidates(s)
-                point, combo = np.divmod(lanes, len(block.weights))
-                lo, hi = block.lo[combo] - s[point], block.hi[combo] - s[point]
-            else:
-                lanes = slice(None)
-                lo = (block.lo - s[:, None]).reshape(-1, rows.size)  # (point, combination) major
-                hi = (block.hi - s[:, None]).reshape(-1, rows.size)
-            pool.add(block, lo, hi, lanes, vals, live)
+            per_add = max(1, LANE_CAP // max(len(block.weights), 1))
+            for start in range(0, live.size, per_add):
+                part = live[start : start + per_add]
+                s = shifts[part][:, rows]
+                if block.local.shape[1] >= 2:
+                    lanes = block.candidates(s)
+                    point, combo = np.divmod(lanes, len(block.weights))
+                    lo, hi = block.lo[combo] - s[point], block.hi[combo] - s[point]
+                else:
+                    lanes = slice(None)
+                    lo = (block.lo - s[:, None]).reshape(-1, rows.size)  # (point, combination) major
+                    hi = (block.hi - s[:, None]).reshape(-1, rows.size)
+                pool.add(block, lo, hi, lanes, vals, part)
         pool.flush()
     return values

@@ -103,15 +103,13 @@ def test_acceptance_03_sharpness():
 
 def test_acceptance_04_main_theorem_suite():
     configs = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
-    violations = 0
+    cases = []
     for t in range(500):
         n, k = configs[t % len(configs)]
         sup_lo, sup_hi = (1.0, 1.0) if t % 2 == 0 else (0.5, 4.0)
         f = cli._trial_density(404, n, t, sup_lo, sup_hi)
-        e = haar_sample(n, k, 404, stream=t * 1024 + 513)
-        rec = marginals.verify_main_theorem(f, e, tol=1e-4)
-        if not rec["pass"]:
-            violations += 1
+        cases.append((f, haar_sample(n, k, 404, stream=t * 1024 + 513)))
+    violations = sum(not rec["pass"] for rec in marginals.verify_main_theorems(cases, tol=1e-4))
     _line(4, "marginal sup vs product bound (500 trials)", violations == 0)
 
 

@@ -7,9 +7,7 @@ from slab_reference import scalar_slab_sum
 
 from margbounds import average, slabgeom
 from margbounds.average import (
-    avg_marginal_power,
     cube_avg_power,
-    dual_affine_quermass,
     grinberg_check,
     prop_avg_check,
     unit_ball_volume,
@@ -23,7 +21,13 @@ from margbounds.grassmann import (
     orthonormal_complement,
 )
 from margbounds.marginals import MarginalQuery, marginal_at
-from margbounds.sections import Box, section_quadrature, sharp_paired_subspace, unit_cube
+from margbounds.sections import (
+    Box,
+    box_pieces,
+    section_quadrature,
+    sharp_paired_subspace,
+    unit_cube,
+)
 
 
 def test_unit_ball_volumes():
@@ -52,7 +56,12 @@ def _marginal_values(f, k, samples, seed, stream):
 
 def _section_values(box, k, samples, seed, stream):
     """|K cap E| over the Haar samples, one value per sample."""
-    return average._slab_sums_at_zero([average._box_pieces(box)], k, samples, seed, stream, False)[0]
+    return average._slab_sums_at_zero([box_pieces(box)], k, samples, seed, stream, False)[0]
+
+
+def _quermass(box, k, samples, seed, stream):
+    """The dual affine quermassintegral of the box from its own draw."""
+    return average._quermass_average(_section_values(box, k, samples, seed, stream), box.n, k, seed)
 
 
 def _line_sums(pieces, dirs):
@@ -85,7 +94,7 @@ def test_line_sums_match_scalar_slab_sum(n):
     dirs = haar_directions(n, 300, seed=n, stream=0)
     zero = np.zeros(n)
     for pieces in ([g.pieces for g in _centered_density(n, n).factors],
-                   average._box_pieces(Box(np.linspace(0.6, 1.7, n)))):
+                   box_pieces(Box(np.linspace(0.6, 1.7, n)))):
         got = _line_sums(pieces, dirs)
         assert np.count_nonzero(got) > 200
         want = [scalar_slab_sum(v[:, None], pieces, zero) for v in dirs]
@@ -122,11 +131,13 @@ def test_cube_avg_power_deterministic():
 
 
 def test_avg_marginal_power_matches_cube_route():
-    f = cube_density(2)
-    a = avg_marginal_power(f, 1, 50000, seed=3)
+    # the slab-sum route of the cube's marginal power average against
+    # cube_avg_power's Irwin-Hall batch: n - k = 1 on both sides, so
+    # identical streams, identical inner formula
+    vals = _marginal_values(cube_density(2), 1, 50000, seed=3, stream=0)
+    a, _ = average._mean_se(average._powered(vals, 2.0))
     b = cube_avg_power(2, 1, 50000, seed=3)
-    # n - k = 1 on both sides: identical streams, identical inner formula
-    assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
+    assert a == pytest.approx(b.estimate, rel=1e-12)
 
 
 def test_cube_avg_power_convergence_rate():
@@ -167,8 +178,7 @@ def test_dual_affine_quermass_omega_ratio():
 
 
 def test_dual_affine_quermass_reproducible():
-    a = dual_affine_quermass(unit_cube(3), 1, 20000, seed=2)
-    b = dual_affine_quermass(unit_cube(3), 1, 20000, seed=2)
+    a, b = (_quermass(unit_cube(3), 1, 20000, seed=2, stream=0) for _ in range(2))
     assert a.estimate == b.estimate
     assert a.estimate > 0.0 and math.isfinite(a.estimate)
 
@@ -198,7 +208,7 @@ def test_sample_count_guards():
     with pytest.raises(ValueError):
         cube_avg_power(2, 1, 10, seed=0)
     with pytest.raises(ValueError):
-        avg_marginal_power(cube_density(2), 1, 10)
+        prop_avg_check(cube_density(2), 1, 10)
 
 
 def _centered_density(seed, n):
@@ -223,7 +233,7 @@ def _reference_marginal_values_at_zero(f, k, samples, seed, stream, special=None
     vals = np.empty(samples)
     for i in range(samples):
         e = Subspace(special[i]) if i in special else haar_sample(f.n, k, seed, stream=stream + 1 + i)
-        vals[i] = marginal_at(MarginalQuery(f, e, np.zeros(k)), 1e-9)
+        vals[i] = marginal_at(MarginalQuery(f, e, np.zeros(k)))
     return vals
 
 
@@ -324,9 +334,10 @@ def _prop_avg_reference(f, k, samples, seed, stream):
 
 
 def _grinberg_reference(diag, n, k, samples, seed, stream):
-    """grinberg_check with each box through its own dual_affine_quermass."""
-    phi_q = dual_affine_quermass(unit_cube(n), k, samples, seed, stream)
-    phi_sq = dual_affine_quermass(Box(np.abs(diag)), k, samples, seed, stream)
+    """grinberg_check with each box through its own single-integrand call,
+    so each side draws and frames its own subspaces."""
+    phi_q = _quermass(unit_cube(n), k, samples, seed, stream)
+    phi_sq = _quermass(Box(np.abs(diag)), k, samples, seed, stream)
     diff = abs(phi_q.estimate - phi_sq.estimate)
     combined_se = math.hypot(phi_q.std_error, phi_sq.std_error)
     return {"phi_cube": phi_q.estimate, "phi_cube_se": phi_q.std_error,

@@ -38,14 +38,12 @@ def test_invalid_pieces_raise():
         StepDensity([(0.0, 1.0, 0.0)])
 
 
-def test_norms_and_level_sets():
+def test_norms():
     f = StepDensity([(0.0, 1.0, 2.0), (1.0, 3.0, 0.5)])
     assert f.l1_norm() == pytest.approx(3.0)
     assert f.sup_norm() == 2.0
     assert f.lp_norm(2) == pytest.approx(math.sqrt(4.0 + 0.5))
     assert f.lp_norm(math.inf) == 2.0
-    assert f.level_set_measure(1.0) == pytest.approx(1.0)
-    assert f.level_set_measure(0.4) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         f.lp_norm(0.5)
 
@@ -68,11 +66,10 @@ def test_value_at_half_open():
     assert slabgeom.step_value(f.pieces, -0.1) == 0.0
 
 
-def test_normalized_and_scaled():
+def test_normalized():
     f = StepDensity([(0.0, 2.0, 3.0)])
     g = f.normalized()
     assert g.is_normalized()
-    assert f.scaled(2.0).sup_norm() == 6.0
 
 
 def test_shift_and_dilate():

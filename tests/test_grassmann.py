@@ -40,9 +40,7 @@ def test_subspace_json_roundtrip():
     assert np.allclose(e.basis, e2.basis, atol=1e-15)
 
 
-def test_span_and_coordinate():
-    e = Subspace.span([np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 2.0])])
-    assert e.k == 2
+def test_coordinate_subspace():
     c = Subspace.coordinate(4, [1, 3])
     assert c.basis[1, 0] == 1.0 and c.basis[3, 1] == 1.0
 

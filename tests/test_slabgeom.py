@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from slab_reference import scalar_slab_sum
 
+from margbounds import slabgeom
 from margbounds.densities import random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
 from margbounds.sections import section_quadrature, sharp_paired_subspace, unit_cube
@@ -249,3 +251,44 @@ def test_value_beyond_the_exact_blocks_is_zero_where_a_zero_row_vanishes():
     assert np.array_equal(slab_sum.values(np.stack([outside, outside])), [0.0, 0.0])
     with pytest.raises(BlockTooWideError):
         slab_sum.value(f.support_midpoints())
+
+
+def test_one_dimensional_blocks_join_the_pool_a_lane_cap_at_a_time(monkeypatch):
+    # a Haar line's complement frame: one 1-D block of 3^6 = 729 piece
+    # combinations, at 240 points 175k (point, combination) lanes, ten
+    # times slabgeom.LANE_CAP
+    rng = np.random.default_rng(3)
+    pieces = [list(zip(edges[:-1], edges[1:], rng.uniform(0.2, 1.0, 3)))
+              for edges in np.cumsum(rng.uniform(0.2, 0.6, (6, 4)), axis=1) - 0.8]
+    slab_sum = SlabSum(haar_bases(6, 1, 3, np.arange(1))[0], pieces)
+    [(_, block)] = slab_sum.blocks
+    assert block.local.shape[1] == 1 and len(block.weights) == 729
+    shifts = 0.2 * rng.normal(size=(240, 6))
+    slab_sum.values(shifts[:1])  # the blocks' and combinations' own memory
+    tracemalloc.start()
+    try:
+        got = slab_sum.values(shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 175k lanes in one pool.add peaked at 38 MiB, a LANE_CAP at a
+    # time at 6.1 MiB
+    assert peak < 8 * 2**20
+    assert np.count_nonzero(got) > 200
+    monkeypatch.setattr(slabgeom, "LANE_CAP", 1 << 30)
+    assert np.array_equal(got, slab_sum.values(shifts))
+
+
+def test_mc_takes_zero_rows_as_their_constant_factor():
+    # a coordinate line's complement frame: row 0 vanishes, rows 1-3 are
+    # the coordinate axes of E-perp
+    f = random_product_density(5, 4, 3)
+    slab_sum = SlabSum(orthonormal_complement(Subspace.coordinate(4, [0])).basis,
+                       [fi.pieces for fi in f.factors])
+    assert list(slab_sum.zero_rows) == [0]
+    inside = f.support_midpoints()
+    est, se = slab_sum.mc(inside, 40000, seed=2)
+    assert se > 0.0 and abs(est - slab_sum.value(inside)) <= 4.0 * se
+    outside = inside.copy()
+    outside[0] = f.factors[0].pieces[-1][1] + 1.0
+    assert slab_sum.mc(outside, 40000, seed=2) == (0.0, 0.0)
