@@ -12,9 +12,10 @@ evaluates many slab systems per call with the scalar kernel's
 floating-point operations, so every lane has the scalar result's bits.
 A lane twin takes frames (K, m, d), a frame index (L,) and the bounds (L,
 m) of its L lanes: what depends on a frame alone is computed once per
-frame, and lanes that share a frame share it.  slab_volumes picks between
-the twins by lane count; the scalar kernels also serve section_quadrature,
-which holds one system at a time.
+frame, and lanes that share a frame share it.  The 2-D and 3-D twins
+first drop the lanes whose seed cell misses a row's slab: they are empty.
+slab_volumes picks between the twins by lane count; the scalar kernels
+also serve section_quadrature, which holds one system at a time.
 """
 
 from __future__ import annotations
@@ -212,9 +213,13 @@ def _polygon_frame_tables(frames):
     """What polygon_areas needs of the frames (K, m, 2) alone: ok (K,),
     false where _polygon_seed_rows returns None; the seed table (5, K) of
     a00, a01, a10, a11 and det; each frame's row order (K, m), the seed rows
-    i0, i1 and then the others in row order; and the clip normals (2,
+    i0, i1 and then the others in row order; the clip normals (2,
     2(m - 2), K), the other rows' in that order, each as itself (the hi
-    side) and negated (the -lo side)."""
+    side) and negated (the -lo side); and the seed cell's table (see
+    _polygon_seed_cells): the inverse seed vectors g (2, 2, K), g[s] that
+    of seed row s, their 1-norms (2, K), |<w_j, g_s>| (2, m - 2, K) for
+    the other rows in clip order, and the seed matrix's condition number
+    (K,)."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -233,13 +238,51 @@ def _polygon_frame_tables(frames):
     seed = np.vstack([frames[ks, i0].T, frames[ks, i1].T, det])
     normals = frames[ks[:, None], order[:, 2:]].transpose(2, 1, 0)  # (2, m - 2, K)
     clip = np.stack([normals, -normals], axis=2).reshape(2, 2 * normals.shape[1], count)
-    return ok, seed, order, clip
+    # <w_i0, g_0> = <w_i1, g_1> = 1 and <w_i0, g_1> = <w_i1, g_0> = 0, so the
+    # seed parallelogram is {s g_0 + t g_1 : lo_i0 <= s <= hi_i0, lo_i1 <=
+    # t <= hi_i1}; g_0 and g_1 are the columns of the seed matrix's inverse
+    a00, a01, a10, a11, _ = seed
+    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(ok, det, 1.0)
+    ag = np.abs(g)
+    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])
+    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
+            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
+    return ok, seed, order, clip, (g, ag[:, 0] + ag[:, 1], wg, cond)
+
+
+# a lane some non-seed row of which misses the seed parallelogram by this
+# multiple of (the seed matrix's condition number x the cell's coordinate
+# scale, 1 + |c|_1 + sum_s half_s |g_s|_1, c its centre) gets no clip.  The
+# clipper's corners, and their distances from a row's side, are within a
+# few unit roundoffs of that product of the exact ones, and it keeps only
+# what lies within eps = 1e-14 (1 + the corners' largest 1-norm) <= 1e-14
+# times that scale of each side: it would clip such a lane to 0.0 as well
+_CLIP_MARGIN = 1e-9
+
+
+def _polygon_seed_cells(tables, frame, lo, hi):
+    """(L,): false for the lanes that polygon_areas gives 0.0 without a clip,
+    those of a degenerate frame and those with a non-seed row whose slab
+    misses the seed parallelogram by _CLIP_MARGIN (see there)."""
+    ok, _, order, clip, (g, gl1, wg, cond) = tables
+    # (m, L): each lane's rows in its frame's order
+    at = np.arange(len(frame)) * lo.shape[1] + order[frame].T
+    lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
+    mid, half = 0.5 * (lo[:2] + hi[:2]), 0.5 * (hi[:2] - lo[:2])
+    g = g[:, :, frame]
+    centre = mid[0] * g[0] + mid[1] * g[1]
+    normals = clip[:, 0::2, frame]
+    wc = normals[0] * centre[0] + normals[1] * centre[1]
+    scale = 1.0 + np.abs(centre[0]) + np.abs(centre[1]) + half[0] * gl1[0, frame] + half[1] * gl1[1, frame]
+    # the largest |<w_j, y - c>| over the parallelogram, plus the margin
+    slack = half[0] * wg[0][:, frame] + half[1] * wg[1][:, frame] + _CLIP_MARGIN * cond[frame] * scale
+    return ok[frame] & ~((lo[2:] - wc > slack) | (hi[2:] - wc < -slack)).any(axis=0)
 
 
 def polygon_areas(frames, frame, lo, hi):
     """polygon_area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <=
     hi[l, i] for the rows w = frames[frame[l]], frames (K, m, 2), frame (L,),
-    lo and hi (L, m); returns (L,) areas.
+    lo and hi (L, m) with lo <= hi; returns (L,) areas.
 
     Lane-wise Sutherland-Hodgman: every lane goes through polygon_area's
     floating-point operations in its order (seed rows, seed parallelogram,
@@ -250,17 +293,27 @@ def polygon_areas(frames, frame, lo, hi):
     (slots, lanes), NaN past each lane's count; a lane leaves once it has
     fewer than 3 vertices.  One lane costs about 30 times polygon_area, 512
     lanes about an eighth of 512 polygon_area calls (see slab_volumes).
+
+    A lane whose seed parallelogram misses another row's slab by
+    _CLIP_MARGIN is 0.0 without a clip, as polygon_area's clip makes it.
+    (The 3-D facets go to _polygon_areas untested: there the test cost more
+    than the clips it saved.)
     """
     frame = np.asarray(frame, dtype=np.intp)
+    out = np.zeros(len(frame))
     if not len(frame):
-        return np.zeros(0)
-    return _polygon_areas(_polygon_frame_tables(np.asarray(frames, dtype=float)), frame,
-                          np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        return out
+    tables = _polygon_frame_tables(np.asarray(frames, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    live = np.flatnonzero(_polygon_seed_cells(tables, frame, lo, hi))
+    out[live] = _polygon_areas(tables, frame[live], lo[live], hi[live])
+    return out
 
 
 def _polygon_areas(tables, frame, lo, hi):
-    """polygon_areas on the frame tables of _polygon_frame_tables."""
-    ok, seed, order, clip = tables
+    """polygon_areas on the frame tables of _polygon_frame_tables, with no
+    seed-cell test."""
+    ok, seed, order, clip, _ = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:
@@ -312,10 +365,8 @@ def _polygon_areas(tables, frame, lo, hi):
 _PARALLEL_SINE = 1e-8
 
 # a lane some row of which misses its seed cell by this multiple of the
-# cell's coordinate scale is empty.  That scale, 1 + |c|_1 + sum_s half_s
-# |g_s|_1, is at most 7 (1 + the corners' largest 1-norm), and
-# SlabBlock.candidates drops only lanes that miss the cell by 1e-9 times the
-# latter, so each of those evaluates to exactly 0.0
+# cell's coordinate scale, 1 + |c|_1 + sum_s half_s |g_s|_1 (at most 7 (1 +
+# the corners' largest 1-norm)), is empty
 _EMPTY_MARGIN = 1e-11
 
 # lanes per batch of polytope_volumes: a lane has up to 2m facets of m - 1
@@ -503,7 +554,8 @@ def polytope_volumes(frames, frame, lo, hi):
     the seed cell's shape, the merges (the same for every nonempty lane of a
     frame), and each row's facet frame, the other rows in an orthonormal
     basis of w_i-perp with the merged rows zeroed, with its 2-D tables.  A
-    lane's own work is its bounds.  Lanes go _POLYTOPE_LANES at a time.
+    lane's own work is its bounds.  The seed-cell test runs once over all
+    lanes, then the lanes that pass go _POLYTOPE_LANES at a time.
     """
     frames = np.ascontiguousarray(frames, dtype=float)
     frame = np.asarray(frame, dtype=np.intp)
@@ -512,10 +564,31 @@ def polytope_volumes(frames, frame, lo, hi):
     out = np.zeros(len(frame))
     if not len(frame):
         return out
-    tables = _frame_tables(frames)
-    for start in range(0, len(frame), _POLYTOPE_LANES):
-        part = slice(start, start + _POLYTOPE_LANES)
-        out[part] = _polytope_volumes(frames, tables, frame[part], lo[part], hi[part])
+    seeds, ok, g, gl1, wg, *tables = _frame_tables(frames)
+    # the seed-cell test, once over all lanes, its per-row terms built one
+    # coordinate at a time as (L, m) arrays
+    lanes = np.arange(len(frame))[:, None]
+    seeds, g, gl1 = seeds[frame], g[frame], gl1[frame]
+    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
+    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
+    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
+    wc = frames[:, :, 0][frame] * centre[:, 0, None]
+    for k in (1, 2):
+        wc += frames[:, :, k][frame] * centre[:, k, None]
+    blo, bhi = lo - wc, hi - wc  # the bounds about c
+    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
+    for s in range(3):
+        scale = scale + half[:, s] * gl1[:, s]
+    # the largest |<w_i, y - c>| over the seed cell, plus the margin
+    slack = half[:, 0, None] * wg[:, :, 0][frame]
+    for s in (1, 2):
+        slack += half[:, s, None] * wg[:, :, s][frame]
+    slack += (_EMPTY_MARGIN * scale)[:, None]
+    empty = ~ok[frame] | ((blo > slack) | (bhi < -slack)).any(axis=1)
+    live = np.flatnonzero(~empty)
+    for start in range(0, live.size, _POLYTOPE_LANES):
+        part = live[start : start + _POLYTOPE_LANES]
+        out[part] = _polytope_volumes(tables, frame[part], blo[part], bhi[part], slack[part])
     return out
 
 
@@ -589,27 +662,15 @@ def _others(m):
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
-def _polytope_volumes(frames, tables, frame, lo, hi):
-    """polytope_volumes of the lanes frame, lo, hi on the _frame_tables of
-    frames."""
-    seeds, ok, g, gl1, wg, norms, into, merged, alpha, alive, gram, dead, facets = tables
-    count, m = lo.shape
-    W, seeds, g, gl1, wg, into = frames[frame], seeds[frame], g[frame], gl1[frame], wg[frame], into[frame]
-    lanes = np.arange(count)[:, None]
-    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
-    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
-    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
-    wc = _dot(W, centre[:, None, :])
-    blo, bhi = lo - wc, hi - wc  # the bounds about c
-    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
-    for s in range(3):
-        scale = scale + half[:, s] * gl1[:, s]
-    # the largest |<w_i, y - c>| over the seed cell, plus the margin
-    slack = (half[:, None, 0] * wg[..., 0] + half[:, None, 1] * wg[..., 1]
-             + half[:, None, 2] * wg[..., 2]) + (_EMPTY_MARGIN * scale)[:, None]
-    empty = ~ok[frame] | ((blo > slack) | (bhi < -slack)).any(axis=1)
+def _polytope_volumes(tables, frame, blo, bhi, slack):
+    """polytope_volumes of the lanes frame that pass its seed-cell test,
+    from their bounds about c and slack, on the rest of the _frame_tables
+    of their frames."""
+    norms, into, merged, alpha, alive, gram, dead, facets = tables
+    count, m = blo.shape
+    into = into[frame]
     for j in merged:
-        hit = np.flatnonzero((into[:, j] >= 0) & ~empty)
+        hit = np.flatnonzero(into[:, j] >= 0)
         if not hit.size:
             continue
         i = into[hit, j]
@@ -617,7 +678,7 @@ def _polytope_volumes(frames, tables, frame, lo, hi):
         a, b = blo[hit, j] / scaled, bhi[hit, j] / scaled
         blo[hit, i] = np.maximum(blo[hit, i], np.minimum(a, b))
         bhi[hit, i] = np.minimum(bhi[hit, i], np.maximum(a, b))
-    empty |= (blo >= bhi).any(axis=1)
+    empty = (blo >= bhi).any(axis=1)
     # facet (l, i, side): the plane <w_i, y - c> = bhi (side 0) or blo (side 1)
     # (its outward distance from c is signed / |w_i|; a plane beyond the seed
     # cell cuts no facet)
@@ -638,22 +699,6 @@ def _polytope_volumes(frames, tables, frame, lo, hi):
     terms = np.zeros((count, m, 2))
     terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi)
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
-
-
-def clip_seed_rows(W):
-    """Indices of the seed rows of the 2-D clipper's parallelogram or of the
-    3-D recursion's seed cell, which hold the polygon or polytope of every
-    lo, hi, or None when W is degenerate and the kernels return 0.0 for
-    every lo, hi.
-    """
-    rows = np.asarray(W, dtype=float).tolist()
-    d = len(rows[0])
-    if d == 2:
-        seeds = _polygon_seed_rows(rows)
-        return None if seeds is None else seeds[:2]
-    if d == 3:
-        return _polytope_seed_rows(rows)
-    raise ValueError(f"clip_seed_rows supports dimensions 2-3, got {d}")
 
 
 def slab_volume(W, lo, hi) -> float:

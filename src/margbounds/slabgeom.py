@@ -9,6 +9,8 @@ span dimension <= 3 is handled exactly by the slab kernels.
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
 sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator.
+Which of the combinations' slab polytopes are empty is the kernels' call:
+each drops the lanes whose seed cell misses a row's slab.
 """
 
 from __future__ import annotations
@@ -23,24 +25,6 @@ from . import kernels, randomness
 
 # frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
-
-# A (point, combination) pair is dropped before the kernel only when every
-# seed vertex lies outside another row's slab by this multiple of
-# (seed-matrix condition number x the kernel's coordinate scale); the 2-D
-# clipper's own eps is 1e-14 times that scale, so such a pair clips to
-# nothing, and the 3-D kernel returns 0.0 for a lane that misses its seed
-# cell by kernels._EMPTY_MARGIN = 1e-11 times at most 7 times that scale:
-# either way the kernel would return exactly 0.0.
-# SlabBlock.candidates tests the separable form: the unshifted seed cell's
-# corner table against one shift per point, with the scale bounded by the
-# triangle inequality, |V - u|_1 <= |V|_1 + |u|_1.  That scale is at least
-# the shifted corners', and the two forms' rounding differs by
-# O(unit roundoff x condition number x scale), far below this margin, so
-# every dropped pair still evaluates to exactly 0.0.
-_PREFILTER_MARGIN = 1e-9
-# (point, combination) pairs per test in SlabBlock.candidates: bounds its
-# working memory
-_PREFILTER_ROWS = 1 << 10
 
 
 class BlockTooWideError(ValueError):
@@ -171,79 +155,6 @@ class SlabBlock:
         self.lo = lo
         self.hi = hi
         self.weights = weights
-
-    @functools.cached_property
-    def _seed_frame(self):
-        """(seed rows, corner selector, inverse of the seed matrix, margin) of
-        the 2-D or 3-D kernel, or None when it returns 0.0 for every
-        combination."""
-        seeds = kernels.clip_seed_rows(self.local)
-        if seeds is None:
-            return None
-        seeds = list(seeds)
-        d = len(seeds)
-        upper = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) == 1  # (2^d, d)
-        m = self.local[seeds]
-        m_inv = np.linalg.inv(m)
-        cond = np.abs(m).sum(axis=1).max() * np.abs(m_inv).sum(axis=1).max()
-        return seeds, upper, m_inv.T, _PREFILTER_MARGIN * cond
-
-    @functools.cached_property
-    def _corner_table(self):
-        """(low, high (C, m), radius (C,)) of the unshifted seed cells: with
-        V[c, v] the corners of combination c's seed parallelogram (2-D) or
-        parallelepiped (3-D), low[c, i] = min_v <w_i, V[c, v]> - hi[c, i],
-        high[c, i] = max_v <w_i, V[c, v]> - lo[c, i] and radius[c] =
-        max_v |V[c, v]|_1.  Needs a seed frame.  Built _PREFILTER_ROWS
-        combinations at a time, so its working memory stays near that of the
-        table it keeps."""
-        seeds, upper, m_inv_t, _ = self._seed_frame
-        low, high = np.empty(self.lo.shape), np.empty(self.lo.shape)
-        radius = np.empty(len(self.lo))
-        for start in range(0, len(self.lo), _PREFILTER_ROWS):
-            part = slice(start, start + _PREFILTER_ROWS)
-            lo, hi = self.lo[part], self.hi[part]
-            verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t
-            proj = verts @ self.local.T  # (rows, 2^d, m)
-            radius[part] = np.abs(verts).sum(axis=2).max(axis=1)
-            low[part] = proj.min(axis=1) - hi
-            high[part] = proj.max(axis=1) - lo
-        return low, high, radius
-
-    def candidates(self, shifts: np.ndarray) -> np.ndarray:
-        """Indices p * C + c, in increasing order, of the (point, combination)
-        pairs that the 2-D or 3-D kernel may give a nonzero volume, pair
-        (p, c) having the bounds lo[c] - shifts[p], hi[c] - shifts[p] for
-        shifts (P, m) and the C combinations.
-
-        Shifting the bounds by s moves every seed corner V[c, v] by -u,
-        u = s[seeds] @ M^-T, and <w_i, V[c, v] - u> - (hi[c, i] - s_i) =
-        <w_i, V[c, v]> - hi[c, i] - q_i with q = W u - s (likewise for lo).
-        So pair (p, c) is dropped when some row i has low[c, i] - q[p, i] >
-        slack or high[c, i] - q[p, i] < -slack, slack = margin (1 +
-        radius[c] + |u_p|_1); by the triangle inequality that is at least
-        the margin scaled by the shifted corners' largest 1-norm, |V - u|_1.
-        Pairs are tested _PREFILTER_ROWS at a time.
-        """
-        seed_frame = self._seed_frame
-        if seed_frame is None:
-            return np.zeros(0, dtype=np.intp)
-        seeds, _, m_inv_t, margin = seed_frame
-        low, high, radius = self._corner_table
-        u = shifts[:, seeds] @ m_inv_t  # (P, d)
-        q = u @ self.local.T - shifts  # (P, m)
-        u_norm = np.abs(u).sum(axis=1)
-        count = len(self.weights)
-        total = len(shifts) * count
-        kept = [np.zeros(0, dtype=np.intp)]
-        for start in range(0, total, _PREFILTER_ROWS):
-            pairs = np.arange(start, min(start + _PREFILTER_ROWS, total))
-            p, c = np.divmod(pairs, count)
-            qp = q[p]
-            slack = margin * (1.0 + radius[c] + u_norm[p])[:, None]
-            outside = (low[c] - qp > slack) | (high[c] - qp < -slack)
-            kept.append(pairs[~outside.any(axis=1)])
-        return np.concatenate(kept)
 
 
 # lanes per lane-wise kernel call in shared_block_integrals and pooled_values:
@@ -377,15 +288,17 @@ class SlabSum:
         stream) and independent of randomness.MC_CHUNK.
 
         The points are uniform in the cube of radius sqrt(sum_i (|mid_i -
-        s_i| + half_i)^2), mid_i and half_i the centre and half-width of row
-        i's pieces: where the integrand is nonzero, |<w_i, y>| <= |mid_i -
-        s_i| + half_i, and the frame identity |y|^2 = sum_i <w_i, y>^2 bounds
-        |y| by that radius.  Zero rows give the constant zero_row_factor.
+        s_i| + half_i)^2) over the active rows i, mid_i and half_i the centre
+        and half-width of row i's pieces: where the integrand is nonzero,
+        |<w_i, y>| <= |mid_i - s_i| + half_i, and the frame identity |y|^2 =
+        sum_i <w_i, y>^2, to which zero rows add nothing, bounds |y| by that
+        radius.  Zero rows give the constant zero_row_factor.
         """
         const = self.zero_row_factor(shifts)
-        lo = np.array([min(p[0] for p in pieces) for pieces in self.pieces])
-        hi = np.array([max(p[1] for p in pieces) for pieces in self.pieces])
-        reach = np.abs(0.5 * (hi + lo) - shifts) + 0.5 * (hi - lo)
+        rows = self.active_rows
+        lo = np.array([min(p[0] for p in self.pieces[i]) for i in rows])
+        hi = np.array([max(p[1] for p in self.pieces[i]) for i in rows])
+        reach = np.abs(0.5 * (hi + lo) - shifts[rows]) + 0.5 * (hi - lo)
         radius = math.sqrt(float(np.sum(reach**2)))
         if const == 0.0 or radius == 0.0:
             return 0.0, 0.0
@@ -429,17 +342,15 @@ class _LanePool:
         self._queues = {}
         self._lanes = {}
 
-    def add(self, block: SlabBlock, lo: np.ndarray, hi: np.ndarray, lanes,
-            values: np.ndarray, live: np.ndarray) -> None:
-        """Queue the given lanes of the (live point, combination) pairs of
-        block, with their bounds lo, hi (L, m)."""
-        entry = (block, lo, hi, lanes, values, live)
-        if not len(lo):
-            _multiply_in(entry, np.zeros(0))
-            return
+    def add(self, block: SlabBlock, shifts: np.ndarray, values: np.ndarray,
+            live: np.ndarray) -> None:
+        """Queue the lanes of block at the live points, point major: point p
+        and combination c have the bounds block.lo[c] - shifts[p],
+        block.hi[c] - shifts[p], for shifts (P, m) those of the block's rows
+        at the P live points."""
         shape = block.local.shape
-        self._queues.setdefault(shape, []).append(entry)
-        self._lanes[shape] = self._lanes.get(shape, 0) + len(lo)
+        self._queues.setdefault(shape, []).append((block, shifts, values, live))
+        self._lanes[shape] = self._lanes.get(shape, 0) + live.size * len(block.weights)
         if self._lanes[shape] >= _POOL_LANES:
             self._run(shape)
 
@@ -448,28 +359,23 @@ class _LanePool:
             self._run(shape)
 
     def _run(self, shape) -> None:
+        """One queue's lanes through shared kernel calls, with their bounds
+        built here in one array per side; then values[live] *= the block
+        integral at the live points, entry by entry."""
         queue = self._queues.pop(shape)
-        del self._lanes[shape]
-        frames = np.stack([e[0].local for e in queue])
-        frame = np.repeat(np.arange(len(queue)), [len(e[1]) for e in queue])
-        lo = np.concatenate([e[1] for e in queue])
-        hi = np.concatenate([e[2] for e in queue])
-        vol = _lane_volumes(frames, frame, lo, hi)
-        start = 0
-        for entry in queue:
-            _multiply_in(entry, vol[start : start + len(entry[1])])
-            start += len(entry[1])
-
-
-def _multiply_in(entry, lane_vol: np.ndarray) -> None:
-    """values[live] *= the block integral at the live points, from the
-    volumes of the queued lanes; the other (point, combination) pairs add
-    exactly 0.0."""
-    block, _, _, lanes, values, live = entry
-    vol = np.zeros(live.size * len(block.weights))
-    vol[lanes] = lane_vol
-    vol = vol.reshape(live.size, len(block.weights))
-    values[live] = values[live] * _combination_sums(vol, block.weights)
+        lanes, m = self._lanes.pop(shape), shape[0]
+        lo, hi = np.empty((lanes, m)), np.empty((lanes, m))
+        counts = [len(shifts) * len(block.weights) for block, shifts, _, _ in queue]
+        ends = np.cumsum(counts)
+        for (block, shifts, _, _), start, end in zip(queue, ends - counts, ends):
+            grid = (len(shifts), len(block.weights), m)
+            np.subtract(block.lo, shifts[:, None], out=lo[start:end].reshape(grid))
+            np.subtract(block.hi, shifts[:, None], out=hi[start:end].reshape(grid))
+        frame = np.repeat(np.arange(len(queue)), counts)
+        vol = _lane_volumes(np.stack([e[0].local for e in queue]), frame, lo, hi)
+        for (block, shifts, values, live), start, end in zip(queue, ends - counts, ends):
+            sums = _combination_sums(vol[start:end].reshape(len(shifts), -1), block.weights)
+            values[live] = values[live] * sums
 
 
 def pooled_values(pairs) -> list[np.ndarray]:
@@ -478,16 +384,15 @@ def pooled_values(pairs) -> list[np.ndarray]:
 
     The blocks go in rounds: round j evaluates block j of every slab sum that
     has one, at the points whose value is still nonzero, and multiplies it
-    in.  A round's (point, combination) lanes pool by (m, d) into shared
-    kernels.slab_volumes calls of about _POOL_LANES lanes each.  For 2-D and
-    3-D blocks, the lanes whose seed cell SlabBlock.candidates certifies
-    empty skip the kernel (they would add exactly 0.0): it tests each
-    combination's unshifted seed-cell corner table once per point shift, in
-    O(m) per lane, with a slack that covers the shifted cell's (see
-    _PREFILTER_MARGIN), and only the kept lanes get their bounds
-    lo[c] - s[p], hi[c] - s[p].  A block's points join the pool at most
-    LANE_CAP (point, combination) pairs at a time (at least one point), so
-    no round holds more lanes than that beyond the pool's queues.
+    in.  Point p and combination c make one lane, with the bounds
+    lo[c] - s[p], hi[c] - s[p]; a round's lanes pool by (m, d) into shared
+    kernels.slab_volumes calls of about _POOL_LANES lanes each.  The 2-D and
+    3-D kernels drop the lanes whose seed cell misses a row's slab (most of
+    them, away from the support's centre) before their clip or recursion.
+    A block's points join the pool at most LANE_CAP (point, combination)
+    pairs at a time (at least one point), so a queue runs, and builds its
+    lanes' bounds, with fewer than _POOL_LANES + LANE_CAP lanes (or one
+    point's).
     """
     values = []
     for slab_sum, shifts in pairs:
@@ -508,15 +413,6 @@ def pooled_values(pairs) -> list[np.ndarray]:
             per_add = max(1, LANE_CAP // max(len(block.weights), 1))
             for start in range(0, live.size, per_add):
                 part = live[start : start + per_add]
-                s = shifts[part][:, rows]
-                if block.local.shape[1] >= 2:
-                    lanes = block.candidates(s)
-                    point, combo = np.divmod(lanes, len(block.weights))
-                    lo, hi = block.lo[combo] - s[point], block.hi[combo] - s[point]
-                else:
-                    lanes = slice(None)
-                    lo = (block.lo - s[:, None]).reshape(-1, rows.size)  # (point, combination) major
-                    hi = (block.hi - s[:, None]).reshape(-1, rows.size)
-                pool.add(block, lo, hi, lanes, vals, part)
+                pool.add(block, shifts[part][:, rows], vals, part)
         pool.flush()
     return values

@@ -358,6 +358,15 @@ def test_search_max_beyond_its_route_is_a_failure_not_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_grinberg_beyond_its_route_is_a_failure_not_a_usage_error(capsys):
+    # valid flags; k = 4 sections are beyond the exact section route
+    assert run(["grinberg", "--n", "5", "--k", "4", "--diag", "2,0.5,1,1,1",
+                "--samples", "2000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: section dimension k > 3 needs a Monte Carlo section engine")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", [{"x": 1}, [[1, 0], [0, 1]]], ids=["no-basis-rows", "bare-list"])
 def test_malformed_subspace_file_is_usage_error(tmp_path, capsys, content):
     sub_path = tmp_path / "h.json"

@@ -314,7 +314,6 @@ def test_grid_sup_does_not_depend_on_lane_cap(n, k, seed, monkeypatch):
     whole = marginal_grid_sup(f, e, radius, step, 1e-6)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
     monkeypatch.setattr(slabgeom, "_POOL_LANES", 40)
-    monkeypatch.setattr(slabgeom, "_PREFILTER_ROWS", 30)
     monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
     assert marginal_grid_sup(f, e, radius, step, 1e-6) == whole
 
@@ -359,12 +358,12 @@ def _mixed_batch():
     return problems
 
 
-_SMALL_CHUNKS = {"_POOL_LANES": 40, "_PREFILTER_ROWS": 30, "_POLYTOPE_LANES": 16}
+_SMALL_CHUNKS = {"_POOL_LANES": 40, "_POLYTOPE_LANES": 16}
 
 
 @pytest.mark.parametrize("shrink", [{}, _SMALL_CHUNKS, {**_SMALL_CHUNKS, "LANE_CAP": 50}])
 def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
-    # small pool, prefilter and polytope chunks split every round's kernel
+    # small pool and polytope chunks split every round's kernel
     # calls; a small LANE_CAP also splits the batch into lockstep groups
     problems = _mixed_batch()
     want = [_reference_grid_sup(*p) for p in problems]
@@ -393,51 +392,32 @@ def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
     assert all(a is b for a, b in zip([p for group in groups for p in group], problems))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 10_000),
-    st.sampled_from([(3, 1), (4, 2), (4, 1), (5, 2)]),
-    st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
-)
-def test_prefilter_drops_only_empty_combinations(seed, dims, offset):
-    n, k = dims
-    f = random_product_density(seed, n, 3)
-    e = haar_sample(n, k, seed=seed)
-    x = e.basis.T @ f.support_midpoints() + np.array(offset[:k])
-    shifts = e.basis @ x
-    for rows, block in _slab_sum(f, e).blocks:
-        if block.local.shape[1] < 2:
-            continue
-        lo, hi = block.lo - shifts[rows], block.hi - shifts[rows]
-        kept = set(block.candidates(shifts[None, rows]))
-        for c in range(len(block.weights)):
-            if c not in kept:
-                assert kernels.slab_volume(block.local, lo[c], hi[c]) == 0.0
+def _block_lanes(block, shifts, rows):
+    """The (point, combination) lanes of block at the points shifts (P, n),
+    point major, as pooled_values builds them: their bounds lo, hi (L, m)."""
+    s = shifts[:, rows]
+    lo = (block.lo - s[:, None]).reshape(-1, rows.size)
+    hi = (block.hi - s[:, None]).reshape(-1, rows.size)
+    return lo, hi
 
 
-def test_prefilter_drops_combinations_off_center():
+def _dropped_lanes(local, lo, hi):
+    """The lanes of one 2-D frame local that polygon_areas drops by its
+    seed-cell test before any clip."""
+    tables = kernels._polygon_frame_tables(local[None])
+    return np.flatnonzero(~kernels._polygon_seed_cells(tables, np.zeros(len(lo), dtype=np.intp), lo, hi))
+
+
+def test_polygon_areas_drop_lanes_off_center():
     # not vacuous: away from the support center most seed cells miss a slab
     f = random_product_density(3, 4, 3)
     e = haar_sample(4, 2, seed=3)
-    x = e.basis.T @ f.support_midpoints() + 0.8
-    shifts = e.basis @ x
+    x = e.basis.T @ f.support_midpoints() + np.array([[0.2], [0.6], [0.8]])
     ((rows, block),) = _slab_sum(f, e).blocks
-    assert len(block.candidates(shifts[None, rows])) < len(block.weights)
-
-
-def _reference_candidates(block, lo, hi):
-    """The per-lane seed-cell test: indices of the rows of lo, hi (N, m)
-    whose seed cell, built from those bounds, lies wholly outside another
-    row's slab by the margin scaled by its own corners' largest 1-norm."""
-    seed_frame = block._seed_frame
-    if seed_frame is None:
-        return np.zeros(0, dtype=np.intp)
-    seeds, upper, m_inv_t, margin = seed_frame
-    verts = np.where(upper, hi[:, None, seeds], lo[:, None, seeds]) @ m_inv_t  # (N, 2^d, d)
-    proj = verts @ block.local.T  # (N, 2^d, m)
-    slack = margin * (1.0 + np.abs(verts).sum(axis=2).max(axis=1))[:, None]
-    outside = (proj.min(axis=1) > hi + slack) | (proj.max(axis=1) < lo - slack)
-    return np.flatnonzero(~outside.any(axis=1))
+    lo, hi = _block_lanes(block, x @ e.basis.T, rows)
+    dropped = _dropped_lanes(block.local, lo, hi)
+    assert 0 < len(dropped) < len(lo)
+    assert not kernels.polygon_areas(block.local[None], np.zeros(len(lo), dtype=np.intp), lo, hi)[dropped].any()
 
 
 def _tilted_paired_subspace(n, k, seed, tilt):
@@ -452,13 +432,16 @@ def _tilted_paired_subspace(n, k, seed, tilt):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 10_000),
-    st.sampled_from([("haar", 4, 2), ("haar", 5, 2), ("haar", 4, 1), ("haar", 5, 3),
+    st.sampled_from([("haar", 3, 1), ("haar", 4, 2), ("haar", 5, 2), ("haar", 4, 1), ("haar", 5, 3),
                      ("paired", 4, 2), ("paired", 5, 2), ("paired", 6, 3)]),
     st.sampled_from([1e-3, 0.05]),
     st.sampled_from([0.05, 0.4, 1.5]),
 )
-def test_separable_prefilter_matches_the_per_lane_test(seed, case, tilt, spread):
-    # 2-D and 3-D blocks at shifts near and far from the support center
+def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
+    # 2-D and 3-D blocks, some with ill-conditioned seed matrices, at shifts
+    # near and far from the support center: a lane that polygon_areas' seed
+    # cell test drops is one polygon_area's clip gives exactly 0.0, and the
+    # lane kernels, which drop lanes first, keep the scalar kernels' bits
     kind, n, k = case
     f = random_product_density(seed, n, 3)
     if kind == "haar":
@@ -472,14 +455,12 @@ def test_separable_prefilter_matches_the_per_lane_test(seed, case, tilt, spread)
     for rows, block in _slab_sum(f, e).blocks:
         if block.local.shape[1] < 2:
             continue
-        s = shifts[:, rows]
-        lo = (block.lo - s[:, None]).reshape(-1, rows.size)
-        hi = (block.hi - s[:, None]).reshape(-1, rows.size)
-        kept = block.candidates(s)
-        assert np.all(np.diff(kept) > 0)
-        for lane in set(kept.tolist()) ^ set(_reference_candidates(block, lo, hi).tolist()):
-            # only rounding at the margin may tell the two tests apart
-            assert kernels.slab_volume(block.local, lo[lane], hi[lane]) == 0.0
+        lo, hi = _block_lanes(block, shifts, rows)
+        if block.local.shape[1] == 2:
+            for lane in _dropped_lanes(block.local, lo, hi):
+                assert kernels.polygon_area(block.local, lo[lane], hi[lane]) == 0.0
+        got = kernels.slab_volumes(block.local[None], np.zeros(len(lo), dtype=np.intp), lo, hi)
+        assert np.array_equal(got, [kernels.slab_volume(block.local, l, h) for l, h in zip(lo, hi)])
         tested += 1
     assert tested
 
@@ -496,34 +477,21 @@ def _bl_guard_slab_sum():
     return slabgeom.SlabSum(system.directions * sqc[:, None], pieces)
 
 
-def test_corner_table_built_in_chunks_keeps_the_lanes_and_bits():
+def test_bl_guard_slab_sum_keeps_its_bits_and_memory():
     slab_sum = _bl_guard_slab_sum()
     [(rows, block)] = slab_sum.blocks
     assert block.local.shape == (10, 3) and len(block.weights) == 3**10
-    assert block._seed_frame is not None
     tracemalloc.start()
     try:
-        block._corner_table
+        value = slab_sum.value(np.zeros(10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the table itself is 9.5 MiB; built in one pass it peaked at 61 MiB
-    assert peak < 16 * 2**20
-    rng = np.random.default_rng(4)
-    shifts = np.vstack([np.zeros(10), 0.3 * rng.normal(size=(2, 10))])
-    kept = block.candidates(shifts)
-    count = len(block.weights)
-    for p, s in enumerate(shifts):
-        lo, hi = block.lo - s, block.hi - s
-        mine = kept[(kept >= p * count) & (kept < (p + 1) * count)] - p * count
-        # the per-lane test on one unchunked table of every combination
-        want = _reference_candidates(block, lo, hi)
-        if p == 0:
-            assert np.array_equal(mine, want)
-        for lane in set(mine.tolist()) ^ set(want.tolist()):
-            assert kernels.slab_volume(block.local, lo[lane], hi[lane]) == 0.0
-    # the value's bits as the one-pass table gave them (re-pinned for the
-    # 3-D facet recursion: the exact sum over the 5,334 kept lanes by
+    # the lanes' bounds, 2 x 4.5 MiB, and the seed-cell test's arrays for one
+    # kernel call of LANE_CAP lanes: 20.9 MiB measured
+    assert peak < 24 * 2**20
+    # the value's bits (re-pinned for the 3-D facet recursion: the exact sum
+    # over the 5,334 lanes that pass the seed-cell test by
     # rational vertex enumeration is 2.5772580870113675, 5.2e-16 above this
     # value; the face-list clipper's 0x1.49e397ce885d2p+1 was 9.7e-16 below)
-    assert slab_sum.value(np.zeros(10)).hex() == "0x1.49e397ce885d3p+1"
+    assert value.hex() == "0x1.49e397ce885d3p+1"

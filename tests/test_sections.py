@@ -170,12 +170,19 @@ def test_section_mc_agrees():
 
 def test_section_mc_keeps_its_bits():
     # float.hex of section_mc before it became SlabSum.mc of the box's
-    # indicator; the coordinate plane has two zero frame rows
+    # indicator
     box = Box([0.7, 1.3, 0.9, 1.6, 1.1])
     est, se = section_mc(box, haar_sample(5, 2, seed=4), 20000, seed=9)
     assert (est.hex(), se.hex()) == ("0x1.1e7e846a5d6bfp+1", "0x1.709025dad9b66p-6")
+
+
+def test_section_mc_bounds_y_by_the_active_rows():
+    # the coordinate plane has two zero frame rows, which do not constrain y:
+    # a sampling cube sized by every row's reach gave SE 0.0125 here
     est, se = section_mc(Box([0.7, 1.3, 0.9, 1.6]), Subspace.coordinate(4, [0, 2]), 20000, seed=9)
-    assert (est.hex(), se.hex()) == ("0x1.43a8826aa8eb6p-1", "0x1.988969bc8d999p-7")
+    assert se < 0.005
+    assert est == pytest.approx(0.7 * 0.9, abs=4.0 * se)
+    assert (est.hex(), se.hex()) == ("0x1.429dc725c3df0p-1", "0x1.2d133af9fe230p-8")
 
 
 def test_section_mc_deterministic():
