@@ -127,8 +127,8 @@ def _slab_sums_at_zero(
     its sides' indicators).  Every integrand is evaluated on the same draw:
     each chunk draws its subspaces once and frames them once.  A 1-D frame
     (a Haar line) goes through _line_sums; 2-D and 3-D frames that form one
-    slab block run every integrand's combinations lane-wise through one
-    slabgeom.shared_block_integrals call; every other frame is a
+    slab block run, as they are, every integrand's combinations lane-wise
+    through one slabgeom.shared_block_integrals call; every other frame is a
     slabgeom.SlabSum at zero shift.
     """
     n = len(integrands[0])
@@ -145,10 +145,8 @@ def _slab_sums_at_zero(
     for part, bases in _haar_draws(n, k, samples, seed, stream, lanes):
         frames = complement_bases(bases) if complement else bases
         chunk = vals[:, part]
-        ok = np.zeros(len(frames), dtype=bool)
-        if frames.shape[2] in (2, 3):
-            local, ok = slabgeom.single_block_frames(frames)
-            chunk[:, ok] = slabgeom.shared_block_integrals(local[ok], bounds)
+        ok = slabgeom.single_block_frames(frames) & (frames.shape[2] <= slabgeom.MAX_BLOCK)
+        chunk[:, ok] = slabgeom.shared_block_integrals(frames[ok], bounds)
         for i in np.flatnonzero(~ok):
             chunk[:, i] = [slabgeom.SlabSum(frames[i], pieces).value(zero) for pieces in integrands]
     return vals

@@ -215,11 +215,7 @@ def _polygon_frame_tables(frames):
     a00, a01, a10, a11 and det; each frame's row order (K, m), the seed rows
     i0, i1 and then the others in row order; the clip normals (2,
     2(m - 2), K), the other rows' in that order, each as itself (the hi
-    side) and negated (the -lo side); and the seed cell's table (see
-    _polygon_seed_cells): the inverse seed vectors g (2, 2, K), g[s] that
-    of seed row s, their 1-norms (2, K), |<w_j, g_s>| (2, m - 2, K) for
-    the other rows in clip order, and the seed matrix's condition number
-    (K,)."""
+    side) and negated (the -lo side)."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -238,16 +234,7 @@ def _polygon_frame_tables(frames):
     seed = np.vstack([frames[ks, i0].T, frames[ks, i1].T, det])
     normals = frames[ks[:, None], order[:, 2:]].transpose(2, 1, 0)  # (2, m - 2, K)
     clip = np.stack([normals, -normals], axis=2).reshape(2, 2 * normals.shape[1], count)
-    # <w_i0, g_0> = <w_i1, g_1> = 1 and <w_i0, g_1> = <w_i1, g_0> = 0, so the
-    # seed parallelogram is {s g_0 + t g_1 : lo_i0 <= s <= hi_i0, lo_i1 <=
-    # t <= hi_i1}; g_0 and g_1 are the columns of the seed matrix's inverse
-    a00, a01, a10, a11, _ = seed
-    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(ok, det, 1.0)
-    ag = np.abs(g)
-    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])
-    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
-            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
-    return ok, seed, order, clip, (g, ag[:, 0] + ag[:, 1], wg, cond)
+    return ok, seed, order, clip
 
 
 # a lane some non-seed row of which misses the seed parallelogram by this
@@ -264,14 +251,26 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     """(L,): false for the lanes that polygon_areas gives 0.0 without a clip,
     those of a degenerate frame and those with a non-seed row whose slab
     misses the seed parallelogram by _CLIP_MARGIN (see there)."""
-    ok, _, order, clip, (g, gl1, wg, cond) = tables
+    ok, seed, order, clip = tables
+    # per frame, g (2, 2, K): g[s] = g_s, the columns of the seed matrix's
+    # inverse, so the seed parallelogram is {s g_0 + t g_1 : lo_i0 <= s <=
+    # hi_i0, lo_i1 <= t <= hi_i1}; also |g_s|_1 and |<w_j, g_s>| for the
+    # other rows, and the seed matrix's condition number
+    a00, a01, a10, a11, det = seed
+    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(ok, det, 1.0)
+    ag = np.abs(g)
+    gl1 = ag[:, 0] + ag[:, 1]
+    normals = clip[:, 0::2]
+    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])
+    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
+            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
     # (m, L): each lane's rows in its frame's order
     at = np.arange(len(frame)) * lo.shape[1] + order[frame].T
     lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
     mid, half = 0.5 * (lo[:2] + hi[:2]), 0.5 * (hi[:2] - lo[:2])
     g = g[:, :, frame]
     centre = mid[0] * g[0] + mid[1] * g[1]
-    normals = clip[:, 0::2, frame]
+    normals = normals[:, :, frame]
     wc = normals[0] * centre[0] + normals[1] * centre[1]
     scale = 1.0 + np.abs(centre[0]) + np.abs(centre[1]) + half[0] * gl1[0, frame] + half[1] * gl1[1, frame]
     # the largest |<w_j, y - c>| over the parallelogram, plus the margin
@@ -313,7 +312,7 @@ def polygon_areas(frames, frame, lo, hi):
 def _polygon_areas(tables, frame, lo, hi):
     """polygon_areas on the frame tables of _polygon_frame_tables, with no
     seed-cell test."""
-    ok, seed, order, clip, _ = tables
+    ok, seed, order, clip = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:

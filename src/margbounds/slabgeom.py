@@ -2,9 +2,9 @@
 
 A slab system { y in R^d : lo_i <= <w_i, y> <= hi_i } whose rows split into
 groups with mutually orthogonal spans factorizes: the volume is the product
-of the per-group volumes inside their span coordinates.  Since the rows
-always form a tight frame here, the group spans cover R^d, and each group of
-span dimension <= 3 is handled exactly by the slab kernels.
+of the per-group volumes in their span coordinates (the frame's own for one
+group).  Since the rows always form a tight frame here, the group spans
+cover R^d, and each group of span dimension <= 3 is handled exactly.
 
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
@@ -16,7 +16,6 @@ each drops the lanes whose seed cell misses a row's slab.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -82,13 +81,13 @@ def span_coordinates(rows: np.ndarray) -> np.ndarray:
     return rows @ vt[:rank].T
 
 
-def single_block_frames(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(local (L, m, d), ok (L,)) for L frames rows (L, m, d).
-
-    ok[l] when the rows of frame l form one component under row_components'
-    rule and their rank is d: then component_blocks(rows[l]) is the single
-    block (all rows, local[l]).  A zero row (norm <= ROW_ZERO_TOL) links to
-    no other row, so such a frame is never ok for m >= 2.
+def single_block_frames(rows: np.ndarray) -> np.ndarray:
+    """ok (L,) for L frames rows (L, m, d), with no SVD: ok[l] when the rows
+    of frame l form one component under row_components' rule and its
+    columns are orthonormal, |W^T W - I| <= 1e-12 entrywise (as Haar bases
+    and their complements are, to about 1e-15).  Then component_blocks(rows[l])
+    is the single block (all rows, rows[l]).  A zero row (norm <=
+    ROW_ZERO_TOL) links to no other row, so such a frame is never ok for m >= 2.
     """
     count, m, d = rows.shape
     links = _row_links(rows)
@@ -96,13 +95,13 @@ def single_block_frames(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reached[:, 0] = True
     for _ in range(m - 1):
         reached |= (links & reached[:, :, None]).any(axis=1)
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    ok = reached.all(axis=1) & (_span_rank(s) == d)
-    return rows @ np.swapaxes(vt, -1, -2), ok
+    gram = np.swapaxes(rows, -1, -2) @ rows
+    return reached.all(axis=1) & (np.abs(gram - np.eye(d)) <= 1e-12).all(axis=(1, 2))
 
 
 def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row indices, rows in span coordinates) per orthogonal component.
+    """(row indices, rows in block coordinates) per orthogonal component: w
+    itself for one block of rank d = w.shape[1], else span_coordinates.
 
     Raises BlockTooWideError if some irreducible component spans more than
     MAX_BLOCK dimensions (callers then fall back to Monte Carlo).
@@ -115,20 +114,18 @@ def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     bound its coupling error.
     """
     comps = row_components(w)
-    locals_ = [span_coordinates(w[comp]) for comp in comps]
-    if len(comps) > 1:
-        rank = int(_span_rank(np.linalg.svd(w, compute_uv=False)))
-        if sum(local.shape[1] for local in locals_) != rank:
-            comps, locals_ = [np.arange(w.shape[0])], [span_coordinates(w)]
-    blocks = []
-    for comp, local in zip(comps, locals_):
+    rank = int(_span_rank(np.linalg.svd(w, compute_uv=False)))
+    locals_ = [span_coordinates(w[comp]) for comp in comps] if len(comps) > 1 else []
+    if sum(local.shape[1] for local in locals_) != rank:
+        # one component, or a split whose span ranks do not add up
+        comps, locals_ = [np.arange(w.shape[0])], [w if rank == w.shape[1] else span_coordinates(w)]
+    for local in locals_:
         if local.shape[1] > MAX_BLOCK:
             raise BlockTooWideError(
                 f"irreducible slab block of dimension {local.shape[1]} "
                 f"exceeds the exact-geometry limit {MAX_BLOCK}"
             )
-        blocks.append((comp, local))
-    return blocks
+    return list(zip(comps, locals_))
 
 
 def decomposed_volume(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -151,7 +148,7 @@ class SlabBlock:
     nonzero_combinations)."""
 
     def __init__(self, local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights):
-        self.local = local  # the rows in span coordinates, (m, d)
+        self.local = local  # the rows in block coordinates, (m, d)
         self.lo = lo
         self.hi = hi
         self.weights = weights
@@ -222,21 +219,26 @@ def step_value(pieces, t: float) -> float:
     return 0.0
 
 
-def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, list]:
+def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo (C, m), hi (C, m), weights (C,)) of every choice of one piece per
-    row, in itertools.product order; weights multiply values left to right."""
-    combos = list(itertools.product(*pieces))
-    bounds = np.array(combos, dtype=float)  # (C, m, 3): lo, hi, value
-    weights = [math.prod(p[2] for p in combo) for combo in combos]
-    return bounds[:, :, 0], bounds[:, :, 1], weights
+    row, in itertools.product order (the last row's piece changes fastest);
+    weights multiply values left to right, with the bits of math.prod."""
+    lo, hi, weights = np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1)
+    for row in pieces:
+        t = np.array(row, dtype=float).reshape(-1, 3)
+        # each combination so far, followed by each of the row's pieces
+        keep, pick = np.repeat(np.arange(len(weights)), len(t)), np.tile(np.arange(len(t)), len(weights))
+        lo, hi = np.column_stack([lo[keep], t[pick, 0]]), np.column_stack([hi[keep], t[pick, 1]])
+        weights = weights[keep] * t[pick, 2]
+    return lo, hi, weights
 
 
-def nonzero_combinations(pieces) -> tuple[np.ndarray, np.ndarray, list]:
+def nonzero_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """piece_combinations without the combinations of weight 0.0, which add
     nothing to a slab sum."""
     lo, hi, weights = piece_combinations(pieces)
-    keep = [c for c, w in enumerate(weights) if w != 0.0]
-    return lo[keep], hi[keep], [weights[c] for c in keep]
+    keep = weights != 0.0
+    return lo[keep], hi[keep], weights[keep]
 
 
 class SlabSum:

@@ -392,10 +392,11 @@ def test_paired_checks_keep_the_one_draw_per_side_bits():
     rec = grinberg_check([2.0, 0.5, 1.0], 3, 1, 1000, seed=1, stream=1)
     assert rec["difference"].hex() == "0x1.90f0b9f615500p-6"
     rec = grinberg_check([1.5, 0.8, 1.25, 0.5, 1.0 / 0.75], 5, 3, 1000, seed=3, stream=1)
-    # omega_5 / omega_3 from the closed-form volumes, times max(raw): 0.41
-    # units of 2^-52 relative above 60-digit mpmath (-0.13 before the powers
-    # were scaled by max(raw))
-    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a3p+0"
+    # omega_5 / omega_3 from the closed-form volumes, times max(raw), with
+    # the 3-D sections in the Haar frames' own coordinates: 0.57 units of
+    # 2^-52 relative below 60-digit mpmath over the exact sections (the
+    # SVD-rotated frames gave 0x1.dc61f6b8715a3p+0, 0.50 units above)
+    assert rec["phi_cube"].hex() == "0x1.dc61f6b8715a1p+0"
 
 
 def test_grinberg_identity_map_stays_finite_at_large_n():
@@ -458,6 +459,26 @@ def test_chunk_without_a_single_block_frame_falls_back(monkeypatch):
     assert np.array_equal(got, _reference_marginal_values_at_zero(f, 2, 6, 1, 0, special))
 
 
+def test_frame_with_skewed_columns_falls_back_to_its_slab_sum(monkeypatch):
+    # a full-rank, one-component frame whose columns are 1e-9 from
+    # orthonormal leaves the batched route, and gets its SlabSum value
+    skew = haar_bases(4, 2, 6, np.arange(1))[0] * [1.0 + 1e-9, 1.0]
+    assert not slabgeom.single_block_frames(skew[None]).any()
+    _with_special_lanes(monkeypatch, {4: skew})
+    box = Box([0.8, 1.1, 1.3, 0.7])
+    got = _section_values(box, 2, 12, seed=1, stream=0)
+    assert got[4] > 0.0 and got[4] == slabgeom.SlabSum(skew, box_pieces(box)).value(np.zeros(4))
+    monkeypatch.undo()
+    want = _section_values(box, 2, 12, seed=1, stream=0)
+    assert np.array_equal(np.delete(got, 4), np.delete(want, 4))
+
+
+def test_haar_frames_wider_than_the_kernels_raise_block_too_wide():
+    # n - k = 4: orthonormal one-block frames, but no kernel for d = 4
+    with pytest.raises(slabgeom.BlockTooWideError):
+        prop_avg_check(cube_density(6), 2, 1000, seed=1)
+
+
 def _spy(monkeypatch, owner, name, log):
     original = getattr(owner, name)
 
@@ -473,7 +494,8 @@ def test_paired_checks_draw_and_frame_once_per_chunk(monkeypatch, check):
     monkeypatch.setattr(average, "_DIR_CHUNK", 40)
     log = []
     for owner, name in [(average, "haar_bases"), (average, "complement_bases"),
-                        (slabgeom, "single_block_frames"), (slabgeom.kernels, "slab_volumes")]:
+                        (slabgeom, "single_block_frames"), (slabgeom.kernels, "slab_volumes"),
+                        (np.linalg, "svd")]:
         _spy(monkeypatch, owner, name, log)
     if check == "prop_avg":
         f = _centered_density(7, 4)
@@ -484,8 +506,9 @@ def test_paired_checks_draw_and_frame_once_per_chunk(monkeypatch, check):
         grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=5)
         lanes = 2
         names = ["haar_bases", "single_block_frames", "slab_volumes"]
-    # chunk after chunk: one draw, one framing and one kernel call each,
-    # each stream drawn once, at most _DIR_CHUNK lanes of both sides a chunk
+    # chunk after chunk: one draw, one framing and one kernel call each, and
+    # no SVD (the frames are integrated in their own coordinates); each
+    # stream drawn once, at most _DIR_CHUNK lanes of both sides a chunk
     chunks = [args[3] for name, args in log if name == "haar_bases"]
     assert len(chunks) > 10
     assert [name for name, _ in log] == names * len(chunks)

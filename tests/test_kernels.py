@@ -199,6 +199,36 @@ def _assert_exact(W, lo, hi, got, rel=1e-13):
         assert abs(got - float(want)) <= rel * max(float(want), 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(3, 6),
+    st.permutations([0, 1]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, 0.3, 1.5]),
+)
+def test_1d_and_2d_kernels_keep_their_bits_under_signed_permutations(seed, n, perm, signs, spread):
+    # a frame with its columns permuted and negated gives == lengths and
+    # areas, lane-wise and scalar: so a 1-D or 2-D block keeps its bits
+    # whether or not an orthogonal factor that is a signed permutation
+    # (what an SVD of an orthonormal 1- or 2-column frame gives) rotates it
+    rng = np.random.default_rng(seed)
+    lanes = 40
+    half = rng.uniform(0.1, 1.0, size=(lanes, n))
+    centre = spread * rng.normal(size=(lanes, n))
+    lo, hi = centre - half, centre + half
+    frame = np.arange(lanes) % 8
+    frames = complement_bases(haar_bases(n, n - 2, seed, np.arange(8)))
+    moved = frames[:, :, list(perm)] * np.array(signs)
+    got = kernels.polygon_areas(frames, frame, lo, hi)
+    assert np.array_equal(got, kernels.polygon_areas(moved, frame, lo, hi))
+    assert np.array_equal(got, [kernels.polygon_area(moved[f], l, h) for f, l, h in zip(frame, lo, hi)])
+    lines = haar_directions(n, 8, seed)[:, :, None]
+    got = kernels.interval_lengths(lines, frame, lo, hi)
+    assert np.array_equal(got, kernels.interval_lengths(-lines, frame, lo, hi))
+    assert np.array_equal(got, [kernels.interval_length(-lines[f, :, 0], l, h) for f, l, h in zip(frame, lo, hi)])
+
+
 def test_polytope_volume_unit_cube():
     w = np.eye(3)
     hi = np.full(3, 0.5)

@@ -1,8 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from exact_slab_volume import exact_slab_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from slab_reference import scalar_slab_sum
@@ -10,7 +12,7 @@ from slab_reference import scalar_slab_sum
 from margbounds import slabgeom
 from margbounds.densities import random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
-from margbounds.sections import section_quadrature, sharp_paired_subspace, unit_cube
+from margbounds.sections import Box, box_pieces, section_quadrature, sharp_paired_subspace, unit_cube
 from margbounds.slabgeom import (
     BlockTooWideError,
     SlabSum,
@@ -95,19 +97,20 @@ def test_piece_combinations_product_order():
     # the last row's piece changes fastest
     assert lo.tolist() == [[0.0, -1.0, 0.0], [0.0, -1.0, 0.5], [1.0, -1.0, 0.0], [1.0, -1.0, 0.5]]
     assert hi.tolist() == [[1.0, 0.0, 0.5], [1.0, 0.0, 1.0], [2.0, 0.0, 0.5], [2.0, 0.0, 1.0]]
-    assert weights == [70.0, 110.0, 105.0, 165.0]
+    assert weights.tolist() == [70.0, 110.0, 105.0, 165.0]
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (6, 2), (4, 3), (6, 3)])
 def test_single_block_frames_match_component_blocks(n, d):
+    # a frame that spans R^d in one block is its own local frame: no SVD
+    # rotates it, here or in component_blocks
     frames = complement_bases(haar_bases(n, n - d, 4, np.arange(200)))
-    local, ok = single_block_frames(frames)
+    ok = single_block_frames(frames)
     assert ok.all()
-    for w, loc in zip(frames, local):
+    for w in frames:
         [(comp, block)] = component_blocks(w)
         assert list(comp) == list(range(n))
-        assert np.array_equal(loc, block)
-        assert np.array_equal(loc, span_coordinates(w))
+        assert block is w
 
 
 def test_single_block_frames_reject_zero_rows_splits_and_low_rank():
@@ -115,10 +118,16 @@ def test_single_block_frames_reject_zero_rows_splits_and_low_rank():
     paired = sharp_paired_subspace(4, 2).basis  # two orthogonal 1-D blocks
     flat = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0], [1.0, 0.0]])  # one block of rank 1
     haar = haar_bases(4, 2, 1, np.arange(1))[0]
-    _, ok = single_block_frames(np.stack([coordinate, paired, flat, haar]))
-    assert ok.tolist() == [False, False, False, True]
+    # full rank and one component, but its columns are 1e-9 from orthonormal
+    skew = haar * [1.0 + 1e-9, 1.0]
+    ok = single_block_frames(np.stack([coordinate, paired, flat, haar, skew]))
+    assert ok.tolist() == [False, False, False, True, False]
     assert len(row_components(paired)) == 2
     assert len(row_components(flat)) == 1 and span_coordinates(flat).shape == (4, 1)
+    [(_, local)] = component_blocks(flat)
+    assert local.shape == (4, 1)
+    [(_, local)] = component_blocks(skew)
+    assert local is skew
 
 
 def _one_block(local):
@@ -130,8 +139,8 @@ def test_block_integrals_match_the_scalar_reference(n):
     f = random_product_density(n, n, 3)
     pieces = [fi.pieces for fi in f.factors]
     lo, hi, weights = nonzero_combinations(pieces)
-    local, ok = single_block_frames(complement_bases(haar_bases(n, n - 2, 2, np.arange(50))))
-    assert ok.all()
+    local = complement_bases(haar_bases(n, n - 2, 2, np.arange(50)))
+    assert single_block_frames(local).all()
     [got] = shared_block_integrals(local, [(lo, hi, weights)])
     want = [scalar_slab_sum(loc, pieces, np.zeros(n), _one_block(loc)) for loc in local]
     assert np.array_equal(got, want)
@@ -142,8 +151,8 @@ def test_shared_block_integrals_match_one_call_per_integrand():
     # two densities with different combination counts on the same frames,
     # and per-frame shifted bounds: pooling the lanes keeps every bit
     n = 4
-    local, ok = single_block_frames(complement_bases(haar_bases(n, 2, 3, np.arange(40))))
-    assert ok.all()
+    local = complement_bases(haar_bases(n, 2, 3, np.arange(40)))
+    assert single_block_frames(local).all()
     pieces = [[fi.pieces for fi in random_product_density(seed, n, 3).factors] for seed in (5, 6)]
     bounds = [nonzero_combinations(p) for p in pieces]
     assert len(bounds[0][2]) != len(bounds[1][2])
@@ -157,6 +166,43 @@ def test_shared_block_integrals_match_one_call_per_integrand():
         want = [scalar_slab_sum(loc, p, s_l, _one_block(loc)) for loc, s_l in zip(local, s)]
         assert np.array_equal(row, want)
         assert np.count_nonzero(row) > 30
+
+
+@pytest.mark.parametrize("n,k,complement", [(5, 2, True), (5, 3, False)])
+def test_unrotated_3d_single_blocks_match_the_exact_oracle(n, k, complement):
+    # 3-D single blocks run in their frame's own coordinates: a box's
+    # sections are within the kernels' 1e-13 relative bound (of the volume,
+    # or of 1 below it) of the exact volume of the float system
+    bases = haar_bases(n, k, 11, np.arange(30))
+    frames = complement_bases(bases) if complement else bases
+    assert frames.shape[2] == 3 and single_block_frames(frames).all()
+    sides = np.linspace(0.6, 1.7, n)
+    [got] = shared_block_integrals(frames, [nonzero_combinations(box_pieces(Box(sides)))])
+    for w, vol in zip(frames, got):
+        want = float(exact_slab_volume(w, -sides / 2.0, sides / 2.0))
+        assert want > 0.0 and abs(vol - want) <= 1e-13 * max(want, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(0, 10_000))
+def test_piece_combinations_match_product_and_math_prod(counts, seed):
+    # the rows' pieces gathered per combination, and the weights as
+    # elementwise products in row order: the bits of itertools.product and
+    # a left-to-right math.prod, zero weights and rows with no piece included
+    rng = np.random.default_rng(seed)
+    pieces = [[(float(a), float(b), float(v)) for a, b, v in
+               zip(rng.normal(size=c), rng.normal(size=c), rng.choice([0.0, 0.3, 1.7, -2.1, 1e-200], c))]
+              for c in counts]
+    combos = list(itertools.product(*pieces))
+    lo, hi, weights = piece_combinations(pieces)
+    assert lo.shape == hi.shape == (len(combos), len(pieces)) and weights.shape == (len(combos),)
+    assert lo.tolist() == [[p[0] for p in combo] for combo in combos]
+    assert hi.tolist() == [[p[1] for p in combo] for combo in combos]
+    want = [math.prod(p[2] for p in combo) for combo in combos]
+    assert [w.hex() for w in weights.tolist()] == [w.hex() for w in want]
+    keep = [c for c, w in enumerate(want) if w != 0.0]
+    lo, hi, weights = nonzero_combinations(pieces)
+    assert weights.tolist() == [want[c] for c in keep] and lo.tolist() == [[p[0] for p in combos[c]] for c in keep]
 
 
 def test_block_integrals_of_no_frames_are_empty():
