@@ -126,10 +126,8 @@ def _slab_sums_at_zero(
     the density f = prod g_i), else of E (|K cap E| for a box K, the g_i
     its sides' indicators).  Every integrand is evaluated on the same draw:
     each chunk draws its subspaces once and frames them once.  A 1-D frame
-    (a Haar line) goes through _line_sums; 2-D and 3-D frames that form one
-    slab block run, as they are, every integrand's combinations lane-wise
-    through one slabgeom.shared_block_integrals call; every other frame is a
-    slabgeom.SlabSum at zero shift.
+    (a Haar line) goes through _line_sums, every other chunk of frames
+    through one slabgeom.sums_at_zero call.
     """
     n = len(integrands[0])
     if not (1 <= k < n):
@@ -141,14 +139,9 @@ def _slab_sums_at_zero(
             vals[:, part] = [_line_sums(dirs, combos) for combos in bounds]
         return vals
     lanes = sum(max(len(weights), 1) for _, _, weights in bounds)
-    zero = np.zeros(n)
     for part, bases in _haar_draws(n, k, samples, seed, stream, lanes):
         frames = complement_bases(bases) if complement else bases
-        chunk = vals[:, part]
-        ok = slabgeom.single_block_frames(frames) & (frames.shape[2] <= slabgeom.MAX_BLOCK)
-        chunk[:, ok] = slabgeom.shared_block_integrals(frames[ok], bounds)
-        for i in np.flatnonzero(~ok):
-            chunk[:, i] = [slabgeom.SlabSum(frames[i], pieces).value(zero) for pieces in integrands]
+        vals[:, part] = slabgeom.sums_at_zero(frames, integrands)
     return vals
 
 

@@ -395,13 +395,21 @@ def cmd_search_max(ns) -> int:
     n, k = ns.n, ns.k
     bound, _ = bounds.main_constant(n, k)
     if k == 1:
-        def objective(sub):
-            return marginals.cube_hyperplane_section(sub.basis[:, 0])
-    elif n - k <= 3:
         cube = sections.unit_cube(n)
 
-        def objective(sub):
-            return sections.section_quadrature(cube, grassmann.orthonormal_complement(sub))
+        def objective(bases):
+            # cube_hyperplane_section of each line, in one call when no line
+            # has a zero coordinate to factor out
+            thetas = bases[:, :, 0]
+            if (np.abs(thetas) > sections.ZERO_COORD_TOL).all():
+                return sections.hyperplane_section_exact(cube, thetas)
+            return np.array([marginals.cube_hyperplane_section(theta) for theta in thetas])
+    elif n - k <= 3:
+        cube = [sections.box_pieces(sections.unit_cube(n))]
+
+        def objective(bases):
+            # section_quadrature's value of each complement, all in one call
+            return slabgeom.sums_at_zero(grassmann.complement_bases(bases), cube)[0]
     else:
         raise slabgeom.BlockTooWideError("search-max needs k = 1 or n - k <= 3")
     best, value = grassmann.grassmann_search_max(
@@ -604,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-max", help="random-restart search for extremal subspaces")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--restarts", type=_positive_int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     common(p, workers=False)
     p.set_defaults(func=cmd_search_max, workers=1)

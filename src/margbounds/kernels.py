@@ -6,16 +6,15 @@ boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  The 2-D kernel clips a seed
 parallelogram; the 3-D kernel sums (1/3) h |F| over the facets F, each a
 2-D slab system, after merging rows parallel within _PARALLEL_SINE (see
-polytope_volumes for its rounding bound).  Each scalar kernel has a
-lane-wise twin (interval_lengths, polygon_areas, polytope_volumes) that
-evaluates many slab systems per call with the scalar kernel's
-floating-point operations, so every lane has the scalar result's bits.
-A lane twin takes frames (K, m, d), a frame index (L,) and the bounds (L,
-m) of its L lanes: what depends on a frame alone is computed once per
-frame, and lanes that share a frame share it.  The 2-D and 3-D twins
-first drop the lanes whose seed cell misses a row's slab: they are empty.
-slab_volumes picks between the twins by lane count; the scalar kernels
-also serve section_quadrature, which holds one system at a time.
+polytope_volumes for its rounding bound).  Each kernel is lane-wise
+(interval_lengths, polygon_areas, polytope_volumes): it takes frames (K, m,
+d), a frame index (L,) and the bounds (L, m) of its L lanes, computes what
+depends on a frame alone once per frame, and takes every lane through the
+same floating-point operations whatever the other lanes of its call.  The
+2-D and 3-D kernels first drop the lanes whose seed cell misses a row's
+slab: they are empty.  slab_volumes dispatches by dimension, and only its
+one-lane d = 1 calls run the scalar interval_length; tests/slab_reference.py
+keeps scalar 2-D and 3-D twins as the tests' == reference.
 """
 
 from __future__ import annotations
@@ -89,84 +88,14 @@ def interval_lengths(frames, frame, lo, hi):
     return out
 
 
-def _clip_polygon(poly, nx, ny, b, eps):
-    """Sutherland-Hodgman clip of a 2-D polygon by nx*x + ny*y <= b."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % m]
-        dp = nx * px + ny * py - b
-        dq = nx * qx + ny * qy - b
-        if dp <= eps:
-            out.append((px, py))
-        if (dp < -eps and dq > eps) or (dp > eps and dq < -eps):
-            t = dp / (dp - dq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
-def _polygon_seed_rows(rows):
-    """(i0, i1, det) of the rows (a list of (x, y) floats) seeding the 2-D
-    clipper and their determinant, or None when they are degenerate at the
-    clipper's tolerance (polygon_area then returns 0.0)."""
-    norms = [x * x + y * y for x, y in rows]
-    i0 = norms.index(max(norms))
-    x0, y0 = rows[i0]
-    dets = [x0 * y - y0 * x for x, y in rows]
-    sizes = [abs(det) for det in dets]
-    i1 = sizes.index(max(sizes))
-    scale = 1.0 + max(max(abs(x), abs(y)) for x, y in rows)
-    if sizes[i1] < 1e-14 * (scale * scale):
-        return None
-    return i0, i1, dets[i1]
-
-
-def polygon_area(W, lo, hi):
-    """Area of the intersection of 2-D slabs lo_i <= <w_i, y> <= hi_i."""
-    return _polygon_area(np.asarray(W, dtype=float).tolist(), np.asarray(lo, dtype=float).tolist(),
-                         np.asarray(hi, dtype=float).tolist())
-
-
-def _polygon_area(rows, lo, hi):
-    """polygon_area of rows, lo and hi given as lists of Python floats: the
-    IEEE operations of polygon_areas' numpy ones, faster for one system."""
-    # Seed polygon: the parallelogram cut out by the best-conditioned pair.
-    seeds = _polygon_seed_rows(rows)
-    if seeds is None:
-        return 0.0
-    i0, i1, det = seeds
-    a00, a01 = rows[i0]
-    a10, a11 = rows[i1]
-    poly = []
-    for s, t in ((lo[i0], lo[i1]), (hi[i0], lo[i1]), (hi[i0], hi[i1]), (lo[i0], hi[i1])):
-        poly.append(((a11 * s - a01 * t) / det, (a00 * t - a10 * s) / det))
-    scale = 1.0 + max(abs(p[0]) + abs(p[1]) for p in poly)
-    eps = 1e-14 * scale
-    for i, (nx, ny) in enumerate(rows):
-        if i == i0 or i == i1:
-            continue
-        poly = _clip_polygon(poly, nx, ny, hi[i], eps)
-        if len(poly) < 3:
-            return 0.0
-        poly = _clip_polygon(poly, -nx, -ny, -lo[i], eps)
-        if len(poly) < 3:
-            return 0.0
-    area = 0.0
-    for i in range(len(poly)):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % len(poly)]
-        area += px * qy - py * qx
-    return 0.5 * abs(area)
-
-
 def _clip_polygons(poly, nx, ny, b, eps):
-    """_clip_polygon for every lane l of poly (x and y (2, W + 1, L)): the
-    lane's polygon has its count c <= W vertices in slots 0..c - 1, vertex 0
-    again in slot c, and NaN after it; clipped by nx[l]*x + ny[l]*y <= b[l],
-    with eps[l] (eps (2, L): eps and -eps).  Returns the clipped polygons in
-    the same layout, W as the largest count, and their counts.  Runs under
-    np.errstate(divide, invalid and over "ignore").
+    """Sutherland-Hodgman clip of every lane l of poly (x and y (2, W + 1,
+    L)) by nx[l]*x + ny[l]*y <= b[l], keeping the vertices within eps[l] of
+    that side (eps (2, L): eps and -eps): the lane's polygon has its count
+    c <= W vertices in slots 0..c - 1, vertex 0 again in slot c, and NaN
+    after it.  Returns the clipped polygons in the same layout, W as the
+    largest count, and their counts.  Runs under np.errstate(divide,
+    invalid and over "ignore").
 
     Slot j's successor is slot j + 1, so every slot computes its vertex's dp
     and its edge's crossing point at once; NaN slots compare false, so they
@@ -211,11 +140,13 @@ def _clip_polygons(poly, nx, ny, b, eps):
 
 def _polygon_frame_tables(frames):
     """What polygon_areas needs of the frames (K, m, 2) alone: ok (K,),
-    false where _polygon_seed_rows returns None; the seed table (5, K) of
-    a00, a01, a10, a11 and det; each frame's row order (K, m), the seed rows
-    i0, i1 and then the others in row order; the clip normals (2,
-    2(m - 2), K), the other rows' in that order, each as itself (the hi
-    side) and negated (the -lo side)."""
+    false where the seed rows are degenerate (their determinant is below
+    1e-14 (1 + max |w|)^2; the frame's lanes are then 0.0); the seed table
+    (5, K) of a00, a01, a10, a11 and det, i0 the longest row and i1 the
+    one most transverse to it; each frame's row order (K, m), the seed rows
+    i0, i1 and then the others in row order; the clip normals (2, 2(m - 2),
+    K), the other rows' in that order, each as itself (the hi side) and
+    negated (the -lo side)."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -279,22 +210,23 @@ def _polygon_seed_cells(tables, frame, lo, hi):
 
 
 def polygon_areas(frames, frame, lo, hi):
-    """polygon_area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <=
-    hi[l, i] for the rows w = frames[frame[l]], frames (K, m, 2), frame (L,),
-    lo and hi (L, m) with lo <= hi; returns (L,) areas.
+    """Area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
+    for the rows w = frames[frame[l]], frames (K, m, 2), frame (L,), lo and
+    hi (L, m) with lo <= hi; returns (L,) areas.
 
-    Lane-wise Sutherland-Hodgman: every lane goes through polygon_area's
-    floating-point operations in its order (seed rows, seed parallelogram,
-    eps, the hi then -lo clip of each other row in row order, the shoelace
-    sum from vertex 0), so each area has polygon_area's bits.  What depends
-    on the frame alone (the seed rows, their determinant, the degeneracy
-    test, the clip order) is found once per frame.  Vertices sit slot-major,
-    (slots, lanes), NaN past each lane's count; a lane leaves once it has
-    fewer than 3 vertices.  One lane costs about 30 times polygon_area, 512
-    lanes about an eighth of 512 polygon_area calls (see slab_volumes).
+    Lane-wise Sutherland-Hodgman: the seed parallelogram of the
+    best-conditioned row pair, cut by the hi then -lo side of each other
+    row in row order, each cut keeping the vertices within eps = 1e-14 (1 +
+    the seed corners' largest 1-norm) of its side; then the shoelace sum
+    from vertex 0.  Every lane goes through these floating-point operations
+    in this order, so its area does not depend on the other lanes.  What
+    depends on the frame alone (the seed rows, their determinant, the
+    degeneracy test, the clip order) is found once per frame.  Vertices sit
+    slot-major, (slots, lanes), NaN past each lane's count; a lane leaves
+    once it has fewer than 3 vertices.
 
     A lane whose seed parallelogram misses another row's slab by
-    _CLIP_MARGIN is 0.0 without a clip, as polygon_area's clip makes it.
+    _CLIP_MARGIN is 0.0 without a clip, as the clip would make it.
     (The 3-D facets call _polygon_areas directly: testing them too saved
     no measurable time on sup-grid.)
     """
@@ -378,7 +310,7 @@ _POLYTOPE_LANES = 1 << 7
 
 def _dot(a, b):
     """<a, b> over the last axis of 3-vectors, the three products added in
-    order, as polytope_volume adds them."""
+    order."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
@@ -389,37 +321,12 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _dot1(a, b):
-    """_dot of two 3-vectors given as sequences of Python floats."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross1(a, b):
-    """_cross of two 3-vectors given as sequences of Python floats."""
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _polytope_seed_rows(rows):
-    """(i0, i1, i2) of the rows (a list of [x, y, z] floats) spanning the
-    seed cell: the longest row, the one most transverse to it and the one
-    farthest from their plane; None when their determinant is below
-    1e-14 (1 + max |w|)^3 (the kernels then return 0.0)."""
-    norms = [_dot1(w, w) for w in rows]
-    i0 = norms.index(max(norms))
-    crs = [_cross1(rows[i0], w) for w in rows]
-    sizes = [_dot1(c, c) for c in crs]
-    i1 = sizes.index(max(sizes))
-    dets = [abs(_dot1(w, crs[i1])) for w in rows]
-    i2 = dets.index(max(dets))
-    scale = 1.0 + max(abs(c) for w in rows for c in w)
-    if dets[i2] < 1e-14 * (scale * scale * scale):
-        return None
-    return i0, i1, i2
-
-
 def _polytope_seed_lanes(W):
-    """_polytope_seed_rows of each lane of W (L, m, 3): (seeds (L, 3), ok
-    (L,)), ok false where it returns None."""
+    """The rows of each lane of W (L, m, 3) that span its seed cell: the
+    longest row, the one most transverse to it and the one farthest from
+    their plane, each the first of its equals.  Returns (seeds (L, 3), ok
+    (L,)), ok false where their determinant is below 1e-14 (1 + max |w|)^3
+    (the lane is then 0.0)."""
     lanes = np.arange(len(W))
     i0 = np.argmax(_dot(W, W), axis=1)
     crs = _cross(W[lanes, i0][:, None, :], W)
@@ -431,85 +338,6 @@ def _polytope_seed_lanes(W):
     return np.stack([i0, i1, i2], axis=1), ok
 
 
-def polytope_volume(W, lo, hi):
-    """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i.
-
-    One lane of polytope_volumes on Python floats: the same IEEE operations
-    in the same order, so the same bits, at a fraction of the numpy calls'
-    fixed cost."""
-    rows = np.asarray(W, dtype=float).tolist()
-    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
-    m = len(rows)
-    seeds = _polytope_seed_rows(rows)
-    if seeds is None:
-        return 0.0
-    r = [rows[s] for s in seeds]
-    g = [_cross1(r[1], r[2]), _cross1(r[2], r[0]), _cross1(r[0], r[1])]
-    det = _dot1(r[0], g[0])
-    g = [[c / det for c in gs] for gs in g]
-    mid = [0.5 * (lo[s] + hi[s]) for s in seeds]
-    half = [0.5 * (hi[s] - lo[s]) for s in seeds]
-    centre = [mid[0] * g[0][k] + mid[1] * g[1][k] + mid[2] * g[2][k] for k in range(3)]
-    blo, bhi, slack = [], [], []
-    scale = 1.0 + (abs(centre[0]) + abs(centre[1]) + abs(centre[2]))
-    for s in range(3):
-        scale += half[s] * (abs(g[s][0]) + abs(g[s][1]) + abs(g[s][2]))
-    for i, w in enumerate(rows):
-        wc = _dot1(w, centre)
-        blo.append(lo[i] - wc)
-        bhi.append(hi[i] - wc)
-        reach = (half[0] * abs(_dot1(w, g[0])) + half[1] * abs(_dot1(w, g[1]))
-                 + half[2] * abs(_dot1(w, g[2])))
-        slack.append(reach + _EMPTY_MARGIN * scale)
-        if blo[i] > slack[i] or bhi[i] < -slack[i]:
-            return 0.0
-    norms = [_dot1(w, w) for w in rows]
-    alive = [True] * m
-    for j in range(1, m):
-        for i in range(j):
-            c = _cross1(rows[j], rows[i])
-            if alive[i] and _dot1(c, c) <= _PARALLEL_SINE**2 * (norms[j] * norms[i]):
-                alive[j] = False
-                alpha = _dot1(rows[j], rows[i]) / norms[i]
-                a, b = blo[j] / alpha, bhi[j] / alpha
-                blo[i] = max(blo[i], min(a, b))
-                bhi[i] = min(bhi[i], max(a, b))
-                break
-    if any(l >= h for l, h in zip(blo, bhi)):
-        return 0.0
-    total = 0.0
-    for i, n in enumerate(rows):
-        if not alive[i]:
-            continue
-        e = [0.0, 0.0, 0.0]
-        size = [abs(c) for c in n]
-        e[size.index(min(size))] = 1.0
-        u = _cross1(n, e)
-        unorm = math.sqrt(_dot1(u, u))
-        u = [c / unorm for c in u]
-        nnorm = math.sqrt(norms[i])
-        v = [c / nnorm for c in _cross1(n, u)]
-        for plane, sign in ((bhi[i], 1.0), (blo[i], -1.0)):
-            if sign * plane > slack[i]:  # the plane misses the seed cell
-                continue
-            t = plane / norms[i]
-            flat, flo, fhi = [], [], []
-            for j, w in enumerate(rows):
-                if j == i:
-                    continue
-                if not alive[j]:
-                    flat.append([0.0, 0.0])
-                    flo.append(-1.0)
-                    fhi.append(1.0)
-                    continue
-                foot = t * _dot1(n, w)
-                flat.append([_dot1(w, u), _dot1(w, v)])
-                flo.append(blo[j] - foot)
-                fhi.append(bhi[j] - foot)
-            total += (sign * plane) / nnorm * _polygon_area(flat, flo, fhi)
-    return total / 3.0
-
-
 def _sum_in_order(terms):
     """Sum over the last axis from 0.0 in index order, as a Python loop
     adds (np.sum adds pairwise)."""
@@ -518,9 +346,9 @@ def _sum_in_order(terms):
 
 
 def polytope_volumes(frames, frame, lo, hi):
-    """polytope_volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <=
-    hi[l, i] for the rows w = frames[frame[l]], frames (K, m, 3), frame (L,),
-    lo and hi (L, m) with lo <= hi; returns (L,) volumes.
+    """Volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
+    for the rows w = frames[frame[l]], frames (K, m, 3), frame (L,), lo and
+    hi (L, m) with lo <= hi; returns (L,) volumes.
 
     Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
     cell (the parallelepiped of its seed rows, which holds the polytope),
@@ -529,8 +357,8 @@ def polytope_volumes(frames, frame, lo, hi):
     rows: a 2-D slab system in an orthonormal basis of w_i-perp, whose
     bounds shift by <w_j, x0> for x0 the plane's foot.  A batch's facets go
     through one polygon_areas call, and each lane adds its 2m terms from
-    0.0 in row-then-side order, so a volume has the bits of polytope_volume
-    and does not depend on the other lanes of its call.
+    0.0 in row-then-side order, so a volume does not depend on the other
+    lanes of its call.
 
     A row within sine _PARALLEL_SINE = tau of an earlier live row i first
     merges into it: its interval, scaled by <w_j, w_i> / |w_i|^2 about c, is
@@ -540,7 +368,7 @@ def polytope_volumes(frames, frame, lo, hi):
     planes about c by at most tau, which moves them at most tau R inside the
     seed cell, R its largest distance from c; so each merged row changes
     the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
-    section.  Otherwise each term carries polygon_area's error (its clip
+    section.  Otherwise each term carries polygon_areas' error (its clip
     tolerance, 1e-14 times the facet's coordinate scale, per unit of the
     facet's perimeter) times |h|, and the projections and the sum add
     O(m u) of sum |h| |F|.
@@ -700,39 +528,30 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
 
 
-def slab_volume(W, lo, hi) -> float:
-    """Volume of { y in R^d : lo_i <= <w_i, y> <= hi_i } for d in {1, 2, 3}."""
-    d = W.shape[1] if W.ndim == 2 else 1
-    if d == 1:
-        return interval_length(W.reshape(-1), lo, hi)
-    if d == 2:
-        return polygon_area(W, lo, hi)
-    if d == 3:
-        return polytope_volume(W, lo, hi)
-    raise ValueError(f"slab_volume supports dimensions 1-3, got {d}")
-
-
 def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
-    """slab_volume of each lane l: the rows frames[frame[l]] with the bounds
-    lo[l], hi[l], for frames (K, m, d), d in {1, 2, 3}, frame (L,), lo and hi
-    (L, m).  Lanes that share a frame share its per-frame work.
+    """Volume of { y in R^d : lo[l, i] <= <w_i, y> <= hi[l, i] } of each lane
+    l, the rows w = frames[frame[l]], for frames (K, m, d), d in {1, 2, 3},
+    frame (L,), lo and hi (L, m), by the lane kernel of dimension d.
 
-    One lane runs slab_volume on its frame, with the same bits.  Per call,
+    A one-lane d = 1 call runs interval_length instead, with the same bits:
+    marginal_at's 1-D blocks make such calls one point at a time.  Per call,
     on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5 rows for d =
-    1, 2, 3; the best of 7 timeit repeats in each of three sessions; a
-    one-lane lane-kernel call given that lane's frame alone):
+    1, 2, 3; the best of 7 timeit repeats in each of three sessions; the
+    scalar 2-D and 3-D kernels are tests/slab_reference.py's):
 
         d   1 lane: lane kernel, scalar   512 lanes: lane kernel, 512 scalar calls
-        1   0.035 ms, 0.003 ms            0.06 ms, 1.4 ms
-        2   0.42 ms, 0.014 ms             1.1 ms (0.8 on one shared frame), 8.5 ms
-        3   1.0 ms, 0.17 ms               15 ms (5.7 on one shared frame), 112 ms
+        1   0.025 ms, 0.002 ms            0.06 ms, 1.1 ms
+        2   0.35 ms, 0.011 ms             1.1 ms (0.76 on one shared frame), 6.3 ms
+        3   0.69 ms, 0.12 ms              11.5 ms (4.0 on one shared frame), 83 ms
+
+    so the callers of the 2-D and 3-D kernels batch their lanes.
     """
     frames = np.asarray(frames, dtype=float)
     frame = np.asarray(frame, dtype=np.intp)
-    if len(frame) == 1:
-        return np.array([slab_volume(frames[frame[0]], lo[0], hi[0])])
     d = frames.shape[2]
     if d == 1:
+        if len(frame) == 1:
+            return np.array([interval_length(frames[frame[0], :, 0], lo[0], hi[0])])
         return interval_lengths(frames, frame, lo, hi)
     if d == 2:
         return polygon_areas(frames, frame, lo, hi)
@@ -745,28 +564,31 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
 
 
 def irwin_hall_at(c, t):
-    """Density at t of sum(c_j * V_j) with V_j iid uniform on [0, 1].
+    """Density at t of sum(c_j * V_j) with V_j iid uniform on [0, 1]; for
+    rows c (B, n) and t (B,), that of each row, (B,).
 
     Signed inclusion-exclusion over the 2^n subset sums; summed with
-    math.fsum because of the heavy cancellation.  Requires all c_j > 0.
+    math.fsum because of the heavy cancellation.  Requires all c_j > 0.  A
+    row goes through the operations of a one-row call, so it has its bits.
     """
     c = np.asarray(c, dtype=float)
-    n = c.size
+    n = c.shape[-1]
     if n == 0:
         raise ValueError("need at least one coefficient")
     if n > 24:
         raise ValueError("combinatorial blowup guard: n > 24")
     if np.any(c <= 0.0):
         raise ValueError("coefficients must be positive")
-    sums = np.zeros(1)
+    sums = np.zeros(c.shape[:-1] + (1,))
     signs = np.ones(1)
-    for cj in c:
-        sums = np.concatenate([sums, sums + cj])
+    for cj in c.T[..., None]:
+        sums = np.concatenate([sums, sums + cj], axis=-1)
         signs = np.concatenate([signs, -signs])
-    diff = t - sums
+    diff = np.asarray(t)[..., None] - sums
     if n == 1:
         terms = signs * (diff > 0.0)
     else:
         terms = signs * np.where(diff > 0.0, diff, 0.0) ** (n - 1)
-    total = math.fsum(terms.tolist())
-    return total / (math.factorial(n - 1) * float(np.prod(c)))
+    total = [math.fsum(row) for row in terms.reshape(-1, 2**n).tolist()]
+    scale = math.factorial(n - 1) * np.prod(c, axis=-1)
+    return total[0] / float(scale) if c.ndim == 1 else np.array(total) / scale

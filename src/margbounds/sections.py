@@ -67,25 +67,27 @@ def _check_unit(a: np.ndarray) -> None:
         raise ValueError("normal vector must have unit norm (within 1e-12)")
 
 
-def hyperplane_section_exact(box: Box, a) -> float:
-    """|B cap a-perp| by the signed vertex formula (exact up to rounding).
+def hyperplane_section_exact(box: Box, a):
+    """|B cap a-perp| by the signed vertex formula (exact up to rounding),
+    or that of each row of normals a (B, n), with one-row calls' bits.
 
     Evaluates the density at its center of the weighted sum of independent
     uniforms sum_j z_j a_j U_j, times the box volume.  Requires every a_j to
     be nonzero; callers must factor out zero coordinates first.
     """
     a = np.asarray(a, dtype=float)
-    if a.size != box.n:
+    if a.shape[-1] != box.n:
         raise ValueError("dimension mismatch between box and normal")
-    _check_unit(a)
-    if np.abs(a).min() <= ZERO_COORD_TOL:
+    for row in a.reshape(-1, box.n):
+        _check_unit(row)
+    if (np.abs(a) <= ZERO_COORD_TOL).any():
         raise ValueError(
             "exact route needs all |a_j| > 1e-10; factor out zero coordinates"
         )
     if box.n > 24:
         raise RouteLimitError("combinatorial blowup guard: n > 24")
     c = np.abs(a) * box.sides
-    dens = kernels.irwin_hall_at(c, 0.5 * c.sum())
+    dens = kernels.irwin_hall_at(c, 0.5 * c.sum(axis=-1))
     return box.volume() * dens
 
 
@@ -181,7 +183,8 @@ def _tail_below_roundoff(c: np.ndarray, t_end: float, value: float) -> bool:
 
 
 def section_quadrature(box: Box, h: Subspace) -> float:
-    """|B cap H| by the exact slab kernels in H coordinates.
+    """|B cap H| by the exact slab kernels in H coordinates: the SlabSum of
+    the box's indicator over the rows of H's basis, at zero shift.
 
     The section in the orthonormal coordinates of H is the slab intersection
     { y : |<y, w_i>| <= z_i/2 } with w_i the rows of H's basis; its volume is
@@ -193,10 +196,7 @@ def section_quadrature(box: Box, h: Subspace) -> float:
         raise ValueError("dimension mismatch between box and subspace")
     if h.k == 0:
         raise ValueError("zero-dimensional section")
-    w = np.asarray(h.basis)
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    keep = norms > slabgeom.ROW_ZERO_TOL
-    return slabgeom.decomposed_volume(w[keep], -box.sides[keep] / 2.0, box.sides[keep] / 2.0)
+    return slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box)).value(np.zeros(box.n))
 
 
 def section_mc(

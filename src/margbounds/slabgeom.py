@@ -8,7 +8,8 @@ cover R^d, and each group of span dimension <= 3 is handled exactly.
 
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
-sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator.
+sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator;
+sums_at_zero integrates many frames at zero shift in shared kernel calls.
 Which of the combinations' slab polytopes are empty is the kernels' call:
 each drops the lanes whose seed cell misses a row's slab.
 """
@@ -52,26 +53,22 @@ def _span_rank(s: np.ndarray) -> np.ndarray:
     return np.sum(s > 1e-12 * (1.0 + s[..., :1]), axis=-1)
 
 
+def _component_firsts(w: np.ndarray) -> np.ndarray:
+    """The first row of each row's component of rows w (..., m, d), (...,
+    m): rows share a component when _row_links joins them, directly or
+    through other rows."""
+    m = w.shape[-2]
+    reach = _row_links(w) | np.eye(m, dtype=bool)
+    # each squaring doubles the length of the paths reach covers
+    for _ in range((m - 1).bit_length()):
+        reach = reach @ reach
+    return np.argmax(reach, axis=-1) if m else np.zeros(w.shape[:-1], dtype=np.intp)
+
+
 def row_components(w: np.ndarray) -> list[np.ndarray]:
-    """Index groups of rows linked by nonzero inner products (union of BFS)."""
-    m = w.shape[0]
-    linked = _row_links(w)
-    seen = np.zeros(m, dtype=bool)
-    comps = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(linked[i] & ~seen)[0]:
-                seen[j] = True
-                stack.append(int(j))
-        comps.append(np.array(sorted(comp)))
-    return comps
+    """Index groups of linked rows, each sorted, in order of their first rows."""
+    first = _component_firsts(w)
+    return [np.flatnonzero(first == row) for row in np.flatnonzero(first == np.arange(len(first)))]
 
 
 def span_coordinates(rows: np.ndarray) -> np.ndarray:
@@ -82,21 +79,30 @@ def span_coordinates(rows: np.ndarray) -> np.ndarray:
 
 
 def single_block_frames(rows: np.ndarray) -> np.ndarray:
-    """ok (L,) for L frames rows (L, m, d), with no SVD: ok[l] when the rows
-    of frame l form one component under row_components' rule and its
-    columns are orthonormal, |W^T W - I| <= 1e-12 entrywise (as Haar bases
-    and their complements are, to about 1e-15).  Then component_blocks(rows[l])
-    is the single block (all rows, rows[l]).  A zero row (norm <=
-    ROW_ZERO_TOL) links to no other row, so such a frame is never ok for m >= 2.
-    """
-    count, m, d = rows.shape
-    links = _row_links(rows)
-    reached = np.zeros((count, m), dtype=bool)
-    reached[:, 0] = True
-    for _ in range(m - 1):
-        reached |= (links & reached[:, :, None]).any(axis=1)
-    gram = np.swapaxes(rows, -1, -2) @ rows
-    return reached.all(axis=1) & (np.abs(gram - np.eye(d)) <= 1e-12).all(axis=(1, 2))
+    """ok (L,) for L frames rows (L, m, d): ok[l] when its columns are
+    orthonormal, |W^T W - I| <= 1e-12 entrywise (as Haar bases and their
+    complements are, to about 1e-15), no row is zero (norm <= ROW_ZERO_TOL)
+    and component_blocks(rows[l]), and so SlabSum(rows[l], ...), has the
+    single block (all rows, rows[l]): with no SVD when the rows form one
+    component, and for d <= MAX_BLOCK when the components' span ranks add
+    up to more than d (near a paired subspace), from the SVDs that
+    component_blocks' span_coordinates calls make, stacked by size."""
+    _, m, d = rows.shape
+    first = _component_firsts(rows)
+    orthonormal = (np.abs(np.swapaxes(rows, -1, -2) @ rows - np.eye(d)) <= 1e-12).all(axis=(1, 2))
+    ok = orthonormal & ~first.any(axis=1)
+    split = orthonormal & first.any(axis=1) & (d <= MAX_BLOCK)
+    split &= (np.sqrt(np.einsum("lij,lij->li", rows, rows)) > ROW_ZERO_TOL).all(axis=1)
+    # member[s, r, i]: row i of split frame s is in the component of first row r
+    frames, member = rows[split], first[split][:, None, :] == np.arange(m)[:, None]
+    sizes = member.sum(axis=2)
+    ranks = np.zeros(len(frames), dtype=np.intp)
+    for size in set(sizes.flat) - {0}:
+        frame, lead = np.nonzero(sizes == size)
+        comp = np.nonzero(member[frame, lead])[1].reshape(-1, size)
+        np.add.at(ranks, frame, _span_rank(np.linalg.svd(frames[frame[:, None], comp], full_matrices=False)[1]))
+    ok[split] = ranks != d
+    return ok
 
 
 def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -126,20 +132,6 @@ def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
                 f"exceeds the exact-geometry limit {MAX_BLOCK}"
             )
     return list(zip(comps, locals_))
-
-
-def decomposed_volume(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Volume of the slab intersection, factorized over orthogonal blocks.
-
-    section_quadrature's one combination at zero shift, kept off SlabSum:
-    through a one-piece SlabSum, search-max --n 4 --k 2 --restarts 3
-    --steps 1000 took 1.9-2.2 s instead of 0.94-1.04 s (2-core x86 VM)."""
-    vol = 1.0
-    for comp, local in component_blocks(w):
-        vol *= kernels.slab_volume(local, lo[comp], hi[comp])
-        if vol == 0.0:
-            return 0.0
-    return vol
 
 
 class SlabBlock:
@@ -418,3 +410,20 @@ def pooled_values(pairs) -> list[np.ndarray]:
                 pool.add(block, shifts[part][:, rows], vals, part)
         pool.flush()
     return values
+
+
+def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
+    """int prod_i g_i(<w_i, y>) dy over each frame w = frames[s] (S, m, d),
+    per integrand (g_1..g_m as (lo, hi, value) pieces): (len(integrands), S)
+    values with the bits of SlabSum(frames[s], integrand).value at zero.
+    single_block_frames' frames (d <= MAX_BLOCK) run every integrand's
+    combinations through one shared_block_integrals call, and the other
+    frames' SlabSums share one pooled_values call."""
+    out = np.empty((len(integrands), len(frames)))
+    ok = single_block_frames(frames) & (frames.shape[2] <= MAX_BLOCK)
+    out[:, ok] = shared_block_integrals(frames[ok], [nonzero_combinations(p) for p in integrands])
+    rest = np.flatnonzero(~ok)
+    zero = np.zeros((1, frames.shape[1]))
+    values = pooled_values([(SlabSum(frames[s], pieces), zero) for s in rest for pieces in integrands])
+    out[:, rest] = np.reshape(values, (len(rest), len(integrands))).T
+    return out

@@ -294,6 +294,16 @@ def test_search_max_near_the_paired_subspace_passes(tmp_path):
     assert 2.0 - 1e-9 < json.loads(out.read_text())["summary"]["best_value"] <= 2.0
 
 
+def test_search_max_report_is_pinned(tmp_path):
+    # the climb scores its proposals in batches, and ends where one proposal
+    # per step ends, to the bit
+    out = tmp_path / "sm.json"
+    code = run(["search-max", "--n", "5", "--k", "2", "--restarts", "3",
+                "--steps", "1000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["summary"]["best_value"].hex() == (1.9913631328061048).hex()
+
+
 def test_densities_validate(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))
@@ -335,6 +345,8 @@ def test_write_json_atomic_sorted(tmp_path):
     (["bl-check", "--d", "-1"], "--d"),
     (["bl-check", "--d", "0"], "--d"),
     (["bl-check", "--m", "0"], "--m"),
+    (["search-max", "--n", "3", "--k", "1", "--restarts", "0"], "--restarts"),
+    (["search-max", "--n", "3", "--k", "1", "--steps", "0"], "--steps"),
 ])
 def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

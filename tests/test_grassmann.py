@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margbounds import grassmann
+from margbounds import grassmann, randomness, slabgeom
 from margbounds.grassmann import (
     ExponentAssignment,
     Frame,
@@ -19,6 +19,8 @@ from margbounds.grassmann import (
     parallelepiped_projection_check,
     projection_weights,
 )
+from margbounds.marginals import cube_hyperplane_section
+from margbounds.sections import box_pieces, unit_cube
 
 
 def test_subspace_validation():
@@ -172,18 +174,95 @@ def test_search_max_finds_cube_diagonal():
     # max over lines of |<theta, (1,1)>/sqrt(2)| peaks at the diagonal
     target = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
-    def objective(sub):
-        return abs(float(sub.basis[:, 0] @ target))
+    def objective(bases):
+        return np.abs(bases[:, :, 0] @ target)
 
     best, val = grassmann_search_max(objective, 2, 1, restarts=4, steps=150, seed=3)
     assert val == pytest.approx(1.0, abs=1e-3)
 
 
 def test_search_max_deterministic():
-    def objective(sub):
-        return float(np.abs(sub.basis).max())
+    def objective(bases):
+        return np.abs(bases).max(axis=(1, 2))
 
     a = grassmann_search_max(objective, 4, 2, restarts=2, steps=50, seed=11)
     b = grassmann_search_max(objective, 4, 2, restarts=2, steps=50, seed=11)
     assert a[1] == b[1]
     assert np.array_equal(a[0].basis, b[0].basis)
+
+
+def _one_proposal_climb(objective, n, k, restarts, steps, seed):
+    """grassmann_search_max as it scored one proposal per objective call.
+    Returns (best subspace, best value, per restart the steps that improved
+    and the steps whose rejection halved the step size)."""
+    best_val, best_sub, trace = -math.inf, None, []
+    for r in range(restarts):
+        sub = haar_sample(n, k, seed, stream=2 * r + 1)
+        val = float(objective(sub.basis[None])[0])
+        sigma, fails = 0.5, 0
+        noise = randomness.normals(seed, 2 * r + 2, 0, steps * n * k).reshape(steps, n, k)
+        improved, halved = [], []
+        for s in range(steps):
+            q, rr = np.linalg.qr(sub.basis + sigma * noise[s])
+            cand = Subspace(grassmann._fix_qr_signs(q, rr))
+            cand_val = float(objective(cand.basis[None])[0])
+            if cand_val > val:
+                sub, val = cand, cand_val
+                fails = 0
+                improved.append(s)
+            else:
+                fails += 1
+                if fails >= 10:
+                    sigma *= 0.5
+                    fails = 0
+                    halved.append(s)
+        trace.append((improved, halved))
+        if val > best_val:
+            best_val, best_sub = val, sub
+    return best_sub, best_val, trace
+
+
+def _batches(trace, steps, width):
+    """(position of the first improvement or None, whether a halving falls
+    before a later proposal of the batch) of each speculative batch."""
+    out = []
+    for improved, halved in trace:
+        s = 0
+        while s < steps:
+            end = min(s + width, steps)
+            first = next((a for a in improved if s <= a < end), None)
+            last = end - 1 if first is None else first
+            out.append((None if first is None else first - s, any(s <= h < last for h in halved)))
+            s = end if first is None else first + 1
+    return out
+
+
+def _cube_objective(n, k):
+    """search-max's objective: |Q_n cap E-perp| of each basis of E."""
+    if k == 1:
+        return lambda bases: np.array([cube_hyperplane_section(basis[:, 0]) for basis in bases])
+    cube = [box_pieces(unit_cube(n))]
+    return lambda bases: slabgeom.sums_at_zero(complement_bases(bases), cube)[0]
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2)], ids=["k=1", "n-k=2", "n-k=3"])
+def test_speculative_climb_is_the_one_proposal_climb(n, k):
+    # the climb that scores _SPECULATE proposals per call keeps the first
+    # improvement and replays the rejections before it: its best basis and
+    # value are == those of one proposal per call, on the cube objective, on
+    # a stub that improves rarely once its entry nears 1 (long streaks of
+    # rejections, halvings inside a batch) and on one that never improves
+    width = grassmann._SPECULATE
+    steps = 5 * width + 3  # not a multiple of the batch width
+    batches = []
+    stubs = (lambda bases: bases[:, 0, 0], lambda bases: np.zeros(len(bases)))
+    for objective in (_cube_objective(n, k),) + stubs:
+        for seed in (1, 2, 3):
+            best, val = grassmann_search_max(objective, n, k, 2, steps, seed)
+            want, want_val, trace = _one_proposal_climb(objective, n, k, 2, steps, seed)
+            assert best.basis.tobytes() == want.basis.tobytes()
+            assert val == want_val
+            batches += _batches(trace, steps, width)
+    positions = {first for first, _ in batches}
+    assert {0, width - 1, None} <= positions
+    assert any(halved for _, halved in batches)

@@ -7,15 +7,36 @@ import pytest
 from exact_slab_volume import exact_slab_volume
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from slab_reference import polytope_volume, slab_volume
 
 from margbounds import kernels
 from margbounds.grassmann import complement_bases, haar_bases, haar_directions
-from margbounds.kernels import slab_volume
 from margbounds.sections import sharp_block_subspace, sharp_paired_subspace
 
 # These tests carried a "[pure]" id while a compiled twin of the kernels
 # existed; the one-value parameter keeps their ids stable.
 _KEEP_ID = pytest.mark.parametrize("backend", [kernels.BACKEND])
+
+
+def _one_lane(W, lo, hi):
+    """The one-lane slab_volumes call on one slab system, asserted == the
+    scalar reference slab_volume."""
+    W, lo, hi = (np.asarray(a, dtype=float) for a in (W, lo, hi))
+    got = kernels.slab_volumes(W[None], [0], lo[None], hi[None])[0]
+    assert got == slab_volume(W, lo, hi)
+    return got
+
+
+def _assert_lanes_match(kernel, frames, frame, lo, hi):
+    """The lanes of a lane kernel, in one call and each alone as a one-lane
+    call given its frame, == slab_volume on the lane's frame; returns the
+    one call's volumes."""
+    got = kernel(frames, frame, lo, hi)
+    want = [slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)]
+    assert np.array_equal(got, want)
+    ones = [kernel(frames[k][None], [0], l[None], h[None])[0] for k, l, h in zip(frame, lo, hi)]
+    assert np.array_equal(ones, want)
+    return got
 
 
 @_KEEP_ID
@@ -70,7 +91,7 @@ def test_polygon_area_unit_square(backend):
     w = np.eye(2)
     lo = np.array([-0.5, -0.5])
     hi = np.array([0.5, 0.5])
-    assert kernels.polygon_area(w, lo, hi) == pytest.approx(1.0)
+    assert _one_lane(w, lo, hi) == pytest.approx(1.0)
 
 
 @_KEEP_ID
@@ -79,7 +100,7 @@ def test_polygon_area_rotated_square(backend):
     w = np.array([[c, s], [-s, c]])
     lo = np.array([-0.5, -1.0])
     hi = np.array([0.5, 1.0])
-    assert kernels.polygon_area(w, lo, hi) == pytest.approx(2.0)
+    assert _one_lane(w, lo, hi) == pytest.approx(2.0)
 
 
 @_KEEP_ID
@@ -87,7 +108,7 @@ def test_polygon_area_extra_slack_constraint(backend):
     w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     lo = np.array([-0.5, -0.5, -5.0])
     hi = np.array([0.5, 0.5, 5.0])
-    assert kernels.polygon_area(w, lo, hi) == pytest.approx(1.0)
+    assert _one_lane(w, lo, hi) == pytest.approx(1.0)
 
 
 @_KEEP_ID
@@ -95,7 +116,7 @@ def test_polygon_area_octagon(backend):
     r = 1.0 / math.sqrt(2.0)
     w = np.array([[1.0, 0.0], [0.0, 1.0], [r, r], [r, -r]])
     hi = np.full(4, 1.0)
-    got = kernels.polygon_area(w, -hi, hi)
+    got = _one_lane(w, -hi, hi)
     # regular octagon circumscribing constraints at distance 1
     assert got == pytest.approx(8.0 * (math.sqrt(2.0) - 1.0))
 
@@ -103,7 +124,7 @@ def test_polygon_area_octagon(backend):
 @_KEEP_ID
 def test_polygon_area_degenerate_rows(backend):
     w = np.array([[1.0, 0.0], [2.0, 0.0]])
-    assert kernels.polygon_area(w, np.array([-1.0, -1.0]), np.array([1.0, 1.0])) == 0.0
+    assert _one_lane(w, np.array([-1.0, -1.0]), np.array([1.0, 1.0])) == 0.0
 
 
 def test_polygon_area_400_gon():
@@ -113,13 +134,14 @@ def test_polygon_area_400_gon():
     w = np.column_stack([np.cos(angles), np.sin(angles)])
     hi = np.ones(200)
     want = 400.0 * math.tan(math.pi / 400.0)
-    assert kernels.polygon_area(w, -hi, hi) == pytest.approx(want, rel=1e-12)
+    assert _one_lane(w, -hi, hi) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_polygon_areas_match_polygon_area(n):
-    """The lane-wise clipper against the scalar one, ==, on Haar complement
-    frames with centered, shifted and empty slab systems."""
+    """The lane-wise clipper against the scalar reference, ==, in one call
+    and one lane at a time, on Haar complement frames with centered,
+    shifted and empty slab systems."""
     rng = np.random.default_rng(n)
     lanes = 600
     frames = complement_bases(haar_bases(n, n - 2, n, np.arange(lanes)))
@@ -127,9 +149,7 @@ def test_polygon_areas_match_polygon_area(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-50:, 0], hi[-50:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = kernels.polygon_areas(frames, np.arange(lanes), lo, hi)
-    want = [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)]
-    assert np.array_equal(got, want)
+    got = _assert_lanes_match(kernels.polygon_areas, frames, np.arange(lanes), lo, hi)
     assert 0 < np.count_nonzero(got) < lanes
 
 
@@ -137,8 +157,7 @@ def test_polygon_areas_degenerate_lanes():
     # parallel rows (no seed pair), then a regular lane
     frames = np.array([[[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]])
     lo = np.array([[-1.0, -1.0, -1.0], [-0.5, -0.5, -0.6]])
-    got = kernels.polygon_areas(frames, np.arange(len(frames)), lo, -lo)
-    assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
+    got = _polygon_lanes_match(frames, np.arange(len(frames)), lo, -lo)
     assert got[0] == 0.0 and got[1] > 0.0
     # seed determinants just below, at and above the threshold 1e-14 (1 + 1)^2;
     # then 3.536 t, which lies between 1e-14 (1 + 3.536)^2 computed with
@@ -147,15 +166,13 @@ def test_polygon_areas_degenerate_lanes():
     frames = np.array([[[1.0, 0.0], [1.0, t]] for t in (3.9e-14, 4e-14, 4.1e-14)]
                       + [[[3.536, 0.0], [0.0, 5.818805429864252e-14]]])
     lo = -np.ones((4, 2))
-    got = kernels.polygon_areas(frames, np.arange(len(frames)), lo, -lo)
-    assert np.array_equal(got, [kernels.polygon_area(w, l, -l) for w, l in zip(frames, lo)])
+    got = _polygon_lanes_match(frames, np.arange(len(frames)), lo, -lo)
     assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] == 0.0
     # strips narrower and wider than the clip tolerance 1e-14 (1 + 1)
     frames = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]] * 2)
     lo = np.array([[-0.5, -0.5, 0.0]] * 2)
     hi = np.array([[0.5, 0.5, 1e-15], [0.5, 0.5, 1e-13]])
-    got = kernels.polygon_areas(frames, np.arange(2), lo, hi)
-    assert np.array_equal(got, [kernels.polygon_area(w, l, h) for w, l, h in zip(frames, lo, hi)])
+    got = _polygon_lanes_match(frames, np.arange(2), lo, hi)
     assert got[0] == 0.0 and got[1] > 0.0
     assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
@@ -173,9 +190,8 @@ def test_interval_lengths_match_interval_length():
     half = rng.uniform(0.1, 1.0, size=(lanes, m))
     shift = rng.normal(size=(lanes, m)) * np.repeat([0.0, 0.5, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
-    got = kernels.interval_lengths(w[:, :, None], np.arange(lanes), lo, hi)
-    want = [kernels.interval_length(a, b, c) for a, b, c in zip(w, lo, hi)]
-    assert np.array_equal(got, want)
+    got = _assert_lanes_match(kernels.interval_lengths, w[:, :, None], np.arange(lanes), lo, hi)
+    assert np.array_equal(got, [kernels.interval_length(a, b, c) for a, b, c in zip(w, lo, hi)])
     assert 0 < np.count_nonzero(got) < lanes
     assert kernels.interval_lengths(np.zeros((0, 2, 1)), np.zeros(0, int), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
     # a lane with no nonzero coefficient is unbounded unless a row is infeasible
@@ -221,18 +237,16 @@ def test_1d_and_2d_kernels_keep_their_bits_under_signed_permutations(seed, n, pe
     frames = complement_bases(haar_bases(n, n - 2, seed, np.arange(8)))
     moved = frames[:, :, list(perm)] * np.array(signs)
     got = kernels.polygon_areas(frames, frame, lo, hi)
-    assert np.array_equal(got, kernels.polygon_areas(moved, frame, lo, hi))
-    assert np.array_equal(got, [kernels.polygon_area(moved[f], l, h) for f, l, h in zip(frame, lo, hi)])
+    assert np.array_equal(got, _assert_lanes_match(kernels.polygon_areas, moved, frame, lo, hi))
     lines = haar_directions(n, 8, seed)[:, :, None]
     got = kernels.interval_lengths(lines, frame, lo, hi)
-    assert np.array_equal(got, kernels.interval_lengths(-lines, frame, lo, hi))
-    assert np.array_equal(got, [kernels.interval_length(-lines[f, :, 0], l, h) for f, l, h in zip(frame, lo, hi)])
+    assert np.array_equal(got, _assert_lanes_match(kernels.interval_lengths, -lines, frame, lo, hi))
 
 
 def test_polytope_volume_unit_cube():
     w = np.eye(3)
     hi = np.full(3, 0.5)
-    assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0)
+    assert _one_lane(w, -hi, hi) == pytest.approx(1.0)
 
 
 def test_polytope_volume_cut_corner():
@@ -240,7 +254,7 @@ def test_polytope_volume_cut_corner():
     w = np.vstack([np.eye(3), np.ones((1, 3))])
     lo = np.array([0.0, 0.0, 0.0, -10.0])
     hi = np.array([1.0, 1.0, 1.0, 0.5])
-    assert kernels.polytope_volume(w, lo, hi) == pytest.approx((0.5**3) / 6.0)
+    assert _one_lane(w, lo, hi) == pytest.approx((0.5**3) / 6.0)
 
 
 def test_polytope_volume_rotation_invariance():
@@ -249,7 +263,7 @@ def test_polytope_volume_rotation_invariance():
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         w = q  # rotated axes: still a unit cube
         hi = np.full(3, 0.5)
-        assert kernels.polytope_volume(w, -hi, hi) == pytest.approx(1.0, abs=1e-12)
+        assert _one_lane(w, -hi, hi) == pytest.approx(1.0, abs=1e-12)
 
 
 _E1 = [1.0, 0.0, 0.0]
@@ -272,7 +286,7 @@ def test_polytope_volume_of_the_unit_cube_with_touching_slabs(extra, lo, hi):
     w = np.vstack([np.eye(3), extra])
     lo = np.concatenate([np.full(3, -0.5), lo])
     hi = np.concatenate([np.full(3, 0.5), hi])
-    got = kernels.polytope_volume(w, lo, hi)
+    got = _one_lane(w, lo, hi)
     assert got == pytest.approx(1.0, abs=1e-14)
     _assert_exact(w, lo, hi, got, rel=1e-14)
     assert kernels.polytope_volumes(np.stack([w, w]), [0, 1], np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
@@ -285,25 +299,24 @@ def test_polytope_volume_merges_rows_parallel_within_tau():
     w = np.vstack([np.eye(3), tilt])
     lo = np.array([-0.5, -0.5, -0.5, -0.25])
     hi = np.array([0.5, 0.5, 0.5, 0.5])
-    assert kernels.polytope_volume(w, lo, hi) == pytest.approx(0.75, abs=1e-11)
+    assert _one_lane(w, lo, hi) == pytest.approx(0.75, abs=1e-11)
     # beyond tau the rows stay apart, and a wedge of the cube is cut off
     w[3] = [1.0, 0.5, 0.0]
-    _assert_exact(w, lo, hi, kernels.polytope_volume(w, lo, hi))
+    _assert_exact(w, lo, hi, _one_lane(w, lo, hi))
     # x + y in [0.1, 0.5] and -(x + y) in [0.1, 0.5]: each slab meets the
     # cube, and the merged interval is empty
     w = np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]])
     lo = np.array([-0.5, -0.5, -0.5, 0.1, 0.1])
     hi = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
-    assert kernels.polytope_volume(w, lo, hi) == 0.0
-    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None]).tolist() == [0.0]
+    assert _one_lane(w, lo, hi) == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_polytope_volumes_match_polytope_volume(n):
-    """The lane-wise recursion against its one-lane twin, ==, on Haar
-    complement frames with centered, shifted and empty slab systems; more
-    lanes than one internal batch.  Every 25th lane against the exact
-    oracle."""
+    """The lane-wise recursion against its scalar reference, ==, in one
+    call and one lane at a time, on Haar complement frames with centered,
+    shifted and empty slab systems; more lanes than one internal batch.
+    Every 25th lane against the exact oracle."""
     rng = np.random.default_rng(n)
     lanes = 450
     frames = complement_bases(haar_bases(n, n - 3, n, np.arange(lanes)))
@@ -311,18 +324,14 @@ def test_polytope_volumes_match_polytope_volume(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-40:, 0], hi[-40:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = kernels.polytope_volumes(frames, np.arange(lanes), lo, hi)
-    want = [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)]
-    assert np.array_equal(got, want)
+    got = _assert_lanes_match(kernels.polytope_volumes, frames, np.arange(lanes), lo, hi)
     assert 0 < np.count_nonzero(got) < lanes
     for lane in range(0, lanes, 25):
         _assert_exact(frames[lane], lo[lane], hi[lane], got[lane])
 
 
 def _assert_polytope_lanes_match(frames, lo, hi):
-    got = kernels.polytope_volumes(frames, np.arange(len(frames)), lo, hi)
-    assert np.array_equal(got, [kernels.polytope_volume(w, l, h) for w, l, h in zip(frames, lo, hi)])
-    return got
+    return _assert_lanes_match(kernels.polytope_volumes, frames, np.arange(len(frames)), lo, hi)
 
 
 def test_polytope_volumes_degenerate_lanes():
@@ -390,7 +399,7 @@ def _small_integer_system(draw):
 @given(_small_integer_system())
 def test_polytope_volume_matches_the_exact_oracle_on_small_integer_systems(system):
     w, lo, hi = system
-    got = kernels.polytope_volume(w, lo, hi)
+    got = polytope_volume(w, lo, hi)
     _assert_exact(w, lo, hi, got)
     assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
 
@@ -417,7 +426,7 @@ def test_polytope_volume_near_sharp_subspaces(case, log_tilt, seed, spread):
     w = complement_bases(basis[None])[0]
     center = spread * rng.normal(size=n)
     lo, hi = center - 0.5, center + 0.5
-    got = kernels.polytope_volume(w, lo, hi)
+    got = polytope_volume(w, lo, hi)
     assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
     _assert_exact(w, lo, hi, got, rel=1e-12 + 400.0 * tilt)
 
@@ -493,18 +502,26 @@ def test_irwin_hall_guards(backend):
 
 
 def test_slab_volume_dispatch():
-    assert slab_volume(np.array([[1.0]]), np.array([-1.0]), np.array([1.0])) == pytest.approx(2.0)
-    assert slab_volume(np.eye(2), -np.ones(2), np.ones(2)) == pytest.approx(4.0)
-    assert slab_volume(np.eye(3), -np.ones(3), np.ones(3)) == pytest.approx(8.0)
+    # slab_volumes runs the kernel of the frames' dimension, for one lane as
+    # for two, and the reference dispatches alike
+    for d in (1, 2, 3):
+        for lanes in (1, 2):
+            got = kernels.slab_volumes(np.eye(d)[None], np.zeros(lanes, dtype=int),
+                                       -np.ones((lanes, d)), np.ones((lanes, d)))
+            assert got == pytest.approx([2.0**d] * lanes)
+        assert slab_volume(np.eye(d), -np.ones(d), np.ones(d)) == pytest.approx(2.0**d)
+    with pytest.raises(ValueError):
+        kernels.slab_volumes(np.eye(4)[None], [0], -np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(ValueError):
         slab_volume(np.eye(4), -np.ones(4), np.ones(4))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
-    """A one-lane slab_volumes call runs slab_volume on its frame and a
-    two-lane call does not; either way every lane has the bits of the
-    many-lane call, and of the call over either half of the lanes."""
+def test_slab_volumes_one_lane_calls_keep_the_many_lane_bits(d, monkeypatch):
+    """A one-lane slab_volumes call runs interval_length at d = 1 and the
+    lane kernel at d = 2 and 3, and a two-lane call runs the lane kernel;
+    either way every lane has the bits of the many-lane call, of the call
+    over either half of the lanes and of the scalar reference."""
     n = d + 2
     rng = np.random.default_rng(d)
     lanes = 60
@@ -515,16 +532,17 @@ def test_slab_volumes_runs_one_lane_on_the_scalar_kernel(d, monkeypatch):
     frame = np.arange(lanes)
     many = kernels.slab_volumes(frames, frame, lo, hi)
     assert 0 < np.count_nonzero(many)
+    assert np.array_equal(many, [slab_volume(w, l, h) for w, l, h in zip(frames, lo, hi)])
     calls = []
-    scalar = kernels.slab_volume
+    scalar = kernels.interval_length
 
-    def spy(W, lo, hi):
-        calls.append(W.shape)
-        return scalar(W, lo, hi)
+    def spy(w, lo, hi):
+        calls.append(len(w))
+        return scalar(w, lo, hi)
 
-    monkeypatch.setattr(kernels, "slab_volume", spy)
+    monkeypatch.setattr(kernels, "interval_length", spy)
     ones = [kernels.slab_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
-    assert calls == [(n, d)] * lanes
+    assert calls == ([n] * lanes if d == 1 else [])
     assert all(one.shape == (1,) for one in ones)
     assert np.array_equal(np.concatenate(ones), many)
     calls.clear()
@@ -562,7 +580,7 @@ def test_lane_kernels_index_shared_frames(d):
     on its frame, the one-lane call and the call over either half."""
     frames, frame, lo, hi = _shared_frames(d, np.random.default_rng(30 + d))
     got = kernels.slab_volumes(frames, frame, lo, hi)
-    want = [kernels.slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)]
+    want = [slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got[frame != 5]) < np.count_nonzero(frame != 5)
     if d > 1:
@@ -580,9 +598,7 @@ def test_lane_kernels_index_shared_frames(d):
 
 
 def _polygon_lanes_match(frames, frame, lo, hi):
-    got = kernels.polygon_areas(frames, frame, lo, hi)
-    assert np.array_equal(got, [kernels.polygon_area(frames[k], l, h) for k, l, h in zip(frame, lo, hi)])
-    return got
+    return _assert_lanes_match(kernels.polygon_areas, frames, frame, lo, hi)
 
 
 def test_polygon_areas_of_400_and_3_gons_in_one_call():
@@ -606,7 +622,7 @@ def test_polygon_areas_of_400_and_3_gons_in_one_call():
     binding = [199, 66, 133]
     for lane in (0, 2, 3):
         triangle = (frames[1, binding], lo[lane, binding], hi[lane, binding])
-        assert got[lane] == pytest.approx(kernels.polygon_area(*triangle), rel=1e-14)
+        assert got[lane] == pytest.approx(_one_lane(*triangle), rel=1e-14)
         _assert_exact(*triangle, got[lane])
     assert got[2] == pytest.approx(got[0] / 4.0) and got[3] == pytest.approx(4.0 * got[0])
 
@@ -685,5 +701,6 @@ def test_shared_frame_batches_match_the_scalar_kernels_and_the_exact_oracle(batc
     frames, frame, lo, hi = batch
     got = kernels.slab_volumes(frames, frame, lo, hi)
     for k, l, h, value in zip(frame, lo, hi, got):
-        assert value == kernels.slab_volume(frames[k], l, h)
+        assert value == slab_volume(frames[k], l, h)
+        assert kernels.slab_volumes(frames, [k], l[None], h[None])[0] == value
         _assert_exact(frames[k], l, h, value)

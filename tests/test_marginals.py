@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from slab_reference import scalar_slab_sum
+from slab_reference import polygon_area, scalar_slab_sum, slab_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -440,8 +440,8 @@ def _tilted_paired_subspace(n, k, seed, tilt):
 def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
     # 2-D and 3-D blocks, some with ill-conditioned seed matrices, at shifts
     # near and far from the support center: a lane that polygon_areas' seed
-    # cell test drops is one polygon_area's clip gives exactly 0.0, and the
-    # lane kernels, which drop lanes first, keep the scalar kernels' bits
+    # cell test drops is one the scalar reference's clip gives exactly 0.0,
+    # and the lane kernels, which drop lanes first, keep its bits
     kind, n, k = case
     f = random_product_density(seed, n, 3)
     if kind == "haar":
@@ -458,9 +458,9 @@ def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
         lo, hi = _block_lanes(block, shifts, rows)
         if block.local.shape[1] == 2:
             for lane in _dropped_lanes(block.local, lo, hi):
-                assert kernels.polygon_area(block.local, lo[lane], hi[lane]) == 0.0
+                assert polygon_area(block.local, lo[lane], hi[lane]) == 0.0
         got = kernels.slab_volumes(block.local[None], np.zeros(len(lo), dtype=np.intp), lo, hi)
-        assert np.array_equal(got, [kernels.slab_volume(block.local, l, h) for l, h in zip(lo, hi)])
+        assert np.array_equal(got, [slab_volume(block.local, l, h) for l, h in zip(lo, hi)])
         tested += 1
     assert tested
 

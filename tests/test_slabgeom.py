@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from slab_reference import scalar_slab_sum
 
-from margbounds import slabgeom
+from margbounds import kernels, slabgeom
 from margbounds.densities import random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
 from margbounds.sections import Box, box_pieces, section_quadrature, sharp_paired_subspace, unit_cube
@@ -17,7 +17,6 @@ from margbounds.slabgeom import (
     BlockTooWideError,
     SlabSum,
     component_blocks,
-    decomposed_volume,
     nonzero_combinations,
     piece_combinations,
     row_components,
@@ -74,19 +73,43 @@ def test_split_whose_ranks_exceed_the_rank_of_all_rows_is_one_block():
 
 
 def test_decomposed_volume_product_structure():
-    # two orthogonal 1-D constraints: lengths multiply
+    # two orthogonal 1-D constraints: the blocks' lengths multiply, in
+    # section_quadrature's slab sum as in SlabSum.value
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
     lo = np.array([-1.0, -1.0])
     hi = np.array([1.0, 1.0])
-    assert decomposed_volume(w, lo, hi) == pytest.approx(2.0 * 1.0)
+    slab_sum = SlabSum(w, [[(l, u, 1.0)] for l, u in zip(lo, hi)])
+    assert len(slab_sum.blocks) == 2
+    assert slab_sum.value(np.zeros(2)) == pytest.approx(2.0 * 1.0)
+    # the same slabs as a section of the box [-1, 1] x [-1/2, 1/2]
+    assert section_quadrature(Box([2.0, 1.0]), Subspace(np.eye(2))) == pytest.approx(2.0 * 1.0)
 
 
-def test_decomposed_volume_empty_block_short_circuits():
-    # two parallel constraints with disjoint ranges: empty intersection
+def test_decomposed_volume_empty_block_short_circuits(monkeypatch):
+    # two parallel constraints with disjoint ranges: an empty first block
+    # makes the value exactly 0.0, and the second block's kernel never runs
     w = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     lo = np.array([2.0, -1.0, -1.0])
     hi = np.array([3.0, 1.0, 1.0])
-    assert decomposed_volume(w, lo, hi) == 0.0
+    slab_sum = SlabSum(w, [[(l, u, 1.0)] for l, u in zip(lo, hi)])
+    assert [list(rows) for rows, _ in slab_sum.blocks] == [[0, 1], [2]]
+    calls = []
+    kernel = kernels.slab_volumes
+
+    def spy(frames, frame, lo, hi):
+        calls.append(len(frame))
+        return kernel(frames, frame, lo, hi)
+
+    monkeypatch.setattr(kernels, "slab_volumes", spy)
+    assert slab_sum.value(np.zeros(3)) == 0.0
+    assert calls == [1]
+    # the same first block at two points: the second block runs only at the
+    # point where the first is not empty
+    calls.clear()
+    shifts = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0]])
+    got = slab_sum.values(shifts)
+    assert got[0] == 0.0 and got[1] == pytest.approx(2.0)
+    assert calls == [2, 1]
 
 
 def test_piece_combinations_product_order():
@@ -111,6 +134,23 @@ def test_single_block_frames_match_component_blocks(n, d):
         [(comp, block)] = component_blocks(w)
         assert list(comp) == list(range(n))
         assert block is w
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (4, 1), (5, 2), (6, 3)])
+def test_single_block_frames_match_component_blocks_near_paired_subspaces(n, k):
+    # complement frames 1e-13..1e-8 off a paired subspace: their rows split
+    # into components whose span ranks add up (a split) or do not (one block
+    # of all rows), and ok is exactly the one-block case
+    rng = np.random.default_rng(n + k)
+    tilts = 10.0 ** rng.uniform(-13.0, -8.0, size=(300, 1, 1))
+    bases = np.linalg.qr(sharp_paired_subspace(n, k).basis + tilts * rng.normal(size=(300, n, k)))[0]
+    frames = complement_bases(bases)
+    ok = single_block_frames(frames)
+    for w, one in zip(frames, ok):
+        blocks = component_blocks(w)
+        assert one == (len(blocks) == 1 and blocks[0][1] is w)
+    split = np.array([len(row_components(w)) > 1 for w in frames])
+    assert (ok & split).any() and (~ok & split).any()
 
 
 def test_single_block_frames_reject_zero_rows_splits_and_low_rank():
