@@ -17,7 +17,7 @@ from . import slabgeom, special
 from .densities import StepDensity
 from .grassmann import ExponentAssignment, Subspace, box2_exponents, orthonormal_complement, projection_weights
 from .quadrature import RouteLimitError, ToleranceError, adaptive_panels
-from .sections import Box
+from .sections import UNIT_ROUNDOFF, Box
 
 
 def sinc_power_tail_weight(p: float) -> float:
@@ -25,29 +25,106 @@ def sinc_power_tail_weight(p: float) -> float:
     return math.sqrt(math.pi) * math.exp(math.lgamma((p + 1.0) / 2.0) - math.lgamma(p / 2.0 + 1.0))
 
 
+# Most panels ball_integral integrates before its arch expansion.
+MAX_BALL_PANELS = 60000
+
+
+def arch_moments(p: float) -> tuple[float, float, float, float]:
+    """(A0, A2, A4, a bound of their relative errors): A_j = int u^j
+    cos(u)^p du over [-pi/2, pi/2], the moments of one arch of |sin t|^p
+    about its midpoint.
+
+    A0 is sinc_power_tail_weight(p), whose lgammas carry an error of a few
+    units of roundoff of their own size.  With x = 1 + p/2, the weight
+    cos(u)^p / A0 has the characteristic function Gamma(x)^2 / (Gamma(x +
+    w/2) Gamma(x - w/2)), whose cumulants are k2 = psi'(x) / 2 = zeta(2, x)
+    / 2 and k4 = -psi'''(x) / 8 = -3 zeta(4, x) / 4.  So A2 = A0 k2 = A0
+    zeta(2, x) / 2 and A4 = A0 (k4 + 3 k2^2) = 3 A0 (zeta(2, x)^2 -
+    zeta(4, x)) / 4.  The bound carries the two Hurwitz zetas' error bounds.
+    """
+    a0 = sinc_power_tail_weight(p)
+    log_size = abs(math.lgamma((p + 1.0) / 2.0)) + abs(math.lgamma(p / 2.0 + 1.0))
+    x = 1.0 + p / 2.0
+    z2, z2_err = special.hurwitz_zeta(2.0, x)
+    z4, z4_err = special.hurwitz_zeta(4.0, x)
+    a2 = 0.5 * a0 * z2
+    spread = z2 * z2 - z4
+    a4 = 0.75 * a0 * spread
+    rel_err = 4.0 * UNIT_ROUNDOFF * (2.0 + log_size) + max(
+        z2_err / z2, (2.0 * z2 * z2_err + z4_err + 2.0 * UNIT_ROUNDOFF * z2 * z2) / spread)
+    return a0, a2, a4, rel_err
+
+
+def _arch_remainder_bound(p: float, a4: float, k: int) -> tuple[float, float]:
+    """(R, its error bound): the arch expansion's remainder summed over the
+    arches k, k + 1, ... lies in [0, R], in I(p)'s units."""
+    coefficient = (2.0 / math.pi) * p * (p + 1.0) * (p + 2.0) * (p + 3.0) / 24.0 * a4
+    zeta, zeta_err = special.hurwitz_zeta(p + 4.0, k)
+    scale = coefficient * math.pi ** (-p - 4.0)
+    return scale * zeta, scale * zeta_err
+
+
+def arch_tail(p: float, k: int) -> tuple[float, float, float]:
+    """(S, R, E): (1/pi) times the integral of |sin t / t|^p over |t| >= k pi
+    lies in [S, S + R], up to E, the Hurwitz zetas' and the moments' error
+    bounds.
+
+    About its midpoint m = (j + 1/2) pi, t^-p has even Taylor terms that
+    integrate against the arch [j pi, (j+1) pi] to A0 m^-p + p (p+1) / 2 A2
+    m^-(p+2) (arch_moments) and odd ones that vanish; every fourth
+    derivative of t^-p is positive, so the remainder lies in [0, p (p+1)
+    (p+2) (p+3) / 24 A4 (j pi)^-(p+4)].  Summed over j >= k these are
+    Hurwitz zetas at k + 1/2 and, for the remainder, at k.
+    """
+    a0, a2, a4, moment_err = arch_moments(p)
+    z0, z0_err = special.hurwitz_zeta(p, k + 0.5)
+    z2, z2_err = special.hurwitz_zeta(p + 2.0, k + 0.5)
+    remainder, remainder_err = _arch_remainder_bound(p, a4, k)
+    c0 = (2.0 / math.pi) * a0 * math.pi**-p
+    c2 = (2.0 / math.pi) * 0.5 * p * (p + 1.0) * a2 * math.pi ** (-p - 2.0)
+    value = c0 * z0 + c2 * z2
+    err = c0 * z0_err + c2 * z2_err + remainder_err + (value + remainder) * moment_err
+    return value, remainder, err
+
+
 def ball_integral(p: float, tol: float = 1e-9) -> float:
     """I(p) = (1/pi) * int |sin t / t|^p dt over the real line.
 
-    Panels are cut at the zeros of sin; the remaining arches are summed via a
-    Hurwitz-zeta midpoint estimate whose bracket width, and the zeta's own
-    error bound, are folded into the error budget, so the slowly decaying
-    p = 2 case still meets tol.  Raises ToleranceError when tol cannot be
-    certified: before any quadrature when the tail bracket at the
-    60,000-panel cap already exceeds it.
+    The first K arches [k pi, (k+1) pi], cut at the zeros of sin, are
+    integrated by adaptive_panels; the rest are summed in closed form by
+    arch_tail, whose remainder bracket falls like K^-(p+3).  K is the least
+    K >= 8 whose bracket is at most min(tol / 4, 2^-53 (2/pi)^p), the second
+    a rounding of I(p) >= (2/pi)^p (sin t / t >= 2/pi on [0, pi/2]): 358
+    panels at p = 2, 203 at p = 2.5 and 8 from p = 17 on.  The bracket, the
+    quadrature's error estimate and every error bound of arch_tail go into
+    the achieved error.  Raises ToleranceError when tol cannot be certified:
+    before any quadrature when the bracket at the MAX_BALL_PANELS cap
+    already exceeds it.
     """
     if p < 2.0:
         raise ValueError("requires p >= 2")
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
-    arch = sinc_power_tail_weight(p)
-    # choose the panel count so the tail bracket width is within budget
-    target = tol / 4.0
-    k_panels = int(math.ceil(((2.0 / math.pi) * arch / target) ** (1.0 / p) / math.pi)) + 1
-    k_panels = min(max(k_panels, 8), 60000)
-    tail_bracket = (2.0 / math.pi) * arch * (k_panels * math.pi) ** (-p)
-    # at the panel cap the bracket alone can exceed tol; no quadrature helps
-    if tail_bracket > tol:
-        raise ToleranceError(f"could not certify tolerance {tol}", tail_bracket)
+    a4 = arch_moments(p)[2]
+    target = min(tol / 4.0, UNIT_ROUNDOFF * (2.0 / math.pi) ** p)
+
+    def bracket(k: int) -> float:
+        return _arch_remainder_bound(p, a4, k)[0]
+
+    k_panels = 8
+    at_eight = bracket(k_panels)
+    if at_eight > target:
+        # zeta(p + 4, K) is close to (K - 1/2)^-(p+3) / (p+3): scale from
+        # K = 8, then step to the least K
+        guess = 0.5 + 7.5 * (at_eight / target) ** (1.0 / (p + 3.0))
+        k_panels = min(MAX_BALL_PANELS, math.ceil(guess))
+        while bracket(k_panels - 1) <= target:
+            k_panels -= 1
+        while k_panels < MAX_BALL_PANELS and bracket(k_panels) > target:
+            k_panels += 1
+        # at the panel cap the bracket alone can exceed tol; no quadrature helps
+        if bracket(k_panels) > tol:
+            raise ToleranceError(f"could not certify tolerance {tol}", bracket(k_panels))
     edges = math.pi * np.arange(k_panels + 1, dtype=float)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -55,11 +132,9 @@ def ball_integral(p: float, tol: float = 1e-9) -> float:
             r = np.where(t > 0.0, np.abs(np.sin(t)) / np.where(t > 0.0, t, 1.0), 1.0)
         return r**p
 
-    numeric, quad_err = adaptive_panels(integrand, edges, target * math.pi / 2.0)
-    zeta, zeta_err = special.hurwitz_zeta(p, k_panels + 0.5)
-    tail_scale = (2.0 / math.pi) * arch * math.pi ** (-p)
-    tail = tail_scale * zeta
-    achieved = (2.0 / math.pi) * quad_err + tail_bracket + tail_scale * zeta_err
+    numeric, quad_err = adaptive_panels(integrand, edges, tol / 4.0 * math.pi / 2.0)
+    tail, remainder, tail_err = arch_tail(p, k_panels)
+    achieved = (2.0 / math.pi) * quad_err + remainder + tail_err
     if achieved > tol:
         raise ToleranceError(f"could not certify tolerance {tol}", achieved)
     return (2.0 / math.pi) * numeric + tail

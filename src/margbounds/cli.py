@@ -292,6 +292,11 @@ def cmd_sections(ns) -> int:
 
 
 def cmd_ball_integral(ns) -> int:
+    if ns.steps == 1 and ns.p_max != ns.p_min:
+        # one step evaluates --p-min alone, while the config records --p-max
+        print("error: --steps 1 evaluates --p-min alone; pass --steps >= 2 or "
+              "--p-max equal to --p-min", file=sys.stderr)
+        return 2
     ps = np.linspace(ns.p_min, ns.p_max, ns.steps)
     rows = []
     records = []

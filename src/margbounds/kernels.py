@@ -563,13 +563,13 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
 # -- Signed power sums -------------------------------------------------------
 
 
-def irwin_hall_at(c, t):
-    """Density at t of sum(c_j * V_j) with V_j iid uniform on [0, 1]; for
-    rows c (B, n) and t (B,), that of each row, (B,).
+def irwin_hall_sums(c, t) -> list:
+    """The signed sums sum_S (-1)^|S| (t - s_S)_+^(n-1) over the subsets S of
+    the coefficients c, s_S their subset sums: irwin_hall_at before its
+    division by (n-1)! prod c, one math.fsum per row of c (B, n).
 
-    Signed inclusion-exclusion over the 2^n subset sums; summed with
-    math.fsum because of the heavy cancellation.  Requires all c_j > 0.  A
-    row goes through the operations of a one-row call, so it has its bits.
+    Every term is (n-1)-homogeneous in (c, t), so a caller may scale both by
+    a power of two and undo the scaling on the sum.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[-1]
@@ -589,6 +589,19 @@ def irwin_hall_at(c, t):
         terms = signs * (diff > 0.0)
     else:
         terms = signs * np.where(diff > 0.0, diff, 0.0) ** (n - 1)
-    total = [math.fsum(row) for row in terms.reshape(-1, 2**n).tolist()]
-    scale = math.factorial(n - 1) * np.prod(c, axis=-1)
+    return [math.fsum(row) for row in terms.reshape(-1, 2**n).tolist()]
+
+
+def irwin_hall_at(c, t):
+    """Density at t of sum(c_j * V_j) with V_j iid uniform on [0, 1]; for
+    rows c (B, n) and t (B,), that of each row, (B,).
+
+    Signed inclusion-exclusion over the 2^n subset sums (irwin_hall_sums);
+    summed with math.fsum because of the heavy cancellation.  Requires all
+    c_j > 0.  A row goes through the operations of a one-row call, so it has
+    its bits.
+    """
+    c = np.asarray(c, dtype=float)
+    total = irwin_hall_sums(c, t)
+    scale = math.factorial(c.shape[-1] - 1) * np.prod(c, axis=-1)
     return total[0] / float(scale) if c.ndim == 1 else np.array(total) / scale

@@ -11,6 +11,7 @@ dimensions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,60 @@ def _check_unit(a: np.ndarray) -> None:
         raise ValueError("normal vector must have unit norm (within 1e-12)")
 
 
+def _frexp_prod(values) -> tuple[float, int]:
+    """(mantissa, exponent) of the product of positive finite floats, formed
+    without a partial product that overflows or underflows."""
+    mantissa, exponent = 1.0, 0
+    for v in values:
+        f, e = math.frexp(v)
+        mantissa, e2 = math.frexp(mantissa * f)
+        exponent += e + e2
+    return mantissa, exponent
+
+
+def _normal_float(mantissa: float, exponent: int) -> float:
+    """mantissa * 2^exponent for a mantissa > 0, or RouteLimitError where
+    that section lies outside the range of normal floats."""
+    f, e = math.frexp(mantissa)
+    exponent += e
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        power = math.log10(f) + exponent * math.log10(2.0)
+        raise RouteLimitError(f"the section, about 1e{power:.0f}, is outside the normal float range")
+    return math.ldexp(f, exponent)
+
+
+# How far (relative) a signed vertex sum may stray outside the section's
+# bracket before it counts as lost to cancellation.  Rounding moves it far
+# less: about 1e-5 at n = 4 with a coordinate at ZERO_COORD_TOL.
+CANCELLATION_SLACK = 2.0**-10
+
+
+def _exact_rows_in_range(rows: np.ndarray, sums: np.ndarray, vol: float) -> np.ndarray:
+    """Per row of c (B, n): whether irwin_hall_at's evaluation and its product
+    with vol stay in the normal float range: vol, (n-1)! prod c and the 2^n
+    signed terms, each at most (sum c / 2)^(n-1)."""
+    n = rows.shape[-1]
+    if not sys.float_info.min <= vol <= sys.float_info.max:
+        return np.zeros(rows.shape[0], dtype=bool)
+    with np.errstate(over="ignore", under="ignore"):
+        prods = math.factorial(n - 1) * np.prod(rows, axis=-1)
+    log2_terms = n + (n - 1) * np.log2(0.5 * sums)
+    return (prods >= sys.float_info.min) & (prods <= sys.float_info.max) & (log2_terms < 1020.0)
+
+
+def _exact_scaled(sides: np.ndarray, a_abs: np.ndarray) -> tuple[float, int]:
+    """(mantissa, exponent) of vol(B) rho for one normal, with the sides
+    scaled by a power of two: vol(B) rho = irwin_hall_sums(c) / ((n-1)!
+    prod |a|), and the sum is (n-1)-homogeneous in c.  The mantissa is <= 0
+    where cancellation left nothing."""
+    n = sides.size
+    e = math.frexp(float(sides.max()))[1]
+    c = a_abs * np.ldexp(sides, -e)
+    total = kernels.irwin_hall_sums(c, 0.5 * c.sum())[0]
+    mantissa, exponent = _frexp_prod(a_abs.tolist())
+    return total / (math.factorial(n - 1) * mantissa), e * (n - 1) - exponent
+
+
 def hyperplane_section_exact(box: Box, a):
     """|B cap a-perp| by the signed vertex formula (exact up to rounding),
     or that of each row of normals a (B, n), with one-row calls' bits.
@@ -74,6 +129,16 @@ def hyperplane_section_exact(box: Box, a):
     Evaluates the density at its center of the weighted sum of independent
     uniforms sum_j z_j a_j U_j, times the box volume.  Requires every a_j to
     be nonzero; callers must factor out zero coordinates first.
+
+    A row whose evaluation would leave the normal float range (the volume,
+    prod c or the signed terms) is evaluated with the sides scaled by a power
+    of two instead (_exact_scaled); every other row keeps its bits.  Every
+    section lies in the bracket [vol / sum c, vol / max c], since the density
+    is symmetric and unimodal on an interval of length sum c and its widest
+    uniform factor caps it.  Raises RouteLimitError for a value more than
+    CANCELLATION_SLACK outside that bracket (lost to cancellation, as when
+    one side is 1e200 times the others) and for a section outside the
+    normal float range.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != box.n:
@@ -87,8 +152,33 @@ def hyperplane_section_exact(box: Box, a):
     if box.n > 24:
         raise RouteLimitError("combinatorial blowup guard: n > 24")
     c = np.abs(a) * box.sides
-    dens = kernels.irwin_hall_at(c, 0.5 * c.sum(axis=-1))
-    return box.volume() * dens
+    rows = c.reshape(-1, box.n)
+    sums = rows.sum(axis=-1)
+    with np.errstate(over="ignore", under="ignore"):
+        vol = box.volume()
+    in_range = _exact_rows_in_range(rows, sums, vol)
+    values = np.zeros(rows.shape[0])
+    if in_range.any():
+        values[in_range] = vol * kernels.irwin_hall_at(rows[in_range], 0.5 * sums[in_range])
+    in_range &= (values >= sys.float_info.min) & (values <= sys.float_info.max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_values = np.log2(values)
+    scaled = {}
+    for i in np.flatnonzero(~in_range):
+        mantissa, exponent = _exact_scaled(box.sides, np.abs(a.reshape(-1, box.n)[i]))
+        scaled[i] = mantissa, exponent
+        log2_values[i] = math.log2(mantissa) + exponent if mantissa > 0.0 else -math.inf
+    log2_vol = float(np.log2(box.sides).sum())
+    with np.errstate(divide="ignore"):
+        lo = log2_vol - np.log2(sums) + math.log2(1.0 - CANCELLATION_SLACK)
+        hi = log2_vol - np.log2(rows.max(axis=-1)) + math.log2(1.0 + CANCELLATION_SLACK)
+    if not ((log2_values >= lo) & (log2_values <= hi)).all():
+        raise RouteLimitError(
+            "exact route lost the section to cancellation: the signed vertex sum "
+            "lies outside the bracket [vol / sum c, vol / max c]")
+    for i, (mantissa, exponent) in scaled.items():
+        values[i] = _normal_float(mantissa, exponent)
+    return float(values[0]) if a.ndim == 1 else values
 
 
 def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray:
@@ -115,20 +205,45 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     return box.volume() * dens
 
 
+# Most [0, T] panels the sinc route integrates where its envelope drops the
+# tail, and the panels it integrates before the tail expansion otherwise.
+MAX_DROP_PANELS = 128
+EXPANSION_PANELS = 16
+
+
 def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     """|B cap a-perp| via Fourier inversion of the sinc characteristic product.
 
-    Integrates the m-factor sinc product on [0, T], T = 128 pi / max c, on
-    128 panels cut at the zeros of the fastest factor, then adds the [T, oo)
-    tail.  Since |sinc(c_j t)| <= 1 / (c_j t), the tail is at most the
-    envelope T^{1-m} / ((m-1) prod c).  Where that envelope is at most the
-    unit roundoff 2^-53 of the [0, T] value, the tail is dropped: it cannot
-    move the result by more than rounding does, and its closed-form 2^m
-    expansion would return only its own rounding noise there (from about
-    m = 8 on).  Otherwise sinc_product_tail evaluates it in closed form, so
-    the requested absolute tolerance is met even for the slowly decaying
-    two-factor case.  Raises RouteLimitError for more than MAX_SINC_FACTORS
-    nonzero coordinates, before any quadrature.
+    With c_j = |a_j| z_j / 2 over the nonzero coordinates, the section is
+    vol(B) / (pi max c) J, J = int_0^oo prod_j sinc(r_j s) ds in s = (max c) t,
+    r_j = c_j / max c <= 1; the fastest factor's zeros cut [0, oo) into
+    panels of width pi.  Both ends of J are certified: J = pi rho(0), rho the
+    density of sum_j r_j V_j (V_j uniform on [-1, 1]), which is symmetric and
+    unimodal on [-sum r, sum r] and capped by its widest factor, so
+    pi / (2 sum r) <= J <= pi / 2.  Since |sinc(r_j s)| <= 1 / (r_j s), the
+    [S, oo) tail is at most the envelope S^{1-m} / ((m-1) prod r).
+
+    The extent is set before integrating.  P is the least panel count whose
+    envelope at S = P pi is at most 2^-53 of the lower bound pi / (2 sum r).
+    Where P <= MAX_DROP_PANELS the route integrates P panels and drops the
+    tail, which cannot move J beyond its rounding (the tail's closed-form
+    2^m expansion would return only its own rounding noise there).
+    Otherwise it integrates EXPANSION_PANELS panels and adds
+    sinc_product_tail at S = EXPANSION_PANELS pi.  On boxes with sides
+    within a factor 2 and normal coordinates within a factor 3 the tail is
+    dropped from m = 9 on and expanded up to m = 7; m = 8 goes either way.
+
+    tol bounds the absolute error where the section's lower bound vol(B) /
+    (2 max c sum r) is at most 1, and the error relative to that bound above
+    it: half of it goes to the quadrature.  The sides enter as a power of
+    two times a mantissa, so no intermediate overflows or underflows.  Where
+    even the rounding of terms as large as the envelope at S exceeds the
+    quadrature budget (factors 1e-200 of the widest, say), the expansion
+    cannot resolve the tail: J = pi / 2 is used if the widest factor
+    dominates (sum r <= 2, so the others' sum stays on its flat top), and
+    otherwise that is a ToleranceError.  Raises RouteLimitError for more than
+    MAX_SINC_FACTORS nonzero coordinates, before any quadrature, and for a
+    section outside the normal float range.
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
@@ -137,49 +252,69 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
         raise ValueError("dimension mismatch between box and normal")
     _check_unit(a)
     keep = np.abs(a) > ZERO_COORD_TOL
-    prefactor = float(np.prod(box.sides[~keep]))
-    c = np.abs(a[keep]) * box.sides[keep] / 2.0
-    if c.size == 0:
+    m = int(keep.sum())
+    if m == 0:
         raise ValueError("normal vector is numerically zero")
-    if c.size == 1:
+    if m == 1:
         # facet: the section is the opposite pair of faces' cross-section
-        return prefactor
-    if c.size > MAX_SINC_FACTORS:
+        return _normal_float(*_frexp_prod(box.sides[~keep].tolist()))
+    if m > MAX_SINC_FACTORS:
         # checked here because a dropped tail never reaches the expansion's guard
         raise RouteLimitError(f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
-    scale = prefactor * float(np.prod(box.sides[keep])) / math.pi
+    z = box.sides[keep]
+    e_max = math.frexp(float(z.max()))[1]
+    c = np.abs(a[keep]) * np.ldexp(z, -e_max) / 2.0  # c_j / 2^e_max
+    c_max = float(c.max())
+    r = c / c_max
+    r_sum = float(r.sum())
+    with np.errstate(divide="ignore"):  # an underflowed r_j makes the envelope infinite
+        log_prod_r = math.fsum(np.log(r).tolist())
+    # the section is k J, k = k_mantissa 2^k_exponent
+    k_mantissa, k_exponent = _frexp_prod(box.sides.tolist())
+    k_mantissa /= math.pi * c_max
+    k_exponent -= e_max
+    j_low = math.pi / (2.0 * r_sum)
+    budget = 0.5 * tol * max(math.ldexp(1.0 / k_mantissa, min(-k_exponent, 1000)), j_low)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def log_envelope(s: float) -> float:
+        return (1 - m) * math.log(s) - math.log(m - 1) - log_prod_r
+
+    # least P with envelope(P pi) <= 2^-53 j_low
+    log_extent = (math.log(2.0 * r_sum / (UNIT_ROUNDOFF * math.pi * (m - 1))) - log_prod_r) / (m - 1)
+    if log_extent <= math.log(MAX_DROP_PANELS * math.pi):
+        panels = max(1, math.ceil(math.exp(log_extent) / math.pi))
+        expand = False
+    else:
+        panels = EXPANSION_PANELS
+        expand = True
+        if log_envelope(panels * math.pi) + math.log(UNIT_ROUNDOFF) > math.log(budget):
+            if r_sum <= 2.0:
+                return _normal_float(k_mantissa * math.pi / 2.0, k_exponent)
+            raise ToleranceError(
+                "sinc tail expansion cannot resolve factors this disparate",
+                _scaled_bound(UNIT_ROUNDOFF * k_mantissa, k_exponent,
+                              log_envelope(panels * math.pi)))
+
+    def integrand(s: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = c[None, :] * t[:, None]
+            x = r[None, :] * s[:, None]
             vals = np.where(x != 0.0, np.sin(x) / np.where(x != 0.0, x, 1.0), 1.0)
         return np.prod(vals, axis=1)
 
-    cmax = float(c.max())
-    t_end = 128 * math.pi / cmax
-    edges = np.linspace(0.0, t_end, 129)
-    budget = tol / (2.0 * scale)
+    edges = math.pi * np.arange(panels + 1, dtype=float)
     value, err = adaptive_panels(integrand, edges, budget)
     if err > budget:
-        raise ToleranceError("sinc quadrature failed to meet tolerance", err * scale)
-    tail = 0.0 if _tail_below_roundoff(c, t_end, value) else sinc_product_tail(c, t_end)
-    return scale * (value + tail)
+        raise ToleranceError("sinc quadrature failed to meet tolerance",
+                             _scaled_bound(err * k_mantissa, k_exponent, 0.0))
+    if expand:
+        value += sinc_product_tail(r, panels * math.pi)
+    return _normal_float(k_mantissa * value, k_exponent)
 
 
-def _tail_below_roundoff(c: np.ndarray, t_end: float, value: float) -> bool:
-    """Whether the tail envelope T^{1-m} / ((m-1) prod c) is at most
-    UNIT_ROUNDOFF * |value|.
-
-    Compared as logarithms, which neither underflow nor overflow for positive
-    finite c and T; a zero or NaN value compares False, so the expansion runs.
-    """
-    if not abs(value) > 0.0:
-        return False
-    m = c.size
-    log_envelope = (
-        (1 - m) * math.log(t_end) - math.log(m - 1) - math.fsum(map(math.log, c.tolist()))
-    )
-    return log_envelope <= math.log(UNIT_ROUNDOFF) + math.log(abs(value))
+def _scaled_bound(mantissa: float, exponent: int, log_factor: float) -> float:
+    """mantissa 2^exponent e^log_factor as a float, inf where it overflows."""
+    log_value = math.log(mantissa) + exponent * math.log(2.0) + log_factor
+    return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
 def section_quadrature(box: Box, h: Subspace) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from slab_reference import scalar_slab_sum
@@ -53,17 +54,116 @@ def test_ball_integral_guards():
         ball_integral(2.0, tol=math.nan)
 
 
+def _arch_moment(p, j):
+    """int u^j cos(u)^p du over [-pi/2, pi/2] at 40 digits."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        return mpmath.quad(lambda u: u**j * mpmath.cos(u) ** p, [-mpmath.pi / 2, 0, mpmath.pi / 2])
+
+
 def test_ball_integral_uncertifiable_tail_fails_before_quadrature(monkeypatch):
-    # p = 2 at tol 1e-14 needs ~2e7 panels; at the 60,000-panel cap the tail
-    # bracket alone is (60000 pi)^-2, beyond tol
+    # p = 2 at tol 1e-28: at the 60,000-panel cap the arch expansion's
+    # remainder bracket, (2/pi) 5 A4 pi^-6 zeta(6, 60000) = 3.3e-28, alone
+    # exceeds tol
     def no_quadrature(*args):
         raise AssertionError("quadrature ran")
 
     monkeypatch.setattr(bounds, "adaptive_panels", no_quadrature)
-    with pytest.raises(ToleranceError, match="could not certify tolerance 1e-14") as info:
-        ball_integral(2.0, tol=1e-14)
-    assert info.value.achieved == pytest.approx((60000 * math.pi) ** -2.0, rel=1e-12)
+    with pytest.raises(ToleranceError, match="could not certify tolerance 1e-28") as info:
+        ball_integral(2.0, tol=1e-28)
+    with mpmath.workdps(30):
+        want = 2 / mpmath.pi * 5 * _arch_moment(2, 4) * mpmath.pi**-6 * mpmath.zeta(6, 60000)
+    assert info.value.achieved == pytest.approx(float(want), rel=1e-12)
     assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 7.3, 20.0])
+def test_arch_moments_match_mpmath(p):
+    a0, a2, a4, rel_err = bounds.arch_moments(p)
+    for got, j in ((a0, 0), (a2, 2), (a4, 4)):
+        want = _arch_moment(p, j)
+        assert abs(got - want) <= rel_err * want, (j, got, want)
+    assert rel_err <= 1e-13
+    # the closed forms themselves, at 30 digits
+    with mpmath.workdps(30):
+        x = 1 + mpmath.mpf(p) / 2
+        want0 = _arch_moment(p, 0)
+        assert abs(want0 * mpmath.zeta(2, x) / 2 / _arch_moment(p, 2) - 1) < mpmath.mpf(10) ** -29
+        closed4 = 3 * want0 * (mpmath.zeta(2, x) ** 2 - mpmath.zeta(4, x)) / 4
+        assert abs(closed4 / _arch_moment(p, 4) - 1) < mpmath.mpf(10) ** -29
+
+
+def _arch_tail_oracle(p, k, orders=12):
+    """(1/pi) int_{|t| >= k pi} |sin t / t|^p dt at 30 digits: t^-p expanded
+    about each arch's midpoint to order 2 * orders - 1, each moment by
+    quadrature, each order's sum over the arches a Hurwitz zeta."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        total = mpmath.mpf(0)
+        for j in range(orders):
+            moment = _arch_moment(p, 2 * j)
+            total += (mpmath.rf(p, 2 * j) / mpmath.factorial(2 * j) * moment
+                      * mpmath.pi ** (-p - 2 * j) * mpmath.zeta(p + 2 * j, k + mpmath.mpf(1) / 2))
+        return 2 / mpmath.pi * total
+
+
+def test_arch_tail_oracle_matches_direct_summation():
+    # the arches k = 50, ..., 249 one by one, and the oracle from k = 250
+    with mpmath.workdps(30):
+        direct = 2 / mpmath.pi * mpmath.fsum(
+            mpmath.quad(lambda t: abs(mpmath.sin(t) / t) ** 3, [k * mpmath.pi, (k + 1) * mpmath.pi])
+            for k in range(50, 250))
+        assert abs(direct + _arch_tail_oracle(3, 250) - _arch_tail_oracle(3, 50)) < mpmath.mpf(10) ** -27
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+@pytest.mark.parametrize("k", [8, 50])
+def test_arch_tail_bracket_holds_the_tail(p, k):
+    value, remainder, err = bounds.arch_tail(p, k)
+    want = float(_arch_tail_oracle(p, k))
+    assert 0.0 < remainder
+    assert err <= 1e-14 * value
+    slack = err + 4e-16 * value
+    assert value - slack <= want <= value + remainder + slack, (want - value, remainder)
+
+
+def _ball_oracle(p, head=40):
+    """I(p) at 30 digits: the first `head` arches by quadrature, the rest
+    by _arch_tail_oracle."""
+    with mpmath.workdps(30):
+        arches = mpmath.fsum(
+            mpmath.quad(lambda t: abs(mpmath.sinc(t)) ** p, [k * mpmath.pi, (k + 1) * mpmath.pi])
+            for k in range(head))
+        return 2 / mpmath.pi * arches + _arch_tail_oracle(p, head)
+
+
+@pytest.mark.parametrize("p, want", [(2.0, 1.0), (4.0, 2.0 / 3.0), (2.5, None), (7.3, None),
+                                     (29.9, None)])
+def test_ball_integral_matches_oracle(p, want):
+    if want is None:
+        want = float(_ball_oracle(p))
+    # the Kronrod weights, given to 15 digits, leave about 3e-15; the
+    # adaptive stop at tol / 4 leaves 1.5e-13 at p = 2.5, where |sin t|^p is
+    # not smooth at the panel ends
+    assert ball_integral(p) == pytest.approx(want, rel=2e-13, abs=0.0)
+
+
+def test_ball_integral_sizes_its_quadrature_by_the_bracket(monkeypatch):
+    panels = []
+    real = bounds.adaptive_panels
+
+    def spy(f, edges, tol):
+        panels.append(edges.size - 1)
+        return real(f, edges, tol)
+
+    monkeypatch.setattr(bounds, "adaptive_panels", spy)
+    for p in (2.0, 2.5, 17.0):
+        ball_integral(p)
+        k = panels[-1]
+        target = min(1e-9 / 4.0, 2.0**-53 * (2.0 / math.pi) ** p)
+        assert bounds.arch_tail(p, k)[1] <= target
+        assert k == 8 or bounds.arch_tail(p, k - 1)[1] > target
+    assert panels == [358, 203, 8]
 
 
 def test_ball_integral_uncertified_quadrature_is_a_tolerance_error(monkeypatch):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 import warnings
 
 import numpy as np
@@ -142,15 +143,100 @@ def test_ball_integral_csv(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_uncertifiable_ball_integral_tolerance_exits_1(tmp_path, capsys):
+def test_uncertifiable_ball_integral_tolerance_exits_1(monkeypatch, tmp_path, capsys):
+    # at the 60,000-panel cap the p = 2 arch bracket is 3.3e-28
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(cli.bounds, "adaptive_panels", no_quadrature)
     out = tmp_path / "ball.json"
     code = run(["ball-integral", "--p-min", "2", "--p-max", "3", "--steps", "2",
-                "--tol", "1e-14", "--out", str(out)])
+                "--tol", "1e-28", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: could not certify tolerance 1e-14 (achieved error bound")
+    assert err.startswith("error: could not certify tolerance 1e-28 (achieved error bound")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_one_ball_integral_step_with_two_powers_is_a_usage_error(monkeypatch, capsys):
+    def no_integral(*args):
+        raise AssertionError("integrated a curve whose --p-max is dropped")
+
+    monkeypatch.setattr(cli.bounds, "ball_integral", no_integral)
+    assert run(["ball-integral", "--p-min", "2", "--p-max", "6", "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --steps 1 evaluates --p-min alone")
+    monkeypatch.undo()
+    assert run(["ball-integral", "--p-min", "3", "--p-max", "3", "--steps", "1"]) == 0
+
+
+def _section_run(argv, tmp_path):
+    """(exit code, reported value or None) of one `sections` run."""
+    out = tmp_path / "section.json"
+    code = run(["sections", *argv, "--out", str(out)])
+    value = json.loads(out.read_text())["summary"]["value"] if out.exists() else None
+    return code, value
+
+
+def test_sinc_section_of_a_1e200_box(tmp_path):
+    # the factors 1e-200 of the widest overflowed the tail expansion
+    code, value = _section_run(["--mode", "sinc", "--sides", "1e200,1,1",
+                                "--normal", "0.6,0.64,0.48"], tmp_path)
+    assert code == 0 and value == pytest.approx(1.0 / 0.6, rel=1e-15)
+
+
+def test_exact_section_of_a_1e200_box_is_a_route_limit(tmp_path, capsys):
+    # the signed vertex sum overflowed; scaled, it cancels to nothing
+    code, value = _section_run(["--mode", "exact", "--sides", "1e200,1,1",
+                                "--normal", "0.6,0.64,0.48"], tmp_path)
+    assert code == 1 and value is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact route lost the section to cancellation")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "sinc"])
+def test_sections_of_a_1e_minus_100_box(mode, tmp_path):
+    # prod c underflowed to 0.0 in both routes
+    code, value = _section_run(["--mode", mode, "--sides", "1e-100,1e-100,1e-100,1e-100",
+                                "--normal", "0.5,0.5,0.5,0.5"], tmp_path)
+    assert code == 0 and value == pytest.approx(4.0 / 3.0 * 1e-300, rel=1e-12)
+
+
+def test_sinc_section_of_a_1e160_box(tmp_path):
+    # vol(B) / pi overflowed the error budget; the tolerance is now relative
+    # to the section's lower bound above 1
+    code, value = _section_run(["--mode", "sinc", "--sides", "1e160,1e160",
+                                "--normal", "0.6,0.8"], tmp_path)
+    assert code == 0 and value == pytest.approx(1.25e160, rel=1e-12)
+
+
+def _routes_xval_workloads():
+    """perfbench/workloads.py as a module, compiled from its source so that
+    nothing is written next to it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    module = types.ModuleType("routes_xval_workloads")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("seed", [3, 7, 6161])
+def test_routes_xval_exact_and_sinc_pairs_agree_to_1e_12(seed, tmp_path):
+    # the benchmark's gate is 1e-8; the sinc route's rounding is about 1e-14
+    workloads = _routes_xval_workloads()
+    plan = workloads.generate("routes-xval", seed, str(tmp_path / "inputs"))
+    values = {}
+    for job in plan["jobs"]:
+        if job["argv"][:3] in (["sections", "--mode", "exact"], ["sections", "--mode", "sinc"]):
+            code, value = _section_run(job["argv"][1:], tmp_path)
+            assert code == 0, job["id"]
+            values.setdefault(job["pair"], []).append(value)
+    assert len(values) == 39
+    for pair, (exact, sinc) in values.items():
+        assert abs(exact - sinc) <= 1e-12, (pair, exact, sinc)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -549,12 +635,13 @@ def test_no_command_loads_a_scipy_submodule(tmp_path):
     # tail, ball-integral and grinberg are margbounds' own, so neither
     # importing margbounds nor running them loads scipy.special, or any
     # scipy module beyond what a bare `import scipy` loads; scipy itself
-    # stays loaded for cli's one import.  The sinc report keeps the bytes
-    # it had with scipy's Si/Ci.
+    # stays loaded for cli's one import.  The sinc report's bytes are
+    # pinned: its value 1.2999131944444409 lies 3.3e-15 below the 60-digit
+    # signed-vertex value 1.2999131944444442.
     src = os.path.dirname(os.path.dirname(os.path.abspath(margbounds.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1].split() == [
         "True", "False", "[]", "True",
-        "9e0ea27a8e33745cac647bbfff0ec8648c77c3cddd015cc1fdd4e0b2090c683b"]
+        "0109489a295f1926e48b01d29e160e2eecf822f82205ae319221661c564abb5d"]

@@ -170,11 +170,13 @@ def test_adaptive_panels_bit_for_bit_when_rounds_run_out():
     assert err > 1e-15
 
 
-# float.hex of ball_integral(p) as the panel-at-a-time refinement computed it
+# float.hex of ball_integral(p) with K chosen by the arch expansion's bracket;
+# the true values are 1 = 0x1.0p+0, 2/3 = 0x1.5555555555555p-1 and, at 30
+# digits, I(7.3) = 0.500893013157597147 = 0x1.00750c8c9d11fp-1
 @pytest.mark.parametrize("p, want", [
-    (2.0, "0x1.fffffffffffdfp-1"),
-    (4.0, "0x1.55555555550fep-1"),
-    (7.3, "0x1.00750c8c9caaep-1"),
+    (2.0, "0x1.fffffffffffe3p-1"),
+    (4.0, "0x1.5555555555543p-1"),
+    (7.3, "0x1.00750c8c9d111p-1"),
 ])
 def test_ball_integral_keeps_its_bits(p, want):
     assert bounds.ball_integral(p).hex() == want

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margbounds import sections
+from margbounds import kernels, sections
 from margbounds.grassmann import Subspace, haar_directions, haar_sample, orthonormal_complement
-from margbounds.quadrature import RouteLimitError, sinc_product_tail
+from margbounds.quadrature import RouteLimitError, ToleranceError, sinc_product_tail
 from margbounds.sections import (
     Box,
     hyperplane_section_exact,
@@ -278,6 +278,123 @@ def test_sinc_tail_dropped_only_below_roundoff(monkeypatch):
             box, a = _moderate_box(rng, m)
             hyperplane_section_sinc(box, a)
             assert calls == ([m] if m <= 4 else []), (m, box.sides, a)
+
+
+def _unit_volume_box(rng, m, spread):
+    """Sides within a factor 2 with product 1, and a unit normal whose
+    coordinates lie within a factor `spread` of each other."""
+    sides = rng.uniform(1.0, 2.0, m)
+    a = rng.uniform(1.0, spread, m) * rng.choice([-1.0, 1.0], m)
+    return Box(sides / np.exp(np.log(sides).mean())), a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("spread", [3.0, 10.0])
+def test_sinc_matches_oracle_at_every_factor_count(spread):
+    rng = np.random.default_rng(33 if spread == 3.0 else 34)
+    for m in range(2, 17):
+        box, a = _unit_volume_box(rng, m, spread)
+        want = _section_oracle(box.sides, a)
+        assert abs(hyperplane_section_sinc(box, a) - want) <= 1e-12, (m, box.sides, a)
+
+
+def _sinc_extent_rule(box, a):
+    """(panels, expanded) by the rule at 40 digits: the least P whose tail
+    envelope (P pi)^(1-m) / ((m-1) prod r) is at most 2^-53 pi / (2 sum r),
+    integrated alone where P <= 128, and 16 panels plus the expansion
+    otherwise."""
+    with mpmath.workdps(40):
+        c = [abs(mpmath.mpf(float(x))) * mpmath.mpf(float(z)) / 2 for x, z in zip(a, box.sides)]
+        r = [cj / max(c) for cj in c]
+        m = len(r)
+        threshold = mpmath.mpf(2) ** -53 * mpmath.pi / (2 * mpmath.fsum(r))
+
+        def envelope(panels):
+            return (panels * mpmath.pi) ** (1 - m) / ((m - 1) * mpmath.fprod(r))
+
+        panels = int(mpmath.ceil((threshold * (m - 1) * mpmath.fprod(r)) ** (-1 / mpmath.mpf(m - 1))
+                                 / mpmath.pi))
+        assert envelope(panels) <= threshold and (panels == 1 or envelope(panels - 1) > threshold)
+    return (panels, False) if panels <= 128 else (16, True)
+
+
+def test_sinc_extent_follows_the_envelope_rule(monkeypatch):
+    seen = {}
+    real_panels, real_tail = sections.adaptive_panels, sections.sinc_product_tail
+
+    def panels_spy(f, edges, tol):
+        seen["edges"] = edges
+        return real_panels(f, edges, tol)
+
+    def tail_spy(c, t_start):
+        seen["tail"] = (c, t_start)
+        return real_tail(c, t_start)
+
+    monkeypatch.setattr(sections, "adaptive_panels", panels_spy)
+    monkeypatch.setattr(sections, "sinc_product_tail", tail_spy)
+    rng = np.random.default_rng(35)
+    choices = set()
+    for m in (2, 3, 5, 7, 8, 8, 8, 8, 9, 10, 12, 14, 16):
+        for narrow in (1.0, 1e-4):
+            box, a = _unit_volume_box(rng, m, 3.0)
+            a[: m // 3] *= narrow  # narrow factors raise the envelope
+            a /= np.linalg.norm(a)
+            seen.clear()
+            hyperplane_section_sinc(box, a)
+            panels, expanded = _sinc_extent_rule(box, a)
+            np.testing.assert_array_equal(seen["edges"], math.pi * np.arange(panels + 1.0))
+            assert ("tail" in seen) == expanded, (m, narrow)
+            if expanded:
+                c = np.abs(a) * box.sides
+                np.testing.assert_allclose(seen["tail"][0], c / c.max(), rtol=1e-15)
+                assert seen["tail"][1] == 16 * math.pi
+            choices.add((m, expanded))
+    # both choices occur, at m = 8 and above it
+    assert {(8, False), (8, True), (16, False), (16, True)} <= choices
+
+
+def test_exact_keeps_its_bits_in_the_normal_range():
+    # bit for bit the evaluation without scaling, one row and many
+    rng = np.random.default_rng(36)
+    for n in range(1, 17):
+        for scale in (1.0, 1e-15, 1e15):  # prod c and the terms stay normal
+            sides = rng.uniform(0.5, 2.0, n) * scale
+            a = rng.normal(size=(3, n))
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            c = np.abs(a) * sides
+            want = Box(sides).volume() * kernels.irwin_hall_at(c, 0.5 * c.sum(axis=-1))
+            got = hyperplane_section_exact(Box(sides), a)
+            assert got.tolist() == want.tolist()
+            assert hyperplane_section_exact(Box(sides), a[0]) == want[0]
+
+
+_EXTREME_SCALES = [
+    ([1e-100] * 4, [0.5] * 4, 4.0 / 3.0 * 1e-300),
+    ([1e160, 1e160], [0.6, 0.8], 1.25e160),
+]
+
+
+@pytest.mark.parametrize("route", [hyperplane_section_exact, hyperplane_section_sinc])
+@pytest.mark.parametrize("sides, a, want", _EXTREME_SCALES)
+def test_sections_of_boxes_at_extreme_scales(route, sides, a, want):
+    assert route(Box(sides), np.array(a)) == pytest.approx(want, rel=1e-12)
+
+
+def test_sinc_disparate_factors_without_a_dominant_one_fail_to_certify():
+    # three wide factors of 1e200 and two of 1: the tail envelope at 16 pi
+    # is far beyond what the expansion resolves, and no factor dominates
+    with pytest.raises(ToleranceError, match="cannot resolve factors this disparate"):
+        hyperplane_section_sinc(Box([1e200, 1e200, 1e200, 1.0, 1.0]), np.full(5, 0.2**0.5))
+
+
+@pytest.mark.parametrize("route, sides, a", [
+    (route, sides, a)
+    for route in (hyperplane_section_exact, hyperplane_section_sinc)
+    for sides, a in (([1e300, 1e300, 1e300], [0.6, 0.64, 0.48]),
+                     ([1e-300, 1e-300, 1e-300], [0.6, 0.64, 0.48]))
+] + [(hyperplane_section_sinc, [1e300, 1e300, 1e300], [1.0, 0.0, 0.0])])
+def test_sections_outside_the_float_range_are_route_limits(route, sides, a):
+    with pytest.raises(RouteLimitError, match="outside the normal float range"):
+        route(Box(sides), np.array(a))
 
 
 def test_sinc_factor_guard_runs_before_any_quadrature(monkeypatch):
