@@ -10,7 +10,8 @@ than Si/Ci precision.  Callers size T from a proven bound before they
 integrate: sections.hyperplane_section_sinc takes the least T whose envelope
 T^{1-m} / ((m-1) prod c) is below the rounding of its value's lower bound
 and drops the remainder there, and expands it only where that T would take
-more than 128 panels; bounds.ball_integral sums the sinc-power arches beyond
+more than 128 panels and the expansion's rounding noise fits the tolerance;
+bounds.ball_integral sums the sinc-power arches beyond
 T by an expansion with a bracketed remainder.  sinc_product_tail itself
 always expands.
 
@@ -172,7 +173,8 @@ def sinc_product_tail(c: np.ndarray, t_start: float) -> float:
     T = 16 pi, as the sinc section route calls it, the result stays within
     1.3e-14 of zero at m = 11..16 for c_j in [1/3, 1], where the envelope is
     below 1e-16: that is the noise.  Factors much narrower than the widest
-    raise it, since the terms grow like the envelope while the tail does not.
+    raise it as 1 / prod c, whatever T is, while the tail stays small
+    (sections._log_tail_noise bounds it).
 
     The patterns are evaluated _TAIL_CHUNK at a time as numpy lanes and their
     terms summed in pattern order from 0.0, so the result does not depend on

@@ -138,7 +138,8 @@ def hyperplane_section_exact(box: Box, a):
     uniform factor caps it.  Raises RouteLimitError for a value more than
     CANCELLATION_SLACK outside that bracket (lost to cancellation, as when
     one side is 1e200 times the others) and for a section outside the
-    normal float range.
+    normal float range.  One such row fails the whole call; the message
+    names the rows of a batch that were lost.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != box.n:
@@ -172,10 +173,12 @@ def hyperplane_section_exact(box: Box, a):
     with np.errstate(divide="ignore"):
         lo = log2_vol - np.log2(sums) + math.log2(1.0 - CANCELLATION_SLACK)
         hi = log2_vol - np.log2(rows.max(axis=-1)) + math.log2(1.0 + CANCELLATION_SLACK)
-    if not ((log2_values >= lo) & (log2_values <= hi)).all():
+    lost = ~((log2_values >= lo) & (log2_values <= hi))
+    if lost.any():
+        rows_note = f" (rows {np.flatnonzero(lost).tolist()})" if a.ndim > 1 else ""
         raise RouteLimitError(
             "exact route lost the section to cancellation: the signed vertex sum "
-            "lies outside the bracket [vol / sum c, vol / max c]")
+            f"lies outside the bracket [vol / sum c, vol / max c]{rows_note}")
     for i, (mantissa, exponent) in scaled.items():
         values[i] = _normal_float(mantissa, exponent)
     return float(values[0]) if a.ndim == 1 else values
@@ -209,6 +212,36 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
 # tail, and the panels it integrates before the tail expansion otherwise.
 MAX_DROP_PANELS = 128
 EXPANSION_PANELS = 16
+# Most panels it integrates to drop a tail within tol / 2 where the
+# expansion's noise would exceed that
+MAX_TOL_PANELS = 4096
+# sinc_product_tail's rounding noise at max r = 1, in units of 2^-53
+# mean_w |w|^(m-1) / ((m-1)! prod r) over its sign-pattern frequencies w
+TAIL_NOISE_FACTOR = 32.0
+
+
+def _log_tail_noise(r: np.ndarray, log_prod_r: float) -> float:
+    """log of a bound on the rounding noise of sinc_product_tail(r, S), for
+    max r = 1 and S = EXPANSION_PANELS pi.
+
+    The recurrence of _exp_moments carries the error of E_1(w) = -Ci(wS) +
+    i(pi/2 - Si(wS)) to E_m(w) times w^(m-1) / (m-1)!, whatever S is, and the
+    pattern weights 2^-m / prod r average it over the 2^m frequencies w.
+    sici's absolute errors, at most 1e-15 for Si and 1e-15 + 2.3e-16 |ln wS|
+    for Ci (together under 26 units of 2^-53 for 1e-5 <= wS <= 16 * 16 pi;
+    a smaller wS has a larger log but a smaller w^(m-1)), and the roundings
+    of wS, pi/2 - Si and the phases stay below TAIL_NOISE_FACTOR units.  Against a 30-digit evaluation of the same
+    expansion (m = 3..9, coordinates down to 1e-8 of the widest) the noise
+    reached 1.15 units, at S = 16 pi and 128 pi alike.  Narrow factors raise
+    it as 1 / prod r while the tail stays small.
+    """
+    m = r.size
+    w = r[:1]  # |w| is even in the sign pattern, so the first sign stays +
+    for rj in r[1:].tolist():
+        w = np.concatenate([w + rj, w - rj])
+    mean_power = float(np.mean(np.abs(w) ** (m - 1)))
+    return (math.log(TAIL_NOISE_FACTOR * UNIT_ROUNDOFF * mean_power / math.factorial(m - 1))
+            - log_prod_r)
 
 
 def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
@@ -233,17 +266,19 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     within a factor 2 and normal coordinates within a factor 3 the tail is
     dropped from m = 9 on and expanded up to m = 7; m = 8 goes either way.
 
-    tol bounds the absolute error where the section's lower bound vol(B) /
-    (2 max c sum r) is at most 1, and the error relative to that bound above
-    it: half of it goes to the quadrature.  The sides enter as a power of
-    two times a mantissa, so no intermediate overflows or underflows.  Where
-    even the rounding of terms as large as the envelope at S exceeds the
-    quadrature budget (factors 1e-200 of the widest, say), the expansion
-    cannot resolve the tail: J = pi / 2 is used if the widest factor
-    dominates (sum r <= 2, so the others' sum stays on its flat top), and
-    otherwise that is a ToleranceError.  Raises RouteLimitError for more than
+    tol bounds the absolute error of the section: half of it goes to the
+    quadrature and half to the tail, expanded or dropped.  The expansion's
+    rounding noise (_log_tail_noise) does not fall with S; where its bound
+    exceeds that half, as with normal coordinates 1e-5 of the widest or a
+    section of 1e4 at tol 1e-9, J = pi / 2 is used if the widest factor
+    dominates (sum r <= 2, so the others' sum stays on its flat top;
+    Borwein).  Otherwise the route integrates up to the least S whose
+    envelope is within that half and drops the tail, or raises
+    ToleranceError where that takes more than MAX_TOL_PANELS panels.  The
+    sides enter as a power of two times a mantissa, so no intermediate
+    overflows or underflows.  Raises RouteLimitError for more than
     MAX_SINC_FACTORS nonzero coordinates, before any quadrature, and for a
-    section outside the normal float range.
+    section outside the normal float range, before any quadrature too.
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
@@ -273,27 +308,36 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     k_mantissa, k_exponent = _frexp_prod(box.sides.tolist())
     k_mantissa /= math.pi * c_max
     k_exponent -= e_max
-    j_low = math.pi / (2.0 * r_sum)
-    budget = 0.5 * tol * max(math.ldexp(1.0 / k_mantissa, min(-k_exponent, 1000)), j_low)
+    # the section lies in k [pi / (2 sum r), pi / 2]; the end nearer the
+    # range's limit must be a normal float
+    _normal_float(k_mantissa * (math.pi / (2.0 * r_sum) if k_exponent > 0 else math.pi / 2.0),
+                  k_exponent)
+    # half of tol / k, in J's units
+    log_budget = math.log(tol) - math.log(2.0 * k_mantissa) - k_exponent * math.log(2.0)
+    budget = math.exp(min(log_budget, 700.0))
 
-    def log_envelope(s: float) -> float:
-        return (1 - m) * math.log(s) - math.log(m - 1) - log_prod_r
+    def log_extent(log_threshold: float) -> float:
+        """log of the least S whose envelope is at most e^log_threshold."""
+        return (-math.log(m - 1) - log_prod_r - log_threshold) / (m - 1)
 
-    # least P with envelope(P pi) <= 2^-53 j_low
-    log_extent = (math.log(2.0 * r_sum / (UNIT_ROUNDOFF * math.pi * (m - 1))) - log_prod_r) / (m - 1)
-    if log_extent <= math.log(MAX_DROP_PANELS * math.pi):
-        panels = max(1, math.ceil(math.exp(log_extent) / math.pi))
-        expand = False
-    else:
-        panels = EXPANSION_PANELS
-        expand = True
-        if log_envelope(panels * math.pi) + math.log(UNIT_ROUNDOFF) > math.log(budget):
-            if r_sum <= 2.0:
+    # drop the tail where its envelope is below the rounding of J's lower bound
+    log_s = log_extent(math.log(UNIT_ROUNDOFF * math.pi / (2.0 * r_sum)))
+    expand = log_s > math.log(MAX_DROP_PANELS * math.pi)
+    if expand:
+        log_noise = _log_tail_noise(r, log_prod_r)
+        if log_noise > log_budget:
+            expand = False
+            # the computed sum carries at most (m + 3) roundings of 2^-53
+            if r_sum <= 2.0 * (1.0 - (m + 3) * UNIT_ROUNDOFF):
                 return _normal_float(k_mantissa * math.pi / 2.0, k_exponent)
-            raise ToleranceError(
-                "sinc tail expansion cannot resolve factors this disparate",
-                _scaled_bound(UNIT_ROUNDOFF * k_mantissa, k_exponent,
-                              log_envelope(panels * math.pi)))
+            log_s = log_extent(log_budget)
+            log_s_max = math.log(MAX_TOL_PANELS * math.pi)
+            if log_s > log_s_max:
+                log_envelope = (1 - m) * log_s_max - math.log(m - 1) - log_prod_r
+                raise ToleranceError("sinc tail can be neither expanded nor dropped within the tolerance",
+                                     _scaled_bound(2.0 * k_mantissa, k_exponent,
+                                                   min(log_noise, log_envelope)))
+    panels = EXPANSION_PANELS if expand else max(1, math.ceil(math.exp(log_s) / math.pi))
 
     def integrand(s: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -205,8 +205,9 @@ def test_sections_of_a_1e_minus_100_box(mode, tmp_path):
 
 
 def test_sinc_section_of_a_1e160_box(tmp_path):
-    # vol(B) / pi overflowed the error budget; the tolerance is now relative
-    # to the section's lower bound above 1
+    # vol(B) / pi overflowed the error budget; two factors keep J = pi / 2
+    # exactly (sum r <= 2), which the route takes where the absolute 1e-9 is
+    # beyond the tail expansion's rounding
     code, value = _section_run(["--mode", "sinc", "--sides", "1e160,1e160",
                                 "--normal", "0.6,0.8"], tmp_path)
     assert code == 0 and value == pytest.approx(1.25e160, rel=1e-12)

@@ -240,11 +240,17 @@ def _section_oracle(sides, a):
         return float(mpmath.fprod(zs) * density)
 
 
-def _moderate_box(rng, m):
-    """Sides within a factor 2 and normal coordinates within a factor 3."""
+def _moderate_box(rng, m, spread=3.0):
+    """Sides within a factor 2 and normal coordinates within a factor
+    `spread`."""
     sides = rng.uniform(1.0, 2.0, m)
-    a = rng.uniform(1.0, 3.0, m) * rng.choice([-1.0, 1.0], m)
+    a = rng.uniform(1.0, spread, m) * rng.choice([-1.0, 1.0], m)
     return Box(sides), a / np.linalg.norm(a)
+
+
+def _unit_volume(box):
+    """The box scaled to volume 1, so that its sections lie near 1."""
+    return Box(box.sides / np.exp(np.log(box.sides).mean()))
 
 
 def test_section_oracle_matches_closed_forms():
@@ -280,41 +286,73 @@ def test_sinc_tail_dropped_only_below_roundoff(monkeypatch):
             assert calls == ([m] if m <= 4 else []), (m, box.sides, a)
 
 
-def _unit_volume_box(rng, m, spread):
-    """Sides within a factor 2 with product 1, and a unit normal whose
-    coordinates lie within a factor `spread` of each other."""
-    sides = rng.uniform(1.0, 2.0, m)
-    a = rng.uniform(1.0, spread, m) * rng.choice([-1.0, 1.0], m)
-    return Box(sides / np.exp(np.log(sides).mean())), a / np.linalg.norm(a)
-
-
 @pytest.mark.parametrize("spread", [3.0, 10.0])
 def test_sinc_matches_oracle_at_every_factor_count(spread):
     rng = np.random.default_rng(33 if spread == 3.0 else 34)
     for m in range(2, 17):
-        box, a = _unit_volume_box(rng, m, spread)
+        box, a = _moderate_box(rng, m, spread)
+        box = _unit_volume(box)
         want = _section_oracle(box.sides, a)
         assert abs(hyperplane_section_sinc(box, a) - want) <= 1e-12, (m, box.sides, a)
 
 
-def _sinc_extent_rule(box, a):
-    """(panels, expanded) by the rule at 40 digits: the least P whose tail
-    envelope (P pi)^(1-m) / ((m-1) prod r) is at most 2^-53 pi / (2 sum r),
-    integrated alone where P <= 128, and 16 panels plus the expansion
-    otherwise."""
+def _narrow_box(rng, m, k, narrow):
+    """A unit-volume box whose first `narrow` normal coordinates are scaled
+    by 10^-k."""
+    box, a = _moderate_box(rng, m)
+    a[:narrow] *= 10.0**-k
+    return _unit_volume(box), a / np.linalg.norm(a)
+
+
+def test_sinc_with_narrow_factors_meets_its_tolerance_or_raises():
+    # the tail expansion's rounding noise grows as 1 / prod r while the tail
+    # stays small: at tol 1e-9 such boxes gave errors up to 1e2 before the
+    # noise entered the error budget
+    rng = np.random.default_rng(40)
+    outcomes = set()
+    for m in (3, 5, 8):
+        for k in (2, 4, 5, 6, 8):
+            for narrow in (1, 2):
+                box, a = _narrow_box(rng, m, k, narrow)
+                want = _section_oracle(box.sides, a)
+                try:
+                    got = hyperplane_section_sinc(box, a, tol=1e-9)
+                except ToleranceError as exc:
+                    assert exc.achieved > 1e-9, (m, k, narrow)
+                    outcomes.add("raised")
+                else:
+                    assert abs(got - want) <= 1e-9, (m, k, narrow, got, want)
+                    outcomes.add("value")
+    assert outcomes == {"raised", "value"}
+
+
+def _least_panels(r, threshold):
+    """The least P whose tail envelope (P pi)^(1-m) / ((m-1) prod r) is at
+    most threshold, at 40 digits."""
+    m = len(r)
+
+    def envelope(panels):
+        return (panels * mpmath.pi) ** (1 - m) / ((m - 1) * mpmath.fprod(r))
+
+    panels = int(mpmath.ceil((threshold * (m - 1) * mpmath.fprod(r)) ** (-1 / mpmath.mpf(m - 1))
+                             / mpmath.pi))
+    assert envelope(panels) <= threshold and (panels == 1 or envelope(panels - 1) > threshold)
+    return panels
+
+
+def _sinc_extent_rule(box, a, tol=1e-9):
+    """(panels, expanded, panels within tol) by the rule at 40 digits: the
+    least P whose envelope is at most 2^-53 pi / (2 sum r), integrated alone
+    where P <= 128, and 16 panels plus the expansion otherwise; where the
+    expansion's noise is too large, the least P whose envelope is at most
+    tol / (2 k), the section being k J."""
     with mpmath.workdps(40):
         c = [abs(mpmath.mpf(float(x))) * mpmath.mpf(float(z)) / 2 for x, z in zip(a, box.sides)]
         r = [cj / max(c) for cj in c]
-        m = len(r)
-        threshold = mpmath.mpf(2) ** -53 * mpmath.pi / (2 * mpmath.fsum(r))
-
-        def envelope(panels):
-            return (panels * mpmath.pi) ** (1 - m) / ((m - 1) * mpmath.fprod(r))
-
-        panels = int(mpmath.ceil((threshold * (m - 1) * mpmath.fprod(r)) ** (-1 / mpmath.mpf(m - 1))
-                                 / mpmath.pi))
-        assert envelope(panels) <= threshold and (panels == 1 or envelope(panels - 1) > threshold)
-    return (panels, False) if panels <= 128 else (16, True)
+        panels = _least_panels(r, mpmath.mpf(2) ** -53 * mpmath.pi / (2 * mpmath.fsum(r)))
+        k = mpmath.fprod(mpmath.mpf(float(z)) for z in box.sides) / (mpmath.pi * max(c))
+        within_tol = _least_panels(r, mpmath.mpf(tol) / (2 * k))
+    return (panels, False, within_tol) if panels <= 128 else (16, True, within_tol)
 
 
 def test_sinc_extent_follows_the_envelope_rule(monkeypatch):
@@ -334,13 +372,28 @@ def test_sinc_extent_follows_the_envelope_rule(monkeypatch):
     rng = np.random.default_rng(35)
     choices = set()
     for m in (2, 3, 5, 7, 8, 8, 8, 8, 9, 10, 12, 14, 16):
-        for narrow in (1.0, 1e-4):
-            box, a = _unit_volume_box(rng, m, 3.0)
+        for narrow in (1.0, 0.1, 1e-4):
+            box, a = _moderate_box(rng, m)
+            box = _unit_volume(box)
             a[: m // 3] *= narrow  # narrow factors raise the envelope
             a /= np.linalg.norm(a)
             seen.clear()
-            hyperplane_section_sinc(box, a)
-            panels, expanded = _sinc_extent_rule(box, a)
+            try:
+                hyperplane_section_sinc(box, a)
+            except ToleranceError:
+                seen["raised"] = True
+            panels, expanded, within_tol = _sinc_extent_rule(box, a)
+            if "edges" not in seen:
+                # an expansion whose noise bound exceeds the budget skips the
+                # quadrature for the Borwein value or a raise
+                assert expanded and "tail" not in seen, (m, narrow)
+                choices.add((m, "skipped"))
+                continue
+            if expanded and "tail" not in seen:
+                # ... or integrates to the envelope's share of tol
+                np.testing.assert_array_equal(seen["edges"], math.pi * np.arange(within_tol + 1.0))
+                choices.add((m, "within tol"))
+                continue
             np.testing.assert_array_equal(seen["edges"], math.pi * np.arange(panels + 1.0))
             assert ("tail" in seen) == expanded, (m, narrow)
             if expanded:
@@ -348,8 +401,10 @@ def test_sinc_extent_follows_the_envelope_rule(monkeypatch):
                 np.testing.assert_allclose(seen["tail"][0], c / c.max(), rtol=1e-15)
                 assert seen["tail"][1] == 16 * math.pi
             choices.add((m, expanded))
-    # both choices occur, at m = 8 and above it
-    assert {(8, False), (8, True), (16, False), (16, True)} <= choices
+    # each choice occurs at m = 8; at m = 16 an envelope that needs the
+    # expansion (prod r below 1e-24) comes with noise beyond the budget
+    assert {(8, False), (8, True), (16, False), (16, "within tol")} <= choices
+    assert {(8, "skipped"), (8, "within tol")} & choices
 
 
 def test_exact_keeps_its_bits_in_the_normal_range():
@@ -367,6 +422,12 @@ def test_exact_keeps_its_bits_in_the_normal_range():
             assert hyperplane_section_exact(Box(sides), a[0]) == want[0]
 
 
+def test_exact_names_the_batch_rows_lost_to_cancellation():
+    a = np.array([[0.6, 0.64, 0.48], [0.6, 0.48, 0.64]])
+    with pytest.raises(RouteLimitError, match=r"cancellation.*\(rows \[0, 1\]\)"):
+        hyperplane_section_exact(Box([1e200, 1.0, 1.0]), a)
+
+
 _EXTREME_SCALES = [
     ([1e-100] * 4, [0.5] * 4, 4.0 / 3.0 * 1e-300),
     ([1e160, 1e160], [0.6, 0.8], 1.25e160),
@@ -380,10 +441,11 @@ def test_sections_of_boxes_at_extreme_scales(route, sides, a, want):
 
 
 def test_sinc_disparate_factors_without_a_dominant_one_fail_to_certify():
-    # three wide factors of 1e200 and two of 1: the tail envelope at 16 pi
-    # is far beyond what the expansion resolves, and no factor dominates
-    with pytest.raises(ToleranceError, match="cannot resolve factors this disparate"):
-        hyperplane_section_sinc(Box([1e200, 1e200, 1e200, 1.0, 1.0]), np.full(5, 0.2**0.5))
+    # three wide factors of 1e100 and two of 1: the expansion's rounding
+    # noise is far beyond the budget, no factor dominates, and the envelope
+    # needs far more than 4,096 panels
+    with pytest.raises(ToleranceError, match="neither expanded nor dropped within the tolerance"):
+        hyperplane_section_sinc(Box([1e100, 1e100, 1e100, 1.0, 1.0]), np.full(5, 0.2**0.5))
 
 
 @pytest.mark.parametrize("route, sides, a", [
