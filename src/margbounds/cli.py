@@ -399,16 +399,19 @@ def cmd_small_ball(ns) -> int:
 def cmd_search_max(ns) -> int:
     n, k = ns.n, ns.k
     bound, _ = bounds.main_constant(n, k)
+    unscored = 0
     if k == 1:
         cube = sections.unit_cube(n)
 
         def objective(bases):
-            # cube_hyperplane_section of each line, in one call when no line
-            # has a zero coordinate to factor out
-            thetas = bases[:, :, 0]
-            if (np.abs(thetas) > sections.ZERO_COORD_TOL).all():
-                return sections.hyperplane_section_exact(cube, thetas)
-            return np.array([marginals.cube_hyperplane_section(theta) for theta in thetas])
+            # a line the exact route cannot certify scores -inf: rejected
+            nonlocal unscored
+            try:
+                return sections.hyperplane_section_exact(cube, bases[:, :, 0])
+            except sections.CancellationError as exc:
+                lost = np.isnan(exc.values)
+                unscored += int(lost.sum())
+                return np.where(lost, -math.inf, exc.values)
     elif n - k <= 3:
         cube = [sections.box_pieces(sections.unit_cube(n))]
 
@@ -420,10 +423,13 @@ def cmd_search_max(ns) -> int:
     best, value = grassmann.grassmann_search_max(
         objective, n, k, ns.restarts, ns.steps, ns.seed
     )
+    if best is None:
+        raise RouteLimitError("the exact route certified no section the climb proposed")
     rec = {
         "best_value": value,
         "bound": bound,
         "subspace": best.to_json_dict(),
+        "unscored": unscored,
         "pass": bool(value <= bound * (1.0 + ns.tol)),
     }
     failures = [] if rec["pass"] else ["search-max"]

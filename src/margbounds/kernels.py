@@ -1,4 +1,4 @@
-"""Kernels in numpy/Python: slab-intersection volumes and Irwin-Hall.
+"""Kernels in numpy/Python: slab-intersection volumes and Irwin-Hall sums.
 
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
@@ -19,6 +19,7 @@ keeps scalar 2-D and 3-D twins as the tests' == reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -562,14 +563,50 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
 
 # -- Signed power sums -------------------------------------------------------
 
+# Most signed terms held at once: 2^20 doubles, 8 MB per array
+TERM_CHUNK_BITS = 20
+
+
+def _subset_sums(sums, signs, columns):
+    """Subset sums (B, P) and signs (P,) extended by each column of (B, q)."""
+    for cj in columns.T[..., None]:
+        sums = np.concatenate([sums, sums + cj], axis=-1)
+        signs = np.concatenate([signs, -signs])
+    return sums, signs
+
+
+def _block_terms(c, t, head: int):
+    """signed_terms of rows c (B, n), one chunk per subset of c[:, :head]."""
+    n = c.shape[1]
+    heads, head_signs = _subset_sums(np.zeros((c.shape[0], 1)), np.ones(1), c[:, :head])
+    for i in range(heads.shape[1]):
+        sums, signs = _subset_sums(heads[:, i:i + 1], head_signs[i:i + 1], c[:, head:])
+        diff = t[:, None] - sums
+        del sums
+        yield signs * (diff > 0.0 if n == 1 else np.where(diff > 0.0, diff, 0.0) ** (n - 1))
+
+
+def signed_terms(c, t):
+    """The terms (-1)^|S| (t - s_S)_+^(n-1) over the subsets S of each row of
+    c (B, n) at t (B,), s_S the subset sums, as (rows, chunks) per block of
+    rows: a slice of c and an iterator over chunks of at most
+    2^TERM_CHUNK_BITS terms, one chunk of 2^TERM_CHUNK_BITS / 2^n rows, or
+    for a wider row one per subset of its first n - TERM_CHUNK_BITS
+    coordinates.  s_S adds in index order, so a term's bits do not depend
+    on the chunking."""
+    n = c.shape[1]
+    head = max(0, n - TERM_CHUNK_BITS)
+    size = max(1, (1 << TERM_CHUNK_BITS) >> n)
+    for start in range(0, c.shape[0], size):
+        rows = slice(start, start + size)
+        yield rows, _block_terms(c[rows], t[rows], head)
+
 
 def irwin_hall_sums(c, t) -> list:
-    """The signed sums sum_S (-1)^|S| (t - s_S)_+^(n-1) over the subsets S of
-    the coefficients c, s_S their subset sums: irwin_hall_at before its
-    division by (n-1)! prod c, one math.fsum per row of c (B, n).
-
-    Every term is (n-1)-homogeneous in (c, t), so a caller may scale both by
-    a power of two and undo the scaling on the sum.
+    """The signed sums of signed_terms, one math.fsum per row of c (B, n):
+    the density at t of sum(c_j V_j), V_j iid uniform on [0, 1], times
+    (n-1)! prod c.  Every term is (n-1)-homogeneous in (c, t), so a caller
+    may scale both by a power of two and undo the scaling on the sum.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[-1]
@@ -579,29 +616,11 @@ def irwin_hall_sums(c, t) -> list:
         raise ValueError("combinatorial blowup guard: n > 24")
     if np.any(c <= 0.0):
         raise ValueError("coefficients must be positive")
-    sums = np.zeros(c.shape[:-1] + (1,))
-    signs = np.ones(1)
-    for cj in c.T[..., None]:
-        sums = np.concatenate([sums, sums + cj], axis=-1)
-        signs = np.concatenate([signs, -signs])
-    diff = np.asarray(t)[..., None] - sums
-    if n == 1:
-        terms = signs * (diff > 0.0)
-    else:
-        terms = signs * np.where(diff > 0.0, diff, 0.0) ** (n - 1)
-    return [math.fsum(row) for row in terms.reshape(-1, 2**n).tolist()]
-
-
-def irwin_hall_at(c, t):
-    """Density at t of sum(c_j * V_j) with V_j iid uniform on [0, 1]; for
-    rows c (B, n) and t (B,), that of each row, (B,).
-
-    Signed inclusion-exclusion over the 2^n subset sums (irwin_hall_sums);
-    summed with math.fsum because of the heavy cancellation.  Requires all
-    c_j > 0.  A row goes through the operations of a one-row call, so it has
-    its bits.
-    """
-    c = np.asarray(c, dtype=float)
-    total = irwin_hall_sums(c, t)
-    scale = math.factorial(c.shape[-1] - 1) * np.prod(c, axis=-1)
-    return total[0] / float(scale) if c.ndim == 1 else np.array(total) / scale
+    totals = []
+    for _, chunks in signed_terms(c.reshape(-1, n), np.reshape(t, -1)):
+        if n <= TERM_CHUNK_BITS:
+            totals += [math.fsum(row) for row in next(chunks).tolist()]
+        else:  # one row, summed across its chunks
+            totals.append(math.fsum(itertools.chain.from_iterable(
+                chunk[0].tolist() for chunk in chunks)))
+    return totals

@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds, randomness, slabgeom
 from .densities import ProductDensity
 from .grassmann import Subspace, orthonormal_complement
-from .sections import ZERO_COORD_TOL, Box, hyperplane_section_exact
+from .sections import hyperplane_section_exact, unit_cube
 
 _GRID_BUDGET = 400_000
 
@@ -221,19 +221,6 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     return records
 
 
-def cube_hyperplane_section(theta) -> float:
-    """|Q_n cap theta-perp| for a unit vector theta, zero coordinates factored
-    out (each contributes a unit side)."""
-    theta = np.asarray(theta, dtype=float)
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
-        raise ValueError("theta must be a unit vector")
-    keep = np.abs(theta) > ZERO_COORD_TOL
-    reduced = theta[keep]
-    if reduced.size <= 1:
-        return 1.0
-    return hyperplane_section_exact(Box(np.ones(reduced.size)), reduced)
-
-
 def _rogozin_problem(f: ProductDensity, theta, tol: float):
     """(theta as an array, grid-sup problem) of rogozin_check."""
     if not f.in_class_f():
@@ -252,7 +239,7 @@ def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, f
     sup_lb <= cube_section * (1 + tol).
     """
     theta, problem = _rogozin_problem(f, theta, tol)
-    return marginal_grid_sup(*problem), cube_hyperplane_section(theta)
+    return marginal_grid_sup(*problem), hyperplane_section_exact(unit_cube(theta.size), theta)
 
 
 def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
@@ -260,7 +247,8 @@ def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
     grid sups run in lockstep by marginal_grid_sups."""
     prepared = [_rogozin_problem(f, theta, tol) for f, theta in cases]
     sups = marginal_grid_sups([problem for _, problem in prepared])
-    return [(sup_lb, cube_hyperplane_section(theta)) for (theta, _), sup_lb in zip(prepared, sups)]
+    thetas = np.array([theta for theta, _ in prepared])
+    return list(zip(sups, hyperplane_section_exact(unit_cube(thetas.shape[1]), thetas).tolist()))
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:

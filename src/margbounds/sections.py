@@ -62,32 +62,45 @@ def box_pieces(box: Box) -> list:
     return [[(-z / 2.0, z / 2.0, 1.0)] for z in box.sides.tolist()]
 
 
-def _check_unit(a: np.ndarray) -> None:
+def _normals(box: Box, a, limit: int, guard: str):
+    """The unit normal(s) a as rows (B, n), the mask of their coordinates
+    above ZERO_COORD_TOL, and (mantissa, exponent) of each row's product of
+    the other sides: those coordinates are exact zeros, whose sides are
+    factors of the section (all of it for a facet, one coordinate left).
+    Raises RouteLimitError(guard) for more than `limit` coordinates left.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (box.n,):
+        raise ValueError("dimension mismatch between box and normal")
+    rows = a.reshape(-1, box.n)
     # written so that a NaN or infinite norm fails the check
-    if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:
+    if not (np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-12).all():
         raise ValueError("normal vector must have unit norm (within 1e-12)")
+    keep = np.abs(rows) > ZERO_COORD_TOL
+    if keep.sum(axis=1).max() > limit:
+        raise RouteLimitError(guard)
+    return rows, keep, _frexp_prod(np.where(keep, 1.0, box.sides))
 
 
-def _frexp_prod(values) -> tuple[float, int]:
-    """(mantissa, exponent) of the product of positive finite floats, formed
-    without a partial product that overflows or underflows."""
-    mantissa, exponent = 1.0, 0
-    for v in values:
-        f, e = math.frexp(v)
-        mantissa, e2 = math.frexp(mantissa * f)
-        exponent += e + e2
-    return mantissa, exponent
+def _frexp_prod(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissa, exponent) of the product of each row of positive finite
+    floats (B, n), rounded as the plain product but without overflow or
+    underflow: the rows' mantissas multiply to at least 2^-n (n < 1,022)."""
+    f, e = np.frexp(values)
+    mantissa, e2 = np.frexp(f.prod(axis=-1))
+    return mantissa, e.sum(axis=-1) + e2
 
 
-def _normal_float(mantissa: float, exponent: int) -> float:
-    """mantissa * 2^exponent for a mantissa > 0, or RouteLimitError where
-    that section lies outside the range of normal floats."""
-    f, e = math.frexp(mantissa)
-    exponent += e
-    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
-        power = math.log10(f) + exponent * math.log10(2.0)
+def _normal_float(mantissa, exponent) -> np.ndarray:
+    """mantissa * 2^exponent for mantissas > 0, or RouteLimitError where
+    such a section lies outside the range of normal floats."""
+    f, e = np.frexp(mantissa)
+    exponent = exponent + e
+    outside = (exponent < sys.float_info.min_exp) | (exponent > sys.float_info.max_exp)
+    if outside.any():
+        power = np.ravel(np.log10(f) + exponent * math.log10(2.0))[np.ravel(outside)][0]
         raise RouteLimitError(f"the section, about 1e{power:.0f}, is outside the normal float range")
-    return math.ldexp(f, exponent)
+    return np.ldexp(f, exponent)
 
 
 # How far (relative) a signed vertex sum may stray outside the section's
@@ -96,99 +109,71 @@ def _normal_float(mantissa: float, exponent: int) -> float:
 CANCELLATION_SLACK = 2.0**-10
 
 
-def _exact_rows_in_range(rows: np.ndarray, sums: np.ndarray, vol: float) -> np.ndarray:
-    """Per row of c (B, n): whether irwin_hall_at's evaluation and its product
-    with vol stay in the normal float range: vol, (n-1)! prod c and the 2^n
-    signed terms, each at most (sum c / 2)^(n-1)."""
-    n = rows.shape[-1]
-    if not sys.float_info.min <= vol <= sys.float_info.max:
-        return np.zeros(rows.shape[0], dtype=bool)
-    with np.errstate(over="ignore", under="ignore"):
-        prods = math.factorial(n - 1) * np.prod(rows, axis=-1)
-    log2_terms = n + (n - 1) * np.log2(0.5 * sums)
-    return (prods >= sys.float_info.min) & (prods <= sys.float_info.max) & (log2_terms < 1020.0)
+class CancellationError(RouteLimitError):
+    """Rows lost to cancellation; values holds the others' sections, NaN at those."""
 
-
-def _exact_scaled(sides: np.ndarray, a_abs: np.ndarray) -> tuple[float, int]:
-    """(mantissa, exponent) of vol(B) rho for one normal, with the sides
-    scaled by a power of two: vol(B) rho = irwin_hall_sums(c) / ((n-1)!
-    prod |a|), and the sum is (n-1)-homogeneous in c.  The mantissa is <= 0
-    where cancellation left nothing."""
-    n = sides.size
-    e = math.frexp(float(sides.max()))[1]
-    c = a_abs * np.ldexp(sides, -e)
-    total = kernels.irwin_hall_sums(c, 0.5 * c.sum())[0]
-    mantissa, exponent = _frexp_prod(a_abs.tolist())
-    return total / (math.factorial(n - 1) * mantissa), e * (n - 1) - exponent
+    def __init__(self, message: str, values: np.ndarray):
+        super().__init__(message)
+        self.values = values
 
 
 def hyperplane_section_exact(box: Box, a):
-    """|B cap a-perp| by the signed vertex formula (exact up to rounding),
-    or that of each row of normals a (B, n), with one-row calls' bits.
+    """|B cap a-perp| by the signed vertex formula (exact up to rounding)
+    for a unit normal a (n,), or that of each row of normals a (B, n).
 
-    Evaluates the density at its center of the weighted sum of independent
-    uniforms sum_j z_j a_j U_j, times the box volume.  Requires every a_j to
-    be nonzero; callers must factor out zero coordinates first.
+    Over the m coordinates above ZERO_COORD_TOL (_normals), with c_j =
+    |a_j| z_j, it is the dropped sides' product times irwin_hall_sums(c) /
+    ((m-1)! prod |a|).  Every row goes one way, by m, with its one-row
+    bits: the sides scaled by the power of two that brings the widest into
+    [1, 2) (the sum is (m-1)-homogeneous), products by _frexp_prod.
 
-    A row whose evaluation would leave the normal float range (the volume,
-    prod c or the signed terms) is evaluated with the sides scaled by a power
-    of two instead (_exact_scaled); every other row keeps its bits.  Every
-    section lies in the bracket [vol / sum c, vol / max c], since the density
-    is symmetric and unimodal on an interval of length sum c and its widest
-    uniform factor caps it.  Raises RouteLimitError for a value more than
-    CANCELLATION_SLACK outside that bracket (lost to cancellation, as when
-    one side is 1e200 times the others) and for a section outside the
-    normal float range.  One such row fails the whole call; the message
-    names the rows of a batch that were lost.
+    Every section lies in [vol / sum c, vol / max c]: the density of sum_j
+    c_j U_j is symmetric and unimodal on an interval of length sum c, and
+    its widest factor caps it.  Raises CancellationError, naming a batch's
+    rows, for values more than CANCELLATION_SLACK outside it (as when one
+    side is 1e200 times the others), RouteLimitError for a section outside
+    the normal float range or more than 24 coordinates left.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != box.n:
-        raise ValueError("dimension mismatch between box and normal")
-    for row in a.reshape(-1, box.n):
-        _check_unit(row)
-    if (np.abs(a) <= ZERO_COORD_TOL).any():
-        raise ValueError(
-            "exact route needs all |a_j| > 1e-10; factor out zero coordinates"
-        )
-    if box.n > 24:
-        raise RouteLimitError("combinatorial blowup guard: n > 24")
-    c = np.abs(a) * box.sides
-    rows = c.reshape(-1, box.n)
-    sums = rows.sum(axis=-1)
-    with np.errstate(over="ignore", under="ignore"):
-        vol = box.volume()
-    in_range = _exact_rows_in_range(rows, sums, vol)
-    values = np.zeros(rows.shape[0])
-    if in_range.any():
-        values[in_range] = vol * kernels.irwin_hall_at(rows[in_range], 0.5 * sums[in_range])
-    in_range &= (values >= sys.float_info.min) & (values <= sys.float_info.max)
+    rows, keep, (mantissa, exponent) = _normals(
+        box, a, 24, "combinatorial blowup guard: n > 24 nonzero coordinates")
+    kept = keep.sum(axis=1)
+    a_abs = np.abs(rows)
+    for m in set(kept.tolist()) - {1}:
+        group = kept == m
+        mask = keep[group]
+        a_kept = a_abs[group][mask].reshape(-1, m)
+        sides = np.where(mask, box.sides, 0.0)[mask].reshape(-1, m)
+        e = np.frexp(sides.max(axis=1))[1] - 1
+        scaled = a_kept * np.ldexp(sides, -e[:, None])
+        total = np.array(kernels.irwin_hall_sums(scaled, 0.5 * scaled.sum(axis=1)))
+        a_mantissa, a_exponent = _frexp_prod(a_kept)
+        mantissa[group] *= total / (math.factorial(m - 1) * a_mantissa)
+        exponent[group] += e * (m - 1) - a_exponent
+    c = np.where(keep, a_abs * box.sides, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_values = np.log2(values)
-    scaled = {}
-    for i in np.flatnonzero(~in_range):
-        mantissa, exponent = _exact_scaled(box.sides, np.abs(a.reshape(-1, box.n)[i]))
-        scaled[i] = mantissa, exponent
-        log2_values[i] = math.log2(mantissa) + exponent if mantissa > 0.0 else -math.inf
-    log2_vol = float(np.log2(box.sides).sum())
-    with np.errstate(divide="ignore"):
-        lo = log2_vol - np.log2(sums) + math.log2(1.0 - CANCELLATION_SLACK)
-        hi = log2_vol - np.log2(rows.max(axis=-1)) + math.log2(1.0 + CANCELLATION_SLACK)
+        log2_values = np.where(mantissa > 0.0, np.log2(mantissa), -math.inf) + exponent
+        log2_vol = float(np.log2(box.sides).sum())
+        lo = log2_vol - np.log2(c.sum(axis=1)) + math.log2(1.0 - CANCELLATION_SLACK)
+        hi = log2_vol - np.log2(c.max(axis=1)) + math.log2(1.0 + CANCELLATION_SLACK)
     lost = ~((log2_values >= lo) & (log2_values <= hi))
+    values = _normal_float(np.where(lost, 1.0, mantissa), np.where(lost, 0, exponent))
     if lost.any():
-        rows_note = f" (rows {np.flatnonzero(lost).tolist()})" if a.ndim > 1 else ""
-        raise RouteLimitError(
+        rows_note = f" (rows {np.flatnonzero(lost).tolist()})" if np.ndim(a) > 1 else ""
+        raise CancellationError(
             "exact route lost the section to cancellation: the signed vertex sum "
-            f"lies outside the bracket [vol / sum c, vol / max c]{rows_note}")
-    for i, (mantissa, exponent) in scaled.items():
-        values[i] = _normal_float(mantissa, exponent)
-    return float(values[0]) if a.ndim == 1 else values
+            f"lies outside the bracket [vol / sum c, vol / max c]{rows_note}",
+            np.where(lost, math.nan, values))
+    return float(values[0]) if np.ndim(a) == 1 else values
 
 
 def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray:
     """Vectorized exact hyperplane sections for many unit normals (rows).
 
-    Same formula as hyperplane_section_exact, evaluated with plain numpy
-    sums; adequate for well-conditioned (e.g. Haar) normals.
+    Same formula as hyperplane_section_exact, each row's signed terms (in
+    kernels.signed_terms's chunks) summed by a BLAS dot, not math.fsum:
+    adequate for well-conditioned (e.g. Haar) normals, and 3x faster.  Rows
+    with a coordinate or a c_j at or below ZERO_COORD_TOL go to
+    hyperplane_section_exact.
     """
     normals = np.asarray(normals, dtype=float)
     m, n = normals.shape
@@ -197,15 +182,17 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     if n > 20:
         raise RouteLimitError("batch guard: n > 20")
     c = np.abs(normals) * box.sides[None, :]
-    if c.min() <= ZERO_COORD_TOL:
-        raise ValueError("batch exact route needs all |a_j| > 1e-10")
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
-    subset_sums = c @ bits.T.astype(float)  # (m, 2^n)
-    diff = 0.5 * c.sum(axis=1)[:, None] - subset_sums
-    terms = np.where(diff > 0.0, diff, 0.0) ** (n - 1)
-    dens = (terms @ signs) / (math.factorial(n - 1) * np.prod(c, axis=1))
-    return box.volume() * dens
+    narrow = (np.minimum(c, np.abs(normals)) <= ZERO_COORD_TOL).any(axis=1)
+    values = np.empty(m)
+    if narrow.any():
+        values[narrow] = hyperplane_section_exact(box, normals[narrow])
+    c = c[~narrow]
+    dens = np.empty(len(c))
+    for rows, chunks in kernels.signed_terms(c, 0.5 * c.sum(axis=1)):
+        terms = next(chunks)
+        dens[rows] = (terms @ np.ones(terms.shape[1])) / (math.factorial(n - 1) * np.prod(c[rows], axis=1))
+    values[~narrow] = box.volume() * dens
+    return values
 
 
 # Most [0, T] panels the sinc route integrates where its envelope drops the
@@ -282,20 +269,14 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
-    a = np.asarray(a, dtype=float)
-    if a.size != box.n:
-        raise ValueError("dimension mismatch between box and normal")
-    _check_unit(a)
-    keep = np.abs(a) > ZERO_COORD_TOL
+    # the guard runs here because a dropped tail never reaches the expansion's
+    rows, keep, dropped = _normals(box, a, MAX_SINC_FACTORS,
+                                   f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
+    a, keep = rows[0], keep[0]
     m = int(keep.sum())
-    if m == 0:
-        raise ValueError("normal vector is numerically zero")
     if m == 1:
         # facet: the section is the opposite pair of faces' cross-section
-        return _normal_float(*_frexp_prod(box.sides[~keep].tolist()))
-    if m > MAX_SINC_FACTORS:
-        # checked here because a dropped tail never reaches the expansion's guard
-        raise RouteLimitError(f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
+        return float(_normal_float(*dropped)[0])
     z = box.sides[keep]
     e_max = math.frexp(float(z.max()))[1]
     c = np.abs(a[keep]) * np.ldexp(z, -e_max) / 2.0  # c_j / 2^e_max
@@ -305,7 +286,7 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     with np.errstate(divide="ignore"):  # an underflowed r_j makes the envelope infinite
         log_prod_r = math.fsum(np.log(r).tolist())
     # the section is k J, k = k_mantissa 2^k_exponent
-    k_mantissa, k_exponent = _frexp_prod(box.sides.tolist())
+    k_mantissa, k_exponent = (x.item() for x in _frexp_prod(box.sides[None]))
     k_mantissa /= math.pi * c_max
     k_exponent -= e_max
     # the section lies in k [pi / (2 sum r), pi / 2]; the end nearer the
@@ -329,7 +310,7 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
             expand = False
             # the computed sum carries at most (m + 3) roundings of 2^-53
             if r_sum <= 2.0 * (1.0 - (m + 3) * UNIT_ROUNDOFF):
-                return _normal_float(k_mantissa * math.pi / 2.0, k_exponent)
+                return float(_normal_float(k_mantissa * math.pi / 2.0, k_exponent))
             log_s = log_extent(log_budget)
             log_s_max = math.log(MAX_TOL_PANELS * math.pi)
             if log_s > log_s_max:
@@ -352,7 +333,7 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
                              _scaled_bound(err * k_mantissa, k_exponent, 0.0))
     if expand:
         value += sinc_product_tail(r, panels * math.pi)
-    return _normal_float(k_mantissa * value, k_exponent)
+    return float(_normal_float(k_mantissa * value, k_exponent))
 
 
 def _scaled_bound(mantissa: float, exponent: int, log_factor: float) -> float:

@@ -142,9 +142,8 @@ def _ball_oracle(p, head=40):
 def test_ball_integral_matches_oracle(p, want):
     if want is None:
         want = float(_ball_oracle(p))
-    # the Kronrod weights, given to 15 digits, leave about 3e-15; the
-    # adaptive stop at tol / 4 leaves 1.5e-13 at p = 2.5, where |sin t|^p is
-    # not smooth at the panel ends
+    # the adaptive stop at tol / 4 leaves 1.5e-13 at p = 2.5, where
+    # |sin t|^p is not smooth at the panel ends
     assert ball_integral(p) == pytest.approx(want, rel=2e-13, abs=0.0)
 
 

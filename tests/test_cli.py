@@ -98,6 +98,19 @@ def test_sections_exact_value(tmp_path):
     assert report["summary"]["value"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
+@pytest.mark.parametrize("sides, normal", [("1,2,3", "0.6,0.8,0"), ("1,1", "1,1e-11")])
+def test_sections_exact_drops_zero_coordinates(tmp_path, sides, normal):
+    # a coordinate at or below 1e-10 drops out of the exact route as out of
+    # the sinc route, not a usage error
+    values = []
+    for mode in ("exact", "sinc"):
+        out = tmp_path / f"{mode}.json"
+        assert run(["sections", "--mode", mode, "--sides", sides, "--normal", normal,
+                    "--out", str(out)]) == 0
+        values.append(json.loads(out.read_text())["summary"]["value"])
+    assert abs(values[0] - values[1]) <= 1e-12
+
+
 def test_sections_quadrature_from_subspace_file(tmp_path):
     from margbounds.grassmann import haar_sample
 
@@ -391,6 +404,28 @@ def test_search_max_report_is_pinned(tmp_path):
     assert json.loads(out.read_text())["summary"]["best_value"].hex() == (1.9913631328061048).hex()
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_search_max_rejects_lines_the_exact_route_cannot_certify(tmp_path, seed):
+    # the climb toward Ball's maximizer proposes lines whose signed vertex
+    # sums cancel; each is rejected and counted, and the run ends on
+    # certified values (one such line aborted the whole run before)
+    out = tmp_path / "sm.json"
+    assert run(["search-max", "--n", "6", "--k", "1", "--seed", str(seed),
+                "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())["records"][0]
+    assert rec["unscored"] > 0
+    assert rec["best_value"] <= math.sqrt(2.0) * (1.0 + 1e-12)
+
+
+def test_search_max_with_no_certified_line_is_a_failure(monkeypatch, capsys):
+    def lost(box, a):
+        raise cli.sections.CancellationError("lost", np.full(len(a), math.nan))
+
+    monkeypatch.setattr(cli.sections, "hyperplane_section_exact", lost)
+    assert run(["search-max", "--n", "4", "--k", "1", "--restarts", "1", "--steps", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: the exact route certified no section")
+
+
 def test_densities_validate(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))
@@ -637,7 +672,7 @@ def test_no_command_loads_a_scipy_submodule(tmp_path):
     # importing margbounds nor running them loads scipy.special, or any
     # scipy module beyond what a bare `import scipy` loads; scipy itself
     # stays loaded for cli's one import.  The sinc report's bytes are
-    # pinned: its value 1.2999131944444409 lies 3.3e-15 below the 60-digit
+    # pinned: its value 1.2999131944444446 lies 3.5e-16 above the 60-digit
     # signed-vertex value 1.2999131944444442.
     src = os.path.dirname(os.path.dirname(os.path.abspath(margbounds.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -645,4 +680,4 @@ def test_no_command_loads_a_scipy_submodule(tmp_path):
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1].split() == [
         "True", "False", "[]", "True",
-        "0109489a295f1926e48b01d29e160e2eecf822f82205ae319221661c564abb5d"]
+        "a58cf91f9a36b867b645e0d179354c8983b065eb1fbf8680f3a8b2d0996f18ed"]

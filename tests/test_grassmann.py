@@ -19,8 +19,7 @@ from margbounds.grassmann import (
     parallelepiped_projection_check,
     projection_weights,
 )
-from margbounds.marginals import cube_hyperplane_section
-from margbounds.sections import box_pieces, unit_cube
+from margbounds.sections import box_pieces, hyperplane_section_exact, unit_cube
 
 
 def test_subspace_validation():
@@ -240,7 +239,7 @@ def _batches(trace, steps, width):
 def _cube_objective(n, k):
     """search-max's objective: |Q_n cap E-perp| of each basis of E."""
     if k == 1:
-        return lambda bases: np.array([cube_hyperplane_section(basis[:, 0]) for basis in bases])
+        return lambda bases: hyperplane_section_exact(unit_cube(n), bases[:, :, 0])
     cube = [box_pieces(unit_cube(n))]
     return lambda bases: slabgeom.sums_at_zero(complement_bases(bases), cube)[0]
 

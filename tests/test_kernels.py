@@ -431,18 +431,28 @@ def test_polytope_volume_near_sharp_subspaces(case, log_tilt, seed, spread):
     _assert_exact(w, lo, hi, got, rel=1e-12 + 400.0 * tilt)
 
 
+def irwin_hall_at(c, t):
+    """Density at t of sum(c_j V_j), V_j iid uniform on [0, 1]: the signed
+    sum kernels.irwin_hall_sums over (n-1)! prod c; for rows c (B, n) and
+    t (B,), that of each row."""
+    c = np.asarray(c, dtype=float)
+    total = kernels.irwin_hall_sums(c, t)
+    scale = math.factorial(c.shape[-1] - 1) * np.prod(c, axis=-1)
+    return total[0] / float(scale) if c.ndim == 1 else np.array(total) / scale
+
+
 @_KEEP_ID
 def test_irwin_hall_closed_forms(backend):
     # density of U1 + U2 (triangle) at the peak and halfway down
-    assert kernels.irwin_hall_at(np.array([1.0, 1.0]), 1.0) == pytest.approx(1.0)
-    assert kernels.irwin_hall_at(np.array([1.0, 1.0]), 0.5) == pytest.approx(0.5)
+    assert irwin_hall_at(np.array([1.0, 1.0]), 1.0) == pytest.approx(1.0)
+    assert irwin_hall_at(np.array([1.0, 1.0]), 0.5) == pytest.approx(0.5)
     # three uniforms at the center: 3/4
-    assert kernels.irwin_hall_at(np.array([1.0, 1.0, 1.0]), 1.5) == pytest.approx(0.75)
+    assert irwin_hall_at(np.array([1.0, 1.0, 1.0]), 1.5) == pytest.approx(0.75)
 
 
 @_KEEP_ID
 def test_irwin_hall_outside_support(backend):
-    assert kernels.irwin_hall_at(np.array([1.0, 1.0]), 2.5) == pytest.approx(0.0, abs=1e-14)
+    assert irwin_hall_at(np.array([1.0, 1.0]), 2.5) == pytest.approx(0.0, abs=1e-14)
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -485,7 +495,7 @@ def test_irwin_hall_matches_mpmath_oracle():
         for c in coefficients:
             for t in (0.5 * c.sum(), rng.uniform(0.1, 0.9) * c.sum()):
                 want, scale = _irwin_hall_oracle(c, t)
-                err = abs(kernels.irwin_hall_at(c, t) - want)
+                err = abs(irwin_hall_at(c, t) - want)
                 assert err <= n * _UNIT_ROUNDOFF * scale + 4.0 * _UNIT_ROUNDOFF * want
                 if n * _UNIT_ROUNDOFF * scale <= 1e-13 * want:
                     assert err <= 1e-12 * want
@@ -496,9 +506,31 @@ def test_irwin_hall_matches_mpmath_oracle():
 @_KEEP_ID
 def test_irwin_hall_guards(backend):
     with pytest.raises(ValueError):
-        kernels.irwin_hall_at(np.array([1.0, -1.0]), 0.0)
+        irwin_hall_at(np.array([1.0, -1.0]), 0.0)
     with pytest.raises(ValueError):
-        kernels.irwin_hall_at(np.ones(25), 12.5)
+        irwin_hall_at(np.ones(25), 12.5)
+
+
+def test_irwin_hall_sums_do_not_depend_on_the_chunk(monkeypatch):
+    # chunks of 2^3 terms: blocks of 8 / 2^n rows up to n = 3, then one row
+    # streamed as 2^(n - 3) chunks; every sum keeps its bits, and a call holds
+    # at most 2^3 terms in an array
+    rng = np.random.default_rng(40)
+    cases = [(rng.uniform(0.1, 1.0, size=(7, n)), rng.uniform(0.2, 0.8)) for n in range(1, 9)]
+    want = [kernels.irwin_hall_sums(c, f * c.sum(axis=1)) for c, f in cases]
+    widths = []
+    real_terms = kernels._block_terms
+
+    def spy(c, t, head):
+        for chunk in real_terms(c, t, head):
+            widths.append(chunk.size)
+            yield chunk
+
+    monkeypatch.setattr(kernels, "TERM_CHUNK_BITS", 3)
+    monkeypatch.setattr(kernels, "_block_terms", spy)
+    for (c, f), sums in zip(cases, want):
+        assert kernels.irwin_hall_sums(c, f * c.sum(axis=1)) == sums
+    assert max(widths) == 8
 
 
 def test_slab_volume_dispatch():

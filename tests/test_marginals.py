@@ -20,12 +20,12 @@ from margbounds.densities import (
 from margbounds.grassmann import Subspace, haar_sample, orthonormal_complement
 from margbounds.marginals import (
     MarginalQuery,
-    cube_hyperplane_section,
     default_grid,
     marginal_at,
     marginal_grid_sup,
     marginal_grid_sups,
     rogozin_check,
+    rogozin_checks,
     small_ball,
     small_ball_bound,
     verify_main_theorems,
@@ -191,11 +191,17 @@ def test_verify_main_theorem_random():
         assert rec["pass"], rec
 
 
-def test_cube_hyperplane_section_zero_coords():
-    assert cube_hyperplane_section(np.array([1.0, 0.0, 0.0])) == 1.0
-    got = cube_hyperplane_section(np.array([0.6, 0.8, 0.0]))
-    # reduces to the 2-D section with normal (0.6, 0.8)
-    assert got == pytest.approx(1.0 / 0.8)
+def test_rogozin_cube_sections_drop_zero_coordinates():
+    # one call for the chunk's directions, whatever their zero patterns: a
+    # facet, the 2-D section with normal (0.6, 0.8), and a Haar direction
+    thetas = [np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8]),
+              haar_sample(3, 1, seed=5).basis[:, 0]]
+    f = cube_density(3)
+    got = [cs for _, cs in rogozin_checks([(f, theta) for theta in thetas])]
+    assert got == [rogozin_check(f, theta)[1] for theta in thetas]
+    assert got[0] == 1.0
+    assert got[1] == pytest.approx(1.0 / 0.8, rel=1e-15)
+    assert got[2] == got[1]
 
 
 def test_rogozin_equality_cube_diagonal():

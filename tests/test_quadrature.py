@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,46 @@ from margbounds.quadrature import (
     sinc_product_tail,
 )
 from margbounds.special import sici
+
+
+def _exact_weights(nodes, degree):
+    """Weights of the interpolatory rule on nodes, from its exactness on
+    x^0..x^(len - 1); returns them and the worst error on x^0..x^degree."""
+    size = len(nodes)
+    vander = mpmath.matrix([[x**i for x in nodes] for i in range(size)])
+    moments = mpmath.matrix([mpmath.mpf(2) / (i + 1) if i % 2 == 0 else 0 for i in range(size)])
+    weights = list(mpmath.lu_solve(vander, moments))
+    worst = max(abs(mpmath.fsum(w * x**i for w, x in zip(weights, nodes))
+                    - (mpmath.mpf(2) / (i + 1) if i % 2 == 0 else 0)) for i in range(degree + 1))
+    return weights, worst
+
+
+def test_gauss_kronrod_constants_are_the_correctly_rounded_mpmath_values():
+    # the Gauss nodes are the roots of P_7; the Kronrod nodes those of the
+    # Stieltjes polynomial E_8 = x^8 + e_6 x^6 + e_4 x^4 + e_2 x^2 + e_0,
+    # orthogonal to x^k P_7 for k < 8 (the even k hold by symmetry); K15 is
+    # exact to degree 22 and G7 to degree 13
+    with mpmath.workdps(60):
+        legendre = lambda x: mpmath.legendre(7, x)
+        gauss = [mpmath.findroot(legendre, mpmath.mpf(x))
+                 for x in quadrature._KRONROD_NODES[1::2].tolist()]
+        moment = lambda f: mpmath.quad(f, [-1, 0, 1])
+        system = mpmath.matrix([[moment(lambda x, j=j, k=k: x**(j + k) * legendre(x))
+                                 for j in (6, 4, 2, 0)] for k in (1, 3, 5, 7)])
+        rhs = mpmath.matrix([-moment(lambda x, k=k: x**(8 + k) * legendre(x)) for k in (1, 3, 5, 7)])
+        e6, e4, e2, e0 = mpmath.lu_solve(system, rhs)
+        stieltjes = lambda x: x**8 + e6 * x**6 + e4 * x**4 + e2 * x**2 + e0
+        kronrod = [mpmath.findroot(stieltjes, mpmath.mpf(x))
+                   for x in quadrature._KRONROD_NODES[0::2].tolist()]
+        nodes = [None] * 15
+        nodes[0::2], nodes[1::2] = kronrod, gauss
+        k15, k15_worst = _exact_weights(nodes, 22)
+        g7, g7_worst = _exact_weights(gauss, 13)
+        assert k15_worst < 1e-50 and g7_worst < 1e-50
+        assert quadrature._KRONROD_NODES.tolist() == [float(x) for x in nodes]
+        assert quadrature._KRONROD_WEIGHTS.tolist() == [float(w) for w in k15]
+        assert quadrature._GAUSS_WEIGHTS_ON_KRONROD[1::2].tolist() == [float(w) for w in g7]
+        assert not quadrature._GAUSS_WEIGHTS_ON_KRONROD[0::2].any()
 
 
 def test_gk_exact_on_polynomials():
@@ -174,9 +215,9 @@ def test_adaptive_panels_bit_for_bit_when_rounds_run_out():
 # the true values are 1 = 0x1.0p+0, 2/3 = 0x1.5555555555555p-1 and, at 30
 # digits, I(7.3) = 0.500893013157597147 = 0x1.00750c8c9d11fp-1
 @pytest.mark.parametrize("p, want", [
-    (2.0, "0x1.fffffffffffe3p-1"),
-    (4.0, "0x1.5555555555543p-1"),
-    (7.3, "0x1.00750c8c9d111p-1"),
+    (2.0, "0x1.0000000000001p+0"),
+    (4.0, "0x1.5555555555554p-1"),
+    (7.3, "0x1.00750c8c9d11fp-1"),
 ])
 def test_ball_integral_keeps_its_bits(p, want):
     assert bounds.ball_integral(p).hex() == want

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from margbounds import kernels, sections
 from margbounds.grassmann import Subspace, haar_directions, haar_sample, orthonormal_complement
 from margbounds.quadrature import RouteLimitError, ToleranceError, sinc_product_tail
 from margbounds.sections import (
+    UNIT_ROUNDOFF,
     Box,
     hyperplane_section_exact,
     hyperplane_section_sinc,
@@ -63,9 +65,22 @@ def test_q4_diagonal_exact():
     )
 
 
-def test_exact_rejects_zero_coordinates():
-    with pytest.raises(ValueError):
-        hyperplane_section_exact(unit_cube(3), np.array([1.0, 0.0, 0.0]))
+@pytest.mark.parametrize("sides, a", [
+    ([1.0, 2.0, 3.0], [0.6, 0.8, 0.0]),  # one zero coordinate
+    ([1.5, 0.5, 2.0, 1.0], [0.0, 0.6, 0.0, -0.8]),  # two
+    ([0.7, 1.3, 1.1, 0.9], [0.5, 0.0, 0.6, 0.0]),  # two, three factors left
+    ([1.0, 1.0], [1.0, 1e-11]),  # below ZERO_COORD_TOL, not exactly zero
+    ([2.0, 3.0, 5.0], [0.0, 1.0, 0.0]),  # facets
+    ([1.0, 1.0, 1.0], [1.0, 0.0, 0.0]),
+])
+def test_exact_and_sinc_agree_where_coordinates_drop(sides, a):
+    # coordinates at or below ZERO_COORD_TOL drop out of both routes alike;
+    # with one left the section is the product of the others' sides
+    a = np.array(a) / np.linalg.norm(a)
+    exact = hyperplane_section_exact(Box(sides), a)
+    assert abs(exact - hyperplane_section_sinc(Box(sides), a)) <= 1e-12
+    if np.count_nonzero(np.abs(a) > sections.ZERO_COORD_TOL) == 1:
+        assert exact == np.prod(np.array(sides)[np.abs(a) <= sections.ZERO_COORD_TOL])
 
 
 def test_sinc_facet_case():
@@ -132,6 +147,35 @@ def test_batch_matches_single():
     batch = hyperplane_sections_exact_batch(box, dirs)
     singles = [hyperplane_section_exact(box, a) for a in dirs]
     assert batch == pytest.approx(singles, rel=1e-10)
+
+
+def test_batch_sends_rows_with_zero_coordinates_to_the_exact_route():
+    box = unit_cube(5)
+    dirs = haar_directions(5, 6, seed=8)
+    dirs[1, 2] = 0.0
+    dirs[4, [0, 3]] = [1e-11, 0.0]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    got = hyperplane_sections_exact_batch(box, dirs)
+    assert got[[1, 4]].tolist() == hyperplane_section_exact(box, dirs[[1, 4]]).tolist()
+    assert got[[0, 2, 3, 5]].tolist() == hyperplane_sections_exact_batch(box, dirs[[0, 2, 3, 5]]).tolist()
+
+
+def test_batch_holds_one_chunk_of_terms_at_a_time(monkeypatch):
+    # chunks of 2^12 terms, one row at n = 12: the 64 rows' (64, 2^12)
+    # arrays would take 2 MiB each
+    box = unit_cube(12)
+    dirs = haar_directions(12, 64, seed=9)
+    monkeypatch.setattr(kernels, "TERM_CHUNK_BITS", 12)
+    tracemalloc.start()
+    try:
+        got = hyperplane_sections_exact_batch(box, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a BLAS dot's bits depend on the rows beside it in its call, and the
+    # plain sums lose up to about 5e-10 here
+    np.testing.assert_allclose(got, hyperplane_section_exact(box, dirs), rtol=1e-8)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
@@ -407,19 +451,59 @@ def test_sinc_extent_follows_the_envelope_rule(monkeypatch):
     assert {(8, "skipped"), (8, "within tol")} & choices
 
 
-def test_exact_keeps_its_bits_in_the_normal_range():
-    # bit for bit the evaluation without scaling, one row and many
+def test_exact_rows_mixing_zero_patterns_keep_their_one_row_bits():
+    # rows that keep every coordinate, some or one (a facet) go through one
+    # call, in groups by how many they keep; each row has its one-row bits
     rng = np.random.default_rng(36)
-    for n in range(1, 17):
-        for scale in (1.0, 1e-15, 1e15):  # prod c and the terms stay normal
+    for n in (2, 3, 5, 8):
+        for scale in (1.0, 1e-30, 1e30):
             sides = rng.uniform(0.5, 2.0, n) * scale
-            a = rng.normal(size=(3, n))
+            a = rng.normal(size=(12, n))
+            for row, zeros in zip(a, [0, 1, 2, n - 1] * 3):
+                row[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
             a /= np.linalg.norm(a, axis=1)[:, None]
-            c = np.abs(a) * sides
-            want = Box(sides).volume() * kernels.irwin_hall_at(c, 0.5 * c.sum(axis=-1))
             got = hyperplane_section_exact(Box(sides), a)
-            assert got.tolist() == want.tolist()
-            assert hyperplane_section_exact(Box(sides), a[0]) == want[0]
+            assert got.tolist() == [hyperplane_section_exact(Box(sides), row) for row in a]
+
+
+def _section_error_scale(sides, a):
+    """(section, cancellation scale) at 60 digits: _section_oracle, and
+    prod z t sum_S (t - s_S)_+^(n-2) / ((n-1)! prod c), which bounds what the
+    rounding of s_S and t - s_S can move the signed sum by (test_kernels's
+    Irwin-Hall oracle)."""
+    n = len(sides)
+    with mpmath.workdps(60):
+        zs = [mpmath.mpf(float(z)) for z in sides]
+        cs = [abs(mpmath.mpf(float(x))) * z for x, z in zip(a, zs)]
+        t = mpmath.fsum(cs) / 2
+        sums = [mpmath.mpf(0)]
+        for ci in cs:
+            sums += [s + ci for s in sums]
+        scale = mpmath.fsum(t * (t - s) ** (n - 2) for s in sums if s < t)
+        norm = math.factorial(n - 1) * mpmath.fprod(cs) / mpmath.fprod(zs)
+        return _section_oracle(sides, a), float(scale / norm)
+
+
+@pytest.mark.parametrize("kind", ["cube", "unit-volume box"])
+def test_exact_matches_the_oracle_on_haar_normals(kind):
+    # 8 Haar normals per n = 3..12: within n u times the cancellation scale
+    # plus 4 u of the section (the scale's bound held with a factor 4 to
+    # spare over 200 normals per n), and within 1e-12 where that scale is
+    # small against the section
+    rng = np.random.default_rng(37)
+    well_conditioned = 0
+    for n in range(3, 13):
+        sides = np.ones(n) if kind == "cube" else rng.uniform(0.5, 2.0, n)
+        box = _unit_volume(Box(sides))
+        dirs = haar_directions(n, 8, seed=200 + n)
+        for a, got in zip(dirs, hyperplane_section_exact(box, dirs).tolist()):
+            want, scale = _section_error_scale(box.sides, a)
+            bound = n * UNIT_ROUNDOFF * scale + 4.0 * UNIT_ROUNDOFF * want
+            assert abs(got - want) <= bound, (n, a)
+            if n * UNIT_ROUNDOFF * scale <= 1e-13 * want:
+                assert abs(got - want) <= 1e-12 * want, (n, a)
+                well_conditioned += 1
+    assert well_conditioned >= 20
 
 
 def test_exact_names_the_batch_rows_lost_to_cancellation():
