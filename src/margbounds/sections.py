@@ -269,6 +269,8 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     """
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
+    if np.size(a) != box.n:
+        raise ValueError("dimension mismatch between box and normal")
     # the guard runs here because a dropped tail never reaches the expansion's
     rows, keep, dropped = _normals(box, a, MAX_SINC_FACTORS,
                                    f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")

@@ -46,6 +46,17 @@ def test_non_unit_normals_rejected(route, normal):
         route(unit_cube(2), np.array(normal))
 
 
+@pytest.mark.parametrize("route", [hyperplane_section_exact, hyperplane_section_sinc])
+def test_normals_of_the_wrong_shape_rejected(route):
+    # the sinc route takes one normal; rows are the exact route's alone
+    bad = [np.ones(3) / math.sqrt(3.0)]
+    if route is hyperplane_section_sinc:
+        bad.append(np.tile(_diag(2), (2, 1)))
+    for a in bad:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            route(unit_cube(2), a)
+
+
 def test_q2_diagonal_exact():
     assert hyperplane_section_exact(unit_cube(2), _diag(2)) == pytest.approx(
         math.sqrt(2.0), abs=1e-12
