@@ -617,7 +617,7 @@ def irwin_hall_sums(c, t) -> list:
     if np.any(c <= 0.0):
         raise ValueError("coefficients must be positive")
     totals = []
-    t = np.broadcast_to(np.asarray(t, dtype=float), c.shape[:-1]).reshape(-1)
+    t = np.full(c.shape[:-1], t, dtype=float).reshape(-1)
     for _, chunks in signed_terms(c.reshape(-1, n), t):
         if n <= TERM_CHUNK_BITS:
             totals += [math.fsum(row) for row in next(chunks).tolist()]
