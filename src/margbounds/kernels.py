@@ -625,3 +625,29 @@ def irwin_hall_sums(c, t) -> list:
             totals.append(math.fsum(itertools.chain.from_iterable(
                 chunk[0].tolist() for chunk in chunks)))
     return totals
+
+
+def irwin_hall_bounds(c, t) -> np.ndarray:
+    """Bounds, to first order in u = 2^-53, on the rounding errors of
+    irwin_hall_sums(c, t) for rows c (B, n), n >= 2, of widths rounded once
+    each and t half their floating-point sum:
+    u [4 n^2 t sum_S (t - s_S)_+^(n-2) + (n + 1) sum_S (t - s_S)_+^(n-1)].
+
+    The roundings of t, s_S (each at most (n - 1) u 2t) and the widths move
+    t - s_S by at most 4 n t u, so a term by (n - 1) (t - s_S)^(n-2) times
+    that; the difference, the power and fsum add (n + 1) u of it.  At n = 2
+    the first sum counts every term: one whose difference rounds across 0
+    moves the total by that rounding."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[1]
+    if n < 2:
+        raise ValueError("need at least two coefficients")
+    t = np.asarray(t, dtype=float)
+    bounds = np.zeros(c.shape[0])
+    for rows, chunks in signed_terms(c, t):
+        for terms in chunks:
+            powers = np.abs(terms)
+            bounds[rows] += (4 * n * n * t[rows] * (powers ** ((n - 2) / (n - 1))).sum(axis=1)
+                             + (n + 1) * powers.sum(axis=1))
+    return 2.0**-53 * bounds
+

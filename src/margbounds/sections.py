@@ -26,7 +26,7 @@ from .quadrature import (
     sinc_product_tail,
 )
 
-ZERO_COORD_TOL = 1e-10  # |a_j| below this is treated as an exact zero
+ZERO_COORD_TOL = 1e-10  # on a cube, |a_j| at or below this is an exact zero (_zero_coords)
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -62,29 +62,39 @@ def box_pieces(box: Box) -> list:
     return [[(-z / 2.0, z / 2.0, 1.0)] for z in box.sides.tolist()]
 
 
-def _normals(box: Box, a, limit: int, guard: str):
-    """The unit normal(s) a as rows (B, n), the mask of their coordinates
-    above ZERO_COORD_TOL, and (mantissa, exponent) of each row's product of
-    the other sides: those coordinates are exact zeros, whose sides are
-    factors of the section (all of it for a facet, one coordinate left).
-    Raises RouteLimitError(guard) for more than `limit` coordinates left.
+def _zero_coords(a_abs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where the coordinates |a| (..., n) of unit normals, of widths c_j =
+    |a_j| z_j, are exact zeros: c_j max |a| <= ZERO_COORD_TOL max c, which
+    on a cube reads |a_j| <= ZERO_COORD_TOL.
+
+    Such a coordinate's side is a factor of the section, and for a facet,
+    one coordinate a_i left, the section is the product of the others'
+    sides over |a_i|.  Dropped, it raises the section by at most c_j /
+    (2 max c) <= sqrt(n) ZERO_COORD_TOL / 2 relative, and never lowers it:
+    the section is vol E f(c_j U), f the density of the others' sum
+    sum_i c_i U_i, and 0 <= f(0) - f(x) <= f(0) |x| / max c since f is the
+    widest factor's window over a symmetric unimodal law.
     """
+    return (c * a_abs.max(axis=-1, keepdims=True)
+            <= ZERO_COORD_TOL * c.max(axis=-1, keepdims=True))
+
+
+def _normals(box: Box, a) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normal a (n,), or rows of them (B, n), and the mask of the
+    coordinates each keeps (_zero_coords drops the others)."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1:] != (box.n,):
         raise ValueError("dimension mismatch between box and normal")
-    rows = a.reshape(-1, box.n)
     # written so that a NaN or infinite norm fails the check
-    if not (np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-12).all():
+    if not (np.abs(np.linalg.norm(a, axis=-1) - 1.0) <= 1e-12).all():
         raise ValueError("normal vector must have unit norm (within 1e-12)")
-    keep = np.abs(rows) > ZERO_COORD_TOL
-    if keep.sum(axis=1).max() > limit:
-        raise RouteLimitError(guard)
-    return rows, keep, _frexp_prod(np.where(keep, 1.0, box.sides))
+    a_abs = np.abs(a)
+    return a, ~_zero_coords(a_abs, a_abs * box.sides)
 
 
 def _frexp_prod(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mantissa, exponent) of the product of each row of positive finite
-    floats (B, n), rounded as the plain product but without overflow or
+    floats (..., n), rounded as the plain product but without overflow or
     underflow: the rows' mantissas multiply to at least 2^-n (n < 1,022)."""
     f, e = np.frexp(values)
     mantissa, e2 = np.frexp(f.prod(axis=-1))
@@ -117,53 +127,88 @@ class CancellationError(RouteLimitError):
         self.values = values
 
 
-def hyperplane_section_exact(box: Box, a):
-    """|B cap a-perp| by the signed vertex formula (exact up to rounding)
-    for a unit normal a (n,), or that of each row of normals a (B, n).
-
-    Over the m coordinates above ZERO_COORD_TOL (_normals), with c_j =
-    |a_j| z_j, it is the dropped sides' product times irwin_hall_sums(c) /
-    ((m-1)! prod |a|).  Every row goes one way, by m, with its one-row
-    bits: the sides scaled by the power of two that brings the widest into
-    [1, 2) (the sum is (m-1)-homogeneous), products by _frexp_prod.
-
-    Every section lies in [vol / sum c, vol / max c]: the density of sum_j
-    c_j U_j is symmetric and unimodal on an interval of length sum c, and
-    its widest factor caps it.  Raises CancellationError, naming a batch's
-    rows, for values more than CANCELLATION_SLACK outside it (as when one
-    side is 1e200 times the others), RouteLimitError for a section outside
-    the normal float range or more than 24 coordinates left.
-    """
-    rows, keep, (mantissa, exponent) = _normals(
-        box, a, 24, "combinatorial blowup guard: n > 24 nonzero coordinates")
+def _exact_rows(box: Box, a, bounded: bool):
+    """hyperplane_section_exact's sections of the rows of a (NaN where lost
+    to cancellation) and, if bounded, bounds on their relative rounding
+    errors (inf where lost), else None."""
+    a, keep = _normals(box, a)
+    rows, keep = a.reshape(-1, box.n), keep.reshape(-1, box.n)
     kept = keep.sum(axis=1)
+    if kept.max() > 24:
+        raise RouteLimitError("combinatorial blowup guard: n > 24 nonzero coordinates")
+    mantissa, exponent = _frexp_prod(np.where(keep, 1.0, box.sides))
+    errors = np.zeros(len(rows)) if bounded else None
     a_abs = np.abs(rows)
-    for m in set(kept.tolist()) - {1}:
+    for m in set(kept.tolist()):
         group = kept == m
         mask = keep[group]
         a_kept = a_abs[group][mask].reshape(-1, m)
         sides = np.where(mask, box.sides, 0.0)[mask].reshape(-1, m)
         e = np.frexp(sides.max(axis=1))[1] - 1
         scaled = a_kept * np.ldexp(sides, -e[:, None])
-        total = np.array(kernels.irwin_hall_sums(scaled, 0.5 * scaled.sum(axis=1)))
+        t = 0.5 * scaled.sum(axis=1)
+        total = np.array(kernels.irwin_hall_sums(scaled, t))
+        if bounded:
+            # the products and the quotient round at most n + 3 times
+            errors[group] = (box.n + 3) * UNIT_ROUNDOFF
+            if m > 1:
+                with np.errstate(divide="ignore"):
+                    errors[group] += kernels.irwin_hall_bounds(scaled, t) / np.where(total > 0.0, total, 0.0)
         a_mantissa, a_exponent = _frexp_prod(a_kept)
         mantissa[group] *= total / (math.factorial(m - 1) * a_mantissa)
         exponent[group] += e * (m - 1) - a_exponent
-    c = np.where(keep, a_abs * box.sides, 0.0)
+    c = a_abs * box.sides
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_values = np.where(mantissa > 0.0, np.log2(mantissa), -math.inf) + exponent
+        # a sum that cancelled to 0 or below reads -inf or NaN: lost
+        log2_values = np.log2(mantissa) + exponent
         log2_vol = float(np.log2(box.sides).sum())
         lo = log2_vol - np.log2(c.sum(axis=1)) + math.log2(1.0 - CANCELLATION_SLACK)
         hi = log2_vol - np.log2(c.max(axis=1)) + math.log2(1.0 + CANCELLATION_SLACK)
     lost = ~((log2_values >= lo) & (log2_values <= hi))
     values = _normal_float(np.where(lost, 1.0, mantissa), np.where(lost, 0, exponent))
+    values[lost] = math.nan
+    if bounded:
+        errors[lost] = math.inf
+    return values, errors
+
+
+def hyperplane_section_exact(box: Box, a):
+    """|B cap a-perp| by the signed vertex formula (exact up to rounding)
+    for a unit normal a (n,), or that of each row of normals a (B, n).
+
+    Over the m coordinates _zero_coords keeps, with c_j = |a_j| z_j, it is the
+    dropped sides' product times irwin_hall_sums(c) / ((m-1)! prod |a|).
+    Every row goes one way, by m, with its one-row bits: the sides scaled by
+    the power of two that brings the widest into [1, 2) (the sum is
+    (m-1)-homogeneous), products by _frexp_prod.
+
+    Every section lies in [vol / sum c, vol / max c], over every coordinate:
+    the density of sum_j c_j U_j is symmetric and unimodal on an interval of
+    length sum c, and its widest factor caps it.  Raises CancellationError,
+    naming a batch's rows, for values more than CANCELLATION_SLACK outside
+    it (as when one side is 1e8 times the others), RouteLimitError for a
+    section outside the normal float range or more than 24 coordinates
+    kept.  Inside the bracket a value may still have cancelled:
+    hyperplane_section_exact_bounded bounds its rounding error.
+    """
+    values, _ = _exact_rows(box, a, False)
+    lost = np.isnan(values)
     if lost.any():
         rows_note = f" (rows {np.flatnonzero(lost).tolist()})" if np.ndim(a) > 1 else ""
         raise CancellationError(
             "exact route lost the section to cancellation: the signed vertex sum "
-            f"lies outside the bracket [vol / sum c, vol / max c]{rows_note}",
-            np.where(lost, math.nan, values))
+            f"lies outside the bracket [vol / sum c, vol / max c]{rows_note}", values)
     return float(values[0]) if np.ndim(a) == 1 else values
+
+
+def hyperplane_section_exact_bounded(box: Box, a) -> tuple[np.ndarray, np.ndarray]:
+    """hyperplane_section_exact's sections of the unit normal(s) a, as (B,)
+    with its bits, and bounds on their relative rounding errors
+    (kernels.irwin_hall_bounds and the products' roundings; not the drop of
+    a coordinate): NaN and inf where it loses a row to cancellation.  The
+    bound adds up every term's worst case: 1e-11 to 3e-9 on Haar normals
+    at n = 8, 6e-8 to 1e-3 at n = 20, 100 to 2,000 times the error."""
+    return _exact_rows(box, a, True)
 
 
 def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray:
@@ -172,8 +217,7 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     Same formula as hyperplane_section_exact, each row's signed terms (in
     kernels.signed_terms's chunks) summed by a BLAS dot, not math.fsum:
     adequate for well-conditioned (e.g. Haar) normals, and 3x faster.  Rows
-    with a coordinate or a c_j at or below ZERO_COORD_TOL go to
-    hyperplane_section_exact.
+    with a coordinate that _zero_coords drops go to hyperplane_section_exact.
     """
     normals = np.asarray(normals, dtype=float)
     m, n = normals.shape
@@ -182,11 +226,15 @@ def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray
     if n > 20:
         raise RouteLimitError("batch guard: n > 20")
     c = np.abs(normals) * box.sides[None, :]
-    narrow = (np.minimum(c, np.abs(normals)) <= ZERO_COORD_TOL).any(axis=1)
+    narrow = np.zeros(m, dtype=bool)
+    # a unit row drops a coordinate only if its c_j <= ZERO_COORD_TOL sqrt(n)
+    # max c, so one global test spares most calls the per-row one
+    if c.min() <= ZERO_COORD_TOL * math.sqrt(n) * c.max():
+        narrow = _zero_coords(np.abs(normals), c).any(axis=1)
     values = np.empty(m)
     if narrow.any():
         values[narrow] = hyperplane_section_exact(box, normals[narrow])
-    c = c[~narrow]
+        c = c[~narrow]
     dens = np.empty(len(c))
     for rows, chunks in kernels.signed_terms(c, 0.5 * c.sum(axis=1)):
         terms = next(chunks)
@@ -271,14 +319,15 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
         raise ValueError("tol must be positive")
     if np.size(a) != box.n:
         raise ValueError("dimension mismatch between box and normal")
-    # the guard runs here because a dropped tail never reaches the expansion's
-    rows, keep, dropped = _normals(box, a, MAX_SINC_FACTORS,
-                                   f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
-    a, keep = rows[0], keep[0]
+    a, keep = _normals(box, a)
     m = int(keep.sum())
+    # the guard runs here because a dropped tail never reaches the expansion's
+    if m > MAX_SINC_FACTORS:
+        raise RouteLimitError(f"sinc route guard: more than {MAX_SINC_FACTORS} sinc factors")
     if m == 1:
         # facet: the section is the opposite pair of faces' cross-section
-        return float(_normal_float(*dropped)[0])
+        mantissa, exponent = _frexp_prod(box.sides[~keep])
+        return float(_normal_float(mantissa / np.abs(a[keep]), exponent)[0])
     z = box.sides[keep]
     e_max = math.frexp(float(z.max()))[1]
     c = np.abs(a[keep]) * np.ldexp(z, -e_max) / 2.0  # c_j / 2^e_max
@@ -288,9 +337,9 @@ def hyperplane_section_sinc(box: Box, a, tol: float = 1e-9) -> float:
     with np.errstate(divide="ignore"):  # an underflowed r_j makes the envelope infinite
         log_prod_r = math.fsum(np.log(r).tolist())
     # the section is k J, k = k_mantissa 2^k_exponent
-    k_mantissa, k_exponent = (x.item() for x in _frexp_prod(box.sides[None]))
-    k_mantissa /= math.pi * c_max
-    k_exponent -= e_max
+    k_mantissa, k_exponent = _frexp_prod(box.sides)
+    k_mantissa = float(k_mantissa) / (math.pi * c_max)
+    k_exponent = int(k_exponent) - e_max
     # the section lies in k [pi / (2 sum r), pi / 2]; the end nearer the
     # range's limit must be a normal float
     _normal_float(k_mantissa * (math.pi / (2.0 * r_sum) if k_exponent > 0 else math.pi / 2.0),

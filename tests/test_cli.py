@@ -98,10 +98,11 @@ def test_sections_exact_value(tmp_path):
     assert report["summary"]["value"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
-@pytest.mark.parametrize("sides, normal", [("1,2,3", "0.6,0.8,0"), ("1,1", "1,1e-11")])
+@pytest.mark.parametrize("sides, normal", [("1,2,3", "0.6,0.8,0"), ("1,1", "1,1e-11"),
+                                           ("1e12,1", "1e-11,1")])
 def test_sections_exact_drops_zero_coordinates(tmp_path, sides, normal):
-    # a coordinate at or below 1e-10 drops out of the exact route as out of
-    # the sinc route, not a usage error
+    # a coordinate of negligible width drops out of the exact route as out
+    # of the sinc route, not a usage error; 1e-11 on a side of 1e12 is kept
     values = []
     for mode in ("exact", "sinc"):
         out = tmp_path / f"{mode}.json"
@@ -199,9 +200,18 @@ def test_sinc_section_of_a_1e200_box(tmp_path):
     assert code == 0 and value == pytest.approx(1.0 / 0.6, rel=1e-15)
 
 
-def test_exact_section_of_a_1e200_box_is_a_route_limit(tmp_path, capsys):
-    # the signed vertex sum overflowed; scaled, it cancels to nothing
+def test_exact_section_of_a_1e200_box_is_its_facet(tmp_path):
+    # the other widths are 1e-200 of the widest, so they drop out (the
+    # signed vertex sum overflowed, and scaled it cancelled to nothing)
     code, value = _section_run(["--mode", "exact", "--sides", "1e200,1,1",
+                                "--normal", "0.6,0.64,0.48"], tmp_path)
+    assert code == 0 and value == pytest.approx(1.0 / 0.6, rel=1e-15)
+
+
+def test_exact_section_of_a_1e200_box_is_a_route_limit(tmp_path, capsys):
+    # widths 1e-8 of the widest are kept, and scaled, the signed vertex sum
+    # cancels to nothing
+    code, value = _section_run(["--mode", "exact", "--sides", "1e200,1e192,1e192",
                                 "--normal", "0.6,0.64,0.48"], tmp_path)
     assert code == 1 and value is None
     err = capsys.readouterr().err
@@ -415,6 +425,19 @@ def test_search_max_rejects_lines_the_exact_route_cannot_certify(tmp_path, seed)
     rec = json.loads(out.read_text())["records"][0]
     assert rec["unscored"] > 0
     assert rec["best_value"] <= math.sqrt(2.0) * (1.0 + 1e-12)
+
+
+def test_search_max_fails_only_on_a_certified_violation(tmp_path):
+    # the climb ends on a line that cancels inside the exact route's
+    # bracket, 9.2e-4 above Ball's sqrt(2); its rounding bound covers that,
+    # so the run passes and reports the bound
+    out = tmp_path / "sm.json"
+    assert run(["search-max", "--n", "5", "--k", "1", "--restarts", "3", "--steps", "1000",
+                "--seed", "1", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())["records"][0]
+    assert rec["unscored"] > 0 and rec["pass"]
+    assert rec["best_value"] > math.sqrt(2.0) * (1.0 + 1e-4)
+    assert rec["best_value"] * (1.0 - rec["rounding_bound"]) <= math.sqrt(2.0) * (1.0 + 1e-12)
 
 
 def test_search_max_with_no_certified_line_is_a_failure(monkeypatch, capsys):

@@ -503,6 +503,27 @@ def test_irwin_hall_matches_mpmath_oracle():
     assert well_conditioned >= 300
 
 
+def test_irwin_hall_bounds_cover_the_rounding_error():
+    # Haar-normal magnitudes, and rows with small widths beside two wide
+    # ones, whose signed sums cancel (as near Ball's maximizer): each total
+    # at the center is within its bound of the 60-digit sum
+    rng = np.random.default_rng(42)
+    for n in range(2, 9):
+        rows = [np.abs(d) for d in haar_directions(n, 8, seed=50 + n)]
+        rows += [np.r_[1.0, 0.9, rng.uniform(1e-5, 1e-3, n - 2)] for _ in range(4)]
+        c = np.array(rows)
+        t = 0.5 * c.sum(axis=1)
+        for row, tt, total, bound in zip(c.tolist(), t.tolist(), kernels.irwin_hall_sums(c, t),
+                                         kernels.irwin_hall_bounds(c, t).tolist()):
+            with mpmath.workdps(60):
+                diffs = [(mpmath.mpf(tt) - mpmath.fsum(x for x, bit in zip(row, mask) if bit), sum(mask))
+                         for mask in itertools.product((0, 1), repeat=n)]
+                want = mpmath.fsum((-1) ** size * diff ** (n - 1) for diff, size in diffs if diff > 0)
+                assert abs(total - want) <= bound, (n, row)
+    with pytest.raises(ValueError):
+        kernels.irwin_hall_bounds(np.ones((1, 1)), np.ones(1))
+
+
 @_KEEP_ID
 def test_irwin_hall_guards(backend):
     with pytest.raises(ValueError):

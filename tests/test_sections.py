@@ -83,15 +83,27 @@ def test_q4_diagonal_exact():
     ([1.0, 1.0], [1.0, 1e-11]),  # below ZERO_COORD_TOL, not exactly zero
     ([2.0, 3.0, 5.0], [0.0, 1.0, 0.0]),  # facets
     ([1.0, 1.0, 1.0], [1.0, 0.0, 0.0]),
+    ([1e12, 1.0], [0.6, 0.8]),  # a facet by width: c = (6e11, 0.8)
 ])
 def test_exact_and_sinc_agree_where_coordinates_drop(sides, a):
-    # coordinates at or below ZERO_COORD_TOL drop out of both routes alike;
-    # with one left the section is the product of the others' sides
+    # coordinates of negligible width drop out of both routes alike; with
+    # one coordinate a_i left the section is the others' sides over |a_i|
     a = np.array(a) / np.linalg.norm(a)
     exact = hyperplane_section_exact(Box(sides), a)
     assert abs(exact - hyperplane_section_sinc(Box(sides), a)) <= 1e-12
-    if np.count_nonzero(np.abs(a) > sections.ZERO_COORD_TOL) == 1:
-        assert exact == np.prod(np.array(sides)[np.abs(a) <= sections.ZERO_COORD_TOL])
+    zero = sections._zero_coords(np.abs(a), np.abs(a) * sides)
+    if np.count_nonzero(~zero) == 1:
+        assert exact == np.prod(np.array(sides)[zero]) / np.abs(a[~zero])[0]
+
+
+def test_a_small_coordinate_of_a_wide_side_is_kept():
+    # a_1 = 1e-11 on a side of 1e12 has the width 10 against 1: the section
+    # is vol / 10 (the flat top of the widest window), not the facet's 1e12
+    box, a = Box([1e12, 1.0]), np.array([1e-11, 1.0])
+    assert hyperplane_section_exact(box, a) == pytest.approx(1e11, rel=1e-12)
+    assert hyperplane_section_sinc(box, a) == pytest.approx(1e11, rel=1e-12)
+    got = hyperplane_sections_exact_batch(box, np.array([a, [0.6, 0.8], [0.8, 0.6]]))
+    np.testing.assert_allclose(got, [1e11, 1.0 / 0.6, 1.0 / 0.8], rtol=1e-12)
 
 
 def test_sinc_facet_case():
@@ -518,9 +530,39 @@ def test_exact_matches_the_oracle_on_haar_normals(kind):
 
 
 def test_exact_names_the_batch_rows_lost_to_cancellation():
+    # widths 1e-8 of the widest are kept, and their signed sum cancels (at
+    # 1e200 they drop, and the section is a facet's)
     a = np.array([[0.6, 0.64, 0.48], [0.6, 0.48, 0.64]])
     with pytest.raises(RouteLimitError, match=r"cancellation.*\(rows \[0, 1\]\)"):
-        hyperplane_section_exact(Box([1e200, 1.0, 1.0]), a)
+        hyperplane_section_exact(Box([1e8, 1.0, 1.0]), a)
+
+
+def test_exact_rounding_bounds_hold_against_the_oracle():
+    # Haar normals, and lines near Ball's maximizer whose small coordinates
+    # make the signed sum cancel: the bound covers the 60-digit oracle's
+    # error (with a factor 100 to 2,000 to spare), and is far larger where
+    # the sum cancels; the rows lost to cancellation read NaN and inf
+    rng = np.random.default_rng(41)
+    for n in (3, 5, 8):
+        box = _unit_volume(Box(rng.uniform(0.5, 2.0, n)))
+        near = np.zeros((4, n))
+        near[:, :2] = 1.0
+        near[:, 2:] = rng.uniform(1e-6, 1e-2, (4, n - 2)) * np.logspace(0, -3, 4)[:, None]
+        dirs = np.vstack([haar_directions(n, 6, seed=300 + n), near / np.linalg.norm(near, axis=1)[:, None]])
+        values, errors = sections.hyperplane_section_exact_bounded(box, dirs)
+        kept = ~np.isnan(values)
+        assert values[kept].tolist() == hyperplane_section_exact(box, dirs[kept]).tolist()
+        for a, got, err in zip(dirs, values.tolist(), errors.tolist()):
+            if math.isnan(got):
+                assert err == math.inf
+            else:
+                want = _section_oracle(box.sides, a)
+                assert abs(got - want) <= err * want, (n, a)
+        assert errors[:6].max() < 1e-8
+        assert errors[6:].max() > 1e3 * errors[:6].max()
+    # one normal (n,) reads as one row
+    values, errors = sections.hyperplane_section_exact_bounded(unit_cube(3), _diag(3))
+    assert values.shape == errors.shape == (1,) and errors[0] < 1e-13
 
 
 _EXTREME_SCALES = [
