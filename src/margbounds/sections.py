@@ -207,7 +207,7 @@ def hyperplane_section_exact_bounded(box: Box, a) -> tuple[np.ndarray, np.ndarra
     (kernels.irwin_hall_bounds and the products' roundings; not the drop of
     a coordinate): NaN and inf where it loses a row to cancellation.  The
     bound adds up every term's worst case: 5e-12 to 3e-9 on Haar normals
-    at n = 8, 6e-8 to 1e-3 at n = 20, 100 to 2,000 times the error."""
+    at n = 8, 6e-8 to 1e-3 at n = 20, 60 to 7,000 times the error."""
     return _exact_rows(box, a, True)
 
 

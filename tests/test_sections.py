@@ -540,7 +540,7 @@ def test_exact_names_the_batch_rows_lost_to_cancellation():
 def test_exact_rounding_bounds_hold_against_the_oracle():
     # Haar normals, and lines near Ball's maximizer whose small coordinates
     # make the signed sum cancel: the bound covers the 60-digit oracle's
-    # error (with a factor 100 to 2,000 to spare), and is far larger where
+    # error (with a factor 60 to 7,000 to spare), and is far larger where
     # the sum cancels; the rows lost to cancellation read NaN and inf
     rng = np.random.default_rng(41)
     for n in (3, 5, 8):
