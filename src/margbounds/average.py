@@ -7,8 +7,8 @@ worker count.  Every inner value is one exact slab sum at zero shift
 (_slab_sums_at_zero): pi_E(f)(0) = int_{E^perp} prod f_i(<w_i, y>) dy over a
 frame of E^perp, and a box section |K cap E| the same sum of K's indicator
 over a frame of E.  Only cube_avg_power's k = 1 side, a hyperplane section,
-takes the signed-sum formula instead.  Only the subspace average is Monte
-Carlo.
+takes sections.hyperplane_section_exact instead.  Only the subspace
+average is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .densities import ProductDensity, cube_density
 # patches them through this module
 from .grassmann import complement_bases, haar_bases, haar_directions, haar_sample  # noqa: F401
 from .marginals import marginal_at  # noqa: F401
-from .sections import Box, box_pieces, hyperplane_sections_exact_batch, unit_cube
+from .sections import Box, box_pieces, hyperplane_section_exact, unit_cube
 
 _DIR_CHUNK = 1 << 14
 
@@ -167,17 +167,16 @@ def cube_avg_power(
     n: int, k: int, subspace_samples: int, seed: int = 0, stream: int = 0
 ) -> GrassmannAverage:
     """The cube side of the marginal power average (the comparison's rhs):
-    pi_E(1_{Q_n})(0) = |Q_n cap E^perp|, by the Irwin-Hall batch of
-    hyperplane sections when k = 1."""
+    pi_E(1_{Q_n})(0) = |Q_n cap E^perp|.  At k = 1 each chunk of Haar lines
+    takes hyperplane_section_exact, with its one-row bits, its limit of 24
+    coordinates and its CancellationError for a lost line."""
     if subspace_samples < 1000:
         raise ValueError("need subspace_samples >= 1000")
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
     if k == 1:
-        cube = unit_cube(n)
-        vals = np.empty(subspace_samples)
-        for part, dirs in _haar_draws(n, 1, subspace_samples, seed, stream):
-            vals[part] = hyperplane_sections_exact_batch(cube, dirs)
+        vals = np.concatenate([hyperplane_section_exact(unit_cube(n), dirs)
+                               for _, dirs in _haar_draws(n, 1, subspace_samples, seed, stream)])
     else:
         cube = _density_pieces(cube_density(n))
         vals = _slab_sums_at_zero([cube], k, subspace_samples, seed, stream, True)[0]

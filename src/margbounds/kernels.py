@@ -602,12 +602,46 @@ def signed_terms(c, t):
         yield rows, _block_terms(c[rows], t[rows], head)
 
 
+TREE_MIN_TERMS = 1 << 12  # fsum (29 ns a term) ties the tree at 2^11 terms, takes 1.5-2x as long here
+TREE_BLOCK_TERMS = 1 << 16  # terms per tree call (or one row): arrays of 512 KB
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error a + b - fl(a + b), exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _tree_sums(terms) -> np.ndarray:
+    """Each row's sum of terms (R, 2^L), L >= 1, where it is certified to
+    round as math.fsum rounds it (correctly), else NaN.  A pairwise TwoSum
+    tree leaves the float sum hi and errors summing exactly to the rest
+    (Ogita, Rump and Oishi 2005), which lo adds up the same tree: a level's
+    errors total at most u (1 + u)^L sum |p| and lo rounds each at most 2L
+    times, so hi + lo is within 2 (L + 1)^2 u^2 sum |p| of the sum, u = 2^-53
+    (if sum |p| >= 2^-900; below, that could underflow).  r = fl(hi + lo) is
+    fsum's where that bound and |hi + lo - r| (exact) stay below half r's
+    spacing, or a quarter at a power of two, whose cell is narrower below."""
+    hi, lo = terms.T.copy(), None
+    total = np.abs(hi).sum(axis=0)
+    while len(hi) > 1:
+        half = len(hi) // 2
+        hi, e = _two_sum(hi[:half], hi[half:])
+        lo = e if lo is None else e + (lo[:half] + lo[half:])
+    r, d = _two_sum(hi[0], lo[0])
+    cell = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
+    certified = (np.abs(d) + terms.shape[1].bit_length() ** 2 * 2.0**-105 * total < cell) & (total >= 2.0**-900)
+    return np.where(certified, r, math.nan)
+
+
 def irwin_hall_sums(c, t) -> list:
-    """The signed sums of signed_terms, one math.fsum per row of c (B, n):
-    the density at t of sum(c_j V_j), V_j iid uniform on [0, 1], times
-    (n-1)! prod c.  Every term is (n-1)-homogeneous in (c, t), so a caller
-    may scale both by a power of two and undo the scaling on the sum.
-    """
+    """The signed sums of signed_terms per row of c (B, n), rounded as
+    math.fsum rounds them: the density at t of sum(c_j V_j), V_j iid
+    uniform on [0, 1], times (n-1)! prod c.  Every term is (n-1)-homogeneous
+    in (c, t), so a caller may scale both by a power of two and undo the
+    scaling on the sum.  Chunks of TREE_MIN_TERMS terms or more try
+    _tree_sums first."""
     c = np.asarray(c, dtype=float)
     n = c.shape[-1]
     if n == 0:
@@ -619,11 +653,16 @@ def irwin_hall_sums(c, t) -> list:
     totals = []
     t = np.full(c.shape[:-1], t, dtype=float).reshape(-1)
     for _, chunks in signed_terms(c.reshape(-1, n), t):
-        if n <= TERM_CHUNK_BITS:
-            totals += [math.fsum(row) for row in next(chunks).tolist()]
-        else:  # one row, summed across its chunks
-            totals.append(math.fsum(itertools.chain.from_iterable(
-                chunk[0].tolist() for chunk in chunks)))
+        if n > TERM_CHUNK_BITS:  # one row, summed across its chunks
+            totals.append(math.fsum(itertools.chain.from_iterable(chunk[0].tolist() for chunk in chunks)))
+        elif (terms := next(chunks)).size < TREE_MIN_TERMS:
+            totals += [math.fsum(row) for row in terms.tolist()]
+        else:
+            step = max(1, TREE_BLOCK_TERMS >> n)
+            sums = np.concatenate([_tree_sums(terms[i:i + step]) for i in range(0, len(terms), step)])
+            lost = np.isnan(sums)
+            sums[lost] = [math.fsum(row) for row in terms[lost].tolist()]
+            totals += sums.tolist()
     return totals
 
 

@@ -49,9 +49,6 @@ class Box:
     def n(self) -> int:
         return self.sides.size
 
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
 
 def unit_cube(n: int) -> Box:
     return Box(np.ones(n))
@@ -63,9 +60,9 @@ def box_pieces(box: Box) -> list:
 
 
 def _zero_coords(a_abs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Where the coordinates |a| (..., n) of unit normals, of widths c_j =
-    |a_j| z_j, are exact zeros: c_j max |a| <= ZERO_COORD_TOL max c, which
-    on a cube reads |a_j| <= ZERO_COORD_TOL.
+    """Where the coordinates |a| (n, ...), columns of unit normals of widths
+    c_j = |a_j| z_j, are exact zeros: c_j max |a| <= ZERO_COORD_TOL max c,
+    which on a cube reads |a_j| <= ZERO_COORD_TOL.
 
     Such a coordinate's side is a factor of the section, and for a facet,
     one coordinate a_i left, the section is the product of the others'
@@ -75,30 +72,29 @@ def _zero_coords(a_abs: np.ndarray, c: np.ndarray) -> np.ndarray:
     sum_i c_i U_i, and 0 <= f(0) - f(x) <= f(0) |x| / max c since f is the
     widest factor's window over a symmetric unimodal law.
     """
-    return (c * a_abs.max(axis=-1, keepdims=True)
-            <= ZERO_COORD_TOL * c.max(axis=-1, keepdims=True))
+    return c * a_abs.max(axis=0) <= ZERO_COORD_TOL * c.max(axis=0)
 
 
 def _normals(box: Box, a) -> tuple[np.ndarray, np.ndarray]:
-    """The unit normal a (n,), or rows of them (B, n), and the mask of the
-    coordinates each keeps (_zero_coords drops the others)."""
+    """The unit normal a (n,), or rows of them (B, n), and the mask (n,) or
+    (n, B) of the coordinates each keeps (_zero_coords drops the rest)."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1:] != (box.n,):
         raise ValueError("dimension mismatch between box and normal")
+    cols = np.abs(a).T.copy()  # numpy reduces a short last axis row by row; these by column
     # written so that a NaN or infinite norm fails the check
-    if not (np.abs(np.linalg.norm(a, axis=-1) - 1.0) <= 1e-12).all():
+    if not (np.abs(np.linalg.norm(cols, axis=0) - 1.0) <= 1e-12).all():
         raise ValueError("normal vector must have unit norm (within 1e-12)")
-    a_abs = np.abs(a)
-    return a, ~_zero_coords(a_abs, a_abs * box.sides)
+    return a, ~_zero_coords(cols, (cols.T * box.sides).T)
 
 
 def _frexp_prod(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mantissa, exponent) of the product of each row of positive finite
-    floats (..., n), rounded as the plain product but without overflow or
-    underflow: the rows' mantissas multiply to at least 2^-n (n < 1,022)."""
+    """(mantissa, exponent) of the product of each column of positive finite
+    floats (n, ...), rounded as the plain product but without overflow or
+    underflow: the columns' mantissas multiply to at least 2^-n (n < 1,022)."""
     f, e = np.frexp(values)
-    mantissa, e2 = np.frexp(f.prod(axis=-1))
-    return mantissa, e.sum(axis=-1) + e2
+    mantissa, e2 = np.frexp(f.prod(axis=0))
+    return mantissa, e.sum(axis=0) + e2
 
 
 def _normal_float(mantissa, exponent) -> np.ndarray:
@@ -132,29 +128,27 @@ def _exact_rows(box: Box, a, bounded: bool):
     to cancellation) and, if bounded, bounds on their relative rounding
     errors (inf where lost), else None."""
     a, keep = _normals(box, a)
-    rows, keep = a.reshape(-1, box.n), keep.reshape(-1, box.n)
-    kept = keep.sum(axis=1)
+    a_abs, keep = np.abs(a.reshape(-1, box.n)), keep.reshape(box.n, -1)
+    kept = keep.sum(axis=0)
     if kept.max() > 24:
         raise RouteLimitError("combinatorial blowup guard: n > 24 nonzero coordinates")
-    mantissa, exponent = _frexp_prod(np.where(keep, 1.0, box.sides))
-    errors = np.zeros(len(rows)) if bounded else None
-    a_abs = np.abs(rows)
-    for m in set(kept.tolist()):
+    mantissa, exponent = _frexp_prod(np.where(keep, 1.0, box.sides[:, None]))
+    errors = np.zeros(len(a_abs)) if bounded else None
+    for m in np.flatnonzero(np.bincount(kept)).tolist():
         group = kept == m
-        mask = keep[group]
+        mask = keep.T[group]
         a_kept = a_abs[group][mask].reshape(-1, m)
         sides = np.where(mask, box.sides, 0.0)[mask].reshape(-1, m)
-        e = np.frexp(sides.max(axis=1))[1] - 1
+        e = np.frexp(sides.T.copy().max(axis=0))[1] - 1
         scaled = a_kept * np.ldexp(sides, -e[:, None])
         t = 0.5 * scaled.sum(axis=1)
         total = np.array(kernels.irwin_hall_sums(scaled, t))
         if bounded:
             # the products and the quotient round at most n + 3 times
-            errors[group] = (box.n + 3) * UNIT_ROUNDOFF
-            if m > 1:
-                with np.errstate(divide="ignore"):
-                    errors[group] += kernels.irwin_hall_bounds(scaled, t) / np.where(total > 0.0, total, 0.0)
-        a_mantissa, a_exponent = _frexp_prod(a_kept)
+            with np.errstate(divide="ignore"):
+                errors[group] = (box.n + 3) * UNIT_ROUNDOFF + (
+                    kernels.irwin_hall_bounds(scaled, t) / np.where(total > 0.0, total, 0.0) if m > 1 else 0.0)
+        a_mantissa, a_exponent = _frexp_prod(a_kept.T.copy())
         mantissa[group] *= total / (math.factorial(m - 1) * a_mantissa)
         exponent[group] += e * (m - 1) - a_exponent
     c = a_abs * box.sides
@@ -163,7 +157,7 @@ def _exact_rows(box: Box, a, bounded: bool):
         log2_values = np.log2(mantissa) + exponent
         log2_vol = float(np.log2(box.sides).sum())
         lo = log2_vol - np.log2(c.sum(axis=1)) + math.log2(1.0 - CANCELLATION_SLACK)
-        hi = log2_vol - np.log2(c.max(axis=1)) + math.log2(1.0 + CANCELLATION_SLACK)
+        hi = log2_vol - np.log2(c.T.copy().max(axis=0)) + math.log2(1.0 + CANCELLATION_SLACK)
     lost = ~((log2_values >= lo) & (log2_values <= hi))
     values = _normal_float(np.where(lost, 1.0, mantissa), np.where(lost, 0, exponent))
     values[lost] = math.nan
@@ -209,38 +203,6 @@ def hyperplane_section_exact_bounded(box: Box, a) -> tuple[np.ndarray, np.ndarra
     bound adds up every term's worst case: 5e-12 to 3e-9 on Haar normals
     at n = 8, 6e-8 to 1e-3 at n = 20, 60 to 7,000 times the error."""
     return _exact_rows(box, a, True)
-
-
-def hyperplane_sections_exact_batch(box: Box, normals: np.ndarray) -> np.ndarray:
-    """Vectorized exact hyperplane sections for many unit normals (rows).
-
-    Same formula as hyperplane_section_exact, each row's signed terms (in
-    kernels.signed_terms's chunks) summed by a BLAS dot, not math.fsum:
-    adequate for well-conditioned (e.g. Haar) normals, and 3x faster.  Rows
-    with a coordinate that _zero_coords drops go to hyperplane_section_exact.
-    """
-    normals = np.asarray(normals, dtype=float)
-    m, n = normals.shape
-    if n != box.n:
-        raise ValueError("dimension mismatch between box and normals")
-    if n > 20:
-        raise RouteLimitError("batch guard: n > 20")
-    c = np.abs(normals) * box.sides[None, :]
-    narrow = np.zeros(m, dtype=bool)
-    # a unit row drops a coordinate only if its c_j <= ZERO_COORD_TOL sqrt(n)
-    # max c, so one global test spares most calls the per-row one
-    if c.min() <= ZERO_COORD_TOL * math.sqrt(n) * c.max():
-        narrow = _zero_coords(np.abs(normals), c).any(axis=1)
-    values = np.empty(m)
-    if narrow.any():
-        values[narrow] = hyperplane_section_exact(box, normals[narrow])
-        c = c[~narrow]
-    dens = np.empty(len(c))
-    for rows, chunks in kernels.signed_terms(c, 0.5 * c.sum(axis=1)):
-        terms = next(chunks)
-        dens[rows] = (terms @ np.ones(terms.shape[1])) / (math.factorial(n - 1) * np.prod(c[rows], axis=1))
-    values[~narrow] = box.volume() * dens
-    return values
 
 
 # Most [0, T] panels the sinc route integrates where its envelope drops the

@@ -31,7 +31,6 @@ from margbounds.sections import (
     Box,
     hyperplane_section_exact,
     hyperplane_section_sinc,
-    hyperplane_sections_exact_batch,
     section_quadrature,
     sharp_block_subspace,
     sharp_paired_subspace,
@@ -78,7 +77,7 @@ def test_acceptance_02_cube_hyperplane_sections():
     ok &= abs(q2 - math.sqrt(2.0)) <= 1e-9
     for n in range(2, 9):
         dirs = haar_directions(n, 10000, seed=300 + n)
-        vals = hyperplane_sections_exact_batch(unit_cube(n), dirs)
+        vals = hyperplane_section_exact(unit_cube(n), dirs)
         ok &= bool(vals.max() <= math.sqrt(2.0) + 1e-8)
     _line(2, "cube hyperplane sections", ok)
 

@@ -449,6 +449,36 @@ def test_search_max_with_no_certified_line_is_a_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: the exact route certified no section")
 
 
+def test_average_k1_with_a_lost_line_is_a_failure(monkeypatch, capsys):
+    # the cube side takes the exact route, which names a line it loses
+    exact = cli.average.hyperplane_section_exact
+
+    def lose_row_3(box, a):
+        values = exact(box, a)
+        values[3] = math.nan
+        raise cli.sections.CancellationError("exact route lost the section (rows [3])", values)
+
+    monkeypatch.setattr(cli.average, "hyperplane_section_exact", lose_row_3)
+    assert run(["average", "--n", "4", "--k", "1", "--samples", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: exact route lost the section (rows [3])\n"
+
+
+def test_average_k1_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # no BLAS reduction enters the cube side's sums, so its bytes do not
+    # follow OpenBLAS's split of a dot across threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(margbounds.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"average-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "margbounds.cli", "average", "--n", "14", "--k", "1",
+                        "--samples", "1004", "--seed", "1", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_densities_validate(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))

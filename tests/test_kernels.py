@@ -554,6 +554,67 @@ def test_irwin_hall_sums_do_not_depend_on_the_chunk(monkeypatch):
     assert max(widths) == 8
 
 
+def _fsum_of_terms(c, t):
+    """math.fsum of each row's signed_terms, one chunk of rows at a time."""
+    sums = []
+    for _, chunks in kernels.signed_terms(c, t):
+        if c.shape[1] > kernels.TERM_CHUNK_BITS:
+            sums.append(math.fsum(itertools.chain.from_iterable(chunk[0].tolist() for chunk in chunks)))
+        else:
+            sums += [math.fsum(row) for row in next(chunks).tolist()]
+    return sums
+
+
+@pytest.mark.parametrize("chunk_bits", [20, 3])
+def test_irwin_hall_sums_round_as_fsum(monkeypatch, chunk_bits):
+    # every chunk takes the TwoSum tree: Haar rows (ties are common at
+    # n = 3), rows with one or two widths 1e-2..1e-9 of the others off and
+    # at the centre, and sums at a power of two; each sum has fsum's bits.
+    # Chunks of 2^3 terms hold 8 / 2^n rows up to n = 3 and stream the
+    # wider rows (up to n = 8 here) into fsum
+    monkeypatch.setattr(kernels, "TREE_MIN_TERMS", 0)
+    monkeypatch.setattr(kernels, "TERM_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(44)
+    cases = []
+    top, total_terms = (17, 2**15) if chunk_bits == 20 else (9, 2**11)
+    for n in range(2, top):
+        c = np.abs(haar_directions(n, max(8, total_terms >> n), seed=60 + n))
+        cases += [(c, 0.5 * c.sum(axis=1)), (c, 0.3 * c.sum(axis=1))]
+    for n in range(3, 9):
+        for narrow in (1, 2):
+            c = rng.uniform(0.5, 2.0, size=(64, n))
+            c[:, :narrow] *= 10.0 ** -rng.integers(2, 10, size=(64, 1))
+            cases += [(c, f * c.sum(axis=1)) for f in (0.3, 0.5, 0.49999999)]
+    for n in range(1, 7):
+        c = np.array([np.ones(n), np.r_[np.ones(n - 1), 2.0]])
+        cases += [(c, np.full(2, t)) for t in (0.5, 1.0, 1.5, 2.0)]
+    certified = rows = 0
+    for c, t in cases:
+        assert kernels.irwin_hall_sums(c, t) == _fsum_of_terms(c, t)
+        if c.shape[1] <= chunk_bits:
+            for _, chunks in kernels.signed_terms(c, t):
+                sums = kernels._tree_sums(next(chunks))
+                certified += int(np.isfinite(sums).sum())
+                rows += sums.size
+    # the tree, not the fallback, gives most sums
+    assert certified >= 0.8 * rows
+
+
+def test_tree_sums_leave_rounding_ties_and_power_of_two_edges_to_fsum():
+    # the tree's hi + lo is 1 + 2^-53 for the sum 1 + 2^-53 + 2^-120 (a tie
+    # in floats, but the sum rounds up) and 1 - 2^-54 for 1 - 2^-54 - 2^-120
+    # (within r = 1's cell above it, but below a power of two the cell is
+    # half as wide); neither is certified
+    terms = np.array([[1.0, 2.0**-53, 2.0**-120, 0.0],
+                      [1.0, -2.0**-54, -2.0**-120, 0.0],
+                      [1.0, -2.0**-56, -2.0**-120, 0.0]])
+    got = kernels._tree_sums(terms)
+    want = [math.fsum(row) for row in terms.tolist()]
+    assert want[:2] == [1.0 + 2.0**-52, 1.0 - 2.0**-53]
+    assert math.isnan(got[0]) and math.isnan(got[1])
+    assert got[2] == want[2] == 1.0
+
+
 def test_slab_volume_dispatch():
     # slab_volumes runs the kernel of the frames' dimension, for one lane as
     # for two, and the reference dispatches alike

@@ -15,7 +15,6 @@ from margbounds.sections import (
     Box,
     hyperplane_section_exact,
     hyperplane_section_sinc,
-    hyperplane_sections_exact_batch,
     section_mc,
     section_quadrature,
     sharp_block_subspace,
@@ -36,7 +35,7 @@ def test_box_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             Box([1.0, bad])
-    assert unit_cube(4).volume() == 1.0
+    assert unit_cube(4).sides.tolist() == [1.0] * 4
 
 
 @pytest.mark.parametrize("route", [hyperplane_section_exact, hyperplane_section_sinc])
@@ -102,7 +101,7 @@ def test_a_small_coordinate_of_a_wide_side_is_kept():
     box, a = Box([1e12, 1.0]), np.array([1e-11, 1.0])
     assert hyperplane_section_exact(box, a) == pytest.approx(1e11, rel=1e-12)
     assert hyperplane_section_sinc(box, a) == pytest.approx(1e11, rel=1e-12)
-    got = hyperplane_sections_exact_batch(box, np.array([a, [0.6, 0.8], [0.8, 0.6]]))
+    got = hyperplane_section_exact(box, np.array([a, [0.6, 0.8], [0.8, 0.6]]))
     np.testing.assert_allclose(got, [1e11, 1.0 / 0.6, 1.0 / 0.8], rtol=1e-12)
 
 
@@ -164,25 +163,6 @@ def test_quadrature_next_to_the_paired_subspace():
     assert section_quadrature(unit_cube(4), h) == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
-def test_batch_matches_single():
-    box = unit_cube(5)
-    dirs = haar_directions(5, 40, seed=4)
-    batch = hyperplane_sections_exact_batch(box, dirs)
-    singles = [hyperplane_section_exact(box, a) for a in dirs]
-    assert batch == pytest.approx(singles, rel=1e-10)
-
-
-def test_batch_sends_rows_with_zero_coordinates_to_the_exact_route():
-    box = unit_cube(5)
-    dirs = haar_directions(5, 6, seed=8)
-    dirs[1, 2] = 0.0
-    dirs[4, [0, 3]] = [1e-11, 0.0]
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    got = hyperplane_sections_exact_batch(box, dirs)
-    assert got[[1, 4]].tolist() == hyperplane_section_exact(box, dirs[[1, 4]]).tolist()
-    assert got[[0, 2, 3, 5]].tolist() == hyperplane_sections_exact_batch(box, dirs[[0, 2, 3, 5]]).tolist()
-
-
 def test_batch_holds_one_chunk_of_terms_at_a_time(monkeypatch):
     # chunks of 2^12 terms, one row at n = 12: the 64 rows' (64, 2^12)
     # arrays would take 2 MiB each
@@ -191,14 +171,12 @@ def test_batch_holds_one_chunk_of_terms_at_a_time(monkeypatch):
     monkeypatch.setattr(kernels, "TERM_CHUNK_BITS", 12)
     tracemalloc.start()
     try:
-        got = hyperplane_sections_exact_batch(box, dirs)
+        got = hyperplane_section_exact(box, dirs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # a BLAS dot's bits depend on the rows beside it in its call, and the
-    # plain sums lose up to about 5e-10 here
-    np.testing.assert_allclose(got, hyperplane_section_exact(box, dirs), rtol=1e-8)
+    assert got.tolist() == [hyperplane_section_exact(box, a) for a in dirs]
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
@@ -282,7 +260,7 @@ def test_sharp_paired_subspace_geometry():
 def test_ball_upper_bound_on_haar_directions():
     box = unit_cube(6)
     dirs = haar_directions(6, 2000, seed=12)
-    vals = hyperplane_sections_exact_batch(box, dirs)
+    vals = hyperplane_section_exact(box, dirs)
     assert vals.max() <= math.sqrt(2.0) + 1e-8
     assert vals.min() >= 1.0 - 1e-8  # central sections of the cube are >= 1
 
