@@ -136,15 +136,19 @@ def _trial_chunks(trials: int, workers: int) -> list:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def _trial_streams(trials) -> np.ndarray:
+    """The streams of the Haar subspaces of trials: trial t draws from
+    stream t * _TRIAL_STREAM_BLOCK + 513 of the seed."""
+    return np.array([t * _TRIAL_STREAM_BLOCK + 513 for t in trials], dtype=np.uint64)
+
+
 def _verify_trials(args) -> list:
-    """The records of a chunk of verify trials, whose grid sups run in
-    lockstep."""
+    """The records of a chunk of verify trials, whose subspaces come from
+    one haar_bases call and whose grid sups run in lockstep."""
     seed, n, k, tol, sup_lo, sup_hi, trials = args
-    cases = [
-        (_trial_density(seed, n, t, sup_lo, sup_hi),
-         grassmann.haar_sample(n, k, seed, stream=t * _TRIAL_STREAM_BLOCK + 513))
-        for t in trials
-    ]
+    bases = grassmann.haar_bases(n, k, seed, _trial_streams(trials))
+    cases = [(_trial_density(seed, n, t, sup_lo, sup_hi), grassmann.Subspace(basis))
+             for t, basis in zip(trials, bases)]
     records = marginals.verify_main_theorems(cases, tol)
     for t, rec in zip(trials, records):
         rec["trial"] = t
@@ -152,14 +156,11 @@ def _verify_trials(args) -> list:
 
 
 def _rogozin_trials(args) -> list:
-    """The records of a chunk of rogozin trials, whose grid sups run in
-    lockstep."""
+    """The records of a chunk of rogozin trials, whose directions come from
+    one haar_directions call and whose grid sups run in lockstep."""
     seed, n, tol, trials = args
-    cases = [
-        (_trial_density(seed, n, t, 1.0, 1.0),
-         grassmann.haar_directions(n, 1, seed, stream=t * _TRIAL_STREAM_BLOCK + 513)[0])
-        for t in trials
-    ]
+    thetas = grassmann.haar_directions(n, 1, seed, _trial_streams(trials))[:, 0]
+    cases = [(_trial_density(seed, n, t, 1.0, 1.0), theta) for t, theta in zip(trials, thetas)]
     return [
         {
             "trial": t,

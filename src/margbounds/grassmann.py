@@ -160,12 +160,14 @@ def haar_sample(n: int, k: int, seed: int, stream: int = 0) -> Subspace:
     return Subspace(haar_bases(n, k, seed, streams)[0])
 
 
-def haar_directions(n: int, count: int, seed: int, stream: int = 0, start: int = 0) -> np.ndarray:
+def haar_directions(n: int, count: int, seed: int, stream=0, start: int = 0) -> np.ndarray:
     """Haar unit vectors start, ..., start + count - 1 of the stream in R^n,
     one per row (vectorized k=1 case); chunks of one stream concatenate to
-    the whole."""
-    g = randomness.normals(seed, stream, start * n, count * n).reshape(count, n)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    the whole.  An integer array of L streams gives (L, count, n), [i] the
+    rows of streams[i], from one randomness.normals call."""
+    g = randomness.normals(seed, stream, start * n, count * n)
+    g = g.reshape(g.shape[:-1] + (count, n))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
 def complement_bases(bases: np.ndarray) -> np.ndarray:

@@ -6,21 +6,35 @@ boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  The 2-D kernel clips a seed
 parallelogram; the 3-D kernel sums (1/3) h |F| over the facets F, each a
 2-D slab system, after merging rows parallel within _PARALLEL_SINE (see
-polytope_volumes for its rounding bound).  Each kernel is lane-wise
-(interval_lengths, polygon_areas, polytope_volumes): it takes frames (K, m,
-d), a frame index (L,) and the bounds (L, m) of its L lanes, computes what
-depends on a frame alone once per frame, and takes every lane through the
-same floating-point operations whatever the other lanes of its call.  The
-2-D and 3-D kernels first drop the lanes whose seed cell misses a row's
-slab: they are empty.  slab_volumes dispatches by dimension, and only its
-one-lane d = 1 calls run the scalar interval_length; tests/slab_reference.py
-keeps scalar 2-D and 3-D twins as the tests' == reference.
+polytope_volumes for its rounding bound).
+
+Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
+index (L,) and the bounds (L, m) of its L lanes:
+
+- frame_tables builds what depends on a frame alone, once per frame, by one
+  function per dimension (interval_tables, polygon_tables, polytope_tables).
+  Every table field holds one entry per frame along its leading axis, so
+  join_tables joins the tables of several stacks with one concatenate per
+  field, and split_tables cuts a stack's tables into one-frame tables.
+- seed_cells drops the 2-D and 3-D lanes whose seed cell misses a row's
+  slab: they are empty.
+- live_volumes computes the volumes of the lanes that pass.
+
+Every lane goes through the same floating-point operations whatever the
+other lanes of its call and whatever other frames its tables hold.
+table_volumes runs the last two steps on prebuilt tables (slabgeom's pool
+keeps each block's tables and runs them itself); slab_volumes dispatches
+raw frames by dimension to interval_lengths, polygon_areas and
+polytope_volumes, which build their tables per call.  Only one-lane d = 1
+calls run the scalar interval_length; tests/slab_reference.py keeps scalar
+2-D and 3-D twins as the tests' == reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,23 +67,37 @@ def interval_length(w, lo, hi):
     return right - left
 
 
+class IntervalTables(NamedTuple):
+    """What the 1-D kernel needs of frames (K, m, 1) alone, per frame."""
+
+    w: np.ndarray  # (K, m): the rows' coefficients
+    pos: np.ndarray  # (K, m): w > _TINY
+    flat: np.ndarray  # (K, m): neither w > _TINY nor w < -_TINY
+
+
+def interval_tables(frames) -> IntervalTables:
+    """The IntervalTables of frames (K, m, 1): each frame's row signs."""
+    w = np.asarray(frames, dtype=float)[:, :, 0]
+    pos, neg = w > _TINY, w < -_TINY
+    return IntervalTables(w, pos, ~(pos | neg))
+
+
 def interval_lengths(frames, frame, lo, hi):
     """interval_length of each lane l: the 1-D slabs lo[l, i] <= w_i * y <=
     hi[l, i] for w = frames[frame[l], :, 0], frames (K, m, 1), frame (L,),
-    lo and hi (L, m); returns (L,) lengths with interval_length's bits.
+    lo and hi (L, m); returns (L,) lengths with interval_length's bits."""
+    return table_volumes(interval_tables(frames), frame, lo, hi)
 
-    Each frame's row signs are found once.  A lane's ends are the largest
-    lower and the smallest upper bound over its rows, taken in row order as
-    interval_length takes them (np.maximum and np.minimum keep the first of
-    two equal values, as its strict comparisons do)."""
-    w = np.asarray(frames, dtype=float)[:, :, 0]
-    frame = np.asarray(frame, dtype=np.intp)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    pos, neg = w > _TINY, w < -_TINY
-    flat = ~(pos | neg)
-    w = np.where(flat, 1.0, w)[frame]
-    pos, flat = pos[frame], flat[frame]
+
+def _interval_lengths(tables, frame, lo, hi):
+    """interval_lengths on the frames' IntervalTables.
+
+    A lane's ends are the largest lower and the smallest upper bound over
+    its rows, taken in row order as interval_length takes them (np.maximum
+    and np.minimum keep the first of two equal values, as its strict
+    comparisons do)."""
+    w = np.where(tables.flat, 1.0, tables.w)[frame]
+    pos, flat = tables.pos[frame], tables.flat[frame]
     a = np.where(pos, lo, hi) / w
     b = np.where(pos, hi, lo) / w
     if flat.any():
@@ -139,15 +167,23 @@ def _clip_polygons(poly, nx, ny, b, eps):
     return out[:, : out_width + 1], counts
 
 
-def _polygon_frame_tables(frames):
-    """What polygon_areas needs of the frames (K, m, 2) alone: ok (K,),
-    false where the seed rows are degenerate (their determinant is below
-    1e-14 (1 + max |w|)^2; the frame's lanes are then 0.0); the seed table
-    (5, K) of a00, a01, a10, a11 and det, i0 the longest row and i1 the
-    one most transverse to it; each frame's row order (K, m), the seed rows
-    i0, i1 and then the others in row order; the clip normals (2, 2(m - 2),
-    K), the other rows' in that order, each as itself (the hi side) and
-    negated (the -lo side)."""
+class ClipTables(NamedTuple):
+    """What the 2-D clip needs of frames (K, m, 2) alone, per frame."""
+
+    ok: np.ndarray  # (K,): false where the seed rows are degenerate
+    seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
+    order: np.ndarray  # (K, m): the seed rows, then the others in row order
+    clip: np.ndarray  # (K, 2 (m - 2), 2): the clip normals, x and y
+
+
+def _clip_tables(frames) -> ClipTables:
+    """The ClipTables of frames (K, m, 2): ok false where the seed rows are
+    degenerate (their determinant is below 1e-14 (1 + max |w|)^2; the
+    frame's lanes are then 0.0); the seed table of a00, a01, a10, a11 and
+    det, i0 the longest row and i1 the one most transverse to it; each
+    frame's row order, the seed rows i0, i1 and then the others in row
+    order; the clip normals, the other rows' in that order, each as itself
+    (the hi side) and negated (the -lo side)."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -163,10 +199,35 @@ def _polygon_frame_tables(frames):
         rows = order[ok]
         others = rows[(rows != i0[ok, None]) & (rows != i1[ok, None])]
         order[ok] = np.column_stack([i0[ok], i1[ok], others.reshape(len(rows), m - 2)])
-    seed = np.vstack([frames[ks, i0].T, frames[ks, i1].T, det])
-    normals = frames[ks[:, None], order[:, 2:]].transpose(2, 1, 0)  # (2, m - 2, K)
-    clip = np.stack([normals, -normals], axis=2).reshape(2, 2 * normals.shape[1], count)
-    return ok, seed, order, clip
+    seed = np.column_stack([frames[ks, i0], frames[ks, i1], det])
+    normals = frames[ks[:, None], order[:, 2:]]  # (K, m - 2, 2)
+    clip = np.stack([normals, -normals], axis=2).reshape(count, 2 * (m - 2), 2)
+    return ClipTables(ok, seed, order, clip)
+
+
+class PolygonTables(NamedTuple):
+    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame: the
+    clip's tables, and the frame's part of the seed-cell test."""
+
+    clip: ClipTables
+    g: np.ndarray  # (K, 2, 2): [k, s] = g_s, a column of the seed matrix's inverse
+    gl1: np.ndarray  # (K, 2): |g_s|_1
+    wg: np.ndarray  # (K, m - 2, 2): |<w_j, g_s>| for the other rows j, in order
+    cond: np.ndarray  # (K,): the seed matrix's condition number
+
+
+def polygon_tables(frames) -> PolygonTables:
+    """The PolygonTables of frames (K, m, 2).  The seed parallelogram is
+    {s g_0 + t g_1 : lo_i0 <= s <= hi_i0, lo_i1 <= t <= hi_i1}."""
+    clip = _clip_tables(np.asarray(frames, dtype=float))
+    a00, a01, a10, a11, det = clip.seed.T
+    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(clip.ok, det, 1.0)  # (s, c, K)
+    ag = np.abs(g)
+    normals = clip.clip.T[:, 0::2]  # (c, m - 2, K)
+    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])  # (s, m - 2, K)
+    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
+            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
+    return PolygonTables(clip, g.transpose(2, 0, 1), (ag[:, 0] + ag[:, 1]).T, wg.T, cond)
 
 
 # a lane some non-seed row of which misses the seed parallelogram by this
@@ -182,32 +243,35 @@ _CLIP_MARGIN = 1e-9
 def _polygon_seed_cells(tables, frame, lo, hi):
     """(L,): false for the lanes that polygon_areas gives 0.0 without a clip,
     those of a degenerate frame and those with a non-seed row whose slab
-    misses the seed parallelogram by _CLIP_MARGIN (see there)."""
-    ok, seed, order, clip = tables
-    # per frame, g (2, 2, K): g[s] = g_s, the columns of the seed matrix's
-    # inverse, so the seed parallelogram is {s g_0 + t g_1 : lo_i0 <= s <=
-    # hi_i0, lo_i1 <= t <= hi_i1}; also |g_s|_1 and |<w_j, g_s>| for the
-    # other rows, and the seed matrix's condition number
-    a00, a01, a10, a11, det = seed
-    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(ok, det, 1.0)
-    ag = np.abs(g)
-    gl1 = ag[:, 0] + ag[:, 1]
-    normals = clip[:, 0::2]
-    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])
-    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
-            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
-    # (m, L): each lane's rows in its frame's order
-    at = np.arange(len(frame)) * lo.shape[1] + order[frame].T
-    lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
-    mid, half = 0.5 * (lo[:2] + hi[:2]), 0.5 * (hi[:2] - lo[:2])
-    g = g[:, :, frame]
-    centre = mid[0] * g[0] + mid[1] * g[1]
-    normals = normals[:, :, frame]
-    wc = normals[0] * centre[0] + normals[1] * centre[1]
-    scale = 1.0 + np.abs(centre[0]) + np.abs(centre[1]) + half[0] * gl1[0, frame] + half[1] * gl1[1, frame]
-    # the largest |<w_j, y - c>| over the parallelogram, plus the margin
-    slack = half[0] * wg[0][:, frame] + half[1] * wg[1][:, frame] + _CLIP_MARGIN * cond[frame] * scale
-    return ok[frame] & ~((lo[2:] - wc > slack) | (hi[2:] - wc < -slack)).any(axis=0)
+    misses the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
+    one at a time, each as (L,) vectors."""
+    ok, _, order, clip = tables.clip
+    g, gl1, wg = tables.g, tables.gl1, tables.wg
+    base = np.arange(len(frame)) * lo.shape[1]
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+
+    def bounds(i):
+        # the bounds of row i of each lane's frame order
+        at = base + order[:, i][frame]
+        return lo.take(at), hi.take(at)
+
+    lo0, hi0 = bounds(0)
+    lo1, hi1 = bounds(1)
+    mid0, half0 = 0.5 * (lo0 + hi0), 0.5 * (hi0 - lo0)
+    mid1, half1 = 0.5 * (lo1 + hi1), 0.5 * (hi1 - lo1)
+    # the parallelogram's centre c = mid0 g_0 + mid1 g_1
+    cx = mid0 * g[:, 0, 0][frame] + mid1 * g[:, 1, 0][frame]
+    cy = mid0 * g[:, 0, 1][frame] + mid1 * g[:, 1, 1][frame]
+    scale = 1.0 + np.abs(cx) + np.abs(cy) + half0 * gl1[:, 0][frame] + half1 * gl1[:, 1][frame]
+    margin = _CLIP_MARGIN * tables.cond[frame] * scale
+    live = ok[frame]
+    for j in range(len(order[0]) - 2):
+        loj, hij = bounds(2 + j)
+        wc = clip[:, 2 * j, 0][frame] * cx + clip[:, 2 * j, 1][frame] * cy
+        # the largest |<w_j, y - c>| over the parallelogram, plus the margin
+        slack = half0 * wg[:, j, 0][frame] + half1 * wg[:, j, 1][frame] + margin
+        live &= ~((loj - wc > slack) | (hij - wc < -slack))
+    return live
 
 
 def polygon_areas(frames, frame, lo, hi):
@@ -222,29 +286,20 @@ def polygon_areas(frames, frame, lo, hi):
     from vertex 0.  Every lane goes through these floating-point operations
     in this order, so its area does not depend on the other lanes.  What
     depends on the frame alone (the seed rows, their determinant, the
-    degeneracy test, the clip order) is found once per frame.  Vertices sit
+    degeneracy test, the clip order) is in its PolygonTables.  Vertices sit
     slot-major, (slots, lanes), NaN past each lane's count; a lane leaves
     once it has fewer than 3 vertices.
 
     A lane whose seed parallelogram misses another row's slab by
-    _CLIP_MARGIN is 0.0 without a clip, as the clip would make it.
-    (The 3-D facets call _polygon_areas directly: testing them too saved
-    no measurable time on sup-grid.)
+    _CLIP_MARGIN is 0.0 without a clip, as the clip would make it
+    (seed_cells).  (The 3-D facets call _polygon_areas directly: testing
+    them too saved no measurable time on sup-grid.)
     """
-    frame = np.asarray(frame, dtype=np.intp)
-    out = np.zeros(len(frame))
-    if not len(frame):
-        return out
-    tables = _polygon_frame_tables(np.asarray(frames, dtype=float))
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    live = np.flatnonzero(_polygon_seed_cells(tables, frame, lo, hi))
-    out[live] = _polygon_areas(tables, frame[live], lo[live], hi[live])
-    return out
+    return table_volumes(polygon_tables(frames), frame, lo, hi)
 
 
 def _polygon_areas(tables, frame, lo, hi):
-    """polygon_areas on the frame tables of _polygon_frame_tables, with no
-    seed-cell test."""
+    """polygon_areas on the frames' ClipTables, with no seed-cell test."""
     ok, seed, order, clip = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
@@ -255,7 +310,7 @@ def _polygon_areas(tables, frame, lo, hi):
     # (m, L): each lane's rows in its frame's order
     at = idx * lo.shape[1] + order[f].T
     lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
-    a00, a01, a10, a11, det = seed[:, f]
+    a00, a01, a10, a11, det = seed.T[:, f]
     # the seed parallelogram, then vertex 0 again (see _clip_polygons)
     s = np.stack([lo[0], hi[0], hi[0], lo[0]])
     t = np.stack([lo[1], lo[1], hi[1], hi[1]])
@@ -267,8 +322,9 @@ def _polygon_areas(tables, frame, lo, hi):
     eps = np.stack([eps, -eps])
     # per lane and clip step: the normal's x and y, and the bound b
     lane = np.empty((3, steps, idx.size))
-    lane[:2] = clip[:, :, f]
+    lane[:2] = clip.T[:, :, f]
     lane[2, 0::2], lane[2, 1::2] = hi[2:], -lo[2:]
+    del lo, hi, s, t  # the clip needs only poly, lane and eps
     alive = np.ones(idx.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(steps):
@@ -375,61 +431,42 @@ def polytope_volumes(frames, frame, lo, hi):
     O(m u) of sum |h| |F|.
 
     A lane with degenerate seed rows, or with a row that misses the seed
-    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0; a facet
-    whose plane misses the cell that way is skipped.
+    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0
+    (seed_cells); a facet whose plane misses the cell that way is skipped.
 
-    What depends on the frame alone is found once per frame (_frame_tables):
-    the seed cell's shape, the merges (the same for every nonempty lane of a
-    frame), and each row's facet frame, the other rows in an orthonormal
-    basis of w_i-perp with the merged rows zeroed, with its 2-D tables.  A
-    lane's own work is its bounds.  The seed-cell test runs once over all
-    lanes, then the lanes that pass go _POLYTOPE_LANES at a time.
+    What depends on the frame alone is in its PolytopeTables: the seed
+    cell's shape, the merges (the same for every nonempty lane of a frame),
+    and each row's facet frame, the other rows in an orthonormal basis of
+    w_i-perp with the merged rows zeroed, with its ClipTables.  A lane's own
+    work is its bounds.  The lanes that pass the seed-cell test go
+    _POLYTOPE_LANES at a time.
     """
-    frames = np.ascontiguousarray(frames, dtype=float)
-    frame = np.asarray(frame, dtype=np.intp)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    out = np.zeros(len(frame))
-    if not len(frame):
-        return out
-    seeds, ok, g, gl1, wg, *tables = _frame_tables(frames)
-    # the seed-cell test, once over all lanes, its per-row terms built one
-    # coordinate at a time as (L, m) arrays
-    lanes = np.arange(len(frame))[:, None]
-    seeds, g, gl1 = seeds[frame], g[frame], gl1[frame]
-    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
-    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
-    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
-    wc = frames[:, :, 0][frame] * centre[:, 0, None]
-    for k in (1, 2):
-        wc += frames[:, :, k][frame] * centre[:, k, None]
-    blo, bhi = lo - wc, hi - wc  # the bounds about c
-    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
-    for s in range(3):
-        scale = scale + half[:, s] * gl1[:, s]
-    # the largest |<w_i, y - c>| over the seed cell, plus the margin
-    slack = half[:, 0, None] * wg[:, :, 0][frame]
-    for s in (1, 2):
-        slack += half[:, s, None] * wg[:, :, s][frame]
-    slack += (_EMPTY_MARGIN * scale)[:, None]
-    empty = ~ok[frame] | ((blo > slack) | (bhi < -slack)).any(axis=1)
-    live = np.flatnonzero(~empty)
-    for start in range(0, live.size, _POLYTOPE_LANES):
-        part = live[start : start + _POLYTOPE_LANES]
-        out[part] = _polytope_volumes(tables, frame[part], blo[part], bhi[part], slack[part])
-    return out
+    return table_volumes(polytope_tables(frames), frame, lo, hi)
 
 
-def _frame_tables(F):
-    """What polytope_volumes needs of the frames F (K, m, 3) alone: seeds,
-    ok, g (the seed cell's edge vectors per unit half-width), the 1-norms of
-    g, |<w_i, g_s>|, the rows' squared norms; the merges: into (K, m), the
-    row that row j merges into or -1, the rows j that merge in some frame,
-    their factors alpha (None when no row merges), and the rows that stay
-    alive; and per facet frame k m + i (row i of frame k): its Gram row
-    over the other rows (K m, m - 1), which of them are merged (None when no
-    row merges), and the 2-D tables of the other rows in an orthonormal
-    basis of w_i-perp, merged rows zeroed."""
+class PolytopeTables(NamedTuple):
+    """What the 3-D kernel needs of frames (K, m, 3) alone, per frame; the
+    fields of its m facet frames, row i's at [k, i], hold each (K, m, ...).
+    A frame where no row merges has into -1, alpha 1 and dead false."""
+
+    w: np.ndarray  # (K, m, 3): the rows
+    seeds: np.ndarray  # (K, 3): the seed rows (_polytope_seed_lanes)
+    ok: np.ndarray  # (K,): false where the seed rows are degenerate
+    g: np.ndarray  # (K, 3, 3): the seed cell's edge vectors per unit half-width
+    gl1: np.ndarray  # (K, 3): their 1-norms
+    wg: np.ndarray  # (K, m, 3): |<w_i, g_s>|
+    norms: np.ndarray  # (K, m): |w_i|^2
+    into: np.ndarray  # (K, m): the row that row j merges into, or -1
+    alpha: np.ndarray  # (K, m): the merge factors <w_j, w_i> / |w_i|^2
+    alive: np.ndarray  # (K, m): the rows that do not merge
+    gram: np.ndarray  # (K, m, m - 1): <w_i, w_j> over the other rows j
+    dead: np.ndarray  # (K, m, m - 1): which of them merge (zeroed in the facet)
+    facets: ClipTables  # of the facet frames, each field (K, m, ...)
+
+
+def polytope_tables(frames) -> PolytopeTables:
+    """The PolytopeTables of frames (K, m, 3)."""
+    F = np.ascontiguousarray(frames, dtype=float)
     count, m, _ = F.shape
     seeds, ok = _polytope_seed_lanes(F)
     frames = np.arange(count)[:, None]
@@ -451,7 +488,7 @@ def _frame_tables(F):
     # alpha (most frames have no parallel pair)
     alive = np.ones((count, m), dtype=bool)
     into = np.full((count, m), -1)
-    merged, alpha = (), None
+    alpha = np.ones((count, m))
     if (parallel & np.tri(m, k=-1, dtype=bool)).any():
         for j in range(1, m):
             parallel_to = parallel[:, j, :j] & alive[:, :j]
@@ -459,8 +496,6 @@ def _frame_tables(F):
             into[hit, j] = np.argmax(parallel_to[hit], axis=1)
             alive[hit, j] = False
         mk, mj = np.nonzero(into >= 0)
-        merged = np.unique(mj)
-        alpha = np.ones((count, m))
         alpha[mk, mj] = gram[mk, mj, into[mk, mj]] / norms[mk, into[mk, mj]]
     e = np.zeros_like(F)
     e[frames, np.arange(m), np.argmin(np.abs(F), axis=2)] = 1.0
@@ -473,16 +508,14 @@ def _frame_tables(F):
     others = _others(m)
     wo = F[:, others]  # (K, m, m - 1, 3)
     flat = np.stack([_dot(wo, u[:, :, None, :]), _dot(wo, v[:, :, None, :])], axis=-1)
-    dead = None
-    if alpha is not None:
-        # merged rows become zero rows that every point satisfies (their
-        # lanes' bounds are -1, 1)
-        dead = ~alive[:, others]
-        flat[dead] = 0.0
-        dead = dead.reshape(count * m, m - 1)
-    facets = _polygon_frame_tables(flat.reshape(count * m, m - 1, 2))
-    gram = gram[:, np.arange(m)[:, None], others].reshape(count * m, m - 1)
-    return seeds, ok, g, gl1, wg, norms, into, merged, alpha, alive, gram, dead, facets
+    # merged rows become zero rows that every point satisfies (their lanes'
+    # bounds are -1, 1)
+    dead = ~alive[:, others]
+    flat[dead] = 0.0
+    facets = _clip_tables(flat.reshape(count * m, m - 1, 2))
+    facets = ClipTables(*(t.reshape((count, m) + t.shape[1:]) for t in facets))
+    gram = gram[:, np.arange(m)[:, None], others]
+    return PolytopeTables(F, seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, dead, facets)
 
 
 def _others(m):
@@ -490,19 +523,43 @@ def _others(m):
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
+def _polytope_seed_cells(tables, frame, lo, hi):
+    """seed_cells of 3-D lanes: the live lanes, with their bounds about c
+    and slack."""
+    # the per-row terms are built one coordinate at a time as (L, m) arrays
+    lanes = np.arange(len(frame))[:, None]
+    seeds, g, gl1 = tables.seeds[frame], tables.g[frame], tables.gl1[frame]
+    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
+    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
+    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
+    wc = tables.w[:, :, 0][frame] * centre[:, 0, None]
+    for k in (1, 2):
+        wc += tables.w[:, :, k][frame] * centre[:, k, None]
+    blo, bhi = lo - wc, hi - wc  # the bounds about c
+    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
+    for s in range(3):
+        scale = scale + half[:, s] * gl1[:, s]
+    # the largest |<w_i, y - c>| over the seed cell, plus the margin
+    slack = half[:, 0, None] * tables.wg[:, :, 0][frame]
+    for s in (1, 2):
+        slack += half[:, s, None] * tables.wg[:, :, s][frame]
+    slack += (_EMPTY_MARGIN * scale)[:, None]
+    live = np.flatnonzero(tables.ok[frame] & ~((blo > slack) | (bhi < -slack)).any(axis=1))
+    return live, (blo[live], bhi[live], slack[live])
+
+
 def _polytope_volumes(tables, frame, blo, bhi, slack):
     """polytope_volumes of the lanes frame that pass its seed-cell test,
-    from their bounds about c and slack, on the rest of the _frame_tables
-    of their frames."""
-    norms, into, merged, alpha, alive, gram, dead, facets = tables
+    from their bounds about c and slack, on their frames' PolytopeTables."""
     count, m = blo.shape
-    into = into[frame]
+    into = tables.into[frame]
+    merged = np.flatnonzero((into >= 0).any(axis=0))
+    if merged.size:  # the merges write to the lanes' own copies
+        blo, bhi = blo.copy(), bhi.copy()
     for j in merged:
         hit = np.flatnonzero(into[:, j] >= 0)
-        if not hit.size:
-            continue
         i = into[hit, j]
-        scaled = alpha[frame[hit], j]
+        scaled = tables.alpha[frame[hit], j]
         a, b = blo[hit, j] / scaled, bhi[hit, j] / scaled
         blo[hit, i] = np.maximum(blo[hit, i], np.minimum(a, b))
         bhi[hit, i] = np.minimum(bhi[hit, i], np.maximum(a, b))
@@ -512,47 +569,135 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     # cell cuts no facet)
     plane = np.stack([bhi, blo], axis=2)
     signed = plane * np.array([1.0, -1.0])
-    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (alive[frame] & ~empty[:, None])[:, :, None])
+    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (tables.alive[frame] & ~empty[:, None])[:, :, None])
     if not fl.size:
         return np.zeros(count)
     facet = frame[fl] * m + fi
     rows = _others(m)[fi]  # (F, m - 1)
     b = plane[fl, fi, fs]
-    nn = norms.reshape(-1)[facet]
-    foot = (b / nn)[:, None] * gram[facet]
+    nn = tables.norms.reshape(-1)[facet]
+    foot = (b / nn)[:, None] * tables.gram.reshape(-1, m - 1)[facet]
     flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
-    if dead is not None:
-        zeroed = dead[facet]
+    zeroed = tables.dead.reshape(-1, m - 1)[facet]
+    if zeroed.any():
         flo, fhi = np.where(zeroed, -1.0, flo), np.where(zeroed, 1.0, fhi)
+    facets = ClipTables(*(t.reshape((len(t) * m,) + t.shape[2:]) for t in tables.facets))
     terms = np.zeros((count, m, 2))
     terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi)
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
 
 
+# -- Tables, seed cells and dispatch by dimension -----------------------------
+
+
+def frame_tables(frames):
+    """The kernel tables of frames (K, m, d), d in {1, 2, 3}: what the lane
+    kernel of dimension d needs of each frame alone, built once per frame
+    by interval_tables, polygon_tables or polytope_tables."""
+    frames = np.asarray(frames, dtype=float)
+    d = frames.shape[2]
+    if d == 1:
+        return interval_tables(frames)
+    if d == 2:
+        return polygon_tables(frames)
+    if d == 3:
+        return polytope_tables(frames)
+    raise ValueError(f"the slab kernels support dimensions 1-3, got {d}")
+
+
+def join_tables(tables):
+    """The tables of the frames of each of tables (of one kind and m), in
+    order: every field concatenated along its leading (frame) axis."""
+    if len(tables) == 1:
+        return tables[0]
+    if isinstance(tables[0], tuple):
+        return type(tables[0])(*map(join_tables, zip(*tables)))
+    return np.concatenate(tables)
+
+
+def split_tables(tables) -> list:
+    """The one-frame tables of each frame of tables, in order: views, which
+    join_tables joins back."""
+    if isinstance(tables, tuple):
+        return [type(tables)(*fields) for fields in zip(*map(split_tables, tables))]
+    return [tables[k : k + 1] for k in range(len(tables))]
+
+
+def seed_cells(tables, frame, lo, hi):
+    """The seed-cell test of the lanes frame (L,), lo and hi (L, m), on
+    their frames' tables: (live, lanes), the indices of the lanes it does
+    not prove empty, and what live_volumes takes of them.  A 2-D or 3-D
+    lane fails it when its frame is degenerate or its seed cell misses a
+    row's slab by a margin (_CLIP_MARGIN, _EMPTY_MARGIN), where its kernel
+    would give 0.0; every 1-D lane passes.  Each lane's result does not
+    depend on the other lanes."""
+    if isinstance(tables, PolytopeTables):
+        return _polytope_seed_cells(tables, frame, lo, hi)
+    if isinstance(tables, PolygonTables):
+        live = np.flatnonzero(_polygon_seed_cells(tables, frame, lo, hi))
+        return live, (lo[live], hi[live])
+    return np.arange(len(frame)), (lo, hi)
+
+
+def live_volumes(tables, frame, lanes) -> np.ndarray:
+    """The volumes of lanes that passed seed_cells: frame (L,) and lanes as
+    it returned them.  A one-lane 1-D call runs interval_length, with the
+    lane kernel's bits: marginal_at's 1-D blocks make such calls."""
+    if isinstance(tables, PolytopeTables):
+        out = np.empty(len(frame))
+        for start in range(0, len(frame), _POLYTOPE_LANES):
+            part = slice(start, start + _POLYTOPE_LANES)
+            out[part] = _polytope_volumes(tables, frame[part], *(lane[part] for lane in lanes))
+        return out
+    if isinstance(tables, PolygonTables):
+        return _polygon_areas(tables.clip, frame, *lanes)
+    if len(frame) == 1:
+        lo, hi = lanes
+        return np.array([interval_length(tables.w[frame[0]], lo[0], hi[0])])
+    return _interval_lengths(tables, frame, *lanes)
+
+
+def table_volumes(tables, frame, lo, hi) -> np.ndarray:
+    """Volume of each lane of frame (L,), lo and hi (L, m), on its frame's
+    tables: seed_cells, then live_volumes of the live lanes, and 0.0 for
+    the others."""
+    frame = np.asarray(frame, dtype=np.intp)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = np.zeros(len(frame))
+    if len(frame):
+        live, lanes = seed_cells(tables, frame, lo, hi)
+        if live.size:
+            out[live] = live_volumes(tables, frame[live], lanes)
+    return out
+
+
 def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
     """Volume of { y in R^d : lo[l, i] <= <w_i, y> <= hi[l, i] } of each lane
     l, the rows w = frames[frame[l]], for frames (K, m, d), d in {1, 2, 3},
-    frame (L,), lo and hi (L, m), by the lane kernel of dimension d.
+    frame (L,), lo and hi (L, m), by the lane kernel of dimension d on the
+    frames' tables, built in this call.
 
-    A one-lane d = 1 call runs interval_length instead, with the same bits:
-    marginal_at's 1-D blocks make such calls one point at a time.  Per call,
-    on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5 rows for d =
-    1, 2, 3; the best of 7 timeit repeats in each of three sessions; the
-    scalar 2-D and 3-D kernels are tests/slab_reference.py's):
+    Per call, on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5
+    rows for d = 1, 2, 3; the best of 7 timeit repeats in each of three
+    processes; the scalar 2-D and 3-D kernels are tests/slab_reference.py's).
+    A first call on a frame is a slab_volumes call, which builds the tables;
+    a later call is table_volumes on tables built before:
 
-        d   1 lane: lane kernel, scalar   512 lanes: lane kernel, 512 scalar calls
-        1   0.025 ms, 0.002 ms            0.06 ms, 1.1 ms
-        2   0.35 ms, 0.011 ms             1.1 ms (0.76 on one shared frame), 6.3 ms
-        3   0.69 ms, 0.12 ms              11.5 ms (4.0 on one shared frame), 83 ms
+        d   1 lane: first, later, scalar   512 lanes of 512 frames (of one): first, later
+        1   0.011, 0.005, 0.003 ms         0.070 (0.064), 0.060 (0.071) ms
+        2   0.45, 0.44, 0.015 ms           1.30 (0.96), 1.07 (0.85) ms
+        3   1.01, 0.42, 0.18 ms            13.5 (9.5), 11.1 (8.4) ms
 
-    so the callers of the 2-D and 3-D kernels batch their lanes.
+    Building one frame's tables takes 0.003, 0.08 and 0.32 ms, so a 3-D
+    lane's first call is mostly tables (at m = 4: 0.84 ms, 0.28 of it
+    tables), and slabgeom's pool, which runs a block in every round of a
+    grid sup, builds a block's tables once.  A one-lane call still costs
+    far more than the scalar kernel, so the callers of the 2-D and 3-D
+    kernels batch their lanes.
     """
     frames = np.asarray(frames, dtype=float)
-    frame = np.asarray(frame, dtype=np.intp)
     d = frames.shape[2]
     if d == 1:
-        if len(frame) == 1:
-            return np.array([interval_length(frames[frame[0], :, 0], lo[0], hi[0])])
         return interval_lengths(frames, frame, lo, hi)
     if d == 2:
         return polygon_areas(frames, frame, lo, hi)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, randomness, slabgeom
 from .densities import ProductDensity
-from .grassmann import Subspace, orthonormal_complement
+from .grassmann import Subspace, complement_bases, orthonormal_complement
 from .sections import hyperplane_section_exact, unit_cube
 
 _GRID_BUDGET = 400_000
@@ -139,11 +139,28 @@ def marginal_grid_sups(problems) -> list[float]:
     return sups
 
 
+def _slab_sums(pairs) -> list:
+    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits; the
+    complements of the subspaces of one shape (n, k) come from one
+    complement_bases call."""
+    shapes = {}
+    for i, (f, e) in enumerate(pairs):
+        if e.n != f.n:
+            raise ValueError("density and subspace live in different dimensions")
+        shapes.setdefault(e.basis.shape, []).append(i)
+    out = [None] * len(pairs)
+    for index in shapes.values():
+        for i, comp in zip(index, complement_bases(np.stack([pairs[i][1].basis for i in index]))):
+            out[i] = slabgeom.SlabSum(comp, [fi.pieces for fi in pairs[i][0].factors])
+    return out
+
+
 def _lockstep_grid_sups(group) -> list:
     """The grid sups of the (problem, grid offsets) pairs of group, every
     round one pooled_values call."""
-    runs = [(_slab_sum(f, e), e, e.basis.T @ f.support_midpoints())
-            for (f, e, _, _, _), _ in group]
+    pairs = [(f, e) for (f, e, _, _, _), _ in group]
+    runs = [(slab_sum, e, e.basis.T @ f.support_midpoints())
+            for slab_sum, (f, e) in zip(_slab_sums(pairs), pairs)]
 
     def scan(scans) -> list:
         # scans: (run index, origin, offsets); the first maximum wins, as

@@ -10,8 +10,12 @@ A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
 sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator;
 sums_at_zero integrates many frames at zero shift in shared kernel calls.
-Which of the combinations' slab polytopes are empty is the kernels' call:
-each drops the lanes whose seed cell misses a row's slab.
+Each SlabBlock keeps the kernel tables of its frame (kernels.frame_tables),
+built once, in the first pooled_values round that runs it, for all of that
+round's new blocks of one shape together.  Which of the combinations' slab
+polytopes are empty is the kernels' call (kernels.seed_cells), which
+pooled_values makes before it pools the lanes, so that only live lanes
+reach the kernels.
 """
 
 from __future__ import annotations
@@ -137,13 +141,15 @@ def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 class SlabBlock:
     """One orthogonal block of a slab system with the bounds (C, m) and
     weights (C,) of its piece combinations, in product order (as given by
-    nonzero_combinations)."""
+    nonzero_combinations), and the kernel tables of its frame, which the
+    first pooled_values round that runs the block builds."""
 
     def __init__(self, local: np.ndarray, lo: np.ndarray, hi: np.ndarray, weights):
         self.local = local  # the rows in block coordinates, (m, d)
         self.lo = lo
         self.hi = hi
         self.weights = weights
+        self.tables = None  # kernels.frame_tables(local[None]), once built
 
 
 # lanes per lane-wise kernel call in shared_block_integrals and pooled_values:
@@ -151,8 +157,8 @@ class SlabBlock:
 # lanes)
 LANE_CAP = 1 << 14
 
-# lanes a queue of pooled_values gathers before it runs: a lockstep campaign
-# fills it every round, and a call of LANE_CAP 2-D or 3-D lanes holds tens of
+# live lanes (those that pass kernels.seed_cells) a pool of pooled_values
+# gathers before they run: a call of LANE_CAP 2-D or 3-D lanes holds tens of
 # MB of kernel arrays, while a call of this many already pays the kernels'
 # fixed cost on a small share of its time
 _POOL_LANES = 1 << 10
@@ -178,7 +184,9 @@ def _combination_sums(vol: np.ndarray, weights) -> np.ndarray:
 def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
     """Per (lo, hi, weights) in bounds, the (S,) sums over c, in order from
     0.0, of weights[c] x the volume of local[s] within lo[s, c], hi[s, c]:
-    every (integrand, s, c) is one lane of shared kernel calls.
+    every (integrand, s, c) is one lane of shared kernel calls, each of
+    which builds the kernel tables of local (once for the Haar route's
+    chunks, which hold at most LANE_CAP lanes).
 
     local is (S, m, d) or one (m, d) for every s; lo and hi are (S, C, m) or
     one (C, m) for every s.  S = 0 frames give empty arrays.
@@ -323,53 +331,108 @@ class SlabSum:
         return cube_vol * mean, cube_vol * math.sqrt(var / samples)
 
 
-class _LanePool:
-    """The lanes of one round of pooled_values, waiting for shared kernel
-    calls.
+def _concatenate(arrays):
+    """np.concatenate(arrays), or the one array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Lanes queue by their kernel input shape (m, d); a queue runs once it
-    holds _POOL_LANES lanes, and flush() runs the rest.  Running a block's
-    lanes multiplies its integral into the values of its live points.
+
+class _LanePool:
+    """The lanes of one round of pooled_values whose blocks share a kernel
+    input shape (m, d), on one join of the blocks' kernel tables.
+
+    add() queues a block's lanes at some points.  Once the queue would pass
+    LANE_CAP lanes, and at flush(), their bounds are built in one array per
+    side and kernels.seed_cells tests them (per LANE_CAP lanes): a round of
+    at most LANE_CAP lanes per shape is tested in one call.  Only the live
+    lanes wait, add by add; once _POOL_LANES of them wait, and at flush(),
+    they run through one kernels.live_volumes call.  So a round makes at
+    most ceil(live / _POOL_LANES) kernel calls per shape, and no call
+    carries a lane the test proved empty.  Running an add's lanes
+    multiplies its block integral, 0.0 from the lanes the test dropped,
+    into the values of its points.
     """
 
-    def __init__(self):
-        self._queues = {}
-        self._lanes = {}
+    def __init__(self, blocks):
+        """blocks: the round's distinct blocks of one shape; those that have
+        no tables yet get them from one kernels.frame_tables call."""
+        new = [block for block in blocks if block.tables is None]
+        if new:
+            built = kernels.frame_tables(np.stack([block.local for block in new]))
+            for block, tables in zip(new, kernels.split_tables(built) if len(new) > 1 else [built]):
+                block.tables = tables
+        self._tables = kernels.join_tables([block.tables for block in blocks])
+        self._frame = {id(block): k for k, block in enumerate(blocks)}
+        self._queue, self._queued = [], 0
+        # per tested add: (the add, its lane count, its live lanes, their
+        # frames and kernel inputs)
+        self._waiting, self._live = [], 0
 
     def add(self, block: SlabBlock, shifts: np.ndarray, values: np.ndarray,
-            live: np.ndarray) -> None:
-        """Queue the lanes of block at the live points, point major: point p
-        and combination c have the bounds block.lo[c] - shifts[p],
-        block.hi[c] - shifts[p], for shifts (P, m) those of the block's rows
-        at the P live points."""
-        shape = block.local.shape
-        self._queues.setdefault(shape, []).append((block, shifts, values, live))
-        self._lanes[shape] = self._lanes.get(shape, 0) + live.size * len(block.weights)
-        if self._lanes[shape] >= _POOL_LANES:
-            self._run(shape)
+            points: np.ndarray) -> None:
+        """Queue the lanes of block at the points, point major: point p and
+        combination c have the bounds block.lo[c] - shifts[p], block.hi[c] -
+        shifts[p], for shifts (P, m) those of the block's rows at the P
+        points."""
+        lanes = len(shifts) * len(block.weights)
+        if self._queue and self._queued + lanes > LANE_CAP:
+            self._test()
+        self._queue.append((block, shifts, values, points))
+        self._queued += lanes
 
     def flush(self) -> None:
-        for shape in list(self._queues):
-            self._run(shape)
+        if self._queue:
+            self._test()
+        if self._waiting:
+            self._run()
 
-    def _run(self, shape) -> None:
-        """One queue's lanes through shared kernel calls, with their bounds
-        built here in one array per side; then values[live] *= the block
-        integral at the live points, entry by entry."""
-        queue = self._queues.pop(shape)
-        lanes, m = self._lanes.pop(shape), shape[0]
-        lo, hi = np.empty((lanes, m)), np.empty((lanes, m))
+    def _test(self) -> None:
+        """The seed-cell test of the queue's lanes, with their bounds built
+        here in one array per side; then their live lanes wait, add by add."""
+        queue, self._queue, self._queued = self._queue, [], 0
+        m = queue[0][0].local.shape[0]
         counts = [len(shifts) * len(block.weights) for block, shifts, _, _ in queue]
         ends = np.cumsum(counts)
+        lo, hi = np.empty((ends[-1], m)), np.empty((ends[-1], m))
         for (block, shifts, _, _), start, end in zip(queue, ends - counts, ends):
             grid = (len(shifts), len(block.weights), m)
             np.subtract(block.lo, shifts[:, None], out=lo[start:end].reshape(grid))
             np.subtract(block.hi, shifts[:, None], out=hi[start:end].reshape(grid))
-        frame = np.repeat(np.arange(len(queue)), counts)
-        vol = _lane_volumes(np.stack([e[0].local for e in queue]), frame, lo, hi)
-        for (block, shifts, values, live), start, end in zip(queue, ends - counts, ends):
-            sums = _combination_sums(vol[start:end].reshape(len(shifts), -1), block.weights)
-            values[live] = values[live] * sums
+        frame = np.repeat([self._frame[id(block)] for block, _, _, _ in queue], counts)
+        live, lanes = [], []
+        for start in range(0, max(len(frame), 1), LANE_CAP):
+            chunk = slice(start, start + LANE_CAP)
+            idx, data = kernels.seed_cells(self._tables, frame[chunk], lo[chunk], hi[chunk])
+            live.append(start + idx)
+            lanes.append(data)
+        del lo, hi  # the 2-D and 3-D kernels take copies of the live lanes
+        live = _concatenate(live)
+        frame, lanes = frame[live], tuple(map(_concatenate, zip(*lanes)))
+        # add i's live lanes are live[cuts[i]:cuts[i + 1]]
+        cuts = np.searchsorted(live, np.r_[0, ends])
+        for entry, count, start, first, last in zip(queue, counts, ends - counts, cuts, cuts[1:]):
+            part = slice(first, last)
+            self._waiting.append((entry, count, live[part] - start, frame[part],
+                                  tuple(lane[part] for lane in lanes)))
+            self._live += last - first
+            if self._live >= _POOL_LANES:
+                self._run()
+
+    def _run(self) -> None:
+        """The waiting live lanes through one kernel call; then values[points]
+        *= the block integral at the points, add by add."""
+        waiting, self._waiting, self._live = self._waiting, [], 0
+        frame = _concatenate([frame for _, _, _, frame, _ in waiting])
+        vol = np.zeros(0)
+        if len(frame):
+            lanes = tuple(map(_concatenate, zip(*(lanes for _, _, _, _, lanes in waiting))))
+            vol = kernels.live_volumes(self._tables, frame, lanes)
+        at = 0
+        for (block, shifts, values, points), count, live, _, _ in waiting:
+            part = np.zeros(count)
+            part[live] = vol[at : at + live.size]
+            at += live.size
+            sums = _combination_sums(part.reshape(len(shifts), -1), block.weights)
+            values[points] = values[points] * sums
 
 
 def pooled_values(pairs) -> list[np.ndarray]:
@@ -379,14 +442,15 @@ def pooled_values(pairs) -> list[np.ndarray]:
     The blocks go in rounds: round j evaluates block j of every slab sum that
     has one, at the points whose value is still nonzero, and multiplies it
     in.  Point p and combination c make one lane, with the bounds
-    lo[c] - s[p], hi[c] - s[p]; a round's lanes pool by (m, d) into shared
-    kernels.slab_volumes calls of about _POOL_LANES lanes each.  The 2-D and
-    3-D kernels drop the lanes whose seed cell misses a row's slab (most of
-    them, away from the support's centre) before their clip or recursion.
-    A block's points join the pool at most LANE_CAP (point, combination)
-    pairs at a time (at least one point), so a queue runs, and builds its
-    lanes' bounds, with fewer than _POOL_LANES + LANE_CAP lanes (or one
-    point's).
+    lo[c] - s[p], hi[c] - s[p].  A round's lanes pool by (m, d), each shape
+    in one _LanePool: kernels.seed_cells drops the 2-D and 3-D lanes whose
+    seed cell misses a row's slab (most of them, away from the support's
+    centre) in one call per round and shape (per LANE_CAP lanes), and the
+    live lanes share kernels.live_volumes calls of at least _POOL_LANES
+    lanes each, but the last.  A block's points join the pool at most
+    LANE_CAP (point, combination) pairs at a time (at least one point), so
+    a test builds the bounds of at most LANE_CAP lanes (or one point's).
+    Each block's kernel tables are built once, in its first round.
     """
     values = []
     for slab_sum, shifts in pairs:
@@ -398,7 +462,7 @@ def pooled_values(pairs) -> list[np.ndarray]:
     depth = max((len(slab_sum.blocks) for (slab_sum, _), vals in zip(pairs, values)
                  if vals.any()), default=0)
     for j in range(depth):
-        pool = _LanePool()
+        parts = {}  # per shape: (block, shifts, values, points) of its lanes
         for (slab_sum, shifts), vals in zip(pairs, values):
             live = np.flatnonzero(vals != 0.0)
             if not live.size or j >= len(slab_sum.blocks):
@@ -407,8 +471,12 @@ def pooled_values(pairs) -> list[np.ndarray]:
             per_add = max(1, LANE_CAP // max(len(block.weights), 1))
             for start in range(0, live.size, per_add):
                 part = live[start : start + per_add]
-                pool.add(block, shifts[part][:, rows], vals, part)
-        pool.flush()
+                parts.setdefault(block.local.shape, []).append((block, shifts[part][:, rows], vals, part))
+        for queue in parts.values():
+            pool = _LanePool(list({id(entry[0]): entry[0] for entry in queue}.values()))
+            for entry in queue:
+                pool.add(*entry)
+            pool.flush()
     return values
 
 

@@ -734,3 +734,30 @@ def test_no_command_loads_a_scipy_submodule(tmp_path):
     assert done.stdout.splitlines()[-1].split() == [
         "True", "False", "[]", "True",
         "a58cf91f9a36b867b645e0d179354c8983b065eb1fbf8680f3a8b2d0996f18ed"]
+
+
+@pytest.mark.parametrize("base", [["verify", "--n", "3", "--k", "2"], ["verify", "--n", "5", "--k", "2"],
+                                  ["rogozin", "--n", "3"]])
+def test_batched_trial_frames_keep_the_bytes(base, tmp_path):
+    # a chunk draws its subspaces (or directions) in one call and frames
+    # their complements in one call: one chunk of 9 trials at --workers 1,
+    # 8 chunks of one or two at --workers 2, and one-trial chunks whose
+    # subspaces come from the one-lane draws all give the same records
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        assert run(base + ["--trials", "9", "--seed", "6", "--workers", workers, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    n = int(base[2])
+    if base[0] == "verify":
+        k = int(base[4])
+        cases = [(cli._trial_density(6, n, t, 1.0, 1.0),
+                  margbounds.grassmann.haar_sample(n, k, 6, stream=t * cli._TRIAL_STREAM_BLOCK + 513)) for t in range(9)]
+        want = [margbounds.marginals.verify_main_theorems([case])[0]["sup_lower_bound"] for case in cases]
+    else:
+        cases = [(cli._trial_density(6, n, t, 1.0, 1.0),
+                  margbounds.grassmann.haar_directions(n, 1, 6, stream=t * cli._TRIAL_STREAM_BLOCK + 513)[0])
+                 for t in range(9)]
+        want = [margbounds.marginals.rogozin_checks([case])[0][0] for case in cases]
+    assert [r["sup_lower_bound"] for r in json.loads(blobs[0])["records"]] == want

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from margbounds import grassmann, randomness, slabgeom
 from margbounds.grassmann import (
@@ -265,3 +267,22 @@ def test_speculative_climb_is_the_one_proposal_climb(n, k):
     positions = {first for first, _ in batches}
     assert {0, width - 1, None} <= positions
     assert any(halved for _, halved in batches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.integers(0, 2**31), st.lists(st.integers(0, 2**40), min_size=1, max_size=30))
+def test_batched_trial_frames_keep_the_one_lane_bits(nk, seed, streams):
+    # a chunk's subspaces, their complements and its rogozin directions,
+    # each drawn in one call, have the bits of the one-lane calls
+    n, k = nk
+    streams = np.array(streams, dtype=np.uint64)
+    bases = haar_bases(n, k, seed, streams)
+    comps = complement_bases(bases)
+    lines = haar_directions(n, 1, seed, streams)
+    assert lines.shape == (len(streams), 1, n)
+    for basis, comp, line, stream in zip(bases, comps, lines[:, 0], streams.tolist()):
+        e = haar_sample(n, k, seed, stream=stream)
+        assert basis.tobytes() == e.basis.tobytes()
+        assert comp.tobytes() == orthonormal_complement(e).basis.tobytes()
+        assert line.tobytes() == haar_directions(n, 1, seed, stream=stream)[0].tobytes()

@@ -818,3 +818,76 @@ def test_shared_frame_batches_match_the_scalar_kernels_and_the_exact_oracle(batc
         assert value == slab_volume(frames[k], l, h)
         assert kernels.slab_volumes(frames, [k], l[None], h[None])[0] == value
         _assert_exact(frames[k], l, h, value)
+
+
+def _fields(tables):
+    """Every array of tables, nested tables flattened, in field order."""
+    if isinstance(tables, tuple):
+        return [a for field in tables for a in _fields(field)]
+    return [tables]
+
+
+def _assert_tables_equal(got, want):
+    """Same kind, field by field the same dtype, shape and bytes."""
+    assert type(got) is type(want)
+    for a, b in zip(_fields(got), _fields(want), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _frame_stacks(draw):
+    """1-4 frames (K, m, d), d in 1..3, m in d..5, of small nonzero integer
+    rows, some repeated, negated or doubled (parallel rows merge in 3-D), or
+    of Haar complements."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(max(d, 2), 5))
+    count = draw(st.integers(1, 4))
+    if m > d and draw(st.booleans()):
+        return complement_bases(haar_bases(m, m - d, draw(st.integers(0, 99)), np.arange(count)))
+    frames = []
+    for _ in range(count):
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                             min_size=m, max_size=m))
+        for i in range(1, m):
+            if draw(st.booleans()):
+                j = draw(st.integers(0, i - 1))
+                rows[i] = [draw(st.sampled_from([1, -1, 2])) * c for c in rows[j]]
+        assume(all(any(row) for row in rows))  # callers strip zero rows
+        frames.append(rows)
+    return np.array(frames, dtype=float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frame_stacks())
+def test_joined_one_frame_tables_equal_the_stacks_tables(frames):
+    # tables built one frame at a time, or cut from another stack, and
+    # joined, have the bits of the tables built on the call's own stack
+    whole = kernels.frame_tables(frames)
+    ones = [kernels.frame_tables(frames[k : k + 1]) for k in range(len(frames))]
+    _assert_tables_equal(kernels.join_tables(ones), whole)
+    parts = kernels.split_tables(whole)
+    assert len(parts) == len(frames)
+    for part, one in zip(parts, ones):
+        _assert_tables_equal(part, one)
+    _assert_tables_equal(kernels.join_tables(parts[::-1]), kernels.frame_tables(frames[::-1]))
+
+
+def test_joined_tables_of_merged_and_plain_3d_frames():
+    # a frame whose rows 3 and 4 merge into rows 0 and 1 (parallel within
+    # _PARALLEL_SINE), and a Haar frame where no row merges: into, alpha and
+    # dead join, and the lanes keep their one-frame bits
+    merged = np.vstack([np.eye(3), [[2.0, 0.0, 0.0], [0.0, -1.0, 1e-10]]])
+    plain = complement_bases(haar_bases(5, 2, 3, np.arange(1)))[0]
+    frames = np.stack([merged, plain])
+    tables = kernels.join_tables([kernels.frame_tables(f[None]) for f in frames])
+    _assert_tables_equal(tables, kernels.frame_tables(frames))
+    assert tables.into.tolist() == [[-1, -1, -1, 0, 1], [-1] * 5]
+    assert tables.alpha[0, 3:].tolist() == [2.0, -1.0] and (tables.alpha[1] == 1.0).all()
+    assert tables.dead[0].any() and not tables.dead[1].any()
+    rng = np.random.default_rng(4)
+    frame = np.array([0, 1, 1, 0, 0, 1])
+    half = rng.uniform(0.3, 1.0, size=(6, 5))
+    lo, hi = -half, half
+    got = kernels.table_volumes(tables, frame, lo, hi)
+    assert np.array_equal(got, [slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)])
+    assert got.all()

@@ -381,6 +381,84 @@ def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
             assert marginal_grid_sups(problems[i:j]) == want[i:j]
 
 
+def _spy_pools(monkeypatch):
+    """Record each _LanePool, one per round and kernel shape, with its blocks
+    (held, so their ids stay distinct), and the frames each kernel table
+    builder gets, per dimension."""
+    pools, builds = [], {1: 0, 2: 0, 3: 0}
+    pool = slabgeom._LanePool
+
+    class Spy(pool):
+        def __init__(self, blocks):
+            self.blocks, self.tested, self.passed, self.ran = list(blocks), 0, [], []
+            pools.append(self)
+            super().__init__(blocks)
+
+    monkeypatch.setattr(slabgeom, "_LanePool", Spy)
+    for d, name in ((1, "interval_tables"), (2, "polygon_tables"), (3, "polytope_tables")):
+        def build(frames, d=d, original=getattr(kernels, name)):
+            builds[d] += len(frames)
+            return original(frames)
+
+        monkeypatch.setattr(kernels, name, build)
+    return pools, builds
+
+
+def _verify_chunk():
+    """One verify --n 4 --k 1 --trials 2 chunk: 3-D blocks."""
+    from margbounds import cli
+
+    return cli._verify_trials((3, 4, 1, 1e-4, 1.0, 1.0, range(2)))
+
+
+@pytest.mark.parametrize("run", [lambda: marginal_grid_sups(_mixed_batch()), _verify_chunk])
+def test_kernel_tables_are_built_once_per_block(run, monkeypatch):
+    pools, builds = _spy_pools(monkeypatch)
+    run()
+    blocks = {id(block): block for pool in pools for block in pool.blocks}.values()
+    for d in (1, 2, 3):
+        assert builds[d] == sum(block.local.shape[1] == d for block in blocks)
+    # not vacuous: blocks run in several rounds
+    assert sum(len(pool.blocks) for pool in pools) > len(blocks) > 1
+
+
+@pytest.mark.parametrize("run", [lambda: marginal_grid_sups(_mixed_batch()), _verify_chunk])
+def test_pools_run_only_live_lanes(run, monkeypatch):
+    # small pools and LANE_CAP split rounds into several tests and kernel
+    # calls: the lanes of every call are those that passed the seed-cell
+    # test, in order, and a round makes at most ceil(live / _POOL_LANES)
+    # calls per shape
+    monkeypatch.setattr(slabgeom, "_POOL_LANES", 40)
+    monkeypatch.setattr(slabgeom, "LANE_CAP", 200)
+    pools, _ = _spy_pools(monkeypatch)
+    seed_cells, live_volumes = kernels.seed_cells, kernels.live_volumes
+
+    def cells(tables, frame, lo, hi):
+        live, lanes = seed_cells(tables, frame, lo, hi)
+        pools[-1].tested += len(frame)
+        pools[-1].passed.append((frame[live],) + lanes)
+        return live, lanes
+
+    def volumes(tables, frame, lanes):
+        assert len(frame)
+        if isinstance(tables, kernels.PolygonTables):
+            assert seed_cells(tables, frame, *lanes)[0].size == len(frame)
+        pools[-1].ran.append((frame,) + lanes)
+        return live_volumes(tables, frame, lanes)
+
+    monkeypatch.setattr(kernels, "seed_cells", cells)
+    monkeypatch.setattr(kernels, "live_volumes", volumes)
+    run()
+    for pool in pools:
+        live = sum(len(frame) for frame, *_ in pool.passed)
+        assert len(pool.ran) <= math.ceil(live / 40)
+        assert sum(len(frame) for frame, *_ in pool.ran) == live
+        for got, want in zip(zip(*pool.ran), zip(*pool.passed)):
+            assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+    assert any(len(pool.ran) > 1 for pool in pools)
+    assert sum(len(frame) for pool in pools for frame, *_ in pool.passed) < sum(pool.tested for pool in pools)
+
+
 def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
     # grids of 225, 225, 225, 225, 33 and 33 points against a cap of 300
     problems = _mixed_batch()
@@ -408,10 +486,10 @@ def _block_lanes(block, shifts, rows):
 
 
 def _dropped_lanes(local, lo, hi):
-    """The lanes of one 2-D frame local that polygon_areas drops by its
-    seed-cell test before any clip."""
-    tables = kernels._polygon_frame_tables(local[None])
-    return np.flatnonzero(~kernels._polygon_seed_cells(tables, np.zeros(len(lo), dtype=np.intp), lo, hi))
+    """The lanes of one 2-D frame local that kernels.seed_cells drops
+    before any clip."""
+    live, _ = kernels.seed_cells(kernels.frame_tables(local[None]), np.zeros(len(lo), dtype=np.intp), lo, hi)
+    return np.setdiff1d(np.arange(len(lo)), live)
 
 
 def test_polygon_areas_drop_lanes_off_center():
@@ -501,3 +579,15 @@ def test_bl_guard_slab_sum_keeps_its_bits_and_memory():
     # rational vertex enumeration is 2.5772580870113675, 5.2e-16 above this
     # value; the face-list clipper's 0x1.49e397ce885d2p+1 was 9.7e-16 below)
     assert value.hex() == "0x1.49e397ce885d3p+1"
+
+
+def test_lockstep_slab_sums_keep_the_one_lane_bits():
+    # one complement_bases call per shape, for subspaces of mixed shapes in
+    # any order
+    pairs = [(random_product_density(s, n, 2), haar_sample(n, k, seed=7, stream=s)) for s, (n, k) in
+             enumerate([(4, 2), (3, 1), (4, 2), (5, 3), (3, 1), (4, 2), (1, 1)])]
+    for got, (f, e) in zip(marginals._slab_sums(pairs), pairs, strict=True):
+        assert got.rows.tobytes() == orthonormal_complement(e).basis.tobytes()
+        assert got.pieces == [fi.pieces for fi in f.factors]
+    with pytest.raises(ValueError, match="different dimensions"):
+        marginals._slab_sums([(random_product_density(1, 3, 2), haar_sample(4, 2, seed=1))])

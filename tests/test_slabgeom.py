@@ -94,13 +94,13 @@ def test_decomposed_volume_empty_block_short_circuits(monkeypatch):
     slab_sum = SlabSum(w, [[(l, u, 1.0)] for l, u in zip(lo, hi)])
     assert [list(rows) for rows, _ in slab_sum.blocks] == [[0, 1], [2]]
     calls = []
-    kernel = kernels.slab_volumes
+    kernel = kernels.live_volumes
 
-    def spy(frames, frame, lo, hi):
+    def spy(tables, frame, lanes):
         calls.append(len(frame))
-        return kernel(frames, frame, lo, hi)
+        return kernel(tables, frame, lanes)
 
-    monkeypatch.setattr(kernels, "slab_volumes", spy)
+    monkeypatch.setattr(kernels, "live_volumes", spy)
     assert slab_sum.value(np.zeros(3)) == 0.0
     assert calls == [1]
     # the same first block at two points: the second block runs only at the
