@@ -23,11 +23,13 @@ index (L,) and the bounds (L, m) of its L lanes:
 Every lane goes through the same floating-point operations whatever the
 other lanes of its call and whatever other frames its tables hold.
 table_volumes runs the last two steps on prebuilt tables (slabgeom's pool
-keeps each block's tables and runs them itself); slab_volumes dispatches
-raw frames by dimension to interval_lengths, polygon_areas and
-polytope_volumes, which build their tables per call.  Only one-lane d = 1
-calls run the scalar interval_length; tests/slab_reference.py keeps scalar
-2-D and 3-D twins as the tests' == reference.
+keeps each block's tables and runs the steps itself), and slab_volumes is
+table_volumes on the tables of raw frames, built per call.  The tests also
+enter through interval_lengths, polygon_areas and polytope_volumes, the
+same route for one dimension.  Only live_volumes' one-lane d = 1 calls run
+the scalar interval_length (interval_lengths always runs the lane kernel);
+tests/slab_reference.py keeps scalar 2-D and 3-D twins as the tests' ==
+reference.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ def interval_tables(frames) -> IntervalTables:
 def interval_lengths(frames, frame, lo, hi):
     """interval_length of each lane l: the 1-D slabs lo[l, i] <= w_i * y <=
     hi[l, i] for w = frames[frame[l], :, 0], frames (K, m, 1), frame (L,),
-    lo and hi (L, m); returns (L,) lengths with interval_length's bits."""
-    return table_volumes(interval_tables(frames), frame, lo, hi)
+    lo and hi (L, m); returns (L,) lengths with interval_length's bits, by
+    the lane kernel also for one lane (every 1-D lane passes seed_cells)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return _interval_lengths(interval_tables(frames), np.asarray(frame, dtype=np.intp), lo, hi)
 
 
 def _interval_lengths(tables, frame, lo, hi):
@@ -607,7 +611,8 @@ def frame_tables(frames):
 
 def join_tables(tables):
     """The tables of the frames of each of tables (of one kind and m), in
-    order: every field concatenated along its leading (frame) axis."""
+    order: every field concatenated along its leading (frame) axis; one
+    table, or one array, comes back as it is."""
     if len(tables) == 1:
         return tables[0]
     if isinstance(tables[0], tuple):
@@ -675,7 +680,8 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
     """Volume of { y in R^d : lo[l, i] <= <w_i, y> <= hi[l, i] } of each lane
     l, the rows w = frames[frame[l]], for frames (K, m, d), d in {1, 2, 3},
     frame (L,), lo and hi (L, m), by the lane kernel of dimension d on the
-    frames' tables, built in this call.
+    frames' tables, built in this call (one-lane d = 1 calls: by
+    interval_length, see live_volumes).
 
     Per call, on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5
     rows for d = 1, 2, 3; the best of 7 timeit repeats in each of three
@@ -695,15 +701,7 @@ def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
     far more than the scalar kernel, so the callers of the 2-D and 3-D
     kernels batch their lanes.
     """
-    frames = np.asarray(frames, dtype=float)
-    d = frames.shape[2]
-    if d == 1:
-        return interval_lengths(frames, frame, lo, hi)
-    if d == 2:
-        return polygon_areas(frames, frame, lo, hi)
-    if d == 3:
-        return polytope_volumes(frames, frame, lo, hi)
-    raise ValueError(f"slab_volumes supports dimensions 1-3, got {d}")
+    return table_volumes(frame_tables(frames), frame, lo, hi)
 
 
 # -- Signed power sums -------------------------------------------------------

@@ -53,12 +53,34 @@ class MarginalQuery:
         return self.e.basis @ self.x
 
 
-def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
-    """The per-(f, E) part of pi_E(f): the complement frame rows w_i with the
-    factors' pieces, evaluated at the ambient shifts x_i = <x, e_i>."""
-    if e.n != f.n:
+def _framed_slab_sum(f: ProductDensity, comp: Subspace) -> slabgeom.SlabSum:
+    """The per-(f, E) part of pi_E(f), from comp, the complement of E: its
+    frame rows w_i with the factors' pieces, evaluated at the ambient shifts
+    x_i = <x, e_i>."""
+    if comp.n != f.n:
         raise ValueError("density and subspace live in different dimensions")
-    return slabgeom.SlabSum(orthonormal_complement(e).basis, [fi.pieces for fi in f.factors])
+    return slabgeom.SlabSum(comp.basis, [fi.pieces for fi in f.factors])
+
+
+def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
+    """The per-(f, E) part of pi_E(f), framed by orthonormal_complement(e)
+    (the call perfbench's tracer counts per marginal)."""
+    return _framed_slab_sum(f, orthonormal_complement(e))
+
+
+def _slab_sums(pairs) -> list:
+    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits: the
+    complements of the subspaces of one shape (n, k) come from one
+    complement_bases call, each checked orthonormal as a Subspace, as
+    orthonormal_complement does."""
+    shapes = {}
+    for i, (_, e) in enumerate(pairs):
+        shapes.setdefault(e.basis.shape, []).append(i)
+    out = [None] * len(pairs)
+    for index in shapes.values():
+        for i, comp in zip(index, complement_bases(np.stack([pairs[i][1].basis for i in index]))):
+            out[i] = _framed_slab_sum(pairs[i][0], Subspace(comp))
+    return out
 
 
 def marginal_at(q: MarginalQuery) -> float:
@@ -137,22 +159,6 @@ def marginal_grid_sups(problems) -> list[float]:
     if group:
         sups += _lockstep_grid_sups(group)
     return sups
-
-
-def _slab_sums(pairs) -> list:
-    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits; the
-    complements of the subspaces of one shape (n, k) come from one
-    complement_bases call."""
-    shapes = {}
-    for i, (f, e) in enumerate(pairs):
-        if e.n != f.n:
-            raise ValueError("density and subspace live in different dimensions")
-        shapes.setdefault(e.basis.shape, []).append(i)
-    out = [None] * len(pairs)
-    for index in shapes.values():
-        for i, comp in zip(index, complement_bases(np.stack([pairs[i][1].basis for i in index]))):
-            out[i] = slabgeom.SlabSum(comp, [fi.pieces for fi in pairs[i][0].factors])
-    return out
 
 
 def _lockstep_grid_sups(group) -> list:

@@ -331,108 +331,85 @@ class SlabSum:
         return cube_vol * mean, cube_vol * math.sqrt(var / samples)
 
 
-def _concatenate(arrays):
-    """np.concatenate(arrays), or the one array itself."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _pool_shape(entries) -> None:
+    """values[points] *= the block integral at the points, for each entry
+    (block, shifts, values, points) of one round of pooled_values whose
+    blocks share a kernel input shape (m, d); shifts (P, m) are those of the
+    block's rows at the P points, and point p with combination c makes the
+    lane with the bounds block.lo[c] - shifts[p], block.hi[c] - shifts[p].
 
-
-class _LanePool:
-    """The lanes of one round of pooled_values whose blocks share a kernel
-    input shape (m, d), on one join of the blocks' kernel tables.
-
-    add() queues a block's lanes at some points.  Once the queue would pass
-    LANE_CAP lanes, and at flush(), their bounds are built in one array per
-    side and kernels.seed_cells tests them (per LANE_CAP lanes): a round of
-    at most LANE_CAP lanes per shape is tested in one call.  Only the live
-    lanes wait, add by add; once _POOL_LANES of them wait, and at flush(),
-    they run through one kernels.live_volumes call.  So a round makes at
-    most ceil(live / _POOL_LANES) kernel calls per shape, and no call
-    carries a lane the test proved empty.  Running an add's lanes
-    multiplies its block integral, 0.0 from the lanes the test dropped,
-    into the values of its points.
+    The blocks with no tables get them from one kernels.frame_tables call,
+    and the lanes run on one join of the blocks' tables.  kernels.seed_cells
+    tests the lanes of consecutive entries, at most LANE_CAP of them (or one
+    entry's), with their bounds built in one array per side.  The live
+    lanes gather, entry by entry; once _POOL_LANES of them wait, and at the
+    end, they run through one kernels.live_volumes call.  So a round makes
+    at most ceil(live / _POOL_LANES) kernel calls per shape, and no call
+    carries a lane the test proved empty: those lanes add 0.0.
     """
-
-    def __init__(self, blocks):
-        """blocks: the round's distinct blocks of one shape; those that have
-        no tables yet get them from one kernels.frame_tables call."""
-        new = [block for block in blocks if block.tables is None]
-        if new:
-            built = kernels.frame_tables(np.stack([block.local for block in new]))
-            for block, tables in zip(new, kernels.split_tables(built) if len(new) > 1 else [built]):
-                block.tables = tables
-        self._tables = kernels.join_tables([block.tables for block in blocks])
-        self._frame = {id(block): k for k, block in enumerate(blocks)}
-        self._queue, self._queued = [], 0
-        # per tested add: (the add, its lane count, its live lanes, their
-        # frames and kernel inputs)
-        self._waiting, self._live = [], 0
-
-    def add(self, block: SlabBlock, shifts: np.ndarray, values: np.ndarray,
-            points: np.ndarray) -> None:
-        """Queue the lanes of block at the points, point major: point p and
-        combination c have the bounds block.lo[c] - shifts[p], block.hi[c] -
-        shifts[p], for shifts (P, m) those of the block's rows at the P
-        points."""
-        lanes = len(shifts) * len(block.weights)
-        if self._queue and self._queued + lanes > LANE_CAP:
-            self._test()
-        self._queue.append((block, shifts, values, points))
-        self._queued += lanes
-
-    def flush(self) -> None:
-        if self._queue:
-            self._test()
-        if self._waiting:
-            self._run()
-
-    def _test(self) -> None:
-        """The seed-cell test of the queue's lanes, with their bounds built
-        here in one array per side; then their live lanes wait, add by add."""
-        queue, self._queue, self._queued = self._queue, [], 0
-        m = queue[0][0].local.shape[0]
-        counts = [len(shifts) * len(block.weights) for block, shifts, _, _ in queue]
-        ends = np.cumsum(counts)
-        lo, hi = np.empty((ends[-1], m)), np.empty((ends[-1], m))
-        for (block, shifts, _, _), start, end in zip(queue, ends - counts, ends):
+    blocks = list({id(block): block for block, _, _, _ in entries}.values())
+    new = [block for block in blocks if block.tables is None]
+    if new:
+        built = kernels.frame_tables(np.stack([block.local for block in new]))
+        for block, tables in zip(new, kernels.split_tables(built)):
+            block.tables = tables
+    tables = kernels.join_tables([block.tables for block in blocks])
+    index = {id(block): k for k, block in enumerate(blocks)}
+    m = blocks[0].local.shape[0]
+    counts = np.array([len(shifts) * len(block.weights) for block, shifts, _, _ in entries])
+    ends = np.cumsum(counts)
+    waiting, live_count, first = [], 0, 0
+    while first < len(entries):
+        # the batch: entries first, ..., last - 1, at most LANE_CAP lanes
+        # (or one entry), entry j's lanes at starts[j]:stops[j]
+        base = ends[first] - counts[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + LANE_CAP, side="right")))
+        batch, stops = entries[first:last], ends[first:last] - base
+        starts = stops - counts[first:last]
+        lo, hi = np.empty((stops[-1], m)), np.empty((stops[-1], m))
+        for (block, shifts, _, _), a, b in zip(batch, starts, stops):
             grid = (len(shifts), len(block.weights), m)
-            np.subtract(block.lo, shifts[:, None], out=lo[start:end].reshape(grid))
-            np.subtract(block.hi, shifts[:, None], out=hi[start:end].reshape(grid))
-        frame = np.repeat([self._frame[id(block)] for block, _, _, _ in queue], counts)
-        live, lanes = [], []
-        for start in range(0, max(len(frame), 1), LANE_CAP):
-            chunk = slice(start, start + LANE_CAP)
-            idx, data = kernels.seed_cells(self._tables, frame[chunk], lo[chunk], hi[chunk])
-            live.append(start + idx)
-            lanes.append(data)
+            np.subtract(block.lo, shifts[:, None], out=lo[a:b].reshape(grid))
+            np.subtract(block.hi, shifts[:, None], out=hi[a:b].reshape(grid))
+        frame = np.repeat([index[id(block)] for block, _, _, _ in batch], counts[first:last])
+        tested = []
+        for at in range(0, max(len(frame), 1), LANE_CAP):
+            chunk = slice(at, at + LANE_CAP)
+            idx, data = kernels.seed_cells(tables, frame[chunk], lo[chunk], hi[chunk])
+            tested.append((at + idx, data))
         del lo, hi  # the 2-D and 3-D kernels take copies of the live lanes
-        live = _concatenate(live)
-        frame, lanes = frame[live], tuple(map(_concatenate, zip(*lanes)))
-        # add i's live lanes are live[cuts[i]:cuts[i + 1]]
-        cuts = np.searchsorted(live, np.r_[0, ends])
-        for entry, count, start, first, last in zip(queue, counts, ends - counts, cuts, cuts[1:]):
-            part = slice(first, last)
-            self._waiting.append((entry, count, live[part] - start, frame[part],
-                                  tuple(lane[part] for lane in lanes)))
-            self._live += last - first
-            if self._live >= _POOL_LANES:
-                self._run()
+        live = kernels.join_tables([idx for idx, _ in tested])
+        lanes = tuple(map(kernels.join_tables, zip(*(data for _, data in tested))))
+        # entry j's live lanes are live[cuts[j]:cuts[j + 1]]
+        cuts = np.searchsorted(live, np.r_[starts, stops[-1]])
+        for entry, a, b, start in zip(batch, cuts, cuts[1:], starts):
+            waiting.append((entry, live[a:b] - start, frame[live[a:b]], tuple(lane[a:b] for lane in lanes)))
+            live_count += b - a
+            if live_count >= _POOL_LANES:
+                _run_live_lanes(tables, waiting)
+                waiting, live_count = [], 0
+        first = last
+    if waiting:
+        _run_live_lanes(tables, waiting)
 
-    def _run(self) -> None:
-        """The waiting live lanes through one kernel call; then values[points]
-        *= the block integral at the points, add by add."""
-        waiting, self._waiting, self._live = self._waiting, [], 0
-        frame = _concatenate([frame for _, _, _, frame, _ in waiting])
-        vol = np.zeros(0)
-        if len(frame):
-            lanes = tuple(map(_concatenate, zip(*(lanes for _, _, _, _, lanes in waiting))))
-            vol = kernels.live_volumes(self._tables, frame, lanes)
-        at = 0
-        for (block, shifts, values, points), count, live, _, _ in waiting:
-            part = np.zeros(count)
-            part[live] = vol[at : at + live.size]
-            at += live.size
-            sums = _combination_sums(part.reshape(len(shifts), -1), block.weights)
-            values[points] = values[points] * sums
+
+def _run_live_lanes(tables, waiting) -> None:
+    """The live lanes of waiting, per entry (entry, the indices of its live
+    lanes, their frames and kernel inputs), through one kernels.live_volumes
+    call; then values[points] *= the block integral at the points, entry by
+    entry."""
+    frame = kernels.join_tables([frame for _, _, frame, _ in waiting])
+    vol = np.zeros(0)
+    if len(frame):
+        lanes = tuple(map(kernels.join_tables, zip(*(lanes for *_, lanes in waiting))))
+        vol = kernels.live_volumes(tables, frame, lanes)
+    at = 0
+    for (block, shifts, values, points), live, _, _ in waiting:
+        part = np.zeros(len(shifts) * len(block.weights))
+        part[live] = vol[at : at + live.size]
+        at += live.size
+        sums = _combination_sums(part.reshape(len(shifts), -1), block.weights)
+        values[points] = values[points] * sums
 
 
 def pooled_values(pairs) -> list[np.ndarray]:
@@ -443,14 +420,15 @@ def pooled_values(pairs) -> list[np.ndarray]:
     has one, at the points whose value is still nonzero, and multiplies it
     in.  Point p and combination c make one lane, with the bounds
     lo[c] - s[p], hi[c] - s[p].  A round's lanes pool by (m, d), each shape
-    in one _LanePool: kernels.seed_cells drops the 2-D and 3-D lanes whose
-    seed cell misses a row's slab (most of them, away from the support's
-    centre) in one call per round and shape (per LANE_CAP lanes), and the
-    live lanes share kernels.live_volumes calls of at least _POOL_LANES
-    lanes each, but the last.  A block's points join the pool at most
-    LANE_CAP (point, combination) pairs at a time (at least one point), so
-    a test builds the bounds of at most LANE_CAP lanes (or one point's).
-    Each block's kernel tables are built once, in its first round.
+    in one _pool_shape call: kernels.seed_cells drops the 2-D and 3-D lanes
+    whose seed cell misses a row's slab (most of them, away from the
+    support's centre) in one call per round and shape (per LANE_CAP lanes),
+    and the live lanes share kernels.live_volumes calls of at least
+    _POOL_LANES lanes each, but the last.  A block's points make entries of
+    the pool of at most LANE_CAP (point, combination) pairs (at least one
+    point), so a test builds the bounds of at most LANE_CAP lanes (or one
+    point's).  Each block's kernel tables are built once, in its first
+    round.
     """
     values = []
     for slab_sum, shifts in pairs:
@@ -468,15 +446,12 @@ def pooled_values(pairs) -> list[np.ndarray]:
             if not live.size or j >= len(slab_sum.blocks):
                 continue
             rows, block = slab_sum.blocks[j]
-            per_add = max(1, LANE_CAP // max(len(block.weights), 1))
-            for start in range(0, live.size, per_add):
-                part = live[start : start + per_add]
+            per_entry = max(1, LANE_CAP // max(len(block.weights), 1))
+            for start in range(0, live.size, per_entry):
+                part = live[start : start + per_entry]
                 parts.setdefault(block.local.shape, []).append((block, shifts[part][:, rows], vals, part))
-        for queue in parts.values():
-            pool = _LanePool(list({id(entry[0]): entry[0] for entry in queue}.values()))
-            for entry in queue:
-                pool.add(*entry)
-            pool.flush()
+        for entries in parts.values():
+            _pool_shape(entries)
     return values
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,19 +383,18 @@ def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
 
 
 def _spy_pools(monkeypatch):
-    """Record each _LanePool, one per round and kernel shape, with its blocks
-    (held, so their ids stay distinct), and the frames each kernel table
-    builder gets, per dimension."""
+    """Record each _pool_shape call, one per round and kernel shape, with its
+    distinct blocks (held, so their ids stay distinct), and the frames each
+    kernel table builder gets, per dimension."""
     pools, builds = [], {1: 0, 2: 0, 3: 0}
-    pool = slabgeom._LanePool
+    pool_shape = slabgeom._pool_shape
 
-    class Spy(pool):
-        def __init__(self, blocks):
-            self.blocks, self.tested, self.passed, self.ran = list(blocks), 0, [], []
-            pools.append(self)
-            super().__init__(blocks)
+    def spy(entries):
+        blocks = list({id(entry[0]): entry[0] for entry in entries}.values())
+        pools.append(SimpleNamespace(blocks=blocks, tested=0, passed=[], ran=[]))
+        return pool_shape(entries)
 
-    monkeypatch.setattr(slabgeom, "_LanePool", Spy)
+    monkeypatch.setattr(slabgeom, "_pool_shape", spy)
     for d, name in ((1, "interval_tables"), (2, "polygon_tables"), (3, "polytope_tables")):
         def build(frames, d=d, original=getattr(kernels, name)):
             builds[d] += len(frames)

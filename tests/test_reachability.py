@@ -27,6 +27,9 @@ ALLOWLIST = {
     "marginals.rogozin_check": "one-trial rogozin, called by perfbench's tracer self-test",
     "grassmann.Subspace.coordinate": "test fixture: coordinate subspaces give zero frame rows and split frames",
     "densities.random_density": "test fixture: one random factor, the reference of the one-pass product draw",
+    "kernels.interval_lengths": "test entry point: the 1-D lane kernel on raw frames, one lane or many",
+    "kernels.polygon_areas": "test entry point: the 2-D lane kernel on raw frames",
+    "kernels.polytope_volumes": "test entry point: the 3-D lane kernel on raw frames",
 }
 
 
