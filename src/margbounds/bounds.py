@@ -9,6 +9,7 @@ numerical Brascamp-Lieb checker for tight-frame systems.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,7 +224,12 @@ def bound_main(e: Subspace, sup_norms) -> BoundReport:
         gammas = 1.0 - box2_exponents(orthonormal_complement(e)).betas
     else:
         gammas = projection_weights(e).betas
-    value = constant * float(np.exp(np.dot(gammas, np.log(c))))
+    power = np.dot(gammas, np.log(c))
+    with np.errstate(over="ignore"):  # past the float range: RouteLimitError
+        value = constant * float(np.exp(power))
+    if not sys.float_info.min <= value < math.inf:
+        decimal = (power + math.log(constant)) / math.log(10.0)
+        raise RouteLimitError(f"the bound, about 1e{decimal:.0f}, is outside the normal float range")
     return BoundReport(
         bound_value=value,
         exponents=ExponentAssignment(gammas, float(k)),

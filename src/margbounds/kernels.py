@@ -6,7 +6,7 @@ boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  The 2-D kernel clips a seed
 parallelogram; the 3-D kernel sums (1/3) h |F| over the facets F, each a
 2-D slab system, after merging rows parallel within _PARALLEL_SINE (see
-polytope_volumes for its rounding bound).
+_polytope_volumes for its rounding bound).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
 index (L,) and the bounds (L, m) of its L lanes:
@@ -22,12 +22,10 @@ index (L,) and the bounds (L, m) of its L lanes:
 
 Every lane goes through the same floating-point operations whatever the
 other lanes of its call and whatever other frames its tables hold.
-table_volumes runs the last two steps on prebuilt tables (slabgeom's pool
-keeps each block's tables and runs the steps itself), and slab_volumes is
-table_volumes on the tables of raw frames, built per call.  The tests also
-enter through interval_lengths, polygon_areas and polytope_volumes, the
-same route for one dimension.  Only live_volumes' one-lane d = 1 calls run
-the scalar interval_length (interval_lengths always runs the lane kernel);
+table_volumes runs the last two steps on prebuilt tables: slabgeom builds
+each frame's tables once and runs all of its lanes through it, and the tests
+enter through table_volumes(frame_tables(frames), ...) too.  Only
+live_volumes' one-lane d = 1 calls run the scalar interval_length;
 tests/slab_reference.py keeps scalar 2-D and 3-D twins as the tests' ==
 reference.
 """
@@ -84,17 +82,12 @@ def interval_tables(frames) -> IntervalTables:
     return IntervalTables(w, pos, ~(pos | neg))
 
 
-def interval_lengths(frames, frame, lo, hi):
-    """interval_length of each lane l: the 1-D slabs lo[l, i] <= w_i * y <=
-    hi[l, i] for w = frames[frame[l], :, 0], frames (K, m, 1), frame (L,),
-    lo and hi (L, m); returns (L,) lengths with interval_length's bits, by
-    the lane kernel also for one lane (every 1-D lane passes seed_cells)."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    return _interval_lengths(interval_tables(frames), np.asarray(frame, dtype=np.intp), lo, hi)
-
-
 def _interval_lengths(tables, frame, lo, hi):
-    """interval_lengths on the frames' IntervalTables.
+    """interval_length of each lane l: the 1-D slabs lo[l, i] <= w_i * y <=
+    hi[l, i] for w the rows of frame[l] in tables, the IntervalTables of
+    frames (K, m, 1), frame (L,), lo and hi (L, m) arrays; returns (L,)
+    lengths with interval_length's bits, for one lane as for many (every
+    1-D lane passes seed_cells).
 
     A lane's ends are the largest lower and the smallest upper bound over
     its rows, taken in row order as interval_length takes them (np.maximum
@@ -245,7 +238,7 @@ _CLIP_MARGIN = 1e-9
 
 
 def _polygon_seed_cells(tables, frame, lo, hi):
-    """(L,): false for the lanes that polygon_areas gives 0.0 without a clip,
+    """(L,): false for the lanes that _polygon_areas gives 0.0 without a clip,
     those of a degenerate frame and those with a non-seed row whose slab
     misses the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
     one at a time, each as (L,) vectors."""
@@ -278,10 +271,10 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     return live
 
 
-def polygon_areas(frames, frame, lo, hi):
+def _polygon_areas(tables, frame, lo, hi):
     """Area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
-    for the rows w = frames[frame[l]], frames (K, m, 2), frame (L,), lo and
-    hi (L, m) with lo <= hi; returns (L,) areas.
+    for the rows w of frame[l], on tables, the ClipTables of frames (K, m,
+    2), frame (L,), lo and hi (L, m) with lo <= hi; returns (L,) areas.
 
     Lane-wise Sutherland-Hodgman: the seed parallelogram of the
     best-conditioned row pair, cut by the hi then -lo side of each other
@@ -290,20 +283,16 @@ def polygon_areas(frames, frame, lo, hi):
     from vertex 0.  Every lane goes through these floating-point operations
     in this order, so its area does not depend on the other lanes.  What
     depends on the frame alone (the seed rows, their determinant, the
-    degeneracy test, the clip order) is in its PolygonTables.  Vertices sit
+    degeneracy test, the clip order) is in its ClipTables.  Vertices sit
     slot-major, (slots, lanes), NaN past each lane's count; a lane leaves
     once it has fewer than 3 vertices.
 
-    A lane whose seed parallelogram misses another row's slab by
-    _CLIP_MARGIN is 0.0 without a clip, as the clip would make it
-    (seed_cells).  (The 3-D facets call _polygon_areas directly: testing
-    them too saved no measurable time on sup-grid.)
+    This runs no seed-cell test: live_volumes calls it on the lanes that
+    passed seed_cells, where a lane whose seed parallelogram misses another
+    row's slab by _CLIP_MARGIN is 0.0 without a clip, as the clip would
+    make it.  (The 3-D facets call it directly: testing them too saved no
+    measurable time on sup-grid.)
     """
-    return table_volumes(polygon_tables(frames), frame, lo, hi)
-
-
-def _polygon_areas(tables, frame, lo, hi):
-    """polygon_areas on the frames' ClipTables, with no seed-cell test."""
     ok, seed, order, clip = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
@@ -353,7 +342,7 @@ def _polygon_areas(tables, frame, lo, hi):
 # -- 3-D slab intersections --------------------------------------------------
 
 # a row whose direction lies within this sine of an earlier row's merges
-# into that row's slab before the facet recursion (see polytope_volumes)
+# into that row's slab before the facet recursion (see _polytope_volumes)
 _PARALLEL_SINE = 1e-8
 
 # a lane some row of which misses its seed cell by this multiple of the
@@ -361,11 +350,12 @@ _PARALLEL_SINE = 1e-8
 # the corners' largest 1-norm)), is empty
 _EMPTY_MARGIN = 1e-11
 
-# lanes per batch of polytope_volumes: a lane has up to 2m facets of m - 1
-# rows each, so this bounds the working memory of polygon_areas.  On the 3-D
-# calls of a sup-grid round (26-446 lanes of 1-2 frames each), 256 took 6%
-# less kernel time than 128, but raised the peak memory those calls trace
-# from 1.3 to 2.0 MB, and sup-grid's peak RSS by 0.7 MB
+# lanes per _polytope_volumes call of live_volumes: a lane has up to 2m
+# facets of m - 1 rows each, so this bounds the working memory of
+# _polygon_areas.  On the 3-D calls of a sup-grid round (26-446 lanes of 1-2
+# frames each), 256 took 6% less kernel time than 128, but raised the peak
+# memory those calls trace from 1.3 to 2.0 MB, and sup-grid's peak RSS by
+# 0.7 MB
 _POLYTOPE_LANES = 1 << 7
 
 
@@ -406,48 +396,6 @@ def _sum_in_order(terms):
     return np.cumsum(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
 
 
-def polytope_volumes(frames, frame, lo, hi):
-    """Volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
-    for the rows w = frames[frame[l]], frames (K, m, 3), frame (L,), lo and
-    hi (L, m) with lo <= hi; returns (L,) volumes.
-
-    Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
-    cell (the parallelepiped of its seed rows, which holds the polytope),
-    vol = (1/3) sum over rows i and sides of h |F|, h the signed distance of
-    the side's plane from c and F the facet the plane cuts from the other
-    rows: a 2-D slab system in an orthonormal basis of w_i-perp, whose
-    bounds shift by <w_j, x0> for x0 the plane's foot.  A batch's facets go
-    through one polygon_areas call, and each lane adds its 2m terms from
-    0.0 in row-then-side order, so a volume does not depend on the other
-    lanes of its call.
-
-    A row within sine _PARALLEL_SINE = tau of an earlier live row i first
-    merges into it: its interval, scaled by <w_j, w_i> / |w_i|^2 about c, is
-    intersected with row i's.  Coincident facets would otherwise count
-    twice, and facets theta apart lose about u / theta relative (u the unit
-    roundoff) where they cut each other.  The merge tilts the merged slab's
-    planes about c by at most tau, which moves them at most tau R inside the
-    seed cell, R its largest distance from c; so each merged row changes
-    the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
-    section.  Otherwise each term carries polygon_areas' error (its clip
-    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
-    facet's perimeter) times |h|, and the projections and the sum add
-    O(m u) of sum |h| |F|.
-
-    A lane with degenerate seed rows, or with a row that misses the seed
-    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0
-    (seed_cells); a facet whose plane misses the cell that way is skipped.
-
-    What depends on the frame alone is in its PolytopeTables: the seed
-    cell's shape, the merges (the same for every nonempty lane of a frame),
-    and each row's facet frame, the other rows in an orthonormal basis of
-    w_i-perp with the merged rows zeroed, with its ClipTables.  A lane's own
-    work is its bounds.  The lanes that pass the seed-cell test go
-    _POLYTOPE_LANES at a time.
-    """
-    return table_volumes(polytope_tables(frames), frame, lo, hi)
-
-
 class PolytopeTables(NamedTuple):
     """What the 3-D kernel needs of frames (K, m, 3) alone, per frame; the
     fields of its m facet frames, row i's at [k, i], hold each (K, m, ...).
@@ -469,7 +417,11 @@ class PolytopeTables(NamedTuple):
 
 
 def polytope_tables(frames) -> PolytopeTables:
-    """The PolytopeTables of frames (K, m, 3)."""
+    """The PolytopeTables of frames (K, m, 3): what _polytope_volumes needs
+    of each frame alone.  That is the seed cell's shape, the merges (the
+    same for every nonempty lane of a frame), and each row's facet frame,
+    the other rows in an orthonormal basis of w_i-perp with the merged rows
+    zeroed, with its ClipTables.  A lane's own work is its bounds."""
     F = np.ascontiguousarray(frames, dtype=float)
     count, m, _ = F.shape
     seeds, ok = _polytope_seed_lanes(F)
@@ -553,8 +505,41 @@ def _polytope_seed_cells(tables, frame, lo, hi):
 
 
 def _polytope_volumes(tables, frame, blo, bhi, slack):
-    """polytope_volumes of the lanes frame that pass its seed-cell test,
-    from their bounds about c and slack, on their frames' PolytopeTables."""
+    """Volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
+    for the rows w of frame[l] in tables, the PolytopeTables of frames (K,
+    m, 3), for lanes that passed seed_cells, from their bounds about c, blo
+    and bhi (L, m), and their slack (L, m), as _polytope_seed_cells gives
+    them; returns (L,) volumes.
+
+    Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
+    cell (the parallelepiped of its seed rows, which holds the polytope),
+    vol = (1/3) sum over rows i and sides of h |F|, h the signed distance of
+    the side's plane from c and F the facet the plane cuts from the other
+    rows: a 2-D slab system in an orthonormal basis of w_i-perp, whose
+    bounds shift by <w_j, x0> for x0 the plane's foot.  A call's facets go
+    through one _polygon_areas call, and each lane adds its 2m terms from
+    0.0 in row-then-side order, so a volume does not depend on the other
+    lanes of its call.
+
+    A row within sine _PARALLEL_SINE = tau of an earlier live row i first
+    merges into it: its interval, scaled by <w_j, w_i> / |w_i|^2 about c, is
+    intersected with row i's.  Coincident facets would otherwise count
+    twice, and facets theta apart lose about u / theta relative (u the unit
+    roundoff) where they cut each other.  The merge tilts the merged slab's
+    planes about c by at most tau, which moves them at most tau R inside the
+    seed cell, R its largest distance from c; so each merged row changes
+    the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
+    section.  Otherwise each term carries _polygon_areas' error (its clip
+    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
+    facet's perimeter) times |h|, and the projections and the sum add
+    O(m u) of sum |h| |F|.
+
+    A lane with degenerate seed rows, or with a row that misses the seed
+    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by
+    seed_cells and never reaches this; a facet whose plane misses the cell
+    that way is skipped.  live_volumes calls this on _POLYTOPE_LANES lanes
+    at a time.
+    """
     count, m = blo.shape
     into = tables.into[frame]
     merged = np.flatnonzero((into >= 0).any(axis=0))
@@ -663,9 +648,12 @@ def live_volumes(tables, frame, lanes) -> np.ndarray:
 
 
 def table_volumes(tables, frame, lo, hi) -> np.ndarray:
-    """Volume of each lane of frame (L,), lo and hi (L, m), on its frame's
-    tables: seed_cells, then live_volumes of the live lanes, and 0.0 for
-    the others."""
+    """Volume of { y in R^d : lo[l, i] <= <w_i, y> <= hi[l, i] } of each lane
+    l, the rows w of frame[l] in tables, frame_tables of frames (K, m, d),
+    for frame (L,), lo and hi (L, m): seed_cells, then live_volumes of the
+    live lanes, and 0.0 for the others.  A call costs far more than the
+    scalar kernels take for one lane (tests/slab_reference.py's 2-D and 3-D
+    twins), so callers batch their lanes."""
     frame = np.asarray(frame, dtype=np.intp)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     out = np.zeros(len(frame))
@@ -674,34 +662,6 @@ def table_volumes(tables, frame, lo, hi) -> np.ndarray:
         if live.size:
             out[live] = live_volumes(tables, frame[live], lanes)
     return out
-
-
-def slab_volumes(frames, frame, lo, hi) -> np.ndarray:
-    """Volume of { y in R^d : lo[l, i] <= <w_i, y> <= hi[l, i] } of each lane
-    l, the rows w = frames[frame[l]], for frames (K, m, d), d in {1, 2, 3},
-    frame (L,), lo and hi (L, m), by the lane kernel of dimension d on the
-    frames' tables, built in this call (one-lane d = 1 calls: by
-    interval_length, see live_volumes).
-
-    Per call, on a shared 2-core x86 VM (centred Haar frames; m = 3, 4, 5
-    rows for d = 1, 2, 3; the best of 7 timeit repeats in each of three
-    processes; the scalar 2-D and 3-D kernels are tests/slab_reference.py's).
-    A first call on a frame is a slab_volumes call, which builds the tables;
-    a later call is table_volumes on tables built before:
-
-        d   1 lane: first, later, scalar   512 lanes of 512 frames (of one): first, later
-        1   0.011, 0.005, 0.003 ms         0.070 (0.064), 0.060 (0.071) ms
-        2   0.45, 0.44, 0.015 ms           1.30 (0.96), 1.07 (0.85) ms
-        3   1.01, 0.42, 0.18 ms            13.5 (9.5), 11.1 (8.4) ms
-
-    Building one frame's tables takes 0.003, 0.08 and 0.32 ms, so a 3-D
-    lane's first call is mostly tables (at m = 4: 0.84 ms, 0.28 of it
-    tables), and slabgeom's pool, which runs a block in every round of a
-    grid sup, builds a block's tables once.  A one-lane call still costs
-    far more than the scalar kernel, so the callers of the 2-D and 3-D
-    kernels batch their lanes.
-    """
-    return table_volumes(frame_tables(frames), frame, lo, hi)
 
 
 # -- Signed power sums -------------------------------------------------------

@@ -10,12 +10,12 @@ A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
 sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator;
 sums_at_zero integrates many frames at zero shift in shared kernel calls.
-Each SlabBlock keeps the kernel tables of its frame (kernels.frame_tables),
-built once, in the first pooled_values round that runs it, for all of that
-round's new blocks of one shape together.  Which of the combinations' slab
-polytopes are empty is the kernels' call (kernels.seed_cells), which
-pooled_values makes before it pools the lanes, so that only live lanes
-reach the kernels.
+Both evaluators run their lanes through _lane_volumes, kernels.table_volumes
+on at most LANE_CAP lanes per call, on kernel tables (kernels.frame_tables)
+built once per frame: each SlabBlock keeps its frame's, built in the first
+pooled_values round that runs it, for all of that round's new blocks of one
+shape together, and shared_block_integrals builds its stack's once per
+call.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def component_blocks(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     itself for one block of rank d = w.shape[1], else span_coordinates.
 
     Raises BlockTooWideError if some irreducible component spans more than
-    MAX_BLOCK dimensions (callers then fall back to Monte Carlo).
+    MAX_BLOCK dimensions: no exact kernel serves it, and no caller falls
+    back to another route (cli.main reports it as a failure, exit 1).
 
     Components whose span ranks do not add up to the rank of all rows are not
     orthogonal, whatever row_components' absolute link tolerance says: near a
@@ -152,26 +153,21 @@ class SlabBlock:
         self.tables = None  # kernels.frame_tables(local[None]), once built
 
 
-# lanes per lane-wise kernel call in shared_block_integrals and pooled_values:
-# bounds its working memory (the Haar route's chunks hold at most as many
-# lanes)
+# lanes per lane-wise kernel call of _lane_volumes: bounds the working memory
+# of shared_block_integrals and pooled_values (the Haar route's chunks hold
+# at most as many lanes)
 LANE_CAP = 1 << 14
 
-# live lanes (those that pass kernels.seed_cells) a pool of pooled_values
-# gathers before they run: a call of LANE_CAP 2-D or 3-D lanes holds tens of
-# MB of kernel arrays, while a call of this many already pays the kernels'
-# fixed cost on a small share of its time
-_POOL_LANES = 1 << 10
 
-
-def _lane_volumes(frames: np.ndarray, frame: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """kernels.slab_volumes of the lanes frame (L,) into frames (K, m, d), lo
-    and hi (L, m), at most LANE_CAP lanes per call.  A lane's volume does not
-    depend on the other lanes of its call, so neither does any of its bits."""
+def _lane_volumes(tables, frame: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """kernels.table_volumes of the lanes frame (L,), lo and hi (L, m) on
+    their frames' tables, at most LANE_CAP lanes per call.  A lane's volume
+    does not depend on the other lanes of its call, so neither does any of
+    its bits."""
     vol = np.empty(len(frame))
     for start in range(0, len(frame), LANE_CAP):
         chunk = slice(start, start + LANE_CAP)
-        vol[chunk] = kernels.slab_volumes(frames, frame[chunk], lo[chunk], hi[chunk])
+        vol[chunk] = kernels.table_volumes(tables, frame[chunk], lo[chunk], hi[chunk])
     return vol
 
 
@@ -184,9 +180,8 @@ def _combination_sums(vol: np.ndarray, weights) -> np.ndarray:
 def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
     """Per (lo, hi, weights) in bounds, the (S,) sums over c, in order from
     0.0, of weights[c] x the volume of local[s] within lo[s, c], hi[s, c]:
-    every (integrand, s, c) is one lane of shared kernel calls, each of
-    which builds the kernel tables of local (once for the Haar route's
-    chunks, which hold at most LANE_CAP lanes).
+    every (integrand, s, c) is one lane of shared _lane_volumes calls, on
+    the kernel tables of local, built once per call.
 
     local is (S, m, d) or one (m, d) for every s; lo and hi are (S, C, m) or
     one (C, m) for every s.  S = 0 frames give empty arrays.
@@ -204,7 +199,9 @@ def shared_block_integrals(local: np.ndarray, bounds) -> list[np.ndarray]:
         index.append(np.broadcast_to(np.arange(len(local))[:, None], shape).reshape(-1))
         los.append(np.broadcast_to(lo, shape + (m,)).reshape(-1, m))
         his.append(np.broadcast_to(hi, shape + (m,)).reshape(-1, m))
-    vol = _lane_volumes(local, np.concatenate(index), np.concatenate(los), np.concatenate(his))
+    frame, lo, hi = np.concatenate(index), np.concatenate(los), np.concatenate(his)
+    # no lanes, no tables: frames wider than the kernels reach here empty
+    vol = _lane_volumes(kernels.frame_tables(local), frame, lo, hi) if len(frame) else np.zeros(0)
     vols = np.split(vol, np.cumsum([len(i) for i in index])[:-1])
     return [_combination_sums(v.reshape(frames, len(weights)), weights)
             for v, (_, _, weights) in zip(vols, bounds)]
@@ -339,13 +336,12 @@ def _pool_shape(entries) -> None:
     lane with the bounds block.lo[c] - shifts[p], block.hi[c] - shifts[p].
 
     The blocks with no tables get them from one kernels.frame_tables call,
-    and the lanes run on one join of the blocks' tables.  kernels.seed_cells
-    tests the lanes of consecutive entries, at most LANE_CAP of them (or one
-    entry's), with their bounds built in one array per side.  The live
-    lanes gather, entry by entry; once _POOL_LANES of them wait, and at the
-    end, they run through one kernels.live_volumes call.  So a round makes
-    at most ceil(live / _POOL_LANES) kernel calls per shape, and no call
-    carries a lane the test proved empty: those lanes add 0.0.
+    and the lanes run on one join of the blocks' tables.  Consecutive
+    entries form batches of at most LANE_CAP lanes (or one entry), with
+    their bounds built in one array per side, and each batch runs through
+    _lane_volumes, one kernels.table_volumes call per LANE_CAP lanes, whose
+    seed-cell test keeps the lanes it proves empty out of the kernels (they
+    add 0.0).
     """
     blocks = list({id(block): block for block, _, _, _ in entries}.values())
     new = [block for block in blocks if block.tables is None]
@@ -358,7 +354,7 @@ def _pool_shape(entries) -> None:
     m = blocks[0].local.shape[0]
     counts = np.array([len(shifts) * len(block.weights) for block, shifts, _, _ in entries])
     ends = np.cumsum(counts)
-    waiting, live_count, first = [], 0, 0
+    first = 0
     while first < len(entries):
         # the batch: entries first, ..., last - 1, at most LANE_CAP lanes
         # (or one entry), entry j's lanes at starts[j]:stops[j]
@@ -372,44 +368,11 @@ def _pool_shape(entries) -> None:
             np.subtract(block.lo, shifts[:, None], out=lo[a:b].reshape(grid))
             np.subtract(block.hi, shifts[:, None], out=hi[a:b].reshape(grid))
         frame = np.repeat([index[id(block)] for block, _, _, _ in batch], counts[first:last])
-        tested = []
-        for at in range(0, max(len(frame), 1), LANE_CAP):
-            chunk = slice(at, at + LANE_CAP)
-            idx, data = kernels.seed_cells(tables, frame[chunk], lo[chunk], hi[chunk])
-            tested.append((at + idx, data))
-        del lo, hi  # the 2-D and 3-D kernels take copies of the live lanes
-        live = kernels.join_tables([idx for idx, _ in tested])
-        lanes = tuple(map(kernels.join_tables, zip(*(data for _, data in tested))))
-        # entry j's live lanes are live[cuts[j]:cuts[j + 1]]
-        cuts = np.searchsorted(live, np.r_[starts, stops[-1]])
-        for entry, a, b, start in zip(batch, cuts, cuts[1:], starts):
-            waiting.append((entry, live[a:b] - start, frame[live[a:b]], tuple(lane[a:b] for lane in lanes)))
-            live_count += b - a
-            if live_count >= _POOL_LANES:
-                _run_live_lanes(tables, waiting)
-                waiting, live_count = [], 0
+        vol = _lane_volumes(tables, frame, lo, hi)
+        for (block, shifts, values, points), a, b in zip(batch, starts, stops):
+            sums = _combination_sums(vol[a:b].reshape(len(shifts), -1), block.weights)
+            values[points] = values[points] * sums
         first = last
-    if waiting:
-        _run_live_lanes(tables, waiting)
-
-
-def _run_live_lanes(tables, waiting) -> None:
-    """The live lanes of waiting, per entry (entry, the indices of its live
-    lanes, their frames and kernel inputs), through one kernels.live_volumes
-    call; then values[points] *= the block integral at the points, entry by
-    entry."""
-    frame = kernels.join_tables([frame for _, _, frame, _ in waiting])
-    vol = np.zeros(0)
-    if len(frame):
-        lanes = tuple(map(kernels.join_tables, zip(*(lanes for *_, lanes in waiting))))
-        vol = kernels.live_volumes(tables, frame, lanes)
-    at = 0
-    for (block, shifts, values, points), live, _, _ in waiting:
-        part = np.zeros(len(shifts) * len(block.weights))
-        part[live] = vol[at : at + live.size]
-        at += live.size
-        sums = _combination_sums(part.reshape(len(shifts), -1), block.weights)
-        values[points] = values[points] * sums
 
 
 def pooled_values(pairs) -> list[np.ndarray]:
@@ -420,15 +383,14 @@ def pooled_values(pairs) -> list[np.ndarray]:
     has one, at the points whose value is still nonzero, and multiplies it
     in.  Point p and combination c make one lane, with the bounds
     lo[c] - s[p], hi[c] - s[p].  A round's lanes pool by (m, d), each shape
-    in one _pool_shape call: kernels.seed_cells drops the 2-D and 3-D lanes
-    whose seed cell misses a row's slab (most of them, away from the
-    support's centre) in one call per round and shape (per LANE_CAP lanes),
-    and the live lanes share kernels.live_volumes calls of at least
-    _POOL_LANES lanes each, but the last.  A block's points make entries of
-    the pool of at most LANE_CAP (point, combination) pairs (at least one
-    point), so a test builds the bounds of at most LANE_CAP lanes (or one
-    point's).  Each block's kernel tables are built once, in its first
-    round.
+    in one _pool_shape call, whose batches of at most LANE_CAP lanes (or
+    one entry) make one kernels.table_volumes call per LANE_CAP lanes; its
+    seed-cell test drops the 2-D and 3-D lanes whose seed cell misses a row's slab (most
+    of them, away from the support's centre) before the kernels run.  A
+    block's points make entries of the pool of at most LANE_CAP (point,
+    combination) pairs (at least one point), so a batch builds the bounds
+    of at most LANE_CAP lanes (or one point's).  Each block's kernel tables
+    are built once, in its first round.
     """
     values = []
     for slab_sum, shifts in pairs:

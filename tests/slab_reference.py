@@ -3,16 +3,17 @@ tests compare with ==.
 
 polygon_area, polytope_volume and slab_volume evaluate one slab system at a
 time on Python floats.  They are the scalar twins that the lane kernels
-(kernels.polygon_areas and kernels.polytope_volumes) once shared src with,
-kept here verbatim: the lane kernels run the same IEEE operations in the
-same order, so every lane must have the twin's bits, in a call of any
+(kernels._polygon_areas and kernels._polytope_volumes) once shared src
+with, kept here verbatim: the lane kernels run the same IEEE operations in
+the same order, so every lane must have the twin's bits, in a call of any
 number of lanes, one included.  slab_volume takes d = 1 to
-kernels.interval_length, which src keeps for slab_volumes' one-lane calls.
+kernels.interval_length, which src keeps for kernels.live_volumes' one-lane
+d = 1 calls.
 
 scalar_slab_sum loops slab_volume over the orthogonal blocks and, per
 block, over the piece combinations in itertools.product order: one scalar
 kernel call per (block, combination), the floating-point operations of a
-slab sum without lanes, a prefilter or a lane pool.
+slab sum without lanes, a seed-cell test or shared kernel calls.
 """
 
 import itertools
@@ -65,7 +66,8 @@ def polygon_area(W, lo, hi):
 
 def _polygon_area(rows, lo, hi):
     """polygon_area of rows, lo and hi given as lists of Python floats: the
-    IEEE operations of polygon_areas' numpy ones, faster for one system."""
+    IEEE operations of kernels._polygon_areas' numpy ones, faster for one
+    system."""
     # Seed polygon: the parallelogram cut out by the best-conditioned pair.
     seeds = _polygon_seed_rows(rows)
     if seeds is None:
@@ -126,9 +128,9 @@ def _polytope_seed_rows(rows):
 def polytope_volume(W, lo, hi):
     """Volume of the intersection of 3-D slabs lo_i <= <w_i, y> <= hi_i.
 
-    One lane of polytope_volumes on Python floats: the same IEEE operations
-    in the same order, so the same bits, at a fraction of the numpy calls'
-    fixed cost."""
+    One lane of kernels._polytope_volumes on Python floats: the same IEEE
+    operations in the same order, so the same bits, at a fraction of the
+    numpy calls' fixed cost."""
     rows = np.asarray(W, dtype=float).tolist()
     lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
     m = len(rows)

@@ -494,21 +494,22 @@ def test_paired_checks_draw_and_frame_once_per_chunk(monkeypatch, check):
     monkeypatch.setattr(average, "_DIR_CHUNK", 40)
     log = []
     for owner, name in [(average, "haar_bases"), (average, "complement_bases"),
-                        (slabgeom, "single_block_frames"), (slabgeom.kernels, "slab_volumes"),
-                        (np.linalg, "svd")]:
+                        (slabgeom, "single_block_frames"), (slabgeom.kernels, "frame_tables"),
+                        (slabgeom.kernels, "table_volumes"), (np.linalg, "svd")]:
         _spy(monkeypatch, owner, name, log)
     if check == "prop_avg":
         f = _centered_density(7, 4)
         prop_avg_check(f, 2, 1000, seed=5)
         lanes = len(slabgeom.nonzero_combinations([g.pieces for g in f.factors])[2]) + 1
-        names = ["haar_bases", "complement_bases", "single_block_frames", "slab_volumes"]
+        names = ["haar_bases", "complement_bases", "single_block_frames", "frame_tables", "table_volumes"]
     else:
         grinberg_check([2.0, 0.5, 3.0, 1.0 / 3.0], 4, 2, 1000, seed=5)
         lanes = 2
-        names = ["haar_bases", "single_block_frames", "slab_volumes"]
-    # chunk after chunk: one draw, one framing and one kernel call each, and
-    # no SVD (the frames are integrated in their own coordinates); each
-    # stream drawn once, at most _DIR_CHUNK lanes of both sides a chunk
+        names = ["haar_bases", "single_block_frames", "frame_tables", "table_volumes"]
+    # chunk after chunk: one draw, one framing, one table build and one
+    # kernel call each, and no SVD (the frames are integrated in their own
+    # coordinates); each stream drawn once, at most _DIR_CHUNK lanes of both
+    # sides a chunk
     chunks = [args[3] for name, args in log if name == "haar_bases"]
     assert len(chunks) > 10
     assert [name for name, _ in log] == names * len(chunks)

@@ -537,6 +537,48 @@ def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     assert err.startswith("error: irreducible slab block of dimension 6")
 
 
+def _verify_ratios(tmp_path, n, k, sup):
+    """(exit code, sup_lower_bound / bound per trial) of verify at
+    --sup-range sup,sup, with every warning an error."""
+    out = tmp_path / f"verify-{n}-{k}-{sup}.json"
+    argv = ["verify", "--n", str(n), "--k", str(k), "--trials", "2", "--seed", "3",
+            "--sup-range", f"{sup},{sup}", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    if not out.exists():
+        return code, None
+    return code, [r["sup_lower_bound"] / r["bound"] for r in json.loads(out.read_text())["records"]]
+
+
+def test_verify_beyond_the_float_range_is_a_route_limit(tmp_path, capsys):
+    # the marginal bound, about 1e400 (and 1e-600), is no float
+    for sup, decimal in (("1e200", "1e400"), ("1e-300", "1e-600")):
+        assert _verify_ratios(tmp_path, 3, 2, sup) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the bound, about {decimal}, is outside the normal float range")
+
+
+@pytest.mark.parametrize("n,k,sup", [(2, 1, "1e200"), (3, 1, "1e14"), (4, 2, "1e50")])
+def test_verify_at_large_sup_norms_keeps_the_unit_scale_ratios(n, k, sup, tmp_path):
+    # every factor dilated to one sup norm: the grid sup, the bound and the
+    # refinement tol scale alike, so the ratio is that of sup norms 1e3,
+    # whose grids the exact kernels resolve; sup norms 1e14 once gave ratios
+    # of 1.6-2.3, false failures
+    code, ratios = _verify_ratios(tmp_path, n, k, sup)
+    assert code == 0
+    assert ratios == pytest.approx(_verify_ratios(tmp_path, n, k, "1e3")[1], rel=1e-12)
+
+
+def test_verify_at_tiny_sup_norms_gives_a_value(tmp_path):
+    # supports about 1e300 wide: a grid sup near 1e-300 that passes (the
+    # refinement tol's 1e-9 floor is far above such values, so it stops
+    # early, and the ratio need not be the unit scale's)
+    code, ratios = _verify_ratios(tmp_path, 2, 1, "1e-300")
+    assert code == 0
+    assert all(0.5 < ratio <= 1.0 for ratio in ratios)
+
+
 def test_search_max_beyond_its_route_is_a_failure_not_a_usage_error(capsys):
     # valid flags; n - k = 4 with k > 1 is beyond the exact section route
     assert run(["search-max", "--n", "6", "--k", "2", "--restarts", "1", "--steps", "1"]) == 1

@@ -18,11 +18,25 @@ from margbounds.sections import sharp_block_subspace, sharp_paired_subspace
 _KEEP_ID = pytest.mark.parametrize("backend", [kernels.BACKEND])
 
 
+def _volumes(frames, frame, lo, hi):
+    """kernels.table_volumes on the tables of frames, built in the call: the
+    lane kernel of the frames' dimension (one-lane d = 1 calls: by
+    interval_length, see kernels.live_volumes)."""
+    return kernels.table_volumes(kernels.frame_tables(frames), frame, lo, hi)
+
+
+def _lengths(frames, frame, lo, hi):
+    """The 1-D lane kernel on the tables of frames (K, m, 1), also for one
+    lane."""
+    frame, lo, hi = np.asarray(frame, dtype=np.intp), np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return kernels._interval_lengths(kernels.interval_tables(frames), frame, lo, hi)
+
+
 def _one_lane(W, lo, hi):
-    """The one-lane slab_volumes call on one slab system, asserted == the
-    scalar reference slab_volume."""
+    """The one-lane _volumes call on one slab system, asserted == the scalar
+    reference slab_volume."""
     W, lo, hi = (np.asarray(a, dtype=float) for a in (W, lo, hi))
-    got = kernels.slab_volumes(W[None], [0], lo[None], hi[None])[0]
+    got = _volumes(W[None], [0], lo[None], hi[None])[0]
     assert got == slab_volume(W, lo, hi)
     return got
 
@@ -149,7 +163,7 @@ def test_polygon_areas_match_polygon_area(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-50:, 0], hi[-50:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = _assert_lanes_match(kernels.polygon_areas, frames, np.arange(lanes), lo, hi)
+    got = _assert_lanes_match(_volumes, frames, np.arange(lanes), lo, hi)
     assert 0 < np.count_nonzero(got) < lanes
 
 
@@ -174,7 +188,7 @@ def test_polygon_areas_degenerate_lanes():
     hi = np.array([[0.5, 0.5, 1e-15], [0.5, 0.5, 1e-13]])
     got = _polygon_lanes_match(frames, np.arange(2), lo, hi)
     assert got[0] == 0.0 and got[1] > 0.0
-    assert kernels.polygon_areas(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
+    assert _volumes(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
 def test_interval_lengths_match_interval_length():
@@ -190,18 +204,18 @@ def test_interval_lengths_match_interval_length():
     half = rng.uniform(0.1, 1.0, size=(lanes, m))
     shift = rng.normal(size=(lanes, m)) * np.repeat([0.0, 0.5, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
-    got = _assert_lanes_match(kernels.interval_lengths, w[:, :, None], np.arange(lanes), lo, hi)
+    got = _assert_lanes_match(_lengths, w[:, :, None], np.arange(lanes), lo, hi)
     assert np.array_equal(got, [kernels.interval_length(a, b, c) for a, b, c in zip(w, lo, hi)])
     assert 0 < np.count_nonzero(got) < lanes
-    assert kernels.interval_lengths(np.zeros((0, 2, 1)), np.zeros(0, int), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
+    assert _lengths(np.zeros((0, 2, 1)), np.zeros(0, int), np.zeros((0, 2)), np.zeros((0, 2))).size == 0
     # a lane with no nonzero coefficient is unbounded unless a row is infeasible
     flat = np.array([[0.0, 1.0], [0.0, 0.0]])
     lo, hi = np.array([[1.0, -1.0], [-1.0, -1.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(kernels.interval_lengths(flat[:, :, None], [0], lo[:1], hi[:1]), [0.0])
+    assert np.array_equal(_lengths(flat[:, :, None], [0], lo[:1], hi[:1]), [0.0])
     with pytest.raises(ValueError):
         kernels.interval_length(flat[1], lo[1], hi[1])
     with pytest.raises(ValueError):
-        kernels.interval_lengths(flat[:, :, None], [0, 1], lo, hi)
+        _lengths(flat[:, :, None], [0, 1], lo, hi)
 
 
 def _assert_exact(W, lo, hi, got, rel=1e-13):
@@ -236,11 +250,11 @@ def test_1d_and_2d_kernels_keep_their_bits_under_signed_permutations(seed, n, pe
     frame = np.arange(lanes) % 8
     frames = complement_bases(haar_bases(n, n - 2, seed, np.arange(8)))
     moved = frames[:, :, list(perm)] * np.array(signs)
-    got = kernels.polygon_areas(frames, frame, lo, hi)
-    assert np.array_equal(got, _assert_lanes_match(kernels.polygon_areas, moved, frame, lo, hi))
+    got = _volumes(frames, frame, lo, hi)
+    assert np.array_equal(got, _assert_lanes_match(_volumes, moved, frame, lo, hi))
     lines = haar_directions(n, 8, seed)[:, :, None]
-    got = kernels.interval_lengths(lines, frame, lo, hi)
-    assert np.array_equal(got, _assert_lanes_match(kernels.interval_lengths, -lines, frame, lo, hi))
+    got = _lengths(lines, frame, lo, hi)
+    assert np.array_equal(got, _assert_lanes_match(_lengths, -lines, frame, lo, hi))
 
 
 def test_polytope_volume_unit_cube():
@@ -289,7 +303,7 @@ def test_polytope_volume_of_the_unit_cube_with_touching_slabs(extra, lo, hi):
     got = _one_lane(w, lo, hi)
     assert got == pytest.approx(1.0, abs=1e-14)
     _assert_exact(w, lo, hi, got, rel=1e-14)
-    assert kernels.polytope_volumes(np.stack([w, w]), [0, 1], np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
+    assert _volumes(np.stack([w, w]), [0, 1], np.stack([lo, lo]), np.stack([hi, hi])).tolist() == [got, got]
 
 
 def test_polytope_volume_merges_rows_parallel_within_tau():
@@ -324,14 +338,14 @@ def test_polytope_volumes_match_polytope_volume(n):
     shift = rng.normal(size=(lanes, n)) * np.repeat([0.0, 0.4, 3.0], lanes // 3)[:, None]
     lo, hi = shift - half, shift + half
     lo[-40:, 0], hi[-40:, 0] = 5.0, 6.0  # the first row's slab misses the rest
-    got = _assert_lanes_match(kernels.polytope_volumes, frames, np.arange(lanes), lo, hi)
+    got = _assert_lanes_match(_volumes, frames, np.arange(lanes), lo, hi)
     assert 0 < np.count_nonzero(got) < lanes
     for lane in range(0, lanes, 25):
         _assert_exact(frames[lane], lo[lane], hi[lane], got[lane])
 
 
 def _assert_polytope_lanes_match(frames, lo, hi):
-    return _assert_lanes_match(kernels.polytope_volumes, frames, np.arange(len(frames)), lo, hi)
+    return _assert_lanes_match(_volumes, frames, np.arange(len(frames)), lo, hi)
 
 
 def test_polytope_volumes_degenerate_lanes():
@@ -343,7 +357,7 @@ def test_polytope_volumes_degenerate_lanes():
     frames = np.array([np.diag([1.0, 1.0, t]) for t in (7.9e-14, 8e-14, 8.1e-14)])
     got = _assert_polytope_lanes_match(frames, -np.ones((3, 3)), np.ones((3, 3)))
     assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0
-    assert kernels.polytope_volumes(np.zeros((0, 4, 3)), np.zeros(0, int), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
+    assert _volumes(np.zeros((0, 4, 3)), np.zeros(0, int), np.zeros((0, 4)), np.zeros((0, 4))).size == 0
 
 
 def test_polytope_volumes_cut_near_a_vertex():
@@ -401,7 +415,7 @@ def test_polytope_volume_matches_the_exact_oracle_on_small_integer_systems(syste
     w, lo, hi = system
     got = polytope_volume(w, lo, hi)
     _assert_exact(w, lo, hi, got)
-    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
+    assert _volumes(w[None], [0], lo[None], hi[None])[0] == got
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,7 +441,7 @@ def test_polytope_volume_near_sharp_subspaces(case, log_tilt, seed, spread):
     center = spread * rng.normal(size=n)
     lo, hi = center - 0.5, center + 0.5
     got = polytope_volume(w, lo, hi)
-    assert kernels.polytope_volumes(w[None], [0], lo[None], hi[None])[0] == got
+    assert _volumes(w[None], [0], lo[None], hi[None])[0] == got
     _assert_exact(w, lo, hi, got, rel=1e-12 + 400.0 * tilt)
 
 
@@ -616,23 +630,23 @@ def test_tree_sums_leave_rounding_ties_and_power_of_two_edges_to_fsum():
 
 
 def test_slab_volume_dispatch():
-    # slab_volumes runs the kernel of the frames' dimension, for one lane as
-    # for two, and the reference dispatches alike
+    # table_volumes on frame_tables runs the kernel of the frames'
+    # dimension, for one lane as for two, and the reference dispatches alike
     for d in (1, 2, 3):
         for lanes in (1, 2):
-            got = kernels.slab_volumes(np.eye(d)[None], np.zeros(lanes, dtype=int),
+            got = _volumes(np.eye(d)[None], np.zeros(lanes, dtype=int),
                                        -np.ones((lanes, d)), np.ones((lanes, d)))
             assert got == pytest.approx([2.0**d] * lanes)
         assert slab_volume(np.eye(d), -np.ones(d), np.ones(d)) == pytest.approx(2.0**d)
     with pytest.raises(ValueError):
-        kernels.slab_volumes(np.eye(4)[None], [0], -np.ones((1, 4)), np.ones((1, 4)))
+        _volumes(np.eye(4)[None], [0], -np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(ValueError):
         slab_volume(np.eye(4), -np.ones(4), np.ones(4))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_slab_volumes_one_lane_calls_keep_the_many_lane_bits(d, monkeypatch):
-    """A one-lane slab_volumes call runs interval_length at d = 1 and the
+    """A one-lane table_volumes call runs interval_length at d = 1 and the
     lane kernel at d = 2 and 3, and a two-lane call runs the lane kernel;
     either way every lane has the bits of the many-lane call, of the call
     over either half of the lanes and of the scalar reference."""
@@ -644,7 +658,7 @@ def test_slab_volumes_one_lane_calls_keep_the_many_lane_bits(d, monkeypatch):
     shift = rng.normal(size=(lanes, n)) * 0.5
     lo, hi = shift - half, shift + half
     frame = np.arange(lanes)
-    many = kernels.slab_volumes(frames, frame, lo, hi)
+    many = _volumes(frames, frame, lo, hi)
     assert 0 < np.count_nonzero(many)
     assert np.array_equal(many, [slab_volume(w, l, h) for w, l, h in zip(frames, lo, hi)])
     calls = []
@@ -655,14 +669,14 @@ def test_slab_volumes_one_lane_calls_keep_the_many_lane_bits(d, monkeypatch):
         return scalar(w, lo, hi)
 
     monkeypatch.setattr(kernels, "interval_length", spy)
-    ones = [kernels.slab_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
+    ones = [_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1]) for i in range(lanes)]
     assert calls == ([n] * lanes if d == 1 else [])
     assert all(one.shape == (1,) for one in ones)
     assert np.array_equal(np.concatenate(ones), many)
     calls.clear()
-    pairs = [kernels.slab_volumes(frames, frame[i : i + 2], lo[i : i + 2], hi[i : i + 2])
+    pairs = [_volumes(frames, frame[i : i + 2], lo[i : i + 2], hi[i : i + 2])
              for i in range(0, lanes, 2)]
-    halves = [kernels.slab_volumes(frames, frame[part], lo[part], hi[part])
+    halves = [_volumes(frames, frame[part], lo[part], hi[part])
               for part in (slice(None, lanes // 2), slice(lanes // 2, None))]
     assert calls == []
     assert np.array_equal(np.concatenate(pairs), many)
@@ -693,26 +707,26 @@ def test_lane_kernels_index_shared_frames(d):
     degenerate frame shared by many lanes: each lane is == the scalar kernel
     on its frame, the one-lane call and the call over either half."""
     frames, frame, lo, hi = _shared_frames(d, np.random.default_rng(30 + d))
-    got = kernels.slab_volumes(frames, frame, lo, hi)
+    got = _volumes(frames, frame, lo, hi)
     want = [slab_volume(frames[k], l, h) for k, l, h in zip(frame, lo, hi)]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got[frame != 5]) < np.count_nonzero(frame != 5)
     if d > 1:
         assert not got[frame == 5].any()
-    ones = [kernels.slab_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1])[0]
+    ones = [_volumes(frames, frame[i : i + 1], lo[i : i + 1], hi[i : i + 1])[0]
             for i in range(len(frame))]
     assert np.array_equal(ones, got)
     cut = len(frame) // 2
-    halves = [kernels.slab_volumes(frames, frame[part], lo[part], hi[part])
+    halves = [_volumes(frames, frame[part], lo[part], hi[part])
               for part in (slice(None, cut), slice(cut, None))]
     assert np.array_equal(np.concatenate(halves), got)
     # no lanes at all, with frames to index
-    none = kernels.slab_volumes(frames, np.zeros(0, dtype=int), lo[:0], hi[:0])
+    none = _volumes(frames, np.zeros(0, dtype=int), lo[:0], hi[:0])
     assert none.shape == (0,)
 
 
 def _polygon_lanes_match(frames, frame, lo, hi):
-    return _assert_lanes_match(kernels.polygon_areas, frames, frame, lo, hi)
+    return _assert_lanes_match(_volumes, frames, frame, lo, hi)
 
 
 def test_polygon_areas_of_400_and_3_gons_in_one_call():
@@ -813,10 +827,10 @@ def _shared_frame_batch(draw):
 @given(_shared_frame_batch())
 def test_shared_frame_batches_match_the_scalar_kernels_and_the_exact_oracle(batch):
     frames, frame, lo, hi = batch
-    got = kernels.slab_volumes(frames, frame, lo, hi)
+    got = _volumes(frames, frame, lo, hi)
     for k, l, h, value in zip(frame, lo, hi, got):
         assert value == slab_volume(frames[k], l, h)
-        assert kernels.slab_volumes(frames, [k], l[None], h[None])[0] == value
+        assert _volumes(frames, [k], l[None], h[None])[0] == value
         _assert_exact(frames[k], l, h, value)
 
 

@@ -320,7 +320,6 @@ def test_grid_sup_does_not_depend_on_lane_cap(n, k, seed, monkeypatch):
     radius, step = default_grid(f, e)
     whole = marginal_grid_sup(f, e, radius, step, 1e-6)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
-    monkeypatch.setattr(slabgeom, "_POOL_LANES", 40)
     monkeypatch.setattr(kernels, "_POLYTOPE_LANES", 16)
     assert marginal_grid_sup(f, e, radius, step, 1e-6) == whole
 
@@ -365,13 +364,14 @@ def _mixed_batch():
     return problems
 
 
-_SMALL_CHUNKS = {"_POOL_LANES": 40, "_POLYTOPE_LANES": 16}
+_SMALL_CHUNKS = {"_POLYTOPE_LANES": 16}
 
 
 @pytest.mark.parametrize("shrink", [{}, _SMALL_CHUNKS, {**_SMALL_CHUNKS, "LANE_CAP": 50}])
 def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
-    # small pool and polytope chunks split every round's kernel
-    # calls; a small LANE_CAP also splits the batch into lockstep groups
+    # small polytope chunks split the 3-D kernel calls; a small LANE_CAP
+    # also splits every round into more kernel calls and the batch into
+    # lockstep groups
     problems = _mixed_batch()
     want = [_reference_grid_sup(*p) for p in problems]
     for name, size in shrink.items():
@@ -384,14 +384,15 @@ def test_pooled_grid_sups_match_the_per_trial_reference(shrink, monkeypatch):
 
 def _spy_pools(monkeypatch):
     """Record each _pool_shape call, one per round and kernel shape, with its
-    distinct blocks (held, so their ids stay distinct), and the frames each
-    kernel table builder gets, per dimension."""
+    distinct blocks (held, so their ids stay distinct) and its entries' lane
+    counts, and the frames each kernel table builder gets, per dimension."""
     pools, builds = [], {1: 0, 2: 0, 3: 0}
     pool_shape = slabgeom._pool_shape
 
     def spy(entries):
         blocks = list({id(entry[0]): entry[0] for entry in entries}.values())
-        pools.append(SimpleNamespace(blocks=blocks, tested=0, passed=[], ran=[]))
+        lanes = [len(shifts) * len(block.weights) for block, shifts, _, _ in entries]
+        pools.append(SimpleNamespace(blocks=blocks, lanes=lanes, tested=[], events=[]))
         return pool_shape(entries)
 
     monkeypatch.setattr(slabgeom, "_pool_shape", spy)
@@ -422,41 +423,56 @@ def test_kernel_tables_are_built_once_per_block(run, monkeypatch):
     assert sum(len(pool.blocks) for pool in pools) > len(blocks) > 1
 
 
+def _batch_lanes(lanes, cap):
+    """The lane counts of the kernel calls of a pool whose entries hold lanes
+    lanes: consecutive entries of at most cap lanes together, or one entry
+    alone, cut into calls of cap lanes; a batch of no lanes makes no call."""
+    calls, batch = [], 0
+    for count in lanes:
+        if batch + count > cap:
+            calls += [batch] if batch else []
+            batch = 0
+        if count > cap:
+            calls += [cap] * (count // cap) + ([count % cap] if count % cap else [])
+        else:
+            batch += count
+    return calls + ([batch] if batch else [])
+
+
 @pytest.mark.parametrize("run", [lambda: marginal_grid_sups(_mixed_batch()), _verify_chunk])
 def test_pools_run_only_live_lanes(run, monkeypatch):
-    # small pools and LANE_CAP split rounds into several tests and kernel
-    # calls: the lanes of every call are those that passed the seed-cell
-    # test, in order, and a round makes at most ceil(live / _POOL_LANES)
-    # calls per shape
-    monkeypatch.setattr(slabgeom, "_POOL_LANES", 40)
+    # a small LANE_CAP splits rounds into several batches: each makes one
+    # seed-cell test of at most LANE_CAP lanes, then one kernel call on
+    # exactly the lanes it passed, in order (none if it passed none)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 200)
     pools, _ = _spy_pools(monkeypatch)
     seed_cells, live_volumes = kernels.seed_cells, kernels.live_volumes
 
     def cells(tables, frame, lo, hi):
         live, lanes = seed_cells(tables, frame, lo, hi)
-        pools[-1].tested += len(frame)
-        pools[-1].passed.append((frame[live],) + lanes)
+        pools[-1].tested.append(len(frame))
+        pools[-1].events.append(("passed", (frame[live],) + lanes))
         return live, lanes
 
     def volumes(tables, frame, lanes):
-        assert len(frame)
-        if isinstance(tables, kernels.PolygonTables):
-            assert seed_cells(tables, frame, *lanes)[0].size == len(frame)
-        pools[-1].ran.append((frame,) + lanes)
+        pools[-1].events.append(("ran", (frame,) + lanes))
         return live_volumes(tables, frame, lanes)
 
     monkeypatch.setattr(kernels, "seed_cells", cells)
     monkeypatch.setattr(kernels, "live_volumes", volumes)
     run()
     for pool in pools:
-        live = sum(len(frame) for frame, *_ in pool.passed)
-        assert len(pool.ran) <= math.ceil(live / 40)
-        assert sum(len(frame) for frame, *_ in pool.ran) == live
-        for got, want in zip(zip(*pool.ran), zip(*pool.passed)):
-            assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
-    assert any(len(pool.ran) > 1 for pool in pools)
-    assert sum(len(frame) for pool in pools for frame, *_ in pool.passed) < sum(pool.tested for pool in pools)
+        assert pool.tested == _batch_lanes(pool.lanes, 200)
+        want = []
+        for kind, lanes in pool.events:
+            if kind == "passed":
+                want += [("passed", lanes)] + ([("ran", lanes)] if len(lanes[0]) else [])
+        assert [kind for kind, _ in pool.events] == [kind for kind, _ in want]
+        for (_, got), (_, lanes) in zip(pool.events, want):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in lanes]
+    assert any(len(pool.tested) > 1 for pool in pools)
+    passed = sum(len(lanes[0]) for pool in pools for kind, lanes in pool.events if kind == "passed")
+    assert passed < sum(sum(pool.tested) for pool in pools)
 
 
 def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
@@ -501,7 +517,8 @@ def test_polygon_areas_drop_lanes_off_center():
     lo, hi = _block_lanes(block, x @ e.basis.T, rows)
     dropped = _dropped_lanes(block.local, lo, hi)
     assert 0 < len(dropped) < len(lo)
-    assert not kernels.polygon_areas(block.local[None], np.zeros(len(lo), dtype=np.intp), lo, hi)[dropped].any()
+    tables = kernels.frame_tables(block.local[None])
+    assert not kernels.table_volumes(tables, np.zeros(len(lo), dtype=np.intp), lo, hi)[dropped].any()
 
 
 def _tilted_paired_subspace(n, k, seed, tilt):
@@ -523,8 +540,8 @@ def _tilted_paired_subspace(n, k, seed, tilt):
 )
 def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
     # 2-D and 3-D blocks, some with ill-conditioned seed matrices, at shifts
-    # near and far from the support center: a lane that polygon_areas' seed
-    # cell test drops is one the scalar reference's clip gives exactly 0.0,
+    # near and far from the support center: a lane that the 2-D seed-cell
+    # test drops is one the scalar reference's clip gives exactly 0.0,
     # and the lane kernels, which drop lanes first, keep its bits
     kind, n, k = case
     f = random_product_density(seed, n, 3)
@@ -543,7 +560,8 @@ def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
         if block.local.shape[1] == 2:
             for lane in _dropped_lanes(block.local, lo, hi):
                 assert polygon_area(block.local, lo[lane], hi[lane]) == 0.0
-        got = kernels.slab_volumes(block.local[None], np.zeros(len(lo), dtype=np.intp), lo, hi)
+        tables = kernels.frame_tables(block.local[None])
+        got = kernels.table_volumes(tables, np.zeros(len(lo), dtype=np.intp), lo, hi)
         assert np.array_equal(got, [slab_volume(block.local, l, h) for l, h in zip(lo, hi)])
         tested += 1
     assert tested

@@ -1,16 +1,19 @@
-"""Every public function, method and class of margbounds is referenced from
-the package's own source, outside its own definition, or is on the
-allowlist below with the reason it stays.
+"""Every public function, method and class of margbounds, and every
+module-level UPPER_CASE constant (private ones too), is referenced from the
+package's own source, outside its own definition, or is on the allowlist
+below with the reason it stays: so no dead code or dead knob stays behind.
 
 References are matched by name, as an ast.Name or an ast.Attribute
 anywhere in src/margbounds: an import or an __all__ entry is not a use, and
-a call from inside the definition itself (recursion, self.method in the
-method) does not count.  Matching by name cannot tell two methods of one
-name apart, so the guard errs towards "reached".
+a reference from inside the definition itself (recursion, self.method in
+the method, a constant in its own assignment) does not count.  Matching by
+name cannot tell two methods of one name apart, so the guard errs towards
+"reached".
 """
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "margbounds"
 
@@ -27,17 +30,29 @@ ALLOWLIST = {
     "marginals.rogozin_check": "one-trial rogozin, called by perfbench's tracer self-test",
     "grassmann.Subspace.coordinate": "test fixture: coordinate subspaces give zero frame rows and split frames",
     "densities.random_density": "test fixture: one random factor, the reference of the one-pass product draw",
-    "kernels.interval_lengths": "test entry point: the 1-D lane kernel on raw frames, one lane or many",
-    "kernels.polygon_areas": "test entry point: the 2-D lane kernel on raw frames",
-    "kernels.polytope_volumes": "test entry point: the 3-D lane kernel on raw frames",
+    "kernels.BACKEND": "the kernels' name, which perfbench's child records (as margbounds.BACKEND)",
 }
+
+_CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
+
+
+def _constant_names(node) -> list:
+    """The UPPER_CASE names a module-level statement assigns, if any."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id)]
 
 
 def _definitions(tree, module):
-    """(qualified name, name) of the module's public functions and classes and
-    of the public methods of its public classes."""
+    """(qualified name, name) of the module's public functions and classes,
+    of the public methods of its public classes and of its constants."""
     out = []
     for node in tree.body:
+        out += [(f"{module}.{name}", name) for name in _constant_names(node)]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             out.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
@@ -47,12 +62,15 @@ def _definitions(tree, module):
 
 
 def _references(tree, module):
-    """(name, enclosing scopes) of every ast.Name and ast.Attribute."""
+    """(name, enclosing scopes) of every ast.Name and ast.Attribute; a
+    module-level constant's assignment is its scope."""
     refs = []
 
     def visit(node, scopes):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scopes = scopes + (node.name,)
+        elif len(scopes) == 1 and _constant_names(node):
+            scopes = scopes + tuple(_constant_names(node))
         if isinstance(node, ast.Name):
             refs.append((node.id, scopes))
         elif isinstance(node, ast.Attribute):
@@ -97,3 +115,14 @@ def test_the_guard_sees_a_function_that_only_calls_itself(tmp_path):
     defined, unreferenced = _unreferenced(tmp_path)
     assert defined == {"m.used", "m.lonely", "m.C", "m.C.method"}
     assert unreferenced == {"m.lonely", "m.C", "m.C.method"}
+
+
+def test_the_guard_sees_a_constant_that_nothing_else_reads(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "READ = 1\n_KNOB = 1 << 10\nSELF = [1]\nSELF = SELF + [READ]\nlower = 2\n\n"
+        "def used():\n    return READ\n\n"
+        "def reader():\n    return used()\n"
+    )
+    defined, unreferenced = _unreferenced(tmp_path)
+    assert defined == {"m.READ", "m._KNOB", "m.SELF", "m.used", "m.reader"}
+    assert unreferenced == {"m._KNOB", "m.SELF", "m.reader"}

@@ -365,6 +365,31 @@ def test_one_dimensional_blocks_join_the_pool_a_lane_cap_at_a_time(monkeypatch):
     assert np.array_equal(got, slab_sum.values(shifts))
 
 
+def test_sums_at_zero_build_each_frames_tables_once(monkeypatch):
+    # eight Haar frames of one 2-D block each and two centred integrands of
+    # 36 and 12 nonzero piece combinations: 384 lanes, 8 LANE_CAP chunks of
+    # 50 lanes
+    frames = complement_bases(haar_bases(4, 2, 5, np.arange(8)))
+    assert single_block_frames(frames).all()
+    integrands = [[fi.shifted(-fi.support_midpoint()).pieces for fi in random_product_density(seed, 4, 3).factors]
+                  for seed in (1, 2)]
+    whole = slabgeom.sums_at_zero(frames, integrands)
+    builds = []
+    polygon_tables = kernels.polygon_tables
+
+    def spy(stack):
+        builds.append(len(stack))
+        return polygon_tables(stack)
+
+    monkeypatch.setattr(kernels, "polygon_tables", spy)
+    monkeypatch.setattr(slabgeom, "LANE_CAP", 50)
+    got = slabgeom.sums_at_zero(frames, integrands)
+    assert builds == [len(frames)]
+    assert np.array_equal(got, whole) and got.all()
+    zero = np.zeros(4)
+    assert got.tolist() == [[SlabSum(w, pieces).value(zero) for w in frames] for pieces in integrands]
+
+
 def test_mc_takes_zero_rows_as_their_constant_factor():
     # a coordinate line's complement frame: row 0 vanishes, rows 1-3 are
     # the coordinate axes of E-perp
