@@ -25,7 +25,7 @@ import numpy as np
 # benchmark record (a child without it fails after its jobs)
 import scipy  # noqa: F401
 
-from . import average, bounds, densities, grassmann, marginals, sections, slabgeom
+from . import average, bounds, densities, grassmann, marginals, randomness, sections, slabgeom
 from .quadrature import RouteLimitError, ToleranceError
 
 REPORT_VERSION = "margbounds-report-1"
@@ -121,11 +121,12 @@ def _trial_density(seed: int, n: int, t: int, sup_lo: float, sup_hi: float):
     f = densities.random_product_density(seed, n, 3, 1.0, stream_base=base)
     if sup_lo == 1.0 and sup_hi == 1.0:
         return f
-    from . import randomness
-
     u = randomness.uniforms(seed, base + 512, 0, n)
     targets = sup_lo + (sup_hi - sup_lo) * u
-    factors = [fi.dilated(c / fi.sup_norm()) for fi, c in zip(f.factors, targets)]
+    try:  # in Python floats, which leave the float range with no warning
+        factors = [fi.dilated(c / fi.sup_norm()) for fi, c in zip(f.factors, targets.tolist())]
+    except densities.DensityFormatError as exc:  # inf or 0.0 pieces
+        raise RouteLimitError(f"sup norms in [{sup_lo:g}, {sup_hi:g}] dilate past the float range") from exc
     return densities.ProductDensity(factors)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from . import bounds, randomness, slabgeom
 from .densities import ProductDensity
 from .grassmann import Subspace, complement_bases, orthonormal_complement
-from .quadrature import RouteLimitError
 from .sections import hyperplane_section_exact, unit_cube
 
 _GRID_BUDGET = 400_000
@@ -141,19 +139,16 @@ def marginal_grid_sups(problems) -> list[float]:
     running argmax) through one slabgeom.pooled_values call, so all their
     lanes share kernel calls.  Per problem: the first maximum of a scan wins,
     refinement stops once the gain drops below its tol, and there are at
-    most 40 halvings.  A problem whose grid radius lies outside [2^-16,
-    2^16] runs on a power-of-two dilation of its density (_unit_scale).
+    most 40 halvings.  Each slab sum takes its own scale (slabgeom.unit_scale).
     """
-    sups, group, points, powers = [], [], 0, []
+    sups, group, points = [], [], 0
     for problem in problems:
         _, e, grid_radius, grid_step, tol = problem
         if grid_radius <= 0.0 or grid_step <= 0.0:
             raise ValueError("grid parameters must be positive")
         if not tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        problem, power = _unit_scale(problem)
-        powers.append(power * e.k)
-        offs = _axis_offsets(problem[2], problem[3])
+        offs = _axis_offsets(grid_radius, grid_step)
         if offs.size**e.k > _GRID_BUDGET:
             raise ValueError(
                 f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
@@ -165,41 +160,7 @@ def marginal_grid_sups(problems) -> list[float]:
         points += offs.size**e.k
     if group:
         sups += _lockstep_grid_sups(group)
-    return [_times_power_of_two(sup, -power) if power else sup for sup, power in zip(sups, powers)]
-
-
-def _unit_scale(problem):
-    """(problem on a power-of-two dilation of its density, p): the slab
-    kernels' tolerances are absolute at coordinates of order 1 (1e-14 (1 +
-    |y|) and up), so they would swamp the cells of a density whose support
-    is far narrower, and the piece products of a far wider or narrower one
-    leave the float range.  So a grid radius outside [2^-16, 2^16] runs on
-    g(x) = lam^n f(lam x), lam = 2^p the radius' binade, whose grid radius
-    lies in [1, 2): pi_E(g)(x) = lam^k pi_E(f)(lam x), so g's grid (radius
-    and step over lam) at tol lam^k has f's grid sup times lam^k, and every
-    piece bound, grid point and shift scales exactly.  Otherwise p = 0 and
-    the problem stays as it is."""
-    f, e, grid_radius, grid_step, tol = problem
-    if 2.0**-16 <= grid_radius <= 2.0**16:
-        return problem, 0
-    if not math.isfinite(grid_radius):
-        raise RouteLimitError("the grid radius of the density's support is outside the float range")
-    p = math.frexp(grid_radius)[1] - 1
-    lam = math.ldexp(1.0, p)
-    for _ in range(e.k):
-        tol *= lam  # exact, or inf or 0.0 past the float range
-    g = ProductDensity([fi.dilated(lam) for fi in f.factors])
-    return (g, e, grid_radius / lam, grid_step / lam, tol), p
-
-
-def _times_power_of_two(value: float, power: int) -> float:
-    """value * 2^power, or RouteLimitError where that lies outside the
-    normal float range (0.0 stays 0.0)."""
-    mantissa, exponent = math.frexp(value)
-    if value and not sys.float_info.min_exp <= exponent + power <= sys.float_info.max_exp:
-        decimal = math.log10(value) + power * math.log10(2.0)
-        raise RouteLimitError(f"the grid sup, about 1e{decimal:.0f}, is outside the normal float range")
-    return math.ldexp(mantissa, exponent + power)
+    return sups
 
 
 def _lockstep_grid_sups(group) -> list:
@@ -247,13 +208,7 @@ _GRID_POINTS_PER_AXIS = {1: 33, 2: 15, 3: 9, 4: 5}
 
 def default_grid(f: ProductDensity, e: Subspace) -> tuple[float, float]:
     """(radius, step) covering the projected support at a per-k budget."""
-    lo = np.array([fi.support()[0] for fi in f.factors])
-    hi = np.array([fi.support()[1] for fi in f.factors])
-    # the widths scaled by a power of two (exactly, so with the bits of the
-    # plain sum of squares) that keeps their squares in the float range
-    widths = hi - lo
-    power = math.frexp(float(widths.max()))[1]
-    radius = 0.5 * math.ldexp(math.sqrt(float(np.sum(np.ldexp(widths, -power) ** 2))), power)
+    radius = slabgeom.support_radius([fi.pieces for fi in f.factors])
     points = _GRID_POINTS_PER_AXIS.get(e.k, 5)
     return radius, 2.0 * radius / (points - 1)
 
@@ -272,10 +227,10 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
         radius, step = default_grid(f, e)
         # the grid sup only needs to resolve the bound comparison: refining
         # it further can make the lower bound larger (safe direction) but
-        # never flips a pass into a fail, so the refinement stop is scaled to
-        # the bound
+        # never flips a pass into a fail, so the refinement stop is relative
+        # to the bound, which a dilation of f scales as it scales the sup
         reports.append(report)
-        problems.append((f, e, radius, step, max(1e-9, 1e-2 * tol * report.bound_value)))
+        problems.append((f, e, radius, step, 1e-2 * tol * report.bound_value))
     records = []
     for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
         sup_lb = float(sup_lb)

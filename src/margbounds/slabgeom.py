@@ -10,6 +10,7 @@ A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
 sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator;
 sums_at_zero integrates many frames at zero shift in shared kernel calls.
+Each slab sum runs on its pieces at the power-of-two scale of unit_scale.
 Both evaluators run their lanes through _lane_volumes, kernels.table_volumes
 on at most LANE_CAP lanes per call, on kernel tables (kernels.frame_tables)
 built once per frame: each SlabBlock keeps its frame's, built in the first
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
 from . import kernels, randomness
+from .quadrature import RouteLimitError
 
 # frame rows no longer than this impose no slab constraint
 ROW_ZERO_TOL = 1e-12
@@ -238,16 +241,52 @@ def nonzero_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo[keep], hi[keep], weights[keep]
 
 
+def support_radius(pieces) -> float:
+    """Half the norm of the rows' support widths, its sum of squares taken
+    over a power of two (exact) that keeps them in the float range;
+    RouteLimitError where it is no float."""
+    widths = np.array([max(p[1] for p in row) - min(p[0] for p in row) for row in pieces])
+    power = math.frexp(float(widths.max()))[1]
+    radius = 0.5 * math.ldexp(math.sqrt(float(np.sum(np.ldexp(widths, -power) ** 2))), power)
+    if not math.isfinite(radius):
+        raise RouteLimitError("the support of a slab sum's pieces is outside the float range")
+    return radius
+
+
+def unit_scale(pieces) -> tuple[list, int]:
+    """(pieces, p), every slab sum's scale, as the kernels' tolerances are
+    absolute: as given, p = 0, for a support_radius in [2^-16, 2^16], else p
+    is its binade and each (lo, hi, v) becomes (lo / lam, hi / lam, lam v),
+    lam = 2^p.  The sum of m rows in R^d at s is lam^(d - m) times the new
+    pieces' sum at s / lam, exactly."""
+    radius = support_radius(pieces)
+    if 2.0**-16 <= radius <= 2.0**16:
+        return pieces, 0
+    p = math.frexp(radius)[1] - 1
+    lam = math.ldexp(1.0, p)
+    return [[(lo / lam, hi / lam, v * lam) for lo, hi, v in row] for row in pieces], p
+
+
+def _times_power_of_two(values: np.ndarray, power: int) -> np.ndarray:
+    """values * 2^power (exact for normal products); RouteLimitError past
+    the float range."""
+    if power and (np.frexp(values)[1] + power > sys.float_info.max_exp).any():
+        raise RouteLimitError("a slab sum's value is outside the float range")
+    return np.ldexp(values, power) if power else values
+
+
 class SlabSum:
     """int prod_i g_i(s_i + <w_i, y>) dy for rows w_i and step functions g_i
     given by their (lo, hi, value) pieces, built once, evaluated at many s.
 
-    Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).
+    Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).  Every
+    evaluator runs on the pieces and power p of unit_scale, at s / 2^p.
     """
 
     def __init__(self, rows: np.ndarray, pieces):
         self.rows = rows  # (m, d)
-        self.pieces = pieces
+        self.pieces, self.power = unit_scale(pieces)
+        self.scale = self.power * (rows.shape[1] - rows.shape[0])  # of the values
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         self.zero_rows = np.nonzero(norms <= ROW_ZERO_TOL)[0]
         self.active_rows = np.nonzero(norms > ROW_ZERO_TOL)[0]
@@ -293,6 +332,7 @@ class SlabSum:
         sum_i <w_i, y>^2, to which zero rows add nothing, bounds |y| by that
         radius.  Zero rows give the constant zero_row_factor.
         """
+        shifts = np.ldexp(shifts, -self.power)
         const = self.zero_row_factor(shifts)
         rows = self.active_rows
         lo = np.array([min(p[0] for p in self.pieces[i]) for i in rows])
@@ -325,7 +365,8 @@ class SlabSum:
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         cube_vol = (2.0 * radius) ** d
-        return cube_vol * mean, cube_vol * math.sqrt(var / samples)
+        est_se = cube_vol * np.array([mean, math.sqrt(var / samples)])
+        return tuple(_times_power_of_two(est_se, self.scale).tolist())
 
 
 def _pool_shape(entries) -> None:
@@ -392,6 +433,7 @@ def pooled_values(pairs) -> list[np.ndarray]:
     of at most LANE_CAP lanes (or one point's).  Each block's kernel tables
     are built once, in its first round.
     """
+    pairs = [(slab_sum, np.ldexp(s, -slab_sum.power) if slab_sum.power else s) for slab_sum, s in pairs]
     values = []
     for slab_sum, shifts in pairs:
         if slab_sum.zero_rows.size:
@@ -414,7 +456,7 @@ def pooled_values(pairs) -> list[np.ndarray]:
                 parts.setdefault(block.local.shape, []).append((block, shifts[part][:, rows], vals, part))
         for entries in parts.values():
             _pool_shape(entries)
-    return values
+    return [_times_power_of_two(vals, slab_sum.scale) for (slab_sum, _), vals in zip(pairs, values)]
 
 
 def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
@@ -423,7 +465,8 @@ def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
     values with the bits of SlabSum(frames[s], integrand).value at zero.
     single_block_frames' frames (d <= MAX_BLOCK) run every integrand's
     combinations through one shared_block_integrals call, and the other
-    frames' SlabSums share one pooled_values call."""
+    frames' SlabSums share one pooled_values call, all at unit_scale."""
+    integrands, powers = zip(*map(unit_scale, integrands))
     out = np.empty((len(integrands), len(frames)))
     ok = single_block_frames(frames) & (frames.shape[2] <= MAX_BLOCK)
     out[:, ok] = shared_block_integrals(frames[ok], [nonzero_combinations(p) for p in integrands])
@@ -431,4 +474,5 @@ def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
     zero = np.zeros((1, frames.shape[1]))
     values = pooled_values([(SlabSum(frames[s], pieces), zero) for s in rest for pieces in integrands])
     out[:, rest] = np.reshape(values, (len(rest), len(integrands))).T
-    return out
+    _, m, d = frames.shape
+    return np.array([_times_power_of_two(row, power * (d - m)) for row, power in zip(out, powers)])

@@ -140,6 +140,23 @@ def test_sections_quadrature_of_the_diagonal_section_of_q4(tmp_path):
     assert abs(json.loads(out.read_text())["summary"]["value"] - 4.0 / 3.0) <= 1e-14
 
 
+def test_sections_quadrature_of_a_narrow_box_agrees_with_mc(tmp_path):
+    # sides about 1e-14: the slab kernels' absolute tolerances once made
+    # this section 2.323e-42, 41% above the Monte Carlo value
+    from margbounds.grassmann import haar_sample
+
+    sub_path = tmp_path / "h.json"
+    sub_path.write_text(json.dumps(haar_sample(5, 3, seed=3).to_json_dict()))
+    records = {}
+    for mode in ("quadrature", "mc"):
+        out = tmp_path / f"{mode}.json"
+        assert run(["sections", "--mode", mode, "--sides=7e-15,8.5e-15,1e-14,1.15e-14,1.3e-14",
+                    "--subspace-file", str(sub_path), "--out", str(out)]) == 0
+        records[mode] = json.loads(out.read_text())["records"][0]
+    mc = records["mc"]
+    assert abs(records["quadrature"]["value"] - mc["value"]) <= 4.0 * mc["std_error"]
+
+
 def test_sections_missing_normal_is_usage_error():
     assert run(["sections", "--mode", "exact", "--sides", "1,1"]) == 2
 
@@ -318,6 +335,21 @@ def test_average_with_density_file(tmp_path):
     code = run(["average", "--n", "2", "--k", "1", "--samples", "5000",
                 "--seed", "4", "--density", str(dens_path)])
     assert code == 0
+
+
+def test_average_of_a_narrow_density_is_the_unit_average_scaled(tmp_path):
+    # supports 2^-47 as wide: each marginal at 0 scales by 2^94 and its 4th
+    # power by 2^376 (the lhs once read 4.60e113, 60 times too high)
+    f = random_product_density(3, 4, 3)
+    lhs = []
+    for lam in (1.0, 2.0**47):
+        dens_path = tmp_path / "f.json"
+        dens_path.write_text(json.dumps({"factors": [fi.dilated(lam).to_json_dict() for fi in f.factors]}))
+        out = tmp_path / "avg.json"
+        run(["average", "--n", "4", "--k", "2", "--samples", "2000", "--seed", "3",
+             "--density", str(dens_path), "--out", str(out)])
+        lhs.append(json.loads(out.read_text())["records"][0]["lhs"])
+    assert lhs[1] == pytest.approx(lhs[0] * 2.0**376, rel=1e-12)
 
 
 def test_grinberg_cli():
@@ -537,11 +569,11 @@ def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     assert err.startswith("error: irreducible slab block of dimension 6")
 
 
-def _verify_ratios(tmp_path, n, k, sup):
+def _verify_ratios(tmp_path, n, k, sup, seed=3):
     """(exit code, sup_lower_bound / bound per trial) of verify at
     --sup-range sup,sup, with every warning an error."""
-    out = tmp_path / f"verify-{n}-{k}-{sup}.json"
-    argv = ["verify", "--n", str(n), "--k", str(k), "--trials", "2", "--seed", "3",
+    out = tmp_path / f"verify-{n}-{k}-{sup}-{seed}.json"
+    argv = ["verify", "--n", str(n), "--k", str(k), "--trials", "2", "--seed", str(seed),
             "--sup-range", f"{sup},{sup}", "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -571,12 +603,21 @@ def test_verify_at_large_sup_norms_keeps_the_unit_scale_ratios(n, k, sup, tmp_pa
 
 
 def test_verify_at_tiny_sup_norms_gives_a_value(tmp_path):
-    # supports about 1e300 wide: a grid sup near 1e-300 that passes (the
-    # refinement tol's 1e-9 floor is far above such values, so it stops
-    # early, and the ratio need not be the unit scale's)
-    code, ratios = _verify_ratios(tmp_path, 2, 1, "1e-300")
-    assert code == 0
-    assert all(0.5 < ratio <= 1.0 for ratio in ratios)
+    # supports about 1e300 and 1e6 wide: the refinement tol is relative to
+    # the bound, so the grid sups refine as at sup norms 1e3 and keep their
+    # ratios (a 1e-9 floor once stopped them after one halving)
+    for n, k, sup, seed in ((2, 1, "1e-300", 3), (4, 2, "1e-6", 0)):
+        code, ratios = _verify_ratios(tmp_path, n, k, sup, seed)
+        assert code == 0
+        assert ratios == pytest.approx(_verify_ratios(tmp_path, n, k, "1e3", seed)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("sup", ["1e-320", "1.7e308"])
+def test_verify_at_the_ends_of_the_sup_range_is_a_route_limit(sup, tmp_path, capsys):
+    # a dilation to these sup norms takes the pieces past the float range
+    # (it once exited 2, "pieces must be finite", after a RuntimeWarning)
+    assert _verify_ratios(tmp_path, 2, 1, sup) == (1, None)
+    assert capsys.readouterr().err.startswith("error: sup norms in [")
 
 
 def test_search_max_beyond_its_route_is_a_failure_not_a_usage_error(capsys):

@@ -9,10 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from slab_reference import scalar_slab_sum
 
-from margbounds import kernels, slabgeom
-from margbounds.densities import random_product_density
-from margbounds.grassmann import Subspace, complement_bases, haar_bases, orthonormal_complement
-from margbounds.sections import Box, box_pieces, section_quadrature, sharp_paired_subspace, unit_cube
+from margbounds import bounds, kernels, slabgeom
+from margbounds.densities import ProductDensity, random_product_density
+from margbounds.grassmann import Subspace, complement_bases, haar_bases, haar_sample, orthonormal_complement
+from margbounds.marginals import MarginalQuery, marginal_at
+from margbounds.sections import (
+    Box,
+    box_pieces,
+    section_mc,
+    section_quadrature,
+    sharp_paired_subspace,
+    unit_cube,
+)
 from margbounds.slabgeom import (
     BlockTooWideError,
     SlabSum,
@@ -403,3 +411,76 @@ def test_mc_takes_zero_rows_as_their_constant_factor():
     outside = inside.copy()
     outside[0] = f.factors[0].pieces[-1][1] + 1.0
     assert slab_sum.mc(outside, 40000, seed=2) == (0.0, 0.0)
+
+
+# Each entry point of the slab sums at the dilation lam = 2^p of its input,
+# with its values divided by the power of lam that the dilation multiplies
+# them by: lam^k for a marginal at x / lam or a k-dimensional box section,
+# lam^(m - d) for m rows in R^d of pieces (lo / lam, hi / lam, lam v).
+# Every entry is compared with its own run at lam = 1, not with
+# scalar_slab_sum at scale, which has the same absolute tolerances.
+
+
+def _centred(seed, n, lam):
+    return [fi.shifted(-fi.support_midpoint()).dilated(lam) for fi in random_product_density(seed, n, 3).factors]
+
+
+def _scaled_marginal_at(lam):
+    f = random_product_density(3, 4, 3)
+    e = haar_sample(4, 2, seed=1)
+    g = ProductDensity([fi.dilated(lam) for fi in f.factors])
+    return marginal_at(MarginalQuery(g, e, e.basis.T @ f.support_midpoints() / lam)) / lam**2
+
+
+def _scaled_values_with_a_zero_row(lam):
+    # E holds e_0, so row 0 of its complement frame vanishes and rows 1-4
+    # span R^3
+    v = np.array([0.0, 0.4, -0.5, 0.3, 0.7])
+    e = Subspace(np.column_stack([np.eye(5)[0], v / np.linalg.norm(v)]))
+    f = random_product_density(4, 5, 3)
+    slab_sum = SlabSum(orthonormal_complement(e).basis, [fi.dilated(lam).pieces for fi in f.factors])
+    assert list(slab_sum.zero_rows) == [0]
+    xs = e.basis.T @ f.support_midpoints() + 0.1 * np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=2)))
+    return slab_sum.values(xs @ e.basis.T / lam) / lam**2
+
+
+def _scaled_sums_at_zero(lam):
+    frames = complement_bases(haar_bases(4, 2, 5, np.arange(8)))
+    assert single_block_frames(frames).all()
+    return slabgeom.sums_at_zero(frames, [[fi.pieces for fi in _centred(1, 4, lam)]]) / lam**2
+
+
+def _scaled_sums_at_zero_of_a_skewed_frame(lam):
+    # columns 1e-9 from orthonormal: the per-frame SlabSum route
+    skew = haar_bases(4, 2, 6, np.arange(1))[0] * [1.0 + 1e-9, 1.0]
+    assert not single_block_frames(skew[None]).any()
+    return slabgeom.sums_at_zero(skew[None], [[fi.pieces for fi in _centred(2, 4, lam)]]) / lam**2
+
+
+_SIDES = np.array([0.7, 0.85, 1.0, 1.15, 1.3])
+
+
+def _scaled_section_quadrature(lam):
+    return section_quadrature(Box(_SIDES * lam), haar_sample(5, 3, seed=3)) / lam**3
+
+
+def _scaled_section_mc(lam):
+    return np.array(section_mc(Box(_SIDES * lam), haar_sample(5, 3, seed=3), 2000, seed=4)) / lam**3
+
+
+def _scaled_bl_check(lam):
+    # the inequality is dilation invariant: lhs and rhs keep their values
+    system = bounds.random_bl_system(5, 2, 4)
+    return np.array(bounds.bl_check(system, _centred(5, 4, lam)))
+
+
+@pytest.mark.parametrize("p", [20, -20, 47, -47, 60, -60])
+@pytest.mark.parametrize("entry", [
+    _scaled_marginal_at, _scaled_values_with_a_zero_row, _scaled_sums_at_zero,
+    _scaled_sums_at_zero_of_a_skewed_frame, _scaled_section_quadrature, _scaled_section_mc,
+    _scaled_bl_check,
+], ids=lambda entry: entry.__name__[len("_scaled_"):])
+def test_slab_sums_keep_their_values_under_power_of_two_dilations(entry, p):
+    want = np.asarray(entry(1.0))
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(entry(2.0**p), want, rtol=1e-13, atol=0.0)
