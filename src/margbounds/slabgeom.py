@@ -253,24 +253,26 @@ def support_radius(pieces) -> float:
     return radius
 
 
-def unit_scale(pieces) -> tuple[list, int]:
-    """(pieces, p), every slab sum's scale, as the kernels' tolerances are
-    absolute: as given, p = 0, for a support_radius in [2^-16, 2^16], else p
-    is its binade and each (lo, hi, v) becomes (lo / lam, hi / lam, lam v),
-    lam = 2^p.  The sum of m rows in R^d at s is lam^(d - m) times the new
-    pieces' sum at s / lam, exactly."""
+def unit_scale(pieces, d: int) -> tuple[list, int, int]:
+    """(pieces', p, e), every slab sum's one scale, as the kernels'
+    tolerances are absolute: the slab sum in R^d of pieces at s is 2^e times
+    that of pieces' at s / 2^p, exactly.  p = e = 0, pieces' = pieces, for a
+    support_radius in [2^-16, 2^16]; else p is its binade and each (lo, hi,
+    v) becomes (lo / 2^p, hi / 2^p, v 2^t), t bringing its row's largest v
+    into [1, 2) so no product of values leaves the float range."""
     radius = support_radius(pieces)
     if 2.0**-16 <= radius <= 2.0**16:
-        return pieces, 0
+        return pieces, 0, 0
     p = math.frexp(radius)[1] - 1
     lam = math.ldexp(1.0, p)
-    return [[(lo / lam, hi / lam, v * lam) for lo, hi, v in row] for row in pieces], p
+    ts = [1 - math.frexp(max(v for _, _, v in row))[1] for row in pieces]
+    scaled = [[(lo / lam, hi / lam, math.ldexp(v, t)) for lo, hi, v in row] for row, t in zip(pieces, ts)]
+    return scaled, p, p * d - sum(ts)
 
 
 def _times_power_of_two(values: np.ndarray, power: int) -> np.ndarray:
-    """values * 2^power (exact for normal products); RouteLimitError past
-    the float range."""
-    if power and (np.frexp(values)[1] + power > sys.float_info.max_exp).any():
+    """values * 2^power, or RouteLimitError where a nonzero one leaves the float range."""
+    if power and (np.frexp(values)[1] + power > sys.float_info.max_exp)[values != 0.0].any():
         raise RouteLimitError("a slab sum's value is outside the float range")
     return np.ldexp(values, power) if power else values
 
@@ -280,13 +282,12 @@ class SlabSum:
     given by their (lo, hi, value) pieces, built once, evaluated at many s.
 
     Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).  Every
-    evaluator runs on the pieces and power p of unit_scale, at s / 2^p.
+    evaluator runs on the pieces of unit_scale at s / 2^power, times 2^scale.
     """
 
     def __init__(self, rows: np.ndarray, pieces):
         self.rows = rows  # (m, d)
-        self.pieces, self.power = unit_scale(pieces)
-        self.scale = self.power * (rows.shape[1] - rows.shape[0])  # of the values
+        self.pieces, self.power, self.scale = unit_scale(pieces, rows.shape[1])
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         self.zero_rows = np.nonzero(norms <= ROW_ZERO_TOL)[0]
         self.active_rows = np.nonzero(norms > ROW_ZERO_TOL)[0]
@@ -466,7 +467,7 @@ def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
     single_block_frames' frames (d <= MAX_BLOCK) run every integrand's
     combinations through one shared_block_integrals call, and the other
     frames' SlabSums share one pooled_values call, all at unit_scale."""
-    integrands, powers = zip(*map(unit_scale, integrands))
+    integrands, _, scales = zip(*(unit_scale(pieces, frames.shape[2]) for pieces in integrands))
     out = np.empty((len(integrands), len(frames)))
     ok = single_block_frames(frames) & (frames.shape[2] <= MAX_BLOCK)
     out[:, ok] = shared_block_integrals(frames[ok], [nonzero_combinations(p) for p in integrands])
@@ -474,5 +475,4 @@ def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
     zero = np.zeros((1, frames.shape[1]))
     values = pooled_values([(SlabSum(frames[s], pieces), zero) for s in rest for pieces in integrands])
     out[:, rest] = np.reshape(values, (len(rest), len(integrands))).T
-    _, m, d = frames.shape
-    return np.array([_times_power_of_two(row, power * (d - m)) for row, power in zip(out, powers)])
+    return np.array([_times_power_of_two(row, scale) for row, scale in zip(out, scales)])

@@ -470,6 +470,7 @@ def _scaled_section_mc(lam):
 
 def _scaled_bl_check(lam):
     # the inequality is dilation invariant: lhs and rhs keep their values
+    # (lhs up to lam^(sum c - d), and sum c = d to rounding)
     system = bounds.random_bl_system(5, 2, 4)
     return np.array(bounds.bl_check(system, _centred(5, 4, lam)))
 
@@ -484,3 +485,12 @@ def test_slab_sums_keep_their_values_under_power_of_two_dilations(entry, p):
     want = np.asarray(entry(1.0))
     assert np.all(want > 0.0)
     np.testing.assert_allclose(entry(2.0**p), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [300, -300])
+@pytest.mark.parametrize("entry", [_scaled_section_quadrature, _scaled_section_mc],
+                         ids=lambda entry: entry.__name__[len("_scaled_"):])
+def test_box_sections_far_from_unit_scale_keep_their_values(entry, p):
+    # a box indicator's pieces have the value 1 in all five rows: scaled by
+    # 2^p each, their products would leave the float range
+    np.testing.assert_array_equal(entry(2.0**p), entry(1.0))
