@@ -116,18 +116,27 @@ def _pmap(fn, args_list, workers: int) -> list:
 
 
 def _trial_density(seed: int, n: int, t: int, sup_lo: float, sup_hi: float):
-    """Random product density for trial t; sup norms drawn from [lo, hi]."""
-    base = t * _TRIAL_STREAM_BLOCK
-    f = densities.random_product_density(seed, n, 3, 1.0, stream_base=base)
+    """Random product density for trial t; sup norms drawn from [lo, hi]:
+    the one-trial call of _trial_densities."""
+    return _trial_densities(seed, n, [t], sup_lo, sup_hi)[0]
+
+
+def _trial_densities(seed: int, n: int, trials, sup_lo: float, sup_hi: float) -> list:
+    """The random product densities of trials, trial t's factors from the
+    streams t * _TRIAL_STREAM_BLOCK + 1, ..., + n, all from one
+    randomness.uniforms call, and its sup norms, when [lo, hi] is not
+    [1, 1], drawn from [lo, hi] on stream t * _TRIAL_STREAM_BLOCK + 512, all
+    from one more."""
+    bases = np.array(trials, dtype=np.uint64) * np.uint64(_TRIAL_STREAM_BLOCK)
+    fs = densities.random_product_densities(seed, n, bases)
     if sup_lo == 1.0 and sup_hi == 1.0:
-        return f
-    u = randomness.uniforms(seed, base + 512, 0, n)
-    targets = sup_lo + (sup_hi - sup_lo) * u
+        return fs
+    targets = sup_lo + (sup_hi - sup_lo) * randomness.uniforms(seed, bases + np.uint64(512), 0, n)
     try:  # in Python floats, which leave the float range with no warning
-        factors = [fi.dilated(c / fi.sup_norm()) for fi, c in zip(f.factors, targets.tolist())]
+        return [densities.ProductDensity([fi.dilated(c / fi.sup_norm()) for fi, c in zip(f.factors, row)])
+                for f, row in zip(fs, targets.tolist())]
     except densities.DensityFormatError as exc:  # inf or 0.0 pieces
         raise RouteLimitError(f"sup norms in [{sup_lo:g}, {sup_hi:g}] dilate past the float range") from exc
-    return densities.ProductDensity(factors)
 
 
 def _trial_chunks(trials: int, workers: int) -> list:
@@ -144,12 +153,13 @@ def _trial_streams(trials) -> np.ndarray:
 
 
 def _verify_trials(args) -> list:
-    """The records of a chunk of verify trials, whose subspaces come from
-    one haar_bases call and whose grid sups run in lockstep."""
+    """The records of a chunk of verify trials, whose densities come from
+    _trial_densities, subspaces from one haar_bases call and whose grid sups
+    run in lockstep."""
     seed, n, k, tol, sup_lo, sup_hi, trials = args
     bases = grassmann.haar_bases(n, k, seed, _trial_streams(trials))
-    cases = [(_trial_density(seed, n, t, sup_lo, sup_hi), grassmann.Subspace(basis))
-             for t, basis in zip(trials, bases)]
+    cases = [(f, grassmann.Subspace(basis))
+             for f, basis in zip(_trial_densities(seed, n, trials, sup_lo, sup_hi), bases)]
     records = marginals.verify_main_theorems(cases, tol)
     for t, rec in zip(trials, records):
         rec["trial"] = t
@@ -157,11 +167,12 @@ def _verify_trials(args) -> list:
 
 
 def _rogozin_trials(args) -> list:
-    """The records of a chunk of rogozin trials, whose directions come from
-    one haar_directions call and whose grid sups run in lockstep."""
+    """The records of a chunk of rogozin trials, whose densities come from
+    _trial_densities, directions from one haar_directions call and whose
+    grid sups run in lockstep."""
     seed, n, tol, trials = args
     thetas = grassmann.haar_directions(n, 1, seed, _trial_streams(trials))[:, 0]
-    cases = [(_trial_density(seed, n, t, 1.0, 1.0), theta) for t, theta in zip(trials, thetas)]
+    cases = list(zip(_trial_densities(seed, n, trials, 1.0, 1.0), thetas))
     return [
         {
             "trial": t,

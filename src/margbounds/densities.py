@@ -85,10 +85,10 @@ class StepDensity:
     # -- norms ---------------------------------------------------------------
 
     def l1_norm(self) -> float:
-        return float(np.dot(self.values, self.widths))
+        return float(np.dot(self.values, [hi - lo for lo, hi, _ in self.pieces]))
 
     def sup_norm(self) -> float:
-        return float(self.values.max())
+        return max(v for _, _, v in self.pieces)
 
     def lp_norm(self, p: float) -> float:
         if p == math.inf:
@@ -158,28 +158,33 @@ def random_density(seed: int, max_pieces: int, bound: float, stream: int = 0) ->
     if its sup then exceeds the bound, rescaled horizontally (which preserves
     the L1 norm).
     """
-    return _density_from_uniforms(randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1),
-                                  max_pieces, bound)
+    return _densities_from_uniforms(randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1)[None],
+                                    max_pieces, bound)[0]
 
 
-def _density_from_uniforms(u: np.ndarray, max_pieces: int, bound: float) -> StepDensity:
-    """random_density from its 3 max_pieces + 1 uniforms u; one row of a
-    many-stream randomness.uniforms call has the one-stream call's bits."""
+def _densities_from_uniforms(u: np.ndarray, max_pieces: int, bound: float) -> list[StepDensity]:
+    """random_density of each row of u (R, 3 max_pieces + 1), from its
+    uniforms: a row's piece count, cuts and values are elementwise in u, so
+    one row of a many-stream randomness.uniforms call has the one-stream
+    call's bits."""
     if max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    npieces = 1 + int(u[0] * max_pieces)
-    cuts = np.sort(u[1 : npieces + 2]) * 2.0 - 1.0
-    vals = u[npieces + 2 : 2 * npieces + 2] + 0.05
-    pieces = [(cuts[i], cuts[i + 1], vals[i]) for i in range(npieces) if cuts[i + 1] - cuts[i] > 1e-9]
-    if not pieces:
-        pieces = [(-0.5, 0.5, 1.0)]
-    f = StepDensity(pieces).normalized()
-    s = f.sup_norm() / bound
-    if s > 1.0:
-        f = StepDensity([(lo * s, hi * s, v / s) for lo, hi, v in f.pieces])
-    return f
+    counts = 1 + (u[:, 0] * max_pieces).astype(np.intp)
+    out = [None] * len(u)
+    for npieces in set(counts.tolist()):
+        rows = np.flatnonzero(counts == npieces)
+        cuts = np.sort(u[rows, 1 : npieces + 2], axis=1) * 2.0 - 1.0
+        vals = u[rows, npieces + 2 : 2 * npieces + 2] + 0.05
+        for r, cut, val in zip(rows.tolist(), cuts.tolist(), vals.tolist()):
+            pieces = [(cut[i], cut[i + 1], val[i]) for i in range(npieces) if cut[i + 1] - cut[i] > 1e-9]
+            f = StepDensity(pieces or [(-0.5, 0.5, 1.0)]).normalized()
+            s = f.sup_norm() / bound
+            if s > 1.0:
+                f = StepDensity([(lo * s, hi * s, v / s) for lo, hi, v in f.pieces])
+            out[r] = f
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,16 @@ def random_product_density(
     seed: int, n: int, max_pieces: int = 3, bound: float = 1.0, stream_base: int = 0
 ) -> ProductDensity:
     """Product of n random_density factors, factor i from stream
-    stream_base + i + 1, all drawn in one pass."""
-    u = randomness.uniforms(seed, stream_base + 1 + np.arange(n), 0, 3 * max_pieces + 1)
-    return ProductDensity([_density_from_uniforms(row, max_pieces, bound) for row in u])
+    stream_base + i + 1: the one-product call of random_product_densities."""
+    return random_product_densities(seed, n, [stream_base], max_pieces, bound)[0]
+
+
+def random_product_densities(seed: int, n: int, stream_bases, max_pieces: int = 3,
+                             bound: float = 1.0) -> list[ProductDensity]:
+    """random_product_density(seed, n, max_pieces, bound, base) for each base
+    of stream_bases, every factor of every product drawn by one
+    randomness.uniforms call."""
+    streams = np.add.outer(np.asarray(stream_bases).astype(np.uint64), np.arange(1, n + 1, dtype=np.uint64))
+    u = randomness.uniforms(seed, streams.reshape(-1), 0, 3 * max_pieces + 1)
+    factors = _densities_from_uniforms(u, max_pieces, bound)
+    return [ProductDensity(factors[i * n : (i + 1) * n]) for i in range(len(streams))]

@@ -19,6 +19,17 @@ from . import randomness
 ORTHO_TOL = 1e-12
 
 
+def check_orthonormal(bases: np.ndarray) -> None:
+    """ValueError unless each basis of bases (..., n, k) has orthonormal
+    columns, |B^T B - I| <= ORTHO_TOL entrywise: Subspace's check, on one
+    basis or a stack of them."""
+    k = bases.shape[-1]
+    if k and bases.size:
+        defect = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(k)).max()
+        if defect > ORTHO_TOL:
+            raise ValueError(f"basis not orthonormal (defect {defect:.3e} > {ORTHO_TOL})")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of R^n given by an n x k orthonormal basis."""
@@ -32,10 +43,7 @@ class Subspace:
         n, k = basis.shape
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
-        if k > 0:
-            defect = np.abs(basis.T @ basis - np.eye(k)).max()
-            if defect > ORTHO_TOL:
-                raise ValueError(f"basis not orthonormal (defect {defect:.3e} > {ORTHO_TOL})")
+        check_orthonormal(basis)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 

@@ -17,7 +17,7 @@ fallback.  On top sit the theorem verifier, the one-dimensional worst-case
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds, randomness, slabgeom
 from .densities import ProductDensity
-from .grassmann import Subspace, complement_bases, orthonormal_complement
+from .grassmann import Subspace, check_orthonormal, complement_bases, orthonormal_complement
 from .sections import hyperplane_section_exact, unit_cube
 
 _GRID_BUDGET = 400_000
@@ -70,18 +70,44 @@ def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
     return _framed_slab_sum(f, orthonormal_complement(e))
 
 
-def _slab_sums(pairs) -> list:
-    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits: the
-    complements of the subspaces of one shape (n, k) come from one
-    complement_bases call, each checked orthonormal as a Subspace, as
-    orthonormal_complement does."""
+def _by_shape(arrays) -> list:
+    """Index groups of arrays by shape, in order of their first members."""
     shapes = {}
-    for i, (_, e) in enumerate(pairs):
-        shapes.setdefault(e.basis.shape, []).append(i)
+    for i, a in enumerate(arrays):
+        shapes.setdefault(a.shape, []).append(i)
+    return list(shapes.values())
+
+
+def _frames(pairs) -> list:
+    """(orthonormal_complement(e).basis, slabgeom.support_radius of f's
+    pieces) of each (f, e) of pairs, with the same bits: the complements of
+    the subspaces of one shape (n, k) come from one complement_bases call
+    and are checked orthonormal together, as Subspace checks each."""
+    if any(e.n != f.n for f, e in pairs):
+        raise ValueError("density and subspace live in different dimensions")
+    comps = [None] * len(pairs)
+    for index in _by_shape([e.basis for _, e in pairs]):
+        stack = complement_bases(np.stack([pairs[i][1].basis for i in index]))
+        check_orthonormal(stack)
+        for i, comp in zip(index, stack):
+            comps[i] = comp
+    return [(comp, slabgeom.support_radius([fi.pieces for fi in f.factors]))
+            for comp, (f, _) in zip(comps, pairs)]
+
+
+def _slab_sums(pairs, frames) -> list:
+    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits, from
+    their _frames: the frames of one shape through one
+    slabgeom.framed_slab_sums call."""
     out = [None] * len(pairs)
-    for index in shapes.values():
-        for i, comp in zip(index, complement_bases(np.stack([pairs[i][1].basis for i in index]))):
-            out[i] = _framed_slab_sum(pairs[i][0], Subspace(comp))
+    for index in _by_shape([comp for comp, _ in frames]):
+        sums = slabgeom.framed_slab_sums(
+            np.stack([frames[i][0] for i in index]),
+            [[fi.pieces for fi in pairs[i][0].factors] for i in index],
+            [frames[i][1] for i in index],
+        )
+        for i, slab_sum in zip(index, sums):
+            out[i] = slab_sum
     return out
 
 
@@ -120,28 +146,53 @@ def marginal_grid_sup(
     return marginal_grid_sups([(f, e, grid_radius, grid_step, tol)])[0]
 
 
+def _product_offsets(axis: np.ndarray, k: int) -> np.ndarray:
+    """The points of axis^k, (len(axis)^k, k), in itertools.product order."""
+    return np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+
+
+@functools.cache
+def _stencil(k: int) -> np.ndarray:
+    """The refinement stencil {-2, ..., 2}^k in itertools.product order,
+    without its centre: the running best, whose value a scan would only
+    repeat."""
+    stencil = np.delete(_product_offsets(np.arange(-2.0, 3.0), k), (5**k - 1) // 2, axis=0)
+    stencil.setflags(write=False)
+    return stencil
+
+
 def _scan_points(e: Subspace, origin: np.ndarray, offsets: np.ndarray):
-    """(points of E in itertools.product order of the offsets around origin,
-    their ambient shifts); the stacked matmul gives each point the bits of
-    e.basis @ x (xs @ e.basis.T does not)."""
-    xs = origin + np.array(list(itertools.product(offsets, repeat=e.k)))
+    """(the points origin + offsets (P, k) of E, their ambient shifts); the
+    stacked matmul gives each point the bits of e.basis @ x (xs @ e.basis.T
+    does not)."""
+    xs = origin + offsets
     return xs, np.matmul(e.basis, xs[:, :, None])[:, :, 0]
 
 
-def marginal_grid_sups(problems) -> list[float]:
+def marginal_grid_sups(problems, frames=None) -> list[float]:
     """marginal_grid_sup(f, e, grid_radius, grid_step, tol) for each tuple of
-    problems, with the same bits, run in lockstep.
+    problems, with the same bits, run in lockstep; frames, when given, are
+    the problems' _frames, which a campaign shares with its bounds.
 
     Consecutive problems form lockstep groups of at most slabgeom.LANE_CAP
     grid points (or one problem), so a long campaign never holds more of its
-    points at once.  Each round of a group scans every problem that is still
-    refining (first the grids, then the halved 5^k stencils around each
-    running argmax) through one slabgeom.pooled_values call, so all their
-    lanes share kernel calls.  Per problem: the first maximum of a scan wins,
-    refinement stops once the gain drops below its tol, and there are at
-    most 40 halvings.  Each slab sum takes its own scale (slabgeom.unit_scale).
+    points at once.  A group sets up its slab sums at once (_slab_sums).
+    Each round of a group scans every problem that is still refining (first
+    the grids, then the halved 5^k stencils around each running argmax,
+    without their centre, the argmax itself) through one
+    slabgeom.pooled_values call, so all their lanes share kernel calls.  Per
+    problem: the first maximum of a scan wins, refinement stops once the
+    gain drops below its tol (a stencil with no point above the running
+    best gains at most 0), and there are at most 40 halvings.  Each slab sum
+    takes its own scale (slabgeom.unit_scale).
     """
     sups, group, points = [], [], 0
+
+    def run(group) -> list:
+        if frames is None:
+            return _lockstep_grid_sups(group, _frames([(f, e) for (f, e, _, _, _), _ in group]))
+        return _lockstep_grid_sups(group, frames[len(sups) : len(sups) + len(group)])
+
     for problem in problems:
         _, e, grid_radius, grid_step, tol = problem
         if grid_radius <= 0.0 or grid_step <= 0.0:
@@ -154,21 +205,21 @@ def marginal_grid_sups(problems) -> list[float]:
                 f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
             )
         if group and points + offs.size**e.k > slabgeom.LANE_CAP:
-            sups += _lockstep_grid_sups(group)
+            sups += run(group)
             group, points = [], 0
         group.append((problem, offs))
         points += offs.size**e.k
     if group:
-        sups += _lockstep_grid_sups(group)
+        sups += run(group)
     return sups
 
 
-def _lockstep_grid_sups(group) -> list:
-    """The grid sups of the (problem, grid offsets) pairs of group, every
-    round one pooled_values call."""
+def _lockstep_grid_sups(group, frames) -> list:
+    """The grid sups of the (problem, grid offsets) pairs of group, with the
+    problems' _frames, every round one pooled_values call."""
     pairs = [(f, e) for (f, e, _, _, _), _ in group]
     runs = [(slab_sum, e, e.basis.T @ f.support_midpoints())
-            for slab_sum, (f, e) in zip(_slab_sums(pairs), pairs)]
+            for slab_sum, (f, e) in zip(_slab_sums(pairs, frames), pairs)]
 
     def scan(scans) -> list:
         # scans: (run index, origin, offsets); the first maximum wins, as
@@ -183,7 +234,7 @@ def _lockstep_grid_sups(group) -> list:
             out.append((v[best], xs[best]))
         return out
 
-    best = scan([(i, runs[i][2], offs) for i, (_, offs) in enumerate(group)])
+    best = scan([(i, runs[i][2], _product_offsets(offs, runs[i][1].k)) for i, (_, offs) in enumerate(group)])
     steps = [grid_step for (_, _, _, grid_step, _), _ in group]
     refining = list(range(len(runs)))
     for _ in range(40):
@@ -191,7 +242,7 @@ def _lockstep_grid_sups(group) -> list:
             break
         for i in refining:
             steps[i] *= 0.5
-        refined = scan([(i, best[i][1], steps[i] * np.arange(-2.0, 3.0)) for i in refining])
+        refined = scan([(i, best[i][1], steps[i] * _stencil(runs[i][1].k)) for i in refining])
         still = []
         for i, (refined_v, refined_x) in zip(refining, refined):
             gain = refined_v - best[i][0]
@@ -206,9 +257,12 @@ def _lockstep_grid_sups(group) -> list:
 _GRID_POINTS_PER_AXIS = {1: 33, 2: 15, 3: 9, 4: 5}
 
 
-def default_grid(f: ProductDensity, e: Subspace) -> tuple[float, float]:
-    """(radius, step) covering the projected support at a per-k budget."""
-    radius = slabgeom.support_radius([fi.pieces for fi in f.factors])
+def default_grid(f: ProductDensity, e: Subspace, radius: float | None = None) -> tuple[float, float]:
+    """(radius, step) covering the projected support at a per-k budget;
+    radius, when given, is the caller's slabgeom.support_radius of f's
+    pieces."""
+    if radius is None:
+        radius = slabgeom.support_radius([fi.pieces for fi in f.factors])
     points = _GRID_POINTS_PER_AXIS.get(e.k, 5)
     return radius, 2.0 * radius / (points - 1)
 
@@ -221,10 +275,11 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     One {sup_lower_bound, bound, branch, slack, pass} per case; pass iff
     sup_lower_bound <= bound * (1 + tol).
     """
+    frames = _frames(cases)
     reports, problems = [], []
-    for f, e in cases:
-        report = bounds.bound_main(e, f.sup_norms())
-        radius, step = default_grid(f, e)
+    for (f, e), (comp, radius) in zip(cases, frames):
+        report = bounds.bound_main(e, f.sup_norms(), comp)
+        radius, step = default_grid(f, e, radius)
         # the grid sup only needs to resolve the bound comparison: refining
         # it further can make the lower bound larger (safe direction) but
         # never flips a pass into a fail, so the refinement stop is relative
@@ -232,7 +287,7 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
         reports.append(report)
         problems.append((f, e, radius, step, 1e-2 * tol * report.bound_value))
     records = []
-    for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
+    for report, sup_lb in zip(reports, marginal_grid_sups(problems, frames)):
         sup_lb = float(sup_lb)
         records.append({
             "sup_lower_bound": sup_lb,
@@ -244,14 +299,12 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     return records
 
 
-def _rogozin_problem(f: ProductDensity, theta, tol: float):
-    """(theta as an array, grid-sup problem) of rogozin_check."""
-    if not f.in_class_f():
+def _rogozin_pairs(cases) -> list:
+    """(f, the line Subspace of theta) of each (f, theta) of cases, every f
+    checked to be in the normalized class."""
+    if not all(f.in_class_f() for f, _ in cases):
         raise ValueError("f must have normalized factors with sup norm <= 1")
-    theta = np.asarray(theta, dtype=float)
-    e = Subspace(theta)
-    radius, step = default_grid(f, e)
-    return theta, (f, e, radius, step, min(tol, 1e-9))
+    return [(f, Subspace(np.asarray(theta, dtype=float))) for f, theta in cases]
 
 
 def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, float]:
@@ -261,17 +314,21 @@ def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, f
     dominated by the central cube section; the caller asserts
     sup_lb <= cube_section * (1 + tol).
     """
-    theta, problem = _rogozin_problem(f, theta, tol)
-    return marginal_grid_sup(*problem), hyperplane_section_exact(unit_cube(theta.size), theta)
+    ((f, e),) = _rogozin_pairs([(f, theta)])
+    sup = marginal_grid_sup(f, e, *default_grid(f, e), min(tol, 1e-9))
+    return sup, hyperplane_section_exact(unit_cube(e.n), e.basis[:, 0])
 
 
 def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
     """rogozin_check(f, theta, tol) for each (f, theta) of cases, with the
     grid sups run in lockstep by marginal_grid_sups."""
-    prepared = [_rogozin_problem(f, theta, tol) for f, theta in cases]
-    sups = marginal_grid_sups([problem for _, problem in prepared])
-    thetas = np.array([theta for theta, _ in prepared])
-    return list(zip(sups, hyperplane_section_exact(unit_cube(thetas.shape[1]), thetas).tolist()))
+    pairs = _rogozin_pairs(cases)
+    frames = _frames(pairs)
+    problems = [(f, e, *default_grid(f, e, radius), min(tol, 1e-9))
+                for (f, e), (_, radius) in zip(pairs, frames)]
+    thetas = np.array([e.basis[:, 0] for _, e in pairs])
+    sections = hyperplane_section_exact(unit_cube(thetas.shape[1]), thetas)
+    return list(zip(marginal_grid_sups(problems, frames), sections.tolist()))
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:

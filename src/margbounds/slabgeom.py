@@ -9,7 +9,9 @@ cover R^d, and each group of span dimension <= 3 is handled exactly.
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
 sum, SlabBlock one orthogonal block of it, pooled_values its one evaluator;
-sums_at_zero integrates many frames at zero shift in shared kernel calls.
+framed_slab_sums sets up the slab sums of stacked frames, those that
+single_block_frames accepts with no component_blocks; sums_at_zero
+integrates many frames at zero shift in shared kernel calls.
 Each slab sum runs on its pieces at the power-of-two scale of unit_scale.
 Both evaluators run their lanes through _lane_volumes, kernels.table_volumes
 on at most LANE_CAP lanes per call, on kernel tables (kernels.frame_tables)
@@ -219,18 +221,34 @@ def step_value(pieces, t: float) -> float:
     return 0.0
 
 
+@functools.lru_cache(maxsize=256)
+def _combination_index(counts: tuple) -> np.ndarray:
+    """index (C, m) of every choice of one piece per row of rows with counts
+    pieces: index[c, i], the piece of row i in combination c, in
+    itertools.product order (the last row's piece changes fastest), as
+    np.indices(counts) orders them, for any number of rows; read-only."""
+    strides = [1] * len(counts)
+    for i in range(len(counts) - 2, -1, -1):
+        strides[i] = strides[i + 1] * counts[i + 1]
+    index = np.arange(math.prod(counts))[:, None] // np.array(strides, dtype=np.intp)
+    index %= np.maximum(np.array(counts, dtype=np.intp), 1)
+    index.setflags(write=False)
+    return index
+
+
 def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo (C, m), hi (C, m), weights (C,)) of every choice of one piece per
-    row, in itertools.product order (the last row's piece changes fastest);
-    weights multiply values left to right, with the bits of math.prod."""
-    lo, hi, weights = np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1)
-    for row in pieces:
-        t = np.array(row, dtype=float).reshape(-1, 3)
-        # each combination so far, followed by each of the row's pieces
-        keep, pick = np.repeat(np.arange(len(weights)), len(t)), np.tile(np.arange(len(t)), len(weights))
-        lo, hi = np.column_stack([lo[keep], t[pick, 0]]), np.column_stack([hi[keep], t[pick, 1]])
-        weights = weights[keep] * t[pick, 2]
-    return lo, hi, weights
+    row, in itertools.product order, one gather through the
+    _combination_index of the rows' piece counts; weights multiply values
+    left to right from 1.0, with the bits of math.prod."""
+    counts = np.array([len(row) for row in pieces], dtype=np.intp)
+    table = np.array([piece for row in pieces for piece in row], dtype=float).reshape(-1, 3)
+    # pick[c, i]: the piece of row i in combination c, a row of table
+    pick = _combination_index(tuple(counts.tolist())) + (np.cumsum(counts) - counts)
+    weights = np.ones(len(pick))
+    for column in table[pick, 2].T:
+        weights *= column
+    return table[pick, 0], table[pick, 1], weights
 
 
 def nonzero_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,14 +271,16 @@ def support_radius(pieces) -> float:
     return radius
 
 
-def unit_scale(pieces, d: int) -> tuple[list, int, int]:
+def unit_scale(pieces, d: int, radius: float | None = None) -> tuple[list, int, int]:
     """(pieces', p, e), every slab sum's one scale, as the kernels'
     tolerances are absolute: the slab sum in R^d of pieces at s is 2^e times
     that of pieces' at s / 2^p, exactly.  p = e = 0, pieces' = pieces, for a
     support_radius in [2^-16, 2^16]; else p is its binade and each (lo, hi,
     v) becomes (lo / 2^p, hi / 2^p, v 2^t), t bringing its row's largest v
-    into [1, 2) so no product of values leaves the float range."""
-    radius = support_radius(pieces)
+    into [1, 2) so no product of values leaves the float range.  radius, when
+    given, is the caller's support_radius(pieces)."""
+    if radius is None:
+        radius = support_radius(pieces)
     if 2.0**-16 <= radius <= 2.0**16:
         return pieces, 0, 0
     p = math.frexp(radius)[1] - 1
@@ -270,10 +290,17 @@ def unit_scale(pieces, d: int) -> tuple[list, int, int]:
     return scaled, p, p * d - sum(ts)
 
 
-def _times_power_of_two(values: np.ndarray, power: int) -> np.ndarray:
-    """values * 2^power, or RouteLimitError where a nonzero one leaves the float range."""
-    if power and (np.frexp(values)[1] + power > sys.float_info.max_exp)[values != 0.0].any():
+def _times_power_of_two(values: np.ndarray, power: int, normal: bool = False) -> np.ndarray:
+    """values * 2^power, or RouteLimitError where a nonzero one leaves the
+    float range, or with normal, where it falls below the normal range."""
+    if not (power or normal):
+        return values
+    exponents = np.frexp(values)[1][values != 0.0] + power
+    if (exponents > sys.float_info.max_exp).any():
         raise RouteLimitError("a slab sum's value is outside the float range")
+    if normal and (exponents < sys.float_info.min_exp).any():
+        decimal = math.log10(float(np.abs(values[values != 0.0]).min())) + power * math.log10(2.0)
+        raise RouteLimitError(f"a slab sum's value, about 1e{decimal:.0f}, is below the normal float range")
     return np.ldexp(values, power) if power else values
 
 
@@ -282,12 +309,13 @@ class SlabSum:
     given by their (lo, hi, value) pieces, built once, evaluated at many s.
 
     Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).  Every
-    evaluator runs on the pieces of unit_scale at s / 2^power, times 2^scale.
+    evaluator runs on the pieces of unit_scale at s / 2^power, times 2^scale;
+    radius, when given, is the caller's support_radius(pieces).
     """
 
-    def __init__(self, rows: np.ndarray, pieces):
+    def __init__(self, rows: np.ndarray, pieces, radius: float | None = None):
         self.rows = rows  # (m, d)
-        self.pieces, self.power, self.scale = unit_scale(pieces, rows.shape[1])
+        self.pieces, self.power, self.scale = unit_scale(pieces, rows.shape[1], radius)
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         self.zero_rows = np.nonzero(norms <= ROW_ZERO_TOL)[0]
         self.active_rows = np.nonzero(norms > ROW_ZERO_TOL)[0]
@@ -295,7 +323,8 @@ class SlabSum:
     @functools.cached_property
     def blocks(self) -> list[tuple[np.ndarray, SlabBlock]]:
         """(row indices, slab block) per orthogonal block of the active rows,
-        with unshifted piece bounds; raises BlockTooWideError beyond 3-D."""
+        with unshifted piece bounds; raises BlockTooWideError beyond 3-D.
+        framed_slab_sums sets it for the frames of one block."""
         out = []
         for comp, local in component_blocks(self.rows[self.active_rows]):
             rows = self.active_rows[comp]
@@ -313,12 +342,15 @@ class SlabSum:
         return const
 
     def value(self, shifts: np.ndarray) -> float:
-        """The integral at shifts s, one per row: values at one point."""
-        return float(self.values(shifts[None])[0])
+        """The integral at shifts s, one per row: values at one point, or
+        RouteLimitError where it is nonzero but below the normal float range
+        (values rounds there, as a grid scan's tail may)."""
+        (unit,) = _unit_values([(self, shifts[None])])
+        return float(_times_power_of_two(unit, self.scale, normal=True)[0])
 
     def values(self, shifts: np.ndarray) -> np.ndarray:
-        """value at each row of shifts (P, m), with the same bits: the
-        one-pair call of pooled_values."""
+        """value at each row of shifts (P, m), rounded below the normal float
+        range: the one-pair call of pooled_values."""
         return pooled_values([(self, shifts)])[0]
 
     def mc(self, shifts: np.ndarray, samples: int, seed: int, stream: int = 0) -> tuple[float, float]:
@@ -434,6 +466,12 @@ def pooled_values(pairs) -> list[np.ndarray]:
     of at most LANE_CAP lanes (or one point's).  Each block's kernel tables
     are built once, in its first round.
     """
+    values = _unit_values(pairs)
+    return [_times_power_of_two(vals, slab_sum.scale) for (slab_sum, _), vals in zip(pairs, values)]
+
+
+def _unit_values(pairs) -> list[np.ndarray]:
+    """pooled_values before each slab sum's 2^scale."""
     pairs = [(slab_sum, np.ldexp(s, -slab_sum.power) if slab_sum.power else s) for slab_sum, s in pairs]
     values = []
     for slab_sum, shifts in pairs:
@@ -457,7 +495,20 @@ def pooled_values(pairs) -> list[np.ndarray]:
                 parts.setdefault(block.local.shape, []).append((block, shifts[part][:, rows], vals, part))
         for entries in parts.values():
             _pool_shape(entries)
-    return [_times_power_of_two(vals, slab_sum.scale) for (slab_sum, _), vals in zip(pairs, values)]
+    return values
+
+
+def framed_slab_sums(frames: np.ndarray, pieces, radii) -> list[SlabSum]:
+    """[SlabSum(w, p, r) for w, p, r in zip(frames, pieces, radii)] for
+    frames (L, m, d), with the same bits.  The frames that
+    single_block_frames accepts, for 1 <= d <= MAX_BLOCK, get their one
+    block (all rows, the frame) with no component_blocks."""
+    out = [SlabSum(w, p, r) for w, p, r in zip(frames, pieces, radii)]
+    if len(frames) and 1 <= frames.shape[2] <= MAX_BLOCK:
+        for s in np.flatnonzero(single_block_frames(frames)):
+            slab_sum = out[s]
+            slab_sum.blocks = [(slab_sum.active_rows, SlabBlock(frames[s], *nonzero_combinations(slab_sum.pieces)))]
+    return out
 
 
 def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,10 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margbounds
 from margbounds import cli
 from margbounds.densities import random_product_density
+from margbounds.quadrature import RouteLimitError
 
 
 def run(args):
@@ -155,6 +159,26 @@ def test_sections_quadrature_of_a_narrow_box_agrees_with_mc(tmp_path):
         records[mode] = json.loads(out.read_text())["records"][0]
     mc = records["mc"]
     assert abs(records["quadrature"]["value"] - mc["value"]) <= 4.0 * mc["std_error"]
+
+
+def test_sections_quadrature_below_the_normal_range_is_a_route_limit(tmp_path, capsys):
+    # the section of sides 1e-200 is about 1e-400: it once rounded to a
+    # reported 0.0 with exit 0; sides 1e-100 give 1e-200 times the unit value
+    from margbounds.grassmann import haar_sample
+    from margbounds.sections import Box, section_quadrature
+
+    h = haar_sample(4, 2, seed=0)
+    sub_path = tmp_path / "h.json"
+    sub_path.write_text(json.dumps(h.to_json_dict()))
+    code, value = _section_run(["--mode", "quadrature", "--sides", "1e-200,1e-200,1e-200,1e-200",
+                                "--subspace-file", str(sub_path)], tmp_path)
+    assert (code, value) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: a slab sum's value, about 1e-400, is below the normal float range")
+    code, value = _section_run(["--mode", "quadrature", "--sides", "1e-100,1e-100,1e-100,1e-100",
+                                "--subspace-file", str(sub_path)], tmp_path)
+    assert code == 0
+    assert value == pytest.approx(1e-200 * section_quadrature(Box(np.ones(4)), h), rel=1e-13)
 
 
 def test_sections_missing_normal_is_usage_error():
@@ -820,12 +844,16 @@ def test_no_command_loads_a_scipy_submodule(tmp_path):
 
 
 @pytest.mark.parametrize("base", [["verify", "--n", "3", "--k", "2"], ["verify", "--n", "5", "--k", "2"],
-                                  ["rogozin", "--n", "3"]])
+                                  ["verify", "--n", "3", "--k", "2", "--sup-range=0.5,1.5"],
+                                  ["verify", "--n", "4", "--k", "1"], ["rogozin", "--n", "3"],
+                                  ["rogozin", "--n", "4"]])
 def test_batched_trial_frames_keep_the_bytes(base, tmp_path):
-    # a chunk draws its subspaces (or directions) in one call and frames
-    # their complements in one call: one chunk of 9 trials at --workers 1,
-    # 8 chunks of one or two at --workers 2, and one-trial chunks whose
-    # subspaces come from the one-lane draws all give the same records
+    # a chunk draws its densities and subspaces (or directions) in one call
+    # each and frames their complements in one call: one chunk of 9 trials
+    # at --workers 1, 8 chunks of one or two at --workers 2, and one-trial
+    # chunks whose subspaces come from the one-lane draws all give the same
+    # records; verify --n 4 --k 1 and rogozin --n 4 run 3-D blocks
+    sup = (0.5, 1.5) if "--sup-range=0.5,1.5" in base else (1.0, 1.0)
     blobs = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}.json"
@@ -835,7 +863,7 @@ def test_batched_trial_frames_keep_the_bytes(base, tmp_path):
     n = int(base[2])
     if base[0] == "verify":
         k = int(base[4])
-        cases = [(cli._trial_density(6, n, t, 1.0, 1.0),
+        cases = [(cli._trial_density(6, n, t, *sup),
                   margbounds.grassmann.haar_sample(n, k, 6, stream=t * cli._TRIAL_STREAM_BLOCK + 513)) for t in range(9)]
         want = [margbounds.marginals.verify_main_theorems([case])[0]["sup_lower_bound"] for case in cases]
     else:
@@ -844,3 +872,70 @@ def test_batched_trial_frames_keep_the_bytes(base, tmp_path):
                  for t in range(9)]
         want = [margbounds.marginals.rogozin_checks([case])[0][0] for case in cases]
     assert [r["sup_lower_bound"] for r in json.loads(blobs[0])["records"]] == want
+
+
+def _per_trial_pieces(seed, n, t, sup_lo, sup_hi):
+    """The pieces of trial t's density drawn trial by trial and factor by
+    factor, written out with the public StepDensity: one uniforms call per
+    factor stream t * 1024 + i + 1, and one for the sup norms on stream
+    t * 1024 + 512."""
+    from margbounds import randomness
+    from margbounds.densities import StepDensity
+
+    base = t * cli._TRIAL_STREAM_BLOCK
+    factors = []
+    for i in range(n):
+        u = randomness.uniforms(seed, base + 1 + i, 0, 10)
+        count = 1 + int(u[0] * 3)
+        cuts = np.sort(u[1 : count + 2]) * 2.0 - 1.0
+        vals = u[count + 2 : 2 * count + 2] + 0.05
+        f = StepDensity([(cuts[j], cuts[j + 1], vals[j]) for j in range(count)
+                         if cuts[j + 1] - cuts[j] > 1e-9] or [(-0.5, 0.5, 1.0)])
+        mass = float(np.dot(f.values, f.his - f.los))
+        f = StepDensity([(lo, hi, v / mass) for lo, hi, v in f.pieces])
+        s = float(f.values.max())
+        if s > 1.0:
+            f = StepDensity([(lo * s, hi * s, v / s) for lo, hi, v in f.pieces])
+        factors.append(f)
+    if (sup_lo, sup_hi) != (1.0, 1.0):
+        targets = sup_lo + (sup_hi - sup_lo) * randomness.uniforms(seed, base + 512, 0, n)
+        factors = [f.dilated(c / float(f.values.max())) for f, c in zip(factors, targets.tolist())]
+    return [f.pieces for f in factors]
+
+
+def _per_trial_or_none(seed, n, t, sup):
+    """_per_trial_pieces, or None where a dilation leaves the float range."""
+    from margbounds.densities import DensityFormatError
+
+    try:
+        return _per_trial_pieces(seed, n, t, *sup)
+    except DensityFormatError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**31), st.integers(0, 40), st.integers(1, 5),
+       st.sampled_from([(1.0, 1.0), (0.5, 1.5), (1e-320, 1e-320), (1.7e308, 1.7e308)]))
+def test_chunk_densities_match_the_per_trial_draws(n, seed, first, count, sup):
+    # one uniforms call for every factor of a chunk (and one for its sup
+    # norms) gives each trial the per-trial draws' pieces, whatever trial
+    # the chunk starts at; a dilation past the float range (always at sup
+    # norms 1e-320, at 1.7e308 unless every factor's sup is near 1) fails
+    # with the per-trial route's reason
+    trials = range(first, first + count)
+    reason = re.escape(f"sup norms in [{sup[0]:g}, {sup[1]:g}] dilate past the float range")
+    want = [_per_trial_or_none(seed, n, t, sup) for t in trials]
+    assert None not in want or sup[0] in (1e-320, 1.7e308)
+    assert None in want or sup[0] != 1e-320
+    if None in want:
+        with pytest.raises(RouteLimitError, match=reason):
+            cli._trial_densities(seed, n, trials, *sup)
+    else:
+        got = cli._trial_densities(seed, n, trials, *sup)
+        assert [[f.pieces for f in product.factors] for product in got] == want
+    for t, pieces in zip(trials, want):
+        if pieces is None:
+            with pytest.raises(RouteLimitError, match=reason):
+                cli._trial_density(seed, n, t, *sup)
+        else:
+            assert [f.pieces for f in cli._trial_density(seed, n, t, *sup).factors] == pieces

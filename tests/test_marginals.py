@@ -326,7 +326,9 @@ def test_grid_sup_does_not_depend_on_lane_cap(n, k, seed, monkeypatch):
 
 @pytest.mark.parametrize("k,center", [(1, 2), (2, 12)])
 def test_grid_scan_keeps_the_first_maximum(k, center, monkeypatch):
-    # every value ties: the refinement scan centers on the first grid point
+    # every value ties: the refinement scan centers on the first grid point,
+    # and holds the halved stencil around it without its centre (the point
+    # itself), in itertools.product order
     scans = []
 
     def flat(pairs):
@@ -340,7 +342,12 @@ def test_grid_scan_keeps_the_first_maximum(k, center, monkeypatch):
     radius, step = default_grid(f, e)
     assert marginal_grid_sup(f, e, radius, step) == 1.0
     assert len(scans) == 2
-    assert np.array_equal(scans[1][center], scans[0][0])
+    first = e.basis.T @ f.support_midpoints() + marginals._axis_offsets(radius, step)[0]
+    assert np.array_equal(scans[0][0], e.basis @ first)
+    stencil = np.array(list(itertools.product(0.5 * step * np.arange(-2.0, 3.0), repeat=k)))
+    assert not stencil[center].any()
+    points = first + np.delete(stencil, center, axis=0)
+    assert np.array_equal(scans[1], np.matmul(e.basis, points[:, :, None])[:, :, 0])
 
 
 def _mixed_batch():
@@ -423,6 +430,57 @@ def test_kernel_tables_are_built_once_per_block(run, monkeypatch):
     assert sum(len(pool.blocks) for pool in pools) > len(blocks) > 1
 
 
+@pytest.mark.parametrize("command,sup", [("verify", (1.0, 1.0)), ("verify", (0.5, 1.5)),
+                                         ("rogozin", (1.0, 1.0))])
+def test_a_chunk_sets_up_its_trials_once(command, sup, monkeypatch):
+    # one small chunk (trials 2-4; verify --n 4 --k 2 or rogozin --n 4): one
+    # uniforms call draws every factor (one more its sup norms), no frame
+    # that single_block_frames accepts goes through component_blocks, and
+    # no refinement scan holds its running best
+    from margbounds import cli, randomness
+
+    draws, rejected, split, best = [], [], [], {}
+    uniforms, single, blocks = randomness.uniforms, slabgeom.single_block_frames, slabgeom.component_blocks
+    pooled = slabgeom.pooled_values
+
+    def spy_uniforms(seed, stream, start, count):
+        draws.append(set((np.atleast_1d(stream).astype(np.uint64) % np.uint64(1024)).tolist()))
+        return uniforms(seed, stream, start, count)
+
+    def spy_single(frames):
+        ok = single(frames)
+        rejected.extend(frame.tobytes() for frame in frames[~ok])
+        return ok
+
+    def spy_blocks(w):
+        split.append(w.tobytes())
+        return blocks(w)
+
+    def spy_pooled(pairs):
+        values = pooled(pairs)
+        for (slab_sum, shifts), v in zip(pairs, values):
+            if id(slab_sum) in best:
+                assert not any(row.tobytes() == best[id(slab_sum)][1] for row in shifts)
+            i = int(np.argmax(v))
+            if id(slab_sum) not in best or v[i] > best[id(slab_sum)][0]:
+                best[id(slab_sum)] = (v[i], shifts[i].tobytes())
+        return values
+
+    monkeypatch.setattr(randomness, "uniforms", spy_uniforms)
+    monkeypatch.setattr(slabgeom, "single_block_frames", spy_single)
+    monkeypatch.setattr(slabgeom, "component_blocks", spy_blocks)
+    monkeypatch.setattr(slabgeom, "pooled_values", spy_pooled)
+    if command == "verify":
+        records = cli._verify_trials((5, 4, 2, 1e-4, *sup, range(2, 5)))
+    else:
+        records = cli._rogozin_trials((5, 4, 1e-4, range(2, 5)))
+    assert [r["trial"] for r in records] == [2, 3, 4]
+    assert sum(streams == {1, 2, 3, 4} for streams in draws) == 1
+    assert sum(streams == {512} for streams in draws) == (sup != (1.0, 1.0))
+    assert set(split) <= set(rejected) and not split
+    assert len(best) == 3
+
+
 def _batch_lanes(lanes, cap):
     """The lane counts of the kernel calls of a pool whose entries hold lanes
     lanes: consecutive entries of at most cap lanes together, or one entry
@@ -481,9 +539,9 @@ def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
     groups = []
     lockstep = marginals._lockstep_grid_sups
 
-    def spy(group):
+    def spy(group, frames):
         groups.append([problem for problem, _ in group])
-        return lockstep(group)
+        return lockstep(group, frames)
 
     monkeypatch.setattr(marginals, "_lockstep_grid_sups", spy)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 300)
@@ -604,8 +662,8 @@ def test_lockstep_slab_sums_keep_the_one_lane_bits():
     # any order
     pairs = [(random_product_density(s, n, 2), haar_sample(n, k, seed=7, stream=s)) for s, (n, k) in
              enumerate([(4, 2), (3, 1), (4, 2), (5, 3), (3, 1), (4, 2), (1, 1)])]
-    for got, (f, e) in zip(marginals._slab_sums(pairs), pairs, strict=True):
+    for got, (f, e) in zip(marginals._slab_sums(pairs, marginals._frames(pairs)), pairs, strict=True):
         assert got.rows.tobytes() == orthonormal_complement(e).basis.tobytes()
         assert got.pieces == [fi.pieces for fi in f.factors]
     with pytest.raises(ValueError, match="different dimensions"):
-        marginals._slab_sums([(random_product_density(1, 3, 2), haar_sample(4, 2, seed=1))])
+        marginals._frames([(random_product_density(1, 3, 2), haar_sample(4, 2, seed=1))])

@@ -13,6 +13,7 @@ from margbounds import bounds, kernels, slabgeom
 from margbounds.densities import ProductDensity, random_product_density
 from margbounds.grassmann import Subspace, complement_bases, haar_bases, haar_sample, orthonormal_complement
 from margbounds.marginals import MarginalQuery, marginal_at
+from margbounds.quadrature import RouteLimitError
 from margbounds.sections import (
     Box,
     box_pieces,
@@ -494,3 +495,18 @@ def test_box_sections_far_from_unit_scale_keep_their_values(entry, p):
     # a box indicator's pieces have the value 1 in all five rows: scaled by
     # 2^p each, their products would leave the float range
     np.testing.assert_array_equal(entry(2.0**p), entry(1.0))
+
+
+def test_one_value_below_the_normal_range_is_a_route_limit():
+    # a grid scan's values round below the normal float range, as its tail
+    # may; one value there is a RouteLimitError, and a zero stays 0.0
+    f = random_product_density(3, 4, 3)
+    rows = haar_sample(4, 2, seed=1).basis
+    pieces = [[(lo * 2.0**-600, hi * 2.0**-600, v) for lo, hi, v in fi.pieces] for fi in f.factors]
+    slab_sum = SlabSum(rows, pieces)
+    unit = SlabSum(rows, [fi.pieces for fi in f.factors]).value(np.zeros(4))
+    assert unit > 0.0
+    assert slab_sum.values(np.zeros((1, 4)))[0] == 0.0
+    with pytest.raises(RouteLimitError, match=r"about 1e-36\d, is below the normal float range"):
+        slab_sum.value(np.zeros(4))
+    assert slab_sum.value(np.full(4, 2.0**-590)) == 0.0
