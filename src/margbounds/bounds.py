@@ -209,13 +209,11 @@ def main_constant(n: int, k: int) -> tuple[float, str]:
     return const_block, "block"
 
 
-def bound_main(e: Subspace, sup_norms, complement=None) -> BoundReport:
+def bound_main(e: Subspace, sup_norms) -> BoundReport:
     """min((n/(n-k))^{(n-k)/2}, 2^{k/2}) * prod c_i^{gamma_i} for E in G_{n,k}.
 
     The branch achieving the smaller constant (main_constant) is reported
-    together with that branch's exponent collection.  complement, when
-    given, is the basis of orthonormal_complement(e), which the paired
-    branch reads.
+    together with that branch's exponent collection.
     """
     n, k = e.n, e.k
     constant, branch = main_constant(n, k)
@@ -223,8 +221,7 @@ def bound_main(e: Subspace, sup_norms, complement=None) -> BoundReport:
     if c.size != n or np.any(c <= 0.0):
         raise ValueError("sup norms must be n positive reals")
     if branch == "paired":
-        h = orthonormal_complement(e) if complement is None else Subspace(complement)
-        gammas = 1.0 - box2_exponents(h).betas
+        gammas = 1.0 - box2_exponents(orthonormal_complement(e)).betas
     else:
         gammas = projection_weights(e).betas
     power = np.dot(gammas, np.log(c))

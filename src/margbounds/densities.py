@@ -158,33 +158,28 @@ def random_density(seed: int, max_pieces: int, bound: float, stream: int = 0) ->
     if its sup then exceeds the bound, rescaled horizontally (which preserves
     the L1 norm).
     """
-    return _densities_from_uniforms(randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1)[None],
-                                    max_pieces, bound)[0]
+    return _density_from_uniforms(randomness.uniforms(seed, stream, 0, 3 * max_pieces + 1),
+                                  max_pieces, bound)
 
 
-def _densities_from_uniforms(u: np.ndarray, max_pieces: int, bound: float) -> list[StepDensity]:
-    """random_density of each row of u (R, 3 max_pieces + 1), from its
-    uniforms: a row's piece count, cuts and values are elementwise in u, so
-    one row of a many-stream randomness.uniforms call has the one-stream
-    call's bits."""
+def _density_from_uniforms(u: np.ndarray, max_pieces: int, bound: float) -> StepDensity:
+    """random_density from its 3 max_pieces + 1 uniforms u; one row of a
+    many-stream randomness.uniforms call has the one-stream call's bits."""
     if max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    counts = 1 + (u[:, 0] * max_pieces).astype(np.intp)
-    out = [None] * len(u)
-    for npieces in set(counts.tolist()):
-        rows = np.flatnonzero(counts == npieces)
-        cuts = np.sort(u[rows, 1 : npieces + 2], axis=1) * 2.0 - 1.0
-        vals = u[rows, npieces + 2 : 2 * npieces + 2] + 0.05
-        for r, cut, val in zip(rows.tolist(), cuts.tolist(), vals.tolist()):
-            pieces = [(cut[i], cut[i + 1], val[i]) for i in range(npieces) if cut[i + 1] - cut[i] > 1e-9]
-            f = StepDensity(pieces or [(-0.5, 0.5, 1.0)]).normalized()
-            s = f.sup_norm() / bound
-            if s > 1.0:
-                f = StepDensity([(lo * s, hi * s, v / s) for lo, hi, v in f.pieces])
-            out[r] = f
-    return out
+    npieces = 1 + int(u[0] * max_pieces)
+    cuts = np.sort(u[1 : npieces + 2]) * 2.0 - 1.0
+    vals = u[npieces + 2 : 2 * npieces + 2] + 0.05
+    pieces = [(cuts[i], cuts[i + 1], vals[i]) for i in range(npieces) if cuts[i + 1] - cuts[i] > 1e-9]
+    if not pieces:
+        pieces = [(-0.5, 0.5, 1.0)]
+    f = StepDensity(pieces).normalized()
+    s = f.sup_norm() / bound
+    if s > 1.0:
+        f = StepDensity([(lo * s, hi * s, v / s) for lo, hi, v in f.pieces])
+    return f
 
 
 @dataclass(frozen=True)
@@ -254,5 +249,5 @@ def random_product_densities(seed: int, n: int, stream_bases, max_pieces: int = 
     randomness.uniforms call."""
     streams = np.add.outer(np.asarray(stream_bases).astype(np.uint64), np.arange(1, n + 1, dtype=np.uint64))
     u = randomness.uniforms(seed, streams.reshape(-1), 0, 3 * max_pieces + 1)
-    factors = _densities_from_uniforms(u, max_pieces, bound)
+    factors = [_density_from_uniforms(row, max_pieces, bound) for row in u]
     return [ProductDensity(factors[i * n : (i + 1) * n]) for i in range(len(streams))]

@@ -70,42 +70,21 @@ def _slab_sum(f: ProductDensity, e: Subspace) -> slabgeom.SlabSum:
     return _framed_slab_sum(f, orthonormal_complement(e))
 
 
-def _by_shape(arrays) -> list:
-    """Index groups of arrays by shape, in order of their first members."""
-    shapes = {}
-    for i, a in enumerate(arrays):
-        shapes.setdefault(a.shape, []).append(i)
-    return list(shapes.values())
-
-
-def _frames(pairs) -> list:
-    """(orthonormal_complement(e).basis, slabgeom.support_radius of f's
-    pieces) of each (f, e) of pairs, with the same bits: the complements of
-    the subspaces of one shape (n, k) come from one complement_bases call
-    and are checked orthonormal together, as Subspace checks each."""
+def _slab_sums(pairs) -> list:
+    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits: the
+    complements of the subspaces of one shape (n, k) come from one
+    complement_bases call and are checked orthonormal together, as Subspace
+    checks each, and go through one slabgeom.framed_slab_sums call."""
     if any(e.n != f.n for f, e in pairs):
         raise ValueError("density and subspace live in different dimensions")
-    comps = [None] * len(pairs)
-    for index in _by_shape([e.basis for _, e in pairs]):
-        stack = complement_bases(np.stack([pairs[i][1].basis for i in index]))
-        check_orthonormal(stack)
-        for i, comp in zip(index, stack):
-            comps[i] = comp
-    return [(comp, slabgeom.support_radius([fi.pieces for fi in f.factors]))
-            for comp, (f, _) in zip(comps, pairs)]
-
-
-def _slab_sums(pairs, frames) -> list:
-    """_slab_sum(f, e) of each (f, e) of pairs, with the same bits, from
-    their _frames: the frames of one shape through one
-    slabgeom.framed_slab_sums call."""
+    shapes = {}
+    for i, (_, e) in enumerate(pairs):
+        shapes.setdefault(e.basis.shape, []).append(i)
     out = [None] * len(pairs)
-    for index in _by_shape([comp for comp, _ in frames]):
-        sums = slabgeom.framed_slab_sums(
-            np.stack([frames[i][0] for i in index]),
-            [[fi.pieces for fi in pairs[i][0].factors] for i in index],
-            [frames[i][1] for i in index],
-        )
+    for index in shapes.values():
+        comps = complement_bases(np.stack([pairs[i][1].basis for i in index]))
+        check_orthonormal(comps)
+        sums = slabgeom.framed_slab_sums(comps, [[fi.pieces for fi in pairs[i][0].factors] for i in index])
         for i, slab_sum in zip(index, sums):
             out[i] = slab_sum
     return out
@@ -169,10 +148,9 @@ def _scan_points(e: Subspace, origin: np.ndarray, offsets: np.ndarray):
     return xs, np.matmul(e.basis, xs[:, :, None])[:, :, 0]
 
 
-def marginal_grid_sups(problems, frames=None) -> list[float]:
+def marginal_grid_sups(problems) -> list[float]:
     """marginal_grid_sup(f, e, grid_radius, grid_step, tol) for each tuple of
-    problems, with the same bits, run in lockstep; frames, when given, are
-    the problems' _frames, which a campaign shares with its bounds.
+    problems, with the same bits, run in lockstep.
 
     Consecutive problems form lockstep groups of at most slabgeom.LANE_CAP
     grid points (or one problem), so a long campaign never holds more of its
@@ -187,12 +165,6 @@ def marginal_grid_sups(problems, frames=None) -> list[float]:
     takes its own scale (slabgeom.unit_scale).
     """
     sups, group, points = [], [], 0
-
-    def run(group) -> list:
-        if frames is None:
-            return _lockstep_grid_sups(group, _frames([(f, e) for (f, e, _, _, _), _ in group]))
-        return _lockstep_grid_sups(group, frames[len(sups) : len(sups) + len(group)])
-
     for problem in problems:
         _, e, grid_radius, grid_step, tol = problem
         if grid_radius <= 0.0 or grid_step <= 0.0:
@@ -205,21 +177,21 @@ def marginal_grid_sups(problems, frames=None) -> list[float]:
                 f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
             )
         if group and points + offs.size**e.k > slabgeom.LANE_CAP:
-            sups += run(group)
+            sups += _lockstep_grid_sups(group)
             group, points = [], 0
         group.append((problem, offs))
         points += offs.size**e.k
     if group:
-        sups += run(group)
+        sups += _lockstep_grid_sups(group)
     return sups
 
 
-def _lockstep_grid_sups(group, frames) -> list:
-    """The grid sups of the (problem, grid offsets) pairs of group, with the
-    problems' _frames, every round one pooled_values call."""
+def _lockstep_grid_sups(group) -> list:
+    """The grid sups of the (problem, grid offsets) pairs of group, every
+    round one pooled_values call."""
     pairs = [(f, e) for (f, e, _, _, _), _ in group]
     runs = [(slab_sum, e, e.basis.T @ f.support_midpoints())
-            for slab_sum, (f, e) in zip(_slab_sums(pairs, frames), pairs)]
+            for slab_sum, (f, e) in zip(_slab_sums(pairs), pairs)]
 
     def scan(scans) -> list:
         # scans: (run index, origin, offsets); the first maximum wins, as
@@ -257,12 +229,9 @@ def _lockstep_grid_sups(group, frames) -> list:
 _GRID_POINTS_PER_AXIS = {1: 33, 2: 15, 3: 9, 4: 5}
 
 
-def default_grid(f: ProductDensity, e: Subspace, radius: float | None = None) -> tuple[float, float]:
-    """(radius, step) covering the projected support at a per-k budget;
-    radius, when given, is the caller's slabgeom.support_radius of f's
-    pieces."""
-    if radius is None:
-        radius = slabgeom.support_radius([fi.pieces for fi in f.factors])
+def default_grid(f: ProductDensity, e: Subspace) -> tuple[float, float]:
+    """(radius, step) covering the projected support at a per-k budget."""
+    radius = slabgeom.support_radius([fi.pieces for fi in f.factors])
     points = _GRID_POINTS_PER_AXIS.get(e.k, 5)
     return radius, 2.0 * radius / (points - 1)
 
@@ -275,11 +244,10 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     One {sup_lower_bound, bound, branch, slack, pass} per case; pass iff
     sup_lower_bound <= bound * (1 + tol).
     """
-    frames = _frames(cases)
     reports, problems = [], []
-    for (f, e), (comp, radius) in zip(cases, frames):
-        report = bounds.bound_main(e, f.sup_norms(), comp)
-        radius, step = default_grid(f, e, radius)
+    for f, e in cases:
+        report = bounds.bound_main(e, f.sup_norms())
+        radius, step = default_grid(f, e)
         # the grid sup only needs to resolve the bound comparison: refining
         # it further can make the lower bound larger (safe direction) but
         # never flips a pass into a fail, so the refinement stop is relative
@@ -287,7 +255,7 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
         reports.append(report)
         problems.append((f, e, radius, step, 1e-2 * tol * report.bound_value))
     records = []
-    for report, sup_lb in zip(reports, marginal_grid_sups(problems, frames)):
+    for report, sup_lb in zip(reports, marginal_grid_sups(problems)):
         sup_lb = float(sup_lb)
         records.append({
             "sup_lower_bound": sup_lb,
@@ -299,12 +267,14 @@ def verify_main_theorems(cases, tol: float = 1e-4) -> list[dict]:
     return records
 
 
-def _rogozin_pairs(cases) -> list:
-    """(f, the line Subspace of theta) of each (f, theta) of cases, every f
-    checked to be in the normalized class."""
-    if not all(f.in_class_f() for f, _ in cases):
+def _rogozin_problem(f: ProductDensity, theta, tol: float):
+    """(theta as an array, grid-sup problem) of rogozin_check."""
+    if not f.in_class_f():
         raise ValueError("f must have normalized factors with sup norm <= 1")
-    return [(f, Subspace(np.asarray(theta, dtype=float))) for f, theta in cases]
+    theta = np.asarray(theta, dtype=float)
+    e = Subspace(theta)
+    radius, step = default_grid(f, e)
+    return theta, (f, e, radius, step, min(tol, 1e-9))
 
 
 def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, float]:
@@ -314,21 +284,17 @@ def rogozin_check(f: ProductDensity, theta, tol: float = 1e-4) -> tuple[float, f
     dominated by the central cube section; the caller asserts
     sup_lb <= cube_section * (1 + tol).
     """
-    ((f, e),) = _rogozin_pairs([(f, theta)])
-    sup = marginal_grid_sup(f, e, *default_grid(f, e), min(tol, 1e-9))
-    return sup, hyperplane_section_exact(unit_cube(e.n), e.basis[:, 0])
+    theta, problem = _rogozin_problem(f, theta, tol)
+    return marginal_grid_sup(*problem), hyperplane_section_exact(unit_cube(theta.size), theta)
 
 
 def rogozin_checks(cases, tol: float = 1e-4) -> list[tuple[float, float]]:
     """rogozin_check(f, theta, tol) for each (f, theta) of cases, with the
     grid sups run in lockstep by marginal_grid_sups."""
-    pairs = _rogozin_pairs(cases)
-    frames = _frames(pairs)
-    problems = [(f, e, *default_grid(f, e, radius), min(tol, 1e-9))
-                for (f, e), (_, radius) in zip(pairs, frames)]
-    thetas = np.array([e.basis[:, 0] for _, e in pairs])
-    sections = hyperplane_section_exact(unit_cube(thetas.shape[1]), thetas)
-    return list(zip(marginal_grid_sups(problems, frames), sections.tolist()))
+    prepared = [_rogozin_problem(f, theta, tol) for f, theta in cases]
+    sups = marginal_grid_sups([problem for _, problem in prepared])
+    thetas = np.array([theta for theta, _ in prepared])
+    return list(zip(sups, hyperplane_section_exact(unit_cube(thetas.shape[1]), thetas).tolist()))
 
 
 def small_ball_bound(n: int, k: int, eps: float) -> float:

@@ -221,30 +221,20 @@ def step_value(pieces, t: float) -> float:
     return 0.0
 
 
-@functools.lru_cache(maxsize=256)
-def _combination_index(counts: tuple) -> np.ndarray:
-    """index (C, m) of every choice of one piece per row of rows with counts
-    pieces: index[c, i], the piece of row i in combination c, in
-    itertools.product order (the last row's piece changes fastest), as
-    np.indices(counts) orders them, for any number of rows; read-only."""
-    strides = [1] * len(counts)
-    for i in range(len(counts) - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-    index = np.arange(math.prod(counts))[:, None] // np.array(strides, dtype=np.intp)
-    index %= np.maximum(np.array(counts, dtype=np.intp), 1)
-    index.setflags(write=False)
-    return index
-
-
 def piece_combinations(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo (C, m), hi (C, m), weights (C,)) of every choice of one piece per
-    row, in itertools.product order, one gather through the
-    _combination_index of the rows' piece counts; weights multiply values
-    left to right from 1.0, with the bits of math.prod."""
+    row, in itertools.product order (the last row's piece changes fastest,
+    as np.indices(counts) orders them), one gather through a mixed-radix
+    index; weights multiply values left to right from 1.0, with the bits of
+    math.prod."""
     counts = np.array([len(row) for row in pieces], dtype=np.intp)
     table = np.array([piece for row in pieces for piece in row], dtype=float).reshape(-1, 3)
-    # pick[c, i]: the piece of row i in combination c, a row of table
-    pick = _combination_index(tuple(counts.tolist())) + (np.cumsum(counts) - counts)
+    # pick[c, i]: the piece of row i in combination c, a row of table; digit
+    # i of c in the radices counts (np.indices stops at 64 rows)
+    strides = np.ones(len(counts), dtype=np.intp)
+    strides[:-1] = np.cumprod(counts[:0:-1])[::-1]
+    pick = np.arange(math.prod(counts.tolist()))[:, None] // strides % np.maximum(counts, 1)
+    pick += np.cumsum(counts) - counts
     weights = np.ones(len(pick))
     for column in table[pick, 2].T:
         weights *= column
@@ -271,16 +261,14 @@ def support_radius(pieces) -> float:
     return radius
 
 
-def unit_scale(pieces, d: int, radius: float | None = None) -> tuple[list, int, int]:
+def unit_scale(pieces, d: int) -> tuple[list, int, int]:
     """(pieces', p, e), every slab sum's one scale, as the kernels'
     tolerances are absolute: the slab sum in R^d of pieces at s is 2^e times
     that of pieces' at s / 2^p, exactly.  p = e = 0, pieces' = pieces, for a
     support_radius in [2^-16, 2^16]; else p is its binade and each (lo, hi,
     v) becomes (lo / 2^p, hi / 2^p, v 2^t), t bringing its row's largest v
-    into [1, 2) so no product of values leaves the float range.  radius, when
-    given, is the caller's support_radius(pieces)."""
-    if radius is None:
-        radius = support_radius(pieces)
+    into [1, 2) so no product of values leaves the float range."""
+    radius = support_radius(pieces)
     if 2.0**-16 <= radius <= 2.0**16:
         return pieces, 0, 0
     p = math.frexp(radius)[1] - 1
@@ -290,17 +278,10 @@ def unit_scale(pieces, d: int, radius: float | None = None) -> tuple[list, int, 
     return scaled, p, p * d - sum(ts)
 
 
-def _times_power_of_two(values: np.ndarray, power: int, normal: bool = False) -> np.ndarray:
-    """values * 2^power, or RouteLimitError where a nonzero one leaves the
-    float range, or with normal, where it falls below the normal range."""
-    if not (power or normal):
-        return values
-    exponents = np.frexp(values)[1][values != 0.0] + power
-    if (exponents > sys.float_info.max_exp).any():
+def _times_power_of_two(values: np.ndarray, power: int) -> np.ndarray:
+    """values * 2^power, or RouteLimitError where a nonzero one leaves the float range."""
+    if power and (np.frexp(values)[1] + power > sys.float_info.max_exp)[values != 0.0].any():
         raise RouteLimitError("a slab sum's value is outside the float range")
-    if normal and (exponents < sys.float_info.min_exp).any():
-        decimal = math.log10(float(np.abs(values[values != 0.0]).min())) + power * math.log10(2.0)
-        raise RouteLimitError(f"a slab sum's value, about 1e{decimal:.0f}, is below the normal float range")
     return np.ldexp(values, power) if power else values
 
 
@@ -309,13 +290,12 @@ class SlabSum:
     given by their (lo, hi, value) pieces, built once, evaluated at many s.
 
     Zero rows (norm <= ROW_ZERO_TOL) contribute the constant g_i(s_i).  Every
-    evaluator runs on the pieces of unit_scale at s / 2^power, times 2^scale;
-    radius, when given, is the caller's support_radius(pieces).
+    evaluator runs on the pieces of unit_scale at s / 2^power, times 2^scale.
     """
 
-    def __init__(self, rows: np.ndarray, pieces, radius: float | None = None):
+    def __init__(self, rows: np.ndarray, pieces):
         self.rows = rows  # (m, d)
-        self.pieces, self.power, self.scale = unit_scale(pieces, rows.shape[1], radius)
+        self.pieces, self.power, self.scale = unit_scale(pieces, rows.shape[1])
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         self.zero_rows = np.nonzero(norms <= ROW_ZERO_TOL)[0]
         self.active_rows = np.nonzero(norms > ROW_ZERO_TOL)[0]
@@ -346,7 +326,11 @@ class SlabSum:
         RouteLimitError where it is nonzero but below the normal float range
         (values rounds there, as a grid scan's tail may)."""
         (unit,) = _unit_values([(self, shifts[None])])
-        return float(_times_power_of_two(unit, self.scale, normal=True)[0])
+        value = float(_times_power_of_two(unit, self.scale)[0])
+        if unit[0] != 0.0 and abs(value) < sys.float_info.min:
+            decimal = math.log10(abs(float(unit[0]))) + self.scale * math.log10(2.0)
+            raise RouteLimitError(f"a slab sum's value, about 1e{decimal:.0f}, is below the normal float range")
+        return value
 
     def values(self, shifts: np.ndarray) -> np.ndarray:
         """value at each row of shifts (P, m), rounded below the normal float
@@ -498,12 +482,12 @@ def _unit_values(pairs) -> list[np.ndarray]:
     return values
 
 
-def framed_slab_sums(frames: np.ndarray, pieces, radii) -> list[SlabSum]:
-    """[SlabSum(w, p, r) for w, p, r in zip(frames, pieces, radii)] for
-    frames (L, m, d), with the same bits.  The frames that
-    single_block_frames accepts, for 1 <= d <= MAX_BLOCK, get their one
-    block (all rows, the frame) with no component_blocks."""
-    out = [SlabSum(w, p, r) for w, p, r in zip(frames, pieces, radii)]
+def framed_slab_sums(frames: np.ndarray, pieces) -> list[SlabSum]:
+    """[SlabSum(w, p) for w, p in zip(frames, pieces)] for frames (L, m, d),
+    with the same bits.  The frames that single_block_frames accepts, for
+    1 <= d <= MAX_BLOCK, get their one block (all rows, the frame) with no
+    component_blocks."""
+    out = [SlabSum(w, p) for w, p in zip(frames, pieces)]
     if len(frames) and 1 <= frames.shape[2] <= MAX_BLOCK:
         for s in np.flatnonzero(single_block_frames(frames)):
             slab_sum = out[s]
@@ -514,7 +498,9 @@ def framed_slab_sums(frames: np.ndarray, pieces, radii) -> list[SlabSum]:
 def sums_at_zero(frames: np.ndarray, integrands) -> np.ndarray:
     """int prod_i g_i(<w_i, y>) dy over each frame w = frames[s] (S, m, d),
     per integrand (g_1..g_m as (lo, hi, value) pieces): (len(integrands), S)
-    values with the bits of SlabSum(frames[s], integrand).value at zero.
+    values with the bits of SlabSum(frames[s], integrand).values at zero:
+    like a grid scan's values, and unlike one value, they round below the
+    normal float range.
     single_block_frames' frames (d <= MAX_BLOCK) run every integrand's
     combinations through one shared_block_integrals call, and the other
     frames' SlabSums share one pooled_values call, all at unit_scale."""

@@ -539,9 +539,9 @@ def test_lockstep_groups_hold_at_most_lane_cap_grid_points(monkeypatch):
     groups = []
     lockstep = marginals._lockstep_grid_sups
 
-    def spy(group, frames):
+    def spy(group):
         groups.append([problem for problem, _ in group])
-        return lockstep(group, frames)
+        return lockstep(group)
 
     monkeypatch.setattr(marginals, "_lockstep_grid_sups", spy)
     monkeypatch.setattr(slabgeom, "LANE_CAP", 300)
@@ -662,8 +662,8 @@ def test_lockstep_slab_sums_keep_the_one_lane_bits():
     # any order
     pairs = [(random_product_density(s, n, 2), haar_sample(n, k, seed=7, stream=s)) for s, (n, k) in
              enumerate([(4, 2), (3, 1), (4, 2), (5, 3), (3, 1), (4, 2), (1, 1)])]
-    for got, (f, e) in zip(marginals._slab_sums(pairs, marginals._frames(pairs)), pairs, strict=True):
+    for got, (f, e) in zip(marginals._slab_sums(pairs), pairs, strict=True):
         assert got.rows.tobytes() == orthonormal_complement(e).basis.tobytes()
         assert got.pieces == [fi.pieces for fi in f.factors]
     with pytest.raises(ValueError, match="different dimensions"):
-        marginals._frames([(random_product_density(1, 3, 2), haar_sample(4, 2, seed=1))])
+        marginals._slab_sums([(random_product_density(1, 3, 2), haar_sample(4, 2, seed=1))])
