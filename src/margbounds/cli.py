@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 # nothing here computes with scipy; the import only keeps scipy in
@@ -36,30 +37,84 @@ _TRIAL_STREAM_BLOCK = 1024  # per-trial stream namespace width
 # -- report plumbing -----------------------------------------------------------
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_NAMES.get(text, text)
+
+
+# the text of each exact scalar type a report holds, as json writes it
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii, float: _float_text, np.float64: _float_text, int: int.__repr__,
+    bool: lambda x: "true" if x else "false", type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, indent: str) -> str:
+    """obj's JSON as json.dumps(obj, indent=2, sort_keys=True) writes it at
+    nesting indent, with numpy scalars and arrays as the Python values they
+    hold.  Raises TypeError for anything else, as json does."""
+    to_text = _SCALAR_TEXT.get(type(obj))
+    if to_text is not None:
+        return to_text(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        brackets = "{}"
+        parts = [encode_basestring_ascii(_key_text(key)) + ": " + _json_text(value, inner)
+                 for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets = "[]"
+        parts = [_json_text(value, inner) for value in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+    else:
+        return _scalar_text(obj)
+    if not parts:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + brackets[1]
+
+
+def _scalar_text(obj) -> str:
+    """The text of a numpy scalar or of a subclass of a JSON scalar type."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(float(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return "null" if key is None else "true" if key else "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    """Write to a temp file in the target directory, then rename."""
+    """Write to a temp file in the target directory, then rename; the file
+    gets the mode a plain open() would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            umask = os.umask(0o022)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,8 +123,10 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    """Sorted, indented JSON with a final newline, written atomically."""
-    _write_text_atomic(path, json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n")
+    """Sorted JSON indented by two spaces with a final newline, written
+    atomically: json.dumps(obj, indent=2, sort_keys=True) + "\n" with numpy
+    scalars and arrays as the Python values they hold, built in one pass."""
+    _write_text_atomic(path, _json_text(obj, "") + "\n")
 
 
 def emit_curve(points, path: str, header=("x", "y")) -> None:
@@ -284,7 +341,7 @@ def cmd_sections(ns) -> int:
             value = sections.hyperplane_section_exact(box, a)
         else:
             value = sections.hyperplane_section_sinc(box, a, tol=ns.tol)
-        record.update({"normal": [float(x) for x in a], "value": value})
+        record.update({"normal": a.tolist(), "value": value})
     else:
         if ns.subspace_file is None:
             print("error: --subspace-file is required for quadrature/mc modes", file=sys.stderr)

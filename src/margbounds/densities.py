@@ -20,10 +20,34 @@ class DensityFormatError(ValueError):
     """Raised when a density file violates an invariant; names the violation."""
 
 
+_MALFORMED = "invariant violated: pieces must be rows of three numbers [lo, hi, value]"
+# values of these exact types, what callers and JSON files give, are
+# numbers without _check_numbers' isinstance tests (StepDensity is built
+# about a thousand times per sup-grid round)
+_FLOAT_TYPES = frozenset({float, int, np.float64})
+
+
+def _check_numbers(*values) -> None:
+    """TypeError unless every value is a number: float() also reads "1",
+    b"1" and True."""
+    if any(isinstance(x, (str, bytes, bool)) for x in values):
+        raise TypeError
+
+
 def _canonicalize(pieces) -> tuple[tuple[float, float, float], ...]:
+    try:
+        pieces = iter(pieces)
+    except TypeError:
+        raise DensityFormatError(_MALFORMED) from None
     rows = []
     for p in pieces:
-        lo, hi, v = float(p[0]), float(p[1]), float(p[2])
+        try:
+            lo, hi, v = p
+            if not (type(lo) in _FLOAT_TYPES and type(hi) in _FLOAT_TYPES and type(v) in _FLOAT_TYPES):
+                _check_numbers(lo, hi, v)
+            lo, hi, v = float(lo), float(hi), float(v)
+        except (TypeError, ValueError):
+            raise DensityFormatError(_MALFORMED) from None
         if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(v)):
             raise DensityFormatError("invariant violated: pieces must be finite")
         if hi <= lo:
@@ -219,7 +243,7 @@ class ProductDensity:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProductDensity":
-        if not isinstance(data, dict) or "factors" not in data:
+        if not (isinstance(data, dict) and isinstance(data.get("factors"), list) and data["factors"]):
             raise DensityFormatError('invariant violated: expected {"factors": [...]}')
         return cls([StepDensity.from_json_dict(d) for d in data["factors"]])
 

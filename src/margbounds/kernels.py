@@ -670,23 +670,58 @@ def table_volumes(tables, frame, lo, hi) -> np.ndarray:
 TERM_CHUNK_BITS = 20
 
 
-def _subset_sums(sums, signs, columns):
-    """Subset sums (B, P) and signs (P,) extended by each column of (B, q)."""
-    for cj in columns.T[..., None]:
-        sums = np.concatenate([sums, sums + cj], axis=-1)
+def _subset_sums(start, columns) -> np.ndarray:
+    """Sums (B, 2^q) of start (a scalar or (B,)) and each subset of the
+    columns of (B, q), bit j of a sum's index taking column j, added in
+    index order."""
+    sums = np.empty((columns.shape[0], 1 << columns.shape[1]))
+    sums[:, 0] = start
+    for j in range(columns.shape[1]):
+        np.add(sums[:, :1 << j], columns[:, j:j + 1], out=sums[:, 1 << j:2 << j])
+    return sums
+
+
+SIGN_ROW_BITS = 12  # _SIGN_ROWS holds the signs of rows of up to 2^12 terms, 32 KB
+
+
+def _sign_row(width: int) -> np.ndarray:
+    """(-1)^|S| over the subsets S of width coordinates, in _subset_sums'
+    order: the first 2^width entries of _SIGN_ROWS, doubled past
+    SIGN_ROW_BITS coordinates."""
+    signs = _SIGN_ROWS[:1 << width]
+    while signs.size < 1 << width:
         signs = np.concatenate([signs, -signs])
-    return sums, signs
+    return signs
+
+
+_SIGN_ROWS = np.ones(1)  # the row of no coordinates, doubled by _sign_row itself
+_SIGN_ROWS = _sign_row(SIGN_ROW_BITS)
+_SIGN_ROWS.setflags(write=False)
 
 
 def _block_terms(c, t, head: int):
-    """signed_terms of rows c (B, n), one chunk per subset of c[:, :head]."""
+    """signed_terms of rows c (B, n), one chunk per subset of c[:, :head],
+    each worked out in place in its array of subset sums."""
     n = c.shape[1]
-    heads, head_signs = _subset_sums(np.zeros((c.shape[0], 1)), np.ones(1), c[:, :head])
+    heads = _subset_sums(0.0, c[:, :head])
+    head_signs, signs = _sign_row(head), _sign_row(n - head)
     for i in range(heads.shape[1]):
-        sums, signs = _subset_sums(heads[:, i:i + 1], head_signs[i:i + 1], c[:, head:])
-        diff = t[:, None] - sums
-        del sums
-        yield signs * (diff > 0.0 if n == 1 else np.where(diff > 0.0, diff, 0.0) ** (n - 1))
+        terms = _subset_sums(heads[:, i], c[:, head:])
+        np.subtract(t[:, None], terms, out=terms)
+        if n == 1:
+            yield signs * (terms > 0.0)
+            continue
+        # t > 0 and every s_S >= 0, so no difference is -0.0 or NaN and the
+        # clamp has np.where(diff > 0.0, diff, 0.0)'s bits; ** 2 is np.square
+        np.maximum(terms, 0.0, out=terms)
+        if n == 3:
+            np.square(terms, out=terms)
+        elif n > 3:
+            np.power(terms, n - 1, out=terms)
+        np.multiply(terms, signs, out=terms)
+        if head_signs[i] < 0.0:
+            np.negative(terms, out=terms)
+        yield terms
 
 
 def signed_terms(c, t):
@@ -751,7 +786,7 @@ def irwin_hall_sums(c, t) -> list:
         raise ValueError("need at least one coefficient")
     if n > 24:
         raise ValueError("combinatorial blowup guard: n > 24")
-    if np.any(c <= 0.0):
+    if (c <= 0.0).any():
         raise ValueError("coefficients must be positive")
     totals = []
     t = np.full(c.shape[:-1], t, dtype=float).reshape(-1)

@@ -82,8 +82,9 @@ def _normals(box: Box, a) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[-1:] != (box.n,):
         raise ValueError("dimension mismatch between box and normal")
     cols = np.abs(a).T.copy()  # numpy reduces a short last axis row by row; these by column
-    # written so that a NaN or infinite norm fails the check
-    if not (np.abs(np.linalg.norm(cols, axis=0) - 1.0) <= 1e-12).all():
+    # np.linalg.norm's sum of squares, written so that a NaN or infinite
+    # norm fails the check
+    if not (np.abs(np.sqrt(np.add.reduce(cols * cols, axis=0)) - 1.0) <= 1e-12).all():
         raise ValueError("normal vector must have unit norm (within 1e-12)")
     return a, ~_zero_coords(cols, (cols.T * box.sides).T)
 
@@ -130,11 +131,11 @@ def _exact_rows(box: Box, a, bounded: bool):
     a, keep = _normals(box, a)
     a_abs, keep = np.abs(a.reshape(-1, box.n)), keep.reshape(box.n, -1)
     kept = keep.sum(axis=0)
-    if kept.max() > 24:
+    if box.n > 24 and kept.max() > 24:
         raise RouteLimitError("combinatorial blowup guard: n > 24 nonzero coordinates")
     mantissa, exponent = _frexp_prod(np.where(keep, 1.0, box.sides[:, None]))
     errors = np.zeros(len(a_abs)) if bounded else None
-    for m in np.flatnonzero(np.bincount(kept)).tolist():
+    for m in np.bincount(kept).nonzero()[0].tolist():
         group = kept == m
         mask = keep.T[group]
         a_kept = a_abs[group][mask].reshape(-1, m)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -23,6 +24,45 @@ from margbounds.quadrature import RouteLimitError
 
 def run(args):
     return cli.main(args)
+
+
+def _plain(obj):
+    """The report tree as json.dumps sees it: numpy scalars and arrays as
+    the Python values they hold (the writer's reference)."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    return obj
+
+
+def _stdlib_bytes(obj) -> bytes:
+    return (json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.fixture(autouse=True)
+def reports_have_the_stdlib_bytes(monkeypatch):
+    """Every report a test here writes has json.dumps's bytes; returns the
+    list of the objects written."""
+    written = []
+    real_write = cli.write_json_atomic
+
+    def checked_write(path, obj):
+        real_write(path, obj)
+        with open(path, "rb") as fh:
+            assert fh.read() == _stdlib_bytes(obj)
+        written.append(obj)
+
+    monkeypatch.setattr(cli, "write_json_atomic", checked_write)
+    return written
 
 
 def test_usage_error_exit_code():
@@ -563,6 +603,142 @@ def test_write_json_atomic_sorted(tmp_path):
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": 2, "b": 1.5}
+
+
+# every kind of value a report can hold: nested dicts, lists and tuples,
+# empty containers, any text, ints, floats with -0.0, subnormals, NaN and
+# +-inf, numpy scalars and arrays, None
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                 | st.floats().map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                 | st.booleans().map(np.bool_) | st.sampled_from([-0.0, 5e-324, 2.2e-308, math.nan,
+                                                                  math.inf, -math.inf]))
+_json_arrays = (st.lists(st.floats(), max_size=4).map(lambda v: np.array(v, dtype=float))
+                | st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4).map(np.array)
+                | st.lists(st.booleans(), min_size=1, max_size=4).map(lambda v: np.array(v).reshape(1, -1)))
+_json_trees = st.recursive(
+    _json_scalars | _json_arrays,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_trees)
+def test_write_json_atomic_has_the_stdlib_bytes(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("w") / "r.json"
+    cli.write_json_atomic(str(path), obj)
+    assert path.read_bytes() == _stdlib_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"strings": ["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\t\n\"\\/"], "ints": [0, -1, 2**80],
+     "floats": [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1], "none": None,
+     "empty": [{}, [], ()], "nested": {"b": (1, [2, {"c": ()}]), "a": {}}},
+    {"f": np.float64(-0.0), "i": np.int64(-2**63), "b": [np.bool_(True), np.bool_(False), True],
+     "a": np.arange(6.0).reshape(2, 3), "e": np.array([]), "f32": np.float32(0.1), "u": np.uint64(2**64 - 1)},
+    {1: "int key", 2.5: "float key", -math.inf: "inf key"}, {True: 1}, {None: 0}, [], {}, "top", 7, None,
+], ids=["python", "numpy", "number-keys", "bool-key", "none-key", "empty-list", "empty-dict", "str", "int",
+        "none"])
+def test_write_json_atomic_has_the_stdlib_bytes_at_the_edges(tmp_path, obj):
+    path = tmp_path / "r.json"
+    cli.write_json_atomic(str(path), obj)
+    assert path.read_bytes() == _stdlib_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": 1j}, {"a": {1, 2}}, {(1, 2): 3}, {"a": np.array(1.0)},
+                                 [object()], {"a": np.complex128(1)}])
+def test_write_json_atomic_rejects_what_json_rejects(tmp_path, obj):
+    with pytest.raises(TypeError):
+        json.dumps(_plain(obj), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli.write_json_atomic(str(tmp_path / "r.json"), obj)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_leaves_neither_the_target_nor_a_temp_file(tmp_path, monkeypatch):
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "write", full_disk)
+    with pytest.raises(OSError):
+        cli.write_json_atomic(str(tmp_path / "r.json"), {"a": 1})
+    with pytest.raises(OSError):
+        cli.emit_curve([(1.0, 2.0)], str(tmp_path / "c.csv"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_unwritable_report_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: (_ for _ in ()).throw(OSError(28, "full")))
+    out = tmp_path / "r.json"
+    assert run(["sections", "--mode", "exact", "--sides", "1,1", "--normal", "0.6,0.8",
+                "--out", str(out)]) == 3
+    assert "error: cannot write report" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+_EVERY_SUBCOMMAND = {
+    "verify": ["--n", "3", "--k", "1", "--trials", "2"],
+    "rogozin": ["--n", "3", "--trials", "2"],
+    "sections": ["--mode", "exact", "--sides", "1,2,3", "--normal", "0.6,0.8,0"],
+    "ball-integral": ["--p-min", "2", "--p-max", "3", "--steps", "2"],
+    "bl-check": ["--d", "2", "--m", "3", "--systems", "2"],
+    "average": ["--n", "3", "--k", "1", "--samples", "1000"],
+    "grinberg": ["--n", "3", "--k", "1", "--diag", "2,0.5,1", "--samples", "1000"],
+    "small-ball": ["--n", "3", "--k", "1", "--eps", "0.05", "--samples", "1000", "--trials", "1"],
+    "search-max": ["--n", "4", "--k", "1", "--restarts", "1", "--steps", "3"],
+    "densities-validate": [],
+}
+
+
+def test_every_subcommand_covered():
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(_EVERY_SUBCOMMAND) == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_EVERY_SUBCOMMAND))
+def test_every_subcommand_report_has_the_stdlib_bytes(subcommand, tmp_path, reports_have_the_stdlib_bytes):
+    argv = [subcommand] + _EVERY_SUBCOMMAND[subcommand]
+    if subcommand == "densities-validate":
+        density = tmp_path / "f.json"
+        density.write_text(json.dumps({"pieces": [[0.0, 1.0, 1.0]]}))
+        argv.append(str(density))
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) in (0, 1)
+    assert [r["config"]["subcommand"] for r in reports_have_the_stdlib_bytes] == [subcommand]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_reports_and_curves_follow_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out, csv_path = tmp_path / "r.json", tmp_path / "c.csv"
+        assert run(["ball-integral", "--p-min", "2", "--p-max", "3", "--steps", "2",
+                    "--out", str(out), "--csv-out", str(csv_path)]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, csv_path):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("pieces", [[[0, 1]], 5, [[0, "x", 1]]], ids=["two-numbers", "not-a-list", "a-string"])
+def test_malformed_piece_rows_are_invalid_densities(tmp_path, pieces):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"pieces": pieces}))
+    out = tmp_path / "r.json"
+    assert run(["densities-validate", str(path), "--out", str(out)]) == 1
+    (rec,) = json.loads(out.read_text())["records"]
+    assert rec["valid"] is False
+    assert rec["error"].startswith("invariant violated: ")
+
+
+@pytest.mark.parametrize("pieces", [[[0, 1]], 5, [[0, "x", 1]]], ids=["two-numbers", "not-a-list", "a-string"])
+def test_malformed_piece_rows_in_an_average_density_are_usage_errors(tmp_path, capsys, pieces):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"factors": [{"pieces": [[0, 1, 1]]}, {"pieces": pieces}]}))
+    assert run(["average", "--n", "2", "--k", "1", "--samples", "1000", "--density", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant violated: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -108,6 +108,21 @@ def test_json_bad_shape():
         StepDensity.from_json_dict({"rows": []})
 
 
+@pytest.mark.parametrize("pieces", [
+    [[0, 1]], [[0, 1, 1, 2]], 5, None, [5], [[0, "x", 1]], [[0, "1", 1]], [[0, True, 1]],
+    [[0, 1, None]], [[0, 1, [1]]], "012",
+])
+def test_rows_that_are_not_three_numbers_raise(pieces):
+    with pytest.raises(DensityFormatError, match="invariant violated: "):
+        StepDensity.from_json_dict({"pieces": pieces})
+
+
+@pytest.mark.parametrize("factors", [5, [], None, {"pieces": [[0, 1, 1]]}])
+def test_products_need_a_list_of_factors(factors):
+    with pytest.raises(DensityFormatError, match="invariant violated: "):
+        ProductDensity.from_json_dict({"factors": factors})
+
+
 def test_random_density_in_class():
     for seed in range(30):
         f = random_density(seed, 3, 1.0)

@@ -568,6 +568,41 @@ def test_irwin_hall_sums_do_not_depend_on_the_chunk(monkeypatch):
     assert max(widths) == 8
 
 
+def _formula_terms(c, t, n, start=0.0, sign=1.0):
+    """signs * np.where(diff > 0.0, diff, 0.0) ** (n - 1) (the Heaviside
+    step at n = 1) over the subset sums of the columns of c (B, q) added
+    to start, built by doubling: bit j of a term's index takes column j."""
+    sums, signs = np.full((len(c), 1), start), np.full(1, sign)
+    for cj in c.T[..., None]:
+        sums = np.concatenate([sums, sums + cj], axis=-1)
+        signs = np.concatenate([signs, -signs])
+    diff = t[:, None] - sums
+    return signs * (diff > 0.0 if n == 1 else np.where(diff > 0.0, diff, 0.0) ** (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_signed_terms_have_the_formula_bits(n):
+    # three rows up to n = TERM_CHUNK_BITS, one wider row streamed in chunks:
+    # chunk i holds the subsets whose first n - TERM_CHUNK_BITS coordinates
+    # make up subset i, its sums starting from that subset's sum
+    rng = np.random.default_rng(80 + n)
+    head = max(0, n - kernels.TERM_CHUNK_BITS)
+    c = rng.uniform(0.1, 1.0, size=(1 if head else 3, n))
+    t = rng.uniform(0.2, 0.8, size=len(c)) * c.sum(axis=1)
+    covered = 0
+    for rows, block in kernels.signed_terms(c, t):
+        for i, terms in enumerate(block):
+            start = 0.0
+            for j in range(head):
+                if i >> j & 1:
+                    start += float(c[0, j])
+            want = _formula_terms(c[rows, head:], t[rows], n, start, (-1.0) ** bin(i).count("1"))
+            assert terms.shape == want.shape
+            assert np.array_equal(terms.view(np.int64), want.view(np.int64))
+            covered += terms.size
+    assert covered == len(c) << n
+
+
 def _fsum_of_terms(c, t):
     """math.fsum of each row's signed_terms, one chunk of rows at a time."""
     sums = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -465,6 +466,39 @@ def test_exact_rows_mixing_zero_patterns_keep_their_one_row_bits():
             a /= np.linalg.norm(a, axis=1)[:, None]
             got = hyperplane_section_exact(Box(sides), a)
             assert got.tolist() == [hyperplane_section_exact(Box(sides), row) for row in a]
+
+
+# hyperplane_section_exact at n = 2..16 on the box of sides 0.5 + j / n:
+# the float.hex of one Haar normal's section (seed 300 + n) and, up to
+# n = 10, the first 16 hex digits of the sha256 of 16,384 Haar normals'
+# sections (seed 400 + n); wider batches take seconds
+_PINNED_SECTIONS = {
+    2: ("0x1.10d232dd19506p-1", "51f23749f850b04d"),
+    3: ("0x1.c77dc1db66bc8p-2", "886f3054a27f9ced"),
+    4: ("0x1.2344c0554d73dp-1", "63118bac4f8a3c2b"),
+    5: ("0x1.483876a8d8c91p-1", "d2e75556387ae275"),
+    6: ("0x1.27a35744950b0p-1", "d6352a99fd7e699f"),
+    7: ("0x1.08dee3a819f0bp-1", "ed4e47b7ce333169"),
+    8: ("0x1.01cecae90a4bfp-1", "cbb179dc606efae0"),
+    9: ("0x1.27c977abfd07dp-1", "60e49754a33ff356"),
+    10: ("0x1.f2b8af86aca88p-2", "d0f0cce9c28b55ee"),
+    11: ("0x1.f1b8c1a6377d8p-2", None),
+    12: ("0x1.bb3f093a222a4p-2", None),
+    13: ("0x1.876197bf0e5ffp-2", None),
+    14: ("0x1.970f4ccbfa91dp-2", None),
+    15: ("0x1.7367de745759ep-2", None),
+    16: ("0x1.7b2f7a16d07b0p-2", None),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_SECTIONS))
+def test_exact_sections_are_pinned(n):
+    one, batch = _PINNED_SECTIONS[n]
+    box = Box(0.5 + np.arange(n) / n)
+    assert hyperplane_section_exact(box, haar_directions(n, 1, seed=300 + n)[0]).hex() == one
+    if batch is not None:
+        values = hyperplane_section_exact(box, haar_directions(n, 16384, seed=400 + n))
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == batch
 
 
 def _section_error_scale(sides, a):
