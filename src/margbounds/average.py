@@ -28,6 +28,9 @@ from .sections import Box, box_pieces, hyperplane_section_exact, unit_cube
 
 _DIR_CHUNK = 1 << 14
 
+# fewest Haar subspaces an average takes
+MIN_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class GrassmannAverage:
@@ -170,8 +173,8 @@ def cube_avg_power(
     pi_E(1_{Q_n})(0) = |Q_n cap E^perp|.  At k = 1 each chunk of Haar lines
     takes hyperplane_section_exact, with its one-row bits, its limit of 24
     coordinates and its CancellationError for a lost line."""
-    if subspace_samples < 1000:
-        raise ValueError("need subspace_samples >= 1000")
+    if subspace_samples < MIN_SAMPLES:
+        raise ValueError(f"need subspace_samples >= {MIN_SAMPLES}")
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
     if k == 1:
@@ -193,8 +196,8 @@ def prop_avg_check(
     pass verdict uses the paired-difference standard error, which is far
     tighter than comparing the two marginal errors.
     """
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_SAMPLES}")
     n = f.n
     integrands = [_density_pieces(f), _density_pieces(cube_density(n))]
     lhs_vals, rhs_vals = _powered(
@@ -238,8 +241,8 @@ def grinberg_check(
         raise ValueError("diag must have n entries")
     if abs(abs(np.prod(s)) - 1.0) > 1e-12:
         raise ValueError("S must be volume-preserving (|det S| = 1 within 1e-12)")
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_SAMPLES}")
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
     if k > 3:

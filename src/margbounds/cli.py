@@ -292,6 +292,17 @@ def _finish(ns, config: dict, records: list, failures: list, summary: dict) -> i
     return 0 if not failures else 1
 
 
+def _read_json_file(kind, path: str, what: str):
+    """kind.from_json_file(path), or None after an "error: cannot read"
+    line naming the file, where it cannot be opened or holds no JSON text
+    (exit 3: an I/O failure, not a bad flag)."""
+    try:
+        return kind.from_json_file(path)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {what} file {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_verify(ns) -> int:
     sup_lo, sup_hi = ns.sup_range
     args = [(ns.seed, ns.n, ns.k, ns.tol, sup_lo, sup_hi, chunk)
@@ -346,10 +357,8 @@ def cmd_sections(ns) -> int:
         if ns.subspace_file is None:
             print("error: --subspace-file is required for quadrature/mc modes", file=sys.stderr)
             return 2
-        try:
-            h = grassmann.Subspace.from_json_file(ns.subspace_file)
-        except OSError as exc:
-            print(f"error: cannot read subspace: {exc}", file=sys.stderr)
+        h = _read_json_file(grassmann.Subspace, ns.subspace_file, "subspace")
+        if h is None:
             return 3
         if ns.mode == "quadrature":
             value = sections.section_quadrature(box, h)
@@ -414,10 +423,8 @@ def cmd_bl_check(ns) -> int:
 
 def cmd_average(ns) -> int:
     if ns.density:
-        try:
-            f = densities.ProductDensity.from_json_file(ns.density)
-        except OSError as exc:
-            print(f"error: cannot read density: {exc}", file=sys.stderr)
+        f = _read_json_file(densities.ProductDensity, ns.density, "density")
+        if f is None:
             return 3
         if f.n != ns.n:
             print("error: density dimension does not match --n", file=sys.stderr)
@@ -585,6 +592,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _haar_samples(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < average.MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected a positive integer >= {average.MIN_SAMPLES}, got {text!r}")
+    return value
+
+
 def _sinc_power(text: str) -> float:
     try:
         value = float(text)
@@ -673,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="Grassmannian average of marginal powers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--samples", type=_haar_samples, default=100000)
     p.add_argument("--density", type=str, default=None,
                    help="product density JSON; runs the paired comparison")
     common(p, workers=False)
@@ -683,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--diag", type=_floats_csv, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--samples", type=_haar_samples, default=100000)
     common(p, workers=False)
     p.set_defaults(func=cmd_grinberg, workers=1)
 

@@ -3,9 +3,12 @@
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
 boundedness (the w_i always contain a spanning subset coming from a tight
-frame) and strip zero rows beforehand.  The 2-D kernel clips a seed
-parallelogram; the 3-D kernel sums (1/3) h |F| over the facets F, each a
-2-D slab system, after merging rows parallel within _PARALLEL_SINE (see
+frame) and strip zero rows beforehand.  The 2-D kernel takes a lane of
+three rows in closed form, the integral of a two-direction box spline over
+the third row's slab (_three_row_areas, which states its rounding bound),
+and clips a seed parallelogram for four rows or more; the 3-D kernel sums
+(1/3) h |F| over the facets F, each a 2-D slab system (of three rows for a
+four-row lane), after merging rows parallel within _PARALLEL_SINE (see
 _polytope_volumes for its rounding bound).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
@@ -165,12 +168,13 @@ def _clip_polygons(poly, nx, ny, b, eps):
 
 
 class ClipTables(NamedTuple):
-    """What the 2-D clip needs of frames (K, m, 2) alone, per frame."""
+    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame."""
 
     ok: np.ndarray  # (K,): false where the seed rows are degenerate
     seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
     clip: np.ndarray  # (K, 2 (m - 2), 2): the clip normals, x and y
+    third: np.ndarray  # (K, 3) if m = 3, else (K, 0): alpha, beta and 1/|det|
 
 
 def _clip_tables(frames) -> ClipTables:
@@ -180,7 +184,9 @@ def _clip_tables(frames) -> ClipTables:
     det, i0 the longest row and i1 the one most transverse to it; each
     frame's row order, the seed rows i0, i1 and then the others in row
     order; the clip normals, the other rows' in that order, each as itself
-    (the hi side) and negated (the -lo side)."""
+    (the hi side) and negated (the -lo side).  A three-row frame also gets
+    its third row in seed coordinates, <w_2, y> = alpha u + beta v for u =
+    <w_i0, y> and v = <w_i1, y>, and 1/|det|, which _three_row_areas takes."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -199,7 +205,13 @@ def _clip_tables(frames) -> ClipTables:
     seed = np.column_stack([frames[ks, i0], frames[ks, i1], det])
     normals = frames[ks[:, None], order[:, 2:]]  # (K, m - 2, 2)
     clip = np.stack([normals, -normals], axis=2).reshape(count, 2 * (m - 2), 2)
-    return ClipTables(ok, seed, order, clip)
+    third = np.empty((count, 0))
+    if m == 3:
+        a00, a01, a10, a11 = seed[:, :4].T
+        x, y = normals[:, 0].T
+        d = np.where(ok, det, 1.0)
+        third = np.column_stack([(x * a11 - y * a10) / d, (a00 * y - a01 * x) / d, 1.0 / np.abs(d)])
+    return ClipTables(ok, seed, order, clip, third)
 
 
 class PolygonTables(NamedTuple):
@@ -233,16 +245,18 @@ def polygon_tables(frames) -> PolygonTables:
 # clipper's corners, and their distances from a row's side, are within a
 # few unit roundoffs of that product of the exact ones, and it keeps only
 # what lies within eps = 1e-14 (1 + the corners' largest 1-norm) <= 1e-14
-# times that scale of each side: it would clip such a lane to 0.0 as well
+# times that scale of each side: it would clip such a lane to 0.0 as well.
+# For three rows the closed form gives exactly 0.0 there: the third slab
+# misses the trapezoid by far more than its roundings (_three_row_areas)
 _CLIP_MARGIN = 1e-9
 
 
 def _polygon_seed_cells(tables, frame, lo, hi):
-    """(L,): false for the lanes that _polygon_areas gives 0.0 without a clip,
-    those of a degenerate frame and those with a non-seed row whose slab
-    misses the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
+    """(L,): false for the lanes that _polygon_areas would give 0.0, those
+    of a degenerate frame and those with a non-seed row whose slab misses
+    the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
     one at a time, each as (L,) vectors."""
-    ok, _, order, clip = tables.clip
+    ok, _, order, clip, _ = tables.clip
     g, gl1, wg = tables.g, tables.gl1, tables.wg
     base = np.arange(len(frame)) * lo.shape[1]
     lo, hi = lo.reshape(-1), hi.reshape(-1)
@@ -271,38 +285,143 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     return live
 
 
+# a third slab that meets the rectangle only within this share of the lane's
+# s-scale of a corner (or a strip's edge) gives 0.0, so a facet that is a
+# point or a segment in exact arithmetic stays 0.0, as the clip made it
+_TOUCH = 2.0**-46
+
+
+def _three_row_areas(third, lo, hi):
+    """Area of each three-row lane: lo and hi (3, L) the bounds of the seed
+    rows i0, i1 and the third row, third (3, L) its frame's alpha, beta and
+    1/|det|.
+
+    In u = <w_i0, y>, v = <w_i1, y> the lane is a rectangle of area S = w_0
+    w_1 / |det| (w_s = hi_s - lo_s, c_s = lo_s + hi_s) cut by the slab
+    lo_2 <= alpha u + beta v <= hi_2.  Over the rectangle, s = 2 (alpha u +
+    beta v) - gamma, gamma = alpha c_0 + beta c_1, has a trapezoid density,
+    the two-direction box spline of de Boor and Hollig (1982/83): flat on
+    |s| <= M - n, zero beyond M + n, for p = |alpha| w_0, q = |beta| w_1, M
+    = max(p, q), n = min(p, q).  The area is S times its integral over [l,
+    h] = [2 lo_2, 2 hi_2] - gamma, divided by 2M: the plateau's overlap,
+    2 (hi_2 - lo_2) itself for a slab on the plateau, plus (t_2^2 - t_1^2)
+    / 4n per ramp, t the overlap's clamped distances from the ramp's outer
+    end; no piece is negative.  n = 0 is a strip; M = 0, a zero third row,
+    keeps the rectangle if 0 lies in [l, h].  A slab that misses the
+    rectangle, or meets it within _TOUCH (p + q + |gamma|) of an end of the
+    trapezoid, gives exactly 0.0; lo_2 > hi_2 counts as hi_2 = lo_2.
+
+    Rounding, to first order in u = 2^-53: the error is at most (144 + 3 D)
+    u S (1 + E / M), with D = (|a00 a11| + |a01 a10|) / |det| and E = A
+    (w_0 + |c_0|) + B (w_1 + |c_1|) + 2 |lo_2| + 2 |hi_2|, A = (|x a11| +
+    |y a10|) / |det| and B = (|a00 y| + |a01 x|) / |det| for the third row
+    (x, y); a zero third row has no E / M term.  The roundings of alpha,
+    beta, gamma, l and h move each end of the slab by at most (10 + 2 D) u
+    E over a density of at most 1 / 2M; the touch test drops at most 128 u
+    (2M + E) of s; the pieces, the division and S add (16 + 3 D) u.
+    """
+    alpha, beta, rdet = third
+    # in place where a value is last used, which keeps the lane arrays few
+    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+    lo2, hi2 = lo[2], np.maximum(hi[2], lo[2])
+    p, q = np.abs(alpha), np.abs(beta)
+    p *= w0
+    q *= w1
+    gamma, c1 = lo[0] + hi[0], lo[1] + hi[1]
+    gamma *= alpha
+    c1 *= beta
+    gamma += c1
+    l, h = lo2 + lo2, hi2 + hi2
+    l -= gamma
+    h -= gamma
+    flat, ramp = np.maximum(p, q), np.minimum(p, q)
+    flat += flat
+    ramp += ramp
+    reach = np.add(p, q, out=p)
+    # the slab's distances from the trapezoid's right end, where the plateau
+    # is [2n, 2M], and from its left end
+    r1, r2 = reach - h, reach - l
+    e1, e2 = np.add(reach, l, out=l), np.add(reach, h, out=h)
+    tol = np.abs(gamma, out=gamma)
+    tol += reach
+    tol *= _TOUCH
+    touch = r2 < tol
+    touch |= e2 < tol
+    width = hi2 - lo2
+    width += width
+    inside = r1 >= ramp
+    inside &= r2 <= flat
+    plateau, low = np.maximum(r2, ramp), np.maximum(r1, ramp, out=q)
+    np.minimum(plateau, flat, out=plateau)
+    np.minimum(low, flat, out=low)
+    plateau -= low
+    np.copyto(plateau, width, where=inside)
+    for t in (r1, r2, e1, e2):
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, ramp, out=t)
+    ramps = r2 - r1
+    r2 += r1
+    ramps *= r2
+    e = np.subtract(e2, e1, out=r1)
+    e2 += e1
+    e *= e2
+    ramps += e
+    np.divide(ramps, ramp + ramp, out=ramps, where=ramp > 0.0)
+    ramps[ramp <= 0.0] = 0.0
+    plateau += ramps
+    np.divide(plateau, flat, out=plateau, where=flat > 0.0)
+    plateau[flat <= 0.0] = 1.0
+    w0 *= w1
+    w0 *= rdet
+    w0 *= plateau
+    w0[touch] = 0.0
+    return w0
+
+
 def _polygon_areas(tables, frame, lo, hi):
     """Area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
     for the rows w of frame[l], on tables, the ClipTables of frames (K, m,
     2), frame (L,), lo and hi (L, m) with lo <= hi; returns (L,) areas.
 
-    Lane-wise Sutherland-Hodgman: the seed parallelogram of the
-    best-conditioned row pair, cut by the hi then -lo side of each other
-    row in row order, each cut keeping the vertices within eps = 1e-14 (1 +
-    the seed corners' largest 1-norm) of its side; then the shoelace sum
-    from vertex 0.  Every lane goes through these floating-point operations
-    in this order, so its area does not depend on the other lanes.  What
-    depends on the frame alone (the seed rows, their determinant, the
-    degeneracy test, the clip order) is in its ClipTables.  Vertices sit
-    slot-major, (slots, lanes), NaN past each lane's count; a lane leaves
-    once it has fewer than 3 vertices.
+    Three rows (m = 3): _three_row_areas, in closed form, on the seed rows
+    i0, i1 and the frame's alpha, beta and 1/|det|; see there for its
+    rounding bound.  The 2-D lanes of the paper's k = 1 marginals at n = 3,
+    and every facet of a four-row 3-D lane, are of this kind.
+
+    Four rows or more: lane-wise Sutherland-Hodgman: the seed parallelogram
+    of the best-conditioned row pair, cut by the hi then -lo side of each
+    other row in row order, each cut keeping the vertices within eps =
+    1e-14 (1 + the seed corners' largest 1-norm) of its side; then the
+    shoelace sum from vertex 0.  Vertices sit slot-major, (slots, lanes),
+    NaN past each lane's count; a lane leaves once it has fewer than 3
+    vertices.
+
+    Every lane goes through the same floating-point operations in the same
+    order, so its area does not depend on the other lanes.  What depends on
+    the frame alone (the seed rows, their determinant, the degeneracy test,
+    the row order, alpha, beta and 1/|det|) is in its ClipTables; a
+    degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
     row's slab by _CLIP_MARGIN is 0.0 without a clip, as the clip would
-    make it.  (The 3-D facets call it directly: testing them too saved no
-    measurable time on sup-grid.)
+    make it, and as the closed form gives exactly 0.0 there.  (The 3-D
+    facets call it directly: testing them too saved no measurable time on
+    sup-grid.)
     """
-    ok, seed, order, clip = tables
+    ok, seed, order, clip, third = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:
         return out
     f = frame[idx]
-    steps = clip.shape[1]
     # (m, L): each lane's rows in its frame's order
     at = idx * lo.shape[1] + order[f].T
     lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
+    if len(lo) == 3:
+        out[idx] = _three_row_areas(third.T[:, f], lo, hi)
+        return out
+    steps = clip.shape[1]
     a00, a01, a10, a11, det = seed.T[:, f]
     # the seed parallelogram, then vertex 0 again (see _clip_polygons)
     s = np.stack([lo[0], hi[0], hi[0], lo[0]])
@@ -529,10 +648,11 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     planes about c by at most tau, which moves them at most tau R inside the
     seed cell, R its largest distance from c; so each merged row changes
     the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
-    section.  Otherwise each term carries _polygon_areas' error (its clip
-    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
-    facet's perimeter) times |h|, and the projections and the sum add
-    O(m u) of sum |h| |F|.
+    section.  Otherwise each term carries _polygon_areas' error times |h|:
+    a four-row lane's facets have three rows and take the closed form's
+    bound (_three_row_areas), wider facets the clip's tolerance, 1e-14 times
+    the facet's coordinate scale, per unit of the facet's perimeter; the
+    projections and the sum add O(m u) of sum |h| |F|.
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by

@@ -6,9 +6,12 @@ time on Python floats.  They are the scalar twins that the lane kernels
 (kernels._polygon_areas and kernels._polytope_volumes) once shared src
 with, kept here verbatim: the lane kernels run the same IEEE operations in
 the same order, so every lane must have the twin's bits, in a call of any
-number of lanes, one included.  slab_volume takes d = 1 to
-kernels.interval_length, which src keeps for kernels.live_volumes' one-lane
-d = 1 calls.
+number of lanes, one included.  A three-row 2-D system (a 2-D lane of
+three rows, or a facet of a four-row 3-D lane) takes _three_row_area,
+kernels._three_row_areas' closed form op for op, with its rounding bound
+(stated there); four rows or more take the Sutherland-Hodgman clip.
+slab_volume takes d = 1 to kernels.interval_length, which src keeps for
+kernels.live_volumes' one-lane d = 1 calls.
 
 scalar_slab_sum loops slab_volume over the orthogonal blocks and, per
 block, over the piece combinations in itertools.product order: one scalar
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from margbounds import slabgeom
-from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, interval_length
+from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _TOUCH, interval_length
 
 
 def _clip_polygon(poly, nx, ny, b, eps):
@@ -75,6 +78,11 @@ def _polygon_area(rows, lo, hi):
     i0, i1, det = seeds
     a00, a01 = rows[i0]
     a10, a11 = rows[i1]
+    if len(rows) == 3:
+        i2 = 3 - i0 - i1
+        x, y = rows[i2]
+        third = ((x * a11 - y * a10) / det, (a00 * y - a01 * x) / det, 1.0 / abs(det))
+        return _three_row_area(third, (lo[i0], lo[i1], lo[i2]), (hi[i0], hi[i1], hi[i2]))
     poly = []
     for s, t in ((lo[i0], lo[i1]), (hi[i0], lo[i1]), (hi[i0], hi[i1]), (lo[i0], hi[i1])):
         poly.append(((a11 * s - a01 * t) / det, (a00 * t - a10 * s) / det))
@@ -95,6 +103,36 @@ def _polygon_area(rows, lo, hi):
         qx, qy = poly[(i + 1) % len(poly)]
         area += px * qy - py * qx
     return 0.5 * abs(area)
+
+
+def _three_row_area(third, lo, hi):
+    """kernels._three_row_areas of one lane on Python floats, op for op (a
+    numpy np.maximum(a, b) or np.minimum(a, b) is max(b, a) or min(b, a):
+    of two equal values both keep the second)."""
+    alpha, beta, rdet = third
+    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+    lo2, hi2 = lo[2], max(lo[2], hi[2])
+    p, q = abs(alpha) * w0, abs(beta) * w1
+    gamma = alpha * (lo[0] + hi[0]) + beta * (lo[1] + hi[1])
+    l, h = (lo2 + lo2) - gamma, (hi2 + hi2) - gamma
+    big, small = max(q, p), min(q, p)
+    reach = p + q
+    ramp, flat = small + small, big + big
+    r1, r2 = reach - h, reach - l
+    e1, e2 = reach + l, reach + h
+    tol = _TOUCH * (reach + abs(gamma))
+    if r2 < tol or e2 < tol:
+        return 0.0
+    width = hi2 - lo2
+    if r1 >= ramp and r2 <= flat:
+        plateau = width + width
+    else:
+        plateau = min(flat, max(ramp, r2)) - min(flat, max(ramp, r1))
+    r1, r2 = min(ramp, max(0.0, r1)), min(ramp, max(0.0, r2))
+    e1, e2 = min(ramp, max(0.0, e1)), min(ramp, max(0.0, e2))
+    ramps = ((r2 - r1) * (r2 + r1) + (e2 - e1) * (e2 + e1)) / (ramp + ramp) if ramp > 0.0 else 0.0
+    part = (plateau + ramps) / flat if flat > 0.0 else 1.0
+    return w0 * w1 * rdet * part
 
 
 def _dot1(a, b):

@@ -762,6 +762,37 @@ def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
     assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["average", "--n", "3", "--k", "1", "--samples", "999"],
+    ["grinberg", "--n", "3", "--k", "1", "--diag", "2,0.5,1", "--samples", "999"],
+])
+def test_too_few_haar_samples_are_usage_errors_that_name_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "argument --samples: expected a positive integer >= 1000, got '999'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe"], ids=["missing", "not-json", "not-utf8"])
+@pytest.mark.parametrize("what", ["subspace", "density"])
+def test_unreadable_input_files_are_io_failures_that_name_the_file(tmp_path, capsys, content, what):
+    path = tmp_path / "input.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "r.json"
+    if what == "subspace":
+        argv = ["sections", "--mode", "quadrature", "--sides", "1,1", "--subspace-file", str(path)]
+    else:
+        argv = ["average", "--n", "2", "--k", "1", "--samples", "1000", "--density", str(path)]
+    assert run(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} file {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     # n - k = 6: the complement frame forms one irreducible 6-D block
     assert run(["verify", "--n", "8", "--k", "2", "--trials", "1"]) == 1

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -182,13 +184,118 @@ def test_polygon_areas_degenerate_lanes():
     lo = -np.ones((4, 2))
     got = _polygon_lanes_match(frames, np.arange(len(frames)), lo, -lo)
     assert got[0] == 0.0 and got[1] > 0.0 and got[2] > 0.0 and got[3] == 0.0
-    # strips narrower and wider than the clip tolerance 1e-14 (1 + 1)
+    # strips narrower and wider than the clip tolerance 1e-14 (1 + 1): a
+    # three-row frame takes the closed form, which keeps the narrow strip's
+    # exact area (the clip gave it 0.0)
     frames = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]] * 2)
     lo = np.array([[-0.5, -0.5, 0.0]] * 2)
     hi = np.array([[0.5, 0.5, 1e-15], [0.5, 0.5, 1e-13]])
     got = _polygon_lanes_match(frames, np.arange(2), lo, hi)
-    assert got[0] == 0.0 and got[1] > 0.0
+    assert got[0] == float(exact_slab_volume(frames[0], lo[0], hi[0])) == 1e-15
+    assert got[1] == float(exact_slab_volume(frames[1], lo[1], hi[1])) == 1e-13
     assert _volumes(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
+
+
+_THREE_ROW_KINDS = ("generic", "near-seed", "zero", "narrow", "corner")
+
+
+def _three_row_case(rng, kind, exponent=-9.0):
+    """A three-row 2-D slab system (W, lo, hi) of one kind: generic rows and
+    bounds; a third row within 10^exponent (relative) of row 0 or 1,
+    parallel or antiparallel; a zero third row whose slab holds 0, as a
+    facet's merged rows have; a third slab 1e-16..1e-14 (relative) wide
+    across the parallelogram of rows 0 and 1; or a third slab that cuts a
+    sliver off a corner of that parallelogram, or touches it there or just
+    misses it."""
+    W = rng.normal(size=(3, 2))
+    half = rng.uniform(0.05, 1.0, size=3)
+    centre = rng.normal(size=3) * rng.choice([0.0, 0.5, 3.0])
+    lo, hi = centre - half, centre + half
+    if kind == "near-seed":
+        j = int(rng.integers(2))
+        W[2] = rng.choice([1.0, -1.0]) * W[j] + 10.0**exponent * np.linalg.norm(W[j]) * rng.normal(size=2)
+    elif kind == "zero":
+        W[2] = 0.0
+        lo[2], hi[2] = -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+    elif kind in ("narrow", "corner"):
+        corners = [np.linalg.solve(W[:2], [a, b]) for a in (lo[0], hi[0]) for b in (lo[1], hi[1])]
+        values = np.array([W[2] @ y for y in corners])
+        scale = np.abs(values).max() + values.max() - values.min()
+        if kind == "narrow":
+            lo[2] = rng.uniform(values.min(), values.max())
+            hi[2] = lo[2] + 10.0 ** rng.uniform(-16.0, -14.0) * scale
+        else:
+            depth = rng.choice([1.0, -1.0, 0.0]) * 10.0 ** rng.uniform(-14.0, -2.0) * scale
+            if rng.integers(2):
+                lo[2], hi[2] = values.max() - depth, values.max() + scale
+            else:
+                lo[2], hi[2] = values.min() - scale, values.min() + depth
+    return W, lo, hi
+
+
+def _three_row_bound(W, lo, hi):
+    """The rounding bound kernels._three_row_areas states for one
+    non-degenerate three-row system: (144 + 3 D) u S (1 + E / M), with no
+    E / M term where the third row is zero."""
+    i0, i1, i2 = kernels._clip_tables(W[None]).order[0]
+    (a00, a01), (a10, a11), (x, y) = W[i0], W[i1], W[i2]
+    det = abs(a00 * a11 - a01 * a10)
+    w0, w1 = hi[i0] - lo[i0], hi[i1] - lo[i1]
+    c0, c1 = lo[i0] + hi[i0], lo[i1] + hi[i1]
+    cond = (abs(a00 * a11) + abs(a01 * a10)) / det
+    a, b = (abs(x * a11) + abs(y * a10)) / det, (abs(a00 * y) + abs(a01 * x)) / det
+    big = max(abs(x * a11 - y * a10) / det * w0, abs(a00 * y - a01 * x) / det * w1)
+    reach = a * (w0 + abs(c0)) + b * (w1 + abs(c1)) + 2.0 * abs(lo[i2]) + 2.0 * abs(hi[i2])
+    return (144.0 + 3.0 * cond) * 2.0**-53 * (w0 * w1 / det) * (1.0 + (reach / big if big > 0.0 else 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_THREE_ROW_KINDS), st.floats(-12.0, -6.0),
+       st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
+def test_three_row_areas_are_within_their_stated_bound(seed, kind, exponent, row_exp, bound_exp):
+    # the closed form against the exact rational area of the float system,
+    # for rows scaled by 2^0 or 2^40 and bounds by 2^-40, 2^0 or 2^40 (rows
+    # scaled by 2^-40 fall below the seed pair's degeneracy floor, 1e-14 (1
+    # + max |w|)^2, which is absolute)
+    W, lo, hi = _three_row_case(np.random.default_rng(seed), kind, exponent)
+    W, lo, hi = W * 2.0**row_exp, lo * 2.0**bound_exp, hi * 2.0**bound_exp
+    assume(kernels._clip_tables(W[None]).ok[0])
+    got = _one_lane(W, lo, hi)
+    assert abs(Fraction(got) - exact_slab_volume(W, lo, hi)) <= Fraction(_three_row_bound(W, lo, hi))
+
+
+def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
+    # every kind of three-row system, 24 frames of 10 lanes each: the lanes
+    # of one call, and each lane alone, == the scalar twin
+    rng = np.random.default_rng(36)
+    systems = [_three_row_case(rng, kind, rng.uniform(-12.0, -6.0)) for _ in range(5) for kind in _THREE_ROW_KINDS[:4]]
+    frames = np.stack([W for W, _, _ in systems])
+    frame = np.repeat(np.arange(len(frames)), 10)
+    lo, hi = np.array([systems[k][1] for k in frame]), np.array([systems[k][2] for k in frame])
+    shift = rng.normal(size=lo.shape) * rng.choice([0.0, 0.1, 1.0], size=(len(frame), 1))
+    shift[frame % 4 == 2, 2] = 0.0  # keep 0 in a zero row's slab
+    got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
+    assert 0 < np.count_nonzero(got) < len(got)
+    corners = [_three_row_case(rng, "corner") for _ in range(40)]
+    frames = np.stack([W for W, _, _ in corners])
+    _polygon_lanes_match(frames, np.arange(40), np.stack([c[1] for c in corners]), np.stack([c[2] for c in corners]))
+
+
+@pytest.mark.parametrize("m,d,nonzero,digest", [
+    (4, 2, 291, "e0fd8a63c5d40d8c"), (5, 2, 258, "7defdfbc31eea605"), (6, 2, 208, "2a9d9c6c667c4def"),
+    (5, 3, 326, "fddf3798509b39b9"), (6, 3, 286, "5f364fd4e259e74f")])
+def test_lanes_of_four_rows_or_more_keep_the_clips_bits(m, d, nonzero, digest):
+    # pinned from the clip before three-row lanes took the closed form: 2-D
+    # lanes of four rows or more, and 3-D lanes whose facets have four or
+    # more rows, still clip
+    rng = np.random.default_rng(100 * m + d)
+    frames = rng.normal(size=(6, m, d))
+    frame = rng.integers(0, 6, size=400)
+    half = rng.uniform(0.2, 1.0, size=(400, m))
+    centre = rng.normal(size=(400, m)) * 0.5
+    got = _volumes(frames, frame, centre - half, centre + half)
+    assert np.count_nonzero(got) == nonzero
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
 
 def test_interval_lengths_match_interval_length():

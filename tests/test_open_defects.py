@@ -1,0 +1,69 @@
+"""The defect ledger: each reproduced open defect as a strict xfail.
+
+Every case asserts what the north star asks of a command, on a value or an
+exit code, and fails today for the reason its ROADMAP item gives.  Strict
+mode turns a fix into an XPASS, which fails the suite, so the change that
+mends a defect drops its marker and the ledger stays current.
+"""
+
+import json
+import math
+
+import pytest
+
+from margbounds import cli
+
+
+def _report(tmp_path, argv):
+    """(exit code, report or None) of one in-process CLI run."""
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+def test_a_narrow_normal_exact_section_is_right_or_refused(tmp_path):
+    # six unit sides, two normal coordinates near 0: the rational section is
+    # 1.1910061925418634; the signed vertex sum cancels to 0.9058982053063905
+    # and passes
+    code, report = _report(tmp_path, [
+        "sections", "--mode", "exact", "--sides", "1,1,1,1,1,1", "--normal",
+        "1.709237753453937e-09,9.568418940400373e-08,0.22173541156336796,"
+        "0.26844522038667024,0.839167552832119,0.4178138211980543"])
+    if code != 1:
+        record = report["records"][0]
+        assert abs(record["value"] - 1.1910061925418634) <= record.get("rounding_bound", 1e-12) * 1.1910061925418634
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+def test_search_max_at_k_1_stays_below_balls_bound(tmp_path):
+    # Ball's sqrt(2) bounds every hyperplane section of the unit cube; the
+    # climb keeps a value that rounding made up, 1.4155077188280838
+    code, report = _report(tmp_path, ["search-max", "--n", "5", "--k", "1", "--restarts", "3",
+                                      "--steps", "1000", "--seed", "1"])
+    assert report["records"][0]["best_value"] <= math.sqrt(2.0) * (1.0 + 1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+def test_verify_runs_at_n_5_k_1(tmp_path):
+    # the complement frame is one 4-D slab block, beyond the 3-D kernels:
+    # exit 1 before any trial
+    code, _ = _report(tmp_path, ["verify", "--n", "5", "--k", "1", "--trials", "1", "--seed", "1"])
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18")
+def test_ball_integral_at_p_2_has_no_negative_margin(tmp_path):
+    # the integral at p = 2 is exactly 1 = sqrt(2/2); the quadrature reads
+    # 1.0000000000000002 and reports the margin -2.2e-16
+    code, report = _report(tmp_path, ["ball-integral", "--p-min", "2", "--p-max", "2", "--steps", "1"])
+    assert report["summary"]["min_margin"] >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
+def test_grinberg_does_not_refute_its_theorem(tmp_path):
+    # the quermassintegral is invariant under a volume-preserving diagonal
+    # map, so a FAIL is a false refutation; this seed's 3-SE test fails
+    code, report = _report(tmp_path, ["grinberg", "--n", "4", "--k", "2", "--samples", "1000",
+                                      "--diag", "2,0.5,3,0.3333333333333333", "--seed", "2"])
+    assert code == 0 and report["failures"] == []
