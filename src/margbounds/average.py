@@ -245,8 +245,9 @@ def grinberg_check(
         raise ValueError(f"need samples >= {MIN_SAMPLES}")
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
-    if k > 3:
-        raise slabgeom.BlockTooWideError("section dimension k > 3 needs a Monte Carlo section engine")
+    if k > slabgeom.MAX_BLOCK:
+        raise slabgeom.BlockTooWideError(
+            f"section dimension k > {slabgeom.MAX_BLOCK} needs a Monte Carlo section engine")
     boxes = [box_pieces(unit_cube(n)), box_pieces(Box(np.abs(s)))]
     raw = _slab_sums_at_zero(boxes, k, samples, seed, stream, False)
     phi_q, phi_sq = (_quermass_average(row, n, k, seed) for row in raw)

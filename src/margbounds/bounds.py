@@ -355,20 +355,19 @@ def _bl_lhs_gaussians(system: BLSystem, densities: list[GaussianDensity]) -> flo
     return math.exp(log_lhs)
 
 
-def bl_check(system: BLSystem, densities, tol: float = 1e-9) -> tuple[float, float]:
+def bl_check(system: BLSystem, densities) -> tuple[float, float]:
     """(lhs, rhs) of the normalized Brascamp-Lieb inequality for the system.
 
-    Step factors are integrated exactly over the slab arrangement (d <= 3);
-    identical-Gaussian factors use the closed-form quadratic integral.
+    Step factors are integrated exactly over the slab arrangement (d <=
+    slabgeom.MAX_BLOCK); identical-Gaussian factors use the closed-form
+    quadratic integral.
     """
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError("tol must be positive")
     densities = list(densities)
     if len(densities) != system.m:
         raise ValueError("need one density per direction")
     if all(isinstance(f, StepDensity) for f in densities):
-        if system.d > 3:
-            raise slabgeom.BlockTooWideError("step-density route supports d <= 3")
+        if system.d > slabgeom.MAX_BLOCK:
+            raise slabgeom.BlockTooWideError(f"step-density route supports d <= {slabgeom.MAX_BLOCK}")
         lhs = _bl_lhs_steps(system, densities)
     elif all(isinstance(f, GaussianDensity) for f in densities):
         lhs = _bl_lhs_gaussians(system, densities)

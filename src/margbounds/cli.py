@@ -5,6 +5,12 @@ the seed, trials are keyed by their index (so worker count never changes
 results), and reports are written atomically with a stable schema.  The
 wall-clock time is printed to the console but kept out of the report bytes,
 which makes reports byte-identical across re-runs of the same config.
+
+Only main turns an outcome into an exit code: 0 when every check passes, 1
+when one fails or a route cannot certify a value (RouteLimitError,
+ToleranceError, BlockTooWideError), 2 for a usage error (any other
+ValueError), 3 for an input that cannot be read or an output that cannot be
+written (OSError).  Subcommands raise; they never print "error:".
 """
 
 from __future__ import annotations
@@ -172,12 +178,6 @@ def _pmap(fn, args_list, workers: int) -> list:
 # -- per-trial workers (top level so they pickle) -------------------------------
 
 
-def _trial_density(seed: int, n: int, t: int, sup_lo: float, sup_hi: float):
-    """Random product density for trial t; sup norms drawn from [lo, hi]:
-    the one-trial call of _trial_densities."""
-    return _trial_densities(seed, n, [t], sup_lo, sup_hi)[0]
-
-
 def _trial_densities(seed: int, n: int, trials, sup_lo: float, sup_hi: float) -> list:
     """The random product densities of trials, trial t's factors from the
     streams t * _TRIAL_STREAM_BLOCK + 1, ..., + n, all from one
@@ -247,7 +247,7 @@ def _bl_trial(args) -> dict:
     system = bounds.random_bl_system(seed, d, m, stream=base)
     factors = densities.random_product_density(seed, m, 3, 1e9, stream_base=base).factors
     fs = [f.shifted(-f.support_midpoint()) for f in factors]  # center so slabs overlap
-    lhs, rhs = bounds.bl_check(system, fs, tol)
+    lhs, rhs = bounds.bl_check(system, fs)
     return {
         "trial": t,
         "lhs": lhs,
@@ -259,7 +259,7 @@ def _bl_trial(args) -> dict:
 def _small_ball_trial(args) -> dict:
     seed, n, k, eps, samples, t = args
     base = t * _TRIAL_STREAM_BLOCK
-    f = _trial_density(seed, n, t, 1.0, 1.0)
+    (f,) = _trial_densities(seed, n, [t], 1.0, 1.0)
     e = grassmann.haar_sample(n, k, seed, stream=base + 513)
     z = e.basis.T @ f.support_midpoints()
     est, se, bound = marginals.small_ball(f, e, z, eps, samples, seed, stream=base + 514)
@@ -276,15 +276,21 @@ def _small_ball_trial(args) -> dict:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _finish(ns, config: dict, records: list, failures: list, summary: dict) -> int:
-    report = build_report(config, records, failures, summary)
-    out = getattr(ns, "out", None)
+def _finish(ns, config: dict, records: list, failures: list, summary: dict, curve=None) -> int:
+    """Write curve, (rows, header), to --csv-out where both are set, then
+    the report to --out where it is set, and print the console line; 0 with
+    no failures, else 1."""
+    csv_out, out = getattr(ns, "csv_out", None), getattr(ns, "out", None)
+    if csv_out and curve:
+        try:
+            emit_curve(curve[0], csv_out, header=curve[1])
+        except OSError as exc:
+            raise OSError(f"cannot write CSV: {exc}") from exc
     if out:
         try:
-            write_json_atomic(out, report)
+            write_json_atomic(out, build_report(config, records, failures, summary))
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 3
+            raise OSError(f"cannot write report: {exc}") from exc
     status = "PASS" if not failures else "FAIL"
     print(
         f"{ns.subcommand}: {status} ({len(records)} records, {len(failures)} failures)"
@@ -292,15 +298,20 @@ def _finish(ns, config: dict, records: list, failures: list, summary: dict) -> i
     return 0 if not failures else 1
 
 
-def _read_json_file(kind, path: str, what: str):
-    """kind.from_json_file(path), or None after an "error: cannot read"
-    line naming the file, where it cannot be opened or holds no JSON text
-    (exit 3: an I/O failure, not a bad flag)."""
+def _load_json(path: str):
+    """The JSON value of the UTF-8 file at path: OSError where it cannot be
+    opened, ValueError where it is not UTF-8 or holds no JSON text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read_input(path: str, what: str):
+    """_load_json(path), or an OSError naming the file where that fails: an
+    input that cannot be read is an I/O failure, not a bad flag."""
     try:
-        return kind.from_json_file(path)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {what} file {path}: {exc}", file=sys.stderr)
-        return None
+        return _load_json(path)
+    except (OSError, ValueError) as exc:
+        raise OSError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def cmd_verify(ns) -> int:
@@ -340,13 +351,11 @@ def cmd_sections(ns) -> int:
     record: dict = {"mode": ns.mode, "sides": list(ns.sides)}
     if ns.mode in ("exact", "sinc"):
         if ns.normal is None:
-            print("error: --normal is required for exact/sinc modes", file=sys.stderr)
-            return 2
+            raise ValueError("--normal is required for exact/sinc modes")
         a = np.array(ns.normal)
         norm = np.linalg.norm(a)
         if norm == 0.0:
-            print("error: --normal must not be the zero vector", file=sys.stderr)
-            return 2
+            raise ValueError("--normal must not be the zero vector")
         a = a / norm
         if ns.mode == "exact":
             value = sections.hyperplane_section_exact(box, a)
@@ -355,11 +364,8 @@ def cmd_sections(ns) -> int:
         record.update({"normal": a.tolist(), "value": value})
     else:
         if ns.subspace_file is None:
-            print("error: --subspace-file is required for quadrature/mc modes", file=sys.stderr)
-            return 2
-        h = _read_json_file(grassmann.Subspace, ns.subspace_file, "subspace")
-        if h is None:
-            return 3
+            raise ValueError("--subspace-file is required for quadrature/mc modes")
+        h = grassmann.Subspace.from_json_dict(_read_input(ns.subspace_file, "subspace"))
         if ns.mode == "quadrature":
             value = sections.section_quadrature(box, h)
             record.update({"value": value})
@@ -373,9 +379,8 @@ def cmd_sections(ns) -> int:
 def cmd_ball_integral(ns) -> int:
     if ns.steps == 1 and ns.p_max != ns.p_min:
         # one step evaluates --p-min alone, while the config records --p-max
-        print("error: --steps 1 evaluates --p-min alone; pass --steps >= 2 or "
-              "--p-max equal to --p-min", file=sys.stderr)
-        return 2
+        raise ValueError("--steps 1 evaluates --p-min alone; pass --steps >= 2 or "
+                         "--p-max equal to --p-min")
     ps = np.linspace(ns.p_min, ns.p_max, ns.steps)
     rows = []
     records = []
@@ -391,15 +396,10 @@ def cmd_ball_integral(ns) -> int:
         records.append(rec)
         if not rec["pass"]:
             failures.append(p)
-    if ns.csv_out:
-        try:
-            emit_curve(rows, ns.csv_out, header=("p", "integral", "bound", "margin"))
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-            return 3
     config = {"subcommand": "ball-integral", "p_min": ns.p_min, "p_max": ns.p_max,
               "steps": ns.steps, "tol": ns.tol}
-    return _finish(ns, config, records, failures, {"min_margin": min(r["margin"] for r in records)})
+    return _finish(ns, config, records, failures, {"min_margin": min(r["margin"] for r in records)},
+                   curve=(rows, ("p", "integral", "bound", "margin")))
 
 
 def cmd_bl_check(ns) -> int:
@@ -423,12 +423,9 @@ def cmd_bl_check(ns) -> int:
 
 def cmd_average(ns) -> int:
     if ns.density:
-        f = _read_json_file(densities.ProductDensity, ns.density, "density")
-        if f is None:
-            return 3
+        f = densities.ProductDensity.from_json_dict(_read_input(ns.density, "density"))
         if f.n != ns.n:
-            print("error: density dimension does not match --n", file=sys.stderr)
-            return 2
+            raise ValueError("density dimension does not match --n")
         rec = average.prop_avg_check(f, ns.k, ns.samples, seed=ns.seed)
         failures = [] if rec["pass"] else ["prop-avg"]
         summary = {"lhs": rec["lhs"], "rhs": rec["rhs"]}
@@ -446,8 +443,7 @@ def cmd_average(ns) -> int:
 def cmd_grinberg(ns) -> int:
     diag = list(ns.diag)
     if len(diag) != ns.n:
-        print("error: --diag must have n entries", file=sys.stderr)
-        return 2
+        raise ValueError("--diag must have n entries")
     rec = average.grinberg_check(diag, ns.n, ns.k, ns.samples, seed=ns.seed)
     failures = [] if rec["pass"] else ["grinberg"]
     config = {"subcommand": "grinberg", "n": ns.n, "k": ns.k, "diag": diag,
@@ -460,17 +456,11 @@ def cmd_small_ball(ns) -> int:
     args = [(ns.seed, ns.n, ns.k, ns.eps, ns.samples, t) for t in range(ns.trials)]
     records = _pmap(_small_ball_trial, args, ns.workers)
     failures = [r["trial"] for r in records if not r["pass"]]
-    if ns.csv_out:
-        rows = [(r["trial"], r["estimate"], r["bound"]) for r in records]
-        try:
-            emit_curve(rows, ns.csv_out, header=("trial", "estimate", "bound"))
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-            return 3
     config = {"subcommand": "small-ball", "n": ns.n, "k": ns.k, "eps": ns.eps,
               "samples": ns.samples, "trials": ns.trials, "seed": ns.seed}
     summary = {"max_estimate": max(r["estimate"] for r in records)}
-    return _finish(ns, config, records, failures, summary)
+    curve = ([(r["trial"], r["estimate"], r["bound"]) for r in records], ("trial", "estimate", "bound"))
+    return _finish(ns, config, records, failures, summary, curve=curve)
 
 
 def cmd_search_max(ns) -> int:
@@ -489,14 +479,14 @@ def cmd_search_max(ns) -> int:
                 lost = np.isnan(exc.values)
                 unscored += int(lost.sum())
                 return np.where(lost, -math.inf, exc.values)
-    elif n - k <= 3:
+    elif n - k <= slabgeom.MAX_BLOCK:
         cube = [sections.box_pieces(sections.unit_cube(n))]
 
         def objective(bases):
             # section_quadrature's value of each complement, all in one call
             return slabgeom.sums_at_zero(grassmann.complement_bases(bases), cube)[0]
     else:
-        raise slabgeom.BlockTooWideError("search-max needs k = 1 or n - k <= 3")
+        raise slabgeom.BlockTooWideError(f"search-max needs k = 1 or n - k <= {slabgeom.MAX_BLOCK}")
     best, value = grassmann.grassmann_search_max(
         objective, n, k, ns.restarts, ns.steps, ns.seed
     )
@@ -528,12 +518,10 @@ def cmd_densities_validate(ns) -> int:
     for path in ns.files:
         rec: dict = {"path": path}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _load_json(path)
         except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 3
-        except json.JSONDecodeError as exc:
+            raise OSError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or no JSON text
             rec.update({"valid": False, "error": f"invalid JSON: {exc}"})
             records.append(rec)
             failures.append(path)
@@ -572,55 +560,26 @@ def _floats_csv(text: str) -> list:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _number(convert, accept, expected: str):
+    """The argparse type that reads convert(text) where accept holds of it,
+    and is the usage error "expected {expected}, got {text!r}" otherwise."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _haar_samples(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < average.MIN_SAMPLES:
-        raise argparse.ArgumentTypeError(f"expected a positive integer >= {average.MIN_SAMPLES}, got {text!r}")
-    return value
-
-
-def _sinc_power(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 2.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 2, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    # randomness keeps only the low 64 bits, so a wider seed would alias
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+_haar_samples = _number(int, lambda v: v >= average.MIN_SAMPLES, f"a positive integer >= {average.MIN_SAMPLES}")
+_sinc_power = _number(float, lambda v: math.isfinite(v) and v >= 2.0, "a finite number >= 2")
+# randomness keeps only the low 64 bits, so a wider seed would alias
+_seed = _number(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
 
 
 def _sup_range(text: str) -> tuple:
@@ -744,13 +703,11 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = ns.func(ns)
-    except (slabgeom.BlockTooWideError, RouteLimitError, ToleranceError) as exc:
-        # valid flags, but the route cannot deliver a certified value
+    except (ValueError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (slabgeom.BlockTooWideError, RouteLimitError, ToleranceError)):
+            return 1  # valid flags, but the route cannot deliver a certified value
+        return 2 if isinstance(exc, ValueError) else 3  # bad flags, or I/O
     print(f"elapsed: {1000.0 * (time.monotonic() - t0):.0f} ms", file=sys.stderr)
     return code
 

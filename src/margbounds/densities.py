@@ -7,7 +7,6 @@ small-dimension polytope volumes, which keeps all oracles exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -165,11 +164,6 @@ class StepDensity:
             raise DensityFormatError('invariant violated: expected {"pieces": [[lo, hi, value], ...]}')
         return cls(data["pieces"])
 
-    @classmethod
-    def from_json_file(cls, path) -> "StepDensity":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def uniform_density(lo: float = -0.5, hi: float = 0.5) -> StepDensity:
     return StepDensity([(lo, hi, 1.0 / (hi - lo))])
@@ -246,11 +240,6 @@ class ProductDensity:
         if not (isinstance(data, dict) and isinstance(data.get("factors"), list) and data["factors"]):
             raise DensityFormatError('invariant violated: expected {"factors": [...]}')
         return cls([StepDensity.from_json_dict(d) for d in data["factors"]])
-
-    @classmethod
-    def from_json_file(cls, path) -> "ProductDensity":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def cube_density(n: int) -> ProductDensity:

@@ -8,7 +8,6 @@ every marginal and section computation in the package.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,11 +67,6 @@ class Subspace:
             raise ValueError('invariant violated: expected {"basis_rows": [[...], ...]}')
         basis = np.asarray(data["basis_rows"], dtype=float)
         return cls(basis)
-
-    @classmethod
-    def from_json_file(cls, path) -> "Subspace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
     @classmethod
     def coordinate(cls, n: int, indices) -> "Subspace":

@@ -9,9 +9,9 @@ frame turns into
 with w_i the rows of an orthonormal basis of E-perp and x_i the ambient
 coordinates of x.  For step factors this is a finite sum of slab-intersection
 volumes, so the deterministic route is exact.  It needs every orthogonal
-block of the frame rows to span at most 3 dimensions (always true for
-n - k <= 3); a wider one raises slabgeom.BlockTooWideError, with no
-fallback.  On top sit the theorem verifier, the one-dimensional worst-case
+block of the frame rows to span at most slabgeom.MAX_BLOCK dimensions
+(always true for n - k <= MAX_BLOCK); a wider one raises
+slabgeom.BlockTooWideError, with no fallback.  On top sit the theorem verifier, the one-dimensional worst-case
 (cube) comparison, and the small-ball estimator.
 """
 
@@ -26,6 +26,7 @@ import numpy as np
 from . import bounds, randomness, slabgeom
 from .densities import ProductDensity
 from .grassmann import Subspace, check_orthonormal, complement_bases, orthonormal_complement
+from .quadrature import RouteLimitError
 from .sections import hyperplane_section_exact, unit_cube
 
 _GRID_BUDGET = 400_000
@@ -95,8 +96,9 @@ def marginal_at(q: MarginalQuery) -> float:
 
     Factors whose frame vector vanishes contribute the constant f_i(x_i);
     the rest integrate exactly over the orthogonal blocks of the frame rows.
-    Requires every irreducible block to span at most 3 dimensions (always
-    true for n - k <= 3); otherwise raises slabgeom.BlockTooWideError.
+    Requires every irreducible block to span at most slabgeom.MAX_BLOCK
+    dimensions (always true for n - k <= MAX_BLOCK); otherwise raises
+    slabgeom.BlockTooWideError.
     """
     return _slab_sum(q.f, q.e).value(q.ambient_shifts())
 
@@ -162,7 +164,8 @@ def marginal_grid_sups(problems) -> list[float]:
     problem: the first maximum of a scan wins, refinement stops once the
     gain drops below its tol (a stencil with no point above the running
     best gains at most 0), and there are at most 40 halvings.  Each slab sum
-    takes its own scale (slabgeom.unit_scale).
+    takes its own scale (slabgeom.unit_scale).  A grid of more than
+    _GRID_BUDGET points raises RouteLimitError before its group runs.
     """
     sups, group, points = [], [], 0
     for problem in problems:
@@ -173,7 +176,7 @@ def marginal_grid_sups(problems) -> list[float]:
             raise ValueError("tol must be positive")
         offs = _axis_offsets(grid_radius, grid_step)
         if offs.size**e.k > _GRID_BUDGET:
-            raise ValueError(
+            raise RouteLimitError(
                 f"grid budget exceeded: {offs.size}^{e.k} points (limit {_GRID_BUDGET})"
             )
         if group and points + offs.size**e.k > slabgeom.LANE_CAP:

@@ -3,9 +3,9 @@
 Four routes with very different failure modes, used to cross-validate each
 other: an exact signed-sum formula for hyperplane sections (the density of a
 weighted sum of uniforms), an oscillatory Fourier (sinc-product) route, the
-exact slab kernels in the section coordinates for dimensions up to three, and
-the slab sum's stratified Monte Carlo (slabgeom.SlabSum.mc) for higher
-dimensions.
+exact slab kernels in the section coordinates for dimensions up to
+slabgeom.MAX_BLOCK, and the slab sum's stratified Monte Carlo
+(slabgeom.SlabSum.mc) for higher dimensions.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def section_quadrature(box: Box, h: Subspace) -> float:
     The section in the orthonormal coordinates of H is the slab intersection
     { y : |<y, w_i>| <= z_i/2 } with w_i the rows of H's basis; its volume is
     computed exactly provided every irreducible orthogonal block of the slab
-    system has dimension <= 3.  Higher-dimensional irreducible sections must
+    system has dimension <= slabgeom.MAX_BLOCK.  Wider irreducible sections must
     go through section_mc.
     """
     if h.n != box.n:

@@ -4,7 +4,7 @@ A slab system { y in R^d : lo_i <= <w_i, y> <= hi_i } whose rows split into
 groups with mutually orthogonal spans factorizes: the volume is the product
 of the per-group volumes in their span coordinates (the frame's own for one
 group).  Since the rows always form a tight frame here, the group spans
-cover R^d, and each group of span dimension <= 3 is handled exactly.
+cover R^d, and each group of span dimension <= MAX_BLOCK is handled exactly.
 
 A product of step functions composed with the rows integrates to a sum over
 piece combinations of weight x slab-intersection volume: SlabSum holds that
@@ -303,7 +303,8 @@ class SlabSum:
     @functools.cached_property
     def blocks(self) -> list[tuple[np.ndarray, SlabBlock]]:
         """(row indices, slab block) per orthogonal block of the active rows,
-        with unshifted piece bounds; raises BlockTooWideError beyond 3-D.
+        with unshifted piece bounds; raises BlockTooWideError beyond
+        MAX_BLOCK dimensions.
         framed_slab_sums sets it for the frames of one block."""
         out = []
         for comp, local in component_blocks(self.rows[self.active_rows]):

@@ -106,7 +106,7 @@ def test_acceptance_04_main_theorem_suite():
     for t in range(500):
         n, k = configs[t % len(configs)]
         sup_lo, sup_hi = (1.0, 1.0) if t % 2 == 0 else (0.5, 4.0)
-        f = cli._trial_density(404, n, t, sup_lo, sup_hi)
+        f = cli._trial_densities(404, n, [t], sup_lo, sup_hi)[0]
         cases.append((f, haar_sample(n, k, 404, stream=t * 1024 + 513)))
     violations = sum(not rec["pass"] for rec in marginals.verify_main_theorems(cases, tol=1e-4))
     _line(4, "marginal sup vs product bound (500 trials)", violations == 0)
@@ -140,7 +140,7 @@ def test_acceptance_06_rogozin():
     ok = True
     for t in range(200):
         n = 2 + t % 3  # n in {2, 3, 4}
-        f = cli._trial_density(606, n, t, 1.0, 1.0)
+        f = cli._trial_densities(606, n, [t], 1.0, 1.0)[0]
         theta = haar_directions(n, 1, 606, stream=t * 1024 + 513)[0]
         sup_lb, cs = marginals.rogozin_check(f, theta, tol=1e-4)
         ok &= sup_lb <= cs * (1.0 + 1e-4)

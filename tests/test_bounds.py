@@ -172,11 +172,6 @@ def test_ball_integral_uncertified_quadrature_is_a_tolerance_error(monkeypatch):
     assert info.value.achieved > (2.0 / math.pi) * 1e-3
 
 
-def test_bl_check_rejects_nan_tolerance():
-    with pytest.raises(ValueError, match="tol must be positive"):
-        bl_check(mercedes_system(), [GaussianDensity()] * 3, tol=math.nan)
-
-
 def test_frame_constant_check_sharp_case():
     # block frame: norms sqrt((n-k)/n) repeated, product equals the bound
     e = sharp_block_subspace(6, 3)

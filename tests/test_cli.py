@@ -793,6 +793,37 @@ def test_unreadable_input_files_are_io_failures_that_name_the_file(tmp_path, cap
     assert not out.exists()
 
 
+def test_densities_validate_records_an_undecodable_file_as_invalid(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "r.json"
+    assert run(["densities-validate", str(path), "--out", str(out)]) == 1
+    (rec,) = json.loads(out.read_text())["records"]
+    assert rec["valid"] is False
+    assert rec["error"].startswith("invalid JSON: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball-integral", "--p-min", "2", "--p-max", "3", "--steps", "2"],
+    ["small-ball", "--n", "2", "--k", "1", "--samples", "1000", "--trials", "1"],
+], ids=["ball-integral", "small-ball"])
+def test_an_unwritable_curve_exits_3_before_the_report(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    csv_path = tmp_path / "missing" / "c.csv"
+    assert run(argv + ["--csv-out", str(csv_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write CSV: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_over_budget_grid_is_a_failure_not_a_usage_error(capsys, monkeypatch):
+    # valid flags: 5^9 grid points exceed the budget before any grid work
+    monkeypatch.setattr(cli.marginals, "_lockstep_grid_sups", None)
+    assert run(["verify", "--n", "10", "--k", "9", "--trials", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: grid budget exceeded: 5^9 points (limit 400000)\n"
+
+
 def test_block_too_wide_is_a_failure_not_a_usage_error(capsys):
     # n - k = 6: the complement frame forms one irreducible 6-D block
     assert run(["verify", "--n", "8", "--k", "2", "--trials", "1"]) == 1
@@ -1070,11 +1101,11 @@ def test_batched_trial_frames_keep_the_bytes(base, tmp_path):
     n = int(base[2])
     if base[0] == "verify":
         k = int(base[4])
-        cases = [(cli._trial_density(6, n, t, *sup),
+        cases = [(cli._trial_densities(6, n, [t], *sup)[0],
                   margbounds.grassmann.haar_sample(n, k, 6, stream=t * cli._TRIAL_STREAM_BLOCK + 513)) for t in range(9)]
         want = [margbounds.marginals.verify_main_theorems([case])[0]["sup_lower_bound"] for case in cases]
     else:
-        cases = [(cli._trial_density(6, n, t, 1.0, 1.0),
+        cases = [(cli._trial_densities(6, n, [t], 1.0, 1.0)[0],
                   margbounds.grassmann.haar_directions(n, 1, 6, stream=t * cli._TRIAL_STREAM_BLOCK + 513)[0])
                  for t in range(9)]
         want = [margbounds.marginals.rogozin_checks([case])[0][0] for case in cases]
@@ -1143,6 +1174,6 @@ def test_chunk_densities_match_the_per_trial_draws(n, seed, first, count, sup):
     for t, pieces in zip(trials, want):
         if pieces is None:
             with pytest.raises(RouteLimitError, match=reason):
-                cli._trial_density(seed, n, t, *sup)
+                cli._trial_densities(seed, n, [t], *sup)
         else:
-            assert [f.pieces for f in cli._trial_density(seed, n, t, *sup).factors] == pieces
+            assert [f.pieces for f in cli._trial_densities(seed, n, [t], *sup)[0].factors] == pieces

@@ -10,8 +10,9 @@ import json
 import math
 
 import pytest
+from exact_slab_volume import exact_slab_volume
 
-from margbounds import cli
+from margbounds import cli, densities, grassmann, marginals, slabgeom
 
 
 def _report(tmp_path, argv):
@@ -42,6 +43,33 @@ def test_search_max_at_k_1_stays_below_balls_bound(tmp_path):
     code, report = _report(tmp_path, ["search-max", "--n", "5", "--k", "1", "--restarts", "3",
                                       "--steps", "1000", "--seed", "1"])
     assert report["records"][0]["best_value"] <= math.sqrt(2.0) * (1.0 + 1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1(b)")
+def test_search_max_at_k_2_matches_the_rational_section(tmp_path):
+    # the climb ends among nearly parallel slab rows, where the 3-D kernel
+    # reads about 2.75e-9 relative high; the subspace moves with the BLAS
+    # kernel, so the oracle is taken at whichever one the run reports
+    code, report = _report(tmp_path, ["search-max", "--n", "5", "--k", "2", "--restarts", "3",
+                                      "--steps", "1000", "--seed", "1"])
+    record = report["records"][0]
+    rows = grassmann.orthonormal_complement(grassmann.Subspace.from_json_dict(record["subspace"])).basis
+    exact = float(exact_slab_volume(rows, [-0.5] * 5, [0.5] * 5))
+    assert abs(record["best_value"] - exact) <= 1e-14 * exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 14")
+def test_slab_sum_mc_does_not_claim_zero_for_a_positive_6d_value():
+    # a k = 1 marginal at n = 7: its 6-D integrand is positive at the
+    # support midpoints, yet no point of the sampling cube hits its support
+    f = densities.random_product_density(1, 7)
+    e = grassmann.haar_sample(7, 1, 1, stream=513)
+    mids = f.support_midpoints()
+    if not math.prod(slabgeom.step_value(fi.pieces, m) for fi, m in zip(f.factors, mids)) > 0.0:
+        pytest.fail("the integrand vanishes at the support midpoints")
+    shifts = marginals.MarginalQuery(f, e, e.basis.T @ mids).ambient_shifts()
+    estimate, std_error = marginals._slab_sum(f, e).mc(shifts, 20_000, 1)
+    assert (estimate, std_error) != (0.0, 0.0)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
