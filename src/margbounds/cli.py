@@ -576,7 +576,10 @@ def _number(convert, accept, expected: str):
 
 _positive_int = _number(int, lambda v: v >= 1, "a positive integer")
 _positive_float = _number(float, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
-_haar_samples = _number(int, lambda v: v >= average.MIN_SAMPLES, f"a positive integer >= {average.MIN_SAMPLES}")
+# the fewest samples of a Haar average or a small-ball estimate, and of a
+# Monte Carlo section
+_many_samples = _number(int, lambda v: v >= average.MIN_SAMPLES, f"a positive integer >= {average.MIN_SAMPLES}")
+_mc_samples = _number(int, lambda v: v >= sections.MIN_MC_SAMPLES, f"a positive integer >= {sections.MIN_MC_SAMPLES}")
 _sinc_power = _number(float, lambda v: math.isfinite(v) and v >= 2.0, "a finite number >= 2")
 # randomness keeps only the low 64 bits, so a wider seed would alias
 _seed = _number(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
@@ -624,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sides", type=_floats_csv, required=True)
     p.add_argument("--normal", type=_floats_csv, default=None)
     p.add_argument("--subspace-file", type=str, default=None)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--samples", type=_mc_samples, default=100000)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     common(p, workers=False)
     p.set_defaults(func=cmd_sections, workers=1)
@@ -649,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="Grassmannian average of marginal powers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=_haar_samples, default=100000)
+    p.add_argument("--samples", type=_many_samples, default=100000)
     p.add_argument("--density", type=str, default=None,
                    help="product density JSON; runs the paired comparison")
     common(p, workers=False)
@@ -659,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--diag", type=_floats_csv, required=True)
-    p.add_argument("--samples", type=_haar_samples, default=100000)
+    p.add_argument("--samples", type=_many_samples, default=100000)
     common(p, workers=False)
     p.set_defaults(func=cmd_grinberg, workers=1)
 
@@ -667,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_positive_float, default=0.05)
-    p.add_argument("--samples", type=_positive_int, default=20000)
+    p.add_argument("--samples", type=_many_samples, default=20000)
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--csv-out", type=str, default=None)
     common(p)

@@ -5,11 +5,12 @@ The geometric kernels compute the volume of a slab intersection
 boundedness (the w_i always contain a spanning subset coming from a tight
 frame) and strip zero rows beforehand.  The 2-D kernel takes a lane of
 three rows in closed form, the integral of a two-direction box spline over
-the third row's slab (_three_row_areas, which states its rounding bound),
-and clips a seed parallelogram for four rows or more; the 3-D kernel sums
-(1/3) h |F| over the facets F, each a 2-D slab system (of three rows for a
-four-row lane), after merging rows parallel within _PARALLEL_SINE (see
-_polytope_volumes for its rounding bound).
+the third row's slab (_three_row_areas), a lane of four rows by Lasserre's
+edge sum over the seed rectangle cut by two slabs (_four_row_areas), each
+with its rounding bound, and clips a seed parallelogram for five rows or
+more; the 3-D kernel sums (1/3) h |F| over the facets F, each a 2-D slab
+system of one row fewer, after merging rows parallel within _PARALLEL_SINE
+(see _polytope_volumes for its rounding bound).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
 index (L,) and the bounds (L, m) of its L lanes:
@@ -174,7 +175,7 @@ class ClipTables(NamedTuple):
     seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
     clip: np.ndarray  # (K, 2 (m - 2), 2): the clip normals, x and y
-    third: np.ndarray  # (K, 3) if m = 3, else (K, 0): alpha, beta and 1/|det|
+    third: np.ndarray  # (K, 3) at m = 3, (K, 5) at m = 4, else (K, 0): alphas, betas, 1/|det|
 
 
 def _clip_tables(frames) -> ClipTables:
@@ -186,7 +187,9 @@ def _clip_tables(frames) -> ClipTables:
     order; the clip normals, the other rows' in that order, each as itself
     (the hi side) and negated (the -lo side).  A three-row frame also gets
     its third row in seed coordinates, <w_2, y> = alpha u + beta v for u =
-    <w_i0, y> and v = <w_i1, y>, and 1/|det|, which _three_row_areas takes."""
+    <w_i0, y> and v = <w_i1, y>, and 1/|det|, which _three_row_areas takes;
+    a four-row frame its rows 2 and 3 so, alpha_2, alpha_3, beta_2, beta_3
+    and 1/|det|, from compensated products, for _four_row_areas."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -206,12 +209,40 @@ def _clip_tables(frames) -> ClipTables:
     normals = frames[ks[:, None], order[:, 2:]]  # (K, m - 2, 2)
     clip = np.stack([normals, -normals], axis=2).reshape(count, 2 * (m - 2), 2)
     third = np.empty((count, 0))
+    a00, a01, a10, a11 = seed[:, :4].T
     if m == 3:
-        a00, a01, a10, a11 = seed[:, :4].T
         x, y = normals[:, 0].T
         d = np.where(ok, det, 1.0)
         third = np.column_stack([(x * a11 - y * a10) / d, (a00 * y - a01 * x) / d, 1.0 / np.abs(d)])
+    elif m == 4:
+        (x2, x3), (y2, y3) = normals.T
+        # det, then x a11 - y a10 and a00 y - a01 x of rows 2 and 3
+        det = _product_difference(np.stack([a00, x2, x3, a00, a00]), np.stack([a11, a11, a11, y2, y3]),
+                                  np.stack([a01, y2, y3, a01, a01]), np.stack([a10, a10, a10, x2, x3]))
+        d = np.where(ok, det[0], 1.0)
+        third = np.column_stack([*(det[1:] / d), 1.0 / np.abs(d)])
     return ClipTables(ok, seed, order, clip, third)
+
+
+def _two_product(a, b):
+    """fl(a b) and its rounding error a b - fl(a b), exactly (Dekker 1971,
+    without an fma: each factor split into two halves of 26 bits)."""
+    product = a * b
+    a = (a, 134217729.0 * a)
+    b = (b, 134217729.0 * b)
+    a1, b1 = a[1] - (a[1] - a[0]), b[1] - (b[1] - b[0])
+    a2, b2 = a[0] - a1, b[0] - b1
+    return product, a2 * b2 - (((product - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _product_difference(a, b, c, d):
+    """a b - c d from its exact products, summed once more (Ogita, Rump and
+    Oishi's Dot2): within u of the difference, plus 2 u^2 (|a b| + |c d|),
+    where the plain difference loses u (|a b| + |c d|)."""
+    p, ep = _two_product(a, b)
+    q, eq = _two_product(c, d)
+    s, es = _two_sum(p, -q)
+    return s + (es + (ep - eq))
 
 
 class PolygonTables(NamedTuple):
@@ -246,8 +277,9 @@ def polygon_tables(frames) -> PolygonTables:
 # few unit roundoffs of that product of the exact ones, and it keeps only
 # what lies within eps = 1e-14 (1 + the corners' largest 1-norm) <= 1e-14
 # times that scale of each side: it would clip such a lane to 0.0 as well.
-# For three rows the closed form gives exactly 0.0 there: the third slab
-# misses the trapezoid by far more than its roundings (_three_row_areas)
+# For three and four rows the closed forms give exactly 0.0 there: the slab
+# misses the rectangle by far more than their roundings (_three_row_areas,
+# _four_row_areas)
 _CLIP_MARGIN = 1e-9
 
 
@@ -378,6 +410,187 @@ def _three_row_areas(third, lo, hi):
     return w0
 
 
+# a four-row lane of at most this share of its seed rectangle's area gives
+# 0.0, so a facet that is a point or a segment in exact arithmetic stays
+# 0.0 (the roundings of the tests' degenerate integer facets leave a few u)
+_SLIVER = 2.0**-48
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _four_row_areas(third, lo, hi, merged):
+    """Area of each four-row lane: lo and hi (4, L) the bounds of the seed
+    rows i0, i1 and rows 2 and 3, third (5, L) its frame's alpha_2,
+    alpha_3, beta_2, beta_3 and 1/|det|, merged (L,) true for the lanes
+    that _merged_four_rows takes.
+
+    In s, t with <w_i0, y> = (lo_0 + hi_0 + s w_0) / 2 and <w_i1, y> =
+    (lo_1 + hi_1 + t w_1) / 2 (w = hi - lo) the lane is the square [-1,
+    1]^2, of area 4 for S = w_0 w_1 / |det|, cut by the slabs L_j <= p_j s
+    + q_j t <= H_j of rows 2 and 3: p = alpha w_0, q = beta w_1, L_j = 2
+    lo_j - gamma_j, H_j = 2 hi_j - gamma_j, gamma_j = alpha_j (lo_0 + hi_0)
+    + beta_j (lo_1 + hi_1) (hi_j < lo_j counts as hi_j = lo_j).  Twice its
+    area is Lasserre's sum about the corner (-1, -1): 2 |F| over the edges
+    t = 1 and s = 1, and +-(b + p + q) |F| / |q| or / |p| over each line p
+    s + q t = b, |F| the length of its edge along its axis, s or t.  Each
+    edge runs between the line's crossings with the edges across its axis,
+    within the other row's slab, in [-1, 1]: a fixed handful of (L,)
+    operations, no sort and no clip.
+
+    A line runs along s where |q| >= |p|, else along t; row 3 takes row 2's
+    axis unless that is more than twice as steep for it, so rows within 18
+    degrees share their axis.  Each crossing is computed once, and every
+    line through it reads its own axis coordinate of that one point: two
+    lines theta apart share their corner however badly it lies along them
+    (within u / theta), and moving a corner of angle pi - theta by e along
+    its edges moves the area by about e theta times their lengths, so a
+    small theta costs nothing.  _clip_tables builds alpha, beta and det from
+    compensated products, so a row near a seed row costs nothing either.  A
+    zero row (a facet's merged row) has no lines: its slab holds the plane,
+    or the lane is empty.  Lanes whose rows 2 or 3 are exactly parallel to a
+    seed row or to each other, or both zero, take _merged_four_rows, so no
+    determinant of 0 divides.  A lane of at most _SLIVER S gives 0.0.
+
+    Rounding, to first order in u = 2^-53: the error is at most 96 u S (1 +
+    E_2 / M_2 + E_3 / M_3), E_j and M_j as _three_row_areas defines E and M
+    with row j as the third row (no term for a zero row).  The roundings of
+    alpha, beta, gamma, L and H move each line by at most 6 u (E_j + M_j) in
+    b, so by 6 u (E_j / M_j + 1) across the square, whose chords are at
+    most 2 sqrt(2) long; S adds 6 u; the sum of six terms of at most 16 and
+    the crossings add 24 u S, and _SLIVER 32 u S.  Merged lanes take
+    _three_row_areas' bound on the merged system.
+    """
+    if merged.any():
+        out = np.empty(lo.shape[1])
+        out[merged] = _merged_four_rows(third[:, merged], lo[:, merged], hi[:, merged])
+        keep = ~merged
+        if keep.any():
+            out[keep] = _four_row_areas(third[:, keep], lo[:, keep], hi[:, keep], merged[keep])
+        return out
+    alpha, beta, rdet = third[:2], third[2:4], third[4]
+    zero = (alpha == 0.0) & (beta == 0.0)  # (2, L): a facet's merged row
+    has_zero = zero.any()
+    if has_zero:  # its slab holds the plane, or the lane is empty
+        empty = (zero & ((lo[2:] > 0.0) | (hi[2:] < 0.0))).any(axis=0)
+        lo, hi = lo.copy(), hi.copy()
+        lo[2:] = np.where(zero, -np.inf, lo[2:])
+        hi[2:] = np.where(zero, np.inf, hi[2:])
+    count = lo.shape[1]
+    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+    p, q = alpha * w0, beta * w1  # (2, L): rows 2 and 3
+    gamma = alpha * (lo[0] + hi[0])
+    gamma += beta * (lo[1] + hi[1])
+    bnd = np.empty((2, 2, count))  # (side, row, L): L and H
+    np.add(lo[2:], lo[2:], out=bnd[0])
+    hi2 = np.maximum(hi[2:], lo[2:])
+    np.add(hi2, hi2, out=bnd[1])
+    bnd -= gamma
+    # each row's axis (see above), True for s
+    ap, aq = np.abs(p), np.abs(q)
+    along = np.empty((2, count), dtype=bool)
+    np.greater_equal(aq[0], ap[0], out=along[0])
+    along[1] = np.where(along[0], aq[1] + aq[1] >= ap[1], ap[1] + ap[1] < aq[1])
+    # (edge, side, row, L): each line's crossing with the edge t = 1 (its
+    # s) and s = 1 (its t); its crossing with the edge across the other end
+    # of its axis; and the s or t of the crossing of row 2's line a with
+    # row 3's line c, (a, c, L)
+    rp, rq = 1.0 / p, 1.0 / q
+    cross = np.empty((2, 2, 2, count))
+    np.subtract(bnd, q, out=cross[0])
+    cross[0] *= rp
+    np.subtract(bnd, p, out=cross[1])
+    cross[1] *= rq
+    far = bnd + np.where(along, q, p)
+    far *= np.where(along, rp, rq)
+    b2, b3 = bnd[:, None, 0], bnd[None, :, 1]
+    ps = b2 * q[1] - b3 * q[0]
+    pt = b3 * p[0] - b2 * p[1]
+    scale = 1.0 / ((alpha[0] * beta[1] - alpha[1] * beta[0]) * (w0 * w1))
+    ps *= scale
+    pt *= scale
+    # each line's interval along its axis (side, row, L): between its
+    # crossings with the edges across it, within the other row's slab, in
+    # [-1, 1]
+    near = np.where(along, cross[0], cross[1])
+    low, high = np.minimum(near, far), np.maximum(near, far)
+    point = np.where(along[0], ps, pt)
+    np.maximum(low[:, 0], np.minimum(point[:, 0], point[:, 1]), out=low[:, 0])
+    np.minimum(high[:, 0], np.maximum(point[:, 0], point[:, 1]), out=high[:, 0])
+    point = np.where(along[1], ps, pt)
+    np.maximum(low[:, 1], np.minimum(point[0], point[1]), out=low[:, 1])
+    np.minimum(high[:, 1], np.maximum(point[0], point[1]), out=high[:, 1])
+    np.maximum(low, -1.0, out=low)
+    np.minimum(high, 1.0, out=high)
+    high -= low
+    lines = np.maximum(high, 0.0, out=high)
+    # the edges t = 1 and s = 1 (edge, L): their intervals within the rows'
+    # slabs
+    low = np.minimum(cross[:, 0], cross[:, 1])  # (edge, row, L)
+    high = np.maximum(cross[:, 0], cross[:, 1])
+    edges = np.minimum(high[:, 0], high[:, 1])
+    np.minimum(edges, 1.0, out=edges)
+    low = np.maximum(low[:, 0], low[:, 1])
+    np.maximum(low, -1.0, out=low)
+    edges -= low
+    np.maximum(edges, 0.0, out=edges)
+    # Lasserre's sum about the corner (-1, -1)
+    bnd += p + q
+    bnd *= lines
+    terms = np.subtract(bnd[1], bnd[0], out=bnd[1])
+    terms /= np.where(along, aq, ap)
+    total = edges[0] + edges[1]
+    total += total
+    if has_zero:  # a zero row has no lines
+        terms[zero] = 0.0
+    total += terms[0]
+    total += terms[1]
+    total[total <= 8.0 * _SLIVER] = 0.0  # the whole square sums to 8
+    if has_zero:
+        total[empty] = 0.0
+    w0 *= w1
+    total[~(w0 > 0.0)] = 0.0
+    w0 *= rdet
+    w0 *= 0.125
+    total *= w0
+    return total
+
+
+def _merged_four_rows(third, lo, hi):
+    """_four_row_areas of lanes whose rows 2 or 3 are exactly parallel to a
+    seed row or to each other, or both zero: each such row j is kappa times
+    row r, a seed row (kappa = alpha_j or beta_j), row 2 (kappa = alpha_3 /
+    alpha_2) or zero, and its slab merges into r's, [lo_j, hi_j] / kappa (a
+    zero row keeps the lane if 0 lies in its slab, else the lane is empty);
+    the seed rows and the row left, or a zero row with bounds -1, 1, take
+    _three_row_areas, and a lane of at most _SLIVER S gives 0.0."""
+    alpha, beta, rdet = third[:2], third[2:4], third[4]
+    sliver = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * rdet)
+    lo, hi = lo.copy(), np.maximum(hi, lo)
+    zero = (alpha == 0.0) & (beta == 0.0)
+    empty = (zero & ((lo[2:] > 0.0) | (hi[2:] < 0.0))).any(axis=0)
+    seed0, seed1 = (beta == 0.0) & ~zero, (alpha == 0.0) & ~zero
+    left = ~(zero | seed0 | seed1)
+    row2 = left[0] & left[1]  # then alpha_2 beta_3 == alpha_3 beta_2
+    for j, into, kappa, hit in ((2, 0, alpha[0], seed0[0]), (2, 1, beta[0], seed1[0]), (3, 0, alpha[1], seed0[1]),
+                                (3, 1, beta[1], seed1[1]), (3, 2, alpha[1] / np.where(row2, alpha[0], 1.0), row2)):
+        kappa = np.where(hit, kappa, 1.0)
+        a, b = lo[j] / kappa, hi[j] / kappa
+        lo[into] = np.where(hit, np.maximum(lo[into], np.minimum(a, b)), lo[into])
+        hi[into] = np.where(hit, np.minimum(hi[into], np.maximum(a, b)), hi[into])
+    third = np.zeros((3, lo.shape[1]))
+    third[2] = rdet
+    rest = np.where(left[0], 2, 3)
+    keep = left[0] | left[1]
+    lanes = np.arange(lo.shape[1])
+    third[0] = np.where(keep, alpha[rest - 2, lanes], 0.0)
+    third[1] = np.where(keep, beta[rest - 2, lanes], 0.0)
+    lo3 = np.stack([lo[0], lo[1], np.where(keep, lo[rest, lanes], -1.0)])
+    hi3 = np.stack([hi[0], hi[1], np.where(keep, hi[rest, lanes], 1.0)])
+    empty |= (lo3 > hi3).any(axis=0)
+    out = _three_row_areas(third, lo3, hi3)
+    out[empty | (out <= sliver)] = 0.0
+    return out
+
+
 def _polygon_areas(tables, frame, lo, hi):
     """Area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
     for the rows w of frame[l], on tables, the ClipTables of frames (K, m,
@@ -386,9 +599,12 @@ def _polygon_areas(tables, frame, lo, hi):
     Three rows (m = 3): _three_row_areas, in closed form, on the seed rows
     i0, i1 and the frame's alpha, beta and 1/|det|; see there for its
     rounding bound.  The 2-D lanes of the paper's k = 1 marginals at n = 3,
-    and every facet of a four-row 3-D lane, are of this kind.
+    and every facet of a four-row 3-D lane, are of this kind.  Four rows (m
+    = 4): _four_row_areas, in closed form, on the same tables, with its own
+    bound; the lanes of k = 2 marginals at n = 4, and every facet of a
+    five-row 3-D lane, are of this kind.
 
-    Four rows or more: lane-wise Sutherland-Hodgman: the seed parallelogram
+    Five rows or more: lane-wise Sutherland-Hodgman: the seed parallelogram
     of the best-conditioned row pair, cut by the hi then -lo side of each
     other row in row order, each cut keeping the vertices within eps =
     1e-14 (1 + the seed corners' largest 1-norm) of its side; then the
@@ -399,13 +615,13 @@ def _polygon_areas(tables, frame, lo, hi):
     Every lane goes through the same floating-point operations in the same
     order, so its area does not depend on the other lanes.  What depends on
     the frame alone (the seed rows, their determinant, the degeneracy test,
-    the row order, alpha, beta and 1/|det|) is in its ClipTables; a
+    the row order, the alphas, betas and 1/|det|) is in its ClipTables; a
     degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
     row's slab by _CLIP_MARGIN is 0.0 without a clip, as the clip would
-    make it, and as the closed form gives exactly 0.0 there.  (The 3-D
+    make it, and as the closed forms give exactly 0.0 there.  (The 3-D
     facets call it directly: testing them too saved no measurable time on
     sup-grid.)
     """
@@ -419,7 +635,16 @@ def _polygon_areas(tables, frame, lo, hi):
     at = idx * lo.shape[1] + order[f].T
     lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
     if len(lo) == 3:
-        out[idx] = _three_row_areas(third.T[:, f], lo, hi)
+        out[idx] = _three_row_areas(third.T.take(f, axis=1), lo, hi)
+        return out
+    if len(lo) == 4:
+        # frames whose rows 2 or 3 are exactly parallel to a seed row or to
+        # each other, or both zero, take _merged_four_rows
+        a2, a3, b2, b3 = (third[:, j] == 0.0 for j in range(4))
+        z2, z3 = a2 & b2, a3 & b3
+        merged = ((a2 ^ b2) | (a3 ^ b3) | (z2 & z3)
+                  | ((third[:, 0] * third[:, 3] == third[:, 1] * third[:, 2]) & ~(z2 | z3)))[f]
+        out[idx] = _four_row_areas(third.T.take(f, axis=1), lo, hi, merged)
         return out
     steps = clip.shape[1]
     a00, a01, a10, a11, det = seed.T[:, f]
@@ -649,10 +874,13 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     seed cell, R its largest distance from c; so each merged row changes
     the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
     section.  Otherwise each term carries _polygon_areas' error times |h|:
-    a four-row lane's facets have three rows and take the closed form's
-    bound (_three_row_areas), wider facets the clip's tolerance, 1e-14 times
-    the facet's coordinate scale, per unit of the facet's perimeter; the
-    projections and the sum add O(m u) of sum |h| |F|.
+    a four-row lane's facets have three rows and take _three_row_areas'
+    bound, a five-row lane's four and _four_row_areas' bound, 96 u S_F (1 +
+    E_2 / M_2 + E_3 / M_3) for S_F the facet's seed rectangle (a merged row
+    is a zero row there, with no term), and wider facets the clip's
+    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
+    facet's perimeter; the projections and the sum add O(m u) of sum |h|
+    |F|.
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by

@@ -323,8 +323,10 @@ def small_ball(
     """
     if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
-    if samples < 1000:
-        raise ValueError("need samples >= 1000")
+    from .average import MIN_SAMPLES  # average imports this module
+
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_SAMPLES}")
     if not f.in_class_f():
         raise ValueError("f must have normalized factors with sup norm <= 1")
     z = np.asarray(z, dtype=float).reshape(-1)

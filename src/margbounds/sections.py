@@ -373,14 +373,18 @@ def section_quadrature(box: Box, h: Subspace) -> float:
     return slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box)).value(np.zeros(box.n))
 
 
+# fewest samples section_mc takes
+MIN_MC_SAMPLES = 100
+
+
 def section_mc(
     box: Box, h: Subspace, samples: int, seed: int, stream: int = 0
 ) -> tuple[float, float]:
     """Stratified Monte Carlo estimate of |B cap H| with a standard error:
     SlabSum.mc of the box's indicator over the rows of H's basis, at zero
     shift."""
-    if samples < 100:
-        raise ValueError("need samples >= 100")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_MC_SAMPLES}")
     if h.n != box.n:
         raise ValueError("dimension mismatch between box and subspace")
     slab_sum = slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box))

@@ -116,3 +116,57 @@ def exact_slab_volume(W, lo, hi) -> Fraction:
         for p, q in zip(ring[1:], ring[2:]):
             volume += abs(_det([_sub(ring[0], centre), _sub(p, centre), _sub(q, centre)]))
     return volume / 6
+
+
+def _scaled(values):
+    """The rationals values as integers over one power-of-two denominator:
+    (numerators, denominator)."""
+    ratios = [Fraction(float(v)) for v in values]
+    den = max(r.denominator for r in ratios)
+    return [r.numerator * (den // r.denominator) for r in ratios], den
+
+
+def exact_polygon_area(W, lo, hi) -> Fraction:
+    """exact_slab_volume of a 2-D system, faster: the parallelogram of the
+    first two independent rows, clipped exactly by the other rows' slabs in
+    homogeneous integer coordinates (x, y, z), z > 0, then the shoelace
+    sum.  Each row's inequalities a x + b y <= c are scaled to integers."""
+    halves, seeds = [], None
+    for w, low, high in zip(W, lo, hi):
+        if float(low) > float(high):
+            return Fraction(0)
+        if not (float(w[0]) or float(w[1])):
+            if float(low) > 0.0 or float(high) < 0.0:
+                return Fraction(0)
+            continue
+        (a, b, l, h), _ = _scaled([w[0], w[1], low, high])
+        halves.append((a, b, l, h))
+    for i, (a0, b0, _, _) in enumerate(halves):
+        for j in range(i + 1, len(halves)):
+            if a0 * halves[j][1] - b0 * halves[j][0]:
+                seeds = (i, j)
+                break
+        if seeds:
+            break
+    (a0, b0, l0, h0), (a1, b1, l1, h1) = halves[seeds[0]], halves[seeds[1]]
+    det = a0 * b1 - b0 * a1
+    sign = 1 if det > 0 else -1
+    poly = [(sign * (c0 * b1 - c1 * b0), sign * (a0 * c1 - a1 * c0), sign * det)
+            for c0, c1 in ((l0, l1), (h0, l1), (h0, h1), (l0, h1))]
+    for k, (a, b, l, h) in enumerate(halves):
+        if k in seeds:
+            continue
+        for na, nb, c in ((a, b, h), (-a, -b, -l)):
+            out = []
+            for (px, py, pz), (qx, qy, qz) in zip(poly, poly[1:] + poly[:1]):
+                vp, vq = na * px + nb * py - c * pz, na * qx + nb * qy - c * qz
+                if vp <= 0:
+                    out.append((px, py, pz))
+                if (vp < 0 < vq) or (vq < 0 < vp):
+                    x, y, z = vp * qx - vq * px, vp * qy - vq * py, vp * qz - vq * pz
+                    out.append((-x, -y, -z) if z < 0 else (x, y, z))
+            poly = out
+            if len(poly) < 3:
+                return Fraction(0)
+    twice = sum(Fraction(px * qy - py * qx, pz * qz) for (px, py, pz), (qx, qy, qz) in zip(poly, poly[1:] + poly[:1]))
+    return abs(twice) / 2

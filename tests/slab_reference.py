@@ -8,8 +8,10 @@ with, kept here verbatim: the lane kernels run the same IEEE operations in
 the same order, so every lane must have the twin's bits, in a call of any
 number of lanes, one included.  A three-row 2-D system (a 2-D lane of
 three rows, or a facet of a four-row 3-D lane) takes _three_row_area,
-kernels._three_row_areas' closed form op for op, with its rounding bound
-(stated there); four rows or more take the Sutherland-Hodgman clip.
+kernels._three_row_areas' closed form op for op, a four-row one (or a
+facet of a five-row 3-D lane) _four_row_area, kernels._four_row_areas op
+for op, each with its rounding bound (stated there); five rows or more take
+the Sutherland-Hodgman clip.
 slab_volume takes d = 1 to kernels.interval_length, which src keeps for
 kernels.live_volumes' one-lane d = 1 calls.
 
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from margbounds import slabgeom
-from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _TOUCH, interval_length
+from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _SLIVER, _TOUCH, interval_length
 
 
 def _clip_polygon(poly, nx, ny, b, eps):
@@ -83,6 +85,13 @@ def _polygon_area(rows, lo, hi):
         x, y = rows[i2]
         third = ((x * a11 - y * a10) / det, (a00 * y - a01 * x) / det, 1.0 / abs(det))
         return _three_row_area(third, (lo[i0], lo[i1], lo[i2]), (hi[i0], hi[i1], hi[i2]))
+    if len(rows) == 4:
+        rest = [i for i in range(4) if i not in (i0, i1)]
+        det = _product_difference(a00, a11, a01, a10)
+        third = [_product_difference(rows[i][0], a11, rows[i][1], a10) / det for i in rest]
+        third += [_product_difference(a00, rows[i][1], a01, rows[i][0]) / det for i in rest]
+        order = [i0, i1] + rest
+        return _four_row_area(third + [1.0 / abs(det)], [lo[i] for i in order], [hi[i] for i in order])
     poly = []
     for s, t in ((lo[i0], lo[i1]), (hi[i0], lo[i1]), (hi[i0], hi[i1]), (lo[i0], hi[i1])):
         poly.append(((a11 * s - a01 * t) / det, (a00 * t - a10 * s) / det))
@@ -133,6 +142,119 @@ def _three_row_area(third, lo, hi):
     ramps = ((r2 - r1) * (r2 + r1) + (e2 - e1) * (e2 + e1)) / (ramp + ramp) if ramp > 0.0 else 0.0
     part = (plateau + ramps) / flat if flat > 0.0 else 1.0
     return w0 * w1 * rdet * part
+
+
+def _divide(a, b):
+    """a / b as IEEE arithmetic divides, also by zero (Python raises)."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _product_difference(a, b, c, d):
+    """kernels._product_difference on Python floats, op for op."""
+    products = []
+    for x, y in ((a, b), (c, d)):
+        product = x * y
+        xs, ys = 134217729.0 * x, 134217729.0 * y
+        x1, y1 = xs - (xs - x), ys - (ys - y)
+        x2, y2 = x - x1, y - y1
+        products.append((product, x2 * y2 - (((product - x1 * y1) - x2 * y1) - x1 * y2)))
+    (p, ep), (q, eq) = products
+    s = p + -q
+    bb = s - p
+    return s + (((p - (s - bb)) + (-q - bb)) + (ep - eq))
+
+
+def _four_row_area(third, lo, hi):
+    """kernels._four_row_areas of one lane on Python floats, op for op, with
+    the same max/min operand order as _three_row_area."""
+    a2, a3, b2, b3, rdet = third
+    zero = [a == 0.0 and b == 0.0 for a, b in ((a2, b2), (a3, b3))]
+    if ((a2 == 0.0) != (b2 == 0.0) or (a3 == 0.0) != (b3 == 0.0) or all(zero)
+            or (a2 * b3 == a3 * b2 and not any(zero))):
+        return _merged_four_rows(third, lo, hi)
+    empty = any(z and (lo[2 + j] > 0.0 or hi[2 + j] < 0.0) for j, z in enumerate(zero))
+    lo, hi = list(lo), list(hi)
+    for j in (0, 1):
+        if zero[j]:
+            lo[2 + j], hi[2 + j] = -math.inf, math.inf
+    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+    if not w0 * w1 > 0.0:
+        return 0.0 * (w0 * w1 * rdet * 0.125)
+    p, q = (a2 * w0, a3 * w0), (b2 * w1, b3 * w1)
+    gamma = [alpha * (lo[0] + hi[0]) + beta * (lo[1] + hi[1]) for alpha, beta in ((a2, b2), (a3, b3))]
+    bnd = [[lo[2 + j] + lo[2 + j] - gamma[j] for j in (0, 1)],
+           [max(lo[2 + j], hi[2 + j]) + max(lo[2 + j], hi[2 + j]) - gamma[j] for j in (0, 1)]]
+    ap, aq = [abs(v) for v in p], [abs(v) for v in q]
+    along = [aq[0] >= ap[0]]
+    along.append(aq[1] + aq[1] >= ap[1] if along[0] else ap[1] + ap[1] < aq[1])
+    rp, rq = [_divide(1.0, v) for v in p], [_divide(1.0, v) for v in q]
+    # cross[edge][side][row] for the edges t = 1 and s = 1, and far[side][row]
+    cross = [[[(bnd[k][j] - q[j]) * rp[j] for j in (0, 1)] for k in (0, 1)],
+             [[(bnd[k][j] - p[j]) * rq[j] for j in (0, 1)] for k in (0, 1)]]
+    far = [[(bnd[k][j] + (q[j] if along[j] else p[j])) * (rp[j] if along[j] else rq[j]) for j in (0, 1)]
+           for k in (0, 1)]
+    scale = _divide(1.0, (a2 * b3 - a3 * b2) * (w0 * w1))
+    ps = [[(bnd[a][0] * q[1] - bnd[c][1] * q[0]) * scale for c in (0, 1)] for a in (0, 1)]
+    pt = [[(bnd[c][1] * p[0] - bnd[a][0] * p[1]) * scale for c in (0, 1)] for a in (0, 1)]
+    lines = [[0.0, 0.0], [0.0, 0.0]]
+    for k in (0, 1):
+        for j in (0, 1):
+            near = cross[0][k][j] if along[j] else cross[1][k][j]
+            low, high = min(far[k][j], near), max(far[k][j], near)
+            point = ps if along[j] else pt
+            pts = point[k] if j == 0 else [point[0][k], point[1][k]]
+            low = max(-1.0, max(min(pts[1], pts[0]), low))
+            high = min(1.0, min(max(pts[1], pts[0]), high))
+            lines[k][j] = max(0.0, high - low)
+    edges = []
+    for edge in cross:
+        lows = [min(edge[1][j], edge[0][j]) for j in (0, 1)]
+        highs = [max(edge[1][j], edge[0][j]) for j in (0, 1)]
+        high = min(1.0, min(highs[1], highs[0]))
+        edges.append(max(0.0, high - max(-1.0, max(lows[1], lows[0]))))
+    total = edges[0] + edges[1]
+    total += total
+    for j in (0, 1):
+        if not zero[j]:
+            shift = p[j] + q[j]
+            terms = (bnd[1][j] + shift) * lines[1][j] - (bnd[0][j] + shift) * lines[0][j]
+            total += terms / (aq[j] if along[j] else ap[j])
+    if total <= 8.0 * _SLIVER or empty:
+        total = 0.0
+    return total * (w0 * w1 * rdet * 0.125)
+
+
+def _merged_four_rows(third, lo, hi):
+    """kernels._merged_four_rows of one lane on Python floats, op for op."""
+    alpha, beta, rdet = third[:2], third[2:4], third[4]
+    sliver = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * rdet)
+    lo, hi = list(lo), [max(l, h) for l, h in zip(lo, hi)]
+    zero = [a == 0.0 and b == 0.0 for a, b in zip(alpha, beta)]
+    if any(z and (lo[2 + r] > 0.0 or hi[2 + r] < 0.0) for r, z in enumerate(zero)):
+        return 0.0
+    seed0 = [b == 0.0 and not z for b, z in zip(beta, zero)]
+    seed1 = [a == 0.0 and not z for a, z in zip(alpha, zero)]
+    left = [not (z or s0 or s1) for z, s0, s1 in zip(zero, seed0, seed1)]
+    row2 = left[0] and left[1]
+    for j, into, kappa, hit in ((2, 0, alpha[0], seed0[0]), (2, 1, beta[0], seed1[0]), (3, 0, alpha[1], seed0[1]),
+                                (3, 1, beta[1], seed1[1]), (3, 2, alpha[1] / alpha[0] if row2 else 1.0, row2)):
+        if hit:
+            a, b = lo[j] / kappa, hi[j] / kappa
+            lo[into] = max(min(b, a), lo[into])
+            hi[into] = min(max(b, a), hi[into])
+    if left[0] or left[1]:
+        rest = 2 if left[0] else 3
+        third, lo3, hi3 = (alpha[rest - 2], beta[rest - 2], rdet), lo[:2] + [lo[rest]], hi[:2] + [hi[rest]]
+    else:
+        third, lo3, hi3 = (0.0, 0.0, rdet), lo[:2] + [-1.0], hi[:2] + [1.0]
+    if any(l > h for l, h in zip(lo3, hi3)):
+        return 0.0
+    area = _three_row_area(third, lo3, hi3)
+    return 0.0 if area <= sliver else area
 
 
 def _dot1(a, b):

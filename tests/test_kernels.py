@@ -6,10 +6,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from exact_slab_volume import exact_slab_volume
+from exact_slab_volume import exact_polygon_area, exact_slab_volume
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from slab_reference import polytope_volume, slab_volume
+from slab_reference import _polygon_seed_rows, polytope_volume, slab_volume
 
 from margbounds import kernels
 from margbounds.grassmann import complement_bases, haar_bases, haar_directions
@@ -281,13 +281,184 @@ def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
     _polygon_lanes_match(frames, np.arange(40), np.stack([c[1] for c in corners]), np.stack([c[2] for c in corners]))
 
 
+_FOUR_ROW_KINDS = ("generic", "parallel", "near-seed", "zero", "narrow", "corner")
+
+
+def _four_row_case(rng, kind):
+    """A four-row 2-D slab system (W, lo, hi) of one kind, its rows in the
+    kernel's order i0, i1, r2, r3: generic rows and bounds; r3 within
+    10^-12..10^-6 (relative) of r2, parallel or antiparallel, and shorter;
+    r2 or r3 as close to a seed row; a zero r2 or r3 whose slab holds 0, as
+    a facet's merged rows have; a slab of any row 1e-16..1e-14 (relative)
+    wide across the parallelogram of two others; or a slab of r2 or r3 that
+    cuts a sliver off a corner of the seed parallelogram, or touches it
+    there, or just misses it."""
+    W = rng.normal(size=(4, 2))
+    half = rng.uniform(0.05, 1.0, size=4)
+    centre = rng.normal(size=4) * rng.choice([0.0, 0.5, 3.0])
+    lo, hi = centre - half, centre + half
+    i0, i1, _ = _polygon_seed_rows(W.tolist())
+    order = [i0, i1] + [i for i in range(4) if i not in (i0, i1)]
+    W, lo, hi = W[order], lo[order], hi[order]
+    tilt = 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=2)
+    if kind == "parallel":
+        W[3] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[2] + np.linalg.norm(W[2]) * tilt
+    elif kind == "near-seed":
+        s, r = rng.integers(2), 2 + rng.integers(2)
+        W[r] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[s] + np.linalg.norm(W[s]) * tilt
+    elif kind == "zero":
+        r = 2 + rng.integers(2)
+        W[r] = 0.0
+        lo[r], hi[r] = -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+    elif kind in ("narrow", "corner"):
+        j = rng.integers(4) if kind == "narrow" else 2 + rng.integers(2)
+        a, b = [i for i in range(4) if i != j][:2]
+        corners = np.linalg.solve(W[[a, b]], [[lo[a], lo[a], hi[a], hi[a]], [lo[b], hi[b], lo[b], hi[b]]])
+        values = W[j] @ corners
+        scale = np.abs(values).max() + values.max() - values.min()
+        if kind == "narrow":
+            lo[j] = rng.uniform(values.min(), values.max())
+            hi[j] = lo[j] + 10.0 ** rng.uniform(-16.0, -14.0) * scale
+        else:
+            depth = rng.choice([1.0, -1.0, 0.0]) * 10.0 ** rng.uniform(-14.0, -2.0) * scale
+            if rng.integers(2):
+                lo[j], hi[j] = values.max() - depth, values.max() + scale
+            else:
+                lo[j], hi[j] = values.min() - scale, values.min() + depth
+    return W, lo, hi
+
+
+def _four_row_bound(W, lo, hi, order):
+    """The rounding bound kernels._four_row_areas states for one
+    non-degenerate four-row system, its rows in the kernel's order: 96 u S
+    (1 + E_2 / M_2 + E_3 / M_3), no term for a zero row, E_j and M_j as
+    _three_row_bound computes them."""
+    W, lo, hi = W.tolist(), lo.tolist(), hi.tolist()
+    i0, i1, *rest = order
+    (a00, a01), (a10, a11) = W[i0], W[i1]
+    det = abs(a00 * a11 - a01 * a10)
+    w0, w1 = hi[i0] - lo[i0], hi[i1] - lo[i1]
+    c0, c1 = lo[i0] + hi[i0], lo[i1] + hi[i1]
+    ratio = 0.0
+    for j in rest:
+        x, y = W[j]
+        a, b = (abs(x * a11) + abs(y * a10)) / det, (abs(a00 * y) + abs(a01 * x)) / det
+        big = max(abs(x * a11 - y * a10) / det * w0, abs(a00 * y - a01 * x) / det * w1)
+        if big > 0.0:
+            ratio += (a * (w0 + abs(c0)) + b * (w1 + abs(c1)) + 2.0 * abs(lo[j]) + 2.0 * abs(hi[j])) / big
+    return 96.0 * 2.0**-53 * (w0 * w1 / det) * (1.0 + ratio)
+
+
+@pytest.mark.parametrize("kind", _FOUR_ROW_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
+def test_four_row_areas_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
+    # the closed form against the exact rational area of the float system:
+    # 100 systems of one kind per example, 3,000 per kind, rows scaled by
+    # 2^0 or 2^40 and bounds by 2^-40, 2^0 or 2^40, in one kernel call
+    rng = np.random.default_rng(seed)
+    systems = [_four_row_case(rng, kind) for _ in range(100)]
+    W = np.stack([s[0] for s in systems]) * 2.0**row_exp
+    lo, hi = (np.stack([s[k] for s in systems]) * 2.0**bound_exp for k in (1, 2))
+    tables = kernels.frame_tables(W)
+    got = kernels.table_volumes(tables, np.arange(100), lo, hi)
+    for k in np.flatnonzero(tables.clip.ok):
+        error = abs(Fraction(got[k]) - exact_polygon_area(W[k], lo[k], hi[k]))
+        assert error <= Fraction(_four_row_bound(W[k], lo[k], hi[k], tables.clip.order[k]))
+
+
+def test_the_polygon_oracle_equals_the_vertex_oracle():
+    # exact_polygon_area, which the four-row families take for speed, is
+    # exact_slab_volume's rational: small integer systems with repeated,
+    # parallel and zero rows, and random ones of each four-row kind
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        m = int(rng.integers(2, 6))
+        W = rng.integers(-2, 3, size=(m, 2)).astype(float)
+        W[rng.random(m) < 0.15] = 0.0
+        lo = rng.integers(-4, 1, size=m) / 2.0
+        hi = lo + rng.integers(0, 4, size=m) / 2.0
+        if np.linalg.matrix_rank(W) == 2:
+            assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
+    for kind in _FOUR_ROW_KINDS:
+        for _ in range(5):
+            W, lo, hi = _four_row_case(rng, kind)
+            assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
+
+
+def test_four_row_lanes_equal_the_twin_in_calls_of_many_frames():
+    # every kind of four-row system, 24 frames of 10 lanes each, and lanes
+    # whose rows are parallel to a seed row or to each other, or zero, or
+    # both zero: the lanes of one call, and each lane alone, == the twin
+    rng = np.random.default_rng(38)
+    systems = [_four_row_case(rng, kind) for _ in range(4) for kind in _FOUR_ROW_KINDS]
+    frames = np.stack([W for W, _, _ in systems])
+    frame = np.repeat(np.arange(len(frames)), 10)
+    lo, hi = np.array([systems[k][1] for k in frame]), np.array([systems[k][2] for k in frame])
+    shift = rng.normal(size=lo.shape) * rng.choice([0.0, 0.1, 1.0], size=(len(frame), 1))
+    shift[frame % 6 == 3, 2:] = 0.0  # keep 0 in a zero row's slab
+    got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
+    assert 0 < np.count_nonzero(got) < len(got)
+    seeds = np.array([[1.0, 0.25], [-0.5, 1.0]])
+    frames = np.array([np.vstack([seeds, rows]) for rows in (
+        [[2.0, 0.5], [0.3, -0.7]], [[0.3, -0.7], [-1.0, 2.0]], [[0.3, -0.7], [-0.6, 1.4]],
+        [[0.0, 0.0], [0.3, -0.7]], [[0.3, -0.7], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [2.0, 0.5]], [[4.0, 1.0], [-1.0, 2.0]])])
+    frame = np.repeat(np.arange(len(frames)), 12)
+    lo = rng.uniform(-1.0, 0.2, size=(len(frame), 4))
+    hi = lo + rng.uniform(0.0, 1.2, size=lo.shape)
+    got = _polygon_lanes_match(frames, frame, lo, hi)
+    for k, l, h, value in zip(frame, lo, hi, got):
+        _assert_exact(frames[k], l, h, value)
+
+
+def test_a_seed_slab_narrower_than_the_clip_tolerance_keeps_its_area():
+    # the seed row i0's slab is two ulps wide: the clip read 6.03e-9 here
+    # (ROADMAP item 1(c)); the exact area is 1.26e-14
+    W = np.array([[1.0158177, -0.69681254], [-0.2933315, 0.18012433], [1.43121931, -1.09981865],
+                  [-0.29009949, -0.13643533]])
+    edge = -2.39166721
+    lo = np.array([-0.9397, -0.8395, edge, -1e6])
+    hi = np.array([0.9397, 0.8395, np.nextafter(np.nextafter(edge, 0.0), 0.0), 1e6])
+    got = _one_lane(W, lo, hi)
+    exact = exact_slab_volume(W, lo, hi)
+    assert 1.26e-14 < float(exact) < 1.27e-14
+    assert abs(Fraction(got) - exact) <= Fraction(_four_row_bound(W, lo, hi, kernels._clip_tables(W[None]).order[0]))
+
+
+def test_no_four_row_lane_clips(monkeypatch):
+    # direct 2-D lanes of four rows and the four-row facets of five-row 3-D
+    # lanes take the closed form; five-row 2-D lanes still clip
+    calls = []
+
+    def spy(poly, *rest):
+        calls.append(poly.shape)
+        return clip(poly, *rest)
+
+    clip = kernels._clip_polygons
+    monkeypatch.setattr(kernels, "_clip_polygons", spy)
+    rng = np.random.default_rng(5)
+    for n, k in ((4, 2), (5, 2)):
+        frames = complement_bases(haar_bases(n, k, 3, np.arange(4)))
+        frame = rng.integers(0, 4, size=60)
+        half = rng.uniform(0.2, 1.0, size=(60, n))
+        got = _volumes(frames, frame, -half, half)
+        assert got.all()
+    assert calls == []
+    frames = complement_bases(haar_bases(7, 5, 3, np.arange(2)))
+    half = rng.uniform(0.2, 1.0, size=(20, 7))
+    _volumes(frames, np.arange(20) % 2, -half, half)
+    assert calls
+
+
 @pytest.mark.parametrize("m,d,nonzero,digest", [
-    (4, 2, 291, "e0fd8a63c5d40d8c"), (5, 2, 258, "7defdfbc31eea605"), (6, 2, 208, "2a9d9c6c667c4def"),
-    (5, 3, 326, "fddf3798509b39b9"), (6, 3, 286, "5f364fd4e259e74f")])
+    (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "7defdfbc31eea605"), (6, 2, 208, "2a9d9c6c667c4def"),
+    (5, 3, 326, "0d973ddcd88d5aae"), (6, 3, 286, "5f364fd4e259e74f")])
 def test_lanes_of_four_rows_or_more_keep_the_clips_bits(m, d, nonzero, digest):
     # pinned from the clip before three-row lanes took the closed form: 2-D
-    # lanes of four rows or more, and 3-D lanes whose facets have four or
-    # more rows, still clip
+    # lanes of five rows or more, and 3-D lanes whose facets have five or
+    # more rows, still clip; the (4, 2) and (5, 3) pins are the four-row
+    # closed form's (_four_row_areas)
     rng = np.random.default_rng(100 * m + d)
     frames = rng.normal(size=(6, m, d))
     frame = rng.integers(0, 6, size=400)

@@ -9,10 +9,11 @@ mends a defect drops its marker and the ledger stays current.
 import json
 import math
 
+import numpy as np
 import pytest
 from exact_slab_volume import exact_slab_volume
 
-from margbounds import cli, densities, grassmann, marginals, slabgeom
+from margbounds import cli, densities, grassmann, kernels, marginals, slabgeom
 
 
 def _report(tmp_path, argv):
@@ -70,6 +71,22 @@ def test_slab_sum_mc_does_not_claim_zero_for_a_positive_6d_value():
     shifts = marginals.MarginalQuery(f, e, e.basis.T @ mids).ambient_shifts()
     estimate, std_error = marginals._slab_sum(f, e).mc(shifts, 20_000, 1)
     assert (estimate, std_error) != (0.0, 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1(c)")
+def test_a_five_row_lane_with_a_narrow_seed_slab_is_right():
+    # the four-row system of tests/test_kernels.py's narrow seed slab (row
+    # 2, the seed row i0, two ulps wide) with a fifth row (0.3, 0.7) at
+    # +-1e6: five-row lanes still clip, which reads 7.97e-9 where the exact
+    # area is 1.26e-14
+    W = np.array([[1.0158177, -0.69681254], [-0.2933315, 0.18012433], [1.43121931, -1.09981865],
+                  [-0.29009949, -0.13643533], [0.3, 0.7]])
+    edge = -2.39166721
+    lo = np.array([-0.9397, -0.8395, edge, -1e6, -1e6])
+    hi = np.array([0.9397, 0.8395, np.nextafter(np.nextafter(edge, 0.0), 0.0), 1e6, 1e6])
+    got = kernels.table_volumes(kernels.frame_tables(W[None]), [0], lo[None], hi[None])[0]
+    exact = float(exact_slab_volume(W, lo, hi))
+    assert abs(got - exact) <= 1e-3 * exact
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
