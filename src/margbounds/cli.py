@@ -353,10 +353,12 @@ def cmd_sections(ns) -> int:
         if ns.normal is None:
             raise ValueError("--normal is required for exact/sinc modes")
         a = np.array(ns.normal)
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
+        if not a.any():
             raise ValueError("--normal must not be the zero vector")
-        a = a / norm
+        # scaled by the power of two of its largest coordinate, exactly, so
+        # that the norm neither overflows nor underflows
+        a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
+        a = a / np.linalg.norm(a)
         if ns.mode == "exact":
             value = sections.hyperplane_section_exact(box, a)
         else:

@@ -3,14 +3,14 @@
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
 boundedness (the w_i always contain a spanning subset coming from a tight
-frame) and strip zero rows beforehand.  The 2-D kernel takes a lane of
-three rows in closed form, the integral of a two-direction box spline over
-the third row's slab (_three_row_areas), a lane of four rows by Lasserre's
-edge sum over the seed rectangle cut by two slabs (_four_row_areas), each
-with its rounding bound, and clips a seed parallelogram for five rows or
-more; the 3-D kernel sums (1/3) h |F| over the facets F, each a 2-D slab
-system of one row fewer, after merging rows parallel within _PARALLEL_SINE
-(see _polytope_volumes for its rounding bound).
+frame) and strip zero rows beforehand.  The 2-D kernel takes every lane in
+closed form with a rounding bound: three rows by the integral of a
+two-direction box spline over the third row's slab (_three_row_areas), any
+other count by Lasserre's edge sum over the seed rectangle cut by the other
+rows' slabs (_edge_sum_areas), after merging exactly parallel rows; the 3-D
+kernel sums (1/3) h |F| over the facets F, each a 2-D slab system of one
+row fewer, after merging rows parallel within _PARALLEL_SINE (see
+_polytope_volumes for its rounding bound).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
 index (L,) and the bounds (L, m) of its L lanes:
@@ -118,64 +118,17 @@ def _interval_lengths(tables, frame, lo, hi):
     return out
 
 
-def _clip_polygons(poly, nx, ny, b, eps):
-    """Sutherland-Hodgman clip of every lane l of poly (x and y (2, W + 1,
-    L)) by nx[l]*x + ny[l]*y <= b[l], keeping the vertices within eps[l] of
-    that side (eps (2, L): eps and -eps): the lane's polygon has its count
-    c <= W vertices in slots 0..c - 1, vertex 0 again in slot c, and NaN
-    after it.  Returns the clipped polygons in the same layout, W as the
-    largest count, and their counts.  Runs under np.errstate(divide,
-    invalid and over "ignore").
-
-    Slot j's successor is slot j + 1, so every slot computes its vertex's dp
-    and its edge's crossing point at once; NaN slots compare false, so they
-    are neither kept nor crossed, and the copy of vertex 0 (the one slot
-    with a NaN successor) is not kept.  A kept vertex, then its edge's
-    crossing point, go to the lane's next free slots, found by a running
-    sum over the slots, by one flat scatter per coordinate and kind; the
-    writes that are not kept land in a spare last slot."""
-    width, count = poly.shape[1] - 1, poly.shape[2]
-    lane = np.arange(count)
-    dp = nx * poly[0] + ny * poly[1] - b
-    above, below = dp > eps[0], dp < eps[1]
-    # slot j's vertex stays if it is within eps and has a successor; its
-    # edge crosses if its ends lie beyond eps on opposite sides
-    keep = (dp[:-1] <= eps[0]) & (dp[1:] == dp[1:])
-    cross = (below[:-1] & above[1:]) | (above[:-1] & below[1:])
-    # the flat index of each output: its slot times count, plus the lane
-    kept = np.empty((width, count), dtype=np.intp)
-    stride = np.add(keep, cross, dtype=np.intp) * count
-    at = lane
-    for j in range(width):
-        kept[j] = at
-        at = at + stride[j]
-    counts = (at - lane) // count
-    out_width = int(counts.max())
-    spare = (out_width + 1) * count + lane
-    crossed = np.where(cross, kept + keep * count, spare)
-    kept = np.where(keep, kept, spare)
-    # only the crossing slots' points are kept; there the edge's ends lie
-    # beyond eps on opposite sides, so their dp differ
-    t = dp[:-1] / (dp[:-1] - dp[1:])
-    points = poly[:, :-1] + t * (poly[:, 1:] - poly[:, :-1])
-    out = np.full((2, out_width + 2, count), np.nan)
-    closing = counts * count + lane
-    for c in range(2):
-        flat = out[c].reshape(-1)
-        flat[kept] = poly[c, :-1]
-        flat[crossed] = points[c]
-        flat[closing] = out[c, 0]
-    return out[:, : out_width + 1], counts
-
-
 class ClipTables(NamedTuple):
-    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame."""
+    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame.  A
+    frame where no row merges has into -1 and factor 1."""
 
     ok: np.ndarray  # (K,): false where the seed rows are degenerate
     seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
-    clip: np.ndarray  # (K, 2 (m - 2), 2): the clip normals, x and y
-    third: np.ndarray  # (K, 3) at m = 3, (K, 5) at m = 4, else (K, 0): alphas, betas, 1/|det|
+    others: np.ndarray  # (K, m - 2, 2): the other rows, in that order
+    third: np.ndarray  # (K, 3) at m = 3, else (K, 2m - 3): alphas, betas, 1/|det|
+    into: np.ndarray  # (K, m): the row that row j merges into, or -1
+    factor: np.ndarray  # (K, m): row j over row into[j]
 
 
 def _clip_tables(frames) -> ClipTables:
@@ -184,12 +137,14 @@ def _clip_tables(frames) -> ClipTables:
     frame's lanes are then 0.0); the seed table of a00, a01, a10, a11 and
     det, i0 the longest row and i1 the one most transverse to it; each
     frame's row order, the seed rows i0, i1 and then the others in row
-    order; the clip normals, the other rows' in that order, each as itself
-    (the hi side) and negated (the -lo side).  A three-row frame also gets
-    its third row in seed coordinates, <w_2, y> = alpha u + beta v for u =
-    <w_i0, y> and v = <w_i1, y>, and 1/|det|, which _three_row_areas takes;
-    a four-row frame its rows 2 and 3 so, alpha_2, alpha_3, beta_2, beta_3
-    and 1/|det|, from compensated products, for _four_row_areas."""
+    order, and those others.  In u = <w_i0, y> and v = <w_i1, y> another
+    row is alpha u + beta v: a three-row frame gets its alpha, beta and
+    1/|det|, which _three_row_areas takes, any other frame its rows' alphas,
+    then their betas, then 1/|det|, from compensated products, for
+    _edge_sum_areas.  There a row exactly parallel to a seed row (beta or
+    alpha 0) or to an earlier live row i (alpha_i beta_j == alpha_j beta_i)
+    merges into it, as the kernel's determinants would be 0, and becomes a
+    zero row."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -206,22 +161,43 @@ def _clip_tables(frames) -> ClipTables:
         others = rows[(rows != i0[ok, None]) & (rows != i1[ok, None])]
         order[ok] = np.column_stack([i0[ok], i1[ok], others.reshape(len(rows), m - 2)])
     seed = np.column_stack([frames[ks, i0], frames[ks, i1], det])
-    normals = frames[ks[:, None], order[:, 2:]]  # (K, m - 2, 2)
-    clip = np.stack([normals, -normals], axis=2).reshape(count, 2 * (m - 2), 2)
-    third = np.empty((count, 0))
+    others = frames[ks[:, None], order[:, 2:]]
+    x, y = others.T  # (m - 2, K) each
     a00, a01, a10, a11 = seed[:, :4].T
+    into, factor = np.full((count, m), -1), np.ones((count, m))
     if m == 3:
-        x, y = normals[:, 0].T
         d = np.where(ok, det, 1.0)
-        third = np.column_stack([(x * a11 - y * a10) / d, (a00 * y - a01 * x) / d, 1.0 / np.abs(d)])
-    elif m == 4:
-        (x2, x3), (y2, y3) = normals.T
-        # det, then x a11 - y a10 and a00 y - a01 x of rows 2 and 3
-        det = _product_difference(np.stack([a00, x2, x3, a00, a00]), np.stack([a11, a11, a11, y2, y3]),
-                                  np.stack([a01, y2, y3, a01, a01]), np.stack([a10, a10, a10, x2, x3]))
-        d = np.where(ok, det[0], 1.0)
-        third = np.column_stack([*(det[1:] / d), 1.0 / np.abs(d)])
-    return ClipTables(ok, seed, order, clip, third)
+        third = np.column_stack([(x[0] * a11 - y[0] * a10) / d, (a00 * y[0] - a01 * x[0]) / d, 1.0 / np.abs(d)])
+        return ClipTables(ok, seed, order, others, third, into, factor)
+    r = m - 2
+    # det, then x a11 - y a10 and a00 y - a01 x of each other row
+    full = [np.broadcast_to(v, x.shape) for v in (a00, a11, a01, a10)]
+    det = _product_difference(np.vstack([a00[None], x, full[0]]), np.vstack([a11[None], full[1], y]),
+                              np.vstack([a01[None], y, full[2]]), np.vstack([a10[None], full[3], x]))
+    d = np.where(ok, det[0], 1.0)
+    coords = det[1:] / d
+    alpha, beta = coords[:r], coords[r:]  # (r, K) each
+    # the seed row, by its place in order, that a row parallel to it merges
+    # into (a zero row is a facet's merged row)
+    zero = (alpha == 0.0) & (beta == 0.0)
+    to = np.where(zero, -1, np.where(beta == 0.0, 0, np.where(alpha == 0.0, 1, -1)))
+    kappa = np.where(to == 0, alpha, beta)
+    live = (alpha != 0.0) & (beta != 0.0)
+    parallel = (alpha[:, None] * beta[None] == alpha[None] * beta[:, None]) & (live[:, None] & live[None])
+    if (parallel & np.tri(r, k=-1, dtype=bool)[:, :, None]).any():  # most frames have no such pair
+        for j in range(1, r):
+            earlier = parallel[j, :j] & live[:j]
+            hit = earlier.any(axis=0)
+            i = np.argmax(earlier, axis=0)[hit]
+            to[j, hit] = 2 + i
+            kappa[j, hit] = alpha[j, hit] / alpha[i, np.flatnonzero(hit)]
+            live[j, hit] = False
+    # (a degenerate frame merges nothing; its lanes are 0.0)
+    mj, mk = np.nonzero((to >= 0) & ok)
+    into[mk, order[mk, 2 + mj]] = order[mk, to[mj, mk]]
+    factor[mk, order[mk, 2 + mj]] = kappa[mj, mk]
+    alpha[mj, mk] = beta[mj, mk] = 0.0
+    return ClipTables(ok, seed, order, others, np.column_stack([coords.T, 1.0 / np.abs(d)]), into, factor)
 
 
 def _two_product(a, b):
@@ -246,8 +222,8 @@ def _product_difference(a, b, c, d):
 
 
 class PolygonTables(NamedTuple):
-    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame: the
-    clip's tables, and the frame's part of the seed-cell test."""
+    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame: its
+    ClipTables, and the frame's part of the seed-cell test."""
 
     clip: ClipTables
     g: np.ndarray  # (K, 2, 2): [k, s] = g_s, a column of the seed matrix's inverse
@@ -263,7 +239,7 @@ def polygon_tables(frames) -> PolygonTables:
     a00, a01, a10, a11, det = clip.seed.T
     g = np.array([[a11, -a10], [-a01, a00]]) / np.where(clip.ok, det, 1.0)  # (s, c, K)
     ag = np.abs(g)
-    normals = clip.clip.T[:, 0::2]  # (c, m - 2, K)
+    normals = clip.others.T  # (c, m - 2, K)
     wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])  # (s, m - 2, K)
     cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
             * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
@@ -272,14 +248,11 @@ def polygon_tables(frames) -> PolygonTables:
 
 # a lane some non-seed row of which misses the seed parallelogram by this
 # multiple of (the seed matrix's condition number x the cell's coordinate
-# scale, 1 + |c|_1 + sum_s half_s |g_s|_1, c its centre) gets no clip.  The
-# clipper's corners, and their distances from a row's side, are within a
-# few unit roundoffs of that product of the exact ones, and it keeps only
-# what lies within eps = 1e-14 (1 + the corners' largest 1-norm) <= 1e-14
-# times that scale of each side: it would clip such a lane to 0.0 as well.
-# For three and four rows the closed forms give exactly 0.0 there: the slab
-# misses the rectangle by far more than their roundings (_three_row_areas,
-# _four_row_areas)
+# scale, 1 + |c|_1 + sum_s half_s |g_s|_1, c its centre) is empty.  The
+# test's centre and reach along a row are within a few unit roundoffs of
+# that product of the exact ones, so the slab misses the exact
+# parallelogram by far more than the closed forms' roundings, and they give
+# exactly 0.0 there too (_three_row_areas, _edge_sum_areas)
 _CLIP_MARGIN = 1e-9
 
 
@@ -288,7 +261,7 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     of a degenerate frame and those with a non-seed row whose slab misses
     the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
     one at a time, each as (L,) vectors."""
-    ok, _, order, clip, _ = tables.clip
+    ok, order, others = tables.clip.ok, tables.clip.order, tables.clip.others
     g, gl1, wg = tables.g, tables.gl1, tables.wg
     base = np.arange(len(frame)) * lo.shape[1]
     lo, hi = lo.reshape(-1), hi.reshape(-1)
@@ -310,7 +283,7 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     live = ok[frame]
     for j in range(len(order[0]) - 2):
         loj, hij = bounds(2 + j)
-        wc = clip[:, 2 * j, 0][frame] * cx + clip[:, 2 * j, 1][frame] * cy
+        wc = others[:, j, 0][frame] * cx + others[:, j, 1][frame] * cy
         # the largest |<w_j, y - c>| over the parallelogram, plus the margin
         slack = half0 * wg[:, j, 0][frame] + half1 * wg[:, j, 1][frame] + margin
         live &= ~((loj - wc > slack) | (hij - wc < -slack))
@@ -319,7 +292,7 @@ def _polygon_seed_cells(tables, frame, lo, hi):
 
 # a third slab that meets the rectangle only within this share of the lane's
 # s-scale of a corner (or a strip's edge) gives 0.0, so a facet that is a
-# point or a segment in exact arithmetic stays 0.0, as the clip made it
+# point or a segment in exact arithmetic stays 0.0
 _TOUCH = 2.0**-46
 
 
@@ -410,64 +383,61 @@ def _three_row_areas(third, lo, hi):
     return w0
 
 
-# a four-row lane of at most this share of its seed rectangle's area gives
-# 0.0, so a facet that is a point or a segment in exact arithmetic stays
-# 0.0 (the roundings of the tests' degenerate integer facets leave a few u)
+# a lane of four rows or more of at most this share of its seed rectangle's
+# area gives 0.0, so a facet that is a point or a segment in exact
+# arithmetic stays 0.0 (the roundings of the tests' degenerate integer
+# facets leave a few u)
 _SLIVER = 2.0**-48
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _four_row_areas(third, lo, hi, merged):
-    """Area of each four-row lane: lo and hi (4, L) the bounds of the seed
-    rows i0, i1 and rows 2 and 3, third (5, L) its frame's alpha_2,
-    alpha_3, beta_2, beta_3 and 1/|det|, merged (L,) true for the lanes
-    that _merged_four_rows takes.
+def _edge_sum_areas(third, lo, hi):
+    """Area of each lane of m != 3 rows: lo and hi (m, L) the bounds of the
+    seed rows i0, i1 and the r = m - 2 others, third (2r + 1, L) its
+    frame's alphas, betas and 1/|det|.
 
     In s, t with <w_i0, y> = (lo_0 + hi_0 + s w_0) / 2 and <w_i1, y> =
     (lo_1 + hi_1 + t w_1) / 2 (w = hi - lo) the lane is the square [-1,
     1]^2, of area 4 for S = w_0 w_1 / |det|, cut by the slabs L_j <= p_j s
-    + q_j t <= H_j of rows 2 and 3: p = alpha w_0, q = beta w_1, L_j = 2
-    lo_j - gamma_j, H_j = 2 hi_j - gamma_j, gamma_j = alpha_j (lo_0 + hi_0)
-    + beta_j (lo_1 + hi_1) (hi_j < lo_j counts as hi_j = lo_j).  Twice its
-    area is Lasserre's sum about the corner (-1, -1): 2 |F| over the edges
-    t = 1 and s = 1, and +-(b + p + q) |F| / |q| or / |p| over each line p
-    s + q t = b, |F| the length of its edge along its axis, s or t.  Each
-    edge runs between the line's crossings with the edges across its axis,
-    within the other row's slab, in [-1, 1]: a fixed handful of (L,)
-    operations, no sort and no clip.
+    + q_j t <= H_j: p = alpha w_0, q = beta w_1, L_j = 2 lo_j - gamma_j,
+    H_j = 2 hi_j - gamma_j, gamma_j = alpha_j (lo_0 + hi_0) + beta_j (lo_1 +
+    hi_1) (hi_j < lo_j counts as hi_j = lo_j).  Twice its area is
+    Lasserre's sum about the corner (-1, -1): 2 |F| over the edges t = 1
+    and s = 1, and +-(b + p + q) |F| / |q| or / |p| over each line p s + q t
+    = b, |F| the length of its edge along its axis, s or t.  Each edge runs
+    between the line's crossings with the edges across its axis, within the
+    other rows' slabs, in [-1, 1]: a handful of array operations per row,
+    no sort.
 
-    A line runs along s where |q| >= |p|, else along t; row 3 takes row 2's
-    axis unless that is more than twice as steep for it, so rows within 18
-    degrees share their axis.  Each crossing is computed once, and every
-    line through it reads its own axis coordinate of that one point: two
-    lines theta apart share their corner however badly it lies along them
-    (within u / theta), and moving a corner of angle pi - theta by e along
-    its edges moves the area by about e theta times their lengths, so a
-    small theta costs nothing.  _clip_tables builds alpha, beta and det from
-    compensated products, so a row near a seed row costs nothing either.  A
-    zero row (a facet's merged row) has no lines: its slab holds the plane,
-    or the lane is empty.  Lanes whose rows 2 or 3 are exactly parallel to a
-    seed row or to each other, or both zero, take _merged_four_rows, so no
-    determinant of 0 divides.  A lane of at most _SLIVER S gives 0.0.
+    A line runs along s where |q| >= |p|, else along t; each later row
+    takes the first one's axis unless that is more than twice as steep for
+    it, so rows within 18 degrees of it share its axis.  Each pair's
+    crossings are computed once, and every line through one reads its own
+    axis coordinate of that one point: two lines theta apart share their
+    corner however badly it lies along them (within u / theta), and moving a
+    corner of angle pi - theta by e along its edges moves the area by about
+    e theta times their lengths, so a small theta costs nothing.  Two later
+    rows on different axes may be nearly parallel, so their crossing's other
+    coordinate comes from the earlier row's line, which the point then meets
+    within u.  _clip_tables builds alpha, beta and det from compensated
+    products and merges exactly parallel rows, so no determinant of 0
+    divides and a row near a seed row costs nothing.  A zero row (a merged
+    row) has no lines: its slab holds the plane, or the lane is empty.  A
+    lane of at most _SLIVER S gives 0.0.
 
     Rounding, to first order in u = 2^-53: the error is at most 96 u S (1 +
-    E_2 / M_2 + E_3 / M_3), E_j and M_j as _three_row_areas defines E and M
-    with row j as the third row (no term for a zero row).  The roundings of
-    alpha, beta, gamma, L and H move each line by at most 6 u (E_j + M_j) in
-    b, so by 6 u (E_j / M_j + 1) across the square, whose chords are at
-    most 2 sqrt(2) long; S adds 6 u; the sum of six terms of at most 16 and
-    the crossings add 24 u S, and _SLIVER 32 u S.  Merged lanes take
-    _three_row_areas' bound on the merged system.
+    sum_j E_j / M_j), E_j and M_j as _three_row_areas defines E and M with
+    row j as the third row, over the rows that are not zero (E_j >= M_j).
+    The roundings of alpha, beta, gamma, L and H move each line by at most
+    6 u (E_j + M_j) in b, so by 6 u (E_j / M_j + 1) across the square, whose
+    chords are at most 2 sqrt(2) long; a row's two terms and its lines'
+    corners add at most 8 u S; S adds 6 u, the edges' terms and the sum 12
+    u S, and _SLIVER 32 u S.  A merged row's fold rounds a bound once,
+    within its E_j term.
     """
-    if merged.any():
-        out = np.empty(lo.shape[1])
-        out[merged] = _merged_four_rows(third[:, merged], lo[:, merged], hi[:, merged])
-        keep = ~merged
-        if keep.any():
-            out[keep] = _four_row_areas(third[:, keep], lo[:, keep], hi[:, keep], merged[keep])
-        return out
-    alpha, beta, rdet = third[:2], third[2:4], third[4]
-    zero = (alpha == 0.0) & (beta == 0.0)  # (2, L): a facet's merged row
+    r = len(lo) - 2
+    alpha, beta, rdet = third[:r], third[r : 2 * r], third[2 * r]
+    zero = (alpha == 0.0) & (beta == 0.0)  # (r, L)
     has_zero = zero.any()
     if has_zero:  # its slab holds the plane, or the lane is empty
         empty = (zero & ((lo[2:] > 0.0) | (hi[2:] < 0.0))).any(axis=0)
@@ -476,61 +446,65 @@ def _four_row_areas(third, lo, hi, merged):
         hi[2:] = np.where(zero, np.inf, hi[2:])
     count = lo.shape[1]
     w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    p, q = alpha * w0, beta * w1  # (2, L): rows 2 and 3
+    area = w0 * w1
+    p, q = alpha * w0, beta * w1  # (r, L)
     gamma = alpha * (lo[0] + hi[0])
     gamma += beta * (lo[1] + hi[1])
-    bnd = np.empty((2, 2, count))  # (side, row, L): L and H
+    bnd = np.empty((2, r, count))  # (side, row, L): L and H
     np.add(lo[2:], lo[2:], out=bnd[0])
     hi2 = np.maximum(hi[2:], lo[2:])
     np.add(hi2, hi2, out=bnd[1])
     bnd -= gamma
     # each row's axis (see above), True for s
     ap, aq = np.abs(p), np.abs(q)
-    along = np.empty((2, count), dtype=bool)
-    np.greater_equal(aq[0], ap[0], out=along[0])
-    along[1] = np.where(along[0], aq[1] + aq[1] >= ap[1], ap[1] + ap[1] < aq[1])
+    along = aq >= ap
+    along[1:] = np.where(along[:1], aq[1:] + aq[1:] >= ap[1:], ap[1:] + ap[1:] < aq[1:])
     # (edge, side, row, L): each line's crossing with the edge t = 1 (its
     # s) and s = 1 (its t); its crossing with the edge across the other end
-    # of its axis; and the s or t of the crossing of row 2's line a with
-    # row 3's line c, (a, c, L)
+    # of its axis
     rp, rq = 1.0 / p, 1.0 / q
-    cross = np.empty((2, 2, 2, count))
+    cross = np.empty((2, 2, r, count))
     np.subtract(bnd, q, out=cross[0])
     cross[0] *= rp
     np.subtract(bnd, p, out=cross[1])
     cross[1] *= rq
     far = bnd + np.where(along, q, p)
     far *= np.where(along, rp, rq)
-    b2, b3 = bnd[:, None, 0], bnd[None, :, 1]
-    ps = b2 * q[1] - b3 * q[0]
-    pt = b3 * p[0] - b2 * p[1]
-    scale = 1.0 / ((alpha[0] * beta[1] - alpha[1] * beta[0]) * (w0 * w1))
-    ps *= scale
-    pt *= scale
     # each line's interval along its axis (side, row, L): between its
-    # crossings with the edges across it, within the other row's slab, in
+    # crossings with the edges across it, within the other rows' slabs, in
     # [-1, 1]
     near = np.where(along, cross[0], cross[1])
     low, high = np.minimum(near, far), np.maximum(near, far)
-    point = np.where(along[0], ps, pt)
-    np.maximum(low[:, 0], np.minimum(point[:, 0], point[:, 1]), out=low[:, 0])
-    np.minimum(high[:, 0], np.maximum(point[:, 0], point[:, 1]), out=high[:, 0])
-    point = np.where(along[1], ps, pt)
-    np.maximum(low[:, 1], np.minimum(point[0], point[1]), out=low[:, 1])
-    np.minimum(high[:, 1], np.maximum(point[0], point[1]), out=high[:, 1])
+    for i in range(r - 1):
+        # the s and t of the crossing of row i's line a with the line c of
+        # each later row j, (a, c, j, L)
+        rest = slice(i + 1, None)
+        bi, bj = bnd[:, None, i, None], bnd[None, :, rest]
+        ps = bi * q[rest] - bj * q[i]
+        pt = bj * p[i] - bi * p[rest]
+        scale = 1.0 / ((alpha[i] * beta[rest] - alpha[rest] * beta[i]) * area)
+        ps *= scale
+        pt *= scale
+        if i:  # two later rows (see above)
+            fix = (along[i] != along[rest]) & ~zero[i]
+            np.copyto(pt, (bi - p[i] * ps) / q[i], where=fix & along[i])
+            np.copyto(ps, (bi - q[i] * pt) / p[i], where=fix & ~along[i])
+        point = np.where(along[i], ps, pt)
+        for x in np.minimum(point[:, 0], point[:, 1]).swapaxes(0, 1):
+            np.maximum(low[:, i], x, out=low[:, i])
+        for x in np.maximum(point[:, 0], point[:, 1]).swapaxes(0, 1):
+            np.minimum(high[:, i], x, out=high[:, i])
+        point = np.where(along[rest], ps, pt)
+        np.maximum(low[:, rest], np.minimum(point[0], point[1]), out=low[:, rest])
+        np.minimum(high[:, rest], np.maximum(point[0], point[1]), out=high[:, rest])
     np.maximum(low, -1.0, out=low)
     np.minimum(high, 1.0, out=high)
     high -= low
     lines = np.maximum(high, 0.0, out=high)
     # the edges t = 1 and s = 1 (edge, L): their intervals within the rows'
     # slabs
-    low = np.minimum(cross[:, 0], cross[:, 1])  # (edge, row, L)
-    high = np.maximum(cross[:, 0], cross[:, 1])
-    edges = np.minimum(high[:, 0], high[:, 1])
-    np.minimum(edges, 1.0, out=edges)
-    low = np.maximum(low[:, 0], low[:, 1])
-    np.maximum(low, -1.0, out=low)
-    edges -= low
+    edges = np.minimum.reduce(np.maximum(cross[:, 0], cross[:, 1]), axis=1, initial=1.0)
+    edges -= np.maximum.reduce(np.minimum(cross[:, 0], cross[:, 1]), axis=1, initial=-1.0)
     np.maximum(edges, 0.0, out=edges)
     # Lasserre's sum about the corner (-1, -1)
     bnd += p + q
@@ -541,54 +515,39 @@ def _four_row_areas(third, lo, hi, merged):
     total += total
     if has_zero:  # a zero row has no lines
         terms[zero] = 0.0
-    total += terms[0]
-    total += terms[1]
+    for term in terms:
+        total += term
     total[total <= 8.0 * _SLIVER] = 0.0  # the whole square sums to 8
     if has_zero:
         total[empty] = 0.0
-    w0 *= w1
-    total[~(w0 > 0.0)] = 0.0
-    w0 *= rdet
-    w0 *= 0.125
-    total *= w0
+    total[~(area > 0.0)] = 0.0
+    area *= rdet
+    area *= 0.125
+    total *= area
     return total
 
 
-def _merged_four_rows(third, lo, hi):
-    """_four_row_areas of lanes whose rows 2 or 3 are exactly parallel to a
-    seed row or to each other, or both zero: each such row j is kappa times
-    row r, a seed row (kappa = alpha_j or beta_j), row 2 (kappa = alpha_3 /
-    alpha_2) or zero, and its slab merges into r's, [lo_j, hi_j] / kappa (a
-    zero row keeps the lane if 0 lies in its slab, else the lane is empty);
-    the seed rows and the row left, or a zero row with bounds -1, 1, take
-    _three_row_areas, and a lane of at most _SLIVER S gives 0.0."""
-    alpha, beta, rdet = third[:2], third[2:4], third[4]
-    sliver = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * rdet)
-    lo, hi = lo.copy(), np.maximum(hi, lo)
-    zero = (alpha == 0.0) & (beta == 0.0)
-    empty = (zero & ((lo[2:] > 0.0) | (hi[2:] < 0.0))).any(axis=0)
-    seed0, seed1 = (beta == 0.0) & ~zero, (alpha == 0.0) & ~zero
-    left = ~(zero | seed0 | seed1)
-    row2 = left[0] & left[1]  # then alpha_2 beta_3 == alpha_3 beta_2
-    for j, into, kappa, hit in ((2, 0, alpha[0], seed0[0]), (2, 1, beta[0], seed1[0]), (3, 0, alpha[1], seed0[1]),
-                                (3, 1, beta[1], seed1[1]), (3, 2, alpha[1] / np.where(row2, alpha[0], 1.0), row2)):
-        kappa = np.where(hit, kappa, 1.0)
-        a, b = lo[j] / kappa, hi[j] / kappa
-        lo[into] = np.where(hit, np.maximum(lo[into], np.minimum(a, b)), lo[into])
-        hi[into] = np.where(hit, np.minimum(hi[into], np.maximum(a, b)), hi[into])
-    third = np.zeros((3, lo.shape[1]))
-    third[2] = rdet
-    rest = np.where(left[0], 2, 3)
-    keep = left[0] | left[1]
-    lanes = np.arange(lo.shape[1])
-    third[0] = np.where(keep, alpha[rest - 2, lanes], 0.0)
-    third[1] = np.where(keep, beta[rest - 2, lanes], 0.0)
-    lo3 = np.stack([lo[0], lo[1], np.where(keep, lo[rest, lanes], -1.0)])
-    hi3 = np.stack([hi[0], hi[1], np.where(keep, hi[rest, lanes], 1.0)])
-    empty |= (lo3 > hi3).any(axis=0)
-    out = _three_row_areas(third, lo3, hi3)
-    out[empty | (out <= sliver)] = 0.0
-    return out
+def _merge_rows(into, factor, frame, lo, hi):
+    """lo and hi (L, m) of the lanes frame (L,) with each merged row folded
+    into its partner: where into[k, j] >= 0, row j of frame k is factor[k,
+    j] times row into[k, j], so its bounds over that factor cut the
+    partner's, and its own become -1, 1, which a zero row meets (copies
+    where a row merges).  The 2-D and 3-D kernels' one merge loop."""
+    if not (into >= 0).any():  # most frames merge nothing
+        return lo, hi
+    into = into[frame]
+    merged = np.flatnonzero((into >= 0).any(axis=0))
+    if merged.size:  # the merges write to the lanes' own copies
+        lo, hi = lo.copy(), hi.copy()
+    for j in merged:
+        hit = np.flatnonzero(into[:, j] >= 0)
+        i = into[hit, j]
+        scaled = factor[frame[hit], j]
+        a, b = lo[hit, j] / scaled, hi[hit, j] / scaled
+        lo[hit, i] = np.maximum(lo[hit, i], np.minimum(a, b))
+        hi[hit, i] = np.minimum(hi[hit, i], np.maximum(a, b))
+        lo[hit, j], hi[hit, j] = -1.0, 1.0
+    return lo, hi
 
 
 def _polygon_areas(tables, frame, lo, hi):
@@ -596,90 +555,42 @@ def _polygon_areas(tables, frame, lo, hi):
     for the rows w of frame[l], on tables, the ClipTables of frames (K, m,
     2), frame (L,), lo and hi (L, m) with lo <= hi; returns (L,) areas.
 
-    Three rows (m = 3): _three_row_areas, in closed form, on the seed rows
-    i0, i1 and the frame's alpha, beta and 1/|det|; see there for its
-    rounding bound.  The 2-D lanes of the paper's k = 1 marginals at n = 3,
-    and every facet of a four-row 3-D lane, are of this kind.  Four rows (m
-    = 4): _four_row_areas, in closed form, on the same tables, with its own
-    bound; the lanes of k = 2 marginals at n = 4, and every facet of a
-    five-row 3-D lane, are of this kind.
-
-    Five rows or more: lane-wise Sutherland-Hodgman: the seed parallelogram
-    of the best-conditioned row pair, cut by the hi then -lo side of each
-    other row in row order, each cut keeping the vertices within eps =
-    1e-14 (1 + the seed corners' largest 1-norm) of its side; then the
-    shoelace sum from vertex 0.  Vertices sit slot-major, (slots, lanes),
-    NaN past each lane's count; a lane leaves once it has fewer than 3
-    vertices.
-
-    Every lane goes through the same floating-point operations in the same
-    order, so its area does not depend on the other lanes.  What depends on
-    the frame alone (the seed rows, their determinant, the degeneracy test,
-    the row order, the alphas, betas and 1/|det|) is in its ClipTables; a
-    degenerate frame's lanes are 0.0.
+    The seed rows i0, i1 span a rectangle in their own coordinates, which
+    the other rows cut, each with its alpha, beta and 1/|det| from the
+    ClipTables, after each merged row has folded its slab into its
+    partner's.  Three rows (m = 3) take _three_row_areas, the box spline,
+    cheaper there (the 2-D lanes of the paper's k = 1 marginals at n = 3,
+    and the facets of four-row 3-D lanes); every other m takes
+    _edge_sum_areas.  Each has its rounding bound.  Every lane goes through
+    the same floating-point operations, so its area does not depend on the
+    other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
-    row's slab by _CLIP_MARGIN is 0.0 without a clip, as the clip would
-    make it, and as the closed forms give exactly 0.0 there.  (The 3-D
-    facets call it directly: testing them too saved no measurable time on
-    sup-grid.)
+    row's slab by _CLIP_MARGIN is 0.0, as these closed forms give it.  (The
+    3-D facets call it directly: testing them too saved no measurable time
+    on sup-grid.)
     """
-    ok, seed, order, clip, third = tables
+    ok, _, order, _, third, into, factor = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:
         return out
     f = frame[idx]
+    mlo, mhi = _merge_rows(into, factor, frame, lo, hi)
     # (m, L): each lane's rows in its frame's order
     at = idx * lo.shape[1] + order[f].T
-    lo, hi = lo.reshape(-1).take(at), hi.reshape(-1).take(at)
-    if len(lo) == 3:
-        out[idx] = _three_row_areas(third.T.take(f, axis=1), lo, hi)
-        return out
-    if len(lo) == 4:
-        # frames whose rows 2 or 3 are exactly parallel to a seed row or to
-        # each other, or both zero, take _merged_four_rows
-        a2, a3, b2, b3 = (third[:, j] == 0.0 for j in range(4))
-        z2, z3 = a2 & b2, a3 & b3
-        merged = ((a2 ^ b2) | (a3 ^ b3) | (z2 & z3)
-                  | ((third[:, 0] * third[:, 3] == third[:, 1] * third[:, 2]) & ~(z2 | z3)))[f]
-        out[idx] = _four_row_areas(third.T.take(f, axis=1), lo, hi, merged)
-        return out
-    steps = clip.shape[1]
-    a00, a01, a10, a11, det = seed.T[:, f]
-    # the seed parallelogram, then vertex 0 again (see _clip_polygons)
-    s = np.stack([lo[0], hi[0], hi[0], lo[0]])
-    t = np.stack([lo[1], lo[1], hi[1], hi[1]])
-    poly = np.empty((2, 5, idx.size))
-    np.divide(a11 * s - a01 * t, det, out=poly[0, :4])
-    np.divide(a00 * t - a10 * s, det, out=poly[1, :4])
-    poly[:, 4] = poly[:, 0]
-    eps = 1e-14 * (1.0 + (np.abs(poly[0, :4]) + np.abs(poly[1, :4])).max(axis=0))
-    eps = np.stack([eps, -eps])
-    # per lane and clip step: the normal's x and y, and the bound b
-    lane = np.empty((3, steps, idx.size))
-    lane[:2] = clip.T[:, :, f]
-    lane[2, 0::2], lane[2, 1::2] = hi[2:], -lo[2:]
-    del lo, hi, s, t  # the clip needs only poly, lane and eps
-    alive = np.ones(idx.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(steps):
-            if not alive.all():  # a lane leaves once it has fewer than 3 vertices
-                idx, poly, lane, eps = idx[alive], poly[:, :, alive], lane[:, :, alive], eps[:, alive]
-            poly, cnt = _clip_polygons(poly, lane[0, k], lane[1, k], lane[2, k], eps)
-            alive = cnt >= 3
-            if not alive.any():
-                return out
-    term = poly[0, :-1] * poly[1, 1:] - poly[1, :-1] * poly[0, 1:]
-    # the slots from a lane's count on add 0.0, and starting from term 0
-    # rather than 0.0 can flip only the sign of a zero: neither moves a bit
-    # of 0.5 |area|
-    term[np.isnan(term)] = 0.0
-    area = term[0]
-    for j in range(1, len(term)):
-        area = area + term[j]
-    out[idx[alive]] = 0.5 * np.abs(area[alive])
+    third = third.T.take(f, axis=1)
+    kernel = _three_row_areas if len(at) == 3 else _edge_sum_areas
+    area = kernel(third, mlo.reshape(-1).take(at), mhi.reshape(-1).take(at))
+    if mlo is not lo:
+        # a merge may empty a seed slab or narrow it to its roundings: such a
+        # lane, or one of at most _SLIVER times its seed rectangle before the
+        # merges, gives 0.0
+        w0, w1 = hi.reshape(-1).take(at[:2]) - lo.reshape(-1).take(at[:2])
+        empty = (mhi.reshape(-1).take(at[:2]) < mlo.reshape(-1).take(at[:2])).any(axis=0)
+        area[(into >= 0).any(axis=1)[f] & (empty | (area <= _SLIVER * (w0 * w1 * third[-1])))] = 0.0
+    out[idx] = area
     return out
 
 
@@ -874,13 +785,12 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     seed cell, R its largest distance from c; so each merged row changes
     the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
     section.  Otherwise each term carries _polygon_areas' error times |h|:
-    a four-row lane's facets have three rows and take _three_row_areas'
-    bound, a five-row lane's four and _four_row_areas' bound, 96 u S_F (1 +
-    E_2 / M_2 + E_3 / M_3) for S_F the facet's seed rectangle (a merged row
-    is a zero row there, with no term), and wider facets the clip's
-    tolerance, 1e-14 times the facet's coordinate scale, per unit of the
-    facet's perimeter; the projections and the sum add O(m u) of sum |h|
-    |F|.
+    an m-row lane's facets have m - 1 rows, so at m = 4 they take
+    _three_row_areas' bound and at any other m _edge_sum_areas' bound, 96 u
+    S_F (1 + sum_j E_j / M_j) over the facet's m - 3 rows other than its
+    seeds (none at m = 3), S_F its seed rectangle (a merged row is a zero
+    row there, with no term); the projections and the sum add O(m u) of sum
+    |h| |F|.
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by
@@ -889,17 +799,7 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     at a time.
     """
     count, m = blo.shape
-    into = tables.into[frame]
-    merged = np.flatnonzero((into >= 0).any(axis=0))
-    if merged.size:  # the merges write to the lanes' own copies
-        blo, bhi = blo.copy(), bhi.copy()
-    for j in merged:
-        hit = np.flatnonzero(into[:, j] >= 0)
-        i = into[hit, j]
-        scaled = tables.alpha[frame[hit], j]
-        a, b = blo[hit, j] / scaled, bhi[hit, j] / scaled
-        blo[hit, i] = np.maximum(blo[hit, i], np.minimum(a, b))
-        bhi[hit, i] = np.minimum(bhi[hit, i], np.maximum(a, b))
+    blo, bhi = _merge_rows(tables.into, tables.alpha, frame, blo, bhi)
     empty = (blo >= bhi).any(axis=1)
     # facet (l, i, side): the plane <w_i, y - c> = bhi (side 0) or blo (side 1)
     # (its outward distance from c is signed / |w_i|; a plane beyond the seed

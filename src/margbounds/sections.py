@@ -366,11 +366,16 @@ def section_quadrature(box: Box, h: Subspace) -> float:
     system has dimension <= slabgeom.MAX_BLOCK.  Wider irreducible sections must
     go through section_mc.
     """
+    _check_section(box, h)
+    return slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box)).value(np.zeros(box.n))
+
+
+def _check_section(box: Box, h: Subspace) -> None:
+    """Both section routes' check of the box and the subspace H."""
     if h.n != box.n:
         raise ValueError("dimension mismatch between box and subspace")
     if h.k == 0:
         raise ValueError("zero-dimensional section")
-    return slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box)).value(np.zeros(box.n))
 
 
 # fewest samples section_mc takes
@@ -385,8 +390,7 @@ def section_mc(
     shift."""
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need samples >= {MIN_MC_SAMPLES}")
-    if h.n != box.n:
-        raise ValueError("dimension mismatch between box and subspace")
+    _check_section(box, h)
     slab_sum = slabgeom.SlabSum(np.asarray(h.basis), box_pieces(box))
     return slab_sum.mc(np.zeros(box.n), samples, seed, stream)
 

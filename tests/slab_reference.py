@@ -2,16 +2,14 @@
 tests compare with ==.
 
 polygon_area, polytope_volume and slab_volume evaluate one slab system at a
-time on Python floats.  They are the scalar twins that the lane kernels
-(kernels._polygon_areas and kernels._polytope_volumes) once shared src
-with, kept here verbatim: the lane kernels run the same IEEE operations in
-the same order, so every lane must have the twin's bits, in a call of any
-number of lanes, one included.  A three-row 2-D system (a 2-D lane of
-three rows, or a facet of a four-row 3-D lane) takes _three_row_area,
-kernels._three_row_areas' closed form op for op, a four-row one (or a
-facet of a five-row 3-D lane) _four_row_area, kernels._four_row_areas op
-for op, each with its rounding bound (stated there); five rows or more take
-the Sutherland-Hodgman clip.
+time on Python floats.  They are the scalar twins of the lane kernels
+(kernels._polygon_areas and kernels._polytope_volumes): the lane kernels run
+the same IEEE operations in the same order, so every lane must have the
+twin's bits, in a call of any number of lanes, one included.  A three-row
+2-D system (a 2-D lane of three rows, or a facet of a four-row 3-D lane)
+takes _three_row_area, kernels._three_row_areas' closed form op for op; any
+other 2-D system _edge_sum_area, kernels._edge_sum_areas op for op, after
+its exactly parallel rows merge as kernels._clip_tables merges them.
 slab_volume takes d = 1 to kernels.interval_length, which src keeps for
 kernels.live_volumes' one-lane d = 1 calls.
 
@@ -30,27 +28,10 @@ from margbounds import slabgeom
 from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _SLIVER, _TOUCH, interval_length
 
 
-def _clip_polygon(poly, nx, ny, b, eps):
-    """Sutherland-Hodgman clip of a 2-D polygon by nx*x + ny*y <= b."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % m]
-        dp = nx * px + ny * py - b
-        dq = nx * qx + ny * qy - b
-        if dp <= eps:
-            out.append((px, py))
-        if (dp < -eps and dq > eps) or (dp > eps and dq < -eps):
-            t = dp / (dp - dq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
 def _polygon_seed_rows(rows):
     """(i0, i1, det) of the rows (a list of (x, y) floats) seeding the 2-D
-    clipper and their determinant, or None when they are degenerate at the
-    clipper's tolerance (polygon_area then returns 0.0)."""
+    kernel and their determinant, or None when they are degenerate
+    (polygon_area then returns 0.0)."""
     norms = [x * x + y * y for x, y in rows]
     i0 = norms.index(max(norms))
     x0, y0 = rows[i0]
@@ -85,33 +66,32 @@ def _polygon_area(rows, lo, hi):
         x, y = rows[i2]
         third = ((x * a11 - y * a10) / det, (a00 * y - a01 * x) / det, 1.0 / abs(det))
         return _three_row_area(third, (lo[i0], lo[i1], lo[i2]), (hi[i0], hi[i1], hi[i2]))
-    if len(rows) == 4:
-        rest = [i for i in range(4) if i not in (i0, i1)]
-        det = _product_difference(a00, a11, a01, a10)
-        third = [_product_difference(rows[i][0], a11, rows[i][1], a10) / det for i in rest]
-        third += [_product_difference(a00, rows[i][1], a01, rows[i][0]) / det for i in rest]
-        order = [i0, i1] + rest
-        return _four_row_area(third + [1.0 / abs(det)], [lo[i] for i in order], [hi[i] for i in order])
-    poly = []
-    for s, t in ((lo[i0], lo[i1]), (hi[i0], lo[i1]), (hi[i0], hi[i1]), (lo[i0], hi[i1])):
-        poly.append(((a11 * s - a01 * t) / det, (a00 * t - a10 * s) / det))
-    scale = 1.0 + max(abs(p[0]) + abs(p[1]) for p in poly)
-    eps = 1e-14 * scale
-    for i, (nx, ny) in enumerate(rows):
-        if i == i0 or i == i1:
-            continue
-        poly = _clip_polygon(poly, nx, ny, hi[i], eps)
-        if len(poly) < 3:
-            return 0.0
-        poly = _clip_polygon(poly, -nx, -ny, -lo[i], eps)
-        if len(poly) < 3:
-            return 0.0
-    area = 0.0
-    for i in range(len(poly)):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % len(poly)]
-        area += px * qy - py * qx
-    return 0.5 * abs(area)
+    rest = [i for i in range(len(rows)) if i not in (i0, i1)]
+    det = _product_difference(a00, a11, a01, a10)
+    alpha = [_product_difference(rows[i][0], a11, rows[i][1], a10) / det for i in rest]
+    beta = [_product_difference(a00, rows[i][1], a01, rows[i][0]) / det for i in rest]
+    order = [i0, i1] + rest
+    lo, hi = [lo[i] for i in order], [hi[i] for i in order]
+    sliver, merged = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * (1.0 / abs(det))), False
+    # a row exactly parallel to a seed row or to an earlier live row merges
+    # into it and becomes a zero row, its slab's bounds -1, 1
+    live = [a != 0.0 and b != 0.0 for a, b in zip(alpha, beta)]
+    for j, (a, b) in enumerate(zip(alpha, beta)):
+        if a != 0.0 and b == 0.0:
+            into, kappa = 0, a
+        elif a == 0.0 and b != 0.0:
+            into, kappa = 1, b
+        else:
+            earlier = [i for i in range(j) if live[i] and live[j] and alpha[i] * b == a * beta[i]]
+            if not earlier:
+                continue
+            into, kappa = 2 + earlier[0], a / alpha[earlier[0]]
+            live[j] = False
+        low, high = lo[2 + j] / kappa, hi[2 + j] / kappa
+        lo[into], hi[into] = max(min(high, low), lo[into]), min(max(high, low), hi[into])
+        lo[2 + j], hi[2 + j], alpha[j], beta[j], merged = -1.0, 1.0, 0.0, 0.0, True
+    area = _edge_sum_area(alpha + beta + [1.0 / abs(det)], lo, hi)
+    return 0.0 if merged and (hi[0] < lo[0] or hi[1] < lo[1] or area <= sliver) else area
 
 
 def _three_row_area(third, lo, hi):
@@ -168,93 +148,72 @@ def _product_difference(a, b, c, d):
     return s + (((p - (s - bb)) + (-q - bb)) + (ep - eq))
 
 
-def _four_row_area(third, lo, hi):
-    """kernels._four_row_areas of one lane on Python floats, op for op, with
+def _edge_sum_area(third, lo, hi):
+    """kernels._edge_sum_areas of one lane on Python floats, op for op, with
     the same max/min operand order as _three_row_area."""
-    a2, a3, b2, b3, rdet = third
-    zero = [a == 0.0 and b == 0.0 for a, b in ((a2, b2), (a3, b3))]
-    if ((a2 == 0.0) != (b2 == 0.0) or (a3 == 0.0) != (b3 == 0.0) or all(zero)
-            or (a2 * b3 == a3 * b2 and not any(zero))):
-        return _merged_four_rows(third, lo, hi)
+    r = len(lo) - 2
+    alpha, beta, rdet = third[:r], third[r : 2 * r], third[2 * r]
+    zero = [a == 0.0 and b == 0.0 for a, b in zip(alpha, beta)]
     empty = any(z and (lo[2 + j] > 0.0 or hi[2 + j] < 0.0) for j, z in enumerate(zero))
     lo, hi = list(lo), list(hi)
-    for j in (0, 1):
+    for j in range(r):
         if zero[j]:
             lo[2 + j], hi[2 + j] = -math.inf, math.inf
     w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    if not w0 * w1 > 0.0:
-        return 0.0 * (w0 * w1 * rdet * 0.125)
-    p, q = (a2 * w0, a3 * w0), (b2 * w1, b3 * w1)
-    gamma = [alpha * (lo[0] + hi[0]) + beta * (lo[1] + hi[1]) for alpha, beta in ((a2, b2), (a3, b3))]
-    bnd = [[lo[2 + j] + lo[2 + j] - gamma[j] for j in (0, 1)],
-           [max(lo[2 + j], hi[2 + j]) + max(lo[2 + j], hi[2 + j]) - gamma[j] for j in (0, 1)]]
+    area = w0 * w1
+    if not area > 0.0:
+        return 0.0 * (area * rdet * 0.125)
+    p, q = [a * w0 for a in alpha], [b * w1 for b in beta]
+    gamma = [a * (lo[0] + hi[0]) + b * (lo[1] + hi[1]) for a, b in zip(alpha, beta)]
+    bnd = [[lo[2 + j] + lo[2 + j] - gamma[j] for j in range(r)],
+           [max(lo[2 + j], hi[2 + j]) + max(lo[2 + j], hi[2 + j]) - gamma[j] for j in range(r)]]
     ap, aq = [abs(v) for v in p], [abs(v) for v in q]
-    along = [aq[0] >= ap[0]]
-    along.append(aq[1] + aq[1] >= ap[1] if along[0] else ap[1] + ap[1] < aq[1])
+    along = [aq[j] >= ap[j] for j in range(r)]
+    along[1:] = [(aq[j] + aq[j] >= ap[j]) if along[0] else (ap[j] + ap[j] < aq[j]) for j in range(1, r)]
     rp, rq = [_divide(1.0, v) for v in p], [_divide(1.0, v) for v in q]
-    # cross[edge][side][row] for the edges t = 1 and s = 1, and far[side][row]
-    cross = [[[(bnd[k][j] - q[j]) * rp[j] for j in (0, 1)] for k in (0, 1)],
-             [[(bnd[k][j] - p[j]) * rq[j] for j in (0, 1)] for k in (0, 1)]]
-    far = [[(bnd[k][j] + (q[j] if along[j] else p[j])) * (rp[j] if along[j] else rq[j]) for j in (0, 1)]
-           for k in (0, 1)]
-    scale = _divide(1.0, (a2 * b3 - a3 * b2) * (w0 * w1))
-    ps = [[(bnd[a][0] * q[1] - bnd[c][1] * q[0]) * scale for c in (0, 1)] for a in (0, 1)]
-    pt = [[(bnd[c][1] * p[0] - bnd[a][0] * p[1]) * scale for c in (0, 1)] for a in (0, 1)]
-    lines = [[0.0, 0.0], [0.0, 0.0]]
+    # cross[edge][side][row] for the edges t = 1 and s = 1; each line's
+    # interval [low, high] along its axis, low[side][row]
+    cross = [[[(bnd[k][j] - q[j]) * rp[j] for j in range(r)] for k in (0, 1)],
+             [[(bnd[k][j] - p[j]) * rq[j] for j in range(r)] for k in (0, 1)]]
+    low, high = [[0.0] * r for _ in (0, 1)], [[0.0] * r for _ in (0, 1)]
     for k in (0, 1):
-        for j in (0, 1):
+        for j in range(r):
+            far = (bnd[k][j] + (q[j] if along[j] else p[j])) * (rp[j] if along[j] else rq[j])
             near = cross[0][k][j] if along[j] else cross[1][k][j]
-            low, high = min(far[k][j], near), max(far[k][j], near)
-            point = ps if along[j] else pt
-            pts = point[k] if j == 0 else [point[0][k], point[1][k]]
-            low = max(-1.0, max(min(pts[1], pts[0]), low))
-            high = min(1.0, min(max(pts[1], pts[0]), high))
-            lines[k][j] = max(0.0, high - low)
+            low[k][j], high[k][j] = max(-1.0, min(far, near)), min(1.0, max(far, near))
+    for i in range(r):
+        for j in range(i + 1, r):
+            scale = _divide(1.0, (alpha[i] * beta[j] - alpha[j] * beta[i]) * area)
+            ps = [[(bnd[a][i] * q[j] - bnd[c][j] * q[i]) * scale for c in (0, 1)] for a in (0, 1)]
+            pt = [[(bnd[c][j] * p[i] - bnd[a][i] * p[j]) * scale for c in (0, 1)] for a in (0, 1)]
+            if i and along[i] != along[j] and not zero[i]:
+                for a in (0, 1):
+                    for c in (0, 1):
+                        if along[i]:
+                            pt[a][c] = _divide(bnd[a][i] - p[i] * ps[a][c], q[i])
+                        else:
+                            ps[a][c] = _divide(bnd[a][i] - q[i] * pt[a][c], p[i])
+            for row, pts in ((i, lambda a, c: (a, c)), (j, lambda a, c: (c, a))):
+                point = ps if along[row] else pt
+                for k in (0, 1):
+                    ends = [point[pts(k, c)[0]][pts(k, c)[1]] for c in (0, 1)]
+                    low[k][row] = max(min(ends[1], ends[0]), low[k][row])
+                    high[k][row] = min(max(ends[1], ends[0]), high[k][row])
+    lines = [[max(0.0, high[k][j] - low[k][j]) for j in range(r)] for k in (0, 1)]
     edges = []
     for edge in cross:
-        lows = [min(edge[1][j], edge[0][j]) for j in (0, 1)]
-        highs = [max(edge[1][j], edge[0][j]) for j in (0, 1)]
-        high = min(1.0, min(highs[1], highs[0]))
-        edges.append(max(0.0, high - max(-1.0, max(lows[1], lows[0]))))
+        high = min([1.0] + [max(edge[1][j], edge[0][j]) for j in range(r)])
+        edges.append(max(0.0, high - max([-1.0] + [min(edge[1][j], edge[0][j]) for j in range(r)])))
     total = edges[0] + edges[1]
     total += total
-    for j in (0, 1):
+    for j in range(r):
         if not zero[j]:
             shift = p[j] + q[j]
             terms = (bnd[1][j] + shift) * lines[1][j] - (bnd[0][j] + shift) * lines[0][j]
             total += terms / (aq[j] if along[j] else ap[j])
     if total <= 8.0 * _SLIVER or empty:
         total = 0.0
-    return total * (w0 * w1 * rdet * 0.125)
-
-
-def _merged_four_rows(third, lo, hi):
-    """kernels._merged_four_rows of one lane on Python floats, op for op."""
-    alpha, beta, rdet = third[:2], third[2:4], third[4]
-    sliver = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * rdet)
-    lo, hi = list(lo), [max(l, h) for l, h in zip(lo, hi)]
-    zero = [a == 0.0 and b == 0.0 for a, b in zip(alpha, beta)]
-    if any(z and (lo[2 + r] > 0.0 or hi[2 + r] < 0.0) for r, z in enumerate(zero)):
-        return 0.0
-    seed0 = [b == 0.0 and not z for b, z in zip(beta, zero)]
-    seed1 = [a == 0.0 and not z for a, z in zip(alpha, zero)]
-    left = [not (z or s0 or s1) for z, s0, s1 in zip(zero, seed0, seed1)]
-    row2 = left[0] and left[1]
-    for j, into, kappa, hit in ((2, 0, alpha[0], seed0[0]), (2, 1, beta[0], seed1[0]), (3, 0, alpha[1], seed0[1]),
-                                (3, 1, beta[1], seed1[1]), (3, 2, alpha[1] / alpha[0] if row2 else 1.0, row2)):
-        if hit:
-            a, b = lo[j] / kappa, hi[j] / kappa
-            lo[into] = max(min(b, a), lo[into])
-            hi[into] = min(max(b, a), hi[into])
-    if left[0] or left[1]:
-        rest = 2 if left[0] else 3
-        third, lo3, hi3 = (alpha[rest - 2], beta[rest - 2], rdet), lo[:2] + [lo[rest]], hi[:2] + [hi[rest]]
-    else:
-        third, lo3, hi3 = (0.0, 0.0, rdet), lo[:2] + [-1.0], hi[:2] + [1.0]
-    if any(l > h for l, h in zip(lo3, hi3)):
-        return 0.0
-    area = _three_row_area(third, lo3, hi3)
-    return 0.0 if area <= sliver else area
+    return total * (area * rdet * 0.125)
 
 
 def _dot1(a, b):

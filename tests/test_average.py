@@ -376,8 +376,8 @@ def test_grinberg_shared_draw_matches_one_draw_per_side(diag, n, k):
 
 def test_paired_checks_keep_the_one_draw_per_side_bits():
     # float.hex of report fields from before both sides shared one draw; the
-    # four-row closed form (kernels._four_row_areas, for the 2-D lanes at n
-    # = 4, k = 2) then moved paired_se here, and phi_image and combined_se
+    # four-row closed form (now kernels._edge_sum_areas, for the 2-D lanes at
+    # n = 4, k = 2) then moved paired_se here, and phi_image and combined_se
     # below, by 1, 1 and 2 units in the last place
     f = _centered_density(24, 4)
     rec = prop_avg_check(f, 2, 1000, seed=6, stream=3)

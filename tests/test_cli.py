@@ -221,6 +221,34 @@ def test_sections_quadrature_below_the_normal_range_is_a_route_limit(tmp_path, c
     assert value == pytest.approx(1e-200 * section_quadrature(Box(np.ones(4)), h), rel=1e-13)
 
 
+@pytest.mark.parametrize("mode", ["quadrature", "mc"])
+def test_sections_of_a_zero_dimensional_subspace_is_usage_error(tmp_path, capsys, mode):
+    # both routes run one check of the box and the subspace: mc once
+    # reported 0.0 +- 0.0 here
+    sub_path = tmp_path / "h.json"
+    sub_path.write_text(json.dumps({"n": 3, "k": 0, "basis_rows": [[], [], []]}))
+    out = tmp_path / "s.json"
+    assert run(["sections", "--mode", mode, "--sides", "1,1,1", "--samples", "1000",
+                "--subspace-file", str(sub_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: zero-dimensional section")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_sections_normal_of_any_scale(tmp_path, capsys, scale):
+    # the normal is scaled by a power of two before its norm: 1e200 once
+    # overflowed it ("must have unit norm", a RuntimeWarning on stderr) and
+    # 1e-200 underflowed it ("must not be the zero vector")
+    values = []
+    for normal in (f"{scale},{scale}", "1,1"):
+        out = tmp_path / "s.json"
+        assert run(["sections", "--mode", "exact", "--sides", "1,1", "--normal", normal,
+                    "--out", str(out)]) == 0
+        values.append(json.loads(out.read_text())["records"][0]["value"])
+    assert values == pytest.approx([math.sqrt(2.0)] * 2, abs=1e-15)
+    assert capsys.readouterr().err.count("Warning") == 0
+
+
 def test_sections_missing_normal_is_usage_error():
     assert run(["sections", "--mode", "exact", "--sides", "1,1"]) == 2
 
@@ -503,7 +531,7 @@ def test_search_max_near_the_paired_subspace_passes(tmp_path):
 def test_search_max_report_is_pinned(tmp_path):
     # the climb scores its proposals in batches, and ends where one proposal
     # per step ends, to the bit (1.9913631328061048 before the four-row
-    # facets of its 3-D lanes took kernels._four_row_areas)
+    # facets of its 3-D lanes took the edge sum, kernels._edge_sum_areas)
     out = tmp_path / "sm.json"
     code = run(["search-max", "--n", "5", "--k", "2", "--restarts", "3",
                 "--steps", "1000", "--seed", "1", "--out", str(out)])

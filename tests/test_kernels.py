@@ -145,7 +145,7 @@ def test_polygon_area_degenerate_rows(backend):
 
 def test_polygon_area_400_gon():
     # 200 slabs |<w_j, y>| <= 1 at angles pi j / 200 cut out the regular
-    # 400-gon circumscribing the unit disk; the clipper has no vertex cap
+    # 400-gon circumscribing the unit disk; the kernel has no row cap
     angles = math.pi * np.arange(200) / 200.0
     w = np.column_stack([np.cos(angles), np.sin(angles)])
     hi = np.ones(200)
@@ -155,7 +155,7 @@ def test_polygon_area_400_gon():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_polygon_areas_match_polygon_area(n):
-    """The lane-wise clipper against the scalar reference, ==, in one call
+    """The lane-wise kernel against the scalar reference, ==, in one call
     and one lane at a time, on Haar complement frames with centered,
     shifted and empty slab systems."""
     rng = np.random.default_rng(n)
@@ -281,38 +281,62 @@ def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
     _polygon_lanes_match(frames, np.arange(40), np.stack([c[1] for c in corners]), np.stack([c[2] for c in corners]))
 
 
-_FOUR_ROW_KINDS = ("generic", "parallel", "near-seed", "zero", "narrow", "corner")
+_EDGE_KINDS = ("generic", "near", "straddle", "zero", "exact", "narrow", "corner")
 
 
-def _four_row_case(rng, kind):
-    """A four-row 2-D slab system (W, lo, hi) of one kind, its rows in the
-    kernel's order i0, i1, r2, r3: generic rows and bounds; r3 within
-    10^-12..10^-6 (relative) of r2, parallel or antiparallel, and shorter;
-    r2 or r3 as close to a seed row; a zero r2 or r3 whose slab holds 0, as
-    a facet's merged rows have; a slab of any row 1e-16..1e-14 (relative)
-    wide across the parallelogram of two others; or a slab of r2 or r3 that
-    cuts a sliver off a corner of the seed parallelogram, or touches it
-    there, or just misses it."""
-    W = rng.normal(size=(4, 2))
-    half = rng.uniform(0.05, 1.0, size=4)
-    centre = rng.normal(size=4) * rng.choice([0.0, 0.5, 3.0])
+def _edge_case(rng, kind, m):
+    """An m-row 2-D slab system (W, lo, hi) of one kind, its rows in the
+    kernel's order i0, i1, then the others: generic rows and bounds; a later
+    row within 10^-12..10^-6 (relative) of an earlier one, seed row or not,
+    parallel or antiparallel, and shorter; two later rows other than the
+    first 10^-13..10^-5 apart on either side of the axis threshold of
+    _edge_sum_areas (|p| = 2 |q| with the first on s), their lines through
+    one point of the seed parallelogram (m >= 5); one to m - 3 zero rows
+    whose slabs hold 0, as a facet's merged rows have; a later row exactly
+    parallel to an earlier one, or a multiple that rounds; a slab of any
+    row 1e-16..1e-14 (relative) wide across the parallelogram of two
+    others; or a slab of a later row that cuts a sliver off a corner of the
+    seed parallelogram, or touches it there, or just misses it."""
+    W = rng.normal(size=(m, 2))
+    half = rng.uniform(0.05, 1.0, size=m)
+    centre = rng.normal(size=m) * rng.choice([0.0, 0.5, 3.0])
     lo, hi = centre - half, centre + half
     i0, i1, _ = _polygon_seed_rows(W.tolist())
-    order = [i0, i1] + [i for i in range(4) if i not in (i0, i1)]
+    order = [i0, i1] + [i for i in range(m) if i not in (i0, i1)]
     W, lo, hi = W[order], lo[order], hi[order]
-    tilt = 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=2)
-    if kind == "parallel":
-        W[3] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[2] + np.linalg.norm(W[2]) * tilt
-    elif kind == "near-seed":
-        s, r = rng.integers(2), 2 + rng.integers(2)
-        W[r] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[s] + np.linalg.norm(W[s]) * tilt
+    j = 2 + rng.integers(m - 2)
+    if kind in ("near", "exact"):
+        s = rng.integers(j)
+        if kind == "near":
+            tilt = 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=2)
+            W[j] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[s] + np.linalg.norm(W[s]) * tilt
+        else:
+            W[j] = rng.choice([0.5, -0.25, -1.0, 0.3, -0.7]) * W[s]
+    elif kind == "straddle":
+        # seed coordinates alpha, beta below 0.45, which keep the seeds, and
+        # p / q = alpha w_0 / (beta w_1) below 1 for the first row
+        w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
+        beta = rng.choice([1.0, -1.0], size=3) * rng.uniform(0.05, 0.4, size=3) * min(1.0, 0.2 * w0 / w1)
+        ratio = np.array([rng.uniform(-1.0, 1.0), 2.0, 2.0])
+        ratio[1:] *= rng.choice([1.0, -1.0]) * (1.0 + np.array([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -5.0))
+        alpha = ratio * beta * w1 / w0
+        rows = [2] + list(rng.choice(np.arange(3, m), size=2, replace=False))
+        W[rows] = alpha[:, None] * W[0] + beta[:, None] * W[1]
+        point = np.linalg.solve(W[:2], [rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])])
+        for r in rows[1:]:
+            width = rng.uniform(0.05, 1.0) * np.abs(W[r]).sum()
+            if rng.integers(2):
+                lo[r], hi[r] = W[r] @ point, W[r] @ point + width
+            else:
+                lo[r], hi[r] = W[r] @ point - width, W[r] @ point
     elif kind == "zero":
-        r = 2 + rng.integers(2)
-        W[r] = 0.0
-        lo[r], hi[r] = -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        rows = 2 + rng.choice(m - 2, size=rng.integers(1, m - 2), replace=False)
+        W[rows] = 0.0
+        lo[rows], hi[rows] = -rng.uniform(0.0, 1.0, size=len(rows)), rng.uniform(0.0, 1.0, size=len(rows))
     elif kind in ("narrow", "corner"):
-        j = rng.integers(4) if kind == "narrow" else 2 + rng.integers(2)
-        a, b = [i for i in range(4) if i != j][:2]
+        if kind == "narrow":
+            j = rng.integers(m)
+        a, b = [i for i in range(m) if i != j][:2]
         corners = np.linalg.solve(W[[a, b]], [[lo[a], lo[a], hi[a], hi[a]], [lo[b], hi[b], lo[b], hi[b]]])
         values = W[j] @ corners
         scale = np.abs(values).max() + values.max() - values.min()
@@ -328,11 +352,11 @@ def _four_row_case(rng, kind):
     return W, lo, hi
 
 
-def _four_row_bound(W, lo, hi, order):
-    """The rounding bound kernels._four_row_areas states for one
-    non-degenerate four-row system, its rows in the kernel's order: 96 u S
-    (1 + E_2 / M_2 + E_3 / M_3), no term for a zero row, E_j and M_j as
-    _three_row_bound computes them."""
+def _edge_sum_bound(W, lo, hi, order):
+    """The rounding bound kernels._edge_sum_areas states for one
+    non-degenerate system, its rows in the kernel's order: 96 u S (1 +
+    sum_j E_j / M_j) over the rows j other than the seeds, no term for a
+    zero row, E_j and M_j as _three_row_bound computes them."""
     W, lo, hi = W.tolist(), lo.tolist(), hi.tolist()
     i0, i1, *rest = order
     (a00, a01), (a10, a11) = W[i0], W[i1]
@@ -349,7 +373,20 @@ def _four_row_bound(W, lo, hi, order):
     return 96.0 * 2.0**-53 * (w0 * w1 / det) * (1.0 + ratio)
 
 
-@pytest.mark.parametrize("kind", _FOUR_ROW_KINDS)
+def _assert_within_the_edge_sum_bound(systems, row_exp, bound_exp):
+    """One kernel call on the systems of one m, rows scaled by 2^row_exp and
+    bounds by 2^bound_exp, against the exact rational area of the float
+    systems."""
+    W = np.stack([s[0] for s in systems]) * 2.0**row_exp
+    lo, hi = (np.stack([s[k] for s in systems]) * 2.0**bound_exp for k in (1, 2))
+    tables = kernels.frame_tables(W)
+    got = kernels.table_volumes(tables, np.arange(len(W)), lo, hi)
+    for k in np.flatnonzero(tables.clip.ok):
+        error = abs(Fraction(got[k]) - exact_polygon_area(W[k], lo[k], hi[k]))
+        assert error <= Fraction(_edge_sum_bound(W[k], lo[k], hi[k], tables.clip.order[k]))
+
+
+@pytest.mark.parametrize("kind", [kind for kind in _EDGE_KINDS if kind != "straddle"])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
 def test_four_row_areas_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
@@ -357,20 +394,23 @@ def test_four_row_areas_are_within_their_stated_bound(kind, seed, row_exp, bound
     # 100 systems of one kind per example, 3,000 per kind, rows scaled by
     # 2^0 or 2^40 and bounds by 2^-40, 2^0 or 2^40, in one kernel call
     rng = np.random.default_rng(seed)
-    systems = [_four_row_case(rng, kind) for _ in range(100)]
-    W = np.stack([s[0] for s in systems]) * 2.0**row_exp
-    lo, hi = (np.stack([s[k] for s in systems]) * 2.0**bound_exp for k in (1, 2))
-    tables = kernels.frame_tables(W)
-    got = kernels.table_volumes(tables, np.arange(100), lo, hi)
-    for k in np.flatnonzero(tables.clip.ok):
-        error = abs(Fraction(got[k]) - exact_polygon_area(W[k], lo[k], hi[k]))
-        assert error <= Fraction(_four_row_bound(W[k], lo[k], hi[k], tables.clip.order[k]))
+    _assert_within_the_edge_sum_bound([_edge_case(rng, kind, 4) for _ in range(100)], row_exp, bound_exp)
+
+
+@pytest.mark.parametrize("kind", _EDGE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
+def test_areas_of_five_to_eight_rows_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
+    # the same at m = 5..8: 25 systems of each m per example, 1,000 per kind
+    rng = np.random.default_rng(seed)
+    for m in (5, 6, 7, 8):
+        _assert_within_the_edge_sum_bound([_edge_case(rng, kind, m) for _ in range(25)], row_exp, bound_exp)
 
 
 def test_the_polygon_oracle_equals_the_vertex_oracle():
-    # exact_polygon_area, which the four-row families take for speed, is
+    # exact_polygon_area, which the accuracy families take for speed, is
     # exact_slab_volume's rational: small integer systems with repeated,
-    # parallel and zero rows, and random ones of each four-row kind
+    # parallel and zero rows, and random ones of each kind
     rng = np.random.default_rng(7)
     for _ in range(150):
         m = int(rng.integers(2, 6))
@@ -380,32 +420,34 @@ def test_the_polygon_oracle_equals_the_vertex_oracle():
         hi = lo + rng.integers(0, 4, size=m) / 2.0
         if np.linalg.matrix_rank(W) == 2:
             assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
-    for kind in _FOUR_ROW_KINDS:
-        for _ in range(5):
-            W, lo, hi = _four_row_case(rng, kind)
+    for kind in _EDGE_KINDS:
+        for m in (4, 5):
+            W, lo, hi = _edge_case(rng, kind, m + (kind == "straddle"))
             assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
 
 
-def test_four_row_lanes_equal_the_twin_in_calls_of_many_frames():
-    # every kind of four-row system, 24 frames of 10 lanes each, and lanes
-    # whose rows are parallel to a seed row or to each other, or zero, or
-    # both zero: the lanes of one call, and each lane alone, == the twin
-    rng = np.random.default_rng(38)
-    systems = [_four_row_case(rng, kind) for _ in range(4) for kind in _FOUR_ROW_KINDS]
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_lanes_of_four_rows_or_more_equal_the_twin_in_calls_of_many_frames(m):
+    # every kind of system, 3 frames of each of 10 lanes each, and lanes
+    # whose rows are parallel to a seed row or to each other, or zero, or all
+    # zero: the lanes of one call, and each lane alone, == the twin
+    rng = np.random.default_rng(38 + m)
+    kinds = [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
+    systems = [_edge_case(rng, kind, m) for _ in range(3) for kind in kinds]
     frames = np.stack([W for W, _, _ in systems])
     frame = np.repeat(np.arange(len(frames)), 10)
     lo, hi = np.array([systems[k][1] for k in frame]), np.array([systems[k][2] for k in frame])
     shift = rng.normal(size=lo.shape) * rng.choice([0.0, 0.1, 1.0], size=(len(frame), 1))
-    shift[frame % 6 == 3, 2:] = 0.0  # keep 0 in a zero row's slab
+    zero = ~frames.any(axis=2)[frame]
+    shift[zero] = 0.0  # keep 0 in a zero row's slab
     got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
     assert 0 < np.count_nonzero(got) < len(got)
     seeds = np.array([[1.0, 0.25], [-0.5, 1.0]])
-    frames = np.array([np.vstack([seeds, rows]) for rows in (
-        [[2.0, 0.5], [0.3, -0.7]], [[0.3, -0.7], [-1.0, 2.0]], [[0.3, -0.7], [-0.6, 1.4]],
-        [[0.0, 0.0], [0.3, -0.7]], [[0.3, -0.7], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [2.0, 0.5]], [[4.0, 1.0], [-1.0, 2.0]])])
-    frame = np.repeat(np.arange(len(frames)), 12)
-    lo = rng.uniform(-1.0, 0.2, size=(len(frame), 4))
+    rows = [[2.0, 0.5], [0.3, -0.7], [-1.0, 2.0], [-0.6, 1.4], [0.0, 0.0], [4.0, 1.0], [0.6, -1.4]]
+    frames = np.array([np.vstack([seeds, [rows[i] for i in rng.choice(len(rows), size=m - 2)]])
+                       for _ in range(8)] + [np.vstack([seeds, np.zeros((m - 2, 2))])])
+    frame = np.repeat(np.arange(len(frames)), 10)
+    lo = rng.uniform(-1.0, 0.2, size=(len(frame), m))
     hi = lo + rng.uniform(0.0, 1.2, size=lo.shape)
     got = _polygon_lanes_match(frames, frame, lo, hi)
     for k, l, h, value in zip(frame, lo, hi, got):
@@ -423,42 +465,17 @@ def test_a_seed_slab_narrower_than_the_clip_tolerance_keeps_its_area():
     got = _one_lane(W, lo, hi)
     exact = exact_slab_volume(W, lo, hi)
     assert 1.26e-14 < float(exact) < 1.27e-14
-    assert abs(Fraction(got) - exact) <= Fraction(_four_row_bound(W, lo, hi, kernels._clip_tables(W[None]).order[0]))
-
-
-def test_no_four_row_lane_clips(monkeypatch):
-    # direct 2-D lanes of four rows and the four-row facets of five-row 3-D
-    # lanes take the closed form; five-row 2-D lanes still clip
-    calls = []
-
-    def spy(poly, *rest):
-        calls.append(poly.shape)
-        return clip(poly, *rest)
-
-    clip = kernels._clip_polygons
-    monkeypatch.setattr(kernels, "_clip_polygons", spy)
-    rng = np.random.default_rng(5)
-    for n, k in ((4, 2), (5, 2)):
-        frames = complement_bases(haar_bases(n, k, 3, np.arange(4)))
-        frame = rng.integers(0, 4, size=60)
-        half = rng.uniform(0.2, 1.0, size=(60, n))
-        got = _volumes(frames, frame, -half, half)
-        assert got.all()
-    assert calls == []
-    frames = complement_bases(haar_bases(7, 5, 3, np.arange(2)))
-    half = rng.uniform(0.2, 1.0, size=(20, 7))
-    _volumes(frames, np.arange(20) % 2, -half, half)
-    assert calls
+    assert abs(Fraction(got) - exact) <= Fraction(_edge_sum_bound(W, lo, hi, kernels._clip_tables(W[None]).order[0]))
 
 
 @pytest.mark.parametrize("m,d,nonzero,digest", [
-    (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "7defdfbc31eea605"), (6, 2, 208, "2a9d9c6c667c4def"),
-    (5, 3, 326, "0d973ddcd88d5aae"), (6, 3, 286, "5f364fd4e259e74f")])
-def test_lanes_of_four_rows_or_more_keep_the_clips_bits(m, d, nonzero, digest):
-    # pinned from the clip before three-row lanes took the closed form: 2-D
-    # lanes of five rows or more, and 3-D lanes whose facets have five or
-    # more rows, still clip; the (4, 2) and (5, 3) pins are the four-row
-    # closed form's (_four_row_areas)
+    (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "ab073697fbc8f154"), (6, 2, 208, "a3b5bae31217c6a6"),
+    (5, 3, 326, "0d973ddcd88d5aae"), (6, 3, 286, "1dc4c39b8053e187")])
+def test_lanes_of_four_rows_or_more_keep_their_bits(m, d, nonzero, digest):
+    # the edge sum's bits (_edge_sum_areas): 2-D lanes of four rows or more,
+    # and the facets of 3-D lanes of five rows or more; the (4, 2) and (5,
+    # 3) pins date from the four-row closed form, the others were the
+    # clip's until it was deleted
     rng = np.random.default_rng(100 * m + d)
     frames = rng.normal(size=(6, m, d))
     frame = rng.integers(0, 6, size=400)
@@ -1069,11 +1086,10 @@ def test_polygon_areas_of_400_and_3_gons_in_one_call():
 
 
 @pytest.mark.parametrize("m", [3, 5])
-def test_polygon_areas_lanes_die_at_every_clip_step(m):
-    # seeds 2 e_1 and 2 e_2 (the square |y_i| <= 1/2), then m - 2 unit rows
-    # clipped in row order, hi side then lo side: lane k misses the square by
-    # clip step k's side and dies there; the last lane keeps an octagon-like
-    # cut of the square
+def test_polygon_areas_lanes_empty_by_every_row_side(m):
+    # seeds 2 e_1 and 2 e_2 (the square |y_i| <= 1/2), then m - 2 unit rows,
+    # each side in row order, hi then lo: lane k misses the square by side k
+    # alone; the last lane keeps an octagon-like cut of the square
     angles = np.linspace(0.3, 2.8, m - 2)
     w = np.vstack([2.0 * np.eye(2), np.column_stack([np.cos(angles), np.sin(angles)])])
     steps = 2 * (m - 2)

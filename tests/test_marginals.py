@@ -255,7 +255,7 @@ def test_small_ball_bound_formula():
 
 def _reference_marginal_at(q):
     """The per-point scalar reference: complement, zero rows and blocks
-    recomputed, and every piece combination clipped by the scalar kernel."""
+    recomputed, and every piece combination through the scalar kernel."""
     e = q.e
     shifts = q.ambient_shifts()
     if e.k == e.n:
@@ -561,7 +561,7 @@ def _block_lanes(block, shifts, rows):
 
 def _dropped_lanes(local, lo, hi):
     """The lanes of one 2-D frame local that kernels.seed_cells drops
-    before any clip."""
+    before the kernel runs."""
     live, _ = kernels.seed_cells(kernels.frame_tables(local[None]), np.zeros(len(lo), dtype=np.intp), lo, hi)
     return np.setdiff1d(np.arange(len(lo)), live)
 
@@ -599,7 +599,7 @@ def _tilted_paired_subspace(n, k, seed, tilt):
 def test_kernels_drop_only_lanes_they_would_give_zero(seed, case, tilt, spread):
     # 2-D and 3-D blocks, some with ill-conditioned seed matrices, at shifts
     # near and far from the support center: a lane that the 2-D seed-cell
-    # test drops is one the scalar reference's clip gives exactly 0.0,
+    # test drops is one the scalar reference gives exactly 0.0,
     # and the lane kernels, which drop lanes first, keep its bits
     kind, n, k = case
     f = random_product_density(seed, n, 3)
@@ -650,11 +650,11 @@ def test_bl_guard_slab_sum_keeps_its_bits_and_memory():
     # the lanes' bounds, 2 x 4.5 MiB, and the seed-cell test's arrays for one
     # kernel call of LANE_CAP lanes: 20.9 MiB measured
     assert peak < 24 * 2**20
-    # the value's bits (re-pinned for the 3-D facet recursion: the exact sum
-    # over the 5,334 lanes that pass the seed-cell test by
-    # rational vertex enumeration is 2.5772580870113675, 5.2e-16 above this
-    # value; the face-list clipper's 0x1.49e397ce885d2p+1 was 9.7e-16 below)
-    assert value.hex() == "0x1.49e397ce885d3p+1"
+    # the value's bits (re-pinned for the edge sum on the 3-D lanes' nine-row
+    # facets: the exact sum over the 5,334 lanes that pass the seed-cell test
+    # by rational vertex enumeration is 2.5772580870113675, 9.7e-16 above
+    # this value; the clip's 0x1.49e397ce885d3p+1 was 5.2e-16 below)
+    assert value.hex() == "0x1.49e397ce885d2p+1"
 
 
 def test_lockstep_slab_sums_keep_the_one_lane_bits():

@@ -73,12 +73,10 @@ def test_slab_sum_mc_does_not_claim_zero_for_a_positive_6d_value():
     assert (estimate, std_error) != (0.0, 0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1(c)")
 def test_a_five_row_lane_with_a_narrow_seed_slab_is_right():
     # the four-row system of tests/test_kernels.py's narrow seed slab (row
     # 2, the seed row i0, two ulps wide) with a fifth row (0.3, 0.7) at
-    # +-1e6: five-row lanes still clip, which reads 7.97e-9 where the exact
-    # area is 1.26e-14
+    # +-1e6: the clip read 7.97e-9 where the exact area is 1.26e-14
     W = np.array([[1.0158177, -0.69681254], [-0.2933315, 0.18012433], [1.43121931, -1.09981865],
                   [-0.29009949, -0.13643533], [0.3, 0.7]])
     edge = -2.39166721
