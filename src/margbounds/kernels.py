@@ -383,8 +383,8 @@ def _three_row_areas(third, lo, hi):
     return w0
 
 
-# a lane of four rows or more of at most this share of its seed rectangle's
-# area gives 0.0, so a facet that is a point or a segment in exact
+# an edge-sum lane (_edge_sum_areas) of at most this share of its seed
+# rectangle's area gives 0.0, so a facet that is a point or a segment in exact
 # arithmetic stays 0.0 (the roundings of the tests' degenerate integer
 # facets leave a few u)
 _SLIVER = 2.0**-48
