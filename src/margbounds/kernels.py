@@ -129,6 +129,7 @@ class ClipTables(NamedTuple):
     third: np.ndarray  # (K, 3) at m = 3, else (K, 2m - 3): alphas, betas, 1/|det|
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     factor: np.ndarray  # (K, m): row j over row into[j]
+    cut: np.ndarray  # (K,): 8 _SLIVER where a lane of at most _SLIVER S gives 0.0, else 0
 
 
 def _clip_tables(frames) -> ClipTables:
@@ -144,7 +145,7 @@ def _clip_tables(frames) -> ClipTables:
     _edge_sum_areas.  There a row exactly parallel to a seed row (beta or
     alpha 0) or to an earlier live row i (alpha_i beta_j == alpha_j beta_i)
     merges into it, as the kernel's determinants would be 0, and becomes a
-    zero row."""
+    zero row; a frame with a zero row takes the sliver cut (_SLIVER)."""
     count, m, _ = frames.shape
     ks = np.arange(count)
     i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
@@ -168,7 +169,7 @@ def _clip_tables(frames) -> ClipTables:
     if m == 3:
         d = np.where(ok, det, 1.0)
         third = np.column_stack([(x[0] * a11 - y[0] * a10) / d, (a00 * y[0] - a01 * x[0]) / d, 1.0 / np.abs(d)])
-        return ClipTables(ok, seed, order, others, third, into, factor)
+        return ClipTables(ok, seed, order, others, third, into, factor, np.zeros(count))
     r = m - 2
     # det, then x a11 - y a10 and a00 y - a01 x of each other row
     full = [np.broadcast_to(v, x.shape) for v in (a00, a11, a01, a10)]
@@ -177,27 +178,32 @@ def _clip_tables(frames) -> ClipTables:
     d = np.where(ok, det[0], 1.0)
     coords = det[1:] / d
     alpha, beta = coords[:r], coords[r:]  # (r, K) each
-    # the seed row, by its place in order, that a row parallel to it merges
-    # into (a zero row is a facet's merged row)
-    zero = (alpha == 0.0) & (beta == 0.0)
-    to = np.where(zero, -1, np.where(beta == 0.0, 0, np.where(alpha == 0.0, 1, -1)))
-    kappa = np.where(to == 0, alpha, beta)
+    # a row parallel to a seed row (alpha or beta 0; a zero row is a facet's
+    # merged row) or to an earlier live row merges into it (most frames have
+    # no such row)
     live = (alpha != 0.0) & (beta != 0.0)
     parallel = (alpha[:, None] * beta[None] == alpha[None] * beta[:, None]) & (live[:, None] & live[None])
-    if (parallel & np.tri(r, k=-1, dtype=bool)[:, :, None]).any():  # most frames have no such pair
-        for j in range(1, r):
+    parallel &= np.tri(r, k=-1, dtype=bool)[:, :, None]
+    pairs, cut = parallel.any(), np.zeros(count)
+    if pairs or not live.all():
+        # the row, by its place in order, that each row merges into
+        to = np.where(beta == 0.0, np.where(alpha == 0.0, -1, 0), np.where(alpha == 0.0, 1, -1))
+        kappa = np.where(to == 0, alpha, beta)
+        for j in range(1, r if pairs else 1):
             earlier = parallel[j, :j] & live[:j]
             hit = earlier.any(axis=0)
             i = np.argmax(earlier, axis=0)[hit]
             to[j, hit] = 2 + i
             kappa[j, hit] = alpha[j, hit] / alpha[i, np.flatnonzero(hit)]
             live[j, hit] = False
-    # (a degenerate frame merges nothing; its lanes are 0.0)
-    mj, mk = np.nonzero((to >= 0) & ok)
-    into[mk, order[mk, 2 + mj]] = order[mk, to[mj, mk]]
-    factor[mk, order[mk, 2 + mj]] = kappa[mj, mk]
-    alpha[mj, mk] = beta[mj, mk] = 0.0
-    return ClipTables(ok, seed, order, others, np.column_stack([coords.T, 1.0 / np.abs(d)]), into, factor)
+        # (a degenerate frame merges nothing; its lanes are 0.0)
+        mj, mk = np.nonzero((to >= 0) & ok)
+        into[mk, order[mk, 2 + mj]] = order[mk, to[mj, mk]]
+        factor[mk, order[mk, 2 + mj]] = kappa[mj, mk]
+        alpha[mj, mk] = beta[mj, mk] = 0.0
+        cut[((alpha == 0.0) & (beta == 0.0)).any(axis=0)] = 8.0 * _SLIVER
+    third = np.column_stack([coords.T, 1.0 / np.abs(d)])
+    return ClipTables(ok, seed, order, others, third, into, factor, cut)
 
 
 def _two_product(a, b):
@@ -383,18 +389,21 @@ def _three_row_areas(third, lo, hi):
     return w0
 
 
-# an edge-sum lane (_edge_sum_areas) of at most this share of its seed
-# rectangle's area gives 0.0, so a facet that is a point or a segment in exact
-# arithmetic stays 0.0 (the roundings of the tests' degenerate integer
-# facets leave a few u)
+# an edge-sum lane of at most this share of its seed rectangle gives 0.0 where
+# its frame has a zero row or is a 3-D facet's (ClipTables.cut), or where no
+# edge spans more than _POINT of [-1, 1]^2 along its axis: so a point or a
+# segment in exact arithmetic (a flat polytope's facets), which its roundings
+# leave a few u, stays 0.0.  Other lanes keep their slivers
 _SLIVER = 2.0**-48
+_POINT = 2.0**-40
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _edge_sum_areas(third, lo, hi):
+def _edge_sum_areas(third, lo, hi, cut):
     """Area of each lane of m != 3 rows: lo and hi (m, L) the bounds of the
     seed rows i0, i1 and the r = m - 2 others, third (2r + 1, L) its
-    frame's alphas, betas and 1/|det|.
+    frame's alphas, betas and 1/|det|, cut (L,) its frame's sliver cut
+    (ClipTables).
 
     In s, t with <w_i0, y> = (lo_0 + hi_0 + s w_0) / 2 and <w_i1, y> =
     (lo_1 + hi_1 + t w_1) / 2 (w = hi - lo) the lane is the square [-1,
@@ -423,7 +432,8 @@ def _edge_sum_areas(third, lo, hi):
     products and merges exactly parallel rows, so no determinant of 0
     divides and a row near a seed row costs nothing.  A zero row (a merged
     row) has no lines: its slab holds the plane, or the lane is empty.  A
-    lane of at most _SLIVER S gives 0.0.
+    lane that sums to at most 0, or to at most _SLIVER S with the sliver cut
+    or with no edge longer than _POINT, gives 0.0.
 
     Rounding, to first order in u = 2^-53: the error is at most 96 u S (1 +
     sum_j E_j / M_j), E_j and M_j as _three_row_areas defines E and M with
@@ -490,10 +500,10 @@ def _edge_sum_areas(third, lo, hi):
             np.copyto(pt, (bi - p[i] * ps) / q[i], where=fix & along[i])
             np.copyto(ps, (bi - q[i] * pt) / p[i], where=fix & ~along[i])
         point = np.where(along[i], ps, pt)
-        for x in np.minimum(point[:, 0], point[:, 1]).swapaxes(0, 1):
-            np.maximum(low[:, i], x, out=low[:, i])
-        for x in np.maximum(point[:, 0], point[:, 1]).swapaxes(0, 1):
-            np.minimum(high[:, i], x, out=high[:, i])
+        ends = np.minimum(point[:, 0], point[:, 1]), np.maximum(point[:, 0], point[:, 1])
+        for k in range(r - 1 - i):
+            np.maximum(low[:, i], ends[0][:, k], out=low[:, i])
+            np.minimum(high[:, i], ends[1][:, k], out=high[:, i])
         point = np.where(along[rest], ps, pt)
         np.maximum(low[:, rest], np.minimum(point[0], point[1]), out=low[:, rest])
         np.minimum(high[:, rest], np.maximum(point[0], point[1]), out=high[:, rest])
@@ -517,7 +527,11 @@ def _edge_sum_areas(third, lo, hi):
         terms[zero] = 0.0
     for term in terms:
         total += term
-    total[total <= 8.0 * _SLIVER] = 0.0  # the whole square sums to 8
+    # no area is negative; the sliver cut, or a point within its roundings
+    small = total <= 8.0 * _SLIVER
+    if small.any() and (small & (total != 0.0)).any():
+        point = np.maximum(edges.max(axis=0), lines.max(axis=(0, 1), initial=0.0)) <= _POINT
+        total[small & ((total <= cut) | point)] = 0.0
     if has_zero:
         total[empty] = 0.0
     total[~(area > 0.0)] = 0.0
@@ -571,7 +585,7 @@ def _polygon_areas(tables, frame, lo, hi):
     3-D facets call it directly: testing them too saved no measurable time
     on sup-grid.)
     """
-    ok, _, order, _, third, into, factor = tables
+    ok, _, order, _, third, into, factor, cut = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:
@@ -581,8 +595,8 @@ def _polygon_areas(tables, frame, lo, hi):
     # (m, L): each lane's rows in its frame's order
     at = idx * lo.shape[1] + order[f].T
     third = third.T.take(f, axis=1)
-    kernel = _three_row_areas if len(at) == 3 else _edge_sum_areas
-    area = kernel(third, mlo.reshape(-1).take(at), mhi.reshape(-1).take(at))
+    lanes = mlo.reshape(-1).take(at), mhi.reshape(-1).take(at)
+    area = _three_row_areas(third, *lanes) if len(at) == 3 else _edge_sum_areas(third, *lanes, cut[f])
     if mlo is not lo:
         # a merge may empty a seed slab or narrow it to its roundings: such a
         # lane, or one of at most _SLIVER times its seed rectangle before the
@@ -654,7 +668,7 @@ def _sum_in_order(terms):
 class PolytopeTables(NamedTuple):
     """What the 3-D kernel needs of frames (K, m, 3) alone, per frame; the
     fields of its m facet frames, row i's at [k, i], hold each (K, m, ...).
-    A frame where no row merges has into -1, alpha 1 and dead false."""
+    A frame where no row merges has into -1 and alpha 1."""
 
     w: np.ndarray  # (K, m, 3): the rows
     seeds: np.ndarray  # (K, 3): the seed rows (_polytope_seed_lanes)
@@ -666,8 +680,7 @@ class PolytopeTables(NamedTuple):
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     alpha: np.ndarray  # (K, m): the merge factors <w_j, w_i> / |w_i|^2
     alive: np.ndarray  # (K, m): the rows that do not merge
-    gram: np.ndarray  # (K, m, m - 1): <w_i, w_j> over the other rows j
-    dead: np.ndarray  # (K, m, m - 1): which of them merge (zeroed in the facet)
+    gram: np.ndarray  # (K, m, m - 1): <w_i, w_j> over the other rows j, 0 where j merges
     facets: ClipTables  # of the facet frames, each field (K, m, ...)
 
 
@@ -720,13 +733,14 @@ def polytope_tables(frames) -> PolytopeTables:
     wo = F[:, others]  # (K, m, m - 1, 3)
     flat = np.stack([_dot(wo, u[:, :, None, :]), _dot(wo, v[:, :, None, :])], axis=-1)
     # merged rows become zero rows that every point satisfies (their lanes'
-    # bounds are -1, 1)
+    # bounds are -1, 1, and a zero gram keeps them there in the facet)
     dead = ~alive[:, others]
     flat[dead] = 0.0
-    facets = _clip_tables(flat.reshape(count * m, m - 1, 2))
+    facets = _clip_tables(flat.reshape(count * m, m - 1, 2))._replace(cut=np.full(count * m, 8.0 * _SLIVER))
     facets = ClipTables(*(t.reshape((count, m) + t.shape[1:]) for t in facets))
     gram = gram[:, np.arange(m)[:, None], others]
-    return PolytopeTables(F, seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, dead, facets)
+    gram[dead] = 0.0
+    return PolytopeTables(F, seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, facets)
 
 
 def _others(m):
@@ -815,9 +829,6 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     nn = tables.norms.reshape(-1)[facet]
     foot = (b / nn)[:, None] * tables.gram.reshape(-1, m - 1)[facet]
     flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
-    zeroed = tables.dead.reshape(-1, m - 1)[facet]
-    if zeroed.any():
-        flo, fhi = np.where(zeroed, -1.0, flo), np.where(zeroed, 1.0, fhi)
     facets = ClipTables(*(t.reshape((len(t) * m,) + t.shape[2:]) for t in tables.facets))
     terms = np.zeros((count, m, 2))
     terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from margbounds import slabgeom
-from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _SLIVER, _TOUCH, interval_length
+from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _POINT, _SLIVER, _TOUCH, interval_length
 
 
 def _polygon_seed_rows(rows):
@@ -50,10 +50,11 @@ def polygon_area(W, lo, hi):
                          np.asarray(hi, dtype=float).tolist())
 
 
-def _polygon_area(rows, lo, hi):
+def _polygon_area(rows, lo, hi, facet=False):
     """polygon_area of rows, lo and hi given as lists of Python floats: the
     IEEE operations of kernels._polygon_areas' numpy ones, faster for one
-    system."""
+    system; a 3-D lane's facet (facet true) takes the sliver cut
+    (kernels._SLIVER), as a frame with a zero row does."""
     # Seed polygon: the parallelogram cut out by the best-conditioned pair.
     seeds = _polygon_seed_rows(rows)
     if seeds is None:
@@ -90,7 +91,8 @@ def _polygon_area(rows, lo, hi):
         low, high = lo[2 + j] / kappa, hi[2 + j] / kappa
         lo[into], hi[into] = max(min(high, low), lo[into]), min(max(high, low), hi[into])
         lo[2 + j], hi[2 + j], alpha[j], beta[j], merged = -1.0, 1.0, 0.0, 0.0, True
-    area = _edge_sum_area(alpha + beta + [1.0 / abs(det)], lo, hi)
+    zero = any(a == 0.0 and b == 0.0 for a, b in zip(alpha, beta))
+    area = _edge_sum_area(alpha + beta + [1.0 / abs(det)], lo, hi, 8.0 * _SLIVER if facet or zero else 0.0)
     return 0.0 if merged and (hi[0] < lo[0] or hi[1] < lo[1] or area <= sliver) else area
 
 
@@ -148,7 +150,7 @@ def _product_difference(a, b, c, d):
     return s + (((p - (s - bb)) + (-q - bb)) + (ep - eq))
 
 
-def _edge_sum_area(third, lo, hi):
+def _edge_sum_area(third, lo, hi, cut):
     """kernels._edge_sum_areas of one lane on Python floats, op for op, with
     the same max/min operand order as _three_row_area."""
     r = len(lo) - 2
@@ -211,7 +213,7 @@ def _edge_sum_area(third, lo, hi):
             shift = p[j] + q[j]
             terms = (bnd[1][j] + shift) * lines[1][j] - (bnd[0][j] + shift) * lines[0][j]
             total += terms / (aq[j] if along[j] else ap[j])
-    if total <= 8.0 * _SLIVER or empty:
+    if empty or (total <= 8.0 * _SLIVER and (total <= cut or max(edges + lines[0] + lines[1]) <= _POINT)):
         total = 0.0
     return total * (area * rdet * 0.125)
 
@@ -319,7 +321,7 @@ def polytope_volume(W, lo, hi):
                 flat.append([_dot1(w, u), _dot1(w, v)])
                 flo.append(blo[j] - foot)
                 fhi.append(bhi[j] - foot)
-            total += (sign * plane) / nnorm * _polygon_area(flat, flo, fhi)
+            total += (sign * plane) / nnorm * _polygon_area(flat, flo, fhi, facet=True)
     return total / 3.0
 
 

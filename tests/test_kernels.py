@@ -281,22 +281,22 @@ def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
     _polygon_lanes_match(frames, np.arange(40), np.stack([c[1] for c in corners]), np.stack([c[2] for c in corners]))
 
 
-_EDGE_KINDS = ("generic", "near", "straddle", "zero", "exact", "narrow", "corner")
+_EDGE_KINDS = ("generic", "parallel", "near-seed", "straddle", "zero", "exact", "narrow", "corner")
 
 
 def _edge_case(rng, kind, m):
     """An m-row 2-D slab system (W, lo, hi) of one kind, its rows in the
     kernel's order i0, i1, then the others: generic rows and bounds; a later
-    row within 10^-12..10^-6 (relative) of an earlier one, seed row or not,
-    parallel or antiparallel, and shorter; two later rows other than the
-    first 10^-13..10^-5 apart on either side of the axis threshold of
-    _edge_sum_areas (|p| = 2 |q| with the first on s), their lines through
-    one point of the seed parallelogram (m >= 5); one to m - 3 zero rows
-    whose slabs hold 0, as a facet's merged rows have; a later row exactly
-    parallel to an earlier one, or a multiple that rounds; a slab of any
-    row 1e-16..1e-14 (relative) wide across the parallelogram of two
-    others; or a slab of a later row that cuts a sliver off a corner of the
-    seed parallelogram, or touches it there, or just misses it."""
+    row within 10^-12..10^-6 (relative) of an earlier row other than the seeds,
+    or of a seed row, parallel or antiparallel, and shorter; two later rows
+    other than the first 10^-13..10^-5 apart on either side of the axis
+    threshold of _edge_sum_areas (|p| = 2 |q| with the first on s), their lines
+    through one point of the seed parallelogram (m >= 5); one to m - 3 zero
+    rows whose slabs hold 0, as a facet's merged rows have; a later row exactly
+    parallel to an earlier one, or a multiple that rounds; a slab of any row
+    1e-16..1e-14 (relative) wide across the parallelogram of two others; or a
+    slab of a later row that cuts a sliver off a corner of the seed
+    parallelogram, or touches it there, or just misses it."""
     W = rng.normal(size=(m, 2))
     half = rng.uniform(0.05, 1.0, size=m)
     centre = rng.normal(size=m) * rng.choice([0.0, 0.5, 3.0])
@@ -305,9 +305,13 @@ def _edge_case(rng, kind, m):
     order = [i0, i1] + [i for i in range(m) if i not in (i0, i1)]
     W, lo, hi = W[order], lo[order], hi[order]
     j = 2 + rng.integers(m - 2)
-    if kind in ("near", "exact"):
-        s = rng.integers(j)
-        if kind == "near":
+    if kind in ("parallel", "near-seed", "exact"):
+        if kind == "parallel":
+            j = 3 + rng.integers(m - 3)
+            s = 2 + rng.integers(j - 2)
+        else:
+            s = rng.integers(2 if kind == "near-seed" else j)
+        if kind != "exact":
             tilt = 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=2)
             W[j] = rng.choice([1.0, -1.0]) * rng.uniform(0.3, 1.0) * W[s] + np.linalg.norm(W[s]) * tilt
         else:
@@ -381,6 +385,7 @@ def _assert_within_the_edge_sum_bound(systems, row_exp, bound_exp):
     lo, hi = (np.stack([s[k] for s in systems]) * 2.0**bound_exp for k in (1, 2))
     tables = kernels.frame_tables(W)
     got = kernels.table_volumes(tables, np.arange(len(W)), lo, hi)
+    assert (got >= 0.0).all()
     for k in np.flatnonzero(tables.clip.ok):
         error = abs(Fraction(got[k]) - exact_polygon_area(W[k], lo[k], hi[k]))
         assert error <= Fraction(_edge_sum_bound(W[k], lo[k], hi[k], tables.clip.order[k]))
@@ -426,14 +431,22 @@ def test_the_polygon_oracle_equals_the_vertex_oracle():
             assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-def test_lanes_of_four_rows_or_more_equal_the_twin_in_calls_of_many_frames(m):
-    # every kind of system, 3 frames of each of 10 lanes each, and lanes
+def test_four_row_lanes_equal_the_twin_in_calls_of_many_frames():
+    _lanes_equal_the_twin_in_calls_of_many_frames(4)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_lanes_of_five_to_eight_rows_equal_the_twin_in_calls_of_many_frames(m):
+    _lanes_equal_the_twin_in_calls_of_many_frames(m)
+
+
+def _lanes_equal_the_twin_in_calls_of_many_frames(m):
+    # every kind of system, 4 frames of each of 10 lanes each, and lanes
     # whose rows are parallel to a seed row or to each other, or zero, or all
     # zero: the lanes of one call, and each lane alone, == the twin
     rng = np.random.default_rng(38 + m)
     kinds = [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
-    systems = [_edge_case(rng, kind, m) for _ in range(3) for kind in kinds]
+    systems = [_edge_case(rng, kind, m) for _ in range(4) for kind in kinds]
     frames = np.stack([W for W, _, _ in systems])
     frame = np.repeat(np.arange(len(frames)), 10)
     lo, hi = np.array([systems[k][1] for k in frame]), np.array([systems[k][2] for k in frame])
@@ -442,11 +455,19 @@ def test_lanes_of_four_rows_or_more_equal_the_twin_in_calls_of_many_frames(m):
     shift[zero] = 0.0  # keep 0 in a zero row's slab
     got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
     assert 0 < np.count_nonzero(got) < len(got)
+    # each merge case of two rows: both parallel to seed rows, one parallel
+    # to the other, one zero and one generic or parallel to a seed row, both
+    # zero, then short generic rows past four rows; eight frames of rows
+    # drawn from those; and a frame whose rows other than the seeds are zero
     seeds = np.array([[1.0, 0.25], [-0.5, 1.0]])
+    pairs = ([[2.0, 0.5], [0.3, -0.7]], [[0.3, -0.7], [-1.0, 2.0]], [[0.3, -0.7], [-0.6, 1.4]],
+             [[0.0, 0.0], [0.3, -0.7]], [[0.3, -0.7], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [2.0, 0.5]], [[4.0, 1.0], [-1.0, 2.0]])
     rows = [[2.0, 0.5], [0.3, -0.7], [-1.0, 2.0], [-0.6, 1.4], [0.0, 0.0], [4.0, 1.0], [0.6, -1.4]]
-    frames = np.array([np.vstack([seeds, [rows[i] for i in rng.choice(len(rows), size=m - 2)]])
-                       for _ in range(8)] + [np.vstack([seeds, np.zeros((m - 2, 2))])])
-    frame = np.repeat(np.arange(len(frames)), 10)
+    frames = np.array([np.vstack([seeds, pair, rng.uniform(-0.5, 0.5, size=(m - 4, 2))]) for pair in pairs]
+                      + [np.vstack([seeds, [rows[i] for i in rng.choice(len(rows), size=m - 2)]]) for _ in range(8)]
+                      + [np.vstack([seeds, np.zeros((m - 2, 2))])])
+    frame = np.repeat(np.arange(len(frames)), 12)
     lo = rng.uniform(-1.0, 0.2, size=(len(frame), m))
     hi = lo + rng.uniform(0.0, 1.2, size=lo.shape)
     got = _polygon_lanes_match(frames, frame, lo, hi)
@@ -468,14 +489,36 @@ def test_a_seed_slab_narrower_than_the_clip_tolerance_keeps_its_area():
     assert abs(Fraction(got) - exact) <= Fraction(_edge_sum_bound(W, lo, hi, kernels._clip_tables(W[None]).order[0]))
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_a_corner_sliver_of_a_plane_lane_keeps_its_area(m):
+    # x + y >= 2 - 2^-25 cuts a triangle of 2^-51 off the corner (1, 1) of
+    # the unit square, 1e-16 of the seed rectangle: a lane that is neither a
+    # facet nor merged keeps it, where the sliver cut would give 0.0
+    W = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, -2.0]][:m]
+    lo, hi = [0.0, 0.0, 2.0 - 2.0**-25, -5.0, -9.0][:m], [1.0, 1.0, 3.0, 5.0, 9.0][:m]
+    exact = exact_slab_volume(np.array(W), np.array(lo), np.array(hi))
+    assert exact == Fraction(2) ** -51
+    assert abs(Fraction(_one_lane(W, lo, hi)) - exact) <= exact * Fraction(1, 10**8)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_a_lane_that_is_a_point_gives_zero(m):
+    # 2x + y <= 0 and x >= 2y >= 0 meet in the one point 0, where the edge
+    # sum leaves a few u: no edge is longer than _POINT, so the lane is 0.0
+    W = [[2.0, 1.0], [1.0, -2.0], [1.0, -4.0], [0.0, 1.0], [1.0, 1.0]][:m]
+    lo, hi = [-0.5, 0.0, 0.0, 0.0, -1.0][:m], [0.0, 0.5, 1.5, 0.5, 1.0][:m]
+    assert exact_slab_volume(np.array(W), np.array(lo), np.array(hi)) == 0
+    assert _one_lane(W, lo, hi) == 0.0
+
+
 @pytest.mark.parametrize("m,d,nonzero,digest", [
     (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "ab073697fbc8f154"), (6, 2, 208, "a3b5bae31217c6a6"),
     (5, 3, 326, "0d973ddcd88d5aae"), (6, 3, 286, "1dc4c39b8053e187")])
-def test_lanes_of_four_rows_or_more_keep_their_bits(m, d, nonzero, digest):
+def test_lanes_of_four_rows_or_more_keep_the_clips_bits(m, d, nonzero, digest):
     # the edge sum's bits (_edge_sum_areas): 2-D lanes of four rows or more,
     # and the facets of 3-D lanes of five rows or more; the (4, 2) and (5,
     # 3) pins date from the four-row closed form, the others were the
-    # clip's until it was deleted
+    # clip's, which the name recalls, until it was deleted
     rng = np.random.default_rng(100 * m + d)
     frames = rng.normal(size=(6, m, d))
     frame = rng.integers(0, 6, size=400)
@@ -1086,10 +1129,11 @@ def test_polygon_areas_of_400_and_3_gons_in_one_call():
 
 
 @pytest.mark.parametrize("m", [3, 5])
-def test_polygon_areas_lanes_empty_by_every_row_side(m):
+def test_polygon_areas_lanes_die_at_every_clip_step(m):
     # seeds 2 e_1 and 2 e_2 (the square |y_i| <= 1/2), then m - 2 unit rows,
-    # each side in row order, hi then lo: lane k misses the square by side k
-    # alone; the last lane keeps an octagon-like cut of the square
+    # each side in row order, hi then lo (the clip's steps): lane k misses
+    # the square by side k alone; the last lane keeps an octagon-like cut of
+    # the square
     angles = np.linspace(0.3, 2.8, m - 2)
     w = np.vstack([2.0 * np.eye(2), np.column_stack([np.cos(angles), np.sin(angles)])])
     steps = 2 * (m - 2)
@@ -1218,7 +1262,7 @@ def test_joined_one_frame_tables_equal_the_stacks_tables(frames):
 def test_joined_tables_of_merged_and_plain_3d_frames():
     # a frame whose rows 3 and 4 merge into rows 0 and 1 (parallel within
     # _PARALLEL_SINE), and a Haar frame where no row merges: into, alpha and
-    # dead join, and the lanes keep their one-frame bits
+    # alive join, and the lanes keep their one-frame bits
     merged = np.vstack([np.eye(3), [[2.0, 0.0, 0.0], [0.0, -1.0, 1e-10]]])
     plain = complement_bases(haar_bases(5, 2, 3, np.arange(1)))[0]
     frames = np.stack([merged, plain])
@@ -1226,7 +1270,7 @@ def test_joined_tables_of_merged_and_plain_3d_frames():
     _assert_tables_equal(tables, kernels.frame_tables(frames))
     assert tables.into.tolist() == [[-1, -1, -1, 0, 1], [-1] * 5]
     assert tables.alpha[0, 3:].tolist() == [2.0, -1.0] and (tables.alpha[1] == 1.0).all()
-    assert tables.dead[0].any() and not tables.dead[1].any()
+    assert tables.alive[0].tolist() == [True] * 3 + [False] * 2 and tables.alive[1].all()
     rng = np.random.default_rng(4)
     frame = np.array([0, 1, 1, 0, 0, 1])
     half = rng.uniform(0.3, 1.0, size=(6, 5))
