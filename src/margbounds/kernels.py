@@ -3,13 +3,12 @@
 The geometric kernels compute the volume of a slab intersection
 { y : lo_i <= <w_i, y> <= hi_i } in dimension 1, 2 or 3.  Callers guarantee
 boundedness (the w_i always contain a spanning subset coming from a tight
-frame) and strip zero rows beforehand.  The 2-D kernel takes every lane in
-closed form with a rounding bound: three rows by the integral of a
-two-direction box spline over the third row's slab (_three_row_areas), any
-other count by Lasserre's edge sum over the seed rectangle cut by the other
-rows' slabs (_edge_sum_areas), after merging exactly parallel rows; the 3-D
-kernel sums (1/3) h |F| over the facets F, each a 2-D slab system of one
-row fewer, after merging rows parallel within _PARALLEL_SINE (see
+frame) and strip zero rows beforehand.  The 2-D kernel takes every lane,
+whatever its row count, by one closed form with a rounding bound:
+Lasserre's edge sum over the seed rectangle cut by the other rows' slabs
+(_edge_sum_areas), after merging exactly parallel rows.  The 3-D kernel
+sums (1/3) h |F| over the facets F, each a 2-D slab system of one row
+fewer, after merging rows parallel within _PARALLEL_SINE (see
 _polytope_volumes for its rounding bound).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
@@ -36,6 +35,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -126,7 +126,7 @@ class ClipTables(NamedTuple):
     seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
     others: np.ndarray  # (K, m - 2, 2): the other rows, in that order
-    third: np.ndarray  # (K, 3) at m = 3, else (K, 2m - 3): alphas, betas, 1/|det|
+    third: np.ndarray  # (K, 2m - 3): alphas, betas, 1/|det|
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     factor: np.ndarray  # (K, m): row j over row into[j]
     cut: np.ndarray  # (K,): 8 _SLIVER where a lane of at most _SLIVER S gives 0.0, else 0
@@ -139,42 +139,41 @@ def _clip_tables(frames) -> ClipTables:
     det, i0 the longest row and i1 the one most transverse to it; each
     frame's row order, the seed rows i0, i1 and then the others in row
     order, and those others.  In u = <w_i0, y> and v = <w_i1, y> another
-    row is alpha u + beta v: a three-row frame gets its alpha, beta and
-    1/|det|, which _three_row_areas takes, any other frame its rows' alphas,
-    then their betas, then 1/|det|, from compensated products, for
-    _edge_sum_areas.  There a row exactly parallel to a seed row (beta or
-    alpha 0) or to an earlier live row i (alpha_i beta_j == alpha_j beta_i)
-    merges into it, as the kernel's determinants would be 0, and becomes a
-    zero row; a frame with a zero row takes the sliver cut (_SLIVER)."""
+    row is alpha u + beta v: each frame gets its rows' alphas, then their
+    betas, then 1/|det|, from compensated products, for _edge_sum_areas.
+    A row exactly parallel to a seed row (beta or alpha 0) or to an earlier
+    live row i (alpha_i beta_j == alpha_j beta_i) merges into it, as the
+    kernel's determinants would be 0, and becomes a zero row; a frame with
+    a zero row takes the sliver cut (_SLIVER)."""
     count, m, _ = frames.shape
+    r = m - 2
     ks = np.arange(count)
-    i0 = np.argmax(np.einsum("lij,lij->li", frames, frames), axis=1)
+    f0, f1 = frames[:, :, 0], frames[:, :, 1]
+    i0 = np.argmax(f0 * f0 + f1 * f1, axis=1)
     a0 = frames[ks, i0]
-    dets = a0[:, 0:1] * frames[:, :, 1] - a0[:, 1:2] * frames[:, :, 0]
+    dets = a0[:, 0:1] * f1 - a0[:, 1:2] * f0
     i1 = np.argmax(np.abs(dets), axis=1)
     det = dets[ks, i1]
     scale = 1.0 + np.abs(frames).max(axis=(1, 2))
     ok = ~(np.abs(det) < 1e-14 * (scale * scale))
-    order = np.broadcast_to(np.arange(m), (count, m)).copy()
-    # (a degenerate frame may have i0 == i1; its lanes are 0.0)
-    if ok.any():
-        rows = order[ok]
-        others = rows[(rows != i0[ok, None]) & (rows != i1[ok, None])]
-        order[ok] = np.column_stack([i0[ok], i1[ok], others.reshape(len(rows), m - 2)])
-    seed = np.column_stack([frames[ks, i0], frames[ks, i1], det])
+    # i0, i1, then the other rows in row order (a stable sort); a degenerate
+    # frame, which may have i0 == i1, keeps its row order (its lanes are 0.0)
+    key = np.zeros((count, m))
+    key[ks, i1] = -1
+    key[ks, i0] = -2
+    order = np.argsort(key, axis=1, kind="stable")
+    order[~ok] = np.arange(m)
+    seed = np.empty((count, 5))
+    seed[:, :2], seed[:, 2:4], seed[:, 4] = a0, frames[ks, i1], det
     others = frames[ks[:, None], order[:, 2:]]
-    x, y = others.T  # (m - 2, K) each
+    x, y = others.T  # (r, K) each
     a00, a01, a10, a11 = seed[:, :4].T
-    into, factor = np.full((count, m), -1), np.ones((count, m))
-    if m == 3:
-        d = np.where(ok, det, 1.0)
-        third = np.column_stack([(x[0] * a11 - y[0] * a10) / d, (a00 * y[0] - a01 * x[0]) / d, 1.0 / np.abs(d)])
-        return ClipTables(ok, seed, order, others, third, into, factor, np.zeros(count))
-    r = m - 2
     # det, then x a11 - y a10 and a00 y - a01 x of each other row
-    full = [np.broadcast_to(v, x.shape) for v in (a00, a11, a01, a10)]
-    det = _product_difference(np.vstack([a00[None], x, full[0]]), np.vstack([a11[None], full[1], y]),
-                              np.vstack([a01[None], y, full[2]]), np.vstack([a10[None], full[3], x]))
+    a, b, c, e = np.empty((4, 2 * r + 1, count))
+    a[0], b[0], c[0], e[0] = a00, a11, a01, a10
+    a[1 : r + 1], b[1 : r + 1], c[1 : r + 1], e[1 : r + 1] = x, a11, y, a10
+    a[r + 1 :], b[r + 1 :], c[r + 1 :], e[r + 1 :] = a00, y, a01, x
+    det = _product_difference(a, b, c, e)
     d = np.where(ok, det[0], 1.0)
     coords = det[1:] / d
     alpha, beta = coords[:r], coords[r:]  # (r, K) each
@@ -182,28 +181,40 @@ def _clip_tables(frames) -> ClipTables:
     # merged row) or to an earlier live row merges into it (most frames have
     # no such row)
     live = (alpha != 0.0) & (beta != 0.0)
-    parallel = (alpha[:, None] * beta[None] == alpha[None] * beta[:, None]) & (live[:, None] & live[None])
-    parallel &= np.tri(r, k=-1, dtype=bool)[:, :, None]
-    pairs, cut = parallel.any(), np.zeros(count)
+    later, first = _row_pairs(r)
+    parallel = (alpha[later] * beta[first] == alpha[first] * beta[later]) & (live[later] & live[first])
+    into, factor, cut = np.full((count, m), -1), np.ones((count, m)), np.zeros(count)
+    pairs = parallel.any()
     if pairs or not live.all():
         # the row, by its place in order, that each row merges into
         to = np.where(beta == 0.0, np.where(alpha == 0.0, -1, 0), np.where(alpha == 0.0, 1, -1))
         kappa = np.where(to == 0, alpha, beta)
-        for j in range(1, r if pairs else 1):
-            earlier = parallel[j, :j] & live[:j]
+        if pairs:
+            pair = np.zeros((r, r, count), dtype=bool)
+            pair[later, first] = parallel
+        for row in range(1, r if pairs else 1):
+            earlier = pair[row, :row] & live[:row]
             hit = earlier.any(axis=0)
-            i = np.argmax(earlier, axis=0)[hit]
-            to[j, hit] = 2 + i
-            kappa[j, hit] = alpha[j, hit] / alpha[i, np.flatnonzero(hit)]
-            live[j, hit] = False
+            at = np.argmax(earlier, axis=0)[hit]
+            to[row, hit] = 2 + at
+            kappa[row, hit] = alpha[row, hit] / alpha[at, np.flatnonzero(hit)]
+            live[row, hit] = False
         # (a degenerate frame merges nothing; its lanes are 0.0)
         mj, mk = np.nonzero((to >= 0) & ok)
         into[mk, order[mk, 2 + mj]] = order[mk, to[mj, mk]]
         factor[mk, order[mk, 2 + mj]] = kappa[mj, mk]
         alpha[mj, mk] = beta[mj, mk] = 0.0
         cut[((alpha == 0.0) & (beta == 0.0)).any(axis=0)] = 8.0 * _SLIVER
-    third = np.column_stack([coords.T, 1.0 / np.abs(d)])
+    third = np.empty((count, 2 * r + 1))
+    third[:, : 2 * r] = coords.T
+    third[:, 2 * r] = 1.0 / np.abs(d)
     return ClipTables(ok, seed, order, others, third, into, factor, cut)
+
+
+@functools.cache
+def _row_pairs(r):
+    """The pairs (j, i), i < j, of r rows: two index arrays."""
+    return np.tril_indices(r, -1)
 
 
 def _two_product(a, b):
@@ -257,8 +268,8 @@ def polygon_tables(frames) -> PolygonTables:
 # scale, 1 + |c|_1 + sum_s half_s |g_s|_1, c its centre) is empty.  The
 # test's centre and reach along a row are within a few unit roundoffs of
 # that product of the exact ones, so the slab misses the exact
-# parallelogram by far more than the closed forms' roundings, and they give
-# exactly 0.0 there too (_three_row_areas, _edge_sum_areas)
+# parallelogram by far more than the edge sum's roundings, and it gives
+# exactly 0.0 there too (_edge_sum_areas)
 _CLIP_MARGIN = 1e-9
 
 
@@ -296,99 +307,6 @@ def _polygon_seed_cells(tables, frame, lo, hi):
     return live
 
 
-# a third slab that meets the rectangle only within this share of the lane's
-# s-scale of a corner (or a strip's edge) gives 0.0, so a facet that is a
-# point or a segment in exact arithmetic stays 0.0
-_TOUCH = 2.0**-46
-
-
-def _three_row_areas(third, lo, hi):
-    """Area of each three-row lane: lo and hi (3, L) the bounds of the seed
-    rows i0, i1 and the third row, third (3, L) its frame's alpha, beta and
-    1/|det|.
-
-    In u = <w_i0, y>, v = <w_i1, y> the lane is a rectangle of area S = w_0
-    w_1 / |det| (w_s = hi_s - lo_s, c_s = lo_s + hi_s) cut by the slab
-    lo_2 <= alpha u + beta v <= hi_2.  Over the rectangle, s = 2 (alpha u +
-    beta v) - gamma, gamma = alpha c_0 + beta c_1, has a trapezoid density,
-    the two-direction box spline of de Boor and Hollig (1982/83): flat on
-    |s| <= M - n, zero beyond M + n, for p = |alpha| w_0, q = |beta| w_1, M
-    = max(p, q), n = min(p, q).  The area is S times its integral over [l,
-    h] = [2 lo_2, 2 hi_2] - gamma, divided by 2M: the plateau's overlap,
-    2 (hi_2 - lo_2) itself for a slab on the plateau, plus (t_2^2 - t_1^2)
-    / 4n per ramp, t the overlap's clamped distances from the ramp's outer
-    end; no piece is negative.  n = 0 is a strip; M = 0, a zero third row,
-    keeps the rectangle if 0 lies in [l, h].  A slab that misses the
-    rectangle, or meets it within _TOUCH (p + q + |gamma|) of an end of the
-    trapezoid, gives exactly 0.0; lo_2 > hi_2 counts as hi_2 = lo_2.
-
-    Rounding, to first order in u = 2^-53: the error is at most (144 + 3 D)
-    u S (1 + E / M), with D = (|a00 a11| + |a01 a10|) / |det| and E = A
-    (w_0 + |c_0|) + B (w_1 + |c_1|) + 2 |lo_2| + 2 |hi_2|, A = (|x a11| +
-    |y a10|) / |det| and B = (|a00 y| + |a01 x|) / |det| for the third row
-    (x, y); a zero third row has no E / M term.  The roundings of alpha,
-    beta, gamma, l and h move each end of the slab by at most (10 + 2 D) u
-    E over a density of at most 1 / 2M; the touch test drops at most 128 u
-    (2M + E) of s; the pieces, the division and S add (16 + 3 D) u.
-    """
-    alpha, beta, rdet = third
-    # in place where a value is last used, which keeps the lane arrays few
-    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    lo2, hi2 = lo[2], np.maximum(hi[2], lo[2])
-    p, q = np.abs(alpha), np.abs(beta)
-    p *= w0
-    q *= w1
-    gamma, c1 = lo[0] + hi[0], lo[1] + hi[1]
-    gamma *= alpha
-    c1 *= beta
-    gamma += c1
-    l, h = lo2 + lo2, hi2 + hi2
-    l -= gamma
-    h -= gamma
-    flat, ramp = np.maximum(p, q), np.minimum(p, q)
-    flat += flat
-    ramp += ramp
-    reach = np.add(p, q, out=p)
-    # the slab's distances from the trapezoid's right end, where the plateau
-    # is [2n, 2M], and from its left end
-    r1, r2 = reach - h, reach - l
-    e1, e2 = np.add(reach, l, out=l), np.add(reach, h, out=h)
-    tol = np.abs(gamma, out=gamma)
-    tol += reach
-    tol *= _TOUCH
-    touch = r2 < tol
-    touch |= e2 < tol
-    width = hi2 - lo2
-    width += width
-    inside = r1 >= ramp
-    inside &= r2 <= flat
-    plateau, low = np.maximum(r2, ramp), np.maximum(r1, ramp, out=q)
-    np.minimum(plateau, flat, out=plateau)
-    np.minimum(low, flat, out=low)
-    plateau -= low
-    np.copyto(plateau, width, where=inside)
-    for t in (r1, r2, e1, e2):
-        np.maximum(t, 0.0, out=t)
-        np.minimum(t, ramp, out=t)
-    ramps = r2 - r1
-    r2 += r1
-    ramps *= r2
-    e = np.subtract(e2, e1, out=r1)
-    e2 += e1
-    e *= e2
-    ramps += e
-    np.divide(ramps, ramp + ramp, out=ramps, where=ramp > 0.0)
-    ramps[ramp <= 0.0] = 0.0
-    plateau += ramps
-    np.divide(plateau, flat, out=plateau, where=flat > 0.0)
-    plateau[flat <= 0.0] = 1.0
-    w0 *= w1
-    w0 *= rdet
-    w0 *= plateau
-    w0[touch] = 0.0
-    return w0
-
-
 # an edge-sum lane of at most this share of its seed rectangle gives 0.0 where
 # its frame has a zero row or is a 3-D facet's (ClipTables.cut), or where no
 # edge spans more than _POINT of [-1, 1]^2 along its axis: so a point or a
@@ -400,8 +318,8 @@ _POINT = 2.0**-40
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _edge_sum_areas(third, lo, hi, cut):
-    """Area of each lane of m != 3 rows: lo and hi (m, L) the bounds of the
-    seed rows i0, i1 and the r = m - 2 others, third (2r + 1, L) its
+    """Area of each lane of m rows: lo and hi (m, L) the bounds of the seed
+    rows i0, i1 and the r = m - 2 others, third (2r + 1, L) its
     frame's alphas, betas and 1/|det|, cut (L,) its frame's sliver cut
     (ClipTables).
 
@@ -436,8 +354,10 @@ def _edge_sum_areas(third, lo, hi, cut):
     or with no edge longer than _POINT, gives 0.0.
 
     Rounding, to first order in u = 2^-53: the error is at most 96 u S (1 +
-    sum_j E_j / M_j), E_j and M_j as _three_row_areas defines E and M with
-    row j as the third row, over the rows that are not zero (E_j >= M_j).
+    sum_j E_j / M_j) over the rows j = (x, y) that are not zero: M_j =
+    max(|p_j|, |q_j|) and E_j = A_j (w_0 + |c_0|) + B_j (w_1 + |c_1|) + 2
+    |lo_j| + 2 |hi_j| >= M_j, c = lo + hi, A_j = (|x a11| + |y a10|) / |det|
+    and B_j = (|a00 y| + |a01 x|) / |det|.
     The roundings of alpha, beta, gamma, L and H move each line by at most
     6 u (E_j + M_j) in b, so by 6 u (E_j / M_j + 1) across the square, whose
     chords are at most 2 sqrt(2) long; a row's two terms and its lines'
@@ -468,7 +388,8 @@ def _edge_sum_areas(third, lo, hi, cut):
     # each row's axis (see above), True for s
     ap, aq = np.abs(p), np.abs(q)
     along = aq >= ap
-    along[1:] = np.where(along[:1], aq[1:] + aq[1:] >= ap[1:], ap[1:] + ap[1:] < aq[1:])
+    if r > 1:
+        along[1:] = np.where(along[:1], aq[1:] + aq[1:] >= ap[1:], ap[1:] + ap[1:] < aq[1:])
     # (edge, side, row, L): each line's crossing with the edge t = 1 (its
     # s) and s = 1 (its t); its crossing with the edge across the other end
     # of its axis
@@ -484,7 +405,7 @@ def _edge_sum_areas(third, lo, hi, cut):
     # crossings with the edges across it, within the other rows' slabs, in
     # [-1, 1]
     near = np.where(along, cross[0], cross[1])
-    low, high = np.minimum(near, far), np.maximum(near, far)
+    low, high = np.minimum(near, far), np.maximum(near, far, out=far)
     for i in range(r - 1):
         # the s and t of the crossing of row i's line a with the line c of
         # each later row j, (a, c, j, L)
@@ -572,16 +493,15 @@ def _polygon_areas(tables, frame, lo, hi):
     The seed rows i0, i1 span a rectangle in their own coordinates, which
     the other rows cut, each with its alpha, beta and 1/|det| from the
     ClipTables, after each merged row has folded its slab into its
-    partner's.  Three rows (m = 3) take _three_row_areas, the box spline,
-    cheaper there (the 2-D lanes of the paper's k = 1 marginals at n = 3,
-    and the facets of four-row 3-D lanes); every other m takes
-    _edge_sum_areas.  Each has its rounding bound.  Every lane goes through
-    the same floating-point operations, so its area does not depend on the
-    other lanes; a degenerate frame's lanes are 0.0.
+    partner's; _edge_sum_areas takes every m, with its rounding bound.  A
+    lane whose merges empty a seed slab, or narrow it to its roundings
+    (hi - lo at most _SLIVER (|lo| + |hi|)), gives 0.0.  Every lane goes
+    through the same floating-point operations, so its area does not depend
+    on the other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
-    row's slab by _CLIP_MARGIN is 0.0, as these closed forms give it.  (The
+    row's slab by _CLIP_MARGIN is 0.0, as the edge sum gives it.  (The
     3-D facets call it directly: testing them too saved no measurable time
     on sup-grid.)
     """
@@ -596,14 +516,12 @@ def _polygon_areas(tables, frame, lo, hi):
     at = idx * lo.shape[1] + order[f].T
     third = third.T.take(f, axis=1)
     lanes = mlo.reshape(-1).take(at), mhi.reshape(-1).take(at)
-    area = _three_row_areas(third, *lanes) if len(at) == 3 else _edge_sum_areas(third, *lanes, cut[f])
+    area = _edge_sum_areas(third, *lanes, cut[f])
     if mlo is not lo:
-        # a merge may empty a seed slab or narrow it to its roundings: such a
-        # lane, or one of at most _SLIVER times its seed rectangle before the
-        # merges, gives 0.0
-        w0, w1 = hi.reshape(-1).take(at[:2]) - lo.reshape(-1).take(at[:2])
-        empty = (mhi.reshape(-1).take(at[:2]) < mlo.reshape(-1).take(at[:2])).any(axis=0)
-        area[(into >= 0).any(axis=1)[f] & (empty | (area <= _SLIVER * (w0 * w1 * third[-1])))] = 0.0
+        l, h = lanes[0][:2], lanes[1][:2]
+        narrowed = (l != lo.reshape(-1).take(at[:2])) | (h != hi.reshape(-1).take(at[:2]))
+        narrowed &= h - l <= _SLIVER * (np.abs(l) + np.abs(h))
+        area[((h < l) | narrowed).any(axis=0)] = 0.0
     out[idx] = area
     return out
 
@@ -799,12 +717,11 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     seed cell, R its largest distance from c; so each merged row changes
     the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
     section.  Otherwise each term carries _polygon_areas' error times |h|:
-    an m-row lane's facets have m - 1 rows, so at m = 4 they take
-    _three_row_areas' bound and at any other m _edge_sum_areas' bound, 96 u
-    S_F (1 + sum_j E_j / M_j) over the facet's m - 3 rows other than its
-    seeds (none at m = 3), S_F its seed rectangle (a merged row is a zero
-    row there, with no term); the projections and the sum add O(m u) of sum
-    |h| |F|.
+    an m-row lane's facets have m - 1 rows and take _edge_sum_areas' bound,
+    96 u S_F (1 + sum_j E_j / M_j) over the facet's m - 3 rows other than
+    its seeds (none at m = 3), S_F its seed rectangle (a merged row is a
+    zero row there, with no term); the projections and the sum add O(m u)
+    of sum |h| |F|.
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by

@@ -5,11 +5,10 @@ polygon_area, polytope_volume and slab_volume evaluate one slab system at a
 time on Python floats.  They are the scalar twins of the lane kernels
 (kernels._polygon_areas and kernels._polytope_volumes): the lane kernels run
 the same IEEE operations in the same order, so every lane must have the
-twin's bits, in a call of any number of lanes, one included.  A three-row
-2-D system (a 2-D lane of three rows, or a facet of a four-row 3-D lane)
-takes _three_row_area, kernels._three_row_areas' closed form op for op; any
-other 2-D system _edge_sum_area, kernels._edge_sum_areas op for op, after
-its exactly parallel rows merge as kernels._clip_tables merges them.
+twin's bits, in a call of any number of lanes, one included.  Every 2-D
+system (a 2-D lane, or a facet of a 3-D lane) takes _edge_sum_area,
+kernels._edge_sum_areas op for op, after its exactly parallel rows merge as
+kernels._clip_tables merges them.
 slab_volume takes d = 1 to kernels.interval_length, which src keeps for
 kernels.live_volumes' one-lane d = 1 calls.
 
@@ -25,7 +24,7 @@ import math
 import numpy as np
 
 from margbounds import slabgeom
-from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _POINT, _SLIVER, _TOUCH, interval_length
+from margbounds.kernels import _EMPTY_MARGIN, _PARALLEL_SINE, _POINT, _SLIVER, interval_length
 
 
 def _polygon_seed_rows(rows):
@@ -62,18 +61,13 @@ def _polygon_area(rows, lo, hi, facet=False):
     i0, i1, det = seeds
     a00, a01 = rows[i0]
     a10, a11 = rows[i1]
-    if len(rows) == 3:
-        i2 = 3 - i0 - i1
-        x, y = rows[i2]
-        third = ((x * a11 - y * a10) / det, (a00 * y - a01 * x) / det, 1.0 / abs(det))
-        return _three_row_area(third, (lo[i0], lo[i1], lo[i2]), (hi[i0], hi[i1], hi[i2]))
     rest = [i for i in range(len(rows)) if i not in (i0, i1)]
     det = _product_difference(a00, a11, a01, a10)
     alpha = [_product_difference(rows[i][0], a11, rows[i][1], a10) / det for i in rest]
     beta = [_product_difference(a00, rows[i][1], a01, rows[i][0]) / det for i in rest]
     order = [i0, i1] + rest
     lo, hi = [lo[i] for i in order], [hi[i] for i in order]
-    sliver, merged = _SLIVER * ((hi[0] - lo[0]) * (hi[1] - lo[1]) * (1.0 / abs(det))), False
+    before = lo[:2], hi[:2]  # the seed slabs before the merges
     # a row exactly parallel to a seed row or to an earlier live row merges
     # into it and becomes a zero row, its slab's bounds -1, 1
     live = [a != 0.0 and b != 0.0 for a, b in zip(alpha, beta)]
@@ -90,40 +84,15 @@ def _polygon_area(rows, lo, hi, facet=False):
             live[j] = False
         low, high = lo[2 + j] / kappa, hi[2 + j] / kappa
         lo[into], hi[into] = max(min(high, low), lo[into]), min(max(high, low), hi[into])
-        lo[2 + j], hi[2 + j], alpha[j], beta[j], merged = -1.0, 1.0, 0.0, 0.0, True
+        lo[2 + j], hi[2 + j], alpha[j], beta[j] = -1.0, 1.0, 0.0, 0.0
     zero = any(a == 0.0 and b == 0.0 for a, b in zip(alpha, beta))
     area = _edge_sum_area(alpha + beta + [1.0 / abs(det)], lo, hi, 8.0 * _SLIVER if facet or zero else 0.0)
-    return 0.0 if merged and (hi[0] < lo[0] or hi[1] < lo[1] or area <= sliver) else area
-
-
-def _three_row_area(third, lo, hi):
-    """kernels._three_row_areas of one lane on Python floats, op for op (a
-    numpy np.maximum(a, b) or np.minimum(a, b) is max(b, a) or min(b, a):
-    of two equal values both keep the second)."""
-    alpha, beta, rdet = third
-    w0, w1 = hi[0] - lo[0], hi[1] - lo[1]
-    lo2, hi2 = lo[2], max(lo[2], hi[2])
-    p, q = abs(alpha) * w0, abs(beta) * w1
-    gamma = alpha * (lo[0] + hi[0]) + beta * (lo[1] + hi[1])
-    l, h = (lo2 + lo2) - gamma, (hi2 + hi2) - gamma
-    big, small = max(q, p), min(q, p)
-    reach = p + q
-    ramp, flat = small + small, big + big
-    r1, r2 = reach - h, reach - l
-    e1, e2 = reach + l, reach + h
-    tol = _TOUCH * (reach + abs(gamma))
-    if r2 < tol or e2 < tol:
-        return 0.0
-    width = hi2 - lo2
-    if r1 >= ramp and r2 <= flat:
-        plateau = width + width
-    else:
-        plateau = min(flat, max(ramp, r2)) - min(flat, max(ramp, r1))
-    r1, r2 = min(ramp, max(0.0, r1)), min(ramp, max(0.0, r2))
-    e1, e2 = min(ramp, max(0.0, e1)), min(ramp, max(0.0, e2))
-    ramps = ((r2 - r1) * (r2 + r1) + (e2 - e1) * (e2 + e1)) / (ramp + ramp) if ramp > 0.0 else 0.0
-    part = (plateau + ramps) / flat if flat > 0.0 else 1.0
-    return w0 * w1 * rdet * part
+    # a merge that empties a seed slab or narrows it to its roundings
+    for s in (0, 1):
+        narrowed = lo[s] != before[0][s] or hi[s] != before[1][s]
+        if hi[s] < lo[s] or (narrowed and hi[s] - lo[s] <= _SLIVER * (abs(lo[s]) + abs(hi[s]))):
+            return 0.0
+    return area
 
 
 def _divide(a, b):
@@ -151,8 +120,10 @@ def _product_difference(a, b, c, d):
 
 
 def _edge_sum_area(third, lo, hi, cut):
-    """kernels._edge_sum_areas of one lane on Python floats, op for op, with
-    the same max/min operand order as _three_row_area."""
+    """kernels._edge_sum_areas of one lane on Python floats, op for op (a
+    numpy np.maximum(a, b) or np.minimum(a, b) is max(b, a) or min(b, a):
+    of two equal values both keep the second); at r = 1 its pair loop does
+    not run."""
     r = len(lo) - 2
     alpha, beta, rdet = third[:r], third[r : 2 * r], third[2 * r]
     zero = [a == 0.0 and b == 0.0 for a, b in zip(alpha, beta)]

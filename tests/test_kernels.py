@@ -196,103 +196,19 @@ def test_polygon_areas_degenerate_lanes():
     assert _volumes(np.zeros((0, 3, 2)), np.zeros(0, int), np.zeros((0, 3)), np.zeros((0, 3))).size == 0
 
 
-_THREE_ROW_KINDS = ("generic", "near-seed", "zero", "narrow", "corner")
-
-
-def _three_row_case(rng, kind, exponent=-9.0):
-    """A three-row 2-D slab system (W, lo, hi) of one kind: generic rows and
-    bounds; a third row within 10^exponent (relative) of row 0 or 1,
-    parallel or antiparallel; a zero third row whose slab holds 0, as a
-    facet's merged rows have; a third slab 1e-16..1e-14 (relative) wide
-    across the parallelogram of rows 0 and 1; or a third slab that cuts a
-    sliver off a corner of that parallelogram, or touches it there or just
-    misses it."""
-    W = rng.normal(size=(3, 2))
-    half = rng.uniform(0.05, 1.0, size=3)
-    centre = rng.normal(size=3) * rng.choice([0.0, 0.5, 3.0])
-    lo, hi = centre - half, centre + half
-    if kind == "near-seed":
-        j = int(rng.integers(2))
-        W[2] = rng.choice([1.0, -1.0]) * W[j] + 10.0**exponent * np.linalg.norm(W[j]) * rng.normal(size=2)
-    elif kind == "zero":
-        W[2] = 0.0
-        lo[2], hi[2] = -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-    elif kind in ("narrow", "corner"):
-        corners = [np.linalg.solve(W[:2], [a, b]) for a in (lo[0], hi[0]) for b in (lo[1], hi[1])]
-        values = np.array([W[2] @ y for y in corners])
-        scale = np.abs(values).max() + values.max() - values.min()
-        if kind == "narrow":
-            lo[2] = rng.uniform(values.min(), values.max())
-            hi[2] = lo[2] + 10.0 ** rng.uniform(-16.0, -14.0) * scale
-        else:
-            depth = rng.choice([1.0, -1.0, 0.0]) * 10.0 ** rng.uniform(-14.0, -2.0) * scale
-            if rng.integers(2):
-                lo[2], hi[2] = values.max() - depth, values.max() + scale
-            else:
-                lo[2], hi[2] = values.min() - scale, values.min() + depth
-    return W, lo, hi
-
-
-def _three_row_bound(W, lo, hi):
-    """The rounding bound kernels._three_row_areas states for one
-    non-degenerate three-row system: (144 + 3 D) u S (1 + E / M), with no
-    E / M term where the third row is zero."""
-    i0, i1, i2 = kernels._clip_tables(W[None]).order[0]
-    (a00, a01), (a10, a11), (x, y) = W[i0], W[i1], W[i2]
-    det = abs(a00 * a11 - a01 * a10)
-    w0, w1 = hi[i0] - lo[i0], hi[i1] - lo[i1]
-    c0, c1 = lo[i0] + hi[i0], lo[i1] + hi[i1]
-    cond = (abs(a00 * a11) + abs(a01 * a10)) / det
-    a, b = (abs(x * a11) + abs(y * a10)) / det, (abs(a00 * y) + abs(a01 * x)) / det
-    big = max(abs(x * a11 - y * a10) / det * w0, abs(a00 * y - a01 * x) / det * w1)
-    reach = a * (w0 + abs(c0)) + b * (w1 + abs(c1)) + 2.0 * abs(lo[i2]) + 2.0 * abs(hi[i2])
-    return (144.0 + 3.0 * cond) * 2.0**-53 * (w0 * w1 / det) * (1.0 + (reach / big if big > 0.0 else 0.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(_THREE_ROW_KINDS), st.floats(-12.0, -6.0),
-       st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
-def test_three_row_areas_are_within_their_stated_bound(seed, kind, exponent, row_exp, bound_exp):
-    # the closed form against the exact rational area of the float system,
-    # for rows scaled by 2^0 or 2^40 and bounds by 2^-40, 2^0 or 2^40 (rows
-    # scaled by 2^-40 fall below the seed pair's degeneracy floor, 1e-14 (1
-    # + max |w|)^2, which is absolute)
-    W, lo, hi = _three_row_case(np.random.default_rng(seed), kind, exponent)
-    W, lo, hi = W * 2.0**row_exp, lo * 2.0**bound_exp, hi * 2.0**bound_exp
-    assume(kernels._clip_tables(W[None]).ok[0])
-    got = _one_lane(W, lo, hi)
-    assert abs(Fraction(got) - exact_slab_volume(W, lo, hi)) <= Fraction(_three_row_bound(W, lo, hi))
-
-
-def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
-    # every kind of three-row system, 24 frames of 10 lanes each: the lanes
-    # of one call, and each lane alone, == the scalar twin
-    rng = np.random.default_rng(36)
-    systems = [_three_row_case(rng, kind, rng.uniform(-12.0, -6.0)) for _ in range(5) for kind in _THREE_ROW_KINDS[:4]]
-    frames = np.stack([W for W, _, _ in systems])
-    frame = np.repeat(np.arange(len(frames)), 10)
-    lo, hi = np.array([systems[k][1] for k in frame]), np.array([systems[k][2] for k in frame])
-    shift = rng.normal(size=lo.shape) * rng.choice([0.0, 0.1, 1.0], size=(len(frame), 1))
-    shift[frame % 4 == 2, 2] = 0.0  # keep 0 in a zero row's slab
-    got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
-    assert 0 < np.count_nonzero(got) < len(got)
-    corners = [_three_row_case(rng, "corner") for _ in range(40)]
-    frames = np.stack([W for W, _, _ in corners])
-    _polygon_lanes_match(frames, np.arange(40), np.stack([c[1] for c in corners]), np.stack([c[2] for c in corners]))
-
-
 _EDGE_KINDS = ("generic", "parallel", "near-seed", "straddle", "zero", "exact", "narrow", "corner")
 
 
 def _edge_case(rng, kind, m):
     """An m-row 2-D slab system (W, lo, hi) of one kind, its rows in the
     kernel's order i0, i1, then the others: generic rows and bounds; a later
-    row within 10^-12..10^-6 (relative) of an earlier row other than the seeds,
-    or of a seed row, parallel or antiparallel, and shorter; two later rows
-    other than the first 10^-13..10^-5 apart on either side of the axis
-    threshold of _edge_sum_areas (|p| = 2 |q| with the first on s), their lines
-    through one point of the seed parallelogram (m >= 5); one to m - 3 zero
-    rows whose slabs hold 0, as a facet's merged rows have; a later row exactly
+    row within 10^-12..10^-6 (relative) of an earlier row other than the seeds
+    (m >= 4), or of a seed row, parallel or antiparallel, and shorter; two
+    later rows other than the first 10^-13..10^-5 apart on either side of the
+    axis threshold of _edge_sum_areas (|p| = 2 |q| with the first on s), their
+    lines through one point of the seed parallelogram (m >= 5); one to
+    max(1, m - 3) zero rows whose slabs hold 0, as a facet's merged rows have,
+    the only one at m = 3; a later row exactly
     parallel to an earlier one, or a multiple that rounds; a slab of any row
     1e-16..1e-14 (relative) wide across the parallelogram of two others; or a
     slab of a later row that cuts a sliver off a corner of the seed
@@ -334,7 +250,7 @@ def _edge_case(rng, kind, m):
             else:
                 lo[r], hi[r] = W[r] @ point - width, W[r] @ point
     elif kind == "zero":
-        rows = 2 + rng.choice(m - 2, size=rng.integers(1, m - 2), replace=False)
+        rows = 2 + rng.choice(m - 2, size=rng.integers(1, max(2, m - 2)), replace=False)
         W[rows] = 0.0
         lo[rows], hi[rows] = -rng.uniform(0.0, 1.0, size=len(rows)), rng.uniform(0.0, 1.0, size=len(rows))
     elif kind in ("narrow", "corner"):
@@ -360,7 +276,7 @@ def _edge_sum_bound(W, lo, hi, order):
     """The rounding bound kernels._edge_sum_areas states for one
     non-degenerate system, its rows in the kernel's order: 96 u S (1 +
     sum_j E_j / M_j) over the rows j other than the seeds, no term for a
-    zero row, E_j and M_j as _three_row_bound computes them."""
+    zero row, E_j and M_j as kernels._edge_sum_areas defines them."""
     W, lo, hi = W.tolist(), lo.tolist(), hi.tolist()
     i0, i1, *rest = order
     (a00, a01), (a10, a11) = W[i0], W[i1]
@@ -389,6 +305,22 @@ def _assert_within_the_edge_sum_bound(systems, row_exp, bound_exp):
     for k in np.flatnonzero(tables.clip.ok):
         error = abs(Fraction(got[k]) - exact_polygon_area(W[k], lo[k], hi[k]))
         assert error <= Fraction(_edge_sum_bound(W[k], lo[k], hi[k], tables.clip.order[k]))
+
+
+# the kinds that _edge_case draws at m = 3, where there is one row other than
+# the seeds
+_THREE_ROW_KINDS = ("generic", "near-seed", "zero", "exact", "narrow", "corner")
+
+
+@pytest.mark.parametrize("kind", _THREE_ROW_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
+def test_three_row_areas_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
+    # as at four rows below: 3,000 systems per kind (rows scaled by 2^-40
+    # fall below the seed pair's degeneracy floor, 1e-14 (1 + max |w|)^2,
+    # which is absolute)
+    rng = np.random.default_rng(seed)
+    _assert_within_the_edge_sum_bound([_edge_case(rng, kind, 3) for _ in range(100)], row_exp, bound_exp)
 
 
 @pytest.mark.parametrize("kind", [kind for kind in _EDGE_KINDS if kind != "straddle"])
@@ -431,6 +363,10 @@ def test_the_polygon_oracle_equals_the_vertex_oracle():
             assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
 
 
+def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
+    _lanes_equal_the_twin_in_calls_of_many_frames(3)
+
+
 def test_four_row_lanes_equal_the_twin_in_calls_of_many_frames():
     _lanes_equal_the_twin_in_calls_of_many_frames(4)
 
@@ -445,7 +381,7 @@ def _lanes_equal_the_twin_in_calls_of_many_frames(m):
     # whose rows are parallel to a seed row or to each other, or zero, or all
     # zero: the lanes of one call, and each lane alone, == the twin
     rng = np.random.default_rng(38 + m)
-    kinds = [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
+    kinds = _THREE_ROW_KINDS if m == 3 else [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
     systems = [_edge_case(rng, kind, m) for _ in range(4) for kind in kinds]
     frames = np.stack([W for W, _, _ in systems])
     frame = np.repeat(np.arange(len(frames)), 10)
@@ -455,16 +391,17 @@ def _lanes_equal_the_twin_in_calls_of_many_frames(m):
     shift[zero] = 0.0  # keep 0 in a zero row's slab
     got = _polygon_lanes_match(frames, frame, lo + shift, hi + shift)
     assert 0 < np.count_nonzero(got) < len(got)
-    # each merge case of two rows: both parallel to seed rows, one parallel
-    # to the other, one zero and one generic or parallel to a seed row, both
-    # zero, then short generic rows past four rows; eight frames of rows
-    # drawn from those; and a frame whose rows other than the seeds are zero
+    # each merge case of two rows (of one row at m = 3): both parallel to
+    # seed rows, one parallel to the other, one zero and one generic or
+    # parallel to a seed row, both zero, then short generic rows past four
+    # rows; eight frames of rows drawn from those; and a frame whose rows
+    # other than the seeds are zero
     seeds = np.array([[1.0, 0.25], [-0.5, 1.0]])
+    rows = [[2.0, 0.5], [0.3, -0.7], [-1.0, 2.0], [-0.6, 1.4], [0.0, 0.0], [4.0, 1.0], [0.6, -1.4]]
     pairs = ([[2.0, 0.5], [0.3, -0.7]], [[0.3, -0.7], [-1.0, 2.0]], [[0.3, -0.7], [-0.6, 1.4]],
              [[0.0, 0.0], [0.3, -0.7]], [[0.3, -0.7], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
-             [[0.0, 0.0], [2.0, 0.5]], [[4.0, 1.0], [-1.0, 2.0]])
-    rows = [[2.0, 0.5], [0.3, -0.7], [-1.0, 2.0], [-0.6, 1.4], [0.0, 0.0], [4.0, 1.0], [0.6, -1.4]]
-    frames = np.array([np.vstack([seeds, pair, rng.uniform(-0.5, 0.5, size=(m - 4, 2))]) for pair in pairs]
+             [[0.0, 0.0], [2.0, 0.5]], [[4.0, 1.0], [-1.0, 2.0]]) if m > 3 else [[row] for row in rows]
+    frames = np.array([np.vstack([seeds, pair, rng.uniform(-0.5, 0.5, size=(m - 2 - len(pair), 2))]) for pair in pairs]
                       + [np.vstack([seeds, [rows[i] for i in rng.choice(len(rows), size=m - 2)]]) for _ in range(8)]
                       + [np.vstack([seeds, np.zeros((m - 2, 2))])])
     frame = np.repeat(np.arange(len(frames)), 12)
@@ -501,24 +438,44 @@ def test_a_corner_sliver_of_a_plane_lane_keeps_its_area(m):
     assert abs(Fraction(_one_lane(W, lo, hi)) - exact) <= exact * Fraction(1, 10**8)
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_a_merged_strip_keeps_its_area(m):
+    # row 2 merges into the seed row 0 and leaves a strip 1e-15 or 1e-13
+    # wide, far below 2^-48 of the seed rectangle before the merge: the edge
+    # sum gives its exact area; where the merge empties the seed slab, or
+    # meets it in a line, the lane is 0.0
+    W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.3, 0.7], [1.0, -2.0]][:m])
+    lo = np.array([[-0.5, -0.5, 0.0, -5.0, -9.0]] * 4)[:, :m]
+    hi = np.array([[0.5, 0.5, 1e-15, 5.0, 9.0]] * 4)[:, :m]
+    hi[1, 2] = 1e-13
+    lo[2, 2], hi[2, 2] = 0.5, 0.7
+    lo[3, 2], hi[3, 2] = 0.6, 0.7
+    got = _polygon_lanes_match(W[None], np.zeros(4, dtype=int), lo, hi)
+    exact = [exact_slab_volume(W, l, h) for l, h in zip(lo, hi)]
+    assert exact == [Fraction(1e-15), Fraction(1e-13), 0, 0]
+    assert got[0] == 1e-15 and got[1] == pytest.approx(1e-13, rel=1e-15) and got[2] == got[3] == 0.0
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
 def test_a_lane_that_is_a_point_gives_zero(m):
     # 2x + y <= 0 and x >= 2y >= 0 meet in the one point 0, where the edge
     # sum leaves a few u: no edge is longer than _POINT, so the lane is 0.0
-    W = [[2.0, 1.0], [1.0, -2.0], [1.0, -4.0], [0.0, 1.0], [1.0, 1.0]][:m]
-    lo, hi = [-0.5, 0.0, 0.0, 0.0, -1.0][:m], [0.0, 0.5, 1.5, 0.5, 1.0][:m]
+    rows = [0, 1, 3] if m == 3 else range(m)
+    W = [[[2.0, 1.0], [1.0, -2.0], [1.0, -4.0], [0.0, 1.0], [1.0, 1.0]][i] for i in rows]
+    lo, hi = [[-0.5, 0.0, 0.0, 0.0, -1.0][i] for i in rows], [[0.0, 0.5, 1.5, 0.5, 1.0][i] for i in rows]
     assert exact_slab_volume(np.array(W), np.array(lo), np.array(hi)) == 0
     assert _one_lane(W, lo, hi) == 0.0
 
 
 @pytest.mark.parametrize("m,d,nonzero,digest", [
-    (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "ab073697fbc8f154"), (6, 2, 208, "a3b5bae31217c6a6"),
-    (5, 3, 326, "0d973ddcd88d5aae"), (6, 3, 286, "1dc4c39b8053e187")])
+    (3, 2, 363, "b100c68266675567"), (4, 2, 291, "1d5312eaeedf1cae"), (5, 2, 258, "ab073697fbc8f154"),
+    (6, 2, 208, "a3b5bae31217c6a6"), (4, 3, 380, "53e06f3a3f36f62a"), (5, 3, 326, "0d973ddcd88d5aae"),
+    (6, 3, 286, "1dc4c39b8053e187")])
 def test_lanes_of_four_rows_or_more_keep_the_clips_bits(m, d, nonzero, digest):
-    # the edge sum's bits (_edge_sum_areas): 2-D lanes of four rows or more,
-    # and the facets of 3-D lanes of five rows or more; the (4, 2) and (5,
-    # 3) pins date from the four-row closed form, the others were the
-    # clip's, which the name recalls, until it was deleted
+    # the edge sum's bits (_edge_sum_areas): 2-D lanes, and the facets of
+    # 3-D lanes; the (4, 2) and (5, 3) pins date from the four-row closed
+    # form, the (3, 2) and (4, 3) pins from the one 2-D closed form, and the
+    # others were the clip's, which the name recalls, until it was deleted
     rng = np.random.default_rng(100 * m + d)
     frames = rng.normal(size=(6, m, d))
     frame = rng.integers(0, 6, size=400)
