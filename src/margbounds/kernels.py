@@ -213,8 +213,11 @@ def _clip_tables(frames) -> ClipTables:
 
 @functools.cache
 def _row_pairs(r):
-    """The pairs (j, i), i < j, of r rows: two index arrays."""
-    return np.tril_indices(r, -1)
+    """The pairs (j, i), i < j, of r rows: two read-only index arrays."""
+    pairs = np.tril_indices(r, -1)
+    for rows in pairs:
+        rows.setflags(write=False)
+    return pairs
 
 
 def _two_product(a, b):
@@ -485,7 +488,7 @@ def _merge_rows(into, factor, frame, lo, hi):
     return lo, hi
 
 
-def _polygon_areas(tables, frame, lo, hi):
+def _polygon_areas(tables, frame, lo, hi, facets=False):
     """Area of each lane l: the 2-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
     for the rows w of frame[l], on tables, the ClipTables of frames (K, m,
     2), frame (L,), lo and hi (L, m) with lo <= hi; returns (L,) areas.
@@ -494,10 +497,13 @@ def _polygon_areas(tables, frame, lo, hi):
     the other rows cut, each with its alpha, beta and 1/|det| from the
     ClipTables, after each merged row has folded its slab into its
     partner's; _edge_sum_areas takes every m, with its rounding bound.  A
-    lane whose merges empty a seed slab, or narrow it to its roundings
-    (hi - lo at most _SLIVER (|lo| + |hi|)), gives 0.0.  Every lane goes
-    through the same floating-point operations, so its area does not depend
-    on the other lanes; a degenerate frame's lanes are 0.0.
+    lane whose merges empty a seed slab, or narrow it to its roundings,
+    gives 0.0: those of the fold, hi - lo at most _SLIVER (|lo| + |hi|),
+    or where the lanes are 3-D facets (facets true), whose bounds carry
+    the roundings of their projection, an area of at most _SLIVER times the
+    seed rectangle before the merges.  Every lane goes through the same
+    floating-point operations, so its area does not depend on the other
+    lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
@@ -519,9 +525,13 @@ def _polygon_areas(tables, frame, lo, hi):
     area = _edge_sum_areas(third, *lanes, cut[f])
     if mlo is not lo:
         l, h = lanes[0][:2], lanes[1][:2]
-        narrowed = (l != lo.reshape(-1).take(at[:2])) | (h != hi.reshape(-1).take(at[:2]))
-        narrowed &= h - l <= _SLIVER * (np.abs(l) + np.abs(h))
-        area[((h < l) | narrowed).any(axis=0)] = 0.0
+        l0, h0 = lo.reshape(-1).take(at[:2]), hi.reshape(-1).take(at[:2])
+        if facets:
+            w0, w1 = h0 - l0
+            narrowed = (into >= 0).any(axis=1)[f] & (area <= _SLIVER * (w0 * w1 * third[-1]))
+        else:
+            narrowed = (((l != l0) | (h != h0)) & (h - l <= _SLIVER * (np.abs(l) + np.abs(h)))).any(axis=0)
+        area[(h < l).any(axis=0) | narrowed] = 0.0
     out[idx] = area
     return out
 
@@ -748,7 +758,7 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
     facets = ClipTables(*(t.reshape((len(t) * m,) + t.shape[2:]) for t in tables.facets))
     terms = np.zeros((count, m, 2))
-    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi)
+    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi, facets=True)
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
 
 

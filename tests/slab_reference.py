@@ -53,7 +53,8 @@ def _polygon_area(rows, lo, hi, facet=False):
     """polygon_area of rows, lo and hi given as lists of Python floats: the
     IEEE operations of kernels._polygon_areas' numpy ones, faster for one
     system; a 3-D lane's facet (facet true) takes the sliver cut
-    (kernels._SLIVER), as a frame with a zero row does."""
+    (kernels._SLIVER), as a frame with a zero row does, and the facets'
+    rule for merged lanes."""
     # Seed polygon: the parallelogram cut out by the best-conditioned pair.
     seeds = _polygon_seed_rows(rows)
     if seeds is None:
@@ -67,7 +68,7 @@ def _polygon_area(rows, lo, hi, facet=False):
     beta = [_product_difference(a00, rows[i][1], a01, rows[i][0]) / det for i in rest]
     order = [i0, i1] + rest
     lo, hi = [lo[i] for i in order], [hi[i] for i in order]
-    before = lo[:2], hi[:2]  # the seed slabs before the merges
+    before, merged = (lo[:2], hi[:2]), False  # the seed slabs before the merges
     # a row exactly parallel to a seed row or to an earlier live row merges
     # into it and becomes a zero row, its slab's bounds -1, 1
     live = [a != 0.0 and b != 0.0 for a, b in zip(alpha, beta)]
@@ -84,12 +85,15 @@ def _polygon_area(rows, lo, hi, facet=False):
             live[j] = False
         low, high = lo[2 + j] / kappa, hi[2 + j] / kappa
         lo[into], hi[into] = max(min(high, low), lo[into]), min(max(high, low), hi[into])
-        lo[2 + j], hi[2 + j], alpha[j], beta[j] = -1.0, 1.0, 0.0, 0.0
+        lo[2 + j], hi[2 + j], alpha[j], beta[j], merged = -1.0, 1.0, 0.0, 0.0, True
     zero = any(a == 0.0 and b == 0.0 for a, b in zip(alpha, beta))
     area = _edge_sum_area(alpha + beta + [1.0 / abs(det)], lo, hi, 8.0 * _SLIVER if facet or zero else 0.0)
     # a merge that empties a seed slab or narrows it to its roundings
+    w0, w1 = before[1][0] - before[0][0], before[1][1] - before[0][1]
+    if facet and merged and area <= _SLIVER * (w0 * w1 * (1.0 / abs(det))):
+        return 0.0
     for s in (0, 1):
-        narrowed = lo[s] != before[0][s] or hi[s] != before[1][s]
+        narrowed = not facet and (lo[s] != before[0][s] or hi[s] != before[1][s])
         if hi[s] < lo[s] or (narrowed and hi[s] - lo[s] <= _SLIVER * (abs(lo[s]) + abs(hi[s]))):
             return 0.0
     return area

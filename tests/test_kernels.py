@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from exact_slab_volume import exact_polygon_area, exact_slab_volume
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from slab_reference import _polygon_seed_rows, polytope_volume, slab_volume
 
@@ -309,13 +309,13 @@ def _assert_within_the_edge_sum_bound(systems, row_exp, bound_exp):
 
 # the kinds that _edge_case draws at m = 3, where there is one row other than
 # the seeds
-_THREE_ROW_KINDS = ("generic", "near-seed", "zero", "exact", "narrow", "corner")
+_KINDS_OF_3_ROWS = ("generic", "near-seed", "zero", "exact", "narrow", "corner")
 
 
-@pytest.mark.parametrize("kind", _THREE_ROW_KINDS)
+@pytest.mark.parametrize("kind", _KINDS_OF_3_ROWS)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 40]), st.sampled_from([-40, 0, 40]))
-def test_three_row_areas_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
+def test_areas_of_3_rows_are_within_their_stated_bound(kind, seed, row_exp, bound_exp):
     # as at four rows below: 3,000 systems per kind (rows scaled by 2^-40
     # fall below the seed pair's degeneracy floor, 1e-14 (1 + max |w|)^2,
     # which is absolute)
@@ -363,7 +363,7 @@ def test_the_polygon_oracle_equals_the_vertex_oracle():
             assert exact_polygon_area(W, lo, hi) == exact_slab_volume(W, lo, hi)
 
 
-def test_three_row_lanes_equal_the_twin_in_calls_of_many_frames():
+def test_lanes_of_3_rows_equal_the_twin_in_calls_of_many_frames():
     _lanes_equal_the_twin_in_calls_of_many_frames(3)
 
 
@@ -381,7 +381,7 @@ def _lanes_equal_the_twin_in_calls_of_many_frames(m):
     # whose rows are parallel to a seed row or to each other, or zero, or all
     # zero: the lanes of one call, and each lane alone, == the twin
     rng = np.random.default_rng(38 + m)
-    kinds = _THREE_ROW_KINDS if m == 3 else [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
+    kinds = _KINDS_OF_3_ROWS if m == 3 else [kind for kind in _EDGE_KINDS if m > 4 or kind != "straddle"]
     systems = [_edge_case(rng, kind, m) for _ in range(4) for kind in kinds]
     frames = np.stack([W for W, _, _ in systems])
     frame = np.repeat(np.arange(len(frames)), 10)
@@ -706,6 +706,10 @@ def _small_integer_system(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_small_integer_system())
+# a flat polytope, one of whose facets merges a row into a seed row and
+# leaves a strip 6e-17 wide, the rounding of the facet's bounds
+@example((np.array([[-2.0, 0.0, 0.0], [-2.0, 0.0, 2.0], [0.0, 0.0, -1.0], [1.0, 2.0, -2.0], [2.0, -2.0, -1.0]]),
+          np.zeros(5), np.array([1.0, 0.5, 0.5, 0.5, 0.5])))
 def test_polytope_volume_matches_the_exact_oracle_on_small_integer_systems(system):
     w, lo, hi = system
     got = polytope_volume(w, lo, hi)

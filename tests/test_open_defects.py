@@ -87,6 +87,18 @@ def test_a_five_row_lane_with_a_narrow_seed_slab_is_right():
     assert abs(got - exact) <= 1e-3 * exact
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1(d)")
+def test_a_facet_with_rows_parallel_only_before_rounding_is_right():
+    # in the facet of row 1, rows 0, 3 and 4 project to multiples 1, 3 and
+    # 5 of one direction, but the rounded projections are 1e-16 apart, so
+    # they do not merge, and two of their lines coincide: the 3-D lane
+    # reads 0.0455317 where the exact volume is 11/240
+    W = np.array([[-1.0, 1.0, 1.0], [-1.0, 2.0, 1.0], [0.0, 0.0, 1.0], [-1.0, -1.0, 1.0], [-2.0, -1.0, 2.0]])
+    lo, hi = np.array([-1.5, 0.0, 0.0, -1.0, 0.0]), np.array([0.5, 0.5, 0.5, 0.5, 1.0])
+    got = kernels.table_volumes(kernels.frame_tables(W[None]), [0], lo[None], hi[None])[0]
+    assert abs(got - float(exact_slab_volume(W, lo, hi))) <= 1e-13
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
 def test_verify_runs_at_n_5_k_1(tmp_path):
     # the complement frame is one 4-D slab block, beyond the 3-D kernels:
