@@ -156,15 +156,13 @@ def _clip_tables(frames) -> ClipTables:
     det = dets[ks, i1]
     scale = 1.0 + np.abs(frames).max(axis=(1, 2))
     ok = ~(np.abs(det) < 1e-14 * (scale * scale))
-    # i0, i1, then the other rows in row order (a stable sort); a degenerate
-    # frame, which may have i0 == i1, keeps its row order (its lanes are 0.0)
+    # i0, i1, then the others in row order; a degenerate frame keeps its order
     key = np.zeros((count, m))
     key[ks, i1] = -1
     key[ks, i0] = -2
     order = np.argsort(key, axis=1, kind="stable")
     order[~ok] = np.arange(m)
-    seed = np.empty((count, 5))
-    seed[:, :2], seed[:, 2:4], seed[:, 4] = a0, frames[ks, i1], det
+    seed = np.column_stack([a0, frames[ks, i1], det])
     others = frames[ks[:, None], order[:, 2:]]
     x, y = others.T  # (r, K) each
     a00, a01, a10, a11 = seed[:, :4].T
@@ -205,19 +203,15 @@ def _clip_tables(frames) -> ClipTables:
         factor[mk, order[mk, 2 + mj]] = kappa[mj, mk]
         alpha[mj, mk] = beta[mj, mk] = 0.0
         cut[((alpha == 0.0) & (beta == 0.0)).any(axis=0)] = 8.0 * _SLIVER
-    third = np.empty((count, 2 * r + 1))
-    third[:, : 2 * r] = coords.T
-    third[:, 2 * r] = 1.0 / np.abs(d)
+    third = np.column_stack([coords.T, 1.0 / np.abs(d)])
     return ClipTables(ok, seed, order, others, third, into, factor, cut)
 
 
 @functools.cache
 def _row_pairs(r):
-    """The pairs (j, i), i < j, of r rows: two read-only index arrays."""
-    pairs = np.tril_indices(r, -1)
-    for rows in pairs:
-        rows.setflags(write=False)
-    return pairs
+    """The pairs (j, i), i < j, of r rows: two index arrays, which callers
+    only read."""
+    return np.tril_indices(r, -1)
 
 
 def _two_product(a, b):
@@ -498,12 +492,11 @@ def _polygon_areas(tables, frame, lo, hi, facets=False):
     ClipTables, after each merged row has folded its slab into its
     partner's; _edge_sum_areas takes every m, with its rounding bound.  A
     lane whose merges empty a seed slab, or narrow it to its roundings,
-    gives 0.0: those of the fold, hi - lo at most _SLIVER (|lo| + |hi|),
-    or where the lanes are 3-D facets (facets true), whose bounds carry
-    the roundings of their projection, an area of at most _SLIVER times the
-    seed rectangle before the merges.  Every lane goes through the same
-    floating-point operations, so its area does not depend on the other
-    lanes; a degenerate frame's lanes are 0.0.
+    gives 0.0: to hi - lo at most _SLIVER (|lo| + |hi|), or for 3-D facets
+    (facets true), whose bounds carry their projection's roundings, to an
+    area of at most _SLIVER S before the merges.  Every lane goes through
+    the same floating-point operations, so its area does not depend on the
+    other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
