@@ -32,7 +32,7 @@ import numpy as np
 # benchmark record (a child without it fails after its jobs)
 import scipy  # noqa: F401
 
-from . import average, bounds, densities, grassmann, marginals, randomness, sections, slabgeom
+from . import average, bounds, densities, grassmann, kernels, marginals, randomness, sections, slabgeom
 from .quadrature import RouteLimitError, ToleranceError
 
 REPORT_VERSION = "margbounds-report-1"
@@ -356,9 +356,10 @@ def cmd_sections(ns) -> int:
         if not a.any():
             raise ValueError("--normal must not be the zero vector")
         # scaled by the power of two of its largest coordinate, exactly, so
-        # that the norm neither overflows nor underflows
+        # that the norm neither overflows nor underflows; the norm sums the
+        # squares in order (np.linalg.norm is a BLAS dot on a 1-D array)
         a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
-        a = a / np.linalg.norm(a)
+        a = a / np.sqrt(kernels._sum_in_order(a * a))
         if ns.mode == "exact":
             value = sections.hyperplane_section_exact(box, a)
         else:

@@ -3,7 +3,10 @@ assignments and extremal search.
 
 A Subspace carries an explicit orthonormal basis; the tight frame of its
 complement (rows of the complement basis) is the workhorse identity behind
-every marginal and section computation in the package.
+every marginal and section computation in the package.  Every basis here is
+orthonormalized by one batched Householder QR in elementwise numpy
+(_householder_qr), so its bits depend neither on its batch nor on the BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -133,27 +136,76 @@ class ExponentAssignment:
         object.__setattr__(self, "target_sum", float(target_sum))
 
 
-def _fix_qr_signs(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Make the thin-QR factorization unique (positive diagonal of R); works
-    on one factorization or a stack of them."""
-    sgn = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    sgn[sgn == 0.0] = 1.0
-    return q * sgn[..., None, :]
+def _sum_rows(terms):
+    """terms[0] + terms[1] + ... in index order, elementwise: a sum over the
+    first axis that does not depend on the shape of the rest (np.sum adds
+    pairwise from 8 terms on, along a contiguous axis)."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _householder_qr(a: np.ndarray, complement: bool = False):
+    """(Q, d) of the QR factorization A = QR of each matrix A of the stack
+    a (L, n, k), k <= n, with R's diagonal d (L, k) made positive.  Q is
+    (L, n, k), Q's first k columns, or with complement (L, n, n - k), the
+    last n - k columns of the complete factorization.
+
+    Householder reflections H_j = I - w_j w_j^T, written as elementwise
+    numpy over the lanes (held on the last axis) and a loop over rows and
+    columns: every sum adds its terms in index order, so a lane's bits
+    depend neither on the other lanes nor on the BLAS kernel.  Q is
+    accumulated backward, H_0 (H_1 (... H_{k-1} e_c)), on the columns it
+    returns alone.  A zero column gives w = 0 (H = I) and d = 0; columns are
+    not rescaled, so squares must not underflow (norms above 1e-154).  With
+    R's diagonal positive the factorization is unique, so Q of an iid
+    Gaussian matrix spans a Haar subspace (Mezzadri, Notices AMS 54, 2007).
+    """
+    count, n, k = a.shape
+    first, cols = (k, n - k) if complement else (0, k)
+    r = a.transpose(1, 2, 0).astype(float, order="C")  # (n, k, L), a copy
+    q = np.repeat(np.eye(n)[:, first : first + cols, None], count, axis=2)
+    norms, reflectors = [], []
+    for j in range(k):
+        x = r[j:, j]
+        norm = np.sqrt(_sum_rows(x * x))
+        # H_j x = -lead e_j; the sign of lead avoids cancellation in w[0]
+        lead = np.copysign(norm, x[0])
+        w = x.copy()
+        w[0] += lead
+        # |w|^2 = 2 lead w[0]
+        w /= np.sqrt(np.maximum(lead * w[0], np.finfo(float).tiny))
+        if j + 1 < k:
+            rest = r[j:, j + 1 :]
+            rest -= w[:, None] * _sum_rows(w[:, None] * rest)
+        if not complement:
+            # R_jj = -lead: start column j from -sign(lead) e_j, exactly
+            # what flipping it at the end would give
+            q[j, j] = np.copysign(1.0, -lead)
+        norms.append(norm)
+        reflectors.append(w)
+    for j in reversed(range(k)):
+        w = reflectors[j]
+        # H_j touches rows j on; columns before j of the thin Q are zero there
+        block = q[j:, max(j - first, 0) :]
+        block -= w[:, None] * _sum_rows(w[:, None] * block)
+    return np.ascontiguousarray(q.transpose(2, 0, 1)), np.transpose(norms)
 
 
 def haar_bases(n: int, k: int, seed: int, streams) -> np.ndarray:
     """Orthonormal bases (L, n, k) of Haar-distributed elements of G_{n,k},
     one per stream in the integer array streams.
 
-    Each lane orthonormalizes the iid Gaussian n x k matrix of its stream;
-    the sign convention makes the factorization unique, so lane i is
-    determined by (seed, streams[i]) alone.
+    Each lane orthonormalizes the iid Gaussian n x k matrix of its stream
+    by _householder_qr, whose positive diagonal of R makes the
+    factorization unique: lane i is determined by (seed, streams[i]) alone,
+    to the bit.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
     g = randomness.normals(seed, np.asarray(streams), 0, n * k).reshape(-1, n, k)
-    q, r = np.linalg.qr(g)
-    return _fix_qr_signs(q, r)
+    return _householder_qr(g)[0]
 
 
 def haar_sample(n: int, k: int, seed: int, stream: int = 0) -> Subspace:
@@ -174,16 +226,9 @@ def haar_directions(n: int, count: int, seed: int, stream=0, start: int = 0) -> 
 
 def complement_bases(bases: np.ndarray) -> np.ndarray:
     """Orthonormal bases (L, n, n-k) of the orthogonal complements of the
-    spans of bases (L, n, k), each with orthonormal columns."""
-    count, n, k = bases.shape
-    if k == n:
-        return np.zeros((count, n, 0))
-    q, _ = np.linalg.qr(bases, mode="complete")
-    comp = q[..., k:]
-    # re-project for a clean orthogonality defect
-    comp = comp - bases @ (np.swapaxes(bases, -1, -2) @ comp)
-    q2, r2 = np.linalg.qr(comp)
-    return _fix_qr_signs(q2, r2)
+    spans of bases (L, n, k), each with orthonormal columns: the last n - k
+    columns of one complete Householder factorization of each basis."""
+    return _householder_qr(bases, complement=True)[0]
 
 
 def orthonormal_complement(e: Subspace) -> Subspace:
@@ -241,10 +286,10 @@ def _box2_recurse(basis: np.ndarray) -> np.ndarray:
     # project H onto e_i-perp and drop coordinate i; injective since a_i > 0
     # excludes e_i from H
     reduced = np.delete(basis, i, axis=0)
-    q, r = np.linalg.qr(reduced)
-    if np.abs(np.diag(r)).min() <= 1e-8:
+    q, d = _householder_qr(reduced[None])
+    if d.min() <= 1e-8:
         raise AssertionError("projection unexpectedly non-injective")
-    sub = _box2_recurse(_fix_qr_signs(q, r))
+    sub = _box2_recurse(q[0])
     betas[np.arange(n) != i] = sub
     betas[i] = 0.0
     return betas
@@ -286,8 +331,8 @@ def grassmann_search_max(
     maps bases (B, n, k) to their values (B,).
 
     Geodesic-style perturbations: add a random tangent-scale step to the
-    basis, re-orthonormalize, accept on improvement; the step size halves
-    after every streak of 10 rejections.  Restarts are independent and merge
+    basis, re-orthonormalize (_householder_qr), accept on improvement; the
+    step size halves after every streak of 10 rejections.  Restarts are independent and merge
     by maximum (lowest restart index wins ties), so the result does not
     depend on evaluation order.
 
@@ -311,8 +356,8 @@ def grassmann_search_max(
         while s < steps:
             ahead = np.arange(min(_SPECULATE, steps - s))
             sigmas = sigma * 0.5 ** ((fails + ahead) // 10)
-            q, rr = np.linalg.qr(sub.basis + sigmas[:, None, None] * noise[s : s + ahead.size])
-            cands = [Subspace(basis) for basis in _fix_qr_signs(q, rr)]
+            q, _ = _householder_qr(sub.basis + sigmas[:, None, None] * noise[s : s + ahead.size])
+            cands = [Subspace(basis) for basis in q]
             vals = objective(np.stack([cand.basis for cand in cands]))
             better = np.flatnonzero(vals > val)
             # the rejections before the first improvement, or all of them

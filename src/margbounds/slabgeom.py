@@ -369,8 +369,11 @@ class SlabSum:
         d = self.rows.shape[1]
         total = total_sq = 0.0
         for _, y in randomness.stratified_cube(seed, stream, samples, d, radius):
-            # t = s + W y, (m, N): each row's factor values are contiguous
-            t = self.rows @ y.T
+            # t = s + W y, (m, N): each row's factor values are contiguous;
+            # W y by a sum over the d columns in order, not a BLAS product
+            t = self.rows[:, :1] * y[:, 0]
+            for c in range(1, d):
+                t += self.rows[:, c : c + 1] * y[:, c]
             t += shifts[:, None]
             g = ((t >= table[0, 0]) & (t < table[1, 0])) * table[2, 0]
             for piece_lo, piece_hi, value in zip(*table[:, 1:]):
@@ -379,7 +382,7 @@ class SlabSum:
             for factor in g:
                 x *= factor
             total += float(x.sum())
-            total_sq += float(np.dot(x, x))
+            total_sq += float((x * x).sum())
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         cube_vol = (2.0 * radius) ** d
