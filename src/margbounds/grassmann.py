@@ -136,6 +136,9 @@ class ExponentAssignment:
         object.__setattr__(self, "target_sum", float(target_sum))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _sum_rows(terms):
     """terms[0] + terms[1] + ... in index order, elementwise: a sum over the
     first axis that does not depend on the shape of the rest (np.sum adds
@@ -168,28 +171,28 @@ def _householder_qr(a: np.ndarray, complement: bool = False):
     q = np.repeat(np.eye(n)[:, first : first + cols, None], count, axis=2)
     norms, reflectors = [], []
     for j in range(k):
-        x = r[j:, j]
+        x = r[j:, j : j + 1]  # (n - j, 1, L)
         norm = np.sqrt(_sum_rows(x * x))
         # H_j x = -lead e_j; the sign of lead avoids cancellation in w[0]
         lead = np.copysign(norm, x[0])
         w = x.copy()
         w[0] += lead
         # |w|^2 = 2 lead w[0]
-        w /= np.sqrt(np.maximum(lead * w[0], np.finfo(float).tiny))
+        w /= np.sqrt(np.maximum(lead * w[0], _TINY))
         if j + 1 < k:
             rest = r[j:, j + 1 :]
-            rest -= w[:, None] * _sum_rows(w[:, None] * rest)
+            rest -= w * _sum_rows(w * rest)
         if not complement:
             # R_jj = -lead: start column j from -sign(lead) e_j, exactly
             # what flipping it at the end would give
-            q[j, j] = np.copysign(1.0, -lead)
-        norms.append(norm)
+            q[j, j] = np.copysign(1.0, -lead[0])
+        norms.append(norm[0])
         reflectors.append(w)
     for j in reversed(range(k)):
         w = reflectors[j]
         # H_j touches rows j on; columns before j of the thin Q are zero there
         block = q[j:, max(j - first, 0) :]
-        block -= w[:, None] * _sum_rows(w[:, None] * block)
+        block -= w * _sum_rows(w * block)
     return np.ascontiguousarray(q.transpose(2, 0, 1)), np.transpose(norms)
 
 
