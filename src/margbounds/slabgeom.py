@@ -371,13 +371,15 @@ class SlabSum:
         for _, y in randomness.stratified_cube(seed, stream, samples, d, radius):
             # t = s + W y, (m, N): each row's factor values are contiguous;
             # W y by a sum over the d columns in order, not a BLAS product,
-            # a row at a time (temporaries of the whole (m, N) cost 3x more)
-            cols = y.T.copy()
+            # a row at a time through one buffer: whole (m, N) temporaries
+            # took 3x the time, and a new temporary per term raised the peak
+            # RSS
             t = np.empty((len(self.rows), len(y)))
+            term = np.empty(len(y))
             for w, row in zip(self.rows, t):
-                np.multiply(cols[0], w[0], out=row)
+                np.multiply(y[:, 0], w[0], out=row)
                 for c in range(1, d):
-                    row += cols[c] * w[c]
+                    row += np.multiply(y[:, c], w[c], out=term)
             t += shifts[:, None]
             g = ((t >= table[0, 0]) & (t < table[1, 0])) * table[2, 0]
             for piece_lo, piece_hi, value in zip(*table[:, 1:]):
@@ -386,7 +388,8 @@ class SlabSum:
             for factor in g:
                 x *= factor
             total += float(x.sum())
-            total_sq += float((x * x).sum())
+            x *= x
+            total_sq += float(x.sum())
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         cube_vol = (2.0 * radius) ** d
