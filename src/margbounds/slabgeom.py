@@ -372,14 +372,14 @@ class SlabSum:
             # t = s + W y, (m, N): each row's factor values are contiguous;
             # W y by a sum over the d columns in order, not a BLAS product,
             # a row at a time through one buffer: whole (m, N) temporaries
-            # took 3x the time, and a new temporary per term raised the peak
-            # RSS
+            # took 3x the time
             t = np.empty((len(self.rows), len(y)))
             term = np.empty(len(y))
             for w, row in zip(self.rows, t):
                 np.multiply(y[:, 0], w[0], out=row)
                 for c in range(1, d):
                     row += np.multiply(y[:, c], w[c], out=term)
+            del term  # freed before the piece masks reach the peak RSS
             t += shifts[:, None]
             g = ((t >= table[0, 0]) & (t < table[1, 0])) * table[2, 0]
             for piece_lo, piece_hi, value in zip(*table[:, 1:]):
