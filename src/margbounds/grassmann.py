@@ -177,7 +177,8 @@ def _householder_qr(a: np.ndarray, complement: bool = False):
         lead = np.copysign(norm, x[0])
         w = x.copy()
         w[0] += lead
-        # |w|^2 = 2 lead w[0]
+        # |w|^2 = 2 lead w[0]: scaled to |w|^2 = 2, so H_j = I - w w^T; a
+        # zero column keeps w = 0
         w /= np.sqrt(np.maximum(lead * w[0], _TINY))
         if j + 1 < k:
             rest = r[j:, j + 1 :]
@@ -335,9 +336,9 @@ def grassmann_search_max(
 
     Geodesic-style perturbations: add a random tangent-scale step to the
     basis, re-orthonormalize (_householder_qr), accept on improvement; the
-    step size halves after every streak of 10 rejections.  Restarts are independent and merge
-    by maximum (lowest restart index wins ties), so the result does not
-    depend on evaluation order.
+    step size halves after every streak of 10 rejections.  Restarts are
+    independent and merge by maximum (lowest restart index wins ties), so
+    the result does not depend on evaluation order.
 
     The climb scores the next _SPECULATE proposals in one objective call,
     proposal j with the step size sigma 0.5^((fails + j) // 10) it has if
