@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import randomness
+from . import kernels, randomness
 
 
 class DensityFormatError(ValueError):
@@ -108,7 +108,7 @@ class StepDensity:
     # -- norms ---------------------------------------------------------------
 
     def l1_norm(self) -> float:
-        return float(np.dot(self.values, [hi - lo for lo, hi, _ in self.pieces]))
+        return float(kernels._sum_in_order(self.values * self.widths))
 
     def sup_norm(self) -> float:
         return max(v for _, _, v in self.pieces)
@@ -121,7 +121,7 @@ class StepDensity:
         # M (sum (v/M)^p w)^{1/p} with M the sup: no power exceeds 1, so a
         # large p cannot overflow, and the sup's piece keeps the sum positive
         sup = self.sup_norm()
-        return sup * float(np.dot((self.values / sup) ** p, self.widths) ** (1.0 / p))
+        return sup * float(kernels._sum_in_order((self.values / sup) ** p * self.widths) ** (1.0 / p))
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.l1_norm() - 1.0) <= tol

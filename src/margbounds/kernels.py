@@ -7,9 +7,9 @@ frame) and strip zero rows beforehand.  The 2-D kernel takes every lane,
 whatever its row count, by one closed form with a rounding bound:
 Lasserre's edge sum over the seed rectangle cut by the other rows' slabs
 (_edge_sum_areas), after merging exactly parallel rows.  The 3-D kernel
-sums (1/3) h |F| over the facets F, each a 2-D slab system of one row
-fewer, after merging rows parallel within _PARALLEL_SINE (see
-_polytope_volumes for its rounding bound).
+sums (1/3) h |F| = (1/3) b |proj F| / |w_ik| over the facets F, each a 2-D
+slab system of one row fewer with its row's pivot coordinate k eliminated,
+after merging rows parallel within _PARALLEL_SINE (see _polytope_volumes).
 
 Each kernel is lane-wise, in three steps on frames (K, m, d), a frame
 index (L,) and the bounds (L, m) of its L lanes:
@@ -493,10 +493,10 @@ def _polygon_areas(tables, frame, lo, hi, facets=False):
     partner's; _edge_sum_areas takes every m, with its rounding bound.  A
     lane whose merges empty a seed slab, or narrow it to its roundings,
     gives 0.0: to hi - lo at most _SLIVER (|lo| + |hi|), or for 3-D facets
-    (facets true), whose bounds carry their projection's roundings, to an
-    area of at most _SLIVER S before the merges.  Every lane goes through
-    the same floating-point operations, so its area does not depend on the
-    other lanes; a degenerate frame's lanes are 0.0.
+    (facets true), whose bounds carry the centre's and the elimination's
+    roundings, to an area of at most _SLIVER S before the merges.  Every
+    lane goes through the same floating-point operations, so its area does
+    not depend on the other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
     passed seed_cells, where a lane whose seed parallelogram misses another
@@ -597,20 +597,29 @@ class PolytopeTables(NamedTuple):
     g: np.ndarray  # (K, 3, 3): the seed cell's edge vectors per unit half-width
     gl1: np.ndarray  # (K, 3): their 1-norms
     wg: np.ndarray  # (K, m, 3): |<w_i, g_s>|
-    norms: np.ndarray  # (K, m): |w_i|^2
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     alpha: np.ndarray  # (K, m): the merge factors <w_j, w_i> / |w_i|^2
-    alive: np.ndarray  # (K, m): the rows that do not merge
-    gram: np.ndarray  # (K, m, m - 1): <w_i, w_j> over the other rows j, 0 where j merges
+    pivot: np.ndarray  # (K, m): |w_ik|, row i's pivot entry
+    scale: np.ndarray  # (K, m): |w_ik| / 2^e in [0.5, 1), 2^e its binary order
+    ratio: np.ndarray  # (K, m, m - 1): sign(w_ik) w_jk / 2^e over the other rows j, 0 where j merges
     facets: ClipTables  # of the facet frames, each field (K, m, ...)
 
 
 def polytope_tables(frames) -> PolytopeTables:
-    """The PolytopeTables of frames (K, m, 3): what _polytope_volumes needs
-    of each frame alone.  That is the seed cell's shape, the merges (the
-    same for every nonempty lane of a frame), and each row's facet frame,
-    the other rows in an orthonormal basis of w_i-perp with the merged rows
-    zeroed, with its ClipTables.  A lane's own work is its bounds."""
+    """The PolytopeTables of frames (K, m, 3): the seed cell's shape, the
+    merges (the same for every nonempty lane of a frame), and each row's
+    facet frame with its ClipTables.  A lane's own work is its bounds.
+
+    Row i's facet frame eliminates its pivot coordinate k, the first
+    largest |w_ik|: on <w_i, y> = b, <w_j, y> = <w_j - rho_j w_i, y> + rho_j
+    b, rho_j = w_jk / w_ik.  It holds scale w_j - ratio_j w_i without entry
+    k, scale = |w_ik| / 2^e in [0.5, 1) and ratio_j = scale rho_j exact, so
+    rows of small integers stay exact and their exact parallels merge in
+    _clip_tables (rho_j itself rounds at a pivot of 3, and parallels then
+    come out an ulp apart).  Facet rows are at most (1 + sqrt(3)) scale
+    |w_j| long; merged rows are zero.  The facets' merged-lane rule (the
+    cut here, the facets branch of _polygon_areas) stays: without it, flat
+    lanes of rows a_j w_i + b_j v read 1e-19 for 0.0 (tests/test_kernels.py)."""
     F = np.ascontiguousarray(frames, dtype=float)
     count, m, _ = F.shape
     seeds, ok = _polytope_seed_lanes(F)
@@ -624,44 +633,38 @@ def polytope_tables(frames) -> PolytopeTables:
     gl1 = ag[..., 0] + ag[..., 1] + ag[..., 2]
     wg = np.abs(_dot(F[:, :, None, :], g[:, None, :, :]))  # (K, m, 3)
     norms = _dot(F, F)
-    gram = _dot(F[:, :, None, :], F[:, None, :, :])  # (K, m, m)
     crs = _cross(F[:, :, None, :], F[:, None, :, :])
     # (a degenerate frame's lanes are empty, so it merges nothing)
     parallel = ((_dot(crs, crs) <= _PARALLEL_SINE**2 * (norms[:, :, None] * norms[:, None, :]))
                 & ok[:, None, None])
     # row j merges into the first live row parallel to it, with the factor
     # alpha (most frames have no parallel pair)
-    alive = np.ones((count, m), dtype=bool)
     into = np.full((count, m), -1)
     alpha = np.ones((count, m))
     if (parallel & np.tri(m, k=-1, dtype=bool)).any():
         for j in range(1, m):
-            parallel_to = parallel[:, j, :j] & alive[:, :j]
+            parallel_to = parallel[:, j, :j] & (into[:, :j] < 0)
             hit = parallel_to.any(axis=1)
             into[hit, j] = np.argmax(parallel_to[hit], axis=1)
-            alive[hit, j] = False
         mk, mj = np.nonzero(into >= 0)
-        alpha[mk, mj] = gram[mk, mj, into[mk, mj]] / norms[mk, into[mk, mj]]
-    e = np.zeros_like(F)
-    e[frames, np.arange(m), np.argmin(np.abs(F), axis=2)] = 1.0
-    u = _cross(F, e)
-    # (a degenerate frame may hold a zero row; its lanes are empty)
-    unorm = np.sqrt(_dot(u, u))
-    u = u / np.where(unorm > 0.0, unorm, 1.0)[..., None]
-    nnorm = np.sqrt(norms)
-    v = _cross(F, u) / np.where(nnorm > 0.0, nnorm, 1.0)[..., None]
+        alpha[mk, mj] = _dot(F[mk, mj], F[mk, into[mk, mj]]) / norms[mk, into[mk, mj]]
+    k = np.argmax(np.abs(F), axis=2)  # (K, m): each row's pivot coordinate
+    pivot = np.take_along_axis(F, k[..., None], axis=2)[..., 0]
+    scale, order = np.frexp(np.abs(pivot))
     others = _others(m)
     wo = F[:, others]  # (K, m, m - 1, 3)
-    flat = np.stack([_dot(wo, u[:, :, None, :]), _dot(wo, v[:, :, None, :])], axis=-1)
+    ratio = np.ldexp(np.sign(pivot)[..., None] * np.take_along_axis(wo, k[:, :, None, None], axis=3)[..., 0],
+                     -order[..., None])
+    flat = np.take_along_axis(scale[..., None, None] * wo - ratio[..., None] * F[:, :, None, :],
+                              _others(3)[k][:, :, None, :], axis=3)
     # merged rows become zero rows that every point satisfies (their lanes'
-    # bounds are -1, 1, and a zero gram keeps them there in the facet)
-    dead = ~alive[:, others]
+    # bounds are -1, 1, so -scale, scale in the facet)
+    dead = into[:, others] >= 0
     flat[dead] = 0.0
+    ratio[dead] = 0.0
     facets = _clip_tables(flat.reshape(count * m, m - 1, 2))._replace(cut=np.full(count * m, 8.0 * _SLIVER))
     facets = ClipTables(*(t.reshape((count, m) + t.shape[1:]) for t in facets))
-    gram = gram[:, np.arange(m)[:, None], others]
-    gram[dead] = 0.0
-    return PolytopeTables(F, seeds, ok, g, gl1, wg, norms, into, alpha, alive, gram, facets)
+    return PolytopeTables(F, seeds, ok, g, gl1, wg, into, alpha, np.abs(pivot), scale, ratio, facets)
 
 
 def _others(m):
@@ -672,24 +675,18 @@ def _others(m):
 def _polytope_seed_cells(tables, frame, lo, hi):
     """seed_cells of 3-D lanes: the live lanes, with their bounds about c
     and slack."""
-    # the per-row terms are built one coordinate at a time as (L, m) arrays
     lanes = np.arange(len(frame))[:, None]
     seeds, g, gl1 = tables.seeds[frame], tables.g[frame], tables.gl1[frame]
     mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
     half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
     centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
-    wc = tables.w[:, :, 0][frame] * centre[:, 0, None]
-    for k in (1, 2):
-        wc += tables.w[:, :, k][frame] * centre[:, k, None]
+    wc = _dot(tables.w[frame], centre[:, None, :])
     blo, bhi = lo - wc, hi - wc  # the bounds about c
     scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
     for s in range(3):
         scale = scale + half[:, s] * gl1[:, s]
     # the largest |<w_i, y - c>| over the seed cell, plus the margin
-    slack = half[:, 0, None] * tables.wg[:, :, 0][frame]
-    for s in (1, 2):
-        slack += half[:, s, None] * tables.wg[:, :, s][frame]
-    slack += (_EMPTY_MARGIN * scale)[:, None]
+    slack = _dot(half[:, None, :], tables.wg[frame]) + (_EMPTY_MARGIN * scale)[:, None]
     live = np.flatnonzero(tables.ok[frame] & ~((blo > slack) | (bhi < -slack)).any(axis=1))
     return live, (blo[live], bhi[live], slack[live])
 
@@ -698,60 +695,62 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     """Volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
     for the rows w of frame[l] in tables, the PolytopeTables of frames (K,
     m, 3), for lanes that passed seed_cells, from their bounds about c, blo
-    and bhi (L, m), and their slack (L, m), as _polytope_seed_cells gives
-    them; returns (L,) volumes.
+    and bhi (L, m), and slack (L, m), from _polytope_seed_cells.
 
     Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
     cell (the parallelepiped of its seed rows, which holds the polytope),
     vol = (1/3) sum over rows i and sides of h |F|, h the signed distance of
-    the side's plane from c and F the facet the plane cuts from the other
-    rows: a 2-D slab system in an orthonormal basis of w_i-perp, whose
-    bounds shift by <w_j, x0> for x0 the plane's foot.  A call's facets go
-    through one _polygon_areas call, and each lane adds its 2m terms from
-    0.0 in row-then-side order, so a volume does not depend on the other
-    lanes of its call.
+    the side's plane <w_i, y - c> = b from c and F the facet the plane cuts
+    from the other rows: h |F| = b A / |w_ik|, A the area of F projected off
+    row i's pivot coordinate k, the facet frame's slab system (bounds scale
+    blo_j - ratio_j b, scale bhi_j - ratio_j b; polytope_tables).  A call's
+    facets go through one _polygon_areas call, and each lane adds its 2m
+    terms from 0.0 in row-then-side order, so a volume does not depend on
+    the other lanes of its call.
 
     A row within sine _PARALLEL_SINE = tau of an earlier live row i first
     merges into it: its interval, scaled by <w_j, w_i> / |w_i|^2 about c, is
     intersected with row i's.  Coincident facets would otherwise count
     twice, and facets theta apart lose about u / theta relative (u the unit
     roundoff) where they cut each other.  The merge tilts the merged slab's
-    planes about c by at most tau, which moves them at most tau R inside the
-    seed cell, R its largest distance from c; so each merged row changes
-    the volume by at most 2 tau R S, S <= pi R^2 the cell's largest plane
-    section.  Otherwise each term carries _polygon_areas' error times |h|:
-    an m-row lane's facets have m - 1 rows and take _edge_sum_areas' bound,
-    96 u S_F (1 + sum_j E_j / M_j) over the facet's m - 3 rows other than
-    its seeds (none at m = 3), S_F its seed rectangle (a merged row is a
-    zero row there, with no term); the projections and the sum add O(m u)
-    of sum |h| |F|.
+    planes about c by at most tau, so it moves them at most tau R in the
+    cell, R its largest distance from c, and the volume by at most 2 tau R
+    S, S <= pi R^2 the cell's largest plane section.
+    Otherwise, to first order in u, a term errs by at most 2 u |term| +
+    (|b| / |w_ik|) (96 u S_F (1 + sum_j E_j / M_j) + 28 u R^2 sum_j 1 / sin
+    theta_ij), R = sum_s half_s |g_s| >= |y - c| on the cell: _edge_sum_areas'
+    bound on the facet system as rounded (S_F its seed rectangle), plus the
+    elimination's roundings.  With P = scale, |ratio_j w_il| <= P |w_jk| and
+    |b| <= sqrt(3) |w_ik| R, so a facet row w'_j rounds by at most 5 u P |w_j|
+    and a bound beta_j meeting the facet by 9 u P |w_j| R (|beta_j| <= (1 +
+    sqrt(3)) P |w_j| R): its line moves by at most 14 u P |w_j| R / |w'_j| <=
+    14 u R / sin theta_ij, theta_ij the angle of w_j and w_i, along an edge
+    at most 2R long.  The ordered sum adds 2m u sum |term|, the third u.
 
     A lane with degenerate seed rows, or with a row that misses the seed
     cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by
-    seed_cells and never reaches this; a facet whose plane misses the cell
-    that way is skipped.  live_volumes calls this on _POLYTOPE_LANES lanes
-    at a time.
+    seed_cells; a facet whose plane misses the cell that way is skipped.
+    live_volumes calls this on _POLYTOPE_LANES lanes at a time.
     """
     count, m = blo.shape
     blo, bhi = _merge_rows(tables.into, tables.alpha, frame, blo, bhi)
     empty = (blo >= bhi).any(axis=1)
-    # facet (l, i, side): the plane <w_i, y - c> = bhi (side 0) or blo (side 1)
-    # (its outward distance from c is signed / |w_i|; a plane beyond the seed
-    # cell cuts no facet)
+    # facet (l, i, side): the plane <w_i, y - c> = b, bhi (side 0) or blo
+    # (side 1); a plane beyond the seed cell cuts no facet
     plane = np.stack([bhi, blo], axis=2)
     signed = plane * np.array([1.0, -1.0])
-    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & (tables.alive[frame] & ~empty[:, None])[:, :, None])
+    fl, fi, fs = np.nonzero((signed <= slack[:, :, None]) & ((tables.into[frame] < 0) & ~empty[:, None])[:, :, None])
     if not fl.size:
         return np.zeros(count)
     facet = frame[fl] * m + fi
     rows = _others(m)[fi]  # (F, m - 1)
     b = plane[fl, fi, fs]
-    nn = tables.norms.reshape(-1)[facet]
-    foot = (b / nn)[:, None] * tables.gram.reshape(-1, m - 1)[facet]
-    flo, fhi = blo[fl[:, None], rows] - foot, bhi[fl[:, None], rows] - foot
+    scale = tables.scale.reshape(-1)[facet][:, None]
+    shift = b[:, None] * tables.ratio.reshape(-1, m - 1)[facet]
+    flo, fhi = scale * blo[fl[:, None], rows] - shift, scale * bhi[fl[:, None], rows] - shift
     facets = ClipTables(*(t.reshape((len(t) * m,) + t.shape[2:]) for t in tables.facets))
     terms = np.zeros((count, m, 2))
-    terms[fl, fi, fs] = signed[fl, fi, fs] / np.sqrt(nn) * _polygon_areas(facets, facet, flo, fhi, facets=True)
+    terms[fl, fi, fs] = signed[fl, fi, fs] / tables.pivot.reshape(-1)[facet] * _polygon_areas(facets, facet, flo, fhi, facets=True)
     return _sum_in_order(terms.reshape(count, 2 * m)) / 3.0
 
 

@@ -271,32 +271,27 @@ def polytope_volume(W, lo, hi):
     for i, n in enumerate(rows):
         if not alive[i]:
             continue
-        e = [0.0, 0.0, 0.0]
         size = [abs(c) for c in n]
-        e[size.index(min(size))] = 1.0
-        u = _cross1(n, e)
-        unorm = math.sqrt(_dot1(u, u))
-        u = [c / unorm for c in u]
-        nnorm = math.sqrt(norms[i])
-        v = [c / nnorm for c in _cross1(n, u)]
+        k = size.index(max(size))
+        keep = [c for c in range(3) if c != k]
+        scale, order = math.frexp(size[k])
         for plane, sign in ((bhi[i], 1.0), (blo[i], -1.0)):
             if sign * plane > slack[i]:  # the plane misses the seed cell
                 continue
-            t = plane / norms[i]
             flat, flo, fhi = [], [], []
             for j, w in enumerate(rows):
                 if j == i:
                     continue
                 if not alive[j]:
                     flat.append([0.0, 0.0])
-                    flo.append(-1.0)
-                    fhi.append(1.0)
+                    flo.append(-scale)
+                    fhi.append(scale)
                     continue
-                foot = t * _dot1(n, w)
-                flat.append([_dot1(w, u), _dot1(w, v)])
-                flo.append(blo[j] - foot)
-                fhi.append(bhi[j] - foot)
-            total += (sign * plane) / nnorm * _polygon_area(flat, flo, fhi, facet=True)
+                ratio = math.ldexp(math.copysign(1.0, n[k]) * w[k], -order)
+                flat.append([scale * w[c] - ratio * n[c] for c in keep])
+                flo.append(scale * blo[j] - plane * ratio)
+                fhi.append(scale * bhi[j] - plane * ratio)
+            total += (sign * plane) / size[k] * _polygon_area(flat, flo, fhi, facet=True)
     return total / 3.0
 
 
