@@ -8,7 +8,10 @@ the same IEEE operations in the same order, so every lane must have the
 twin's bits, in a call of any number of lanes, one included.  Every 2-D
 system (a 2-D lane, or a facet of a 3-D lane) takes _edge_sum_area,
 kernels._edge_sum_areas op for op, after its exactly parallel rows merge as
-kernels._clip_tables merges them.
+kernels._clip_tables merges them.  A 3-D facet's rows are the other rows
+with the facet row's pivot coordinate eliminated, scale w_j - ratio_j w_i,
+and its bounds scale blo_j - ratio_j b, as kernels.polytope_tables and
+kernels._polytope_volumes build them: no basis, norm or square root.
 slab_volume takes d = 1 to kernels.interval_length, which src keeps for
 kernels.live_volumes' one-lane d = 1 calls.
 
@@ -312,21 +315,22 @@ def scalar_slab_sum(rows, pieces, shifts, blocks=None) -> float:
     """int prod_i g_i(s_i + <w_i, y>) dy for rows w_i (m, d), step functions
     g_i given by their (lo, hi, value) pieces and shifts s (m,).
 
-    Rows no longer than slabgeom.ROW_ZERO_TOL contribute g_i(s_i), each piece
-    half-open.  blocks, (row indices, rows in span coordinates) pairs,
-    default to slabgeom.component_blocks of the other rows.  Each block sums
-    weight x volume from 0.0 over its combinations of nonzero weight, the
-    weight being the product of the pieces' values left to right; the
-    blocks multiply in order, and a zero stops the product.
+    Rows no longer than slabgeom.ROW_ZERO_TOL (by their squared lengths)
+    contribute g_i(s_i), each piece half-open.  blocks, (row indices, rows
+    in span coordinates) pairs, default to slabgeom.component_blocks of the
+    other rows.  Each block sums weight x volume from 0.0 over its
+    combinations of nonzero weight, the weight being the product of the
+    pieces' values left to right; the blocks multiply in order, and a zero
+    stops the product.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    zero = np.einsum("ij,ij->i", rows, rows) <= slabgeom.ROW_ZERO_TOL**2
     value = 1.0
-    for i in np.flatnonzero(norms <= slabgeom.ROW_ZERO_TOL):
+    for i in np.flatnonzero(zero):
         value *= next((v for lo, hi, v in pieces[i] if lo <= shifts[i] < hi), 0.0)
         if value == 0.0:
             return 0.0
     if blocks is None:
-        active = np.flatnonzero(norms > slabgeom.ROW_ZERO_TOL)
+        active = np.flatnonzero(~zero)
         blocks = [(active[comp], local) for comp, local in slabgeom.component_blocks(rows[active])]
     for idx, local in blocks:
         sub = 0.0
