@@ -19,9 +19,13 @@ index (L,) and the bounds (L, m) of its L lanes:
   Every table field holds one entry per frame along its leading axis, so
   join_tables joins the tables of several stacks with one concatenate per
   field, and split_tables cuts a stack's tables into one-frame tables.
-- seed_cells drops the 2-D and 3-D lanes whose seed cell misses a row's
-  slab: they are empty.
+- seed_cells drops the 2-D and 3-D lanes whose seed cell misses a non-seed
+  row's slab: they are empty.
 - live_volumes computes the volumes of the lanes that pass.
+
+Both dimensions share one seed cell, the parallelepiped that the slabs of d
+seed rows cut out: one seed-row rule (_seed_rows, also for 3-D facets), one
+cell table (_cell_tables) and one test (_seed_cells).
 
 Every lane goes through the same floating-point operations whatever the
 other lanes of its call and whatever other frames its tables hold.
@@ -118,54 +122,183 @@ def _interval_lengths(tables, frame, lo, hi):
     return out
 
 
+# -- The seed cell -----------------------------------------------------------
+
+
+def _dot(a, b):
+    """<a, b> over the last axis, the products added in order."""
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k] * b[..., k]
+    return total
+
+
+def _cross(a, b):
+    """a x b over the last axis of 3-vectors."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _seed_rows(frames):
+    """The seed rows of frames (K, m, d), d = 2 or 3: the longest row, the
+    one most transverse to it and, at d = 3, the one farthest from their
+    plane, each the first of its equals.  Returns (ok, order, rows): ok (K,)
+    false where their determinant is below 1e-14 (1 + max |w|)^d (the
+    frame's lanes are then 0.0), order (K, m) the seed rows, then the others
+    in row order (a degenerate frame keeps its order), rows (K, m, d) so."""
+    count, m, d = frames.shape
+    ks = np.arange(count)
+    seeds = [np.argmax(_dot(frames, frames), axis=1)]
+    w0 = frames[ks, seeds[0]][:, None, :]
+    scale = 1.0 + functools.reduce(np.maximum, np.abs(frames.reshape(count, m * d).T))
+    floor = scale * scale
+    if d == 2:
+        dets = np.abs(w0[..., 0] * frames[..., 1] - w0[..., 1] * frames[..., 0])
+        seeds.append(np.argmax(dets, axis=1))
+    else:
+        crs = _cross(w0, frames)
+        seeds.append(np.argmax(_dot(crs, crs), axis=1))
+        dets = np.abs(_dot(frames, crs[ks, seeds[1]][:, None, :]))
+        seeds.append(np.argmax(dets, axis=1))
+        floor = floor * scale
+    ok = ~(dets[ks, seeds[-1]] < 1e-14 * floor)
+    key = np.zeros((count, m))
+    for s in range(d - 1, -1, -1):
+        key[ks, seeds[s]] = s - d
+    order = np.argsort(key, axis=1, kind="stable")
+    order[~ok] = np.arange(m)
+    return ok, order, frames.reshape(-1, d).take((ks * m)[:, None] + order, axis=0)
+
+
+class CellTables(NamedTuple):
+    """The seed cell of frames (K, m, d), d = 2 or 3, per frame: {c + sum_s
+    t_s half_s g_s : |t_s| <= 1}, c = sum_s mid_s g_s, for mid_s and half_s
+    the midpoint and half-width of seed row s's slab.  It holds the lane."""
+
+    ok: np.ndarray  # (K,): false where the seed rows are degenerate
+    order: np.ndarray  # (K, m): the seed rows, then the others in row order
+    rows: np.ndarray  # (K, m, d): the rows in that order
+    g: np.ndarray  # (K, d, d): [k, s] = g_s, <w_t, g_s> = delta_st for the seed rows t
+    gl1: np.ndarray  # (K, d): |g_s|_1
+    wg: np.ndarray  # (K, m, d): |<w_j, g_s>| for the rows j in order (the test reads the others')
+    margin: np.ndarray  # (K,): the margin factor, _CLIP_MARGIN cond (d = 2) or _EMPTY_MARGIN (d = 3)
+
+
+def _cell_tables(ok, order, rows) -> CellTables:
+    """The CellTables of frames from their _seed_rows: g_s, a column of the
+    seed matrix's inverse, by cofactors over its determinant."""
+    count, m, d = rows.shape
+    seed = rows[:, :d]
+    if d == 2:  # g_0 = (a11, -a10), g_1 = (-a01, a00)
+        g = seed[:, ::-1, ::-1] * _COFACTOR_SIGNS
+    else:
+        g = _cross(seed[:, [1, 2, 0]], seed[:, [2, 0, 1]])
+    g /= np.where(ok, _dot(seed[:, 0], g[:, 0]), 1.0)[:, None, None]
+    ag = np.abs(g)
+    # |<w_j, g_s>|, with the frames innermost: (m, d, K), then (K, m, d)
+    rt, gt = rows.T, g.T
+    wg = rt[0][:, None] * gt[0]
+    for c in range(1, d):
+        wg += rt[c][:, None] * gt[c]
+    wg = np.abs(wg, out=wg).transpose(2, 0, 1)
+    if d == 2:  # the seed matrix's condition number, by its rows' and its inverse's 1-norms
+        a = np.abs(seed)
+        margin = _CLIP_MARGIN * (np.maximum(a[:, 0, 0] + a[:, 0, 1], a[:, 1, 0] + a[:, 1, 1])
+                                 * np.maximum(ag[:, 0, 0] + ag[:, 1, 0], ag[:, 0, 1] + ag[:, 1, 1]))
+    else:
+        margin = np.full(count, _EMPTY_MARGIN)
+    return CellTables(ok, order, rows, g, _dot(ag, np.ones(d)), wg, margin)
+
+
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+# a 2-D lane some non-seed row of which misses the seed parallelogram by this
+# multiple of (the seed matrix's condition number x the cell's coordinate
+# scale, 1 + |c|_1 + sum_s half_s |g_s|_1) is empty.  The test's centre and
+# reach along a row are within a few unit roundoffs of that product of the
+# exact ones, so the slab misses the exact parallelogram by far more than the
+# edge sum's roundings, and it gives exactly 0.0 there too (_edge_sum_areas)
+_CLIP_MARGIN = 1e-9
+
+# a 3-D lane some non-seed row of which misses its seed cell by this multiple
+# of the cell's coordinate scale (at most 7 (1 + the corners' largest
+# 1-norm)) is empty
+_EMPTY_MARGIN = 1e-11
+
+
+def _seed_cells(cell, frame, lo, hi):
+    """The seed-cell test of the lanes frame (L,), lo and hi (L, m) on their
+    frames' CellTables: (passed (L,), centre (d, L), scale (L,), half (d,
+    L)), false for a degenerate frame's lanes and those with a non-seed row
+    whose slab misses the cell by the margin factor times scale = 1 + |c|_1
+    + sum_s half_s |g_s|_1.  Each row goes as (L,) vectors, gathered one
+    field at a time.  Seed rows are not tested: their slabs bound the cell,
+    and at rows near 2^40 the rounding of <w_s, c> exceeds the margins."""
+    ok, order, rows, g, gl1, wg, margin = cell
+    m, d = rows.shape[1:]
+    base = np.arange(len(frame)) * m
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+
+    def bounds(j):
+        # the bounds of row j of each lane's frame order
+        at = base + order[:, j][frame]
+        return lo.take(at), hi.take(at)
+
+    mid, half, centre = [], np.empty((d, len(frame))), np.empty((d, len(frame)))
+    for s in range(d):
+        l, h = bounds(s)
+        mid.append(0.5 * (l + h))
+        half[s] = 0.5 * (h - l)
+    for k, ck in enumerate(centre):
+        np.multiply(mid[0], g[:, 0, k][frame], out=ck)
+        for s in range(1, d):
+            ck += mid[s] * g[:, s, k][frame]
+    scale = 1.0 + np.abs(centre).sum(axis=0)
+    for s in range(d):
+        scale += half[s] * gl1[:, s][frame]
+    margin = margin[frame] * scale
+    passed = ok[frame]
+    for j in range(d, m):
+        l, h = bounds(j)
+        # <w_j, c>, and the largest |<w_j, y - c>| over the cell plus the margin
+        wc, slack = rows[:, j, 0][frame] * centre[0], half[0] * wg[:, j, 0][frame]
+        for k in range(1, d):
+            wc += rows[:, j, k][frame] * centre[k]
+            slack += half[k] * wg[:, j, k][frame]
+        slack += margin
+        passed &= ~((l - wc > slack) | (h - wc < -slack))
+    return passed, centre, scale, half
+
+
 class ClipTables(NamedTuple):
     """What the 2-D kernel needs of frames (K, m, 2) alone, per frame.  A
     frame where no row merges has into -1 and factor 1."""
 
     ok: np.ndarray  # (K,): false where the seed rows are degenerate
-    seed: np.ndarray  # (K, 5): a00, a01, a10, a11 and det of the seed rows
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
-    others: np.ndarray  # (K, m - 2, 2): the other rows, in that order
     third: np.ndarray  # (K, 2m - 3): alphas, betas, 1/|det|
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     factor: np.ndarray  # (K, m): row j over row into[j]
     cut: np.ndarray  # (K,): 8 _SLIVER where a lane of at most _SLIVER S gives 0.0, else 0
 
 
-def _clip_tables(frames) -> ClipTables:
-    """The ClipTables of frames (K, m, 2): ok false where the seed rows are
-    degenerate (their determinant is below 1e-14 (1 + max |w|)^2; the
-    frame's lanes are then 0.0); the seed table of a00, a01, a10, a11 and
-    det, i0 the longest row and i1 the one most transverse to it; each
-    frame's row order, the seed rows i0, i1 and then the others in row
-    order, and those others.  In u = <w_i0, y> and v = <w_i1, y> another
-    row is alpha u + beta v: each frame gets its rows' alphas, then their
-    betas, then 1/|det|, from compensated products, for _edge_sum_areas.
-    A row exactly parallel to a seed row (beta or alpha 0) or to an earlier
-    live row i (alpha_i beta_j == alpha_j beta_i) merges into it, as the
-    kernel's determinants would be 0, and becomes a zero row; a frame with
-    a zero row takes the sliver cut (_SLIVER)."""
-    count, m, _ = frames.shape
+def _clip_tables(ok, order, rows) -> ClipTables:
+    """The ClipTables of frames (K, m, 2) from their _seed_rows: ok, order
+    and rows (K, m, 2) in that order, the seed rows i0 and i1 first.  In u
+    = <w_i0, y> and v = <w_i1, y> another row is alpha u + beta v: each
+    frame gets its rows' alphas, then their betas, then 1/|det|, from
+    compensated products, for _edge_sum_areas.  A row exactly parallel to
+    a seed row (beta or alpha 0) or to an earlier live row i (x_i y_j ==
+    x_j y_i: for exact parallels the two real products are equal, so they
+    round equal) merges into it, as the kernel's determinants would be 0,
+    and becomes a zero row; a frame with a zero row takes the sliver cut
+    (_SLIVER)."""
+    count, m, _ = rows.shape
     r = m - 2
-    ks = np.arange(count)
-    f0, f1 = frames[:, :, 0], frames[:, :, 1]
-    i0 = np.argmax(f0 * f0 + f1 * f1, axis=1)
-    a0 = frames[ks, i0]
-    dets = a0[:, 0:1] * f1 - a0[:, 1:2] * f0
-    i1 = np.argmax(np.abs(dets), axis=1)
-    det = dets[ks, i1]
-    scale = 1.0 + np.abs(frames).max(axis=(1, 2))
-    ok = ~(np.abs(det) < 1e-14 * (scale * scale))
-    # i0, i1, then the others in row order; a degenerate frame keeps its order
-    key = np.zeros((count, m))
-    key[ks, i1] = -1
-    key[ks, i0] = -2
-    order = np.argsort(key, axis=1, kind="stable")
-    order[~ok] = np.arange(m)
-    seed = np.column_stack([a0, frames[ks, i1], det])
-    others = frames[ks[:, None], order[:, 2:]]
-    x, y = others.T  # (r, K) each
-    a00, a01, a10, a11 = seed[:, :4].T
+    a00, a01, a10, a11 = rows[:, :2].reshape(count, 4).T
+    x, y = rows[:, 2:].T  # (r, K) each
     # det, then x a11 - y a10 and a00 y - a01 x of each other row
     a, b, c, e = np.empty((4, 2 * r + 1, count))
     a[0], b[0], c[0], e[0] = a00, a11, a01, a10
@@ -180,7 +313,7 @@ def _clip_tables(frames) -> ClipTables:
     # no such row)
     live = (alpha != 0.0) & (beta != 0.0)
     later, first = _row_pairs(r)
-    parallel = (alpha[later] * beta[first] == alpha[first] * beta[later]) & (live[later] & live[first])
+    parallel = (x[later] * y[first] == x[first] * y[later]) & (live[later] & live[first])
     into, factor, cut = np.full((count, m), -1), np.ones((count, m)), np.zeros(count)
     pairs = parallel.any()
     if pairs or not live.all():
@@ -204,7 +337,7 @@ def _clip_tables(frames) -> ClipTables:
         alpha[mj, mk] = beta[mj, mk] = 0.0
         cut[((alpha == 0.0) & (beta == 0.0)).any(axis=0)] = 8.0 * _SLIVER
     third = np.column_stack([coords.T, 1.0 / np.abs(d)])
-    return ClipTables(ok, seed, order, others, third, into, factor, cut)
+    return ClipTables(ok, order, third, into, factor, cut)
 
 
 @functools.cache
@@ -237,71 +370,17 @@ def _product_difference(a, b, c, d):
 
 class PolygonTables(NamedTuple):
     """What the 2-D kernel needs of frames (K, m, 2) alone, per frame: its
-    ClipTables, and the frame's part of the seed-cell test."""
+    ClipTables, and its seed cell for the seed-cell test."""
 
     clip: ClipTables
-    g: np.ndarray  # (K, 2, 2): [k, s] = g_s, a column of the seed matrix's inverse
-    gl1: np.ndarray  # (K, 2): |g_s|_1
-    wg: np.ndarray  # (K, m - 2, 2): |<w_j, g_s>| for the other rows j, in order
-    cond: np.ndarray  # (K,): the seed matrix's condition number
+    cell: CellTables
 
 
 def polygon_tables(frames) -> PolygonTables:
-    """The PolygonTables of frames (K, m, 2).  The seed parallelogram is
-    {s g_0 + t g_1 : lo_i0 <= s <= hi_i0, lo_i1 <= t <= hi_i1}."""
-    clip = _clip_tables(np.asarray(frames, dtype=float))
-    a00, a01, a10, a11, det = clip.seed.T
-    g = np.array([[a11, -a10], [-a01, a00]]) / np.where(clip.ok, det, 1.0)  # (s, c, K)
-    ag = np.abs(g)
-    normals = clip.others.T  # (c, m - 2, K)
-    wg = np.abs(normals[0] * g[:, 0, None] + normals[1] * g[:, 1, None])  # (s, m - 2, K)
-    cond = (np.maximum(np.abs(a00) + np.abs(a01), np.abs(a10) + np.abs(a11))
-            * np.maximum(ag[0, 0] + ag[1, 0], ag[0, 1] + ag[1, 1]))
-    return PolygonTables(clip, g.transpose(2, 0, 1), (ag[:, 0] + ag[:, 1]).T, wg.T, cond)
-
-
-# a lane some non-seed row of which misses the seed parallelogram by this
-# multiple of (the seed matrix's condition number x the cell's coordinate
-# scale, 1 + |c|_1 + sum_s half_s |g_s|_1, c its centre) is empty.  The
-# test's centre and reach along a row are within a few unit roundoffs of
-# that product of the exact ones, so the slab misses the exact
-# parallelogram by far more than the edge sum's roundings, and it gives
-# exactly 0.0 there too (_edge_sum_areas)
-_CLIP_MARGIN = 1e-9
-
-
-def _polygon_seed_cells(tables, frame, lo, hi):
-    """(L,): false for the lanes that _polygon_areas would give 0.0, those
-    of a degenerate frame and those with a non-seed row whose slab misses
-    the seed parallelogram by _CLIP_MARGIN (see there).  The rows go
-    one at a time, each as (L,) vectors."""
-    ok, order, others = tables.clip.ok, tables.clip.order, tables.clip.others
-    g, gl1, wg = tables.g, tables.gl1, tables.wg
-    base = np.arange(len(frame)) * lo.shape[1]
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
-
-    def bounds(i):
-        # the bounds of row i of each lane's frame order
-        at = base + order[:, i][frame]
-        return lo.take(at), hi.take(at)
-
-    lo0, hi0 = bounds(0)
-    lo1, hi1 = bounds(1)
-    mid0, half0 = 0.5 * (lo0 + hi0), 0.5 * (hi0 - lo0)
-    mid1, half1 = 0.5 * (lo1 + hi1), 0.5 * (hi1 - lo1)
-    # the parallelogram's centre c = mid0 g_0 + mid1 g_1
-    cx = mid0 * g[:, 0, 0][frame] + mid1 * g[:, 1, 0][frame]
-    cy = mid0 * g[:, 0, 1][frame] + mid1 * g[:, 1, 1][frame]
-    scale = 1.0 + np.abs(cx) + np.abs(cy) + half0 * gl1[:, 0][frame] + half1 * gl1[:, 1][frame]
-    margin = _CLIP_MARGIN * tables.cond[frame] * scale
-    live = ok[frame]
-    for j in range(len(order[0]) - 2):
-        loj, hij = bounds(2 + j)
-        wc = others[:, j, 0][frame] * cx + others[:, j, 1][frame] * cy
-        # the largest |<w_j, y - c>| over the parallelogram, plus the margin
-        slack = half0 * wg[:, j, 0][frame] + half1 * wg[:, j, 1][frame] + margin
-        live &= ~((loj - wc > slack) | (hij - wc < -slack))
-    return live
+    """The PolygonTables of frames (K, m, 2): one _seed_rows call serves
+    both tables."""
+    seeds = _seed_rows(np.asarray(frames, dtype=float))
+    return PolygonTables(_clip_tables(*seeds), _cell_tables(*seeds))
 
 
 # an edge-sum lane of at most this share of its seed rectangle gives 0.0 where
@@ -499,12 +578,12 @@ def _polygon_areas(tables, frame, lo, hi, facets=False):
     not depend on the other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
-    passed seed_cells, where a lane whose seed parallelogram misses another
-    row's slab by _CLIP_MARGIN is 0.0, as the edge sum gives it.  (The
-    3-D facets call it directly: testing them too saved no measurable time
-    on sup-grid.)
+    passed seed_cells, where a lane whose seed parallelogram misses a
+    non-seed row's slab by _CLIP_MARGIN is 0.0, as the edge sum gives it.
+    (The 3-D facets call it directly: testing them too saved no measurable
+    time on sup-grid.)
     """
-    ok, _, order, _, third, into, factor, cut = tables
+    ok, order, third, into, factor, cut = tables
     out = np.zeros(len(frame))
     idx = np.flatnonzero(ok[frame])
     if not idx.size:
@@ -535,11 +614,6 @@ def _polygon_areas(tables, frame, lo, hi, facets=False):
 # into that row's slab before the facet recursion (see _polytope_volumes)
 _PARALLEL_SINE = 1e-8
 
-# a lane some row of which misses its seed cell by this multiple of the
-# cell's coordinate scale, 1 + |c|_1 + sum_s half_s |g_s|_1 (at most 7 (1 +
-# the corners' largest 1-norm)), is empty
-_EMPTY_MARGIN = 1e-11
-
 # lanes per _polytope_volumes call of live_volumes: a lane has up to 2m
 # facets of m - 1 rows each, so this bounds the working memory of
 # _polygon_areas.  On the 3-D calls of a sup-grid round (26-446 lanes of 1-2
@@ -547,36 +621,6 @@ _EMPTY_MARGIN = 1e-11
 # memory those calls trace from 1.3 to 2.0 MB, and sup-grid's peak RSS by
 # 0.7 MB
 _POLYTOPE_LANES = 1 << 7
-
-
-def _dot(a, b):
-    """<a, b> over the last axis of 3-vectors, the three products added in
-    order."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _cross(a, b):
-    """a x b over the last axis of 3-vectors."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _polytope_seed_lanes(W):
-    """The rows of each lane of W (L, m, 3) that span its seed cell: the
-    longest row, the one most transverse to it and the one farthest from
-    their plane, each the first of its equals.  Returns (seeds (L, 3), ok
-    (L,)), ok false where their determinant is below 1e-14 (1 + max |w|)^3
-    (the lane is then 0.0)."""
-    lanes = np.arange(len(W))
-    i0 = np.argmax(_dot(W, W), axis=1)
-    crs = _cross(W[lanes, i0][:, None, :], W)
-    i1 = np.argmax(_dot(crs, crs), axis=1)
-    dets = np.abs(_dot(W, crs[lanes, i1][:, None, :]))
-    i2 = np.argmax(dets, axis=1)
-    scale = 1.0 + np.abs(W).max(axis=(1, 2))
-    ok = dets[lanes, i2] >= 1e-14 * (scale * scale * scale)
-    return np.stack([i0, i1, i2], axis=1), ok
 
 
 def _sum_in_order(terms):
@@ -591,12 +635,7 @@ class PolytopeTables(NamedTuple):
     fields of its m facet frames, row i's at [k, i], hold each (K, m, ...).
     A frame where no row merges has into -1 and alpha 1."""
 
-    w: np.ndarray  # (K, m, 3): the rows
-    seeds: np.ndarray  # (K, 3): the seed rows (_polytope_seed_lanes)
-    ok: np.ndarray  # (K,): false where the seed rows are degenerate
-    g: np.ndarray  # (K, 3, 3): the seed cell's edge vectors per unit half-width
-    gl1: np.ndarray  # (K, 3): their 1-norms
-    wg: np.ndarray  # (K, m, 3): |<w_i, g_s>|
+    cell: CellTables  # the seed cell, for seed_cells
     into: np.ndarray  # (K, m): the row that row j merges into, or -1
     alpha: np.ndarray  # (K, m): the merge factors <w_j, w_i> / |w_i|^2
     pivot: np.ndarray  # (K, m): |w_ik|, row i's pivot entry
@@ -606,7 +645,7 @@ class PolytopeTables(NamedTuple):
 
 
 def polytope_tables(frames) -> PolytopeTables:
-    """The PolytopeTables of frames (K, m, 3): the seed cell's shape, the
+    """The PolytopeTables of frames (K, m, 3): the seed cell (CellTables), the
     merges (the same for every nonempty lane of a frame), and each row's
     facet frame with its ClipTables.  A lane's own work is its bounds.
 
@@ -622,16 +661,8 @@ def polytope_tables(frames) -> PolytopeTables:
     lanes of rows a_j w_i + b_j v read 1e-19 for 0.0 (tests/test_kernels.py)."""
     F = np.ascontiguousarray(frames, dtype=float)
     count, m, _ = F.shape
-    seeds, ok = _polytope_seed_lanes(F)
-    frames = np.arange(count)[:, None]
-    r = F[frames, seeds]  # (K, 3, 3)
-    # g[:, s] = r_{s+1} x r_{s+2} / det, so <r_s, g_t> = delta_st and the seed
-    # cell is {c + sum_s t_s half_s g_s : |t_s| <= 1}
-    g = _cross(r[:, [1, 2, 0]], r[:, [2, 0, 1]])
-    g = g / np.where(ok, _dot(r[:, 0], g[:, 0]), 1.0)[:, None, None]
-    ag = np.abs(g)
-    gl1 = ag[..., 0] + ag[..., 1] + ag[..., 2]
-    wg = np.abs(_dot(F[:, :, None, :], g[:, None, :, :]))  # (K, m, 3)
+    cell = _cell_tables(*_seed_rows(F))
+    ok = cell.ok
     norms = _dot(F, F)
     crs = _cross(F[:, :, None, :], F[:, None, :, :])
     # (a degenerate frame's lanes are empty, so it merges nothing)
@@ -662,9 +693,9 @@ def polytope_tables(frames) -> PolytopeTables:
     dead = into[:, others] >= 0
     flat[dead] = 0.0
     ratio[dead] = 0.0
-    facets = _clip_tables(flat.reshape(count * m, m - 1, 2))._replace(cut=np.full(count * m, 8.0 * _SLIVER))
+    facets = _clip_tables(*_seed_rows(flat.reshape(count * m, m - 1, 2)))._replace(cut=np.full(count * m, 8.0 * _SLIVER))
     facets = ClipTables(*(t.reshape((count, m) + t.shape[1:]) for t in facets))
-    return PolytopeTables(F, seeds, ok, g, gl1, wg, into, alpha, np.abs(pivot), scale, ratio, facets)
+    return PolytopeTables(cell, into, alpha, np.abs(pivot), scale, ratio, facets)
 
 
 def _others(m):
@@ -672,30 +703,11 @@ def _others(m):
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
-def _polytope_seed_cells(tables, frame, lo, hi):
-    """seed_cells of 3-D lanes: the live lanes, with their bounds about c
-    and slack."""
-    lanes = np.arange(len(frame))[:, None]
-    seeds, g, gl1 = tables.seeds[frame], tables.g[frame], tables.gl1[frame]
-    mid = 0.5 * (lo[lanes, seeds] + hi[lanes, seeds])
-    half = 0.5 * (hi[lanes, seeds] - lo[lanes, seeds])
-    centre = mid[:, 0, None] * g[:, 0] + mid[:, 1, None] * g[:, 1] + mid[:, 2, None] * g[:, 2]
-    wc = _dot(tables.w[frame], centre[:, None, :])
-    blo, bhi = lo - wc, hi - wc  # the bounds about c
-    scale = 1.0 + (np.abs(centre[:, 0]) + np.abs(centre[:, 1]) + np.abs(centre[:, 2]))
-    for s in range(3):
-        scale = scale + half[:, s] * gl1[:, s]
-    # the largest |<w_i, y - c>| over the seed cell, plus the margin
-    slack = _dot(half[:, None, :], tables.wg[frame]) + (_EMPTY_MARGIN * scale)[:, None]
-    live = np.flatnonzero(tables.ok[frame] & ~((blo > slack) | (bhi < -slack)).any(axis=1))
-    return live, (blo[live], bhi[live], slack[live])
-
-
 def _polytope_volumes(tables, frame, blo, bhi, slack):
     """Volume of each lane l: the 3-D slabs lo[l, i] <= <w_i, y> <= hi[l, i]
     for the rows w of frame[l] in tables, the PolytopeTables of frames (K,
     m, 3), for lanes that passed seed_cells, from their bounds about c, blo
-    and bhi (L, m), and slack (L, m), from _polytope_seed_cells.
+    and bhi (L, m), and slack (L, m), from seed_cells.
 
     Facet recursion (Lasserre 1983): about c, the centre of the lane's seed
     cell (the parallelepiped of its seed rows, which holds the polytope),
@@ -727,9 +739,9 @@ def _polytope_volumes(tables, frame, blo, bhi, slack):
     14 u R / sin theta_ij, theta_ij the angle of w_j and w_i, along an edge
     at most 2R long.  The ordered sum adds 2m u sum |term|, the third u.
 
-    A lane with degenerate seed rows, or with a row that misses the seed
-    cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0 by
-    seed_cells; a facet whose plane misses the cell that way is skipped.
+    A lane with degenerate seed rows, or with a non-seed row that misses
+    the seed cell by _EMPTY_MARGIN times the cell's coordinate scale, is 0.0
+    by seed_cells; a facet whose plane misses the cell that way is skipped.
     live_volumes calls this on _POLYTOPE_LANES lanes at a time.
     """
     count, m = blo.shape
@@ -796,15 +808,26 @@ def seed_cells(tables, frame, lo, hi):
     their frames' tables: (live, lanes), the indices of the lanes it does
     not prove empty, and what live_volumes takes of them.  A 2-D or 3-D
     lane fails it when its frame is degenerate or its seed cell misses a
-    row's slab by a margin (_CLIP_MARGIN, _EMPTY_MARGIN), where its kernel
-    would give 0.0; every 1-D lane passes.  Each lane's result does not
-    depend on the other lanes."""
-    if isinstance(tables, PolytopeTables):
-        return _polytope_seed_cells(tables, frame, lo, hi)
+    non-seed row's slab by a margin (_seed_cells), where its kernel would
+    give 0.0; every 1-D lane passes.  3-D lanes get their bounds about the
+    test's centre c and their slack, max |<w_i, y - c>| over the cell plus
+    the margin.  A lane's result does not depend on the other lanes."""
+    if isinstance(tables, IntervalTables):
+        return np.arange(len(frame)), (lo, hi)
+    cell = tables.cell
+    passed, centre, scale, half = _seed_cells(cell, frame, lo, hi)
+    live = np.flatnonzero(passed)
+    lo, hi = lo.take(live, axis=0), hi.take(live, axis=0)
     if isinstance(tables, PolygonTables):
-        live = np.flatnonzero(_polygon_seed_cells(tables, frame, lo, hi))
-        return live, (lo[live], hi[live])
-    return np.arange(len(frame)), (lo, hi)
+        return live, (lo, hi)
+    f = frame[live]
+    # <w_i, c> and the slack of each row i of each lane, put in row order
+    at = (np.arange(len(live)) * lo.shape[1])[:, None] + cell.order.take(f, axis=0)
+    wc, slack = np.empty((2,) + lo.shape)
+    wc.put(at, _dot(cell.rows.take(f, axis=0), centre[:, live].T[:, None, :]))
+    slack.put(at, _dot(half[:, live].T[:, None, :], cell.wg.take(f, axis=0))
+              + (cell.margin[f] * scale[live])[:, None])
+    return live, (lo - wc, hi - wc, slack)
 
 
 def live_volumes(tables, frame, lanes) -> np.ndarray:

@@ -74,14 +74,18 @@ def _polygon_area(rows, lo, hi, facet=False):
     before, merged = (lo[:2], hi[:2]), False  # the seed slabs before the merges
     # a row exactly parallel to a seed row or to an earlier live row merges
     # into it and becomes a zero row, its slab's bounds -1, 1
+    # (x_i y_j == x_j y_i: exact parallels' real products are equal, so they
+    # round equal)
     live = [a != 0.0 and b != 0.0 for a, b in zip(alpha, beta)]
+    others = [rows[i] for i in rest]
     for j, (a, b) in enumerate(zip(alpha, beta)):
         if a != 0.0 and b == 0.0:
             into, kappa = 0, a
         elif a == 0.0 and b != 0.0:
             into, kappa = 1, b
         else:
-            earlier = [i for i in range(j) if live[i] and live[j] and alpha[i] * b == a * beta[i]]
+            x, y = others[j]
+            earlier = [i for i in range(j) if live[i] and live[j] and others[i][0] * y == x * others[i][1]]
             if not earlier:
                 continue
             into, kappa = 2 + earlier[0], a / alpha[earlier[0]]
@@ -254,7 +258,7 @@ def polytope_volume(W, lo, hi):
         reach = (half[0] * abs(_dot1(w, g[0])) + half[1] * abs(_dot1(w, g[1]))
                  + half[2] * abs(_dot1(w, g[2])))
         slack.append(reach + _EMPTY_MARGIN * scale)
-        if blo[i] > slack[i] or bhi[i] < -slack[i]:
+        if i not in seeds and (blo[i] > slack[i] or bhi[i] < -slack[i]):  # seed rows are not tested
             return 0.0
     norms = [_dot1(w, w) for w in rows]
     alive = [True] * m
