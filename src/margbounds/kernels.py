@@ -19,13 +19,10 @@ index (L,) and the bounds (L, m) of its L lanes:
   Every table field holds one entry per frame along its leading axis, so
   join_tables joins the tables of several stacks with one concatenate per
   field, and split_tables cuts a stack's tables into one-frame tables.
-- seed_cells drops the 2-D and 3-D lanes whose seed cell misses a non-seed
-  row's slab: they are empty.
+- seed_cells drops the 2-D and 3-D lanes whose seed cell (the slabs of d seed
+  rows) misses a non-seed row's slab: they are empty.  Both dimensions share
+  one seed-row rule, cell table and test (_seed_rows, _cell_tables, _seed_cells).
 - live_volumes computes the volumes of the lanes that pass.
-
-Both dimensions share one seed cell, the parallelepiped that the slabs of d
-seed rows cut out: one seed-row rule (_seed_rows, also for 3-D facets), one
-cell table (_cell_tables) and one test (_seed_cells).
 
 Every lane goes through the same floating-point operations whatever the
 other lanes of its call and whatever other frames its tables hold.
@@ -129,7 +126,7 @@ def _dot(a, b):
     """<a, b> over the last axis, the products added in order."""
     total = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
-        total = total + a[..., k] * b[..., k]
+        total += a[..., k] * b[..., k]
     return total
 
 
@@ -141,27 +138,26 @@ def _cross(a, b):
 
 
 def _seed_rows(frames):
-    """The seed rows of frames (K, m, d), d = 2 or 3: the longest row, the
-    one most transverse to it and, at d = 3, the one farthest from their
-    plane, each the first of its equals.  Returns (ok, order, rows): ok (K,)
-    false where their determinant is below 1e-14 (1 + max |w|)^d (the
-    frame's lanes are then 0.0), order (K, m) the seed rows, then the others
-    in row order (a degenerate frame keeps its order), rows (K, m, d) so."""
+    """The seed rows of frames (K, m, d), d = 2 or 3: the longest row, the one
+    most transverse to it and, at d = 3, the one farthest from their plane,
+    each the first of its equals.  Returns ok (K,), false where their det is
+    below 1e-14 (1 + max |w|)^d (lanes 0.0); order (K, m), the seed rows then
+    the others (a degenerate frame keeps its own); and rows (K, m, d) so."""
     count, m, d = frames.shape
     ks = np.arange(count)
     seeds = [np.argmax(_dot(frames, frames), axis=1)]
     w0 = frames[ks, seeds[0]][:, None, :]
-    scale = 1.0 + functools.reduce(np.maximum, np.abs(frames.reshape(count, m * d).T))
+    # (max over each frame's entries, taken down the columns of a copy)
+    scale = 1.0 + np.abs(np.ascontiguousarray(frames.reshape(count, m * d).T)).max(axis=0)
     floor = scale * scale
     if d == 2:
         dets = np.abs(w0[..., 0] * frames[..., 1] - w0[..., 1] * frames[..., 0])
-        seeds.append(np.argmax(dets, axis=1))
     else:
         crs = _cross(w0, frames)
         seeds.append(np.argmax(_dot(crs, crs), axis=1))
         dets = np.abs(_dot(frames, crs[ks, seeds[1]][:, None, :]))
-        seeds.append(np.argmax(dets, axis=1))
         floor = floor * scale
+    seeds.append(np.argmax(dets, axis=1))
     ok = ~(dets[ks, seeds[-1]] < 1e-14 * floor)
     key = np.zeros((count, m))
     for s in range(d - 1, -1, -1):
@@ -172,9 +168,8 @@ def _seed_rows(frames):
 
 
 class CellTables(NamedTuple):
-    """The seed cell of frames (K, m, d), d = 2 or 3, per frame: {c + sum_s
-    t_s half_s g_s : |t_s| <= 1}, c = sum_s mid_s g_s, for mid_s and half_s
-    the midpoint and half-width of seed row s's slab.  It holds the lane."""
+    """The seed cell of frames (K, m, d), d = 2 or 3: {c + sum_s t_s half_s g_s
+    : |t_s| <= 1}, c = sum_s mid_s g_s, for mid_s, half_s seed row s's slab."""
 
     ok: np.ndarray  # (K,): false where the seed rows are degenerate
     order: np.ndarray  # (K, m): the seed rows, then the others in row order
@@ -186,8 +181,7 @@ class CellTables(NamedTuple):
 
 
 def _cell_tables(ok, order, rows) -> CellTables:
-    """The CellTables of frames from their _seed_rows: g_s, a column of the
-    seed matrix's inverse, by cofactors over its determinant."""
+    """The CellTables of frames from their _seed_rows, g_s by cofactors."""
     count, m, d = rows.shape
     seed = rows[:, :d]
     if d == 2:  # g_0 = (a11, -a10), g_1 = (-a01, a00)
@@ -196,46 +190,35 @@ def _cell_tables(ok, order, rows) -> CellTables:
         g = _cross(seed[:, [1, 2, 0]], seed[:, [2, 0, 1]])
     g /= np.where(ok, _dot(seed[:, 0], g[:, 0]), 1.0)[:, None, None]
     ag = np.abs(g)
-    # |<w_j, g_s>|, with the frames innermost: (m, d, K), then (K, m, d)
-    rt, gt = rows.T, g.T
-    wg = rt[0][:, None] * gt[0]
+    # |<w_j, g_s>| and |g_s|_1, summed in order; wg with the frames innermost
+    wg, gl1 = rows.T[0][:, None] * g.T[0], ag[..., 0]
     for c in range(1, d):
-        wg += rt[c][:, None] * gt[c]
-    wg = np.abs(wg, out=wg).transpose(2, 0, 1)
+        wg += rows.T[c][:, None] * g.T[c]
+        gl1 = gl1 + ag[..., c]
     if d == 2:  # the seed matrix's condition number, by its rows' and its inverse's 1-norms
         a = np.abs(seed)
         margin = _CLIP_MARGIN * (np.maximum(a[:, 0, 0] + a[:, 0, 1], a[:, 1, 0] + a[:, 1, 1])
                                  * np.maximum(ag[:, 0, 0] + ag[:, 1, 0], ag[:, 0, 1] + ag[:, 1, 1]))
     else:
         margin = np.full(count, _EMPTY_MARGIN)
-    return CellTables(ok, order, rows, g, _dot(ag, np.ones(d)), wg, margin)
+    return CellTables(ok, order, rows, g, gl1, np.abs(wg, out=wg).transpose(2, 0, 1), margin)
 
 
-_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-# a 2-D lane some non-seed row of which misses the seed parallelogram by this
-# multiple of (the seed matrix's condition number x the cell's coordinate
-# scale, 1 + |c|_1 + sum_s half_s |g_s|_1) is empty.  The test's centre and
-# reach along a row are within a few unit roundoffs of that product of the
-# exact ones, so the slab misses the exact parallelogram by far more than the
-# edge sum's roundings, and it gives exactly 0.0 there too (_edge_sum_areas)
+# a lane some non-seed row of which misses its seed cell by _CLIP_MARGIN x the seed
+# matrix's condition number (d = 2) or _EMPTY_MARGIN (d = 3) x the cell's coordinate
+# scale is empty: the test is within a few u of exact, and the kernels give 0.0 there
 _CLIP_MARGIN = 1e-9
-
-# a 3-D lane some non-seed row of which misses its seed cell by this multiple
-# of the cell's coordinate scale (at most 7 (1 + the corners' largest
-# 1-norm)) is empty
 _EMPTY_MARGIN = 1e-11
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # of a 2 x 2 inverse's columns
 
 
 def _seed_cells(cell, frame, lo, hi):
     """The seed-cell test of the lanes frame (L,), lo and hi (L, m) on their
-    frames' CellTables: (passed (L,), centre (d, L), scale (L,), half (d,
-    L)), false for a degenerate frame's lanes and those with a non-seed row
-    whose slab misses the cell by the margin factor times scale = 1 + |c|_1
-    + sum_s half_s |g_s|_1.  Each row goes as (L,) vectors, gathered one
-    field at a time.  Seed rows are not tested: their slabs bound the cell,
-    and at rows near 2^40 the rounding of <w_s, c> exceeds the margins."""
+    CellTables: (passed (L,), centre (d, L), scale (L,), half (d, L)), false
+    for a degenerate frame's lanes and those with a non-seed row whose slab
+    misses the cell by the margin factor x scale = 1 + |c|_1 + sum_s half_s
+    |g_s|_1.  Rows go as (L,) vectors gathered one field at a time; seed rows
+    are not tested (at rows near 2^40 <w_s, c> rounds beyond the margins)."""
     ok, order, rows, g, gl1, wg, margin = cell
     m, d = rows.shape[1:]
     base = np.arange(len(frame)) * m
@@ -291,10 +274,9 @@ def _clip_tables(ok, order, rows) -> ClipTables:
     frame gets its rows' alphas, then their betas, then 1/|det|, from
     compensated products, for _edge_sum_areas.  A row exactly parallel to
     a seed row (beta or alpha 0) or to an earlier live row i (x_i y_j ==
-    x_j y_i: for exact parallels the two real products are equal, so they
-    round equal) merges into it, as the kernel's determinants would be 0,
-    and becomes a zero row; a frame with a zero row takes the sliver cut
-    (_SLIVER)."""
+    x_j y_i, which exact parallels meet at any ratio) merges into it, as the
+    kernel's determinants would be 0, and becomes a zero row; a frame with a
+    zero row takes the sliver cut (_SLIVER)."""
     count, m, _ = rows.shape
     r = m - 2
     a00, a01, a10, a11 = rows[:, :2].reshape(count, 4).T
@@ -369,16 +351,14 @@ def _product_difference(a, b, c, d):
 
 
 class PolygonTables(NamedTuple):
-    """What the 2-D kernel needs of frames (K, m, 2) alone, per frame: its
-    ClipTables, and its seed cell for the seed-cell test."""
+    """What the 2-D kernel needs of frames (K, m, 2) alone: ClipTables and seed cell."""
 
     clip: ClipTables
     cell: CellTables
 
 
 def polygon_tables(frames) -> PolygonTables:
-    """The PolygonTables of frames (K, m, 2): one _seed_rows call serves
-    both tables."""
+    """The PolygonTables of frames (K, m, 2), from one _seed_rows call."""
     seeds = _seed_rows(np.asarray(frames, dtype=float))
     return PolygonTables(_clip_tables(*seeds), _cell_tables(*seeds))
 
@@ -578,10 +558,8 @@ def _polygon_areas(tables, frame, lo, hi, facets=False):
     not depend on the other lanes; a degenerate frame's lanes are 0.0.
 
     This runs no seed-cell test: live_volumes calls it on the lanes that
-    passed seed_cells, where a lane whose seed parallelogram misses a
-    non-seed row's slab by _CLIP_MARGIN is 0.0, as the edge sum gives it.
-    (The 3-D facets call it directly: testing them too saved no measurable
-    time on sup-grid.)
+    passed seed_cells.  (The 3-D facets call it directly: testing them too
+    saved no measurable time on sup-grid.)
     """
     ok, order, third, into, factor, cut = tables
     out = np.zeros(len(frame))
@@ -662,12 +640,11 @@ def polytope_tables(frames) -> PolytopeTables:
     F = np.ascontiguousarray(frames, dtype=float)
     count, m, _ = F.shape
     cell = _cell_tables(*_seed_rows(F))
-    ok = cell.ok
     norms = _dot(F, F)
     crs = _cross(F[:, :, None, :], F[:, None, :, :])
     # (a degenerate frame's lanes are empty, so it merges nothing)
     parallel = ((_dot(crs, crs) <= _PARALLEL_SINE**2 * (norms[:, :, None] * norms[:, None, :]))
-                & ok[:, None, None])
+                & cell.ok[:, None, None])
     # row j merges into the first live row parallel to it, with the factor
     # alpha (most frames have no parallel pair)
     into = np.full((count, m), -1)
@@ -804,14 +781,12 @@ def split_tables(tables) -> list:
 
 
 def seed_cells(tables, frame, lo, hi):
-    """The seed-cell test of the lanes frame (L,), lo and hi (L, m), on
-    their frames' tables: (live, lanes), the indices of the lanes it does
-    not prove empty, and what live_volumes takes of them.  A 2-D or 3-D
-    lane fails it when its frame is degenerate or its seed cell misses a
-    non-seed row's slab by a margin (_seed_cells), where its kernel would
-    give 0.0; every 1-D lane passes.  3-D lanes get their bounds about the
-    test's centre c and their slack, max |<w_i, y - c>| over the cell plus
-    the margin.  A lane's result does not depend on the other lanes."""
+    """The seed-cell test (_seed_cells; every 1-D lane passes) of the lanes
+    frame (L,), lo and hi (L, m), on their frames' tables: (live, lanes),
+    the indices of the lanes it does not prove empty and what live_volumes
+    takes of them, for 3-D lanes their bounds about the test's centre c and
+    their slack, max |<w_i, y - c>| over the cell plus the margin.  A lane's
+    result does not depend on the other lanes."""
     if isinstance(tables, IntervalTables):
         return np.arange(len(frame)), (lo, hi)
     cell = tables.cell

@@ -648,7 +648,8 @@ def test_bl_guard_slab_sum_keeps_its_bits_and_memory():
     finally:
         tracemalloc.stop()
     # the lanes' bounds, 2 x 4.5 MiB, and the seed-cell test's arrays for one
-    # kernel call of LANE_CAP lanes: 20.9 MiB measured
+    # kernel call of LANE_CAP lanes: 16.4 MiB measured (23.4 MiB while the 3-D
+    # test gathered every lane's rows, g and wg as (L, m, 3) arrays at once)
     assert peak < 24 * 2**20
     # the value's bits (re-pinned for the edge sum on the 3-D lanes' nine-row
     # facets: the exact sum over the 5,334 lanes that pass the seed-cell test
