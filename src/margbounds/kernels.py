@@ -140,14 +140,14 @@ def _cross(a, b):
 def _seed_rows(frames):
     """The seed rows of frames (K, m, d), d = 2 or 3: the longest row, the one
     most transverse to it and, at d = 3, the one farthest from their plane,
-    each the first of its equals.  Returns ok (K,), false where their det is
-    below 1e-14 (1 + max |w|)^d (lanes 0.0); order (K, m), the seed rows then
-    the others (a degenerate frame keeps its own); and rows (K, m, d) so."""
+    each the first of its equals.  Returns ok (K,), false where their
+    determinant is below 1e-14 (1 + max |w|)^d (lanes 0.0); order (K, m), the
+    seed rows then the others (a degenerate frame keeps its own); rows so."""
     count, m, d = frames.shape
     ks = np.arange(count)
     seeds = [np.argmax(_dot(frames, frames), axis=1)]
     w0 = frames[ks, seeds[0]][:, None, :]
-    # (max over each frame's entries, taken down the columns of a copy)
+    # (down the columns of a copy: a max over each frame's few entries is slow)
     scale = 1.0 + np.abs(np.ascontiguousarray(frames.reshape(count, m * d).T)).max(axis=0)
     floor = scale * scale
     if d == 2:
