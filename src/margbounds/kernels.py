@@ -142,7 +142,7 @@ def _seed_rows(frames):
     most transverse to it and, at d = 3, the one farthest from their plane,
     each the first of its equals.  Returns ok (K,), false where their
     determinant is below 1e-14 (1 + max |w|)^d (lanes 0.0); order (K, m), the
-    seed rows then the others (a degenerate frame keeps its own); rows so."""
+    seed rows then the others in row order; and rows (K, m, d) so."""
     count, m, d = frames.shape
     ks = np.arange(count)
     seeds = [np.argmax(_dot(frames, frames), axis=1)]
@@ -163,7 +163,6 @@ def _seed_rows(frames):
     for s in range(d - 1, -1, -1):
         key[ks, seeds[s]] = s - d
     order = np.argsort(key, axis=1, kind="stable")
-    order[~ok] = np.arange(m)
     return ok, order, frames.reshape(-1, d).take((ks * m)[:, None] + order, axis=0)
 
 
@@ -279,7 +278,7 @@ def _clip_tables(ok, order, rows) -> ClipTables:
     zero row takes the sliver cut (_SLIVER)."""
     count, m, _ = rows.shape
     r = m - 2
-    a00, a01, a10, a11 = rows[:, :2].reshape(count, 4).T
+    (a00, a01), (a10, a11) = rows[:, 0].T, rows[:, 1].T
     x, y = rows[:, 2:].T  # (r, K) each
     # det, then x a11 - y a10 and a00 y - a01 x of each other row
     a, b, c, e = np.empty((4, 2 * r + 1, count))
@@ -675,8 +674,10 @@ def polytope_tables(frames) -> PolytopeTables:
     return PolytopeTables(cell, into, alpha, np.abs(pivot), scale, ratio, facets)
 
 
+@functools.cache
 def _others(m):
-    """(m, m - 1): row i lists the indices other than i of m rows, in order."""
+    """(m, m - 1): row i lists the indices other than i of m rows, in order;
+    one array per m, which callers only read."""
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
